@@ -1,6 +1,7 @@
 """Lower bounds on variance products of unitary operator pairs and tuples.
 
-All bounds consume the coordinate moduli x, y of a ModulusPair. The central
+The pairwise bounds consume the coordinate moduli x, y of a ModulusPair,
+the multi-operator ones the DeltaVectors those come from. The central
 construction splits the index set into a block S and its complement, applies
 the Cauchy-Schwarz inequality per block, and once more across the two
 blocks:
@@ -29,9 +30,10 @@ from .errors import (
     SearchSpaceTooLarge,
     WeightOutOfRange,
 )
-from .moments import ModulusPair, PureState
+from .moments import DeltaVector, ModulusPair, PureState
 
 DEFAULT_CAP = 5_000_000
+FLAVORS = ("plain", "convex", "tilde")
 
 
 @dataclass(frozen=True)
@@ -202,49 +204,6 @@ def best_split_bound_overall(pair: ModulusPair, cap: int = DEFAULT_CAP) -> tuple
     return best, best_m, best_subset
 
 
-@dataclass(frozen=True)
-class HeuristicBound:
-    """Greedy search result, explicitly labeled so it is never mistaken
-    for the exact subset maximum."""
-
-    value: float
-    subset: SubsetSelection
-    label: str = "heuristic"
-
-
-def greedy_split_bound(pair: ModulusPair, m: int) -> HeuristicBound:
-    """Heuristic block search: hill-climb by single-index swaps.
-
-    Starts from the leading block and keeps applying the swap with the
-    largest gain. The result is a valid lower bound but not necessarily the
-    maximum; use best_split_bound when the search space fits the cap.
-    """
-    n = pair.dim
-    if not 1 <= m <= n:
-        raise InvalidSubset(f"block size {m} out of range 1..{n}")
-    x2, y2 = _squares(pair)
-    current = set(range(m))
-    value = _split_value(x2, y2, frozenset(current))
-    while True:
-        best_gain = 0.0
-        best_swap = None
-        for i in sorted(current):
-            for j in sorted(set(range(n)) - current):
-                trial = (current - {i}) | {j}
-                val = _split_value(x2, y2, frozenset(trial))
-                if val - value > best_gain:
-                    best_gain = val - value
-                    best_swap = (i, j)
-        if best_swap is None:
-            break
-        current = (current - {best_swap[0]}) | {best_swap[1]}
-        value += best_gain
-        value = _split_value(x2, y2, frozenset(current))
-    return HeuristicBound(
-        value=value,
-        subset=SubsetSelection(n=n, indices=tuple(i + 1 for i in sorted(current))))
-
-
 def fine_grained_bound(pair: ModulusPair, level: int) -> float:
     """Level-d member of the interpolation family between the endpoints.
 
@@ -327,44 +286,44 @@ def gram_matrix(ops, psi: PureState) -> np.ndarray:
     return W.conj().T @ W
 
 
-def triple_correlation_bound(A, B, C, psi: PureState) -> float:
+def triple_correlation_bound(dA: DeltaVector, dB: DeltaVector, dC: DeltaVector) -> float:
     """Three-operator floor built from the pairwise correlations.
 
-    The triple variance product minus this value equals the determinant of
-    the 4x4 Gram matrix of (I, A, B, C), which is nonnegative, so the value
-    never exceeds the triple variance product.
+    Takes the delta vectors of A, B and C on one state. The triple variance
+    product minus this value equals the determinant of the 4x4 Gram matrix
+    of (I, A, B, C), which is nonnegative, so the value never exceeds the
+    triple variance product.
     """
-    dA = moments.variance_pure(A, psi)
-    dB = moments.variance_pure(B, psi)
-    dC = moments.variance_pure(C, psi)
-    cAB = moments.correlation(A, B, psi)
-    cAC = moments.correlation(A, C, psi)
-    cBC = moments.correlation(B, C, psi)
+    vA, vB, vC = dA.variance, dB.variance, dC.variance
+    cAB = dA.correlation(dB)
+    cAC = dA.correlation(dC)
+    cBC = dB.correlation(dC)
     return float(
-        dA * abs(cBC) ** 2
-        + dB * abs(cAC) ** 2
-        + dC * abs(cAB) ** 2
+        vA * abs(cBC) ** 2
+        + vB * abs(cAC) ** 2
+        + vC * abs(cAB) ** 2
         - 2.0 * np.real(cAC * np.conj(cBC) * np.conj(cAB))
     )
 
 
-def geometric_mean_bound(ops, psi: PureState, m: int, v: float = 0.1,
+def geometric_mean_bound(deltas, m: int, v: float = 0.1,
                          flavor: str = "plain", cap: int = DEFAULT_CAP) -> float:
     """Multi-operator bound: geometric mean of the pairwise split bounds.
 
-    For l operators the product of all l(l-1)/2 pairwise bounds is raised
-    to 1/(l-1); with l = 2 this reduces to the single pairwise bound.
-    flavor picks the pairwise quantity: "plain" the split bound on the
-    leading block, "convex" its blend, "tilde" the best split over blocks.
+    Takes the delta vectors of l operators on one state. The product of all
+    l(l-1)/2 pairwise bounds is raised to 1/(l-1); with l = 2 this reduces
+    to the single pairwise bound. flavor picks the pairwise quantity:
+    "plain" the split bound on the leading block, "convex" its blend,
+    "tilde" the best split over blocks.
     """
-    ops = list(ops)
-    if len(ops) < 2:
-        raise ValueError(f"need at least 2 operators, got {len(ops)}")
-    if flavor not in ("plain", "convex", "tilde"):
+    deltas = list(deltas)
+    if len(deltas) < 2:
+        raise ValueError(f"need at least 2 operators, got {len(deltas)}")
+    if flavor not in FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}")
     product = 1.0
-    for U, V in itertools.combinations(ops, 2):
-        pair = moments.modulus_pair(U, V, psi)
+    for alpha, beta in itertools.combinations(deltas, 2):
+        pair = ModulusPair.from_deltas(alpha, beta)
         block = SubsetSelection.first_block(pair.dim, m)
         if flavor == "plain":
             val = split_bound(pair, block)
@@ -373,17 +332,16 @@ def geometric_mean_bound(ops, psi: PureState, m: int, v: float = 0.1,
         else:
             val, _ = best_split_bound(pair, m, cap)
         product *= val
-    return float(product ** (1.0 / (len(ops) - 1)))
+    return float(product ** (1.0 / (len(deltas) - 1)))
 
 
-def bound_report(A, B, psi: PureState, m: int | None = None, v: float = 0.1,
+def bound_report(pair: ModulusPair, m: int | None = None, v: float = 0.1,
                  cap: int = DEFAULT_CAP) -> BoundSet:
-    """Compute every pairwise bound for one operator pair and state.
+    """Compute every pairwise bound for one modulus pair.
 
     m defaults to floor(n/2). m = n is rejected: the complement block would
     be empty and the split degenerates to the plain variance product.
     """
-    pair = moments.modulus_pair(A, B, psi)
     n = pair.dim
     if n < 2:
         raise DimensionTooSmall(f"bound reports need dimension >= 2, got {n}")

@@ -99,7 +99,10 @@ def _decode_state(obj, dim: int) -> PureState | DensityMatrix:
         raise UurError('state must be one of {"pure": ...}, {"density": ...}, {"bloch": ...}')
     kind, payload = next(iter(obj.items()))
     if kind == "pure":
-        amps = np.array([complex(c[0], c[1]) for c in payload])
+        try:
+            amps = np.array([complex(c[0], c[1]) for c in payload])
+        except (TypeError, IndexError) as exc:
+            raise UurError("pure state amplitudes must be [re, im] pairs") from exc
         if amps.size != dim:
             raise UurError(f"pure state has {amps.size} amplitudes, dimension says {dim}")
         return PureState(amplitudes=amps)
@@ -142,18 +145,23 @@ def _load_input_file(cfg: RunConfig) -> Problem:
     else:
         psi = state
     for name, M in named:
-        dev = float(np.max(np.abs(M.conj().T @ M - np.eye(M.shape[0]))))
-        if dev > 1e-8:
-            raise UurError(f"operator {name!r} deviates from unitarity by {dev:.3e}")
+        moments._require_unitary(M, name=f"operator {name!r}")
     params = doc.get("params", {})
+    if not isinstance(params, dict):
+        raise UurError('"params" must be an object')
     n = named[0][1].shape[0]
     m = cfg.m if cfg.m is not None else params.get("m", max(1, n // 2))
     v = cfg.v if cfg.v is not None else params.get("v", 0.1)
     cap = cfg.cap if cfg.cap is not None else params.get("cap", DEFAULT_CAP)
     flavor = cfg.flavor if cfg.flavor is not None else params.get("flavor", "plain")
+    if flavor not in bounds.FLAVORS:
+        raise UurError(f"unknown flavor {flavor!r}; expected one of {', '.join(bounds.FLAVORS)}")
+    try:
+        m, v, cap = int(m), float(v), int(cap)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise UurError(f"params: m and cap must be integers and v a number ({exc})") from exc
     return Problem(label=cfg.input_path, operators=named, scenario=None,
-                   fixed_state=psi, m=int(m), v=float(v), cap=int(cap),
-                   flavor=flavor, notes=notes)
+                   fixed_state=psi, m=m, v=v, cap=cap, flavor=flavor, notes=notes)
 
 
 def _load_example(cfg: RunConfig) -> Problem:
@@ -193,16 +201,14 @@ def _theta_grid(cfg: RunConfig, problem: Problem) -> list[float]:
     return scenarios.theta_grid(lo, hi, steps)
 
 
-def _triple_fields(problem: Problem, psi: PureState) -> dict:
-    ops = [M for _, M in problem.operators]
+def _triple_fields(problem: Problem, deltas: list[moments.DeltaVector]) -> dict:
     vals = {
-        "variance_triple": math.prod(moments.variance_pure(U, psi) for U in ops),
-        "bong3": bounds.triple_correlation_bound(*ops, psi),
-        "prod_k": bounds.geometric_mean_bound(ops, psi, problem.m, problem.v, "plain", problem.cap),
-        "prod_k_v": bounds.geometric_mean_bound(ops, psi, problem.m, problem.v, "convex", problem.cap),
-        "prod_k_tilde": bounds.geometric_mean_bound(ops, psi, problem.m, problem.v, "tilde", problem.cap),
+        "variance_triple": math.prod(d.variance for d in deltas),
+        "bong3": bounds.triple_correlation_bound(*deltas),
     }
-    for key in ("bong3", "prod_k", "prod_k_v", "prod_k_tilde"):
+    for flavor, key in FLAVOR_FIELDS.items():
+        vals[key] = bounds.geometric_mean_bound(deltas, problem.m, problem.v, flavor, problem.cap)
+    for key in TRIPLE_COLUMNS[1:]:
         if vals[key] > vals["variance_triple"] + 1e-10:
             raise _Violation(f"{key} exceeds variance_triple by "
                              f"{vals[key] - vals['variance_triple']:.3e}")
@@ -210,9 +216,10 @@ def _triple_fields(problem: Problem, psi: PureState) -> dict:
 
 
 def _report_row(problem: Problem, theta: float) -> tuple[bounds.BoundSet, dict]:
-    (nameA, A), (nameB, B) = problem.operators[0], problem.operators[1]
+    ops = [M for _, M in problem.operators]
     psi = problem.state_at(theta)
-    report = bounds.bound_report(A, B, psi, m=problem.m, v=problem.v, cap=problem.cap)
+    pair = moments.modulus_pair(ops[0], ops[1], psi)
+    report = bounds.bound_report(pair, m=problem.m, v=problem.v, cap=problem.cap)
     bad = report.validate()
     if bad:
         raise _Violation(f"chain invariants failed at theta={theta!r}: " + "; ".join(bad))
@@ -226,8 +233,9 @@ def _report_row(problem: Problem, theta: float) -> tuple[bounds.BoundSet, dict]:
         "i_2": report.i_d[1],
         "i_1_prime": report.i_1_prime,
     }
-    if len(problem.operators) == 3:
-        row.update(_triple_fields(problem, psi))
+    if len(ops) == 3:
+        deltas = [pair.alpha, pair.beta, moments.delta_vector(ops[2], psi)]
+        row.update(_triple_fields(problem, deltas))
     return report, row
 
 
@@ -285,12 +293,9 @@ def run_bounds(cfg: RunConfig) -> int:
         "notes": list(problem.notes),
     }
     if len(problem.operators) == 3:
-        triple = {k: row[k] for k in
-                  ("variance_triple", "bong3", "prod_k", "prod_k_v", "prod_k_tilde")}
+        triple = {k: row[k] for k in TRIPLE_COLUMNS}
         triple["geometric_mean_flavor"] = problem.flavor
-        triple["geometric_mean"] = bounds.geometric_mean_bound(
-            [M for _, M in problem.operators], problem.state_at(theta),
-            problem.m, problem.v, problem.flavor, problem.cap)
+        triple["geometric_mean"] = row[FLAVOR_FIELDS[problem.flavor]]
         out["triple"] = triple
     if (cfg.format or "json") == "json":
         _emit(cfg, json.dumps(out, indent=2) + "\n")
@@ -305,7 +310,7 @@ def run_bounds(cfg: RunConfig) -> int:
         for lev, val in enumerate(i_d, start=1):
             flat[f"i_{lev}"] = val
         if triple:
-            for key in ("variance_triple", "bong3", "prod_k", "prod_k_v", "prod_k_tilde"):
+            for key in TRIPLE_COLUMNS:
                 flat[key] = triple[key]
         columns = list(flat.keys())
         _emit(cfg, _rows_to_csv(columns, [flat]))
@@ -315,6 +320,7 @@ def run_bounds(cfg: RunConfig) -> int:
 SWEEP_COLUMNS = ["theta", "variance_product", "lb", "k_m", "k_m_v", "k_tilde",
                  "i_2", "i_1_prime"]
 TRIPLE_COLUMNS = ["variance_triple", "bong3", "prod_k", "prod_k_v", "prod_k_tilde"]
+FLAVOR_FIELDS = {"plain": "prod_k", "convex": "prod_k_v", "tilde": "prod_k_tilde"}
 
 
 def run_sweep(cfg: RunConfig) -> int:
@@ -356,6 +362,8 @@ def run_compare(cfg: RunConfig) -> int:
 
 
 def run_check(cfg: RunConfig) -> int:
+    if cfg.trials < 1:
+        raise UurError(f"trials must be >= 1, got {cfg.trials}")
     results = selfcheck.run_all(cfg.seed, cfg.trials,
                                 cap=cfg.cap if cfg.cap is not None else DEFAULT_CAP,
                                 corrupt=cfg.corrupt)
@@ -394,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--steps", type=int)
         p.add_argument("--m", type=int, help="block size (default: half the dimension)")
         p.add_argument("--v", type=float, help="blend weight in [0, 1] (default 0.1)")
-        p.add_argument("--flavor", choices=("plain", "convex", "tilde"),
+        p.add_argument("--flavor", choices=bounds.FLAVORS,
                        help="geometric mean variant for triples (default plain)")
         p.add_argument("--cap", type=int, help=f"subset search cap (default {DEFAULT_CAP})")
         p.add_argument("--seed", type=int, default=42)

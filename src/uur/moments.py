@@ -80,6 +80,15 @@ class DeltaVector:
     entries: np.ndarray
     mean: complex
 
+    @property
+    def variance(self) -> float:
+        """<dA^dagger dA>, the squared norm of the entries."""
+        return float(np.real(np.vdot(self.entries, self.entries)))
+
+    def correlation(self, other: "DeltaVector") -> complex:
+        """<A^dagger B> - <A^dagger><B>, the inner product with other's entries."""
+        return complex(np.vdot(self.entries, other.entries))
+
 
 @dataclass(frozen=True)
 class ModulusPair:
@@ -109,6 +118,11 @@ class ModulusPair:
     @property
     def dim(self) -> int:
         return self.x.size
+
+    @classmethod
+    def from_deltas(cls, alpha: DeltaVector, beta: DeltaVector) -> "ModulusPair":
+        """The moduli of two delta vectors on a shared state."""
+        return cls(x=np.abs(alpha.entries), y=np.abs(beta.entries), alpha=alpha, beta=beta)
 
     @classmethod
     def from_moduli(cls, x, y) -> "ModulusPair":
@@ -146,15 +160,14 @@ def delta_vector(A, psi: PureState) -> DeltaVector:
     M = linalg.as_square_matrix(A)
     _check_dims(M, psi)
     _require_unitary(M)
-    mean = expectation(M, psi)
-    return DeltaVector(entries=M @ psi.amplitudes - mean * psi.amplitudes, mean=mean)
+    image = M @ psi.amplitudes
+    mean = complex(np.vdot(psi.amplitudes, image))
+    return DeltaVector(entries=image - mean * psi.amplitudes, mean=mean)
 
 
 def modulus_pair(A, B, psi: PureState) -> ModulusPair:
     """Coordinate moduli x, y of the two delta vectors on a shared state."""
-    alpha = delta_vector(A, psi)
-    beta = delta_vector(B, psi)
-    return ModulusPair(x=np.abs(alpha.entries), y=np.abs(beta.entries), alpha=alpha, beta=beta)
+    return ModulusPair.from_deltas(delta_vector(A, psi), delta_vector(B, psi))
 
 
 def correlation(A, B, psi: PureState) -> complex:
@@ -163,15 +176,12 @@ def correlation(A, B, psi: PureState) -> complex:
     Computed as the inner product of the two delta coordinate vectors,
     which equals the operator form identically.
     """
-    alpha = delta_vector(A, psi)
-    beta = delta_vector(B, psi)
-    return complex(np.vdot(alpha.entries, beta.entries))
+    return delta_vector(A, psi).correlation(delta_vector(B, psi))
 
 
 def variance_pure(A, psi: PureState) -> float:
     """Variance <dA^dagger dA> of a unitary operator on a pure state."""
-    d = delta_vector(A, psi)
-    return float(np.real(np.vdot(d.entries, d.entries)))
+    return delta_vector(A, psi).variance
 
 
 def variance_mixed(A, rho: DensityMatrix) -> float:

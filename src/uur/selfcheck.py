@@ -6,14 +6,12 @@ draw bit for bit. A suite reports its trial count, failure count, the worst
 margin it observed, and the first counterexample (fully serialized) when
 something fails.
 
-Two knowingly false claims about the transcribed comparison bounds are NOT
-suites here, because a suite that always fails would make `check` useless
-as a regression gate: the paired cross bound is not >= level 2 of the
-fine-grained family on general states (it is on the ex1 family, which is
-what cross_bound_chain covers), and the purified projector's two partial
-traces are rho and transpose(rho), not rho twice. The acceptance tests
-exercise both claims in their original strict form and document the
-failures.
+Two tempting claims are false and are NOT suites here: the paired cross
+bound is not >= level 2 of the fine-grained family on general states (it
+is on the ex1 family, which is what cross_bound_chain covers), and the
+purified projector's two partial traces are rho and transpose(rho), not
+rho twice. The suites check what holds instead, and so do the acceptance
+tests.
 """
 
 from __future__ import annotations
@@ -262,8 +260,9 @@ def suite_triple_bound(seed: int, trials: int) -> SuiteResult:
         d = 2 + trial % 5
         ops = [sampling.random_unitary(rng, d) for _ in range(3)]
         psi = sampling.random_state(rng, d)
-        vp3 = math.prod(moments.variance_pure(U, psi) for U in ops)
-        rhs = bounds.triple_correlation_bound(*ops, psi)
+        deltas = [moments.delta_vector(U, psi) for U in ops]
+        vp3 = math.prod(dv.variance for dv in deltas)
+        rhs = bounds.triple_correlation_bound(*deltas)
         det = float(np.real(np.linalg.det(bounds.gram_matrix(ops, psi))))
         instance = {"trial": trial, "dimension": d,
                     "operators": [encode_complex_matrix(U) for U in ops],
@@ -286,13 +285,14 @@ def suite_multi_op(seed: int, trials: int, cap: int = DEFAULT_CAP) -> SuiteResul
         m = 1 + trial % max(1, d // 2)
         ops = [sampling.random_unitary(rng, d) for _ in range(l)]
         psi = sampling.random_state(rng, d)
-        prod = math.prod(moments.variance_pure(U, psi) for U in ops)
+        deltas = [moments.delta_vector(U, psi) for U in ops]
+        prod = math.prod(dv.variance for dv in deltas)
         instance = {"trial": trial, "dimension": d, "params": {"m": m, "l": l},
                     "operators": [encode_complex_matrix(U) for U in ops],
                     "state": encode_complex_vector(psi.amplitudes)}
         vals = {}
         for flavor in ("plain", "convex", "tilde"):
-            vals[flavor] = bounds.geometric_mean_bound(ops, psi, m, v=0.1,
+            vals[flavor] = bounds.geometric_mean_bound(deltas, m, v=0.1,
                                                        flavor=flavor, cap=cap)
             rec.check(vals[flavor] - prod, SLACK,
                       dict(instance, flavor=flavor), "multi-op bound exceeds product")

@@ -123,7 +123,8 @@ def test_criterion_03_clock_shift_closed_forms():
                     deviations.append((d, round(theta, 6), key, err))
         if d == 2:
             for theta in scenarios.theta_grid(0.0, math.pi, 25):
-                rep = bounds.bound_report(A, B, scen.state(theta), m=1, v=0.1)
+                pair = moments.modulus_pair(A, B, scen.state(theta))
+                rep = bounds.bound_report(pair, m=1, v=0.1)
                 vals = [rep.variance_product, rep.lb, rep.k_m, rep.k_m_v,
                         rep.k_tilde_m, rep.k_tilde, *rep.i_d]
                 assert max(vals) - min(vals) < SLACK, \
@@ -246,7 +247,7 @@ def test_criterion_08_gram_psd_and_triple():
             f"trial {trial}: Gram matrix not PSD"
         if n_ops == 3:
             product = math.prod(moments.variance_pure(U, psi) for U in ops)
-            rhs = bounds.triple_correlation_bound(*ops, psi)
+            rhs = bounds.triple_correlation_bound(*(moments.delta_vector(U, psi) for U in ops))
             assert rhs <= product + SLACK, \
                 f"trial {trial}: triple bound exceeds the variance product"
 
@@ -259,10 +260,11 @@ def test_criterion_09_geometric_mean_products():
             ops = [uur.random_unitary(gen, d) for _ in range(n_ops)]
             psi = uur.random_state(gen, d)
             m = 1 + trial % max(1, d // 2)
+            deltas = [moments.delta_vector(U, psi) for U in ops]
             product = math.prod(moments.variance_pure(U, psi) for U in ops)
             vals = {}
             for flavor in ("plain", "convex", "tilde"):
-                val = bounds.geometric_mean_bound(ops, psi, m, 0.1, flavor)
+                val = bounds.geometric_mean_bound(deltas, m, 0.1, flavor)
                 vals[flavor] = val
                 assert val <= product + SLACK, \
                     f"l={n_ops} trial {trial} {flavor}: bound exceeds product"

@@ -22,6 +22,10 @@ def subset(n, *idx) -> bounds.SubsetSelection:
     return bounds.SubsetSelection(n=n, indices=tuple(idx))
 
 
+def deltas_of(ops, psi) -> list[moments.DeltaVector]:
+    return [moments.delta_vector(U, psi) for U in ops]
+
+
 # --- correlation bound -------------------------------------------------------
 
 def test_correlation_bound_zero_for_zero_vectors():
@@ -146,17 +150,6 @@ def test_block_symmetry_between_m_and_complement():
             assert a == pytest.approx(b, abs=1e-12)
 
 
-def test_greedy_split_bound_is_labeled_and_below_exact():
-    for trial in range(10):
-        A, B, psi = random_pair(31, trial, 6)
-        p = moments.modulus_pair(A, B, psi)
-        greedy = bounds.greedy_split_bound(p, 3)
-        exact, _ = bounds.best_split_bound(p, 3)
-        assert greedy.label == "heuristic"
-        assert greedy.value <= exact + 1e-12
-        assert greedy.subset.m == 3
-
-
 # --- fine-grained family -------------------------------------------------------
 
 def test_fine_grained_worked_values():
@@ -258,7 +251,7 @@ def test_triple_correlation_bound_identity_factor_vanishes():
     A = uur.random_unitary(gen, 4)
     B = uur.random_unitary(gen, 4)
     psi = uur.random_state(gen, 4)
-    val = bounds.triple_correlation_bound(A, B, np.eye(4, dtype=complex), psi)
+    val = bounds.triple_correlation_bound(*deltas_of([A, B, np.eye(4, dtype=complex)], psi))
     assert val == pytest.approx(0.0, abs=1e-12)
 
 
@@ -267,7 +260,7 @@ def test_triple_correlation_bound_equal_operators_saturate():
     A = uur.random_unitary(gen, 4)
     psi = uur.random_state(gen, 4)
     var = moments.variance_pure(A, psi)
-    val = bounds.triple_correlation_bound(A, A, A, psi)
+    val = bounds.triple_correlation_bound(*deltas_of([A, A, A], psi))
     assert val == pytest.approx(var ** 3, abs=1e-10)
 
 
@@ -280,7 +273,7 @@ def test_triple_bound_matches_gram_determinant():
         G = bounds.gram_matrix(ops, psi)
         det = float(np.linalg.det(G).real)
         triple = math.prod(moments.variance_pure(U, psi) for U in ops)
-        rhs = bounds.triple_correlation_bound(*ops, psi)
+        rhs = bounds.triple_correlation_bound(*deltas_of(ops, psi))
         assert det == pytest.approx(triple - rhs, abs=1e-9)
         assert rhs <= triple + 1e-10
 
@@ -294,7 +287,7 @@ def test_geometric_mean_two_ops_reduces_to_pairwise():
     psi = uur.random_state(gen, 4)
     pairwise = bounds.split_bound(moments.modulus_pair(A, B, psi),
                                   bounds.SubsetSelection.first_block(4, 2))
-    assert bounds.geometric_mean_bound([A, B], psi, 2, 0.1, "plain") == pytest.approx(pairwise)
+    assert bounds.geometric_mean_bound(deltas_of([A, B], psi), 2, 0.1, "plain") == pytest.approx(pairwise)
 
 
 def test_geometric_mean_identity_op_kills_bound():
@@ -302,7 +295,7 @@ def test_geometric_mean_identity_op_kills_bound():
     A = uur.random_unitary(gen, 4)
     B = uur.random_unitary(gen, 4)
     psi = uur.random_state(gen, 4)
-    val = bounds.geometric_mean_bound([A, B, np.eye(4, dtype=complex)], psi, 2, 1.0, "plain")
+    val = bounds.geometric_mean_bound(deltas_of([A, B, np.eye(4, dtype=complex)], psi), 2, 1.0, "plain")
     assert val == pytest.approx(0.0, abs=1e-12)
 
 
@@ -314,7 +307,7 @@ def test_geometric_mean_flavors_all_below_product():
         psi = uur.random_state(gen, d)
         product = math.prod(moments.variance_pure(U, psi) for U in ops)
         for flavor in ("plain", "convex", "tilde"):
-            val = bounds.geometric_mean_bound(ops, psi, max(1, d // 2), 0.1, flavor)
+            val = bounds.geometric_mean_bound(deltas_of(ops, psi), max(1, d // 2), 0.1, flavor)
             assert val <= product + 1e-10
 
 
@@ -324,14 +317,14 @@ def test_geometric_mean_rejects_unknown_flavor():
     B = uur.random_unitary(gen, 3)
     psi = uur.random_state(gen, 3)
     with pytest.raises(ValueError):
-        bounds.geometric_mean_bound([A, B], psi, 1, 0.1, "fancy")
+        bounds.geometric_mean_bound(deltas_of([A, B], psi), 1, 0.1, "fancy")
 
 
 # --- aggregate report ----------------------------------------------------------------
 
 def test_bound_report_runs_chain_on_random_instance():
     A, B, psi = random_pair(91, 0, 5)
-    rep = bounds.bound_report(A, B, psi, m=2, v=0.1)
+    rep = bounds.bound_report(moments.modulus_pair(A, B, psi), m=2, v=0.1)
     assert rep.validate() == []
     assert rep.m == 2
     assert rep.v == pytest.approx(0.1)
@@ -342,12 +335,12 @@ def test_bound_report_runs_chain_on_random_instance():
 def test_bound_report_rejects_degenerate_block():
     A, B, psi = random_pair(92, 0, 3)
     with pytest.raises(errors.InvalidSubset):
-        bounds.bound_report(A, B, psi, m=3, v=0.1)
+        bounds.bound_report(moments.modulus_pair(A, B, psi), m=3, v=0.1)
 
 
 def test_bound_report_skips_cross_term_for_qubits():
     A, B, psi = random_pair(93, 0, 2)
-    rep = bounds.bound_report(A, B, psi, m=1, v=0.1)
+    rep = bounds.bound_report(moments.modulus_pair(A, B, psi), m=1, v=0.1)
     assert rep.i_1_prime is None
     assert rep.validate() == []
 

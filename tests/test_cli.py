@@ -226,3 +226,73 @@ def test_invalid_v_rejected(capsys):
                         "--theta-min", "1.0", "--v", "1.5"], capsys)
     assert code == 2
     assert "weight" in err.lower() or "v" in err.lower()
+
+
+PAULI_OPERATORS = [
+    {"name": "Z", "matrix": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]},
+    {"name": "X", "matrix": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]},
+    {"name": "Y", "matrix": [[[0, 0], [0, -1]], [[0, 1], [0, 0]]]},
+]
+GOOD_STATE = '{"pure": [[0.6, 0], [0, 0.8]]}'
+
+
+def write_problem(tmp_path, n_ops, state=GOOD_STATE, params="{}"):
+    """A qubit problem file; state and params are raw JSON text."""
+    path = tmp_path / "prob.json"
+    path.write_text(f'{{"dimension": 2, "operators": {json.dumps(PAULI_OPERATORS[:n_ops])}, '
+                    f'"state": {state}, "params": {params}}}')
+    return path
+
+
+@pytest.mark.parametrize("n_ops, state, params", [
+    (2, '{"pure": [1, 0]}', "{}"),
+    (2, GOOD_STATE, '{"m": null}'),
+    (2, GOOD_STATE, '"x"'),
+    (2, GOOD_STATE, '{"cap": 1e400}'),
+    (2, GOOD_STATE, '{"flavor": "bogus"}'),
+    (3, GOOD_STATE, '{"flavor": "bogus"}'),
+], ids=["pure-reals", "m-null", "params-string", "cap-overflow", "flavor-2ops", "flavor-3ops"])
+def test_malformed_input_file_is_input_error(tmp_path, capsys, n_ops, state, params):
+    path = write_problem(tmp_path, n_ops, state, params)
+    code, out, err = run(["bounds", "--input", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_check_without_trials_is_input_error(capsys, trials):
+    code, out, err = run(["check", "--trials", str(trials)], capsys)
+    assert code == 2
+    assert out == ""
+    assert "trials" in err
+
+
+@pytest.fixture
+def delta_vector_calls(monkeypatch):
+    """Every operator moments.delta_vector is called with, in call order."""
+    calls = []
+    real = moments.delta_vector
+
+    def counting(A, psi):
+        calls.append(A)
+        return real(A, psi)
+
+    monkeypatch.setattr(moments, "delta_vector", counting)
+    return calls
+
+
+@pytest.mark.parametrize("example, n_ops", [("ex5", 3), ("ex2", 2)])
+def test_sweep_row_computes_one_delta_vector_per_operator(capsys, delta_vector_calls,
+                                                          example, n_ops):
+    code, _, err = run(["sweep", "--example", example, "--steps", "4"], capsys)
+    assert code == 0, err
+    assert len(delta_vector_calls) == 4 * n_ops
+
+
+def test_three_operator_report_computes_three_delta_vectors(tmp_path, capsys,
+                                                            delta_vector_calls):
+    path = write_problem(tmp_path, 3, params='{"flavor": "tilde"}')
+    code, _, err = run(["bounds", "--input", str(path)], capsys)
+    assert code == 0, err
+    assert len(delta_vector_calls) == 3
