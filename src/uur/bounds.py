@@ -9,7 +9,9 @@ blocks:
     (x . y)^2  <=  (|x_S||y_S| + |x_Sc||y_Sc|)^2  <=  |x|^2 |y|^2
 
 The middle quantity is the split bound; maximizing it over which indices
-form the block gives the best split bound. The interpolation family i_d and
+form the block gives the best split bound. A block and its complement give
+the same split value, so a report searches each size m <= n/2 once, and at
+m = n/2 only the blocks that hold index 1. The interpolation family i_d and
 the paired cross bound are transcribed comparison bounds from the
 literature, kept byte-faithful to their published term structure.
 """
@@ -160,6 +162,13 @@ def split_bound_blend(pair: ModulusPair, subset: SubsetSelection, v: float) -> f
     return v * split_bound(pair, subset) + (1.0 - v) * variance_product(pair)
 
 
+def _check_cap(n: int, m: int, cap: int) -> None:
+    count = math.comb(n, m)
+    if count > cap:
+        raise SearchSpaceTooLarge(f"binomial({n}, {m}) = {count} subsets exceeds "
+                                  f"the cap of {cap}", count=count)
+
+
 def best_split_bound(pair: ModulusPair, m: int, cap: int = DEFAULT_CAP) -> tuple[float, SubsetSelection]:
     """Maximum split bound over all blocks of size m.
 
@@ -167,19 +176,21 @@ def best_split_bound(pair: ModulusPair, m: int, cap: int = DEFAULT_CAP) -> tuple
     split value depends on, so permutations never need to be enumerated.
     Ties resolve to the lexicographically smallest subset. Raises
     SearchSpaceTooLarge instead of silently truncating the search.
+
+    A block and its complement give the same value bit for bit (the two
+    block terms swap places), so when 2m = n only the first binomial(n-1,
+    m-1) blocks, those holding index 1, are searched: they hold the
+    lexicographically smaller block of every complementary pair.
     """
     n = pair.dim
     if not 1 <= m <= n:
         raise InvalidSubset(f"block size {m} out of range 1..{n}")
-    count = math.comb(n, m)
-    if count > cap:
-        raise SearchSpaceTooLarge(
-            f"binomial({n}, {m}) = {count} subsets exceeds the cap of {cap}", count=count
-        )
+    _check_cap(n, m, cap)
     x2, y2 = _squares(pair)
+    stop = math.comb(n - 1, m - 1) if 2 * m == n else None
     best = -1.0
     best_subset: tuple[int, ...] = ()
-    for combo in itertools.combinations(range(n), m):
+    for combo in itertools.islice(itertools.combinations(range(n), m), stop):
         val = _split_value(x2, y2, frozenset(combo))
         if val > best:
             best = val
@@ -187,21 +198,12 @@ def best_split_bound(pair: ModulusPair, m: int, cap: int = DEFAULT_CAP) -> tuple
     return best, SubsetSelection(n=n, indices=tuple(i + 1 for i in best_subset))
 
 
-def best_split_bound_overall(pair: ModulusPair, cap: int = DEFAULT_CAP) -> tuple[float, int, SubsetSelection]:
-    """Maximum of best_split_bound over block sizes m = 1 .. floor(n/2).
+def best_split_bounds(pair: ModulusPair, cap: int = DEFAULT_CAP) -> list[tuple[float, SubsetSelection]]:
+    """best_split_bound for each block size m = 1 .. floor(n/2), in order.
 
-    Larger blocks are redundant: a block and its complement give the same
-    split value, so sizes above n/2 repeat sizes below it.
+    Larger blocks are redundant: size n - m gives the same value as size m.
     """
-    n = pair.dim
-    best = -1.0
-    best_m = 1
-    best_subset = SubsetSelection.first_block(n, 1)
-    for m in range(1, max(1, n // 2) + 1):
-        val, subset = best_split_bound(pair, m, cap)
-        if val > best:
-            best, best_m, best_subset = val, m, subset
-    return best, best_m, best_subset
+    return [best_split_bound(pair, m, cap) for m in range(1, max(1, pair.dim // 2) + 1)]
 
 
 def fine_grained_bound(pair: ModulusPair, level: int) -> float:
@@ -350,16 +352,18 @@ def bound_report(pair: ModulusPair, m: int | None = None, v: float = 0.1,
     if not 1 <= m <= n - 1:
         raise InvalidSubset(f"block size {m} out of range 1..{n - 1} (m = n is degenerate)")
     block = SubsetSelection.first_block(n, m)
-    k_tilde_m_val, _ = best_split_bound(pair, m, cap)
-    k_tilde_val, _, k_tilde_subset = best_split_bound_overall(pair, cap)
+    _check_cap(n, m, cap)
+    table = best_split_bounds(pair, cap)
+    # max keeps the first maximum, so ties go to the smallest block size.
+    k_tilde, k_tilde_argmax = max(table, key=lambda entry: entry[0])
     return BoundSet(
         variance_product=variance_product(pair),
         lb=correlation_bound(pair),
         k_m=split_bound(pair, block),
         k_m_v=split_bound_blend(pair, block, v),
-        k_tilde_m=k_tilde_m_val,
-        k_tilde=max(k_tilde_val, k_tilde_m_val),
-        k_tilde_argmax=k_tilde_subset,
+        k_tilde_m=table[min(m, n - m) - 1][0],
+        k_tilde=k_tilde,
+        k_tilde_argmax=k_tilde_argmax,
         i_d=fine_grained_sequence(pair),
         i_1_prime=paired_cross_bound(pair) if n >= 3 else None,
         m=m,

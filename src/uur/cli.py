@@ -84,6 +84,14 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _number(value, name: str, integer: bool = False):
+    """A JSON number; where an integer is due, 2.0 passes and 2.5 does not."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or integer and isinstance(value, float) and not value.is_integer()):
+        raise UurError(f"{name} must be {'an integer' if integer else 'a number'}, got {value!r}")
+    return int(value) if integer else float(value)
+
+
 def _decode_complex_matrix(obj, name: str) -> np.ndarray:
     try:
         M = np.array([[complex(c[0], c[1]) for c in row] for row in obj])
@@ -114,18 +122,23 @@ def _decode_state(obj, dim: int) -> PureState | DensityMatrix:
     if kind == "bloch":
         if dim != 2:
             raise UurError("bloch states require dimension 2")
-        return moments.bloch_density([float(t) for t in payload])
+        if not isinstance(payload, list):
+            raise UurError("bloch vector must be a list of three numbers")
+        return moments.bloch_density([_number(t, "bloch component") for t in payload])
     raise UurError(f"unknown state kind {kind!r}")
 
 
 def _load_input_file(cfg: RunConfig) -> Problem:
     with open(cfg.input_path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if "dimension" not in doc:
+    if not isinstance(doc, dict) or "dimension" not in doc:
         raise UurError('input file needs a top-level "dimension" field')
-    dim = int(doc["dimension"])
+    dim = _number(doc["dimension"], "dimension", integer=True)
+    entries = doc.get("operators", [])
+    if not isinstance(entries, list):
+        raise UurError('"operators" must be a list')
     named = []
-    for entry in doc.get("operators", []):
+    for entry in entries:
         if not isinstance(entry, dict) or "name" not in entry or "matrix" not in entry:
             raise UurError('each operator must be an object with "name" and "matrix"')
         named.append((str(entry["name"]), _decode_complex_matrix(entry["matrix"], entry["name"])))
@@ -156,10 +169,8 @@ def _load_input_file(cfg: RunConfig) -> Problem:
     flavor = cfg.flavor if cfg.flavor is not None else params.get("flavor", "plain")
     if flavor not in bounds.FLAVORS:
         raise UurError(f"unknown flavor {flavor!r}; expected one of {', '.join(bounds.FLAVORS)}")
-    try:
-        m, v, cap = int(m), float(v), int(cap)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise UurError(f"params: m and cap must be integers and v a number ({exc})") from exc
+    m, v, cap = (_number(m, "params: m", integer=True), _number(v, "params: v"),
+                 _number(cap, "params: cap", integer=True))
     return Problem(label=cfg.input_path, operators=named, scenario=None,
                    fixed_state=psi, m=m, v=v, cap=cap, flavor=flavor, notes=notes)
 
@@ -262,16 +273,17 @@ def _rows_to_csv(columns: list[str], rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _rows_to_json(rows: list[dict]) -> str:
-    return json.dumps(rows, indent=2) + "\n"
+def _emit_rows(cfg: RunConfig, columns: list[str], rows: list[dict]):
+    if (cfg.format or "csv") == "csv":
+        _emit(cfg, _rows_to_csv(columns, rows))
+    else:
+        _emit(cfg, json.dumps([{c: r[c] for c in columns} for r in rows], indent=2) + "\n")
 
 
 def run_bounds(cfg: RunConfig) -> int:
     problem = _load_problem(cfg)
-    if problem.scenario is not None:
-        theta = cfg.theta_min if cfg.theta_min is not None else problem.scenario.theta_range[0]
-    else:
-        theta = cfg.theta_min if cfg.theta_min is not None else 0.0
+    start = problem.scenario.theta_range[0] if problem.scenario is not None else 0.0
+    theta = cfg.theta_min if cfg.theta_min is not None else start
     report, row = _report_row(problem, theta)
     out = {
         "command": "bounds",
@@ -306,14 +318,10 @@ def run_bounds(cfg: RunConfig) -> int:
         triple = flat.pop("triple", None)
         flat["k_tilde_argmax_m"] = report.k_tilde_argmax.m
         flat["k_tilde_argmax"] = ";".join(str(i) for i in report.k_tilde_argmax.indices)
-        i_d = flat.pop("i_d")
-        for lev, val in enumerate(i_d, start=1):
-            flat[f"i_{lev}"] = val
+        flat.update((f"i_{lev}", val) for lev, val in enumerate(flat.pop("i_d"), start=1))
         if triple:
-            for key in TRIPLE_COLUMNS:
-                flat[key] = triple[key]
-        columns = list(flat.keys())
-        _emit(cfg, _rows_to_csv(columns, [flat]))
+            flat.update((key, triple[key]) for key in TRIPLE_COLUMNS)
+        _emit(cfg, _rows_to_csv(list(flat), [flat]))
     return EXIT_OK
 
 
@@ -329,10 +337,7 @@ def run_sweep(cfg: RunConfig) -> int:
     problem = _load_problem(cfg)
     rows = [_report_row(problem, theta)[1] for theta in _theta_grid(cfg, problem)]
     columns = SWEEP_COLUMNS + (TRIPLE_COLUMNS if len(problem.operators) == 3 else [])
-    if (cfg.format or "csv") == "csv":
-        _emit(cfg, _rows_to_csv(columns, rows))
-    else:
-        _emit(cfg, _rows_to_json([{c: r[c] for c in columns} for r in rows]))
+    _emit_rows(cfg, columns, rows)
     return EXIT_OK
 
 
@@ -353,11 +358,7 @@ def run_compare(cfg: RunConfig) -> int:
         if len(problem.operators) == 3:
             diff["prod_k_v_minus_bong3"] = row["prod_k_v"] - row["bong3"]
         out_rows.append(diff)
-    columns = list(out_rows[0].keys())
-    if (cfg.format or "csv") == "csv":
-        _emit(cfg, _rows_to_csv(columns, out_rows))
-    else:
-        _emit(cfg, _rows_to_json(out_rows))
+    _emit_rows(cfg, list(out_rows[0]), out_rows)
     return EXIT_OK
 
 
@@ -425,7 +426,7 @@ def main(argv=None) -> int:
     except _Violation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
-    except (UurError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (UurError, OSError, json.JSONDecodeError, KeyError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

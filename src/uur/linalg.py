@@ -85,8 +85,7 @@ def unvec(v) -> np.ndarray:
 
 def is_unitary(M, tol: float = 1e-10) -> bool:
     """True iff the max-norm deviation of M^dagger M from I is within tol."""
-    A = as_square_matrix(M)
-    return bool(np.max(np.abs(A.conj().T @ A - np.eye(A.shape[0]))) <= tol)
+    return unitary_deviation(M) <= tol
 
 
 def unitary_deviation(M) -> float:

@@ -33,11 +33,7 @@ def shift_operator(d: int) -> np.ndarray:
     """Cyclic shift |k> -> |k+1 mod d>; satisfies clock @ shift = w shift @ clock."""
     if d < 2:
         raise DimensionTooSmall(f"shift operator needs dimension >= 2, got {d}")
-    M = np.zeros((d, d), dtype=complex)
-    M[0, d - 1] = 1.0
-    for k in range(1, d):
-        M[k, k - 1] = 1.0
-    return M
+    return np.roll(np.eye(d, dtype=complex), 1, axis=0)
 
 
 @dataclass(frozen=True)

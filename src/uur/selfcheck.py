@@ -116,7 +116,7 @@ def suite_subset_chain(seed: int, trials: int) -> SuiteResult:
         d, A, B, psi, instance = _pair_instance(seed, trial, 1)
         pair = moments.modulus_pair(A, B, psi)
         vp = bounds.variance_product(pair)
-        ktilde, _, _ = bounds.best_split_bound_overall(pair)
+        ktilde = max(val for val, _ in bounds.best_split_bounds(pair))
         for m in range(1, d):
             km = bounds.split_bound(pair, SubsetSelection.first_block(d, m))
             ktm, _ = bounds.best_split_bound(pair, m)

@@ -40,7 +40,7 @@ def test_criterion_01_pairwise_bound_chains():
         pair = moments.modulus_pair(A, B, psi)
         vp = bounds.variance_product(pair)
         lb = bounds.correlation_bound(pair)
-        k_tilde, _, _ = bounds.best_split_bound_overall(pair)
+        k_tilde = max(val for val, _ in bounds.best_split_bounds(pair))
         for m in range(1, d + 1):
             k = bounds.split_bound(pair, bounds.SubsetSelection.first_block(d, m))
             if not lb <= k + SLACK:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -132,12 +133,78 @@ def test_best_split_bound_cap_is_enforced():
     assert err.value.count == math.comb(30, 15)
 
 
-def test_best_split_bound_overall_reports_achieving_m():
+def test_best_split_bounds_reports_achieving_m():
     p = pair_of([1, 2, 3, 4], [4, 3, 2, 1])
-    val, m, sel = bounds.best_split_bound_overall(p)
+    table = bounds.best_split_bounds(p)
+    assert [sel.m for _, sel in table] == [1, 2]
+    val, sel = max(table, key=lambda entry: entry[0])
+    m = sel.m
     assert 1 <= m <= 2
     per_m = max(bounds.best_split_bound(p, mm)[0] for mm in (1, 2))
     assert val == pytest.approx(per_m)
+
+
+def brute_force_split(p, m):
+    """First maximum of split_bound over every block of size m, in lexicographic order."""
+    best, best_sel = -1.0, None
+    for combo in itertools.combinations(range(1, p.dim + 1), m):
+        sel = subset(p.dim, *combo)
+        val = bounds.split_bound(p, sel)
+        if val > best:
+            best, best_sel = val, sel
+    return best, best_sel
+
+
+# Small integer moduli force ties between blocks; wide floats rarely tie.
+tied_moduli = st.integers(min_value=0, max_value=2).map(float)
+wide_moduli = st.floats(min_value=0.0, max_value=10.0, allow_nan=False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=1, max_value=5).flatmap(
+    lambda half: st.tuples(*[st.tuples(st.one_of(tied_moduli, wide_moduli),
+                                       st.one_of(tied_moduli, wide_moduli))] * (2 * half))))
+def test_best_split_bound_half_size_matches_full_enumeration(entries):
+    p = pair_of([e[0] for e in entries], [e[1] for e in entries])
+    m = p.dim // 2
+    val, sel = bounds.best_split_bound(p, m)
+    want_val, want_sel = brute_force_split(p, m)
+    assert val == want_val
+    assert sel == want_sel
+
+
+def test_best_split_bound_half_size_ties_keep_lexicographic_block():
+    # Every block of size 2 ties with its complement, and {1, 4} ties {2, 3}.
+    p = pair_of([1, 2, 2, 1], [1, 2, 2, 1])
+    assert bounds.best_split_bound(p, 2) == brute_force_split(p, 2)
+    assert bounds.best_split_bound(p, 2)[1].indices == (1, 2)
+    flat = pair_of([1, 1, 1, 1, 1, 1], [1, 1, 1, 1, 1, 1])
+    assert bounds.best_split_bound(flat, 3)[1].indices == (1, 2, 3)
+
+
+def test_bound_report_k_tilde_m_equals_search_at_every_block_size():
+    for trial in range(6):
+        n = 2 + trial
+        p = moments.modulus_pair(*random_pair(23, trial, n))
+        for m in range(1, n):
+            assert bounds.bound_report(p, m).k_tilde_m == bounds.best_split_bound(p, m)[0]
+
+
+def test_bound_report_searches_each_block_size_once(monkeypatch):
+    p = moments.modulus_pair(*random_pair(24, 0, 7))
+    real = bounds.best_split_bound
+    calls = []
+
+    def counting(pair, m, cap=bounds.DEFAULT_CAP):
+        calls.append(m)
+        return real(pair, m, cap)
+
+    monkeypatch.setattr(bounds, "best_split_bound", counting)
+    for m in range(1, 7):
+        calls.clear()
+        rep = bounds.bound_report(p, m)
+        assert calls == [1, 2, 3]
+        assert rep.k_tilde_m == real(p, m)[0]
 
 
 def test_block_symmetry_between_m_and_complement():

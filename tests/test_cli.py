@@ -1,13 +1,20 @@
 from __future__ import annotations
 
+import contextlib
+import copy
+import io
 import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import uur
-from uur import cli, moments
+from uur import bounds, cli, moments
 
 
 def run(args, capsys):
@@ -74,10 +81,14 @@ def test_non_unitary_operator_named_in_error(tmp_path, capsys):
 
 
 def test_search_cap_exit_code(capsys):
-    code, _, err = run(["bounds", "--example", "ex1", "--dim", "30",
-                        "--theta-min", "1.0", "--m", "15"], capsys)
-    assert code == 3
-    assert "exceeds the cap" in err
+    # The cap is judged on the requested binomial(n, m), also for m > n/2,
+    # whose values the report takes from the search at n - m.
+    for m in (15, 20):
+        code, _, err = run(["bounds", "--example", "ex1", "--dim", "30",
+                            "--theta-min", "1.0", "--m", str(m)], capsys)
+        assert code == 3
+        assert "exceeds the cap" in err
+        assert f"binomial(30, {m})" in err
 
 
 def test_pure_json_input_round_trip(tmp_path, capsys):
@@ -236,24 +247,42 @@ PAULI_OPERATORS = [
 GOOD_STATE = '{"pure": [[0.6, 0], [0, 0.8]]}'
 
 
+def problem_text(n_ops, state=GOOD_STATE, params="{}", dimension="2", operators=None):
+    """A qubit problem document; every argument but n_ops is raw JSON text."""
+    if operators is None:
+        operators = json.dumps(PAULI_OPERATORS[:n_ops])
+    return (f'{{"dimension": {dimension}, "operators": {operators}, '
+            f'"state": {state}, "params": {params}}}')
+
+
 def write_problem(tmp_path, n_ops, state=GOOD_STATE, params="{}"):
     """A qubit problem file; state and params are raw JSON text."""
     path = tmp_path / "prob.json"
-    path.write_text(f'{{"dimension": 2, "operators": {json.dumps(PAULI_OPERATORS[:n_ops])}, '
-                    f'"state": {state}, "params": {params}}}')
+    path.write_text(problem_text(n_ops, state, params))
     return path
 
 
-@pytest.mark.parametrize("n_ops, state, params", [
-    (2, '{"pure": [1, 0]}', "{}"),
-    (2, GOOD_STATE, '{"m": null}'),
-    (2, GOOD_STATE, '"x"'),
-    (2, GOOD_STATE, '{"cap": 1e400}'),
-    (2, GOOD_STATE, '{"flavor": "bogus"}'),
-    (3, GOOD_STATE, '{"flavor": "bogus"}'),
-], ids=["pure-reals", "m-null", "params-string", "cap-overflow", "flavor-2ops", "flavor-3ops"])
-def test_malformed_input_file_is_input_error(tmp_path, capsys, n_ops, state, params):
-    path = write_problem(tmp_path, n_ops, state, params)
+@pytest.mark.parametrize("document", [
+    problem_text(2, '{"pure": [1, 0]}', "{}"),
+    problem_text(2, GOOD_STATE, '{"m": null}'),
+    problem_text(2, GOOD_STATE, '"x"'),
+    problem_text(2, GOOD_STATE, '{"cap": 1e400}'),
+    problem_text(2, GOOD_STATE, '{"flavor": "bogus"}'),
+    problem_text(3, GOOD_STATE, '{"flavor": "bogus"}'),
+    "5",
+    problem_text(2, dimension="null"),
+    problem_text(2, dimension="[2]"),
+    problem_text(2, dimension="2.5"),
+    problem_text(2, operators="5"),
+    problem_text(2, '{"bloch": 5}'),
+    problem_text(2, '{"bloch": [[1], 0, 0]}'),
+    problem_text(2, GOOD_STATE, '{"m": 1.7}'),
+], ids=["pure-reals", "m-null", "params-string", "cap-overflow", "flavor-2ops", "flavor-3ops",
+        "top-level-number", "dimension-null", "dimension-list", "dimension-fraction",
+        "operators-number", "bloch-number", "bloch-nested", "m-fraction"])
+def test_malformed_input_file_is_input_error(tmp_path, capsys, document):
+    path = tmp_path / "prob.json"
+    path.write_text(document)
     code, out, err = run(["bounds", "--input", str(path)], capsys)
     assert code == 2
     assert out == ""
@@ -296,3 +325,70 @@ def test_three_operator_report_computes_three_delta_vectors(tmp_path, capsys,
     code, _, err = run(["bounds", "--input", str(path)], capsys)
     assert code == 0, err
     assert len(delta_vector_calls) == 3
+
+
+def test_sweep_row_searches_each_block_size_once(capsys, monkeypatch):
+    # One ex1 row at n = 16 and m = 8 needs the block-size searches 1..8
+    # once each: sizes above 8 repeat smaller ones, and m = 8 is among them.
+    calls = []
+    real = bounds.best_split_bound
+
+    def counting(pair, m, cap=bounds.DEFAULT_CAP):
+        calls.append(m)
+        return real(pair, m, cap)
+
+    monkeypatch.setattr(bounds, "best_split_bound", counting)
+    code, _, err = run(["sweep", "--example", "ex1", "--dim", "16", "--steps", "1"], capsys)
+    assert code == 0, err
+    assert calls == list(range(1, 9))
+
+
+# Arbitrary JSON values, including the NaN and Infinity literals Python's
+# json module reads and writes, and an integer too large for a float.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.just(10 ** 400) | st.floats()
+    | st.text(max_size=6),
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(st.text(max_size=6), children, max_size=4)),
+    max_leaves=12,
+)
+
+VALID_PROBLEMS = [
+    {"dimension": 2, "operators": PAULI_OPERATORS[:2], "state": {"pure": [[0.6, 0], [0, 0.8]]},
+     "params": {"m": 1, "v": 0.3, "cap": 10, "flavor": "plain"}},
+    {"dimension": 2, "operators": PAULI_OPERATORS, "state": {"bloch": [0.2, 0.3, 0.4]},
+     "params": {"flavor": "tilde"}},
+    {"dimension": 2, "operators": PAULI_OPERATORS[:2],
+     "state": {"density": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]}, "params": {}},
+]
+# Where in a valid problem the arbitrary value goes: a path of keys and indices.
+FIELD_PATHS = [("dimension",), ("operators",), ("operators", 0), ("operators", 0, "name"),
+               ("operators", 0, "matrix"), ("operators", 0, "matrix", 0, 1),
+               ("operators", 1, "matrix", 1, 0, 0), ("state",), ("params",),
+               ("params", "m"), ("params", "v"), ("params", "cap"), ("params", "flavor")]
+
+
+def run_quietly(document) -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "prob.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(document))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return cli.main(["bounds", "--input", path])
+
+
+@settings(max_examples=150, deadline=None)
+@given(json_values)
+def test_arbitrary_json_document_exits_cleanly(document):
+    assert run_quietly(document) in {0, 2, 3}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(range(len(VALID_PROBLEMS))), st.sampled_from(FIELD_PATHS), json_values)
+def test_corrupted_problem_file_exits_cleanly(which, field_path, value):
+    document = copy.deepcopy(VALID_PROBLEMS[which])
+    target = document
+    for key in field_path[:-1]:
+        target = target[key]
+    target[field_path[-1]] = value
+    assert run_quietly(document) in {0, 2, 3}

@@ -1,0 +1,91 @@
+"""Golden outputs: the SHA-256 of stdout for a small matrix of CLI commands.
+
+The digests were recorded from the code before the split search stopped
+repeating block sizes; any change to a printed byte of these commands
+fails here. The matrix covers ex1 at n = 7, 8 and 9 for every block size
+m = 1 .. n-1 in both formats (so m below, at and above n/2, and both odd
+and even n), ex5 with each geometric-mean flavor, and one ex3 sweep.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from uur import cli
+
+# (dimension, m, format) -> digest of `uur bounds --example ex1 --dim n --m m --format f`
+EX1_BOUNDS = {
+    (7, 1, "json"): "df45455735f0600c31ec181222461162ab76aa6ec868a9bfb8746f60387db5c7",
+    (7, 1, "csv"): "f7488331db7dc6e771b4a784e7b7a7b2e33eb3a0e3e877cfe795bcb76c47111f",
+    (7, 2, "json"): "35462f7693e3342bdcc764b2b4c52610b62a78da5b3b621be4ebd64de115aeb1",
+    (7, 2, "csv"): "4f9839c341a98f344473484c49b1763e3036bb5432a675859823d70412988493",
+    (7, 3, "json"): "88f1d8ec0fbcccdb16be55db4c541b445c0843c0ca72da4ec15dbb8cfbd32f3c",
+    (7, 3, "csv"): "8d9da84fd388cd76e0adca8593c2badb2329ad637514f9a01fc28ea52a87dd1a",
+    (7, 4, "json"): "01a71e80c574d0c33973edef269a9345203ca545a1d9a825217bd1006d32a04b",
+    (7, 4, "csv"): "a6635b254a5ad6f9180621972b66179ad2b67cab7b3f1947202c0134d3b1c2c9",
+    (7, 5, "json"): "3e170699ca3c2c3d1fcbf59aaa57e9c70641d49c3757044861ce122b142b305b",
+    (7, 5, "csv"): "25fb23f6de26eb8f0595b5a55f33000dfa64b6c3241437f9a63b7fff5690b36e",
+    (7, 6, "json"): "b39b66ebe7909a3fb791181df89b2bed4d76e1af7f22b314838ac5f4226e4b6f",
+    (7, 6, "csv"): "1292e719a963e9a56db22fc7c57117f2ba809842e2ab761ccc0bc7c8bb1edb92",
+    (8, 1, "json"): "1fbd0ccf1b04cf4bf6762506890f21c0d88e7175de52e720d0f2010360ab608f",
+    (8, 1, "csv"): "e9d2f820944c8c34ad3f236ebbc81f02fe071187f54895d346500cb88635fed2",
+    (8, 2, "json"): "29a3c561e32d46e43484ed41129b1ded0880dabfd4355c4ad65bf3d4dbd7f7f2",
+    (8, 2, "csv"): "16acd3e436afdf0725f0a7846a02abb0d0adf4b737b90f9f7761f51de433d038",
+    (8, 3, "json"): "b6a71103092c0605b85a7278ac69a25c7523b967eda92e3f419686fcff95b377",
+    (8, 3, "csv"): "1c6c8a68ac7775997bddeb6717a88c5b01bfdfb535fef2af4d7c6ef25dc33e94",
+    (8, 4, "json"): "be11bd7cff937365f2c3a63243f5cd38718f904c15491082ef878309cc13e1d8",
+    (8, 4, "csv"): "a02e2c18167b2ef5bfada2f7f3330cbf096eecac9eb42ef794ada173f1ad7331",
+    (8, 5, "json"): "33d276b70eee4bfa2c554148ef3f159043ec5bcb65b64d72f4c636059dca9e5a",
+    (8, 5, "csv"): "06661a3f2b777c6881f523632f04a44218ac7b7fac8d56d2361e84fe4595d08f",
+    (8, 6, "json"): "a12b4082adac7542e00f282fc1de96ac8335a24d10e09791d0d32df3770af69d",
+    (8, 6, "csv"): "9639275c73fece6d9fdc9d8b24fd36a992f17f3fd0cb5be441ea6ef7667f9512",
+    (8, 7, "json"): "85f47f0647785bef68a75d4ca7ac162ed74672abb5d34af57e388eb506b24463",
+    (8, 7, "csv"): "14a93c9c081c750df21b8b63825d4563d518fd1e37f24d8705d83955f3bca202",
+    (9, 1, "json"): "727b06ec7ed72c5712ccc7d47dea04bdebf5f6a1cb7077fa2f546093242610f9",
+    (9, 1, "csv"): "3db7de1746ecc172bedd738bd56cf00c088b228237547e3a5daed88b5f898a36",
+    (9, 2, "json"): "c93830b5ef15735acc0d3a99612ca10637a0a0f131f007b656cb98461f5b36f5",
+    (9, 2, "csv"): "5564c83baf2fef3e0b362d09e769bdf8fa63da31ae321b84f5fcc62067ff838e",
+    (9, 3, "json"): "e5aaf863dba22b990bc86cf9fef18505de2d098d80d21976842200fad2cb8fd7",
+    (9, 3, "csv"): "1f557a5432260d3c074ff4e05c5f58c7b1e93085b83799b5478eab078d66221b",
+    (9, 4, "json"): "720381c950b0c7518717a02ab01c4c7c2b7e68e1c924ca5466730f8f288b7df9",
+    (9, 4, "csv"): "702a124da827fdb1941228d010fa48ab45e03c76cbe460d0e80331229b04f739",
+    (9, 5, "json"): "89aa743ae6fbc804f39e34f6de0fa7d28807c89b156abcaaf955c626c52093db",
+    (9, 5, "csv"): "8af5c520fdf975c897184a40bd24336066ee39860d4d026a5c7a04f741902ce5",
+    (9, 6, "json"): "972dad3566973f60c945e94749c748624241ca3a637f9aa299c90172a1d21c7d",
+    (9, 6, "csv"): "cd54b215e26b74bcc69644c7257aba2ed4314fb1fcfa32c563d0979a41c10b05",
+    (9, 7, "json"): "6315c223648f3903165f9683e87bc96ad814d9ec547d443940b7b66224966c0b",
+    (9, 7, "csv"): "4de5807439be6ec3593c7344b8c5ba3771da3669e26ac8753aff44844a935796",
+    (9, 8, "json"): "77c0642210ca889875ce43c50562f1afdabd7cf1ef8dab75eff9a2c4d035b804",
+    (9, 8, "csv"): "a4486d6f568c48e1a83c1e47f26d57686f705c25db67429580233f26e0f0fe9c",
+}
+
+OTHER_COMMANDS = {
+    "bounds --example ex5 --flavor plain": "8409f03dbad5860785c1158362812647a85450422fda40c53e2b3079f892d4e1",
+    "bounds --example ex5 --flavor convex": "45aea3aa8dbcb392b98673f46ff068852cd3bc71d10d01e8f57a82086bfd7fdc",
+    "bounds --example ex5 --flavor tilde": "0d55b1ed68f6197d5067f5eabe25f3cf4f6949d56d9ac2e1105ab14be4e2ea81",
+    "sweep --example ex3 --steps 5": "fd3762d8883c659780fe22d359fa16758559c9dbfe0472e22a1eab3f7a15528c",
+}
+
+
+def stdout_digest(args, capsys) -> str:
+    assert cli.main(args) == 0
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
+def test_matrix_covers_every_block_size():
+    for n in (7, 8, 9):
+        for fmt in ("json", "csv"):
+            assert [m for (d, m, f) in EX1_BOUNDS if d == n and f == fmt] == list(range(1, n))
+
+
+@pytest.mark.parametrize("n, m, fmt", sorted(EX1_BOUNDS))
+def test_ex1_bounds_stdout_is_unchanged(capsys, n, m, fmt):
+    args = ["bounds", "--example", "ex1", "--dim", str(n), "--m", str(m), "--format", fmt]
+    assert stdout_digest(args, capsys) == EX1_BOUNDS[n, m, fmt]
+
+
+@pytest.mark.parametrize("command", sorted(OTHER_COMMANDS))
+def test_other_stdout_is_unchanged(capsys, command):
+    assert stdout_digest(command.split(), capsys) == OTHER_COMMANDS[command]
