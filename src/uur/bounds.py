@@ -155,11 +155,15 @@ def split_bound(pair: ModulusPair, subset: SubsetSelection) -> float:
     return _split_value(x2, y2, inside)
 
 
-def split_bound_blend(pair: ModulusPair, subset: SubsetSelection, v: float) -> float:
-    """Convex blend v*split + (1-v)*variance_product, non-increasing in v."""
+def _blend(k: float, vp: float, v: float) -> float:
     if not 0.0 <= v <= 1.0:
         raise WeightOutOfRange(f"blend weight must lie in [0, 1], got {v}")
-    return v * split_bound(pair, subset) + (1.0 - v) * variance_product(pair)
+    return v * k + (1.0 - v) * vp
+
+
+def split_bound_blend(pair: ModulusPair, subset: SubsetSelection, v: float) -> float:
+    """Convex blend v*split + (1-v)*variance_product, non-increasing in v."""
+    return _blend(split_bound(pair, subset), variance_product(pair), v)
 
 
 def _check_cap(n: int, m: int, cap: int) -> None:
@@ -309,32 +313,27 @@ def triple_correlation_bound(dA: DeltaVector, dB: DeltaVector, dC: DeltaVector) 
 
 
 def geometric_mean_bound(deltas, m: int, v: float = 0.1,
-                         flavor: str = "plain", cap: int = DEFAULT_CAP) -> float:
-    """Multi-operator bound: geometric mean of the pairwise split bounds.
+                         cap: int = DEFAULT_CAP) -> dict[str, float]:
+    """Multi-operator bounds: geometric means of the pairwise split bounds.
 
-    Takes the delta vectors of l operators on one state. The product of all
-    l(l-1)/2 pairwise bounds is raised to 1/(l-1); with l = 2 this reduces
-    to the single pairwise bound. flavor picks the pairwise quantity:
-    "plain" the split bound on the leading block, "convex" its blend,
-    "tilde" the best split over blocks.
+    Takes the delta vectors of l operators on one state and returns one
+    value per flavor in FLAVORS. Each of the l(l-1)/2 pairs yields three
+    pairwise quantities: "plain" the split bound on the leading block of
+    size m, "convex" its blend with weight v, "tilde" the best split over
+    blocks of size m. Each flavor's product over the pairs is raised to
+    1/(l-1); with l = 2 this reduces to the single pairwise bound.
     """
     deltas = list(deltas)
     if len(deltas) < 2:
         raise ValueError(f"need at least 2 operators, got {len(deltas)}")
-    if flavor not in FLAVORS:
-        raise ValueError(f"unknown flavor {flavor!r}")
-    product = 1.0
+    products = dict.fromkeys(FLAVORS, 1.0)
     for alpha, beta in itertools.combinations(deltas, 2):
         pair = ModulusPair.from_deltas(alpha, beta)
-        block = SubsetSelection.first_block(pair.dim, m)
-        if flavor == "plain":
-            val = split_bound(pair, block)
-        elif flavor == "convex":
-            val = split_bound_blend(pair, block, v)
-        else:
-            val, _ = best_split_bound(pair, m, cap)
-        product *= val
-    return float(product ** (1.0 / (len(deltas) - 1)))
+        k = split_bound(pair, SubsetSelection.first_block(pair.dim, m))
+        values = (k, _blend(k, variance_product(pair), v), best_split_bound(pair, m, cap)[0])
+        for flavor, val in zip(FLAVORS, values):
+            products[flavor] *= val
+    return {flavor: float(p ** (1.0 / (len(deltas) - 1))) for flavor, p in products.items()}
 
 
 def bound_report(pair: ModulusPair, m: int | None = None, v: float = 0.1,
@@ -356,11 +355,12 @@ def bound_report(pair: ModulusPair, m: int | None = None, v: float = 0.1,
     table = best_split_bounds(pair, cap)
     # max keeps the first maximum, so ties go to the smallest block size.
     k_tilde, k_tilde_argmax = max(table, key=lambda entry: entry[0])
+    k_m, vp = split_bound(pair, block), variance_product(pair)
     return BoundSet(
-        variance_product=variance_product(pair),
+        variance_product=vp,
         lb=correlation_bound(pair),
-        k_m=split_bound(pair, block),
-        k_m_v=split_bound_blend(pair, block, v),
+        k_m=k_m,
+        k_m_v=_blend(k_m, vp, v),
         k_tilde_m=table[min(m, n - m) - 1][0],
         k_tilde=k_tilde,
         k_tilde_argmax=k_tilde_argmax,

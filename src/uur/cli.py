@@ -92,11 +92,18 @@ def _number(value, name: str, integer: bool = False):
     return int(value) if integer else float(value)
 
 
+def _complex_list(obj, what: str) -> list[complex]:
+    """A list of [re, im] pairs; each part is a number by _number's rule."""
+    if not isinstance(obj, list) or not all(isinstance(c, list) and len(c) == 2 for c in obj):
+        raise UurError(f"{what} must be [re, im] pairs")
+    return [complex(_number(re, f"{what}: real part"), _number(im, f"{what}: imaginary part"))
+            for re, im in obj]
+
+
 def _decode_complex_matrix(obj, name: str) -> np.ndarray:
-    try:
-        M = np.array([[complex(c[0], c[1]) for c in row] for row in obj])
-    except (TypeError, IndexError) as exc:
-        raise UurError(f"operator {name!r}: matrix entries must be [re, im] pairs") from exc
+    if not isinstance(obj, list):
+        raise UurError(f"operator {name!r}: matrix must be a list of rows")
+    M = np.array([_complex_list(row, f"operator {name!r}: matrix entries") for row in obj])
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise UurError(f"operator {name!r}: matrix must be square, got shape {M.shape}")
     return M
@@ -107,10 +114,7 @@ def _decode_state(obj, dim: int) -> PureState | DensityMatrix:
         raise UurError('state must be one of {"pure": ...}, {"density": ...}, {"bloch": ...}')
     kind, payload = next(iter(obj.items()))
     if kind == "pure":
-        try:
-            amps = np.array([complex(c[0], c[1]) for c in payload])
-        except (TypeError, IndexError) as exc:
-            raise UurError("pure state amplitudes must be [re, im] pairs") from exc
+        amps = np.array(_complex_list(payload, "pure state amplitudes"))
         if amps.size != dim:
             raise UurError(f"pure state has {amps.size} amplitudes, dimension says {dim}")
         return PureState(amplitudes=amps)
@@ -196,15 +200,10 @@ def _load_problem(cfg: RunConfig) -> Problem:
     return _load_input_file(cfg) if cfg.input_path else _load_example(cfg)
 
 
-def _theta_grid(cfg: RunConfig, problem: Problem) -> list[float]:
-    if problem.scenario is not None:
-        lo_default, hi_default = problem.scenario.theta_range
-        steps_default = problem.scenario.default_steps
-    else:
-        lo_default, hi_default, steps_default = 0.0, math.pi, scenarios.DEFAULT_STEPS
-    lo = cfg.theta_min if cfg.theta_min is not None else lo_default
-    hi = cfg.theta_max if cfg.theta_max is not None else hi_default
-    steps = cfg.steps if cfg.steps is not None else steps_default
+def _theta_grid(cfg: RunConfig, scen: scenarios.Scenario) -> list[float]:
+    lo = cfg.theta_min if cfg.theta_min is not None else scen.theta_range[0]
+    hi = cfg.theta_max if cfg.theta_max is not None else scen.theta_range[1]
+    steps = cfg.steps if cfg.steps is not None else scen.default_steps
     if steps < 1:
         raise UurError(f"steps must be >= 1, got {steps}")
     if lo > hi:
@@ -217,8 +216,8 @@ def _triple_fields(problem: Problem, deltas: list[moments.DeltaVector]) -> dict:
         "variance_triple": math.prod(d.variance for d in deltas),
         "bong3": bounds.triple_correlation_bound(*deltas),
     }
-    for flavor, key in FLAVOR_FIELDS.items():
-        vals[key] = bounds.geometric_mean_bound(deltas, problem.m, problem.v, flavor, problem.cap)
+    means = bounds.geometric_mean_bound(deltas, problem.m, problem.v, problem.cap)
+    vals.update((key, means[flavor]) for flavor, key in FLAVOR_FIELDS.items())
     for key in TRIPLE_COLUMNS[1:]:
         if vals[key] > vals["variance_triple"] + 1e-10:
             raise _Violation(f"{key} exceeds variance_triple by "
@@ -335,7 +334,7 @@ def run_sweep(cfg: RunConfig) -> int:
     if cfg.example is None:
         raise UurError("sweep requires --example: JSON inputs carry a single state, not a family")
     problem = _load_problem(cfg)
-    rows = [_report_row(problem, theta)[1] for theta in _theta_grid(cfg, problem)]
+    rows = [_report_row(problem, theta)[1] for theta in _theta_grid(cfg, problem.scenario)]
     columns = SWEEP_COLUMNS + (TRIPLE_COLUMNS if len(problem.operators) == 3 else [])
     _emit_rows(cfg, columns, rows)
     return EXIT_OK
@@ -346,7 +345,7 @@ def run_compare(cfg: RunConfig) -> int:
         raise UurError("compare requires --example: JSON inputs carry a single state, not a family")
     problem = _load_problem(cfg)
     out_rows = []
-    for theta in _theta_grid(cfg, problem):
+    for theta in _theta_grid(cfg, problem.scenario):
         _, row = _report_row(problem, theta)
         diff = {
             "theta": theta,

@@ -38,16 +38,20 @@ class SuiteResult:
     counterexample: dict | None = None
 
 
-def encode_complex_vector(v) -> list:
-    return [[float(z.real), float(z.imag)] for z in np.asarray(v, dtype=complex).reshape(-1)]
-
-
-def encode_complex_matrix(M) -> list:
-    return [encode_complex_vector(row) for row in np.asarray(M, dtype=complex)]
+def _encode(value):
+    """JSON form of an instance field: complex arrays become [re, im] pairs."""
+    if isinstance(value, list) or isinstance(value, np.ndarray) and value.ndim == 2:
+        return [_encode(item) for item in value]
+    if isinstance(value, np.ndarray):
+        return [[float(z.real), float(z.imag)] for z in value.astype(complex)]
+    return value
 
 
 class _Recorder:
-    """Tracks the worst margin and captures the first counterexample."""
+    """Tracks the worst margin and captures the first counterexample.
+
+    Instances hold raw arrays; only the captured one is encoded for JSON.
+    """
 
     def __init__(self, name: str):
         self.name = name
@@ -61,8 +65,8 @@ class _Recorder:
         if margin > tol:
             self.failures += 1
             if self.counterexample is None:
-                self.counterexample = dict(instance, suite=self.name,
-                                           violation=label, amount=margin)
+                self.counterexample = dict({k: _encode(v) for k, v in instance.items()},
+                                           suite=self.name, violation=label, amount=margin)
 
     def result(self) -> SuiteResult:
         worst = self.worst if self.worst != -math.inf else 0.0
@@ -79,8 +83,8 @@ def _pair_instance(seed: int, trial: int, stream: int, dmin: int = 2, dmax: int 
     instance = {
         "trial": trial,
         "dimension": d,
-        "operators": [encode_complex_matrix(A), encode_complex_matrix(B)],
-        "state": encode_complex_vector(psi.amplitudes),
+        "operators": [A, B],
+        "state": psi.amplitudes,
     }
     return d, A, B, psi, instance
 
@@ -187,8 +191,7 @@ def suite_subset_oracle(seed: int, trials: int) -> SuiteResult:
         psi = sampling.random_state(rng, n)
         pair = moments.modulus_pair(A, B, psi)
         instance = {"trial": trial, "dimension": n, "params": {"m": m},
-                    "operators": [encode_complex_matrix(A), encode_complex_matrix(B)],
-                    "state": encode_complex_vector(psi.amplitudes)}
+                    "operators": [A, B], "state": psi.amplitudes}
         by_subset = {
             combo: bounds.split_bound(pair, SubsetSelection(n=n, indices=tuple(i + 1 for i in combo)))
             for combo in itertools.combinations(range(n), m)
@@ -243,9 +246,8 @@ def suite_gram_psd(seed: int, trials: int) -> SuiteResult:
         psi = sampling.random_state(rng, d)
         G = bounds.gram_matrix(ops, psi)
         lo = float(np.min(np.linalg.eigvalsh(G)))
-        instance = {"trial": trial, "dimension": d,
-                    "operators": [encode_complex_matrix(U) for U in ops],
-                    "state": encode_complex_vector(psi.amplitudes)}
+        instance = {"trial": trial, "dimension": d, "operators": ops,
+                    "state": psi.amplitudes}
         rec.check(-lo, SLACK, instance, "gram matrix not PSD")
     return rec.result()
 
@@ -264,9 +266,8 @@ def suite_triple_bound(seed: int, trials: int) -> SuiteResult:
         vp3 = math.prod(dv.variance for dv in deltas)
         rhs = bounds.triple_correlation_bound(*deltas)
         det = float(np.real(np.linalg.det(bounds.gram_matrix(ops, psi))))
-        instance = {"trial": trial, "dimension": d,
-                    "operators": [encode_complex_matrix(U) for U in ops],
-                    "state": encode_complex_vector(psi.amplitudes)}
+        instance = {"trial": trial, "dimension": d, "operators": ops,
+                    "state": psi.amplitudes}
         rec.check(rhs - vp3, SLACK, instance, "triple bound exceeds product")
         rec.check(-det, SLACK, instance, "gram determinant negative")
         rec.check(abs(det - (vp3 - rhs)), 1e-9, instance,
@@ -288,12 +289,9 @@ def suite_multi_op(seed: int, trials: int, cap: int = DEFAULT_CAP) -> SuiteResul
         deltas = [moments.delta_vector(U, psi) for U in ops]
         prod = math.prod(dv.variance for dv in deltas)
         instance = {"trial": trial, "dimension": d, "params": {"m": m, "l": l},
-                    "operators": [encode_complex_matrix(U) for U in ops],
-                    "state": encode_complex_vector(psi.amplitudes)}
-        vals = {}
-        for flavor in ("plain", "convex", "tilde"):
-            vals[flavor] = bounds.geometric_mean_bound(deltas, m, v=0.1,
-                                                       flavor=flavor, cap=cap)
+                    "operators": ops, "state": psi.amplitudes}
+        vals = bounds.geometric_mean_bound(deltas, m, v=0.1, cap=cap)
+        for flavor in bounds.FLAVORS:
             rec.check(vals[flavor] - prod, SLACK,
                       dict(instance, flavor=flavor), "multi-op bound exceeds product")
         rec.check(vals["plain"] - vals["tilde"], 1e-12, instance,
@@ -320,7 +318,7 @@ def suite_purification(seed: int, trials: int) -> SuiteResult:
             got = moments.expectation(moments.lift(A), psi)
             want = complex(np.trace(A @ rho.matrix))
             rec.check(abs(got - want), SLACK,
-                      dict(instance, operators=[encode_complex_matrix(A)]),
+                      dict(instance, operators=[A]),
                       "lifted expectation != Tr(A rho)")
         proj = np.outer(psi.amplitudes, psi.amplitudes.conj())
         kept_second = linalg.partial_trace(proj, keep="second")
@@ -353,8 +351,7 @@ def suite_mixed_state_floor(seed: int, trials: int) -> SuiteResult:
         va = moments.variance_mixed(A, rho)
         vb = moments.variance_mixed(B, rho)
         instance = {"trial": trial, "dimension": d,
-                    "operators": [encode_complex_matrix(A), encode_complex_matrix(B)],
-                    "density": encode_complex_matrix(rho.matrix)}
+                    "operators": [A, B], "density": rho.matrix}
         rec.check(min(a * b for a, b in zip(pa, pb)) - va * vb, 1e-9,
                   instance, "product floor broken")
         rec.check(min(a + b for a, b in zip(pa, pb)) - (va + vb), 1e-9,

@@ -262,11 +262,9 @@ def test_criterion_09_geometric_mean_products():
             m = 1 + trial % max(1, d // 2)
             deltas = [moments.delta_vector(U, psi) for U in ops]
             product = math.prod(moments.variance_pure(U, psi) for U in ops)
-            vals = {}
+            vals = bounds.geometric_mean_bound(deltas, m, 0.1)
             for flavor in ("plain", "convex", "tilde"):
-                val = bounds.geometric_mean_bound(deltas, m, 0.1, flavor)
-                vals[flavor] = val
-                assert val <= product + SLACK, \
+                assert vals[flavor] <= product + SLACK, \
                     f"l={n_ops} trial {trial} {flavor}: bound exceeds product"
             assert vals["tilde"] >= vals["plain"] - 1e-12, \
                 f"l={n_ops} trial {trial}: subset-optimized below first-block"

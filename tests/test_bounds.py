@@ -354,7 +354,7 @@ def test_geometric_mean_two_ops_reduces_to_pairwise():
     psi = uur.random_state(gen, 4)
     pairwise = bounds.split_bound(moments.modulus_pair(A, B, psi),
                                   bounds.SubsetSelection.first_block(4, 2))
-    assert bounds.geometric_mean_bound(deltas_of([A, B], psi), 2, 0.1, "plain") == pytest.approx(pairwise)
+    assert bounds.geometric_mean_bound(deltas_of([A, B], psi), 2, 0.1)["plain"] == pytest.approx(pairwise)
 
 
 def test_geometric_mean_identity_op_kills_bound():
@@ -362,7 +362,7 @@ def test_geometric_mean_identity_op_kills_bound():
     A = uur.random_unitary(gen, 4)
     B = uur.random_unitary(gen, 4)
     psi = uur.random_state(gen, 4)
-    val = bounds.geometric_mean_bound(deltas_of([A, B, np.eye(4, dtype=complex)], psi), 2, 1.0, "plain")
+    val = bounds.geometric_mean_bound(deltas_of([A, B, np.eye(4, dtype=complex)], psi), 2, 1.0)["plain"]
     assert val == pytest.approx(0.0, abs=1e-12)
 
 
@@ -373,18 +373,36 @@ def test_geometric_mean_flavors_all_below_product():
         ops = [uur.random_unitary(gen, d) for _ in range(3)]
         psi = uur.random_state(gen, d)
         product = math.prod(moments.variance_pure(U, psi) for U in ops)
-        for flavor in ("plain", "convex", "tilde"):
-            val = bounds.geometric_mean_bound(deltas_of(ops, psi), max(1, d // 2), 0.1, flavor)
+        vals = bounds.geometric_mean_bound(deltas_of(ops, psi), max(1, d // 2), 0.1)
+        for val in vals.values():
             assert val <= product + 1e-10
 
 
-def test_geometric_mean_rejects_unknown_flavor():
-    gen = uur.trial_generator(seed=84, trial=0)
-    A = uur.random_unitary(gen, 3)
-    B = uur.random_unitary(gen, 3)
-    psi = uur.random_state(gen, 3)
-    with pytest.raises(ValueError):
-        bounds.geometric_mean_bound(deltas_of([A, B], psi), 1, 0.1, "fancy")
+@pytest.mark.parametrize("n_ops", [2, 3, 4])
+def test_geometric_mean_is_exactly_the_product_of_pairwise_bounds(n_ops):
+    # Each flavor multiplies its pairwise quantity in combinations order and
+    # takes the (l-1)-th root, bit for bit.
+    for trial in range(12):
+        gen = uur.trial_generator(seed=84, trial=trial)
+        d = 2 + trial % 4
+        m = 1 + trial % d
+        ops = [uur.random_unitary(gen, d) for _ in range(n_ops)]
+        psi = uur.random_state(gen, d)
+        pairs = [moments.modulus_pair(A, B, psi) for A, B in itertools.combinations(ops, 2)]
+        block = bounds.SubsetSelection.first_block(d, m)
+        products = {
+            "plain": math.prod(bounds.split_bound(p, block) for p in pairs),
+            "convex": math.prod(bounds.split_bound_blend(p, block, 0.3) for p in pairs),
+            "tilde": math.prod(bounds.best_split_bound(p, m)[0] for p in pairs),
+        }
+        want = {flavor: val ** (1.0 / (n_ops - 1)) for flavor, val in products.items()}
+        assert bounds.geometric_mean_bound(deltas_of(ops, psi), m, 0.3) == want
+
+
+def test_geometric_mean_rejects_out_of_range_weight():
+    A, B, psi = random_pair(84, 0, 3)
+    with pytest.raises(errors.WeightOutOfRange):
+        bounds.geometric_mean_bound(deltas_of([A, B], psi), 1, 1.5)
 
 
 # --- aggregate report ----------------------------------------------------------------

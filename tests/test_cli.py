@@ -255,6 +255,11 @@ def problem_text(n_ops, state=GOOD_STATE, params="{}", dimension="2", operators=
             f'"state": {state}, "params": {params}}}')
 
 
+def z_and_x(z_matrix):
+    """The operator list Z, X with Z's matrix given as raw JSON text."""
+    return f'[{{"name": "Z", "matrix": {z_matrix}}}, {json.dumps(PAULI_OPERATORS[1])}]'
+
+
 def write_problem(tmp_path, n_ops, state=GOOD_STATE, params="{}"):
     """A qubit problem file; state and params are raw JSON text."""
     path = tmp_path / "prob.json"
@@ -277,9 +282,15 @@ def write_problem(tmp_path, n_ops, state=GOOD_STATE, params="{}"):
     problem_text(2, '{"bloch": 5}'),
     problem_text(2, '{"bloch": [[1], 0, 0]}'),
     problem_text(2, GOOD_STATE, '{"m": 1.7}'),
+    problem_text(2, '{"pure": [[true, false], [0, 0]]}'),
+    problem_text(2, '{"pure": [[1, 0, 9], [0, 0]]}'),
+    problem_text(2, operators=z_and_x('[[[true, false], [0, 0]], [[0, 0], [-1, 0]]]')),
+    problem_text(2, operators=z_and_x('[[[1, 0, 9], [0, 0]], [[0, 0], [-1, 0]]]')),
+    problem_text(2, operators=z_and_x("5")),
 ], ids=["pure-reals", "m-null", "params-string", "cap-overflow", "flavor-2ops", "flavor-3ops",
         "top-level-number", "dimension-null", "dimension-list", "dimension-fraction",
-        "operators-number", "bloch-number", "bloch-nested", "m-fraction"])
+        "operators-number", "bloch-number", "bloch-nested", "m-fraction",
+        "pure-booleans", "pure-triple", "matrix-booleans", "matrix-triple", "matrix-number"])
 def test_malformed_input_file_is_input_error(tmp_path, capsys, document):
     path = tmp_path / "prob.json"
     path.write_text(document)
@@ -341,6 +352,32 @@ def test_sweep_row_searches_each_block_size_once(capsys, monkeypatch):
     code, _, err = run(["sweep", "--example", "ex1", "--dim", "16", "--steps", "1"], capsys)
     assert code == 0, err
     assert calls == list(range(1, 9))
+
+
+def test_three_operator_report_bounds_each_pair_once(capsys, monkeypatch):
+    # ex5 has n = 4 and m = 2. The report's pair A-B makes one modulus pair,
+    # one k_m, one variance product and the searches m = 1, 2; the geometric
+    # mean makes one of each per pair (A-B, A-C, B-C), searching m = 2 only.
+    calls = {}
+
+    def count(owner, name, wrap=lambda f: f):
+        real = getattr(owner, name)
+        calls[name] = 0
+
+        def counting(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrap(counting))
+
+    count(bounds, "geometric_mean_bound")
+    count(moments.ModulusPair, "from_deltas", staticmethod)
+    for name in ("split_bound", "variance_product", "best_split_bound"):
+        count(bounds, name)
+    code, _, err = run(["bounds", "--example", "ex5", "--flavor", "tilde"], capsys)
+    assert code == 0, err
+    assert calls == {"geometric_mean_bound": 1, "from_deltas": 4, "split_bound": 4,
+                     "variance_product": 4, "best_split_bound": 5}
 
 
 # Arbitrary JSON values, including the NaN and Infinity literals Python's

@@ -1,10 +1,13 @@
 """Golden outputs: the SHA-256 of stdout for a small matrix of CLI commands.
 
 The digests were recorded from the code before the split search stopped
-repeating block sizes; any change to a printed byte of these commands
-fails here. The matrix covers ex1 at n = 7, 8 and 9 for every block size
-m = 1 .. n-1 in both formats (so m below, at and above n/2, and both odd
-and even n), ex5 with each geometric-mean flavor, and one ex3 sweep.
+repeating block sizes, and the three-operator sweeps, comparisons and ex6
+reports before the geometric mean computed all flavors in one pass; any
+change to a printed byte of these commands fails here. The matrix covers
+ex1 at n = 7, 8 and 9 for every block size m = 1 .. n-1 in both formats (so
+m below, at and above n/2, and both odd and even n), ex5 and ex6 with each
+geometric-mean flavor, ex5 and ex6 sweeps and comparisons in both formats,
+and one ex3 sweep.
 """
 
 from __future__ import annotations
@@ -66,6 +69,17 @@ OTHER_COMMANDS = {
     "bounds --example ex5 --flavor convex": "45aea3aa8dbcb392b98673f46ff068852cd3bc71d10d01e8f57a82086bfd7fdc",
     "bounds --example ex5 --flavor tilde": "0d55b1ed68f6197d5067f5eabe25f3cf4f6949d56d9ac2e1105ab14be4e2ea81",
     "sweep --example ex3 --steps 5": "fd3762d8883c659780fe22d359fa16758559c9dbfe0472e22a1eab3f7a15528c",
+    "sweep --example ex5 --steps 5 --format csv": "3558ee848165c7368cf486f93e6a54f34e57e20e88119f9aacbe9cce96db1c89",
+    "sweep --example ex5 --steps 5 --format json": "43bc9b05a80e6e38202f9f2266238031c61aeab545057de446306ed9954bb7f4",
+    "sweep --example ex6 --steps 5 --format csv": "e6b09ec32f18919dc814fcf9866b1ccc9c905c186b50e950eb82d76754dc8331",
+    "sweep --example ex6 --steps 5 --format json": "c2bc3e8dc47b7799a7e1d2264b1936ca0a7af8ed01f30f918f465f3e3d8e1ea2",
+    "compare --example ex5 --steps 5 --format csv": "7b3b4ea647279f27ae220c956240fb119f59a6c0308d70b85996ff75d9b68882",
+    "compare --example ex5 --steps 5 --format json": "239c057051e7e8269cfdb80fca81fff6372823f9fef9037a01f8c1c84911f945",
+    "compare --example ex6 --steps 5 --format csv": "d2732114a4d0e39039c82f026fbf25a593b4708198764b2bf0f9f13d676aa114",
+    "compare --example ex6 --steps 5 --format json": "e28b64d62e03175a79597d96456c465dcf4e548ac12e9a4baf44fd4b960eacb6",
+    "bounds --example ex6 --flavor plain": "9ec4782cbb5b5865cc650e18024d3362508edf0e089fcfa9c51c8799075d63da",
+    "bounds --example ex6 --flavor convex": "b4cd68442ac7e5f52eabe9ae49240c987089a63ae2e8d38ef583a97210d06274",
+    "bounds --example ex6 --flavor tilde": "1ba2f8292373b7242fe144fb436f0511df024a7202045699bc8ae8d5dc7caa61",
 }
 
 

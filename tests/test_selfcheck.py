@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -33,6 +34,14 @@ def test_corruption_is_caught_with_counterexample():
     # The counterexample must be enough to replay the instance.
     assert {"suite", "trial", "violation", "state", "operators"} <= set(ce)
     json.dumps(ce)  # serializable as emitted by the CLI
+
+
+def test_counterexample_encoding_is_unchanged():
+    # Digest recorded when every trial still encoded its instance up front;
+    # encoding only the captured counterexample must give the same JSON.
+    ce = selfcheck.run_all(seed=3, trials=10, corrupt="k_m")[0].counterexample
+    digest = hashlib.sha256(json.dumps(ce, sort_keys=True).encode()).hexdigest()
+    assert digest == "5b2e4dff246ad39be3affb55d81af42238994f2f3a315a6249c82ca0faca6aa4"
 
 
 def test_unknown_corruption_target_rejected():
