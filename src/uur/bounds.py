@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import moments
 from .errors import (
     DimensionTooSmall,
     IndexOutOfRange,
@@ -32,7 +31,7 @@ from .errors import (
     SearchSpaceTooLarge,
     WeightOutOfRange,
 )
-from .moments import DeltaVector, ModulusPair, PureState
+from .moments import DeltaVector, ModulusPair, PureState, Unitary
 
 DEFAULT_CAP = 5_000_000
 FLAVORS = ("plain", "convex", "tilde")
@@ -282,13 +281,9 @@ def gram_matrix(ops, psi: PureState) -> np.ndarray:
     and column 0. Positive semidefinite by construction, unit diagonal for
     unitary inputs.
     """
-    columns = [psi.amplitudes]
-    for idx, U in enumerate(ops):
-        M = np.asarray(U, dtype=complex)
-        moments._check_dims(M, psi)
-        moments._require_unitary(M, name=f"operator {idx}")
-        columns.append(M @ psi.amplitudes)
-    W = np.column_stack(columns)
+    W = np.column_stack([psi.amplitudes] + [
+        Unitary.matrix_on(U, psi.dim, f"operator {idx}") @ psi.amplitudes
+        for idx, U in enumerate(ops)])
     return W.conj().T @ W
 
 

@@ -53,7 +53,6 @@ class RunConfig:
     trials: int = 1000
     output: str | None = None
     format: str | None = None
-    corrupt: str | None = None  # harness test hook; not an exposed flag
 
 
 @dataclass
@@ -61,7 +60,7 @@ class Problem:
     """Operators and a state source, resolved from --example or --input."""
 
     label: str
-    operators: list[tuple[str, np.ndarray]]
+    operators: list[moments.Unitary]
     scenario: scenarios.Scenario | None
     fixed_state: PureState | None
     m: int
@@ -72,16 +71,12 @@ class Problem:
 
     @property
     def dimension(self) -> int:
-        return self.operators[0][1].shape[0]
+        return self.operators[0].matrix.shape[0]
 
     def state_at(self, theta: float) -> PureState:
         if self.scenario is not None:
             return self.scenario.state(theta)
         return self.fixed_state
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
 
 
 def _number(value, name: str, integer: bool = False):
@@ -103,7 +98,10 @@ def _complex_list(obj, what: str) -> list[complex]:
 def _decode_complex_matrix(obj, name: str) -> np.ndarray:
     if not isinstance(obj, list):
         raise UurError(f"operator {name!r}: matrix must be a list of rows")
-    M = np.array([_complex_list(row, f"operator {name!r}: matrix entries") for row in obj])
+    rows = [_complex_list(row, f"operator {name!r}: matrix entries") for row in obj]
+    if len({len(row) for row in rows}) > 1:
+        raise UurError(f"operator {name!r}: matrix rows differ in length {[len(r) for r in rows]}")
+    M = np.array(rows)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise UurError(f"operator {name!r}: matrix must be square, got shape {M.shape}")
     return M
@@ -152,21 +150,19 @@ def _load_input_file(cfg: RunConfig) -> Problem:
         if M.shape[0] != dim:
             raise UurError(f"operator {name!r} is {M.shape[0]}x{M.shape[0]}, dimension says {dim}")
     state = _decode_state(doc.get("state"), dim)
-    notes: tuple[str, ...] = ()
+    psi, notes = state, ()
     if isinstance(state, DensityMatrix):
         # Mixed inputs go through purification; operators act on the doubled
         # space as I (x) U, exactly like the built-in qubit example.
         psi = moments.purify(state)
         named = [(name, moments.lift(M)) for name, M in named]
         notes = ("mixed state purified; operators lifted to the doubled space",)
-    else:
-        psi = state
-    for name, M in named:
-        moments._require_unitary(M, name=f"operator {name!r}")
+    # Checked here, once per command; every row reuses the checked operators.
+    operators = [moments.Unitary(M, f"operator {name!r}") for name, M in named]
     params = doc.get("params", {})
     if not isinstance(params, dict):
         raise UurError('"params" must be an object')
-    n = named[0][1].shape[0]
+    n = operators[0].matrix.shape[0]
     m = cfg.m if cfg.m is not None else params.get("m", max(1, n // 2))
     v = cfg.v if cfg.v is not None else params.get("v", 0.1)
     cap = cfg.cap if cfg.cap is not None else params.get("cap", DEFAULT_CAP)
@@ -175,7 +171,7 @@ def _load_input_file(cfg: RunConfig) -> Problem:
         raise UurError(f"unknown flavor {flavor!r}; expected one of {', '.join(bounds.FLAVORS)}")
     m, v, cap = (_number(m, "params: m", integer=True), _number(v, "params: v"),
                  _number(cap, "params: cap", integer=True))
-    return Problem(label=cfg.input_path, operators=named, scenario=None,
+    return Problem(label=cfg.input_path, operators=operators, scenario=None,
                    fixed_state=psi, m=m, v=v, cap=cap, flavor=flavor, notes=notes)
 
 
@@ -183,7 +179,7 @@ def _load_example(cfg: RunConfig) -> Problem:
     scen = scenarios.scenario(cfg.example, cfg.dim)
     return Problem(
         label=cfg.example,
-        operators=list(scen.operators),
+        operators=[moments.Unitary(M, f"operator {name!r}") for name, M in scen.operators],
         scenario=scen,
         fixed_state=None,
         m=cfg.m if cfg.m is not None else scen.default_m,
@@ -226,9 +222,8 @@ def _triple_fields(problem: Problem, deltas: list[moments.DeltaVector]) -> dict:
 
 
 def _report_row(problem: Problem, theta: float) -> tuple[bounds.BoundSet, dict]:
-    ops = [M for _, M in problem.operators]
     psi = problem.state_at(theta)
-    pair = moments.modulus_pair(ops[0], ops[1], psi)
+    pair = moments.modulus_pair(*problem.operators[:2], psi)
     report = bounds.bound_report(pair, m=problem.m, v=problem.v, cap=problem.cap)
     bad = report.validate()
     if bad:
@@ -243,8 +238,8 @@ def _report_row(problem: Problem, theta: float) -> tuple[bounds.BoundSet, dict]:
         "i_2": report.i_d[1],
         "i_1_prime": report.i_1_prime,
     }
-    if len(ops) == 3:
-        deltas = [pair.alpha, pair.beta, moments.delta_vector(ops[2], psi)]
+    if len(problem.operators) == 3:
+        deltas = [pair.alpha, pair.beta, moments.delta_vector(problem.operators[2], psi)]
         row.update(_triple_fields(problem, deltas))
     return report, row
 
@@ -261,7 +256,7 @@ def _csv_cell(value) -> str:
     if value is None:
         return ""
     if isinstance(value, float):
-        return _fmt(value)
+        return f"{value:.17g}"
     return str(value)
 
 
@@ -311,15 +306,12 @@ def run_bounds(cfg: RunConfig) -> int:
     if (cfg.format or "json") == "json":
         _emit(cfg, json.dumps(out, indent=2) + "\n")
     else:
-        flat = dict(out)
-        flat.pop("k_tilde_argmax")
-        flat.pop("notes")
-        triple = flat.pop("triple", None)
+        flat = {k: val for k, val in out.items() if k not in ("k_tilde_argmax", "notes", "triple")}
         flat["k_tilde_argmax_m"] = report.k_tilde_argmax.m
         flat["k_tilde_argmax"] = ";".join(str(i) for i in report.k_tilde_argmax.indices)
         flat.update((f"i_{lev}", val) for lev, val in enumerate(flat.pop("i_d"), start=1))
-        if triple:
-            flat.update((key, triple[key]) for key in TRIPLE_COLUMNS)
+        if "triple" in out:
+            flat.update((key, row[key]) for key in TRIPLE_COLUMNS)
         _emit(cfg, _rows_to_csv(list(flat), [flat]))
     return EXIT_OK
 
@@ -364,9 +356,7 @@ def run_compare(cfg: RunConfig) -> int:
 def run_check(cfg: RunConfig) -> int:
     if cfg.trials < 1:
         raise UurError(f"trials must be >= 1, got {cfg.trials}")
-    results = selfcheck.run_all(cfg.seed, cfg.trials,
-                                cap=cfg.cap if cfg.cap is not None else DEFAULT_CAP,
-                                corrupt=cfg.corrupt)
+    results = selfcheck.run_all(cfg.seed, cfg.trials, cap=DEFAULT_CAP if cfg.cap is None else cfg.cap)
     lines = [f"check seed={cfg.seed} trials={cfg.trials}"]
     failed = [r for r in results if r.failures]
     for r in results:

@@ -70,6 +70,35 @@ class DensityMatrix:
 
 
 @dataclass(frozen=True)
+class Unitary:
+    """A finite square matrix, checked once on construction to be unitary.
+
+    The variance 1 - |<U>|^2 needs unitary U; name leads the NotUnitary message.
+    """
+
+    matrix: np.ndarray
+    name: str = "operator"
+
+    def __post_init__(self):
+        M = linalg.as_square_matrix(self.matrix)
+        dev = linalg.unitary_deviation(M)
+        if dev > UNITARY_TOL:
+            raise NotUnitary(f"{self.name} deviates from unitarity by {dev:.3e} (tol {UNITARY_TOL:.1e})")
+        object.__setattr__(self, "matrix", M)
+
+    def __array__(self, dtype=None, copy=None):
+        return np.asarray(self.matrix, dtype=dtype)
+
+    @classmethod
+    def matrix_on(cls, A, dim: int, name: str = "operator") -> np.ndarray:
+        """The matrix of A, which must act on dim; only a non-Unitary A is checked."""
+        M = (A if isinstance(A, cls) else cls(A, name)).matrix
+        if M.shape[0] != dim:
+            raise DimensionMismatch(f"operator dim {M.shape[0]} != state dim {dim}")
+        return M
+
+
+@dataclass(frozen=True)
 class DeltaVector:
     """Coordinates of (A - <A>)|psi> plus the mean <A> they were built from.
 
@@ -137,30 +166,17 @@ class ModulusPair:
         )
 
 
-def _check_dims(A: np.ndarray, psi: PureState):
-    if A.shape[0] != psi.dim:
-        raise DimensionMismatch(f"operator dim {A.shape[0]} != state dim {psi.dim}")
-
-
-def _require_unitary(A: np.ndarray, name: str = "operator"):
-    dev = linalg.unitary_deviation(A)
-    if dev > UNITARY_TOL:
-        raise NotUnitary(f"{name} deviates from unitarity by {dev:.3e} (tol {UNITARY_TOL:.1e})")
-
-
 def expectation(A, psi: PureState) -> complex:
     """<psi|A|psi>."""
     M = linalg.as_square_matrix(A)
-    _check_dims(M, psi)
+    if M.shape[0] != psi.dim:
+        raise DimensionMismatch(f"operator dim {M.shape[0]} != state dim {psi.dim}")
     return complex(np.vdot(psi.amplitudes, M @ psi.amplitudes))
 
 
 def delta_vector(A, psi: PureState) -> DeltaVector:
     """Coordinates of (A - <A>)|psi> in the computational basis."""
-    M = linalg.as_square_matrix(A)
-    _check_dims(M, psi)
-    _require_unitary(M)
-    image = M @ psi.amplitudes
+    image = Unitary.matrix_on(A, psi.dim) @ psi.amplitudes
     mean = complex(np.vdot(psi.amplitudes, image))
     return DeltaVector(entries=image - mean * psi.amplitudes, mean=mean)
 
@@ -186,11 +202,7 @@ def variance_pure(A, psi: PureState) -> float:
 
 def variance_mixed(A, rho: DensityMatrix) -> float:
     """Variance 1 - |Tr(A rho)|^2 of a unitary operator on a mixed state."""
-    M = linalg.as_square_matrix(A)
-    if M.shape[0] != rho.dim:
-        raise DimensionMismatch(f"operator dim {M.shape[0]} != state dim {rho.dim}")
-    _require_unitary(M)
-    return float(1.0 - abs(np.trace(M @ rho.matrix)) ** 2)
+    return float(1.0 - abs(np.trace(Unitary.matrix_on(A, rho.dim) @ rho.matrix)) ** 2)
 
 
 def purify(rho: DensityMatrix) -> PureState:

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import uur
-from uur import bounds, cli, moments
+from uur import bounds, cli, linalg, moments
 
 
 def run(args, capsys):
@@ -267,6 +267,9 @@ def write_problem(tmp_path, n_ops, state=GOOD_STATE, params="{}"):
     return path
 
 
+RAGGED_MATRIX = problem_text(2, operators=z_and_x("[[[1, 0]], [[0, 0], [-1, 0]]]"))
+
+
 @pytest.mark.parametrize("document", [
     problem_text(2, '{"pure": [1, 0]}', "{}"),
     problem_text(2, GOOD_STATE, '{"m": null}'),
@@ -287,10 +290,12 @@ def write_problem(tmp_path, n_ops, state=GOOD_STATE, params="{}"):
     problem_text(2, operators=z_and_x('[[[true, false], [0, 0]], [[0, 0], [-1, 0]]]')),
     problem_text(2, operators=z_and_x('[[[1, 0, 9], [0, 0]], [[0, 0], [-1, 0]]]')),
     problem_text(2, operators=z_and_x("5")),
+    RAGGED_MATRIX,
 ], ids=["pure-reals", "m-null", "params-string", "cap-overflow", "flavor-2ops", "flavor-3ops",
         "top-level-number", "dimension-null", "dimension-list", "dimension-fraction",
         "operators-number", "bloch-number", "bloch-nested", "m-fraction",
-        "pure-booleans", "pure-triple", "matrix-booleans", "matrix-triple", "matrix-number"])
+        "pure-booleans", "pure-triple", "matrix-booleans", "matrix-triple", "matrix-number",
+        "matrix-ragged"])
 def test_malformed_input_file_is_input_error(tmp_path, capsys, document):
     path = tmp_path / "prob.json"
     path.write_text(document)
@@ -298,6 +303,14 @@ def test_malformed_input_file_is_input_error(tmp_path, capsys, document):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+def test_ragged_matrix_error_names_the_operator(tmp_path, capsys):
+    path = tmp_path / "prob.json"
+    path.write_text(RAGGED_MATRIX)
+    code, _, err = run(["bounds", "--input", str(path)], capsys)
+    assert code == 2
+    assert err == "error: operator 'Z': matrix rows differ in length [1, 2]\n"
 
 
 @pytest.mark.parametrize("trials", [0, -1])
@@ -378,6 +391,24 @@ def test_three_operator_report_bounds_each_pair_once(capsys, monkeypatch):
     assert code == 0, err
     assert calls == {"geometric_mean_bound": 1, "from_deltas": 4, "split_bound": 4,
                      "variance_product": 4, "best_split_bound": 5}
+
+
+@pytest.mark.parametrize("command, checks", [
+    ("sweep --example ex5 --steps 4", 3),
+    ("sweep --example ex1 --dim 16 --steps 3", 2),
+    ("bounds --input {bloch3}", 3),
+])
+def test_each_operator_is_checked_once_per_command(tmp_path, capsys, monkeypatch,
+                                                   command, checks):
+    # The rows reuse the operators checked when the problem was loaded.
+    path = tmp_path / "bloch3.json"
+    path.write_text(problem_text(3, '{"bloch": [0.5, -0.1, 0.3]}'))
+    calls = []
+    real = linalg.unitary_deviation
+    monkeypatch.setattr(linalg, "unitary_deviation", lambda M: calls.append(M) or real(M))
+    code, _, err = run(command.format(bloch3=path).split(), capsys)
+    assert code == 0, err
+    assert len(calls) == checks
 
 
 # Arbitrary JSON values, including the NaN and Infinity literals Python's

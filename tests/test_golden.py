@@ -7,12 +7,15 @@ change to a printed byte of these commands fails here. The matrix covers
 ex1 at n = 7, 8 and 9 for every block size m = 1 .. n-1 in both formats (so
 m below, at and above n/2, and both odd and even n), ex5 and ex6 with each
 geometric-mean flavor, ex5 and ex6 sweeps and comparisons in both formats,
-and one ex3 sweep.
+and one ex3 sweep. The `check` runs and the `bounds --input` reports on a
+pure, a density and two Bloch problem files were recorded before operators
+were checked once per command instead of once per row.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 
 import pytest
 
@@ -80,6 +83,47 @@ OTHER_COMMANDS = {
     "bounds --example ex6 --flavor plain": "9ec4782cbb5b5865cc650e18024d3362508edf0e089fcfa9c51c8799075d63da",
     "bounds --example ex6 --flavor convex": "b4cd68442ac7e5f52eabe9ae49240c987089a63ae2e8d38ef583a97210d06274",
     "bounds --example ex6 --flavor tilde": "1ba2f8292373b7242fe144fb436f0511df024a7202045699bc8ae8d5dc7caa61",
+    "check --seed 42 --trials 25": "b756ffda990d39fcdf5da7ec87297af7975fb8dcfc7838db0fc6f875174484b7",
+    "check --seed 3 --trials 60": "1a028d1b69d64d62efcedd73ad3d1fe61d99d33e8597b000e1db957a3577bc12",
+}
+
+PAULI = {
+    "X": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]],
+    "Y": [[[0, 0], [0, -1]], [[0, 1], [0, 0]]],
+    "Z": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]],
+}
+
+
+def _problem(dimension, names, state, params=None, matrices=PAULI):
+    return {"dimension": dimension,
+            "operators": [{"name": n, "matrix": matrices[n]} for n in names],
+            "state": state, "params": params or {}}
+
+
+# Problem files for `bounds --input`, written under these relative names
+# because the report's "source" field prints the path as given.
+INPUT_FILES = {
+    "pure.json": _problem(
+        3, "RP", {"pure": [[0.6, 0], [0, 0.48], [0, 0.64]]}, {"m": 1, "v": 0.3},
+        matrices={"R": [[[0.6, 0], [-0.8, 0], [0, 0]], [[0.8, 0], [0.6, 0], [0, 0]],
+                        [[0, 0], [0, 0], [1, 0]]],
+                  "P": [[[0, 0], [0, 0], [0, 1]], [[1, 0], [0, 0], [0, 0]],
+                        [[0, 0], [-1, 0], [0, 0]]]}),
+    "density.json": _problem(2, "ZX", {"density": [[[0.7, 0], [0.1, 0.2]],
+                                                   [[0.1, -0.2], [0.3, 0]]]}),
+    "bloch.json": _problem(2, "ZY", {"bloch": [0.2, 0.3, 0.4]}),
+    "bloch3.json": _problem(2, "XYZ", {"bloch": [0.5, -0.1, 0.3]}, {"flavor": "tilde"}),
+}
+
+INPUT_COMMANDS = {
+    "bounds --input pure.json --format json": "044888d968fcae8c24f0c995830c929e1af3aa01a57dfdbed73c53e774980624",
+    "bounds --input pure.json --format csv": "cca6925d892d0ff589a22c50677e0fe51b14f42a50dcf2066f4fd18f98aaa72d",
+    "bounds --input density.json --format json": "a78065037b62f27a2a817a0dab9e664d23765968ff5fbabcb5eafce5b27c3a76",
+    "bounds --input density.json --format csv": "54759a0ca93a71407810c187a1e11d013fda99f2235b6e81e91d46d8b05ffd30",
+    "bounds --input bloch.json --format json": "95502b456617579b49caaec6a13439253b5354f9e4bf0aa66cbd5722afe432a3",
+    "bounds --input bloch.json --format csv": "fdd9d23777848350b5e4c83dd67f6a1471d5949a74a8b3380b38c3937e7477db",
+    "bounds --input bloch3.json --format json": "fba68d277afcad9c209904bf3c500d940736bd43dd28a1dbbd18fa1d25cb4505",
+    "bounds --input bloch3.json --format csv": "69ac9d06478ea1a39a51f4e698df8ac1c2698c24121377113d54c6acb8aa9d5c",
 }
 
 
@@ -103,3 +147,11 @@ def test_ex1_bounds_stdout_is_unchanged(capsys, n, m, fmt):
 @pytest.mark.parametrize("command", sorted(OTHER_COMMANDS))
 def test_other_stdout_is_unchanged(capsys, command):
     assert stdout_digest(command.split(), capsys) == OTHER_COMMANDS[command]
+
+
+@pytest.mark.parametrize("command", sorted(INPUT_COMMANDS))
+def test_input_file_stdout_is_unchanged(capsys, monkeypatch, tmp_path, command):
+    monkeypatch.chdir(tmp_path)
+    for name, document in INPUT_FILES.items():
+        (tmp_path / name).write_text(json.dumps(document))
+    assert stdout_digest(command.split(), capsys) == INPUT_COMMANDS[command]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import uur
-from uur import errors, moments
+from uur import bounds, errors, linalg, moments
 
 
 def test_pure_state_requires_unit_norm():
@@ -46,6 +46,60 @@ def test_variance_rejects_non_unitary():
     psi = moments.PureState(amplitudes=np.array([1.0, 0.0], dtype=complex))
     with pytest.raises(errors.NotUnitary):
         moments.variance_pure(np.diag([1.0, 2.0]).astype(complex), psi)
+
+
+QUBIT = moments.PureState(amplitudes=np.array([0.6, 0.8j]))
+# Every function that needs a unitary operator, called with A in the first slot.
+UNITARY_BOUNDARY = {
+    "delta_vector": lambda A: moments.delta_vector(A, QUBIT),
+    "modulus_pair": lambda A: moments.modulus_pair(A, moments.sigma_x, QUBIT),
+    "correlation": lambda A: moments.correlation(A, moments.sigma_x, QUBIT),
+    "variance_pure": lambda A: moments.variance_pure(A, QUBIT),
+    "variance_mixed": lambda A: moments.variance_mixed(A, moments.bloch_density([0.1, 0.2, 0.3])),
+    "gram_matrix": lambda A: bounds.gram_matrix([moments.sigma_x, A], QUBIT),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNITARY_BOUNDARY))
+def test_unitary_boundary_rejects_non_unitary_and_wrong_size(name):
+    call = UNITARY_BOUNDARY[name]
+    with pytest.raises(errors.NotUnitary):
+        call(np.diag([1.0, 2.0]).astype(complex))
+    with pytest.raises(errors.DimensionMismatch):
+        call(np.eye(3, dtype=complex))
+    with pytest.raises(errors.DimensionMismatch):
+        call(moments.Unitary(np.eye(3)))
+    call(moments.Unitary(moments.sigma_z))
+
+
+def test_unitary_construction_checks_and_names_the_operator():
+    with pytest.raises(errors.NotUnitary) as exc:
+        moments.Unitary(2 * moments.sigma_z, "operator 'Z'")
+    assert str(exc.value) == "operator 'Z' deviates from unitarity by 3.000e+00 (tol 1.0e-08)"
+    with pytest.raises(errors.DimensionMismatch):
+        moments.Unitary(np.ones((2, 3)))
+    U = moments.Unitary(moments.sigma_y.tolist())
+    assert U.matrix.dtype == complex and np.array_equal(np.asarray(U), moments.sigma_y)
+
+
+def test_a_unitary_is_neither_checked_nor_coerced_again(monkeypatch):
+    U = moments.Unitary(moments.sigma_y)
+    raw = moments.delta_vector(moments.sigma_y, QUBIT)
+    rho = moments.bloch_density([0.1, 0.2, 0.3])
+    calls = {"unitary_deviation": 0, "as_square_matrix": 0}
+    for name in calls:
+        def counting(M, name=name, real=getattr(linalg, name)):
+            calls[name] += 1
+            return real(M)
+        monkeypatch.setattr(linalg, name, counting)
+    wrapped = moments.delta_vector(U, QUBIT)
+    moments.variance_mixed(U, rho)
+    bounds.gram_matrix([U, U], QUBIT)
+    assert calls == {"unitary_deviation": 0, "as_square_matrix": 0}
+    assert wrapped.mean == raw.mean and np.array_equal(wrapped.entries, raw.entries)
+    # A raw matrix is coerced when it is wrapped and again inside the check.
+    moments.delta_vector(moments.sigma_y, QUBIT)
+    assert calls == {"unitary_deviation": 1, "as_square_matrix": 2}
 
 
 def test_delta_vector_is_orthogonal_shift():

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from uur import selfcheck
+from uur import bounds, selfcheck
 
 
 def test_run_all_passes_with_small_trial_count():
@@ -42,6 +42,18 @@ def test_counterexample_encoding_is_unchanged():
     ce = selfcheck.run_all(seed=3, trials=10, corrupt="k_m")[0].counterexample
     digest = hashlib.sha256(json.dumps(ce, sort_keys=True).encode()).hexdigest()
     assert digest == "5b2e4dff246ad39be3affb55d81af42238994f2f3a315a6249c82ca0faca6aa4"
+
+
+def test_subset_chain_reads_large_block_sizes_from_the_table(monkeypatch):
+    # d = 2..8 over 7 trials: best_split_bounds searches floor(d/2) sizes
+    # each, 16 in all; sizes above d/2 tie with d - m and are not searched.
+    calls = []
+    real = bounds.best_split_bound
+    monkeypatch.setattr(bounds, "best_split_bound",
+                        lambda pair, m, cap=bounds.DEFAULT_CAP: calls.append(m) or real(pair, m, cap))
+    result = selfcheck.suite_subset_chain(42, 7)
+    assert result.failures == 0 and result.trials == 7
+    assert len(calls) == 16
 
 
 def test_unknown_corruption_target_rejected():
