@@ -9,10 +9,10 @@ blocks:
     (x . y)^2  <=  (|x_S||y_S| + |x_Sc||y_Sc|)^2  <=  |x|^2 |y|^2
 
 The middle quantity is the split bound; maximizing it over which indices
-form the block gives the best split bound. A block and its complement give
-the same split value, so a report searches each size m <= n/2 once, and at
-m = n/2 only the blocks that hold index 1. The interpolation family i_d and
-the paired cross bound are transcribed comparison bounds from the
+form the block gives the best split bound. The search enumerates only the
+support of (x^2, y^2), and a report searches each size m <= n/2 once: a
+block and its complement give the same value. The interpolation family i_d
+and the paired cross bound are transcribed comparison bounds from the
 literature, kept byte-faithful to their published term structure.
 """
 
@@ -114,7 +114,7 @@ class BoundSet:
 
 
 def _squares(pair: ModulusPair) -> tuple[list[float], list[float]]:
-    return [float(t) for t in pair.x ** 2], [float(t) for t in pair.y ** 2]
+    return (pair.x ** 2).tolist(), (pair.y ** 2).tolist()
 
 
 def _split_value(x2: list[float], y2: list[float], inside: frozenset[int]) -> float:
@@ -175,29 +175,35 @@ def _check_cap(n: int, m: int, cap: int) -> None:
 def best_split_bound(pair: ModulusPair, m: int, cap: int = DEFAULT_CAP) -> tuple[float, SubsetSelection]:
     """Maximum split bound over all blocks of size m.
 
-    Enumerates the binomial(n, m) subsets; block membership is all that the
-    split value depends on, so permutations never need to be enumerated.
-    Ties resolve to the lexicographically smallest subset. Raises
-    SearchSpaceTooLarge instead of silently truncating the search.
+    Only the support of (x^2, y^2) is enumerated: a free index, with x_i^2 =
+    y_i^2 = 0.0, adds exactly 0.0 to both block sums, so the blocks sharing a
+    support part T tie bit for bit, and the smallest completes T with the
+    m - |T| smallest free indices. Ties resolve to the lexicographically
+    smallest block. Raises SearchSpaceTooLarge when the nominal binomial(n,
+    m) exceeds the cap instead of silently truncating the search.
 
     A block and its complement give the same value bit for bit (the two
     block terms swap places), so when 2m = n only the first binomial(n-1,
-    m-1) blocks, those holding index 1, are searched: they hold the
-    lexicographically smaller block of every complementary pair.
+    m-1) blocks are searched: those holding index 1, the lexicographically
+    smaller block of every complementary pair. The stop cuts only when no
+    index is free; with one, no size holds more support parts than that.
     """
     n = pair.dim
     if not 1 <= m <= n:
         raise InvalidSubset(f"block size {m} out of range 1..{n}")
     _check_cap(n, m, cap)
     x2, y2 = _squares(pair)
+    free = [i for i in range(n) if x2[i] == y2[i] == 0.0]
+    support = [i for i in range(n) if x2[i] or y2[i]]
     stop = math.comb(n - 1, m - 1) if 2 * m == n else None
-    best = -1.0
-    best_subset: tuple[int, ...] = ()
-    for combo in itertools.islice(itertools.combinations(range(n), m), stop):
-        val = _split_value(x2, y2, frozenset(combo))
-        if val > best:
-            best = val
-            best_subset = combo
+    best, best_subset = -1.0, ()
+    for t in range(max(0, m - len(free)), min(m, len(support)) + 1):
+        pad = tuple(free[:m - t])
+        for part in itertools.islice(itertools.combinations(support, t), stop):
+            combo = tuple(sorted(part + pad)) if pad else part
+            val = _split_value(x2, y2, frozenset(combo))
+            if val > best or val == best and combo < best_subset:
+                best, best_subset = val, combo
     return best, SubsetSelection(n=n, indices=tuple(i + 1 for i in best_subset))
 
 

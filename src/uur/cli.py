@@ -95,15 +95,15 @@ def _complex_list(obj, what: str) -> list[complex]:
             for re, im in obj]
 
 
-def _decode_complex_matrix(obj, name: str) -> np.ndarray:
+def _decode_complex_matrix(obj, label: str) -> np.ndarray:
     if not isinstance(obj, list):
-        raise UurError(f"operator {name!r}: matrix must be a list of rows")
-    rows = [_complex_list(row, f"operator {name!r}: matrix entries") for row in obj]
+        raise UurError(f"{label}: matrix must be a list of rows")
+    rows = [_complex_list(row, f"{label}: matrix entries") for row in obj]
     if len({len(row) for row in rows}) > 1:
-        raise UurError(f"operator {name!r}: matrix rows differ in length {[len(r) for r in rows]}")
+        raise UurError(f"{label}: matrix rows differ in length {[len(r) for r in rows]}")
     M = np.array(rows)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise UurError(f"operator {name!r}: matrix must be square, got shape {M.shape}")
+        raise UurError(f"{label}: matrix must be square, got shape {M.shape}")
     return M
 
 
@@ -117,7 +117,7 @@ def _decode_state(obj, dim: int) -> PureState | DensityMatrix:
             raise UurError(f"pure state has {amps.size} amplitudes, dimension says {dim}")
         return PureState(amplitudes=amps)
     if kind == "density":
-        M = _decode_complex_matrix(payload, "density")
+        M = _decode_complex_matrix(payload, "density matrix")
         if M.shape[0] != dim:
             raise UurError(f"density matrix is {M.shape[0]}x{M.shape[0]}, dimension says {dim}")
         return DensityMatrix(matrix=M)
@@ -143,7 +143,8 @@ def _load_input_file(cfg: RunConfig) -> Problem:
     for entry in entries:
         if not isinstance(entry, dict) or "name" not in entry or "matrix" not in entry:
             raise UurError('each operator must be an object with "name" and "matrix"')
-        named.append((str(entry["name"]), _decode_complex_matrix(entry["matrix"], entry["name"])))
+        label = f"operator {entry['name']!r}"
+        named.append((str(entry["name"]), _decode_complex_matrix(entry["matrix"], label)))
     if not 2 <= len(named) <= 3:
         raise UurError(f"need 2 or 3 operators, got {len(named)}")
     for name, M in named:

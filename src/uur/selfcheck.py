@@ -86,7 +86,8 @@ def _pair_instance(seed: int, trial: int, stream: int, dmin: int = 2, dmax: int 
         "operators": [A, B],
         "state": psi.amplitudes,
     }
-    return d, A, B, psi, instance
+    # Checked once here; the instance keeps the raw arrays for encoding.
+    return d, moments.Unitary(A), moments.Unitary(B), psi, instance
 
 
 def suite_pair_chain(seed: int, trials: int, split_fn=None) -> SuiteResult:
@@ -263,10 +264,11 @@ def suite_triple_bound(seed: int, trials: int) -> SuiteResult:
         d = 2 + trial % 5
         ops = [sampling.random_unitary(rng, d) for _ in range(3)]
         psi = sampling.random_state(rng, d)
-        deltas = [moments.delta_vector(U, psi) for U in ops]
+        checked = [moments.Unitary(U) for U in ops]
+        deltas = [moments.delta_vector(U, psi) for U in checked]
         vp3 = math.prod(dv.variance for dv in deltas)
         rhs = bounds.triple_correlation_bound(*deltas)
-        det = float(np.real(np.linalg.det(bounds.gram_matrix(ops, psi))))
+        det = float(np.real(np.linalg.det(bounds.gram_matrix(checked, psi))))
         instance = {"trial": trial, "dimension": d, "operators": ops,
                     "state": psi.amplitudes}
         rec.check(rhs - vp3, SLACK, instance, "triple bound exceeds product")
@@ -342,15 +344,16 @@ def suite_mixed_state_floor(seed: int, trials: int) -> SuiteResult:
         rho = sampling.random_density(rng, d)
         A = sampling.random_unitary(rng, d)
         B = sampling.random_unitary(rng, d)
+        uA, uB = moments.Unitary(A), moments.Unitary(B)
         dec = linalg.hermitian_eig(rho.matrix)
         pa, pb = [], []
         for j in range(d):
             u = PureState(amplitudes=dec.eigenvectors[:, j]
                           / np.linalg.norm(dec.eigenvectors[:, j]))
-            pa.append(moments.variance_pure(A, u))
-            pb.append(moments.variance_pure(B, u))
-        va = moments.variance_mixed(A, rho)
-        vb = moments.variance_mixed(B, rho)
+            pa.append(moments.variance_pure(uA, u))
+            pb.append(moments.variance_pure(uB, u))
+        va = moments.variance_mixed(uA, rho)
+        vb = moments.variance_mixed(uB, rho)
         instance = {"trial": trial, "dimension": d,
                     "operators": [A, B], "density": rho.matrix}
         rec.check(min(a * b for a, b in zip(pa, pb)) - va * vb, 1e-9,
@@ -401,9 +404,9 @@ def suite_coordinate_identities(seed: int, trials: int) -> SuiteResult:
         rec.check(abs(va - float(np.sum(pair.x ** 2))), SLACK, instance,
                   "variance != |x|^2")
         c_ops = complex(
-            np.vdot(psi.amplitudes, (A.conj().T @ B) @ psi.amplitudes)
-            - np.conj(np.vdot(psi.amplitudes, A @ psi.amplitudes))
-            * np.vdot(psi.amplitudes, B @ psi.amplitudes))
+            np.vdot(psi.amplitudes, (A.matrix.conj().T @ B.matrix) @ psi.amplitudes)
+            - np.conj(np.vdot(psi.amplitudes, A.matrix @ psi.amplitudes))
+            * np.vdot(psi.amplitudes, B.matrix @ psi.amplitudes))
         c_coord = moments.correlation(A, B, psi)
         rec.check(abs(c_ops - c_coord), SLACK, instance,
                   "correlation forms disagree")

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import uur
-from uur import bounds, errors, moments
+from uur import bounds, cli, errors, moments
 from uur.moments import ModulusPair
 
 from conftest import random_pair
@@ -180,6 +180,49 @@ def test_best_split_bound_half_size_ties_keep_lexicographic_block():
     assert bounds.best_split_bound(p, 2)[1].indices == (1, 2)
     flat = pair_of([1, 1, 1, 1, 1, 1], [1, 1, 1, 1, 1, 1])
     assert bounds.best_split_bound(flat, 3)[1].indices == (1, 2, 3)
+
+
+# Exact zeros, in both coordinates or in one, make free indices; values
+# rounded to one decimal make blocks tie.
+rounded_modulus = st.floats(min_value=0.0, max_value=3.0).map(lambda t: round(t, 1))
+coordinate = st.one_of(st.just((0.0, 0.0)),
+                       st.tuples(st.just(0.0), rounded_modulus),
+                       st.tuples(rounded_modulus, st.just(0.0)),
+                       st.tuples(rounded_modulus, rounded_modulus),
+                       st.tuples(wide_moduli, wide_moduli))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(coordinate, min_size=1, max_size=11))
+def test_best_split_bound_matches_full_enumeration_with_free_indices(entries):
+    p = pair_of([e[0] for e in entries], [e[1] for e in entries])
+    for m in range(1, p.dim + 1):
+        val, sel = bounds.best_split_bound(p, m)
+        want_val, want_sel = brute_force_split(p, m)
+        assert val == want_val
+        assert sel == want_sel
+
+
+def test_best_split_bound_pads_blocks_with_the_smallest_free_indices():
+    # Only index 3 carries weight; every block holding it ties, and so does
+    # every block without it, so the lexicographically smallest block wins.
+    p = pair_of([0, 0, 2, 0, 0], [0, 0, 3, 0, 0])
+    assert bounds.best_split_bound(p, 2) == (36.0, subset(5, 1, 2))
+    assert bounds.best_split_bound(pair_of([0, 0, 0], [0, 0, 0]), 2) == (0.0, subset(3, 1, 2))
+
+
+@pytest.mark.parametrize("theta", [[], ["--theta-min", "1.0"]], ids=["theta-0", "theta-1"])
+def test_ex1_row_evaluates_only_support_blocks(monkeypatch, capsys, theta):
+    # An ex1 state at n = 16 has at most 3 support indices (none at theta
+    # 0); the full enumeration evaluated 32,767 blocks for this row.
+    calls = []
+    real = bounds._split_value
+    monkeypatch.setattr(bounds, "_split_value",
+                        lambda x2, y2, inside: calls.append(1) or real(x2, y2, inside))
+    assert cli.main(["sweep", "--example", "ex1", "--dim", "16", "--steps", "1",
+                     "--format", "csv"] + theta) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2  # header and one row
+    assert 0 < len(calls) <= 64
 
 
 def test_bound_report_k_tilde_m_equals_search_at_every_block_size():

@@ -313,6 +313,15 @@ def test_ragged_matrix_error_names_the_operator(tmp_path, capsys):
     assert err == "error: operator 'Z': matrix rows differ in length [1, 2]\n"
 
 
+def test_ragged_density_error_names_the_density_matrix(tmp_path, capsys):
+    path = tmp_path / "prob.json"
+    path.write_text(problem_text(2, '{"density": [[[1, 0]], [[0, 0], [0, 0]]]}'))
+    code, out, err = run(["bounds", "--input", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: density matrix: matrix rows differ in length [1, 2]\n"
+
+
 @pytest.mark.parametrize("trials", [0, -1])
 def test_check_without_trials_is_input_error(capsys, trials):
     code, out, err = run(["check", "--trials", str(trials)], capsys)

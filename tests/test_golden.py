@@ -9,7 +9,9 @@ m below, at and above n/2, and both odd and even n), ex5 and ex6 with each
 geometric-mean flavor, ex5 and ex6 sweeps and comparisons in both formats,
 and one ex3 sweep. The `check` runs and the `bounds --input` reports on a
 pure, a density and two Bloch problem files were recorded before operators
-were checked once per command instead of once per row.
+were checked once per command instead of once per row. The ex1 reports at
+n = 12, 16 and 20, the ex2 report at n = 12 and the ex1 sweeps at n = 16
+were recorded while the split search still enumerated every block.
 """
 
 from __future__ import annotations
@@ -85,6 +87,13 @@ OTHER_COMMANDS = {
     "bounds --example ex6 --flavor tilde": "1ba2f8292373b7242fe144fb436f0511df024a7202045699bc8ae8d5dc7caa61",
     "check --seed 42 --trials 25": "b756ffda990d39fcdf5da7ec87297af7975fb8dcfc7838db0fc6f875174484b7",
     "check --seed 3 --trials 60": "1a028d1b69d64d62efcedd73ad3d1fe61d99d33e8597b000e1db957a3577bc12",
+    "bounds --example ex1 --dim 12": "32490b5014b6a365946588551aadfd2405b4cd7f57351e2a685cca71cedca80d",
+    "bounds --example ex1 --dim 12 --m 3": "d6fbeb2d691323548628ead6710fa6701cf3ac3e335d439a93a7641a9b8133ae",
+    "bounds --example ex1 --dim 16": "a3b051c0315fbb7e58f5f583a6a10ee0a0dc0d2a5c9c1126c45ae270131c99c7",
+    "bounds --example ex1 --dim 20": "fa1e68d91996723f0bdbfb8685b33be31c776b1a2c8c9a171bacde7f5ec9a6d2",
+    "bounds --example ex2 --dim 12": "8d21f8bd1b5c9da984808c3a8765ba372a3c358a9c50214de08aaf5a5c5a5583",
+    "sweep --example ex1 --dim 16 --steps 3 --format csv": "097f153d317f4499acec1184db322739f99d317978ebf373ba923bd822f26e1e",
+    "sweep --example ex1 --dim 16 --steps 3 --format json": "ffeb6fc7c0f71db0b2ccdc260ddcfe0d7f25f435a8c3b830f46c8b3cb259e9de",
 }
 
 PAULI = {

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from uur import bounds, selfcheck
+from uur import bounds, linalg, sampling, selfcheck
 
 
 def test_run_all_passes_with_small_trial_count():
@@ -54,6 +54,20 @@ def test_subset_chain_reads_large_block_sizes_from_the_table(monkeypatch):
     result = selfcheck.suite_subset_chain(42, 7)
     assert result.failures == 0 and result.trials == 7
     assert len(calls) == 16
+
+
+def test_each_sampled_unitary_is_checked_at_most_once(monkeypatch):
+    # Each draw is wrapped in moments.Unitary where it enters a checking
+    # call, so no draw is checked twice (unwrapped, this run made 984).
+    checks, draws = [], []
+    real_deviation, real_draw = linalg.unitary_deviation, sampling.random_unitary
+    monkeypatch.setattr(linalg, "unitary_deviation",
+                        lambda M: checks.append(1) or real_deviation(M))
+    monkeypatch.setattr(sampling, "random_unitary",
+                        lambda rng, n: draws.append(1) or real_draw(rng, n))
+    selfcheck.run_all(seed=42, trials=25)
+    assert len(draws) == 711
+    assert len(checks) <= 711
 
 
 def test_unknown_corruption_target_rejected():
