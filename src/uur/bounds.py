@@ -34,6 +34,10 @@ from .errors import (
 from .moments import DeltaVector, ModulusPair, PureState, Unitary
 
 DEFAULT_CAP = 5_000_000
+DEFAULT_V = 0.1
+# Rounding room for each link of a bound chain: a later bound may exceed an
+# earlier one by this much before the chain counts as broken.
+SLACK = 1e-10
 FLAVORS = ("plain", "convex", "tilde")
 
 
@@ -90,25 +94,25 @@ class BoundSet:
     m: int
     v: float
 
-    def validate(self, slack: float = 1e-10) -> list[str]:
+    def validate(self) -> list[str]:
         """Return chain-invariant violations (empty list when consistent)."""
         bad = []
         vp = self.variance_product
 
         def chain(names, vals):
             for (na, va), (nb, vb) in itertools.pairwise(zip(names, vals)):
-                if va > vb + slack:
+                if va > vb + SLACK:
                     bad.append(f"{na} > {nb} by {va - vb:.3e}")
 
         chain(("lb", "k_m", "k_m_v", "variance_product"), (self.lb, self.k_m, self.k_m_v, vp))
         chain(("k_m", "k_tilde_m", "k_tilde", "variance_product"),
               (self.k_m, self.k_tilde_m, self.k_tilde, vp))
         for lev in range(1, len(self.i_d)):
-            if self.i_d[lev] > self.i_d[lev - 1] + slack:
+            if self.i_d[lev] > self.i_d[lev - 1] + SLACK:
                 bad.append(f"i_{lev + 1} > i_{lev} by {self.i_d[lev] - self.i_d[lev - 1]:.3e}")
-        if abs(self.i_d[0] - vp) > slack:
+        if abs(self.i_d[0] - vp) > SLACK:
             bad.append(f"i_1 != variance_product by {abs(self.i_d[0] - vp):.3e}")
-        if abs(self.i_d[-1] - self.lb) > slack:
+        if abs(self.i_d[-1] - self.lb) > SLACK:
             bad.append(f"i_n != lb by {abs(self.i_d[-1] - self.lb):.3e}")
         return bad
 
@@ -313,7 +317,7 @@ def triple_correlation_bound(dA: DeltaVector, dB: DeltaVector, dC: DeltaVector) 
     )
 
 
-def geometric_mean_bound(deltas, m: int, v: float = 0.1,
+def geometric_mean_bound(deltas, m: int, v: float = DEFAULT_V,
                          cap: int = DEFAULT_CAP) -> dict[str, float]:
     """Multi-operator bounds: geometric means of the pairwise split bounds.
 
@@ -337,7 +341,7 @@ def geometric_mean_bound(deltas, m: int, v: float = 0.1,
     return {flavor: float(p ** (1.0 / (len(deltas) - 1))) for flavor, p in products.items()}
 
 
-def bound_report(pair: ModulusPair, m: int | None = None, v: float = 0.1,
+def bound_report(pair: ModulusPair, m: int | None = None, v: float = DEFAULT_V,
                  cap: int = DEFAULT_CAP) -> BoundSet:
     """Compute every pairwise bound for one modulus pair.
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds, moments, scenarios, selfcheck
-from .bounds import DEFAULT_CAP
+from .bounds import DEFAULT_CAP, DEFAULT_V, SLACK
 from .errors import SearchSpaceTooLarge, UurError
 from .moments import DensityMatrix, PureState
 
@@ -165,7 +165,7 @@ def _load_input_file(cfg: RunConfig) -> Problem:
         raise UurError('"params" must be an object')
     n = operators[0].matrix.shape[0]
     m = cfg.m if cfg.m is not None else params.get("m", max(1, n // 2))
-    v = cfg.v if cfg.v is not None else params.get("v", 0.1)
+    v = cfg.v if cfg.v is not None else params.get("v", DEFAULT_V)
     cap = cfg.cap if cfg.cap is not None else params.get("cap", DEFAULT_CAP)
     flavor = cfg.flavor if cfg.flavor is not None else params.get("flavor", "plain")
     if flavor not in bounds.FLAVORS:
@@ -184,7 +184,7 @@ def _load_example(cfg: RunConfig) -> Problem:
         scenario=scen,
         fixed_state=None,
         m=cfg.m if cfg.m is not None else scen.default_m,
-        v=cfg.v if cfg.v is not None else scen.default_v,
+        v=cfg.v if cfg.v is not None else DEFAULT_V,
         cap=cfg.cap if cfg.cap is not None else DEFAULT_CAP,
         flavor=cfg.flavor if cfg.flavor is not None else "plain",
         notes=scen.notes,
@@ -200,12 +200,11 @@ def _load_problem(cfg: RunConfig) -> Problem:
 def _theta_grid(cfg: RunConfig, scen: scenarios.Scenario) -> list[float]:
     lo = cfg.theta_min if cfg.theta_min is not None else scen.theta_range[0]
     hi = cfg.theta_max if cfg.theta_max is not None else scen.theta_range[1]
-    steps = cfg.steps if cfg.steps is not None else scen.default_steps
-    if steps < 1:
-        raise UurError(f"steps must be >= 1, got {steps}")
+    steps = cfg.steps if cfg.steps is not None else scenarios.DEFAULT_STEPS
+    grid = scenarios.theta_grid(lo, hi, steps)  # its steps error wins over the range one
     if lo > hi:
         raise UurError(f"theta range is empty: {lo} > {hi}")
-    return scenarios.theta_grid(lo, hi, steps)
+    return grid
 
 
 def _triple_fields(problem: Problem, deltas: list[moments.DeltaVector]) -> dict:
@@ -216,7 +215,7 @@ def _triple_fields(problem: Problem, deltas: list[moments.DeltaVector]) -> dict:
     means = bounds.geometric_mean_bound(deltas, problem.m, problem.v, problem.cap)
     vals.update((key, means[flavor]) for flavor, key in FLAVOR_FIELDS.items())
     for key in TRIPLE_COLUMNS[1:]:
-        if vals[key] > vals["variance_triple"] + 1e-10:
+        if vals[key] > vals["variance_triple"] + SLACK:
             raise _Violation(f"{key} exceeds variance_triple by "
                              f"{vals[key] - vals['variance_triple']:.3e}")
     return vals
@@ -392,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--theta-max", type=float, dest="theta_max")
         p.add_argument("--steps", type=int)
         p.add_argument("--m", type=int, help="block size (default: half the dimension)")
-        p.add_argument("--v", type=float, help="blend weight in [0, 1] (default 0.1)")
+        p.add_argument("--v", type=float, help=f"blend weight in [0, 1] (default {DEFAULT_V})")
         p.add_argument("--flavor", choices=bounds.FLAVORS,
                        help="geometric mean variant for triples (default plain)")
         p.add_argument("--cap", type=int, help=f"subset search cap (default {DEFAULT_CAP})")

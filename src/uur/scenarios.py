@@ -45,16 +45,11 @@ class Scenario:
     operators: tuple[tuple[str, np.ndarray], ...]
     state_builder: Callable[[float], PureState]
     default_m: int
-    default_v: float
     theta_range: tuple[float, float]
-    default_steps: int = DEFAULT_STEPS
     notes: tuple[str, ...] = field(default=())
 
     def state(self, theta: float) -> PureState:
         return self.state_builder(theta)
-
-    def operator_matrices(self) -> list[np.ndarray]:
-        return [M for _, M in self.operators]
 
 
 def _ex1_state(d: int):
@@ -120,7 +115,7 @@ def scenario(sid: str, d: int | None = None) -> Scenario:
             id=sid, dimension=d,
             operators=(("A", clock_operator(d)), ("B", shift_operator(d))),
             state_builder=_ex1_state(d),
-            default_m=max(1, d // 2), default_v=0.1, theta_range=(0.0, math.pi),
+            default_m=max(1, d // 2), theta_range=(0.0, math.pi),
         )
 
     if sid == "ex2":
@@ -140,7 +135,7 @@ def scenario(sid: str, d: int | None = None) -> Scenario:
             id=sid, dimension=d,
             operators=(("A", A), ("B", shift_operator(d))),
             state_builder=_ex2_state(d),
-            default_m=max(1, d // 2), default_v=0.1, theta_range=(0.0, math.pi),
+            default_m=max(1, d // 2), theta_range=(0.0, math.pi),
             notes=notes,
         )
 
@@ -151,7 +146,7 @@ def scenario(sid: str, d: int | None = None) -> Scenario:
             id=sid, dimension=3,
             operators=(("A", _printed_a3()), ("B", shift_operator(3))),
             state_builder=_ex3_state,
-            default_m=2, default_v=0.1, theta_range=(0.0, math.pi),
+            default_m=2, theta_range=(0.0, math.pi),
             notes=("A uses phases (1, e^(i pi/2), e^(3i pi/2)), "
                    "not the d=3 clock phases",),
         )
@@ -166,7 +161,7 @@ def scenario(sid: str, d: int | None = None) -> Scenario:
             id=sid, dimension=4,
             operators=(("A", moments.lift(A2)), ("B", moments.lift(B2))),
             state_builder=_ex4_state,
-            default_m=2, default_v=0.1, theta_range=(0.0, 2 * math.pi),
+            default_m=2, theta_range=(0.0, 2 * math.pi),
             notes=("the qubit mixed state is purified to 4 dimensions and the "
                    "qubit operators act on the purified space as I (x) U",),
         )
@@ -180,7 +175,7 @@ def scenario(sid: str, d: int | None = None) -> Scenario:
             id=sid, dimension=4,
             operators=(("A", clock_operator(4)), ("B", shift_operator(4)), ("C", C)),
             state_builder=_ex5_state,
-            default_m=2, default_v=0.1, theta_range=(0.0, 2 * math.pi),
+            default_m=2, theta_range=(0.0, 2 * math.pi),
             notes=("B repaired to the exact 4-cycle shift: the transcribed matrix "
                    "carried two entries in one column and was not unitary",),
         )
@@ -193,7 +188,7 @@ def scenario(sid: str, d: int | None = None) -> Scenario:
             id=sid, dimension=3,
             operators=(("A", _printed_a3()), ("B", shift_operator(3)), ("C", C)),
             state_builder=_ex6_state,
-            default_m=2, default_v=0.1, theta_range=(0.0, 2 * math.pi),
+            default_m=2, theta_range=(0.0, 2 * math.pi),
             notes=("state amplitudes are normalized: the raw family "
                    "(sqrt(2)/2 cos(t/2), sqrt(2)/2 sin(t/2), -sin(t/2)) is not "
                    "unit length for general t",),

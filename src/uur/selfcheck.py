@@ -1,8 +1,11 @@
 """Seeded randomized invariant suites backing the `check` CLI command.
 
-Each suite draws its own instances from a counter-based generator, so the
-trial order never matters and a rerun with the same seed reproduces every
-draw bit for bit. A suite reports its trial count, failure count, the worst
+Each suite is the body of one trial; the `_suite` decorator runs it for
+trials 0..trials-1 and names the suite after the function. Every trial
+draws from its own counter-based generator, so the trial order never
+matters and a rerun with the same seed reproduces every draw bit for bit.
+Most suites draw their instance through `_instance`: the unitaries, then
+the state. A suite reports its trial count, failure count, the worst
 margin it observed, and the first counterexample (fully serialized) when
 something fails.
 
@@ -16,6 +19,7 @@ tests.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -23,10 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds, linalg, moments, sampling, scenarios
-from .bounds import DEFAULT_CAP, SubsetSelection
+from .bounds import DEFAULT_CAP, SLACK, SubsetSelection
 from .moments import PureState
-
-SLACK = 1e-10
 
 
 @dataclass
@@ -55,7 +57,6 @@ class _Recorder:
 
     def __init__(self, name: str):
         self.name = name
-        self.trials = 0
         self.failures = 0
         self.worst = -math.inf
         self.counterexample: dict | None = None
@@ -68,112 +69,109 @@ class _Recorder:
                 self.counterexample = dict({k: _encode(v) for k, v in instance.items()},
                                            suite=self.name, violation=label, amount=margin)
 
-    def result(self) -> SuiteResult:
+    def result(self, trials: int) -> SuiteResult:
         worst = self.worst if self.worst != -math.inf else 0.0
-        return SuiteResult(name=self.name, trials=self.trials, failures=self.failures,
+        return SuiteResult(name=self.name, trials=trials, failures=self.failures,
                            worst=worst, counterexample=self.counterexample)
 
 
-def _pair_instance(seed: int, trial: int, stream: int, dmin: int = 2, dmax: int = 8):
+def _suite(body):
+    """Turn a one-trial body(rec, seed, trial, **kw) into suite(seed, trials, **kw)."""
+    name = body.__name__.removeprefix("suite_")
+
+    @functools.wraps(body)
+    def run(seed: int, trials: int, **kwargs) -> SuiteResult:
+        rec = _Recorder(name)
+        for trial in range(trials):
+            body(rec, seed, trial, **kwargs)
+        return rec.result(trials)
+
+    return run
+
+
+def _instance(seed: int, trial: int, stream: int, count: int = 2,
+              dmin: int = 2, dmax: int = 8):
+    """Draw count unitaries, then one state, of dimension dmin + trial % (dmax - dmin + 1)."""
     rng = sampling.trial_generator(seed, trial, stream)
     d = dmin + trial % (dmax - dmin + 1)
-    A = sampling.random_unitary(rng, d)
-    B = sampling.random_unitary(rng, d)
+    ops = [sampling.random_unitary(rng, d) for _ in range(count)]
     psi = sampling.random_state(rng, d)
-    instance = {
-        "trial": trial,
-        "dimension": d,
-        "operators": [A, B],
-        "state": psi.amplitudes,
-    }
+    instance = {"trial": trial, "dimension": d, "operators": ops, "state": psi.amplitudes}
     # Checked once here; the instance keeps the raw arrays for encoding.
-    return d, moments.Unitary(A), moments.Unitary(B), psi, instance
+    return d, [moments.Unitary(U) for U in ops], psi, instance
 
 
-def suite_pair_chain(seed: int, trials: int, split_fn=None) -> SuiteResult:
+@_suite
+def suite_pair_chain(rec: _Recorder, seed: int, trial: int):
     """lb <= k_m <= k_m_v <= variance product, all block sizes, weight grid."""
-    split_fn = split_fn or bounds.split_bound
-    rec = _Recorder("pair_chain")
-    for trial in range(trials):
-        rec.trials += 1
-        d, A, B, psi, instance = _pair_instance(seed, trial, 0)
-        pair = moments.modulus_pair(A, B, psi)
-        vp = bounds.variance_product(pair)
-        lb = bounds.correlation_bound(pair)
-        for m in range(1, d + 1):
-            block = SubsetSelection.first_block(d, m)
-            km = split_fn(pair, block)
-            inst = dict(instance, params={"m": m})
-            rec.check(lb - km, SLACK, inst, "lb > k_m")
-            for v in (0.0, 0.1, 0.5, 1.0):
-                kmv = v * km + (1.0 - v) * vp
-                inst_v = dict(instance, params={"m": m, "v": v})
-                rec.check(km - kmv, SLACK, inst_v, "k_m > k_m_v")
-                rec.check(kmv - vp, SLACK, inst_v, "k_m_v > variance_product")
-    return rec.result()
+    d, (A, B), psi, instance = _instance(seed, trial, 0)
+    pair = moments.modulus_pair(A, B, psi)
+    vp = bounds.variance_product(pair)
+    lb = bounds.correlation_bound(pair)
+    for m in range(1, d + 1):
+        km = bounds.split_bound(pair, SubsetSelection.first_block(d, m))
+        inst = dict(instance, params={"m": m})
+        rec.check(lb - km, SLACK, inst, "lb > k_m")
+        for v in (0.0, 0.1, 0.5, 1.0):
+            kmv = v * km + (1.0 - v) * vp
+            inst_v = dict(instance, params={"m": m, "v": v})
+            rec.check(km - kmv, SLACK, inst_v, "k_m > k_m_v")
+            rec.check(kmv - vp, SLACK, inst_v, "k_m_v > variance_product")
 
 
-def suite_subset_chain(seed: int, trials: int) -> SuiteResult:
+@_suite
+def suite_subset_chain(rec: _Recorder, seed: int, trial: int):
     """k_m <= k_tilde_m <= k_tilde <= variance product for every block size."""
-    rec = _Recorder("subset_chain")
-    for trial in range(trials):
-        rec.trials += 1
-        d, A, B, psi, instance = _pair_instance(seed, trial, 1)
-        pair = moments.modulus_pair(A, B, psi)
-        vp = bounds.variance_product(pair)
-        table = bounds.best_split_bounds(pair)
-        ktilde = max(val for val, _ in table)
-        for m in range(1, d):
-            km = bounds.split_bound(pair, SubsetSelection.first_block(d, m))
-            ktm, _ = table[min(m, d - m) - 1]  # sizes m and d - m tie bit for bit
-            inst = dict(instance, params={"m": m})
-            rec.check(km - ktm, SLACK, inst, "k_m > k_tilde_m")
-            rec.check(ktm - ktilde, SLACK, inst, "k_tilde_m > k_tilde")
-            rec.check(ktilde - vp, SLACK, inst, "k_tilde > variance_product")
-    return rec.result()
+    d, (A, B), psi, instance = _instance(seed, trial, 1)
+    pair = moments.modulus_pair(A, B, psi)
+    vp = bounds.variance_product(pair)
+    table = bounds.best_split_bounds(pair)
+    ktilde = max(val for val, _ in table)
+    for m in range(1, d):
+        km = bounds.split_bound(pair, SubsetSelection.first_block(d, m))
+        ktm, _ = table[min(m, d - m) - 1]  # sizes m and d - m tie bit for bit
+        inst = dict(instance, params={"m": m})
+        rec.check(km - ktm, SLACK, inst, "k_m > k_tilde_m")
+        rec.check(ktm - ktilde, SLACK, inst, "k_tilde_m > k_tilde")
+        rec.check(ktilde - vp, SLACK, inst, "k_tilde > variance_product")
 
 
-def suite_fine_grained_chain(seed: int, trials: int) -> SuiteResult:
+@_suite
+def suite_fine_grained_chain(rec: _Recorder, seed: int, trial: int):
     """Interpolation family: endpoints and monotonicity."""
-    rec = _Recorder("fine_grained_chain")
-    for trial in range(trials):
-        rec.trials += 1
-        d, A, B, psi, instance = _pair_instance(seed, trial, 2)
-        pair = moments.modulus_pair(A, B, psi)
-        seq = bounds.fine_grained_sequence(pair)
-        rec.check(abs(seq[0] - bounds.variance_product(pair)), SLACK, instance,
-                  "i_1 != variance_product")
-        rec.check(abs(seq[-1] - bounds.correlation_bound(pair)), SLACK, instance,
-                  "i_n != lb")
-        for lev in range(1, d):
-            rec.check(seq[lev] - seq[lev - 1], SLACK,
-                      dict(instance, params={"level": lev + 1}), "i_d increased")
-    return rec.result()
+    d, (A, B), psi, instance = _instance(seed, trial, 2)
+    pair = moments.modulus_pair(A, B, psi)
+    seq = bounds.fine_grained_sequence(pair)
+    rec.check(abs(seq[0] - bounds.variance_product(pair)), SLACK, instance,
+              "i_1 != variance_product")
+    rec.check(abs(seq[-1] - bounds.correlation_bound(pair)), SLACK, instance,
+              "i_n != lb")
+    for lev in range(1, d):
+        rec.check(seq[lev] - seq[lev - 1], SLACK,
+                  dict(instance, params={"level": lev + 1}), "i_d increased")
 
 
-def suite_cross_bound_chain(seed: int, trials: int) -> SuiteResult:
+@_suite
+def suite_cross_bound_chain(rec: _Recorder, seed: int, trial: int):
     """Paired cross bound: below the variance product on random states, and
     the full sandwich down to level 2 on the ex1 closed-form family."""
-    rec = _Recorder("cross_bound_chain")
-    for trial in range(trials):
-        rec.trials += 1
-        d, A, B, psi, instance = _pair_instance(seed, trial, 3, dmin=3)
-        pair = moments.modulus_pair(A, B, psi)
-        rec.check(bounds.paired_cross_bound(pair) - bounds.variance_product(pair),
-                  SLACK, instance, "i_1_prime > variance_product")
-        rng = sampling.trial_generator(seed, trial, 31)
-        theta = float(rng.uniform(0.0, math.pi))
-        scen = scenarios.scenario("ex1", d)
-        fam = moments.modulus_pair(*scen.operator_matrices(), scen.state(theta))
-        inst = {"trial": trial, "dimension": d, "example": "ex1", "theta": theta}
-        rec.check(bounds.paired_cross_bound(fam) - bounds.variance_product(fam),
-                  SLACK, inst, "ex1: i_1_prime > variance_product")
-        rec.check(bounds.fine_grained_bound(fam, 2) - bounds.paired_cross_bound(fam),
-                  SLACK, inst, "ex1: i_2 > i_1_prime")
-    return rec.result()
+    d, (A, B), psi, instance = _instance(seed, trial, 3, dmin=3)
+    pair = moments.modulus_pair(A, B, psi)
+    rec.check(bounds.paired_cross_bound(pair) - bounds.variance_product(pair),
+              SLACK, instance, "i_1_prime > variance_product")
+    rng = sampling.trial_generator(seed, trial, 31)
+    theta = float(rng.uniform(0.0, math.pi))
+    scen = scenarios.scenario("ex1", d)
+    fam = moments.modulus_pair(*(M for _, M in scen.operators), scen.state(theta))
+    inst = {"trial": trial, "dimension": d, "example": "ex1", "theta": theta}
+    rec.check(bounds.paired_cross_bound(fam) - bounds.variance_product(fam),
+              SLACK, inst, "ex1: i_1_prime > variance_product")
+    rec.check(bounds.fine_grained_bound(fam, 2) - bounds.paired_cross_bound(fam),
+              SLACK, inst, "ex1: i_2 > i_1_prime")
 
 
-def suite_subset_oracle(seed: int, trials: int) -> SuiteResult:
+@_suite
+def suite_subset_oracle(rec: _Recorder, seed: int, trial: int):
     """Subset enumeration equals brute-force permutation maximization.
 
     Every permutation's block value is the value of the subset its first m
@@ -182,35 +180,26 @@ def suite_subset_oracle(seed: int, trials: int) -> SuiteResult:
     permutations is also evaluated with sums taken in raw permutation order
     to confirm the canonical-order kernel is not hiding rounding drift.
     """
-    rec = _Recorder("subset_oracle")
-    for trial in range(trials):
-        rec.trials += 1
-        rng = sampling.trial_generator(seed, trial, 6)
-        n = 2 + trial % 5
-        m = 1 + trial % n
-        A = sampling.random_unitary(rng, n)
-        B = sampling.random_unitary(rng, n)
-        psi = sampling.random_state(rng, n)
-        pair = moments.modulus_pair(A, B, psi)
-        instance = {"trial": trial, "dimension": n, "params": {"m": m},
-                    "operators": [A, B], "state": psi.amplitudes}
-        by_subset = {
-            combo: bounds.split_bound(pair, SubsetSelection(n=n, indices=tuple(i + 1 for i in combo)))
-            for combo in itertools.combinations(range(n), m)
-        }
-        enum_max, _ = bounds.best_split_bound(pair, m)
-        perms = list(itertools.permutations(range(n)))
-        perm_max = max(by_subset[tuple(sorted(p[:m]))] for p in perms)
-        exact = 0.0 if perm_max == enum_max else abs(perm_max - enum_max) + 1.0
-        rec.check(exact, 0.0, instance, "enumeration != permutation brute force")
-        x2 = [float(t) for t in pair.x ** 2]
-        y2 = [float(t) for t in pair.y ** 2]
-        for p in perms[:: max(1, len(perms) // 20)]:
-            raw = _raw_order_value(x2, y2, p, m)
-            canon = by_subset[tuple(sorted(p[:m]))]
-            rec.check(abs(raw - canon), 1e-12,
-                      dict(instance, permutation=list(p)), "raw-order drift")
-    return rec.result()
+    n, (A, B), psi, instance = _instance(seed, trial, 6, dmax=6)
+    m = 1 + trial % n
+    pair = moments.modulus_pair(A, B, psi)
+    instance["params"] = {"m": m}
+    by_subset = {
+        combo: bounds.split_bound(pair, SubsetSelection(n=n, indices=tuple(i + 1 for i in combo)))
+        for combo in itertools.combinations(range(n), m)
+    }
+    enum_max, _ = bounds.best_split_bound(pair, m)
+    perms = list(itertools.permutations(range(n)))
+    perm_max = max(by_subset[tuple(sorted(p[:m]))] for p in perms)
+    exact = 0.0 if perm_max == enum_max else abs(perm_max - enum_max) + 1.0
+    rec.check(exact, 0.0, instance, "enumeration != permutation brute force")
+    x2 = [float(t) for t in pair.x ** 2]
+    y2 = [float(t) for t in pair.y ** 2]
+    for p in perms[:: max(1, len(perms) // 20)]:
+        raw = _raw_order_value(x2, y2, p, m)
+        canon = by_subset[tuple(sorted(p[:m]))]
+        rec.check(abs(raw - canon), 1e-12,
+                  dict(instance, permutation=list(p)), "raw-order drift")
 
 
 def _raw_order_value(x2, y2, perm, m) -> float:
@@ -221,213 +210,161 @@ def _raw_order_value(x2, y2, perm, m) -> float:
     return (math.sqrt(xs) * math.sqrt(ys) + math.sqrt(xc) * math.sqrt(yc)) ** 2
 
 
-def suite_split_symmetry(seed: int, trials: int) -> SuiteResult:
+@_suite
+def suite_split_symmetry(rec: _Recorder, seed: int, trial: int):
     """Best split at block size m equals the one at n - m."""
-    rec = _Recorder("split_symmetry")
-    for trial in range(trials):
-        rec.trials += 1
-        d, A, B, psi, instance = _pair_instance(seed, trial, 4, dmin=2, dmax=6)
-        pair = moments.modulus_pair(A, B, psi)
-        for m in range(1, d):
-            a, _ = bounds.best_split_bound(pair, m)
-            b, _ = bounds.best_split_bound(pair, d - m)
-            rec.check(abs(a - b), 1e-12, dict(instance, params={"m": m}),
-                      "k_tilde_m != k_tilde_(n-m)")
-    return rec.result()
+    d, (A, B), psi, instance = _instance(seed, trial, 4, dmax=6)
+    pair = moments.modulus_pair(A, B, psi)
+    for m in range(1, d):
+        a, _ = bounds.best_split_bound(pair, m)
+        b, _ = bounds.best_split_bound(pair, d - m)
+        rec.check(abs(a - b), 1e-12, dict(instance, params={"m": m}),
+                  "k_tilde_m != k_tilde_(n-m)")
 
 
-def suite_gram_psd(seed: int, trials: int) -> SuiteResult:
+@_suite
+def suite_gram_psd(rec: _Recorder, seed: int, trial: int):
     """Gram matrix of (I, U_1..U_l) has min eigenvalue >= -1e-10."""
-    rec = _Recorder("gram_psd")
-    for trial in range(trials):
-        rec.trials += 1
-        rng = sampling.trial_generator(seed, trial, 7)
-        d = 2 + trial % 5
-        l = 2 + trial % 3
-        ops = [sampling.random_unitary(rng, d) for _ in range(l)]
-        psi = sampling.random_state(rng, d)
-        G = bounds.gram_matrix(ops, psi)
-        lo = float(np.min(np.linalg.eigvalsh(G)))
-        instance = {"trial": trial, "dimension": d, "operators": ops,
-                    "state": psi.amplitudes}
-        rec.check(-lo, SLACK, instance, "gram matrix not PSD")
-    return rec.result()
+    _, ops, psi, instance = _instance(seed, trial, 7, count=2 + trial % 3, dmax=6)
+    lo = float(np.min(np.linalg.eigvalsh(bounds.gram_matrix(ops, psi))))
+    rec.check(-lo, SLACK, instance, "gram matrix not PSD")
 
 
-def suite_triple_bound(seed: int, trials: int) -> SuiteResult:
+@_suite
+def suite_triple_bound(rec: _Recorder, seed: int, trial: int):
     """Three-operator floor sits below the triple variance product and
     differs from it by exactly the 4x4 Gram determinant."""
-    rec = _Recorder("triple_bound")
-    for trial in range(trials):
-        rec.trials += 1
-        rng = sampling.trial_generator(seed, trial, 8)
-        d = 2 + trial % 5
-        ops = [sampling.random_unitary(rng, d) for _ in range(3)]
-        psi = sampling.random_state(rng, d)
-        checked = [moments.Unitary(U) for U in ops]
-        deltas = [moments.delta_vector(U, psi) for U in checked]
-        vp3 = math.prod(dv.variance for dv in deltas)
-        rhs = bounds.triple_correlation_bound(*deltas)
-        det = float(np.real(np.linalg.det(bounds.gram_matrix(checked, psi))))
-        instance = {"trial": trial, "dimension": d, "operators": ops,
-                    "state": psi.amplitudes}
-        rec.check(rhs - vp3, SLACK, instance, "triple bound exceeds product")
-        rec.check(-det, SLACK, instance, "gram determinant negative")
-        rec.check(abs(det - (vp3 - rhs)), 1e-9, instance,
-                  "determinant identity broken")
-    return rec.result()
+    _, ops, psi, instance = _instance(seed, trial, 8, count=3, dmax=6)
+    deltas = [moments.delta_vector(U, psi) for U in ops]
+    vp3 = math.prod(dv.variance for dv in deltas)
+    rhs = bounds.triple_correlation_bound(*deltas)
+    det = float(np.real(np.linalg.det(bounds.gram_matrix(ops, psi))))
+    rec.check(rhs - vp3, SLACK, instance, "triple bound exceeds product")
+    rec.check(-det, SLACK, instance, "gram determinant negative")
+    rec.check(abs(det - (vp3 - rhs)), 1e-9, instance,
+              "determinant identity broken")
 
 
-def suite_multi_op(seed: int, trials: int, cap: int = DEFAULT_CAP) -> SuiteResult:
+@_suite
+def suite_multi_op(rec: _Recorder, seed: int, trial: int, cap: int = DEFAULT_CAP):
     """Geometric-mean bounds stay below the variance product; tilde >= plain."""
-    rec = _Recorder("multi_op")
-    for trial in range(trials):
-        rec.trials += 1
-        rng = sampling.trial_generator(seed, trial, 9)
-        d = 2 + trial % 5
-        l = 3 + trial % 2
-        m = 1 + trial % max(1, d // 2)
-        ops = [sampling.random_unitary(rng, d) for _ in range(l)]
-        psi = sampling.random_state(rng, d)
-        deltas = [moments.delta_vector(U, psi) for U in ops]
-        prod = math.prod(dv.variance for dv in deltas)
-        instance = {"trial": trial, "dimension": d, "params": {"m": m, "l": l},
-                    "operators": ops, "state": psi.amplitudes}
-        vals = bounds.geometric_mean_bound(deltas, m, v=0.1, cap=cap)
-        for flavor in bounds.FLAVORS:
-            rec.check(vals[flavor] - prod, SLACK,
-                      dict(instance, flavor=flavor), "multi-op bound exceeds product")
-        rec.check(vals["plain"] - vals["tilde"], 1e-12, instance,
-                  "tilde flavor below plain flavor")
-    return rec.result()
+    l = 3 + trial % 2
+    d, ops, psi, instance = _instance(seed, trial, 9, count=l, dmax=6)
+    m = 1 + trial % max(1, d // 2)
+    instance["params"] = {"m": m, "l": l}
+    deltas = [moments.delta_vector(U, psi) for U in ops]
+    prod = math.prod(dv.variance for dv in deltas)
+    vals = bounds.geometric_mean_bound(deltas, m, v=0.1, cap=cap)
+    for flavor in bounds.FLAVORS:
+        rec.check(vals[flavor] - prod, SLACK,
+                  dict(instance, flavor=flavor), "multi-op bound exceeds product")
+    rec.check(vals["plain"] - vals["tilde"], 1e-12, instance,
+              "tilde flavor below plain flavor")
 
 
-def suite_purification(seed: int, trials: int) -> SuiteResult:
+@_suite
+def suite_purification(rec: _Recorder, seed: int, trial: int):
     """Purified expectations reproduce Tr(A rho); reduced states behave as
     documented (rho on one side, its transpose on the other)."""
-    rec = _Recorder("purification")
-    for trial in range(trials):
-        rec.trials += 1
-        rng = sampling.trial_generator(seed, trial, 10)
-        r = rng.uniform(-1.0, 1.0, 3)
-        nrm = float(np.linalg.norm(r))
-        if nrm >= 1.0:
-            r = r * (0.98 / nrm)
-        rho = moments.bloch_density(r)
-        psi = moments.purify(rho)
-        instance = {"trial": trial, "bloch": [float(t) for t in r]}
-        for k in range(3):
-            A = sampling.random_unitary(rng, 2)
-            got = moments.expectation(moments.lift(A), psi)
-            want = complex(np.trace(A @ rho.matrix))
-            rec.check(abs(got - want), SLACK,
-                      dict(instance, operators=[A]),
-                      "lifted expectation != Tr(A rho)")
-        proj = np.outer(psi.amplitudes, psi.amplitudes.conj())
-        kept_second = linalg.partial_trace(proj, keep="second")
-        kept_first = linalg.partial_trace(proj, keep="first")
-        rec.check(float(np.max(np.abs(kept_second - rho.matrix))), 1e-9,
-                  instance, "reduced state (second factor) != rho")
-        rec.check(float(np.max(np.abs(kept_first - rho.matrix.T))), 1e-9,
-                  instance, "reduced state (first factor) != transpose(rho)")
-    return rec.result()
+    rng = sampling.trial_generator(seed, trial, 10)
+    r = rng.uniform(-1.0, 1.0, 3)
+    nrm = float(np.linalg.norm(r))
+    if nrm >= 1.0:
+        r = r * (0.98 / nrm)
+    rho = moments.bloch_density(r)
+    psi = moments.purify(rho)
+    instance = {"trial": trial, "bloch": [float(t) for t in r]}
+    for k in range(3):
+        A = sampling.random_unitary(rng, 2)
+        got = moments.expectation(moments.lift(A), psi)
+        want = complex(np.trace(A @ rho.matrix))
+        rec.check(abs(got - want), SLACK,
+                  dict(instance, operators=[A]),
+                  "lifted expectation != Tr(A rho)")
+    proj = np.outer(psi.amplitudes, psi.amplitudes.conj())
+    kept_second = linalg.partial_trace(proj, keep="second")
+    kept_first = linalg.partial_trace(proj, keep="first")
+    rec.check(float(np.max(np.abs(kept_second - rho.matrix))), 1e-9,
+              instance, "reduced state (second factor) != rho")
+    rec.check(float(np.max(np.abs(kept_first - rho.matrix.T))), 1e-9,
+              instance, "reduced state (first factor) != transpose(rho)")
 
 
-def suite_mixed_state_floor(seed: int, trials: int) -> SuiteResult:
+@_suite
+def suite_mixed_state_floor(rec: _Recorder, seed: int, trial: int):
     """Mixed-state variances dominate the worst pure eigenstate, in both
     product and sum form."""
-    rec = _Recorder("mixed_state_floor")
-    for trial in range(trials):
-        rec.trials += 1
-        rng = sampling.trial_generator(seed, trial, 11)
-        d = 2 + trial % 3
-        rho = sampling.random_density(rng, d)
-        A = sampling.random_unitary(rng, d)
-        B = sampling.random_unitary(rng, d)
-        uA, uB = moments.Unitary(A), moments.Unitary(B)
-        dec = linalg.hermitian_eig(rho.matrix)
-        pa, pb = [], []
-        for j in range(d):
-            u = PureState(amplitudes=dec.eigenvectors[:, j]
-                          / np.linalg.norm(dec.eigenvectors[:, j]))
-            pa.append(moments.variance_pure(uA, u))
-            pb.append(moments.variance_pure(uB, u))
-        va = moments.variance_mixed(uA, rho)
-        vb = moments.variance_mixed(uB, rho)
-        instance = {"trial": trial, "dimension": d,
-                    "operators": [A, B], "density": rho.matrix}
-        rec.check(min(a * b for a, b in zip(pa, pb)) - va * vb, 1e-9,
-                  instance, "product floor broken")
-        rec.check(min(a + b for a, b in zip(pa, pb)) - (va + vb), 1e-9,
-                  instance, "sum floor broken")
-    return rec.result()
+    rng = sampling.trial_generator(seed, trial, 11)
+    d = 2 + trial % 3
+    rho = sampling.random_density(rng, d)
+    A = sampling.random_unitary(rng, d)
+    B = sampling.random_unitary(rng, d)
+    uA, uB = moments.Unitary(A), moments.Unitary(B)
+    dec = linalg.hermitian_eig(rho.matrix)
+    pa, pb = [], []
+    for j in range(d):
+        u = PureState(amplitudes=dec.eigenvectors[:, j]
+                      / np.linalg.norm(dec.eigenvectors[:, j]))
+        pa.append(moments.variance_pure(uA, u))
+        pb.append(moments.variance_pure(uB, u))
+    va = moments.variance_mixed(uA, rho)
+    vb = moments.variance_mixed(uB, rho)
+    instance = {"trial": trial, "dimension": d,
+                "operators": [A, B], "density": rho.matrix}
+    rec.check(min(a * b for a, b in zip(pa, pb)) - va * vb, 1e-9,
+              instance, "product floor broken")
+    rec.check(min(a + b for a, b in zip(pa, pb)) - (va + vb), 1e-9,
+              instance, "sum floor broken")
 
 
-def suite_equality_case(seed: int, trials: int) -> SuiteResult:
+@_suite
+def suite_equality_case(rec: _Recorder, seed: int, trial: int):
     """Block-proportional modulus pairs saturate the split bound."""
-    rec = _Recorder("equality_case")
-    for trial in range(trials):
-        rec.trials += 1
-        rng = sampling.trial_generator(seed, trial, 12)
-        n = 2 + trial % 7
-        m = 1 + trial % (n - 1)
-        y = np.abs(rng.standard_normal(n)) + 0.05
-        k = float(abs(rng.standard_normal()) + 0.05)
-        block = SubsetSelection.first_block(n, m)
-        instance = {"trial": trial, "dimension": n, "params": {"m": m, "k": k}}
-        # Globally proportional blocks balance the cross products exactly.
-        pair = moments.ModulusPair.from_moduli(k * y, y)
-        rec.check(abs(bounds.split_bound(pair, block) - bounds.variance_product(pair)),
-                  SLACK, instance, "proportional pair misses saturation")
-        # A vanishing complement is the other saturating configuration.
-        xz = k * y.copy()
-        yz = y.copy()
-        xz[m:] = 0.0
-        yz[m:] = 0.0
-        pair_z = moments.ModulusPair.from_moduli(xz, yz)
-        rec.check(abs(bounds.split_bound(pair_z, block) - bounds.variance_product(pair_z)),
-                  SLACK, instance, "zero-complement pair misses saturation")
-    return rec.result()
+    rng = sampling.trial_generator(seed, trial, 12)
+    n = 2 + trial % 7
+    m = 1 + trial % (n - 1)
+    y = np.abs(rng.standard_normal(n)) + 0.05
+    k = float(abs(rng.standard_normal()) + 0.05)
+    block = SubsetSelection.first_block(n, m)
+    instance = {"trial": trial, "dimension": n, "params": {"m": m, "k": k}}
+    # Globally proportional blocks balance the cross products exactly.
+    pair = moments.ModulusPair.from_moduli(k * y, y)
+    rec.check(abs(bounds.split_bound(pair, block) - bounds.variance_product(pair)),
+              SLACK, instance, "proportional pair misses saturation")
+    # A vanishing complement is the other saturating configuration.
+    xz = k * y.copy()
+    yz = y.copy()
+    xz[m:] = 0.0
+    yz[m:] = 0.0
+    pair_z = moments.ModulusPair.from_moduli(xz, yz)
+    rec.check(abs(bounds.split_bound(pair_z, block) - bounds.variance_product(pair_z)),
+              SLACK, instance, "zero-complement pair misses saturation")
 
 
-def suite_coordinate_identities(seed: int, trials: int) -> SuiteResult:
+@_suite
+def suite_coordinate_identities(rec: _Recorder, seed: int, trial: int):
     """Variance and correlation agree across all their equivalent forms."""
-    rec = _Recorder("coordinate_identities")
-    for trial in range(trials):
-        rec.trials += 1
-        d, A, B, psi, instance = _pair_instance(seed, trial, 5)
-        pair = moments.modulus_pair(A, B, psi)
-        va = moments.variance_pure(A, psi)
-        mean = moments.expectation(A, psi)
-        rec.check(abs(va - (1.0 - abs(mean) ** 2)), SLACK, instance,
-                  "variance != 1 - |mean|^2")
-        rec.check(abs(va - float(np.sum(pair.x ** 2))), SLACK, instance,
-                  "variance != |x|^2")
-        c_ops = complex(
-            np.vdot(psi.amplitudes, (A.matrix.conj().T @ B.matrix) @ psi.amplitudes)
-            - np.conj(np.vdot(psi.amplitudes, A.matrix @ psi.amplitudes))
-            * np.vdot(psi.amplitudes, B.matrix @ psi.amplitudes))
-        c_coord = moments.correlation(A, B, psi)
-        rec.check(abs(c_ops - c_coord), SLACK, instance,
-                  "correlation forms disagree")
-    return rec.result()
+    d, (A, B), psi, instance = _instance(seed, trial, 5)
+    pair = moments.modulus_pair(A, B, psi)
+    va = moments.variance_pure(A, psi)
+    mean = moments.expectation(A, psi)
+    rec.check(abs(va - (1.0 - abs(mean) ** 2)), SLACK, instance,
+              "variance != 1 - |mean|^2")
+    rec.check(abs(va - float(np.sum(pair.x ** 2))), SLACK, instance,
+              "variance != |x|^2")
+    c_ops = complex(
+        np.vdot(psi.amplitudes, (A.matrix.conj().T @ B.matrix) @ psi.amplitudes)
+        - np.conj(np.vdot(psi.amplitudes, A.matrix @ psi.amplitudes))
+        * np.vdot(psi.amplitudes, B.matrix @ psi.amplitudes))
+    c_coord = moments.correlation(A, B, psi)
+    rec.check(abs(c_ops - c_coord), SLACK, instance,
+              "correlation forms disagree")
 
 
-def run_all(seed: int, trials: int, cap: int = DEFAULT_CAP,
-            corrupt: str | None = None) -> list[SuiteResult]:
-    """Run every suite, optionally corrupting one quantity as a harness test.
-
-    corrupt="k_m" perturbs the split bound inside the pair chain suite so a
-    violation is guaranteed; it exists to prove the harness can fail.
-    """
-    split_fn = None
-    if corrupt == "k_m":
-        def split_fn(pair, subset):
-            return bounds.split_bound(pair, subset) + 2e-6
-    elif corrupt is not None:
-        raise ValueError(f"unknown corruption target {corrupt!r}")
+def run_all(seed: int, trials: int, cap: int = DEFAULT_CAP) -> list[SuiteResult]:
+    """Run every suite in order; four costly ones stop at 200 or 300 trials."""
     return [
-        suite_pair_chain(seed, trials, split_fn=split_fn),
+        suite_pair_chain(seed, trials),
         suite_subset_chain(seed, trials),
         suite_fine_grained_chain(seed, trials),
         suite_cross_bound_chain(seed, trials),

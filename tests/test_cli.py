@@ -322,6 +322,19 @@ def test_ragged_density_error_names_the_density_matrix(tmp_path, capsys):
     assert err == "error: density matrix: matrix rows differ in length [1, 2]\n"
 
 
+@pytest.mark.parametrize("extra, message", [
+    (["--steps", "0"], "steps must be >= 1, got 0"),
+    (["--theta-min", "2", "--theta-max", "1"], "theta range is empty: 2.0 > 1.0"),
+    (["--steps", "0", "--theta-min", "2", "--theta-max", "1"], "steps must be >= 1, got 0"),
+])
+def test_bad_sweep_grid_is_input_error(capsys, extra, message):
+    # The steps error wins when the range is empty too.
+    code, out, err = run(["sweep", "--example", "ex5"] + extra, capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("trials", [0, -1])
 def test_check_without_trials_is_input_error(capsys, trials):
     code, out, err = run(["check", "--trials", str(trials)], capsys)

@@ -11,7 +11,11 @@ and one ex3 sweep. The `check` runs and the `bounds --input` reports on a
 pure, a density and two Bloch problem files were recorded before operators
 were checked once per command instead of once per row. The ex1 reports at
 n = 12, 16 and 20, the ex2 report at n = 12 and the ex1 sweeps at n = 16
-were recorded while the split search still enumerated every block.
+were recorded while the split search still enumerated every block. The
+`check --seed 5 --trials 301` run, which reaches the per-suite trial caps
+of 200 and 300, and the `check` run with a corrupted split bound were
+recorded while each suite still ran its own trial loop and drew its own
+instances.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import json
 
 import pytest
 
-from uur import cli
+from uur import bounds, cli
 
 # (dimension, m, format) -> digest of `uur bounds --example ex1 --dim n --m m --format f`
 EX1_BOUNDS = {
@@ -87,6 +91,7 @@ OTHER_COMMANDS = {
     "bounds --example ex6 --flavor tilde": "1ba2f8292373b7242fe144fb436f0511df024a7202045699bc8ae8d5dc7caa61",
     "check --seed 42 --trials 25": "b756ffda990d39fcdf5da7ec87297af7975fb8dcfc7838db0fc6f875174484b7",
     "check --seed 3 --trials 60": "1a028d1b69d64d62efcedd73ad3d1fe61d99d33e8597b000e1db957a3577bc12",
+    "check --seed 5 --trials 301": "30ad49d69712e75329175c5fe4e534903367a7f1ddea2bbd0941f153a9618b83",
     "bounds --example ex1 --dim 12": "32490b5014b6a365946588551aadfd2405b4cd7f57351e2a685cca71cedca80d",
     "bounds --example ex1 --dim 12 --m 3": "d6fbeb2d691323548628ead6710fa6701cf3ac3e335d439a93a7641a9b8133ae",
     "bounds --example ex1 --dim 16": "a3b051c0315fbb7e58f5f583a6a10ee0a0dc0d2a5c9c1126c45ae270131c99c7",
@@ -164,3 +169,14 @@ def test_input_file_stdout_is_unchanged(capsys, monkeypatch, tmp_path, command):
     for name, document in INPUT_FILES.items():
         (tmp_path / name).write_text(json.dumps(document))
     assert stdout_digest(command.split(), capsys) == INPUT_COMMANDS[command]
+
+
+def test_check_with_corrupted_split_bound_fails_unchanged(capsys, monkeypatch):
+    # Adding 2e-6 to every split bound breaks the chains of five suites; the
+    # digest pins the FAIL line and each counterexample line.
+    real = bounds.split_bound
+    monkeypatch.setattr(bounds, "split_bound",
+                        lambda pair, subset: real(pair, subset) + 2e-6)
+    assert cli.main("check --seed 3 --trials 10".split()) == 1
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "a8cbb9235cb5b71a60d485c831ddf30d76164eaac6f595a8babc215a126eba6f"

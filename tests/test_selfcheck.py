@@ -3,9 +3,14 @@ from __future__ import annotations
 import hashlib
 import json
 
-import pytest
-
 from uur import bounds, linalg, sampling, selfcheck
+
+
+def _corrupt_split_bound(monkeypatch):
+    # Adding 2e-6 to every split bound breaks the pair chain's k_m links.
+    real = bounds.split_bound
+    monkeypatch.setattr(bounds, "split_bound",
+                        lambda pair, subset: real(pair, subset) + 2e-6)
 
 
 def test_run_all_passes_with_small_trial_count():
@@ -25,8 +30,9 @@ def test_run_all_is_deterministic():
            [(r.name, r.trials, r.failures, r.worst) for r in b]
 
 
-def test_corruption_is_caught_with_counterexample():
-    results = selfcheck.run_all(seed=3, trials=10, corrupt="k_m")
+def test_corruption_is_caught_with_counterexample(monkeypatch):
+    _corrupt_split_bound(monkeypatch)
+    results = selfcheck.run_all(seed=3, trials=10)
     bad = [r for r in results if r.failures]
     assert bad, "the corrupted split bound must trip the chain suite"
     assert bad[0].name == "pair_chain"
@@ -36,10 +42,11 @@ def test_corruption_is_caught_with_counterexample():
     json.dumps(ce)  # serializable as emitted by the CLI
 
 
-def test_counterexample_encoding_is_unchanged():
+def test_counterexample_encoding_is_unchanged(monkeypatch):
     # Digest recorded when every trial still encoded its instance up front;
     # encoding only the captured counterexample must give the same JSON.
-    ce = selfcheck.run_all(seed=3, trials=10, corrupt="k_m")[0].counterexample
+    _corrupt_split_bound(monkeypatch)
+    ce = selfcheck.run_all(seed=3, trials=10)[0].counterexample
     digest = hashlib.sha256(json.dumps(ce, sort_keys=True).encode()).hexdigest()
     assert digest == "5b2e4dff246ad39be3affb55d81af42238994f2f3a315a6249c82ca0faca6aa4"
 
@@ -68,8 +75,3 @@ def test_each_sampled_unitary_is_checked_at_most_once(monkeypatch):
     selfcheck.run_all(seed=42, trials=25)
     assert len(draws) == 711
     assert len(checks) <= 711
-
-
-def test_unknown_corruption_target_rejected():
-    with pytest.raises(ValueError):
-        selfcheck.run_all(seed=3, trials=2, corrupt="everything")
