@@ -57,26 +57,14 @@ class RunConfig:
 
 @dataclass
 class Problem:
-    """Operators and a state source, resolved from --example or --input."""
+    """A scenario, its operators checked once, and the resolved parameters."""
 
-    label: str
+    scenario: scenarios.Scenario
     operators: list[moments.Unitary]
-    scenario: scenarios.Scenario | None
-    fixed_state: PureState | None
     m: int
     v: float
     cap: int
     flavor: str
-    notes: tuple[str, ...]
-
-    @property
-    def dimension(self) -> int:
-        return self.operators[0].matrix.shape[0]
-
-    def state_at(self, theta: float) -> PureState:
-        if self.scenario is not None:
-            return self.scenario.state(theta)
-        return self.fixed_state
 
 
 def _number(value, name: str, integer: bool = False):
@@ -130,8 +118,9 @@ def _decode_state(obj, dim: int) -> PureState | DensityMatrix:
     raise UurError(f"unknown state kind {kind!r}")
 
 
-def _load_input_file(cfg: RunConfig) -> Problem:
-    with open(cfg.input_path, "r", encoding="utf-8") as fh:
+def _read_input_file(path: str) -> tuple[object, scenarios.Scenario]:
+    """A problem file's raw "params", and its problem as a Scenario whose state ignores theta."""
+    with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict) or "dimension" not in doc:
         raise UurError('input file needs a top-level "dimension" field')
@@ -150,51 +139,41 @@ def _load_input_file(cfg: RunConfig) -> Problem:
     for name, M in named:
         if M.shape[0] != dim:
             raise UurError(f"operator {name!r} is {M.shape[0]}x{M.shape[0]}, dimension says {dim}")
-    state = _decode_state(doc.get("state"), dim)
-    psi, notes = state, ()
-    if isinstance(state, DensityMatrix):
+    psi, notes = _decode_state(doc.get("state"), dim), ()
+    if isinstance(psi, DensityMatrix):
         # Mixed inputs go through purification; operators act on the doubled
         # space as I (x) U, exactly like the built-in qubit example.
-        psi = moments.purify(state)
+        psi = moments.purify(psi)
         named = [(name, moments.lift(M)) for name, M in named]
         notes = ("mixed state purified; operators lifted to the doubled space",)
-    # Checked here, once per command; every row reuses the checked operators.
-    operators = [moments.Unitary(M, f"operator {name!r}") for name, M in named]
-    params = doc.get("params", {})
-    if not isinstance(params, dict):
-        raise UurError('"params" must be an object')
-    n = operators[0].matrix.shape[0]
-    m = cfg.m if cfg.m is not None else params.get("m", max(1, n // 2))
-    v = cfg.v if cfg.v is not None else params.get("v", DEFAULT_V)
-    cap = cfg.cap if cfg.cap is not None else params.get("cap", DEFAULT_CAP)
-    flavor = cfg.flavor if cfg.flavor is not None else params.get("flavor", "plain")
-    if flavor not in bounds.FLAVORS:
-        raise UurError(f"unknown flavor {flavor!r}; expected one of {', '.join(bounds.FLAVORS)}")
-    m, v, cap = (_number(m, "params: m", integer=True), _number(v, "params: v"),
-                 _number(cap, "params: cap", integer=True))
-    return Problem(label=cfg.input_path, operators=operators, scenario=None,
-                   fixed_state=psi, m=m, v=v, cap=cap, flavor=flavor, notes=notes)
-
-
-def _load_example(cfg: RunConfig) -> Problem:
-    scen = scenarios.scenario(cfg.example, cfg.dim)
-    return Problem(
-        label=cfg.example,
-        operators=[moments.Unitary(M, f"operator {name!r}") for name, M in scen.operators],
-        scenario=scen,
-        fixed_state=None,
-        m=cfg.m if cfg.m is not None else scen.default_m,
-        v=cfg.v if cfg.v is not None else DEFAULT_V,
-        cap=cfg.cap if cfg.cap is not None else DEFAULT_CAP,
-        flavor=cfg.flavor if cfg.flavor is not None else "plain",
-        notes=scen.notes,
-    )
+    return doc.get("params", {}), scenarios.Scenario(
+        id=path, dimension=psi.dim, operators=tuple(named), state_builder=lambda theta: psi,
+        default_m=max(1, psi.dim // 2), theta_range=(0.0, 0.0), notes=notes)
 
 
 def _load_problem(cfg: RunConfig) -> Problem:
+    """Load --example or --input; m, v, cap and flavor: flag, then file "params", then default."""
     if (cfg.input_path is None) == (cfg.example is None):
         raise UurError("exactly one of --input or --example is required")
-    return _load_input_file(cfg) if cfg.input_path else _load_example(cfg)
+    if cfg.input_path:
+        params, scen = _read_input_file(cfg.input_path)
+    else:
+        params, scen = {}, scenarios.scenario(cfg.example, cfg.dim)
+    # Checked here, once per command; every row reuses the checked operators.
+    operators = [moments.Unitary(M, f"operator {name!r}") for name, M in scen.operators]
+    if not isinstance(params, dict):
+        raise UurError('"params" must be an object')
+
+    def pick(flag, key, default):
+        return flag if flag is not None else params.get(key, default)
+
+    flavor = pick(cfg.flavor, "flavor", "plain")
+    if flavor not in bounds.FLAVORS:
+        raise UurError(f"unknown flavor {flavor!r}; expected one of {', '.join(bounds.FLAVORS)}")
+    return Problem(scenario=scen, operators=operators, flavor=flavor,
+                   m=_number(pick(cfg.m, "m", scen.default_m), "params: m", integer=True),
+                   v=_number(pick(cfg.v, "v", DEFAULT_V), "params: v"),
+                   cap=_number(pick(cfg.cap, "cap", DEFAULT_CAP), "params: cap", integer=True))
 
 
 def _theta_grid(cfg: RunConfig, scen: scenarios.Scenario) -> list[float]:
@@ -222,7 +201,7 @@ def _triple_fields(problem: Problem, deltas: list[moments.DeltaVector]) -> dict:
 
 
 def _report_row(problem: Problem, theta: float) -> tuple[bounds.BoundSet, dict]:
-    psi = problem.state_at(theta)
+    psi = problem.scenario.state(theta)
     pair = moments.modulus_pair(*problem.operators[:2], psi)
     report = bounds.bound_report(pair, m=problem.m, v=problem.v, cap=problem.cap)
     bad = report.validate()
@@ -276,13 +255,12 @@ def _emit_rows(cfg: RunConfig, columns: list[str], rows: list[dict]):
 
 def run_bounds(cfg: RunConfig) -> int:
     problem = _load_problem(cfg)
-    start = problem.scenario.theta_range[0] if problem.scenario is not None else 0.0
-    theta = cfg.theta_min if cfg.theta_min is not None else start
+    theta = cfg.theta_min if cfg.theta_min is not None else problem.scenario.theta_range[0]
     report, row = _report_row(problem, theta)
     out = {
         "command": "bounds",
-        "source": problem.label,
-        "dimension": problem.dimension,
+        "source": problem.scenario.id,
+        "dimension": problem.scenario.dimension,
         "theta": theta,
         "m": report.m,
         "v": report.v,
@@ -296,7 +274,7 @@ def run_bounds(cfg: RunConfig) -> int:
                            "indices": list(report.k_tilde_argmax.indices)},
         "i_d": list(report.i_d),
         "i_1_prime": report.i_1_prime,
-        "notes": list(problem.notes),
+        "notes": list(problem.scenario.notes),
     }
     if len(problem.operators) == 3:
         triple = {k: row[k] for k in TRIPLE_COLUMNS}
@@ -322,25 +300,28 @@ TRIPLE_COLUMNS = ["variance_triple", "bong3", "prod_k", "prod_k_v", "prod_k_tild
 FLAVOR_FIELDS = {"plain": "prod_k", "convex": "prod_k_v", "tilde": "prod_k_tilde"}
 
 
-def run_sweep(cfg: RunConfig) -> int:
+def _sweep_rows(cfg: RunConfig) -> tuple[Problem, list[dict]]:
+    """One report row per angle of the example's theta grid."""
     if cfg.example is None:
-        raise UurError("sweep requires --example: JSON inputs carry a single state, not a family")
+        raise UurError(f"{cfg.command} requires --example: "
+                       "JSON inputs carry a single state, not a family")
     problem = _load_problem(cfg)
-    rows = [_report_row(problem, theta)[1] for theta in _theta_grid(cfg, problem.scenario)]
+    return problem, [_report_row(problem, theta)[1] for theta in _theta_grid(cfg, problem.scenario)]
+
+
+def run_sweep(cfg: RunConfig) -> int:
+    problem, rows = _sweep_rows(cfg)
     columns = SWEEP_COLUMNS + (TRIPLE_COLUMNS if len(problem.operators) == 3 else [])
     _emit_rows(cfg, columns, rows)
     return EXIT_OK
 
 
 def run_compare(cfg: RunConfig) -> int:
-    if cfg.example is None:
-        raise UurError("compare requires --example: JSON inputs carry a single state, not a family")
-    problem = _load_problem(cfg)
+    problem, rows = _sweep_rows(cfg)
     out_rows = []
-    for theta in _theta_grid(cfg, problem.scenario):
-        _, row = _report_row(problem, theta)
+    for row in rows:
         diff = {
-            "theta": theta,
+            "theta": row["theta"],
             "k_m_v_minus_lb": row["k_m_v"] - row["lb"],
             "k_m_v_minus_i_2": row["k_m_v"] - row["i_2"],
             "k_m_v_minus_i_1_prime": (None if row["i_1_prime"] is None
@@ -356,7 +337,7 @@ def run_compare(cfg: RunConfig) -> int:
 def run_check(cfg: RunConfig) -> int:
     if cfg.trials < 1:
         raise UurError(f"trials must be >= 1, got {cfg.trials}")
-    results = selfcheck.run_all(cfg.seed, cfg.trials, cap=DEFAULT_CAP if cfg.cap is None else cfg.cap)
+    results = selfcheck.run_all(cfg.seed, cfg.trials)
     lines = [f"check seed={cfg.seed} trials={cfg.trials}"]
     failed = [r for r in results if r.failures]
     for r in results:
@@ -379,7 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
         ("bounds", "single bound report (evaluated at --theta-min for examples)"),
         ("sweep", "per-angle bound table over an example's sweep range"),
         ("compare", "per-angle differences between the blended split bound and the others"),
-        ("check", "seeded randomized invariant suites"),
     ):
         p = sub.add_parser(name, help=summary)
         p.add_argument("--input", dest="input_path", metavar="PATH",
@@ -395,10 +375,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--flavor", choices=bounds.FLAVORS,
                        help="geometric mean variant for triples (default plain)")
         p.add_argument("--cap", type=int, help=f"subset search cap (default {DEFAULT_CAP})")
-        p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--trials", type=int, default=1000)
         p.add_argument("--output", metavar="PATH", help="write here instead of stdout")
         p.add_argument("--format", choices=("csv", "json"))
+    p = sub.add_parser("check", help="seeded randomized invariant suites")
+    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--output", metavar="PATH", help="write here instead of stdout")
     return parser
 
 

@@ -91,7 +91,8 @@ def is_unitary(M, tol: float = 1e-10) -> bool:
 def unitary_deviation(M) -> float:
     """Max-norm distance of M^dagger M from the identity."""
     A = as_square_matrix(M)
-    return float(np.max(np.abs(A.conj().T @ A - np.eye(A.shape[0]))))
+    with np.errstate(over="ignore", invalid="ignore"):  # huge entries give inf or nan
+        return float(np.max(np.abs(A.conj().T @ A - np.eye(A.shape[0]))))
 
 
 def partial_trace(M, keep: str) -> np.ndarray:

@@ -37,7 +37,8 @@ class PureState:
         a = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
         if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
             raise ValueError("state amplitudes must be finite")
-        nrm = np.linalg.norm(a)
+        with np.errstate(over="ignore"):  # a huge amplitude reads as norm inf
+            nrm = float(np.linalg.norm(a))
         if abs(nrm - 1.0) > 1e-10:
             raise ValueError(f"state norm {nrm!r} deviates from 1 by more than 1e-10")
         object.__setattr__(self, "amplitudes", a)
@@ -57,7 +58,7 @@ class DensityMatrix:
         M = linalg.as_square_matrix(self.matrix)
         if np.max(np.abs(M - M.conj().T)) > 1e-10:
             raise InvalidDensityMatrix("density matrix is not Hermitian to 1e-10")
-        tr = np.trace(M)
+        tr = complex(np.trace(M))
         if abs(tr - 1.0) > 1e-10:
             raise InvalidDensityMatrix(f"trace {tr!r} deviates from 1 by more than 1e-10")
         if np.min(np.linalg.eigvalsh(M)) < -1e-10:
@@ -228,7 +229,8 @@ def bloch_density(r) -> DensityMatrix:
     r = np.asarray(r, dtype=float).reshape(-1)
     if r.size != 3:
         raise ValueError(f"Bloch vector must have 3 components, got {r.size}")
-    nrm = np.linalg.norm(r)
+    with np.errstate(over="ignore"):  # a huge component reads as norm inf
+        nrm = float(np.linalg.norm(r))
     if nrm > 1.0 + 1e-12:
         raise BlochVectorTooLong(f"Bloch vector norm {nrm!r} exceeds 1")
     M = 0.5 * (np.eye(2, dtype=complex) + r[0] * sigma_x + r[1] * sigma_y + r[2] * sigma_z)

@@ -38,7 +38,7 @@ def shift_operator(d: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Scenario:
-    """One named example: operators, a state family over theta, defaults."""
+    """An example or a file problem: operators, states over theta (a file's ignore it), defaults."""
 
     id: str
     dimension: int

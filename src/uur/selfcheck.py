@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds, linalg, moments, sampling, scenarios
-from .bounds import DEFAULT_CAP, SLACK, SubsetSelection
+from .bounds import SLACK, SubsetSelection
 from .moments import PureState
 
 
@@ -76,14 +76,14 @@ class _Recorder:
 
 
 def _suite(body):
-    """Turn a one-trial body(rec, seed, trial, **kw) into suite(seed, trials, **kw)."""
+    """Turn a one-trial body(rec, seed, trial) into suite(seed, trials)."""
     name = body.__name__.removeprefix("suite_")
 
     @functools.wraps(body)
-    def run(seed: int, trials: int, **kwargs) -> SuiteResult:
+    def run(seed: int, trials: int) -> SuiteResult:
         rec = _Recorder(name)
         for trial in range(trials):
-            body(rec, seed, trial, **kwargs)
+            body(rec, seed, trial)
         return rec.result(trials)
 
     return run
@@ -246,7 +246,7 @@ def suite_triple_bound(rec: _Recorder, seed: int, trial: int):
 
 
 @_suite
-def suite_multi_op(rec: _Recorder, seed: int, trial: int, cap: int = DEFAULT_CAP):
+def suite_multi_op(rec: _Recorder, seed: int, trial: int):
     """Geometric-mean bounds stay below the variance product; tilde >= plain."""
     l = 3 + trial % 2
     d, ops, psi, instance = _instance(seed, trial, 9, count=l, dmax=6)
@@ -254,7 +254,7 @@ def suite_multi_op(rec: _Recorder, seed: int, trial: int, cap: int = DEFAULT_CAP
     instance["params"] = {"m": m, "l": l}
     deltas = [moments.delta_vector(U, psi) for U in ops]
     prod = math.prod(dv.variance for dv in deltas)
-    vals = bounds.geometric_mean_bound(deltas, m, v=0.1, cap=cap)
+    vals = bounds.geometric_mean_bound(deltas, m, v=0.1)
     for flavor in bounds.FLAVORS:
         rec.check(vals[flavor] - prod, SLACK,
                   dict(instance, flavor=flavor), "multi-op bound exceeds product")
@@ -361,7 +361,7 @@ def suite_coordinate_identities(rec: _Recorder, seed: int, trial: int):
               "correlation forms disagree")
 
 
-def run_all(seed: int, trials: int, cap: int = DEFAULT_CAP) -> list[SuiteResult]:
+def run_all(seed: int, trials: int) -> list[SuiteResult]:
     """Run every suite in order; four costly ones stop at 200 or 300 trials."""
     return [
         suite_pair_chain(seed, trials),

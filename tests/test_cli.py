@@ -157,6 +157,26 @@ def test_sweep_requires_example(tmp_path, capsys):
     assert "requires --example" in err
 
 
+@pytest.mark.parametrize("command", ["sweep", "compare"])
+def test_sweep_and_compare_require_example_line(tmp_path, capsys, command):
+    path = write_problem(tmp_path, 2)
+    code, out, err = run([command, "--input", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: {command} requires --example: "
+                   "JSON inputs carry a single state, not a family\n")
+
+
+@pytest.mark.parametrize("argv", ["check --trials 5 --cap 1", "bounds --example ex1 --seed 3"])
+def test_flag_a_command_does_not_read_is_rejected(capsys, argv):
+    # check reads only --seed, --trials and --output; the problem commands
+    # read every other flag and not these two.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv.split())
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_sweep_csv_round_trip(tmp_path, capsys):
     out_path = tmp_path / "rows.csv"
     code, _, err = run(["sweep", "--example", "ex1", "--dim", "3", "--steps", "7",
@@ -291,11 +311,15 @@ RAGGED_MATRIX = problem_text(2, operators=z_and_x("[[[1, 0]], [[0, 0], [-1, 0]]]
     problem_text(2, operators=z_and_x('[[[1, 0, 9], [0, 0]], [[0, 0], [-1, 0]]]')),
     problem_text(2, operators=z_and_x("5")),
     RAGGED_MATRIX,
+    problem_text(2, operators=z_and_x("[[[1e300, 0], [0, 0]], [[0, 0], [-1, 0]]]")),
+    problem_text(2, '{"pure": [[1e300, 0], [0, 0]]}'),
 ], ids=["pure-reals", "m-null", "params-string", "cap-overflow", "flavor-2ops", "flavor-3ops",
         "top-level-number", "dimension-null", "dimension-list", "dimension-fraction",
         "operators-number", "bloch-number", "bloch-nested", "m-fraction",
         "pure-booleans", "pure-triple", "matrix-booleans", "matrix-triple", "matrix-number",
-        "matrix-ragged"])
+        "matrix-ragged", "matrix-huge", "pure-huge"])
+# pytest records warnings instead of printing them; as errors they fail here.
+@pytest.mark.filterwarnings("error")
 def test_malformed_input_file_is_input_error(tmp_path, capsys, document):
     path = tmp_path / "prob.json"
     path.write_text(document)
@@ -303,6 +327,23 @@ def test_malformed_input_file_is_input_error(tmp_path, capsys, document):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize("state, message", [
+    ('{"pure": [[0.6, 0], [0, 0.7]]}',
+     "state norm 0.9219544457292886 deviates from 1 by more than 1e-10"),
+    ('{"pure": [[1e300, 0], [0, 0]]}', "state norm inf deviates from 1 by more than 1e-10"),
+    ('{"density": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}',
+     "trace (2+0j) deviates from 1 by more than 1e-10"),
+    ('{"bloch": [1, 1, 1]}', "Bloch vector norm 1.7320508075688772 exceeds 1"),
+], ids=["pure-norm", "pure-huge", "density-trace", "bloch-norm"])
+def test_invalid_state_error_prints_plain_numbers(tmp_path, capsys, state, message):
+    path = write_problem(tmp_path, 2, state)
+    code, out, err = run(["bounds", "--input", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_ragged_matrix_error_names_the_operator(tmp_path, capsys):
@@ -458,19 +499,29 @@ FIELD_PATHS = [("dimension",), ("operators",), ("operators", 0), ("operators", 0
                ("params", "m"), ("params", "v"), ("params", "cap"), ("params", "flavor")]
 
 
-def run_quietly(document) -> int:
+def run_quietly(document) -> tuple[int, str]:
+    """The exit code and stderr of `bounds --input` on the document."""
+    err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "prob.json")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(document))
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            return cli.main(["bounds", "--input", path])
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(["bounds", "--input", path])
+    return code, err.getvalue()
+
+
+def assert_exits_cleanly(document):
+    code, err = run_quietly(document)
+    assert code in {0, 2, 3}
+    if code != 0:
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
 
 
 @settings(max_examples=150, deadline=None)
 @given(json_values)
 def test_arbitrary_json_document_exits_cleanly(document):
-    assert run_quietly(document) in {0, 2, 3}
+    assert_exits_cleanly(document)
 
 
 @settings(max_examples=300, deadline=None)
@@ -481,4 +532,4 @@ def test_corrupted_problem_file_exits_cleanly(which, field_path, value):
     for key in field_path[:-1]:
         target = target[key]
     target[field_path[-1]] = value
-    assert run_quietly(document) in {0, 2, 3}
+    assert_exits_cleanly(document)

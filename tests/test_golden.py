@@ -15,7 +15,9 @@ were recorded while the split search still enumerated every block. The
 `check --seed 5 --trials 301` run, which reaches the per-suite trial caps
 of 200 and 300, and the `check` run with a corrupted split bound were
 recorded while each suite still ran its own trial loop and drew its own
-instances.
+instances. The `bounds --input` reports with flags that override the file's
+params, or a --theta-min that a fixed state only echoes, were recorded
+while a problem file still loaded into its own problem type.
 """
 
 from __future__ import annotations
@@ -138,6 +140,9 @@ INPUT_COMMANDS = {
     "bounds --input bloch.json --format csv": "fdd9d23777848350b5e4c83dd67f6a1471d5949a74a8b3380b38c3937e7477db",
     "bounds --input bloch3.json --format json": "fba68d277afcad9c209904bf3c500d940736bd43dd28a1dbbd18fa1d25cb4505",
     "bounds --input bloch3.json --format csv": "69ac9d06478ea1a39a51f4e698df8ac1c2698c24121377113d54c6acb8aa9d5c",
+    "bounds --input pure.json --m 2 --v 0.7 --format json": "6d6c948424d534d52aea87403b7e7d0aa8e1c29d026f4c9e34b7de1bf8276651",
+    "bounds --input bloch3.json --flavor convex --cap 100 --format json": "5c285ed3d6350aa027af96963331024976de280af3a9447ba5117656ea48d4a1",
+    "bounds --input pure.json --theta-min 0.5 --format json": "d8612cf28c81d7a7415ffa2497f738cb37320f26a35669643345a3f1606079fa",
 }
 
 
