@@ -6,7 +6,7 @@ Commands
     compare  difference columns between the blended split bound and the rest
     check    the seeded randomized invariant suites
 
-Exit codes: 0 ok, 1 invariant violation, 2 input error, 3 search cap hit.
+Exit codes: 0 ok, 1 invariant violation, 2 input error, 3 search cap or memory.
 Output is deterministic byte for byte for a fixed configuration; floats are
 printed with 17 significant digits so CSV round-trips are exact.
 """
@@ -44,7 +44,7 @@ class RunConfig:
     dim: int | None = None
     theta_min: float | None = None
     theta_max: float | None = None
-    steps: int | None = None
+    steps: int = scenarios.DEFAULT_STEPS
     m: int | None = None
     v: float | None = None
     flavor: str | None = None
@@ -153,9 +153,9 @@ def _read_input_file(path: str) -> tuple[object, scenarios.Scenario]:
 
 def _load_problem(cfg: RunConfig) -> Problem:
     """Load --example or --input; m, v, cap and flavor: flag, then file "params", then default."""
-    if (cfg.input_path is None) == (cfg.example is None):
-        raise UurError("exactly one of --input or --example is required")
     if cfg.input_path:
+        if cfg.dim is not None:
+            raise UurError('--dim applies to --example only; a problem file sets its "dimension"')
         params, scen = _read_input_file(cfg.input_path)
     else:
         params, scen = {}, scenarios.scenario(cfg.example, cfg.dim)
@@ -179,8 +179,7 @@ def _load_problem(cfg: RunConfig) -> Problem:
 def _theta_grid(cfg: RunConfig, scen: scenarios.Scenario) -> list[float]:
     lo = cfg.theta_min if cfg.theta_min is not None else scen.theta_range[0]
     hi = cfg.theta_max if cfg.theta_max is not None else scen.theta_range[1]
-    steps = cfg.steps if cfg.steps is not None else scenarios.DEFAULT_STEPS
-    grid = scenarios.theta_grid(lo, hi, steps)  # its steps error wins over the range one
+    grid = scenarios.theta_grid(lo, hi, cfg.steps)  # its steps error wins over the range one
     if lo > hi:
         raise UurError(f"theta range is empty: {lo} > {hi}")
     return grid
@@ -302,9 +301,6 @@ FLAVOR_FIELDS = {"plain": "prod_k", "convex": "prod_k_v", "tilde": "prod_k_tilde
 
 def _sweep_rows(cfg: RunConfig) -> tuple[Problem, list[dict]]:
     """One report row per angle of the example's theta grid."""
-    if cfg.example is None:
-        raise UurError(f"{cfg.command} requires --example: "
-                       "JSON inputs carry a single state, not a family")
     problem = _load_problem(cfg)
     return problem, [_report_row(problem, theta)[1] for theta in _theta_grid(cfg, problem.scenario)]
 
@@ -362,18 +358,22 @@ def build_parser() -> argparse.ArgumentParser:
         ("compare", "per-angle differences between the blended split bound and the others"),
     ):
         p = sub.add_parser(name, help=summary)
-        p.add_argument("--input", dest="input_path", metavar="PATH",
-                       help="JSON problem file (see README for the schema)")
-        p.add_argument("--example", choices=sorted(scenarios.DEFAULT_DIMS),
-                       help="built-in example id")
+        source = p.add_mutually_exclusive_group(required=True)  # exactly one source
+        if name == "bounds":  # a file holds one state, not a theta family
+            source.add_argument("--input", dest="input_path", metavar="PATH",
+                                help="JSON problem file (see README for the schema)")
+        source.add_argument("--example", choices=sorted(scenarios.DEFAULT_DIMS),
+                            help="built-in example id")
         p.add_argument("--dim", type=int, help="dimension for ex1/ex2 (others are fixed)")
         p.add_argument("--theta-min", type=float, dest="theta_min")
-        p.add_argument("--theta-max", type=float, dest="theta_max")
-        p.add_argument("--steps", type=int)
+        if name == "bounds":  # one angle; a triple prints the --flavor geometric mean
+            p.add_argument("--flavor", choices=bounds.FLAVORS,
+                           help="geometric mean variant for triples (default plain)")
+        else:  # a theta family; every flavor has its own column
+            p.add_argument("--theta-max", type=float, dest="theta_max")
+            p.add_argument("--steps", type=int, default=scenarios.DEFAULT_STEPS)
         p.add_argument("--m", type=int, help="block size (default: half the dimension)")
         p.add_argument("--v", type=float, help=f"blend weight in [0, 1] (default {DEFAULT_V})")
-        p.add_argument("--flavor", choices=bounds.FLAVORS,
-                       help="geometric mean variant for triples (default plain)")
         p.add_argument("--cap", type=int, help=f"subset search cap (default {DEFAULT_CAP})")
         p.add_argument("--output", metavar="PATH", help="write here instead of stdout")
         p.add_argument("--format", choices=("csv", "json"))
@@ -391,7 +391,7 @@ def main(argv=None) -> int:
                 "compare": run_compare, "check": run_check}
     try:
         return dispatch[cfg.command](cfg)
-    except SearchSpaceTooLarge as exc:
+    except (SearchSpaceTooLarge, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except _Violation as exc:

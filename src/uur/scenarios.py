@@ -194,8 +194,6 @@ def scenario(sid: str, d: int | None = None) -> Scenario:
                    "unit length for general t",),
         )
 
-    raise UnknownExample(f"unknown example id {sid!r}")  # pragma: no cover
-
 
 @dataclass(frozen=True)
 class Example1Reference:

@@ -279,6 +279,27 @@ def test_fine_grained_endpoints_and_monotonicity():
         assert all(a >= b - 1e-10 for a, b in zip(seq, seq[1:]))
 
 
+def test_fine_grained_levels_match_closed_form():
+    # i_L = X Y - (X_L Y_L - P_L^2): X and Y sum x_i^2 and y_i^2 over every
+    # index; X_L, Y_L and P_L sum x_i^2, y_i^2 and x_i y_i over the first L.
+    # By Lagrange's identity X_L Y_L - P_L^2 is what the cross terms with
+    # both indices <= L give up.
+    rng = np.random.default_rng(2024)
+    for trial in range(390):
+        n = 1 + trial % 13
+        x, y = (rng.random(n) * 10.0 ** rng.integers(-2, 3) for _ in range(2))
+        if trial % 3 == 0:
+            x[rng.random(n) < 0.4] = 0.0
+            y[rng.random(n) < 0.4] = 0.0
+        X, Y = float(np.sum(x ** 2)), float(np.sum(y ** 2))
+        seq = bounds.fine_grained_sequence(pair_of(x, y))
+        assert len(seq) == n
+        for L, got in enumerate(seq, start=1):
+            XL, YL, PL = (float(np.sum(v[:L])) for v in (x ** 2, y ** 2, x * y))
+            want = X * Y - (XL * YL - PL ** 2)
+            assert abs(got - want) <= 1e-12 * max(1.0, X * Y), (trial, L, got, want)
+
+
 def test_fine_grained_rejects_bad_level():
     p = pair_of([1, 2], [2, 1])
     for bad in (0, 3):

@@ -46,17 +46,26 @@ def test_bounds_ex1_d2_all_bounds_coincide(capsys):
     assert max(vals) - min(vals) < 1e-10
 
 
+def usage_error(args, capsys) -> str:
+    """The stderr of a command argparse refuses: exit 2 and empty stdout."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args)
+    out = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out.out == ""
+    return out.err
+
+
 def test_missing_source_is_input_error(capsys):
-    code, _, err = run(["bounds"], capsys)
-    assert code == 2
-    assert "input" in err and "example" in err
+    err = usage_error(["bounds"], capsys)
+    assert "--input" in err and "--example" in err
 
 
 def test_both_sources_is_input_error(tmp_path, capsys):
     path = tmp_path / "x.json"
     path.write_text("{}")
-    code, _, _ = run(["bounds", "--example", "ex1", "--input", str(path)], capsys)
-    assert code == 2
+    err = usage_error(["bounds", "--example", "ex1", "--input", str(path)], capsys)
+    assert "--input" in err and "--example" in err
 
 
 def test_nonexistent_input_file(capsys):
@@ -89,6 +98,16 @@ def test_search_cap_exit_code(capsys):
         assert code == 3
         assert "exceeds the cap" in err
         assert f"binomial(30, {m})" in err
+
+
+def test_out_of_memory_is_resource_error(capsys):
+    # The clock operator at n = 4e6 asks np.diag for 233 TiB, more than the
+    # 2^47-byte user address space, so the request fails at once; building
+    # its phases takes about 120 MB first.
+    code, out, err = run(["bounds", "--example", "ex1", "--dim", "4000000"], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_pure_json_input_round_trip(tmp_path, capsys):
@@ -152,19 +171,19 @@ def test_sweep_requires_example(tmp_path, capsys):
     }
     path = tmp_path / "prob.json"
     path.write_text(json.dumps(doc))
-    code, _, err = run(["sweep", "--input", str(path)], capsys)
-    assert code == 2
-    assert "requires --example" in err
+    err = usage_error(["sweep", "--input", str(path)], capsys)
+    assert "--example" in err
 
 
 @pytest.mark.parametrize("command", ["sweep", "compare"])
 def test_sweep_and_compare_require_example_line(tmp_path, capsys, command):
+    # A file holds one state, not a theta family, so these commands take no
+    # --input; given one beside --example, argparse names it.
     path = write_problem(tmp_path, 2)
-    code, out, err = run([command, "--input", str(path)], capsys)
-    assert code == 2
-    assert out == ""
-    assert err == (f"error: {command} requires --example: "
-                   "JSON inputs carry a single state, not a family\n")
+    err = usage_error([command, "--input", str(path)], capsys)
+    assert "--example" in err.splitlines()[-1]
+    err = usage_error([command, "--example", "ex1", "--input", str(path)], capsys)
+    assert err.splitlines()[-1] == f"uur: error: unrecognized arguments: --input {path}"
 
 
 @pytest.mark.parametrize("argv", ["check --trials 5 --cap 1", "bounds --example ex1 --seed 3"])
@@ -175,6 +194,55 @@ def test_flag_a_command_does_not_read_is_rejected(capsys, argv):
         cli.main(argv.split())
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+# A value for every flag of any command, and --corrupt, which none takes.
+FLAG_VALUES = {"--input": "prob.json", "--example": "ex5", "--dim": "4", "--theta-min": "0.5",
+               "--theta-max": "1", "--steps": "3", "--m": "1", "--v": "0.2", "--flavor": "tilde",
+               "--cap": "10", "--output": "out.txt", "--format": "csv", "--seed": "3",
+               "--trials": "2", "--corrupt": "1e-6"}
+SWEEP_FLAGS = {"--example", "--dim", "--theta-min", "--theta-max", "--steps", "--m", "--v",
+               "--cap", "--output", "--format"}
+COMMAND_FLAGS = {
+    "bounds": {"--input", "--example", "--dim", "--theta-min", "--m", "--v", "--flavor",
+               "--cap", "--output", "--format"},
+    "sweep": SWEEP_FLAGS,
+    "compare": SWEEP_FLAGS,
+    "check": {"--seed", "--trials", "--output"},
+}
+SOURCES = {"bounds": {"--input", "--example"}, "sweep": {"--example"},
+           "compare": {"--example"}, "check": set()}
+
+
+def test_commands_take_33_settable_values():
+    # The table above is each command's whole surface, --help aside.
+    commands = next(a for a in cli.build_parser()._actions if a.dest == "command").choices
+    surface = {name: {a.option_strings[0] for a in p._actions if a.dest != "help"}
+               for name, p in commands.items()}
+    assert surface == COMMAND_FLAGS
+    assert sum(len(flags) for flags in surface.values()) == 33
+
+
+@pytest.mark.parametrize("flag", sorted(FLAG_VALUES))
+@pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+def test_parser_takes_exactly_the_flags_a_command_reads(capsys, command, flag):
+    args = [command, flag, FLAG_VALUES[flag]]
+    if SOURCES[command] and flag not in SOURCES[command]:
+        args += ["--example", "ex5"]
+    if flag in COMMAND_FLAGS[command]:
+        parsed = cli.build_parser().parse_args(args)
+        assert cli.RunConfig(**vars(parsed)).command == command
+    else:
+        err = usage_error(args, capsys)
+        assert err.splitlines()[-1] == f"uur: error: unrecognized arguments: {' '.join(args[1:3])}"
+
+
+def test_input_with_dim_is_input_error(capsys):
+    # Refused before the file is opened: the file's "dimension" sets it.
+    code, out, err = run(["bounds", "--input", "/nonexistent/file.json", "--dim", "3"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == 'error: --dim applies to --example only; a problem file sets its "dimension"\n'
 
 
 def test_sweep_csv_round_trip(tmp_path, capsys):

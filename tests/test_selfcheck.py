@@ -63,6 +63,18 @@ def test_subset_chain_reads_large_block_sizes_from_the_table(monkeypatch):
     assert len(calls) == 16
 
 
+def test_split_symmetry_searches_each_block_size_once(monkeypatch):
+    # 15 trials with d = 4..6 hold 45 block sizes m = 1..d-1; the suite
+    # compares m with d - m from one search per size (it made 90 searches).
+    calls = []
+    real = bounds.best_split_bound
+    monkeypatch.setattr(bounds, "best_split_bound",
+                        lambda pair, m, cap=bounds.DEFAULT_CAP: calls.append(m) or real(pair, m, cap))
+    result = selfcheck.suite_split_symmetry(42, 15)
+    assert result.failures == 0 and result.trials == 15
+    assert len(calls) == 45
+
+
 def test_each_sampled_unitary_is_checked_at_most_once(monkeypatch):
     # Each draw is wrapped in moments.Unitary where it enters a checking
     # call, so no draw is checked twice (unwrapped, this run made 984).
