@@ -153,7 +153,7 @@ def _read_input_file(path: str) -> tuple[object, scenarios.Scenario]:
 
 def _load_problem(cfg: RunConfig) -> Problem:
     """Load --example or --input; m, v, cap and flavor: flag, then file "params", then default."""
-    if cfg.input_path:
+    if cfg.input_path is not None:
         if cfg.dim is not None:
             raise UurError('--dim applies to --example only; a problem file sets its "dimension"')
         params, scen = _read_input_file(cfg.input_path)

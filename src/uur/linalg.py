@@ -7,19 +7,14 @@ wins over performance everywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionMismatch, NoConvergence, NotHermitian, NotPSD
 
-
-@dataclass(frozen=True)
-class EigDecomposition:
-    """Eigenvalues in ascending order with matching orthonormal columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+# The validation tolerances of linalg and moments.
+UNITARY_TOL = 1e-8  # building a moments.Unitary
+TOL = 1e-10  # state norm; density Hermiticity, trace, eigenvalues; hermitian_eig; psd_sqrt; is_unitary
+BLOCH_TOL = 1e-12  # how far a Bloch vector may exceed length 1
 
 
 def as_square_matrix(M) -> np.ndarray:
@@ -27,37 +22,33 @@ def as_square_matrix(M) -> np.ndarray:
     A = np.asarray(M, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {A.shape}")
-    if not np.all(np.isfinite(A.real)) or not np.all(np.isfinite(A.imag)):
+    if not np.isfinite(A).all():
         raise DimensionMismatch("matrix entries must be finite")
     return A
 
 
-def hermitian_eig(M, tol: float = 1e-10) -> EigDecomposition:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
+def hermitian_eig(M):
+    """numpy's EighResult (eigenvalues ascending, eigenvectors) of a Hermitian matrix."""
     A = as_square_matrix(M)
     dev = np.max(np.abs(A - A.conj().T))
-    if dev > tol:
-        raise NotHermitian(f"matrix deviates from Hermitian by {dev:.3e} (tol {tol:.1e})")
+    if dev > TOL:
+        raise NotHermitian(f"matrix deviates from Hermitian by {dev:.3e} (tol {TOL:.1e})")
     try:
-        w, V = np.linalg.eigh(A)
+        return np.linalg.eigh(A)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"eigensolver failed to converge: {exc}") from exc
-    return EigDecomposition(eigenvalues=w, eigenvectors=V)
 
 
 def psd_sqrt(M) -> np.ndarray:
     """Hermitian square root of a positive semidefinite matrix.
 
-    Eigenvalues in [-1e-10, 0) are rounding debris and are clamped to zero;
+    Eigenvalues in [-TOL, 0) are rounding debris and are clamped to zero;
     anything more negative is a genuine violation and raises NotPSD.
     """
-    dec = hermitian_eig(M)
-    w = dec.eigenvalues
-    if np.min(w) < -1e-10:
-        raise NotPSD(f"matrix has eigenvalue {np.min(w):.3e} < -1e-10")
-    w = np.clip(w, 0.0, None)
-    V = dec.eigenvectors
-    return (V * np.sqrt(w)) @ V.conj().T
+    w, V = hermitian_eig(M)
+    if np.min(w) < -TOL:
+        raise NotPSD(f"matrix has eigenvalue {np.min(w):.3e} < {-TOL:g}")
+    return (V * np.sqrt(np.clip(w, 0.0, None))) @ V.conj().T
 
 
 def kron(A, B) -> np.ndarray:
@@ -83,7 +74,7 @@ def unvec(v) -> np.ndarray:
     return a.reshape(n, n).T
 
 
-def is_unitary(M, tol: float = 1e-10) -> bool:
+def is_unitary(M, tol: float = TOL) -> bool:
     """True iff the max-norm deviation of M^dagger M from I is within tol."""
     return unitary_deviation(M) <= tol
 

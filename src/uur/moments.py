@@ -20,8 +20,6 @@ from .errors import (
     NotUnitary,
 )
 
-UNITARY_TOL = 1e-8
-
 sigma_x = np.array([[0, 1], [1, 0]], dtype=complex)
 sigma_y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 sigma_z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -35,12 +33,12 @@ class PureState:
 
     def __post_init__(self):
         a = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+        if not np.isfinite(a).all():
             raise ValueError("state amplitudes must be finite")
         with np.errstate(over="ignore"):  # a huge amplitude reads as norm inf
             nrm = float(np.linalg.norm(a))
-        if abs(nrm - 1.0) > 1e-10:
-            raise ValueError(f"state norm {nrm!r} deviates from 1 by more than 1e-10")
+        if abs(nrm - 1.0) > linalg.TOL:
+            raise ValueError(f"state norm {nrm!r} deviates from 1 by more than {linalg.TOL:g}")
         object.__setattr__(self, "amplitudes", a)
 
     @property
@@ -56,13 +54,14 @@ class DensityMatrix:
 
     def __post_init__(self):
         M = linalg.as_square_matrix(self.matrix)
-        if np.max(np.abs(M - M.conj().T)) > 1e-10:
-            raise InvalidDensityMatrix("density matrix is not Hermitian to 1e-10")
+        tol = linalg.TOL
+        if np.max(np.abs(M - M.conj().T)) > tol:
+            raise InvalidDensityMatrix(f"density matrix is not Hermitian to {tol:g}")
         tr = complex(np.trace(M))
-        if abs(tr - 1.0) > 1e-10:
-            raise InvalidDensityMatrix(f"trace {tr!r} deviates from 1 by more than 1e-10")
-        if np.min(np.linalg.eigvalsh(M)) < -1e-10:
-            raise InvalidDensityMatrix("density matrix has an eigenvalue below -1e-10")
+        if abs(tr - 1.0) > tol:
+            raise InvalidDensityMatrix(f"trace {tr!r} deviates from 1 by more than {tol:g}")
+        if np.min(np.linalg.eigvalsh(M)) < -tol:
+            raise InvalidDensityMatrix(f"density matrix has an eigenvalue below {-tol:g}")
         object.__setattr__(self, "matrix", M)
 
     @property
@@ -81,11 +80,10 @@ class Unitary:
     name: str = "operator"
 
     def __post_init__(self):
-        M = linalg.as_square_matrix(self.matrix)
-        dev = linalg.unitary_deviation(M)
-        if dev > UNITARY_TOL:
-            raise NotUnitary(f"{self.name} deviates from unitarity by {dev:.3e} (tol {UNITARY_TOL:.1e})")
-        object.__setattr__(self, "matrix", M)
+        dev = linalg.unitary_deviation(self.matrix)  # raises first if not finite and square
+        if dev > linalg.UNITARY_TOL:
+            raise NotUnitary(f"{self.name} deviates from unitarity by {dev:.3e} (tol {linalg.UNITARY_TOL:.1e})")
+        object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=complex))
 
     def __array__(self, dtype=None, copy=None):
         return np.asarray(self.matrix, dtype=dtype)
@@ -221,7 +219,7 @@ def purify(rho: DensityMatrix) -> PureState:
 def lift(A) -> np.ndarray:
     """Lift an operator to the purified space as I (x) A."""
     M = linalg.as_square_matrix(A)
-    return linalg.kron(np.eye(M.shape[0]), M)
+    return np.kron(np.eye(M.shape[0], dtype=complex), M)
 
 
 def bloch_density(r) -> DensityMatrix:
@@ -231,7 +229,7 @@ def bloch_density(r) -> DensityMatrix:
         raise ValueError(f"Bloch vector must have 3 components, got {r.size}")
     with np.errstate(over="ignore"):  # a huge component reads as norm inf
         nrm = float(np.linalg.norm(r))
-    if nrm > 1.0 + 1e-12:
+    if nrm > 1.0 + linalg.BLOCH_TOL:
         raise BlochVectorTooLong(f"Bloch vector norm {nrm!r} exceeds 1")
     M = 0.5 * (np.eye(2, dtype=complex) + r[0] * sigma_x + r[1] * sigma_y + r[2] * sigma_z)
     return DensityMatrix(matrix=M)

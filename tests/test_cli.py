@@ -73,6 +73,13 @@ def test_nonexistent_input_file(capsys):
     assert code == 2
 
 
+def test_empty_input_path_names_the_missing_file(capsys):
+    code, out, err = run(["bounds", "--input", ""], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: [Errno 2] No such file or directory: ''\n"
+
+
 def test_non_unitary_operator_named_in_error(tmp_path, capsys):
     doc = {
         "dimension": 2,

@@ -82,6 +82,33 @@ def test_unitary_construction_checks_and_names_the_operator():
     assert U.matrix.dtype == complex and np.array_equal(np.asarray(U), moments.sigma_y)
 
 
+VALIDATION_MESSAGES = [
+    (lambda: moments.PureState(np.array([np.nan, 1.0])), ValueError,
+     "state amplitudes must be finite"),
+    (lambda: moments.PureState(np.array([complex(0, np.inf), 1.0])), ValueError,
+     "state amplitudes must be finite"),
+    (lambda: linalg.as_square_matrix([[np.inf, 0.0], [0.0, 1.0]]), errors.DimensionMismatch,
+     "matrix entries must be finite"),
+    (lambda: linalg.as_square_matrix([[complex(1, np.nan), 0.0], [0.0, 1.0]]), errors.DimensionMismatch,
+     "matrix entries must be finite"),
+    (lambda: moments.DensityMatrix(np.array([[0.5, 1.0], [0.0, 0.5]])), errors.InvalidDensityMatrix,
+     "density matrix is not Hermitian to 1e-10"),
+    (lambda: moments.DensityMatrix(np.diag([1.5, -0.5])), errors.InvalidDensityMatrix,
+     "density matrix has an eigenvalue below -1e-10"),
+    (lambda: linalg.hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]])), errors.NotHermitian,
+     "matrix deviates from Hermitian by 1.000e+00 (tol 1.0e-10)"),
+    (lambda: linalg.psd_sqrt(np.diag([1.0, -1.0])), errors.NotPSD,
+     "matrix has eigenvalue -1.000e+00 < -1e-10"),
+]
+
+
+@pytest.mark.parametrize("build, error, message", VALIDATION_MESSAGES)
+def test_validation_error_text(build, error, message):
+    with pytest.raises(error) as exc:
+        build()
+    assert str(exc.value) == message
+
+
 def test_a_unitary_is_neither_checked_nor_coerced_again(monkeypatch):
     U = moments.Unitary(moments.sigma_y)
     raw = moments.delta_vector(moments.sigma_y, QUBIT)
@@ -97,9 +124,9 @@ def test_a_unitary_is_neither_checked_nor_coerced_again(monkeypatch):
     bounds.gram_matrix([U, U], QUBIT)
     assert calls == {"unitary_deviation": 0, "as_square_matrix": 0}
     assert wrapped.mean == raw.mean and np.array_equal(wrapped.entries, raw.entries)
-    # A raw matrix is coerced when it is wrapped and again inside the check.
+    # A raw matrix is coerced once, inside the unitarity check.
     moments.delta_vector(moments.sigma_y, QUBIT)
-    assert calls == {"unitary_deviation": 1, "as_square_matrix": 2}
+    assert calls == {"unitary_deviation": 1, "as_square_matrix": 1}
 
 
 def test_delta_vector_is_orthogonal_shift():

@@ -164,3 +164,25 @@ def test_example1_reference_quarter_pi_value():
 def test_example1_reference_rejects_tiny_dimension():
     with pytest.raises(errors.DimensionTooSmall):
         scenarios.example1_reference(1, 0.5)
+
+
+def test_ex1_reference_and_paired_cross_bound_pair_different_coordinates():
+    # The reference's i_1' pairs x_2 with x_d, paired_cross_bound pairs it with
+    # x_3; which one the published bound means is open, so both are pinned.
+    for d in range(3, 9):
+        scen = scenarios.scenario("ex1", d)
+        A, B = (M for _, M in scen.operators)
+        gap = 0.0
+        for theta in scenarios.theta_grid(*scen.theta_range, 200):
+            ref = scenarios.example1_reference(d, theta)
+            x, y = ref.x, ref.y
+            assert abs(ref.i_1_prime - (ref.i_1 - y[0] ** 2 * (x[1] - x[d - 1]) ** 2)) <= 1e-12
+            pair = moments.modulus_pair(A, B, scen.state(theta))
+            cross = bounds.paired_cross_bound(pair)
+            i_1 = bounds.variance_product(pair)
+            assert abs(cross - (i_1 - pair.y[0] ** 2 * (pair.x[1] - pair.x[2]) ** 2)) <= 1e-12
+            gap = max(gap, abs(cross - ref.i_1_prime))
+        if d == 3:
+            assert gap <= 1e-12
+        else:
+            assert gap > 1e-3, f"d={d}: the two pairings now agree ({gap!r})"
