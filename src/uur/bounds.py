@@ -341,18 +341,16 @@ def geometric_mean_bound(deltas, m: int, v: float = DEFAULT_V,
     return {flavor: float(p ** (1.0 / (len(deltas) - 1))) for flavor, p in products.items()}
 
 
-def bound_report(pair: ModulusPair, m: int | None = None, v: float = DEFAULT_V,
+def bound_report(pair: ModulusPair, m: int, v: float = DEFAULT_V,
                  cap: int = DEFAULT_CAP) -> BoundSet:
-    """Compute every pairwise bound for one modulus pair.
+    """Compute every pairwise bound for one modulus pair at block size m.
 
-    m defaults to floor(n/2). m = n is rejected: the complement block would
-    be empty and the split degenerates to the plain variance product.
+    m = n is rejected: the complement block would be empty and the split
+    degenerates to the plain variance product.
     """
     n = pair.dim
     if n < 2:
         raise DimensionTooSmall(f"bound reports need dimension >= 2, got {n}")
-    if m is None:
-        m = max(1, n // 2)
     if not 1 <= m <= n - 1:
         raise InvalidSubset(f"block size {m} out of range 1..{n - 1} (m = n is degenerate)")
     block = SubsetSelection.first_block(n, m)

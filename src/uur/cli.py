@@ -347,6 +347,16 @@ def run_check(cfg: RunConfig) -> int:
     return EXIT_OK if not failed else EXIT_VIOLATION
 
 
+def _angle(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:  # argparse's own wording for a non-number
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"angle must be finite, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="uur",
@@ -365,12 +375,12 @@ def build_parser() -> argparse.ArgumentParser:
         source.add_argument("--example", choices=sorted(scenarios.DEFAULT_DIMS),
                             help="built-in example id")
         p.add_argument("--dim", type=int, help="dimension for ex1/ex2 (others are fixed)")
-        p.add_argument("--theta-min", type=float, dest="theta_min")
+        p.add_argument("--theta-min", type=_angle, dest="theta_min")
         if name == "bounds":  # one angle; a triple prints the --flavor geometric mean
             p.add_argument("--flavor", choices=bounds.FLAVORS,
                            help="geometric mean variant for triples (default plain)")
         else:  # a theta family; every flavor has its own column
-            p.add_argument("--theta-max", type=float, dest="theta_max")
+            p.add_argument("--theta-max", type=_angle, dest="theta_max")
             p.add_argument("--steps", type=int, default=scenarios.DEFAULT_STEPS)
         p.add_argument("--m", type=int, help="block size (default: half the dimension)")
         p.add_argument("--v", type=float, help=f"blend weight in [0, 1] (default {DEFAULT_V})")

@@ -13,7 +13,7 @@ from .errors import DimensionMismatch, NoConvergence, NotHermitian, NotPSD
 
 # The validation tolerances of linalg and moments.
 UNITARY_TOL = 1e-8  # building a moments.Unitary
-TOL = 1e-10  # state norm; density Hermiticity, trace, eigenvalues; hermitian_eig; psd_sqrt; is_unitary
+TOL = 1e-10  # state norm; density Hermiticity, trace, eigenvalues; hermitian_eig; psd_sqrt
 BLOCH_TOL = 1e-12  # how far a Bloch vector may exceed length 1
 
 
@@ -51,11 +51,6 @@ def psd_sqrt(M) -> np.ndarray:
     return (V * np.sqrt(np.clip(w, 0.0, None))) @ V.conj().T
 
 
-def kron(A, B) -> np.ndarray:
-    """Kronecker product of two square matrices."""
-    return np.kron(as_square_matrix(A), as_square_matrix(B))
-
-
 def vec(M) -> np.ndarray:
     """Column-stacking vectorization: entry (i, j) lands at position j*n + i.
 
@@ -63,20 +58,6 @@ def vec(M) -> np.ndarray:
     <vec(M)| I (x) A |vec(M)> = Tr(A M M^dagger).
     """
     return as_square_matrix(M).T.reshape(-1)
-
-
-def unvec(v) -> np.ndarray:
-    """Inverse of vec: fold a length n*n vector back into an n x n matrix."""
-    a = np.asarray(v, dtype=complex).reshape(-1)
-    n = int(round(np.sqrt(a.size)))
-    if n * n != a.size:
-        raise DimensionMismatch(f"vector length {a.size} is not a perfect square")
-    return a.reshape(n, n).T
-
-
-def is_unitary(M, tol: float = TOL) -> bool:
-    """True iff the max-norm deviation of M^dagger M from I is within tol."""
-    return unitary_deviation(M) <= tol
 
 
 def unitary_deviation(M) -> float:

@@ -154,7 +154,7 @@ class ModulusPair:
 
     @classmethod
     def from_moduli(cls, x, y) -> "ModulusPair":
-        """Build a synthetic pair from bare modulus vectors (tests, CLI math)."""
+        """Build a synthetic pair from bare modulus vectors (tests, `check`'s equality case)."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         return cls(

@@ -14,9 +14,9 @@ from typing import Callable
 
 import numpy as np
 
-from . import bounds, moments
+from . import moments
 from .errors import DimensionTooSmall, IncompatibleDimension, UnknownExample
-from .moments import ModulusPair, PureState
+from .moments import PureState
 
 DEFAULT_DIMS = {"ex1": 6, "ex2": 4, "ex3": 3, "ex4": 2, "ex5": 4, "ex6": 3}
 DEFAULT_STEPS = 200
@@ -207,28 +207,18 @@ class Example1Reference:
 
     d: int
     theta: float
-    m: int
     x: np.ndarray
     y: np.ndarray
     i_1: float
     i_2: float
     i_d: float
     i_1_prime: float
-    k_m: float
 
 
-def example1_reference(d: int, theta: float, m: int | None = None) -> Example1Reference:
-    """Evaluate the ex1 closed forms at one angle.
-
-    k_m is evaluated by applying the two-block split to the closed-form x
-    and y on the leading block, which reproduces the compact published
-    factor for 2 <= m <= d-1 without relying on its flattened polynomial
-    rendering.
-    """
+def example1_reference(d: int, theta: float) -> Example1Reference:
+    """Evaluate the ex1 closed forms at one angle."""
     if d < 2:
         raise DimensionTooSmall(f"reference values need dimension >= 2, got {d}")
-    if m is None:
-        m = max(1, d // 2)
     s, co = math.sin(theta), math.cos(theta)
     w = abs(1.0 - np.exp(-2j * np.pi / d))
     x = np.zeros(d)
@@ -239,14 +229,12 @@ def example1_reference(d: int, theta: float, m: int | None = None) -> Example1Re
     y[1] = abs(co)
     y[d - 1] = abs(s * s * co)
     w2 = w * w
-    pair = ModulusPair.from_moduli(x, y)
     return Example1Reference(
-        d=d, theta=theta, m=m, x=x, y=y,
+        d=d, theta=theta, x=x, y=y,
         i_1=w2 * abs(s ** 6 * co ** 2 + s ** 2 * co ** 4),
         i_2=w2 * abs(s ** 6 * co ** 2 + s ** 2 * co ** 6),
         i_d=w2 * abs(s ** 6 * co ** 2),
         i_1_prime=w2 * abs(s ** 8 * co ** 2 + s ** 6 * co ** 6 + s ** 2 * co ** 4),
-        k_m=bounds.split_bound(pair, bounds.SubsetSelection.first_block(d, m)),
     )
 
 

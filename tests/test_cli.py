@@ -451,6 +451,21 @@ def test_bad_sweep_grid_is_input_error(capsys, extra, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv, flag", [
+    ("bounds --input PROB --theta-min nan", "--theta-min"),
+    ("bounds --example ex1 --theta-min 1e400", "--theta-min"),
+    ("sweep --example ex1 --steps 2 --theta-min nan", "--theta-min"),
+    ("sweep --example ex1 --steps 1 --theta-max inf", "--theta-max"),
+])
+def test_non_finite_angle_is_input_error(tmp_path, capsys, argv, flag):
+    path = write_problem(tmp_path, 2)
+    args = [str(path) if a == "PROB" else a for a in argv.split()]
+    err = usage_error(args, capsys)
+    value = args[args.index(flag) + 1]
+    assert err.splitlines()[-1].endswith(
+        f"error: argument {flag}: angle must be finite, got {value!r}")
+
+
 @pytest.mark.parametrize("trials", [0, -1])
 def test_check_without_trials_is_input_error(capsys, trials):
     code, out, err = run(["check", "--trials", str(trials)], capsys)

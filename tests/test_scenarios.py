@@ -1,13 +1,15 @@
 from __future__ import annotations
 
+import ast
 import cmath
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import uur
-from uur import bounds, errors, moments, scenarios
+from uur import bounds, errors, linalg, moments, scenarios
 
 
 def test_clock_operator_small_cases():
@@ -30,7 +32,7 @@ def test_clock_shift_commutation():
         B = scenarios.shift_operator(d)
         omega = cmath.exp(2j * math.pi / d)
         assert np.max(np.abs(A @ B - omega * B @ A)) < 1e-12
-        assert uur.is_unitary(A, 1e-12) and uur.is_unitary(B, 1e-12)
+        assert linalg.unitary_deviation(A) <= 1e-12 and linalg.unitary_deviation(B) <= 1e-12
 
 
 def test_unknown_example_rejected():
@@ -54,7 +56,7 @@ def test_all_scenarios_unit_norm_states_and_unitary_ops():
             psi = scen.state(theta)
             assert abs(np.linalg.norm(psi.amplitudes) - 1.0) < 1e-12
         for _, M in scen.operators:
-            assert uur.is_unitary(M, 1e-10)
+            assert linalg.unitary_deviation(M) <= 1e-10
 
 
 def test_ex1_state_shape():
@@ -186,3 +188,16 @@ def test_ex1_reference_and_paired_cross_bound_pair_different_coordinates():
             assert gap <= 1e-12
         else:
             assert gap > 1e-3, f"d={d}: the two pairings now agree ({gap!r})"
+
+
+def test_scenarios_imports_only_moments_and_errors():
+    # The examples are data; bounds and scenarios are siblings, neither built on the other.
+    tree = ast.parse(Path(scenarios.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module is None:
+                imported.update(alias.name for alias in node.names)
+            else:
+                imported.add(node.module.split(".")[0])
+    assert imported == {"moments", "errors"}
