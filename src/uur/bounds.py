@@ -31,7 +31,7 @@ from .errors import (
     SearchSpaceTooLarge,
     WeightOutOfRange,
 )
-from .moments import DeltaVector, ModulusPair, PureState, Unitary
+from .moments import DeltaVector, ModulusPair
 
 DEFAULT_CAP = 5_000_000
 DEFAULT_V = 0.1
@@ -282,19 +282,6 @@ def paired_cross_bound(pair: ModulusPair) -> float:
     total += float(y[0] ** 2 * np.sum(x[3:] ** 2))
     total += float(2.0 * y[0] ** 2 * x[1] * x[2])
     return total
-
-
-def gram_matrix(ops, psi: PureState) -> np.ndarray:
-    """Overlap matrix of (I, U_1, ..., U_l) applied to the state.
-
-    Entry (j, k) is <U_j psi | U_k psi>; the identity is prepended as row
-    and column 0. Positive semidefinite by construction, unit diagonal for
-    unitary inputs.
-    """
-    W = np.column_stack([psi.amplitudes] + [
-        Unitary.matrix_on(U, psi.dim, f"operator {idx}") @ psi.amplitudes
-        for idx, U in enumerate(ops)])
-    return W.conj().T @ W
 
 
 def triple_correlation_bound(dA: DeltaVector, dB: DeltaVector, dC: DeltaVector) -> float:

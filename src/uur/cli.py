@@ -44,13 +44,13 @@ class RunConfig:
     dim: int | None = None
     theta_min: float | None = None
     theta_max: float | None = None
-    steps: int = scenarios.DEFAULT_STEPS
+    steps: int | None = None
     m: int | None = None
     v: float | None = None
     flavor: str | None = None
     cap: int | None = None
-    seed: int = 42
-    trials: int = 1000
+    seed: int | None = None
+    trials: int | None = None
     output: str | None = None
     format: str | None = None
 
@@ -201,7 +201,8 @@ def _triple_fields(problem: Problem, deltas: list[moments.DeltaVector]) -> dict:
 
 def _report_row(problem: Problem, theta: float) -> tuple[bounds.BoundSet, dict]:
     psi = problem.scenario.state(theta)
-    pair = moments.modulus_pair(*problem.operators[:2], psi)
+    deltas = [moments.delta_vector(U, psi) for U in problem.operators]
+    pair = moments.ModulusPair.from_deltas(*deltas[:2])
     report = bounds.bound_report(pair, m=problem.m, v=problem.v, cap=problem.cap)
     bad = report.validate()
     if bad:
@@ -216,8 +217,7 @@ def _report_row(problem: Problem, theta: float) -> tuple[bounds.BoundSet, dict]:
         "i_2": report.i_d[1],
         "i_1_prime": report.i_1_prime,
     }
-    if len(problem.operators) == 3:
-        deltas = [pair.alpha, pair.beta, moments.delta_vector(problem.operators[2], psi)]
+    if len(deltas) == 3:
         row.update(_triple_fields(problem, deltas))
     return report, row
 
@@ -376,13 +376,15 @@ def build_parser() -> argparse.ArgumentParser:
                             help="built-in example id")
         p.add_argument("--dim", type=int, help="dimension for ex1/ex2 (others are fixed)")
         p.add_argument("--theta-min", type=_angle, dest="theta_min")
-        if name == "bounds":  # one angle; a triple prints the --flavor geometric mean
+        if name == "bounds":  # one angle; a triple's JSON names the --flavor geometric mean
             p.add_argument("--flavor", choices=bounds.FLAVORS,
-                           help="geometric mean variant for triples (default plain)")
+                           help="prod_* column a triple's JSON repeats as geometric_mean "
+                                "(default plain); CSV output and operator pairs ignore it")
         else:  # a theta family; every flavor has its own column
             p.add_argument("--theta-max", type=_angle, dest="theta_max")
             p.add_argument("--steps", type=int, default=scenarios.DEFAULT_STEPS)
-        p.add_argument("--m", type=int, help="block size (default: half the dimension)")
+        p.add_argument("--m", type=int, help="block size (default: the example's own" + (
+            ", or half a file's working dimension)" if name == "bounds" else ")"))
         p.add_argument("--v", type=float, help=f"blend weight in [0, 1] (default {DEFAULT_V})")
         p.add_argument("--cap", type=int, help=f"subset search cap (default {DEFAULT_CAP})")
         p.add_argument("--output", metavar="PATH", help="write here instead of stdout")

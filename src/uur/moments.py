@@ -1,4 +1,4 @@
-"""Expectation values, delta coordinate vectors, variances, purification.
+"""Expectation values, delta coordinate vectors, variances, Gram matrices, purification.
 
 The variance convention throughout is the one natural for unitary operators:
 with dA = A - <A>, the variance is <dA^dagger dA> = 1 - |<A>|^2 on pure
@@ -123,15 +123,12 @@ class ModulusPair:
     """The nonnegative coordinate moduli x, y for an operator pair.
 
     x_i = |alpha_i| and y_i = |beta_i| where alpha, beta are the delta
-    coordinate vectors of the two operators on the shared state. All the
-    bound formulas downstream consume only x and y; the complex vectors ride
-    along for the correlation term.
+    coordinate vectors of the two operators on the shared state. The
+    pairwise bound formulas consume only x and y.
     """
 
     x: np.ndarray
     y: np.ndarray
-    alpha: DeltaVector
-    beta: DeltaVector
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)
@@ -150,19 +147,7 @@ class ModulusPair:
     @classmethod
     def from_deltas(cls, alpha: DeltaVector, beta: DeltaVector) -> "ModulusPair":
         """The moduli of two delta vectors on a shared state."""
-        return cls(x=np.abs(alpha.entries), y=np.abs(beta.entries), alpha=alpha, beta=beta)
-
-    @classmethod
-    def from_moduli(cls, x, y) -> "ModulusPair":
-        """Build a synthetic pair from bare modulus vectors (tests, `check`'s equality case)."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        return cls(
-            x=x,
-            y=y,
-            alpha=DeltaVector(entries=x.astype(complex), mean=0j),
-            beta=DeltaVector(entries=y.astype(complex), mean=0j),
-        )
+        return cls(x=np.abs(alpha.entries), y=np.abs(beta.entries))
 
 
 def expectation(A, psi: PureState) -> complex:
@@ -202,6 +187,19 @@ def variance_pure(A, psi: PureState) -> float:
 def variance_mixed(A, rho: DensityMatrix) -> float:
     """Variance 1 - |Tr(A rho)|^2 of a unitary operator on a mixed state."""
     return float(1.0 - abs(np.trace(Unitary.matrix_on(A, rho.dim) @ rho.matrix)) ** 2)
+
+
+def gram_matrix(ops, psi: PureState) -> np.ndarray:
+    """Overlap matrix of (I, U_1, ..., U_l) applied to the state.
+
+    Entry (j, k) is <U_j psi | U_k psi>; the identity is prepended as row
+    and column 0. Positive semidefinite by construction, unit diagonal for
+    unitary inputs.
+    """
+    W = np.column_stack([psi.amplitudes] + [
+        Unitary.matrix_on(U, psi.dim, f"operator {idx}") @ psi.amplitudes
+        for idx, U in enumerate(ops)])
+    return W.conj().T @ W
 
 
 def purify(rho: DensityMatrix) -> PureState:

@@ -31,15 +31,6 @@ from .bounds import SLACK, SubsetSelection
 from .moments import PureState
 
 
-@dataclass
-class SuiteResult:
-    name: str
-    trials: int
-    failures: int
-    worst: float
-    counterexample: dict | None = None
-
-
 def _encode(value):
     """JSON form of an instance field: complex arrays become [re, im] pairs."""
     if isinstance(value, list) or isinstance(value, np.ndarray) and value.ndim == 2:
@@ -49,17 +40,18 @@ def _encode(value):
     return value
 
 
-class _Recorder:
-    """Tracks the worst margin and captures the first counterexample.
+@dataclass
+class SuiteResult:
+    """A suite's worst margin, failure count and first counterexample.
 
     Instances hold raw arrays; only the captured one is encoded for JSON.
     """
 
-    def __init__(self, name: str):
-        self.name = name
-        self.failures = 0
-        self.worst = -math.inf
-        self.counterexample: dict | None = None
+    name: str
+    trials: int
+    failures: int = 0
+    worst: float = -math.inf
+    counterexample: dict | None = None
 
     def check(self, margin: float, tol: float, instance: dict, label: str):
         self.worst = max(self.worst, margin)
@@ -69,11 +61,6 @@ class _Recorder:
                 self.counterexample = dict({k: _encode(v) for k, v in instance.items()},
                                            suite=self.name, violation=label, amount=margin)
 
-    def result(self, trials: int) -> SuiteResult:
-        worst = self.worst if self.worst != -math.inf else 0.0
-        return SuiteResult(name=self.name, trials=trials, failures=self.failures,
-                           worst=worst, counterexample=self.counterexample)
-
 
 def _suite(body):
     """Turn a one-trial body(rec, seed, trial) into suite(seed, trials)."""
@@ -81,10 +68,12 @@ def _suite(body):
 
     @functools.wraps(body)
     def run(seed: int, trials: int) -> SuiteResult:
-        rec = _Recorder(name)
+        rec = SuiteResult(name, trials)
         for trial in range(trials):
             body(rec, seed, trial)
-        return rec.result(trials)
+        if rec.worst == -math.inf:  # no check ran
+            rec.worst = 0.0
+        return rec
 
     return run
 
@@ -102,7 +91,7 @@ def _instance(seed: int, trial: int, stream: int, count: int = 2,
 
 
 @_suite
-def suite_pair_chain(rec: _Recorder, seed: int, trial: int):
+def suite_pair_chain(rec: SuiteResult, seed: int, trial: int):
     """lb <= k_m <= k_m_v <= variance product, all block sizes, weight grid."""
     d, (A, B), psi, instance = _instance(seed, trial, 0)
     pair = moments.modulus_pair(A, B, psi)
@@ -120,7 +109,7 @@ def suite_pair_chain(rec: _Recorder, seed: int, trial: int):
 
 
 @_suite
-def suite_subset_chain(rec: _Recorder, seed: int, trial: int):
+def suite_subset_chain(rec: SuiteResult, seed: int, trial: int):
     """k_m <= k_tilde_m <= k_tilde <= variance product for every block size."""
     d, (A, B), psi, instance = _instance(seed, trial, 1)
     pair = moments.modulus_pair(A, B, psi)
@@ -137,7 +126,7 @@ def suite_subset_chain(rec: _Recorder, seed: int, trial: int):
 
 
 @_suite
-def suite_fine_grained_chain(rec: _Recorder, seed: int, trial: int):
+def suite_fine_grained_chain(rec: SuiteResult, seed: int, trial: int):
     """Interpolation family: endpoints and monotonicity."""
     d, (A, B), psi, instance = _instance(seed, trial, 2)
     pair = moments.modulus_pair(A, B, psi)
@@ -152,7 +141,7 @@ def suite_fine_grained_chain(rec: _Recorder, seed: int, trial: int):
 
 
 @_suite
-def suite_cross_bound_chain(rec: _Recorder, seed: int, trial: int):
+def suite_cross_bound_chain(rec: SuiteResult, seed: int, trial: int):
     """Paired cross bound: below the variance product on random states, and
     the full sandwich down to level 2 on the ex1 closed-form family."""
     d, (A, B), psi, instance = _instance(seed, trial, 3, dmin=3)
@@ -171,7 +160,7 @@ def suite_cross_bound_chain(rec: _Recorder, seed: int, trial: int):
 
 
 @_suite
-def suite_subset_oracle(rec: _Recorder, seed: int, trial: int):
+def suite_subset_oracle(rec: SuiteResult, seed: int, trial: int):
     """Subset enumeration equals brute-force permutation maximization.
 
     Every permutation's block value is the value of the subset its first m
@@ -211,7 +200,7 @@ def _raw_order_value(x2, y2, perm, m) -> float:
 
 
 @_suite
-def suite_split_symmetry(rec: _Recorder, seed: int, trial: int):
+def suite_split_symmetry(rec: SuiteResult, seed: int, trial: int):
     """Best split at block size m equals the one at n - m."""
     d, (A, B), psi, instance = _instance(seed, trial, 4, dmax=6)
     pair = moments.modulus_pair(A, B, psi)
@@ -222,22 +211,22 @@ def suite_split_symmetry(rec: _Recorder, seed: int, trial: int):
 
 
 @_suite
-def suite_gram_psd(rec: _Recorder, seed: int, trial: int):
+def suite_gram_psd(rec: SuiteResult, seed: int, trial: int):
     """Gram matrix of (I, U_1..U_l) has min eigenvalue >= -1e-10."""
     _, ops, psi, instance = _instance(seed, trial, 7, count=2 + trial % 3, dmax=6)
-    lo = float(np.min(np.linalg.eigvalsh(bounds.gram_matrix(ops, psi))))
+    lo = float(np.min(np.linalg.eigvalsh(moments.gram_matrix(ops, psi))))
     rec.check(-lo, SLACK, instance, "gram matrix not PSD")
 
 
 @_suite
-def suite_triple_bound(rec: _Recorder, seed: int, trial: int):
+def suite_triple_bound(rec: SuiteResult, seed: int, trial: int):
     """Three-operator floor sits below the triple variance product and
     differs from it by exactly the 4x4 Gram determinant."""
     _, ops, psi, instance = _instance(seed, trial, 8, count=3, dmax=6)
     deltas = [moments.delta_vector(U, psi) for U in ops]
     vp3 = math.prod(dv.variance for dv in deltas)
     rhs = bounds.triple_correlation_bound(*deltas)
-    det = float(np.real(np.linalg.det(bounds.gram_matrix(ops, psi))))
+    det = float(np.real(np.linalg.det(moments.gram_matrix(ops, psi))))
     rec.check(rhs - vp3, SLACK, instance, "triple bound exceeds product")
     rec.check(-det, SLACK, instance, "gram determinant negative")
     rec.check(abs(det - (vp3 - rhs)), 1e-9, instance,
@@ -245,7 +234,7 @@ def suite_triple_bound(rec: _Recorder, seed: int, trial: int):
 
 
 @_suite
-def suite_multi_op(rec: _Recorder, seed: int, trial: int):
+def suite_multi_op(rec: SuiteResult, seed: int, trial: int):
     """Geometric-mean bounds stay below the variance product; tilde >= plain."""
     l = 3 + trial % 2
     d, ops, psi, instance = _instance(seed, trial, 9, count=l, dmax=6)
@@ -262,7 +251,7 @@ def suite_multi_op(rec: _Recorder, seed: int, trial: int):
 
 
 @_suite
-def suite_purification(rec: _Recorder, seed: int, trial: int):
+def suite_purification(rec: SuiteResult, seed: int, trial: int):
     """Purified expectations reproduce Tr(A rho); reduced states behave as
     documented (rho on one side, its transpose on the other)."""
     rng = sampling.trial_generator(seed, trial, 10)
@@ -290,7 +279,7 @@ def suite_purification(rec: _Recorder, seed: int, trial: int):
 
 
 @_suite
-def suite_mixed_state_floor(rec: _Recorder, seed: int, trial: int):
+def suite_mixed_state_floor(rec: SuiteResult, seed: int, trial: int):
     """Mixed-state variances dominate the worst pure eigenstate, in both
     product and sum form."""
     rng = sampling.trial_generator(seed, trial, 11)
@@ -317,7 +306,7 @@ def suite_mixed_state_floor(rec: _Recorder, seed: int, trial: int):
 
 
 @_suite
-def suite_equality_case(rec: _Recorder, seed: int, trial: int):
+def suite_equality_case(rec: SuiteResult, seed: int, trial: int):
     """Block-proportional modulus pairs saturate the split bound."""
     rng = sampling.trial_generator(seed, trial, 12)
     n = 2 + trial % 7
@@ -327,7 +316,7 @@ def suite_equality_case(rec: _Recorder, seed: int, trial: int):
     block = SubsetSelection.first_block(n, m)
     instance = {"trial": trial, "dimension": n, "params": {"m": m, "k": k}}
     # Globally proportional blocks balance the cross products exactly.
-    pair = moments.ModulusPair.from_moduli(k * y, y)
+    pair = moments.ModulusPair(k * y, y)
     rec.check(abs(bounds.split_bound(pair, block) - bounds.variance_product(pair)),
               SLACK, instance, "proportional pair misses saturation")
     # A vanishing complement is the other saturating configuration.
@@ -335,13 +324,13 @@ def suite_equality_case(rec: _Recorder, seed: int, trial: int):
     yz = y.copy()
     xz[m:] = 0.0
     yz[m:] = 0.0
-    pair_z = moments.ModulusPair.from_moduli(xz, yz)
+    pair_z = moments.ModulusPair(xz, yz)
     rec.check(abs(bounds.split_bound(pair_z, block) - bounds.variance_product(pair_z)),
               SLACK, instance, "zero-complement pair misses saturation")
 
 
 @_suite
-def suite_coordinate_identities(rec: _Recorder, seed: int, trial: int):
+def suite_coordinate_identities(rec: SuiteResult, seed: int, trial: int):
     """Variance and correlation agree across all their equivalent forms."""
     d, (A, B), psi, instance = _instance(seed, trial, 5)
     pair = moments.modulus_pair(A, B, psi)

@@ -242,7 +242,7 @@ def test_criterion_08_gram_psd_and_triple():
         n_ops = 2 + trial % 3
         ops = [uur.random_unitary(gen, d) for _ in range(n_ops)]
         psi = uur.random_state(gen, d)
-        G = bounds.gram_matrix(ops, psi)
+        G = moments.gram_matrix(ops, psi)
         assert float(np.min(np.linalg.eigvalsh(G))) >= -SLACK, \
             f"trial {trial}: Gram matrix not PSD"
         if n_ops == 3:

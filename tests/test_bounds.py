@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import ast
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from conftest import random_pair
 
 
 def pair_of(x, y) -> ModulusPair:
-    return ModulusPair.from_moduli(np.array(x, float), np.array(y, float))
+    return ModulusPair(np.array(x, float), np.array(y, float))
 
 
 def subset(n, *idx) -> bounds.SubsetSelection:
@@ -350,7 +352,7 @@ def test_paired_cross_bound_below_variance_product():
 
 def test_gram_matrix_identity_op():
     psi = moments.PureState(amplitudes=np.array([1.0, 0.0], dtype=complex))
-    G = bounds.gram_matrix([np.eye(2, dtype=complex)], psi)
+    G = moments.gram_matrix([np.eye(2, dtype=complex)], psi)
     assert np.allclose(G, np.ones((2, 2)))
     assert min(np.linalg.eigvalsh(G)) == pytest.approx(0.0, abs=1e-12)
 
@@ -360,7 +362,7 @@ def test_gram_matrix_pair_entries():
     A = uur.random_unitary(gen, 3)
     B = uur.random_unitary(gen, 3)
     psi = uur.random_state(gen, 3)
-    G = bounds.gram_matrix([A, B], psi)
+    G = moments.gram_matrix([A, B], psi)
     assert G.shape == (3, 3)
     assert G[0, 1] == pytest.approx(moments.expectation(A, psi))
     assert G[0, 2] == pytest.approx(moments.expectation(B, psi))
@@ -372,7 +374,22 @@ def test_gram_matrix_pair_entries():
 def test_gram_matrix_rejects_non_unitary():
     psi = moments.PureState(amplitudes=np.array([1.0, 0.0], dtype=complex))
     with pytest.raises(errors.NotUnitary):
-        bounds.gram_matrix([np.diag([1.0, 2.0]).astype(complex)], psi)
+        moments.gram_matrix([np.diag([1.0, 2.0]).astype(complex)], psi)
+
+
+def test_bounds_imports_only_delta_vector_and_modulus_pair():
+    # Bounds read moduli and delta vectors; applying an operator to a state is moments' job.
+    tree = ast.parse(Path(bounds.__file__).read_text())
+    from_moments = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            names = {alias.name for alias in node.names}
+            assert node.module is not None or "moments" not in names
+            if node.module == "moments":
+                from_moments |= names
+    assert from_moments == {"DeltaVector", "ModulusPair"}
+    assert not hasattr(bounds, "gram_matrix")
+    assert uur.gram_matrix is moments.gram_matrix
 
 
 # --- three-operator bound ---------------------------------------------------------
@@ -401,7 +418,7 @@ def test_triple_bound_matches_gram_determinant():
         d = int(gen.integers(2, 6))
         ops = [uur.random_unitary(gen, d) for _ in range(3)]
         psi = uur.random_state(gen, d)
-        G = bounds.gram_matrix(ops, psi)
+        G = moments.gram_matrix(ops, psi)
         det = float(np.linalg.det(G).real)
         triple = math.prod(moments.variance_pure(U, psi) for U in ops)
         rhs = bounds.triple_correlation_bound(*deltas_of(ops, psi))

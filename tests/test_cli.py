@@ -46,6 +46,36 @@ def test_bounds_ex1_d2_all_bounds_coincide(capsys):
     assert max(vals) - min(vals) < 1e-10
 
 
+@pytest.mark.parametrize("example", ["ex3", "ex6"])
+def test_m_defaults_to_the_example_block_size(capsys, example):
+    # ex3 and ex6 act on n = 3 but default to m = 2, not half the dimension.
+    code, out, err = run(["bounds", "--example", example], capsys)
+    assert code == 0, err
+    doc = json.loads(out)
+    assert (doc["dimension"], doc["m"]) == (3, 2)
+    commands = next(a for a in cli.build_parser()._actions if a.dest == "command").choices
+    for name in ("bounds", "sweep", "compare"):
+        m_help = next(a.help for a in commands[name]._actions if a.dest == "m")
+        assert "the example's own" in m_help and "half the dimension" not in m_help
+
+
+def test_flavor_changes_only_the_json_geometric_mean(capsys):
+    # Every flavor has its own prod_* column; --flavor picks the one JSON repeats.
+    def outputs(argv):
+        return {flavor: run(argv + ["--flavor", flavor], capsys)[1] for flavor in bounds.FLAVORS}
+
+    csv = outputs(["bounds", "--example", "ex6", "--format", "csv"])
+    assert len(set(csv.values())) == 1
+    assert {"prod_k", "prod_k_v", "prod_k_tilde"} <= set(csv["plain"].split("\n", 1)[0].split(","))
+    assert "geometric_mean" not in csv["plain"]
+    for flavor, out in outputs(["bounds", "--example", "ex6", "--format", "json"]).items():
+        triple = json.loads(out)["triple"]
+        assert triple["geometric_mean_flavor"] == flavor
+        assert triple["geometric_mean"] == triple[cli.FLAVOR_FIELDS[flavor]]
+    for fmt in ("csv", "json"):  # an operator pair has no geometric mean at all
+        assert len(set(outputs(["bounds", "--example", "ex1", "--format", fmt]).values())) == 1
+
+
 def usage_error(args, capsys) -> str:
     """The stderr of a command argparse refuses: exit 2 and empty stdout."""
     with pytest.raises(SystemExit) as exc:

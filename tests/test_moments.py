@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import uur
-from uur import bounds, errors, linalg, moments
+from uur import errors, linalg, moments
 
 
 def test_pure_state_requires_unit_norm():
@@ -56,7 +57,7 @@ UNITARY_BOUNDARY = {
     "correlation": lambda A: moments.correlation(A, moments.sigma_x, QUBIT),
     "variance_pure": lambda A: moments.variance_pure(A, QUBIT),
     "variance_mixed": lambda A: moments.variance_mixed(A, moments.bloch_density([0.1, 0.2, 0.3])),
-    "gram_matrix": lambda A: bounds.gram_matrix([moments.sigma_x, A], QUBIT),
+    "gram_matrix": lambda A: moments.gram_matrix([moments.sigma_x, A], QUBIT),
 }
 
 
@@ -121,7 +122,7 @@ def test_a_unitary_is_neither_checked_nor_coerced_again(monkeypatch):
         monkeypatch.setattr(linalg, name, counting)
     wrapped = moments.delta_vector(U, QUBIT)
     moments.variance_mixed(U, rho)
-    bounds.gram_matrix([U, U], QUBIT)
+    moments.gram_matrix([U, U], QUBIT)
     assert calls == {"unitary_deviation": 0, "as_square_matrix": 0}
     assert wrapped.mean == raw.mean and np.array_equal(wrapped.entries, raw.entries)
     # A raw matrix is coerced once, inside the unitarity check.
@@ -150,6 +151,16 @@ def test_modulus_pair_matches_variances():
     assert np.all(pair.x >= 0) and np.all(pair.y >= 0)
 
 
+def test_modulus_pair_holds_only_the_moduli():
+    # The pairwise bounds read x and y alone; a synthetic pair is just its moduli.
+    assert [f.name for f in dataclasses.fields(moments.ModulusPair)] == ["x", "y"]
+    assert not hasattr(moments.ModulusPair, "from_moduli")
+    pair = moments.ModulusPair([3, 0], [1, 2])
+    assert pair.x.dtype == float and pair.dim == 2
+    with pytest.raises(ValueError):
+        moments.ModulusPair([1.0, -1.0], [1.0, 1.0])
+
+
 def test_correlation_coordinate_identity():
     gen = uur.trial_generator(seed=5, trial=0)
     A = uur.random_unitary(gen, 4)
@@ -157,7 +168,8 @@ def test_correlation_coordinate_identity():
     psi = uur.random_state(gen, 4)
     pair = moments.modulus_pair(A, B, psi)
     direct = moments.correlation(A, B, psi)
-    via_coords = complex(np.vdot(pair.alpha.entries, pair.beta.entries))
+    alpha, beta = moments.delta_vector(A, psi), moments.delta_vector(B, psi)
+    via_coords = complex(np.vdot(alpha.entries, beta.entries))
     assert abs(direct - via_coords) < 1e-12
     # |correlation| <= |x| |y| by Cauchy-Schwarz.
     assert abs(direct) <= math.sqrt(float(np.dot(pair.x, pair.x)) *

@@ -3,6 +3,8 @@ from __future__ import annotations
 import hashlib
 import json
 
+import numpy as np
+
 from uur import bounds, linalg, sampling, selfcheck
 
 
@@ -11,6 +13,19 @@ def _corrupt_split_bound(monkeypatch):
     real = bounds.split_bound
     monkeypatch.setattr(bounds, "split_bound",
                         lambda pair, subset: real(pair, subset) + 2e-6)
+
+
+def test_suite_result_records_the_first_counterexample():
+    # A suite whose body checks nothing reports worst 0.0, not -inf.
+    assert selfcheck._suite(lambda rec, seed, trial: None)(42, 3) == selfcheck.SuiteResult(
+        "<lambda>", 3, failures=0, worst=0.0)
+    rec = selfcheck.SuiteResult("demo", 2)
+    rec.check(-1.0, 0.0, {"trial": 0}, "fine")
+    rec.check(2.0, 0.0, {"trial": 1, "state": np.array([1j])}, "first")
+    rec.check(3.0, 0.0, {"trial": 2}, "second")
+    assert (rec.failures, rec.worst) == (2, 3.0)
+    assert rec.counterexample == {"trial": 1, "state": [[0.0, 1.0]], "suite": "demo",
+                                  "violation": "first", "amount": 2.0}
 
 
 def test_run_all_passes_with_small_trial_count():
