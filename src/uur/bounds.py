@@ -12,8 +12,9 @@ The middle quantity is the split bound; maximizing it over which indices
 form the block gives the best split bound. The search enumerates only the
 support of (x^2, y^2), and a report searches each size m <= n/2 once: a
 block and its complement give the same value. The interpolation family i_d
-and the paired cross bound are transcribed comparison bounds from the
-literature, kept byte-faithful to their published term structure.
+and the paired cross bound are transcribed comparison bounds, bit-faithful
+to their published term-by-term sums: each pair's terms are formed once,
+and each level adds them left to right in (i, j) order.
 """
 
 from __future__ import annotations
@@ -220,30 +221,36 @@ def best_split_bounds(pair: ModulusPair, cap: int = DEFAULT_CAP) -> list[tuple[f
 
 
 def fine_grained_bound(pair: ModulusPair, level: int) -> float:
-    """Level-d member of the interpolation family between the endpoints.
-
-    Level 1 is the full variance product |x|^2 |y|^2; the top level n is
-    (x . y)^2. Cross terms with both indices at or below the level enter as
-    2 x_i y_i x_j y_j; the rest keep the symmetric x_i^2 y_j^2 + x_j^2 y_i^2
-    form. The family is non-increasing in the level.
-    """
-    n = pair.dim
-    if not 1 <= level <= n:
-        raise IndexOutOfRange(f"level {level} out of range 1..{n}")
-    x, y = pair.x, pair.y
-    total = float(np.sum(pair.x ** 2 * pair.y ** 2))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if j + 1 > level:
-                total += float(x[i] ** 2 * y[j] ** 2 + x[j] ** 2 * y[i] ** 2)
-            else:
-                total += float(2.0 * x[i] * y[i] * x[j] * y[j])
-    return total
+    """One level of the interpolation family: fine_grained_sequence(pair)[level - 1]."""
+    if not 1 <= level <= pair.dim:
+        raise IndexOutOfRange(f"level {level} out of range 1..{pair.dim}")
+    return fine_grained_sequence(pair)[level - 1]
 
 
 def fine_grained_sequence(pair: ModulusPair) -> tuple[float, ...]:
-    """All levels 1..n of the interpolation family."""
-    return tuple(fine_grained_bound(pair, lev) for lev in range(1, pair.dim + 1))
+    """All levels 1..n of the interpolation family, non-increasing in the level.
+
+    Level 1 is |x|^2 |y|^2, level n is (x . y)^2; at level d a pair i < j
+    (1-based) enters as 2 x_i y_i x_j y_j if j <= d, else x_i^2 y_j^2 + x_j^2 y_i^2.
+    Each pair's terms are formed once; each level adds them with +=, left to
+    right in (i, j) order: the per-level sum's floats in its order, bit for bit.
+    np.sum (pairwise), math.fsum (exact) and sum (compensated from 3.12) move
+    bits, as does x * x (an array's x ** 2, _squares) in place of numpy's
+    scalar pow (~1 draw in 1,000); a Python float's ** raises OverflowError.
+    """
+    n = pair.dim
+    x, y = pair.x.tolist(), pair.y.tolist()
+    x2, y2 = [float(t ** 2) for t in pair.x], [float(t ** 2) for t in pair.y]
+    terms = [(j, x2[i] * y2[j] + x2[j] * y2[i], 2.0 * x[i] * y[i] * x[j] * y[j])
+             for i in range(n) for j in range(i + 1, n)]
+    diagonal = float(np.sum(pair.x ** 2 * pair.y ** 2))
+    family = []
+    for level in range(n):  # 0-based: pair (i, j) takes its cross term when j <= level
+        total = diagonal
+        for j, symmetric, cross in terms:
+            total += cross if j <= level else symmetric
+        family.append(total)
+    return tuple(family)
 
 
 def paired_cross_bound(pair: ModulusPair) -> float:
@@ -274,11 +281,12 @@ def paired_cross_bound(pair: ModulusPair) -> float:
     if n < 3:
         raise DimensionTooSmall(f"paired cross bound needs dimension >= 3, got {n}")
     x, y = pair.x, pair.y
+    x2, y2 = [float(t ** 2) for t in x], [float(t ** 2) for t in y]  # scalar pow, not x * x
     total = float(np.sum(x ** 2 * y ** 2))
     for j in range(1, n):
         for i in range(n):
             if i != j:
-                total += float(x[i] ** 2 * y[j] ** 2)
+                total += x2[i] * y2[j]
     total += float(y[0] ** 2 * np.sum(x[3:] ** 2))
     total += float(2.0 * y[0] ** 2 * x[1] * x[2])
     return total

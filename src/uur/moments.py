@@ -120,7 +120,7 @@ class DeltaVector:
 
 @dataclass(frozen=True)
 class ModulusPair:
-    """The nonnegative coordinate moduli x, y for an operator pair.
+    """The finite, nonnegative coordinate moduli x, y for an operator pair.
 
     x_i = |alpha_i| and y_i = |beta_i| where alpha, beta are the delta
     coordinate vectors of the two operators on the shared state. The
@@ -135,6 +135,8 @@ class ModulusPair:
         y = np.asarray(self.y, dtype=float)
         if x.shape != y.shape or x.ndim != 1:
             raise DimensionMismatch(f"x and y must be 1-D of equal length, got {x.shape} and {y.shape}")
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            raise ValueError("modulus vectors must be finite")
         if np.min(x) < 0 or np.min(y) < 0:
             raise ValueError("modulus vectors must be nonnegative")
         object.__setattr__(self, "x", x)

@@ -302,6 +302,64 @@ def test_fine_grained_levels_match_closed_form():
             assert abs(got - want) <= 1e-12 * max(1.0, X * Y), (trial, L, got, want)
 
 
+# The per-level loop and the cross-bound loop, term by term in numpy scalars,
+# kept verbatim as the bit-for-bit oracles of the one-pass family.
+def reference_fine_grained_bound(pair, level):
+    n = pair.dim
+    x, y = pair.x, pair.y
+    total = float(np.sum(pair.x ** 2 * pair.y ** 2))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if j + 1 > level:
+                total += float(x[i] ** 2 * y[j] ** 2 + x[j] ** 2 * y[i] ** 2)
+            else:
+                total += float(2.0 * x[i] * y[i] * x[j] * y[j])
+    return total
+
+
+def reference_paired_cross_bound(pair):
+    n = pair.dim
+    x, y = pair.x, pair.y
+    total = float(np.sum(x ** 2 * y ** 2))
+    for j in range(1, n):
+        for i in range(n):
+            if i != j:
+                total += float(x[i] ** 2 * y[j] ** 2)
+    total += float(y[0] ** 2 * np.sum(x[3:] ** 2))
+    total += float(2.0 * y[0] ** 2 * x[1] * x[2])
+    return total
+
+
+spread_modulus = st.one_of(
+    st.just(0.0),
+    st.builds(lambda mantissa, exponent: mantissa * 10.0 ** exponent,
+              st.floats(min_value=1.0, max_value=10.0), st.integers(min_value=-12, max_value=11)),
+    st.floats(min_value=1e-12, max_value=1e12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(spread_modulus, spread_modulus), min_size=1, max_size=20))
+def test_fine_grained_family_and_cross_bound_match_the_loops_bit_for_bit(entries):
+    p = pair_of(*zip(*entries))
+    want = tuple(reference_fine_grained_bound(p, L) for L in range(1, p.dim + 1))
+    assert bounds.fine_grained_sequence(p) == want
+    assert tuple(bounds.fine_grained_bound(p, L) for L in range(1, p.dim + 1)) == want
+    if p.dim >= 3:
+        assert bounds.paired_cross_bound(p) == reference_paired_cross_bound(p)
+
+
+def test_fine_grained_family_overflows_to_inf_like_the_loops():
+    # A 1e200 modulus squares to inf in numpy's scalar pow, where a Python
+    # float's ** would raise OverflowError. No zero entry, so no inf * 0.
+    p = pair_of([1e200, 2.0, 3.0, 4.0], [1.0, 1e200, 2.0, 3.0])
+    with np.errstate(over="ignore"):
+        want = tuple(reference_fine_grained_bound(p, L) for L in range(1, 5))
+        assert want == (math.inf,) * 4
+        assert bounds.fine_grained_sequence(p) == want
+        assert bounds.fine_grained_bound(p, 2) == want[1]
+        assert bounds.paired_cross_bound(p) == reference_paired_cross_bound(p) == math.inf
+
+
 def test_fine_grained_rejects_bad_level():
     p = pair_of([1, 2], [2, 1])
     for bad in (0, 3):

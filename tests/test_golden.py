@@ -17,7 +17,10 @@ of 200 and 300, and the `check` run with a corrupted split bound were
 recorded while each suite still ran its own trial loop and drew its own
 instances. The `bounds --input` reports with flags that override the file's
 params, or a --theta-min that a fixed state only echoes, were recorded
-while a problem file still loaded into its own problem type.
+while a problem file still loaded into its own problem type. The dense ex2
+reports at n = 16 (JSON) and n = 7 (CSV), which print every level of the
+interpolation family with every pair term nonzero, were recorded while each
+level still re-formed all of its pair terms.
 """
 
 from __future__ import annotations
@@ -101,6 +104,8 @@ OTHER_COMMANDS = {
     "bounds --example ex2 --dim 12": "8d21f8bd1b5c9da984808c3a8765ba372a3c358a9c50214de08aaf5a5c5a5583",
     "sweep --example ex1 --dim 16 --steps 3 --format csv": "097f153d317f4499acec1184db322739f99d317978ebf373ba923bd822f26e1e",
     "sweep --example ex1 --dim 16 --steps 3 --format json": "ffeb6fc7c0f71db0b2ccdc260ddcfe0d7f25f435a8c3b830f46c8b3cb259e9de",
+    "bounds --example ex2 --dim 16 --format json": "c99dfa668b036bdac3dc52498d2e5e59c9816479029fcb0a2ca415646e021b4c",
+    "bounds --example ex2 --dim 7 --format csv": "ef5fc5035fbc4e0547a5dc22b758e355d310357344f75fc06bbbdf5eeb03dc1e",
 }
 
 PAULI = {

@@ -161,6 +161,19 @@ def test_modulus_pair_holds_only_the_moduli():
         moments.ModulusPair([1.0, -1.0], [1.0, 1.0])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("side", ["x", "y"])
+def test_modulus_pair_refuses_non_finite_moduli(bad, side):
+    # Past this check a NaN modulus makes bound_report's split search find no
+    # block ("subset must not be empty"), and an inf one gives an all-inf
+    # report that validates; both stop here with one plain ValueError.
+    moduli = {"x": [1.0, 2.0, 3.0], "y": [3.0, 2.0, 1.0]}
+    moduli[side][1] = bad
+    with pytest.raises(ValueError, match="^modulus vectors must be finite$") as err:
+        moments.ModulusPair(**moduli)
+    assert type(err.value) is ValueError
+
+
 def test_correlation_coordinate_identity():
     gen = uur.trial_generator(seed=5, trial=0)
     A = uur.random_unitary(gen, 4)
