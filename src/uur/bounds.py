@@ -80,9 +80,11 @@ class BoundSet:
     i_d holds the full interpolation family: element k-1 is the level-(k)
     value, so i_d[0] is the variance product and i_d[-1] is lb. i_1_prime is
     None when the dimension is below 3 (its defining formula needs a third
-    coordinate).
+    coordinate). Fields are declared in the order the `bounds` JSON prints them.
     """
 
+    m: int
+    v: float
     variance_product: float
     lb: float
     k_m: float
@@ -92,8 +94,6 @@ class BoundSet:
     k_tilde_argmax: SubsetSelection
     i_d: tuple[float, ...]
     i_1_prime: float | None
-    m: int
-    v: float
 
     def validate(self) -> list[str]:
         """Return chain-invariant violations (empty list when consistent)."""
@@ -355,6 +355,8 @@ def bound_report(pair: ModulusPair, m: int, v: float = DEFAULT_V,
     k_tilde, k_tilde_argmax = max(table, key=lambda entry: entry[0])
     k_m, vp = split_bound(pair, block), variance_product(pair)
     return BoundSet(
+        m=m,
+        v=v,
         variance_product=vp,
         lb=correlation_bound(pair),
         k_m=k_m,
@@ -364,6 +366,4 @@ def bound_report(pair: ModulusPair, m: int, v: float = DEFAULT_V,
         k_tilde_argmax=k_tilde_argmax,
         i_d=fine_grained_sequence(pair),
         i_1_prime=paired_cross_bound(pair) if n >= 3 else None,
-        m=m,
-        v=v,
     )

@@ -207,16 +207,7 @@ def _report_row(problem: Problem, theta: float) -> tuple[bounds.BoundSet, dict]:
     bad = report.validate()
     if bad:
         raise _Violation(f"chain invariants failed at theta={theta!r}: " + "; ".join(bad))
-    row = {
-        "theta": theta,
-        "variance_product": report.variance_product,
-        "lb": report.lb,
-        "k_m": report.k_m,
-        "k_m_v": report.k_m_v,
-        "k_tilde": report.k_tilde,
-        "i_2": report.i_d[1],
-        "i_1_prime": report.i_1_prime,
-    }
+    row = {"theta": theta, **vars(report), "i_2": report.i_d[1]}
     if len(deltas) == 3:
         row.update(_triple_fields(problem, deltas))
     return report, row
@@ -256,25 +247,12 @@ def run_bounds(cfg: RunConfig) -> int:
     problem = _load_problem(cfg)
     theta = cfg.theta_min if cfg.theta_min is not None else problem.scenario.theta_range[0]
     report, row = _report_row(problem, theta)
-    out = {
-        "command": "bounds",
-        "source": problem.scenario.id,
-        "dimension": problem.scenario.dimension,
-        "theta": theta,
-        "m": report.m,
-        "v": report.v,
-        "variance_product": report.variance_product,
-        "lb": report.lb,
-        "k_m": report.k_m,
-        "k_m_v": report.k_m_v,
-        "k_tilde_m": report.k_tilde_m,
-        "k_tilde": report.k_tilde,
-        "k_tilde_argmax": {"m": report.k_tilde_argmax.m,
-                           "indices": list(report.k_tilde_argmax.indices)},
-        "i_d": list(report.i_d),
-        "i_1_prime": report.i_1_prime,
-        "notes": list(problem.scenario.notes),
-    }
+    # BoundSet's fields in declaration order; a key given again keeps its first position.
+    out = {"command": "bounds", "source": problem.scenario.id,
+           "dimension": problem.scenario.dimension, "theta": theta, **vars(report),
+           "k_tilde_argmax": {"m": report.k_tilde_argmax.m,
+                              "indices": list(report.k_tilde_argmax.indices)},
+           "notes": list(problem.scenario.notes)}
     if len(problem.operators) == 3:
         triple = {k: row[k] for k in TRIPLE_COLUMNS}
         triple["geometric_mean_flavor"] = problem.flavor
@@ -409,7 +387,7 @@ def main(argv=None) -> int:
     except _Violation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
-    except (UurError, OSError, json.JSONDecodeError, KeyError, ValueError, OverflowError) as exc:
+    except (OSError, ValueError, OverflowError) as exc:  # UurError, JSONDecodeError too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

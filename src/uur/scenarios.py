@@ -103,25 +103,56 @@ def _printed_a3() -> np.ndarray:
     return np.diag([1.0, np.exp(1j * np.pi / 2), np.exp(3j * np.pi / 2)]).astype(complex)
 
 
+# Each fixed example's builder returns (operators, state builder, end of the
+# theta range, notes); its dimension is the one in DEFAULT_DIMS.
+def _ex3():
+    return ((("A", _printed_a3()), ("B", shift_operator(3))), _ex3_state, math.pi,
+            ("A uses phases (1, e^(i pi/2), e^(3i pi/2)), not the d=3 clock phases",))
+
+
+def _ex4():
+    c, s = math.cos(math.pi / 8), math.sin(math.pi / 8)
+    A2 = c * np.eye(2, dtype=complex) - 1j * s * moments.sigma_y
+    B2 = c * np.eye(2, dtype=complex) + 1j * s * moments.sigma_z
+    return ((("A", moments.lift(A2)), ("B", moments.lift(B2))), _ex4_state, 2 * math.pi,
+            ("the qubit mixed state is purified to 4 dimensions and the "
+             "qubit operators act on the purified space as I (x) U",))
+
+
+def _ex5():
+    C = np.array([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]], dtype=complex)
+    return ((("A", clock_operator(4)), ("B", shift_operator(4)), ("C", C)), _ex5_state,
+            2 * math.pi, ("B repaired to the exact 4-cycle shift: the transcribed matrix "
+                          "carried two entries in one column and was not unitary",))
+
+
+def _ex6():
+    C = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
+    return ((("A", _printed_a3()), ("B", shift_operator(3)), ("C", C)), _ex6_state,
+            2 * math.pi, ("state amplitudes are normalized: the raw family "
+                          "(sqrt(2)/2 cos(t/2), sqrt(2)/2 sin(t/2), -sin(t/2)) is not "
+                          "unit length for general t",))
+
+
+_FIXED_EXAMPLES = {"ex3": _ex3, "ex4": _ex4, "ex5": _ex5, "ex6": _ex6}
+
+
 def scenario(sid: str, d: int | None = None) -> Scenario:
     """Build a named scenario, checking the dimension is one it supports."""
     if sid not in DEFAULT_DIMS:
         raise UnknownExample(f"unknown example id {sid!r}; expected ex1..ex6")
     if d is None:
         d = DEFAULT_DIMS[sid]
-
-    if sid == "ex1":
-        return Scenario(
-            id=sid, dimension=d,
-            operators=(("A", clock_operator(d)), ("B", shift_operator(d))),
-            state_builder=_ex1_state(d),
-            default_m=max(1, d // 2), theta_range=(0.0, math.pi),
-        )
-
-    if sid == "ex2":
-        if d < 3:
+    if sid in _FIXED_EXAMPLES:
+        if d != DEFAULT_DIMS[sid]:
+            kind = "qubit dimension" if sid == "ex4" else "dimension"
+            raise IncompatibleDimension(f"{sid} is fixed at {kind} {DEFAULT_DIMS[sid]}, got {d}")
+        operators, state_builder, theta_max, notes = _FIXED_EXAMPLES[sid]()
+        default_m = 2
+    else:
+        if sid == "ex2" and d < 3:
             raise IncompatibleDimension(f"ex2 needs dimension >= 3, got {d}")
-        if d == 4:
+        if sid == "ex2" and d == 4:
             # Listed d=4 matrices win over the generic family: the last
             # phase is e^{4i pi/3}, not the clock's w^3 = e^{3i pi/2}.
             A = np.diag([1.0, np.exp(1j * np.pi / 2), np.exp(1j * np.pi),
@@ -129,70 +160,13 @@ def scenario(sid: str, d: int | None = None) -> Scenario:
             notes = ("A uses the listed phase e^(4i pi/3) in the last slot, "
                      "differing from the generic clock operator",)
         else:
-            A = clock_operator(d)
-            notes = ()
-        return Scenario(
-            id=sid, dimension=d,
-            operators=(("A", A), ("B", shift_operator(d))),
-            state_builder=_ex2_state(d),
-            default_m=max(1, d // 2), theta_range=(0.0, math.pi),
-            notes=notes,
-        )
-
-    if sid == "ex3":
-        if d != 3:
-            raise IncompatibleDimension(f"ex3 is fixed at dimension 3, got {d}")
-        return Scenario(
-            id=sid, dimension=3,
-            operators=(("A", _printed_a3()), ("B", shift_operator(3))),
-            state_builder=_ex3_state,
-            default_m=2, theta_range=(0.0, math.pi),
-            notes=("A uses phases (1, e^(i pi/2), e^(3i pi/2)), "
-                   "not the d=3 clock phases",),
-        )
-
-    if sid == "ex4":
-        if d != 2:
-            raise IncompatibleDimension(f"ex4 is fixed at qubit dimension 2, got {d}")
-        c, s = math.cos(math.pi / 8), math.sin(math.pi / 8)
-        A2 = c * np.eye(2, dtype=complex) - 1j * s * moments.sigma_y
-        B2 = c * np.eye(2, dtype=complex) + 1j * s * moments.sigma_z
-        return Scenario(
-            id=sid, dimension=4,
-            operators=(("A", moments.lift(A2)), ("B", moments.lift(B2))),
-            state_builder=_ex4_state,
-            default_m=2, theta_range=(0.0, 2 * math.pi),
-            notes=("the qubit mixed state is purified to 4 dimensions and the "
-                   "qubit operators act on the purified space as I (x) U",),
-        )
-
-    if sid == "ex5":
-        if d != 4:
-            raise IncompatibleDimension(f"ex5 is fixed at dimension 4, got {d}")
-        C = np.array([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]],
-                     dtype=complex)
-        return Scenario(
-            id=sid, dimension=4,
-            operators=(("A", clock_operator(4)), ("B", shift_operator(4)), ("C", C)),
-            state_builder=_ex5_state,
-            default_m=2, theta_range=(0.0, 2 * math.pi),
-            notes=("B repaired to the exact 4-cycle shift: the transcribed matrix "
-                   "carried two entries in one column and was not unitary",),
-        )
-
-    if sid == "ex6":
-        if d != 3:
-            raise IncompatibleDimension(f"ex6 is fixed at dimension 3, got {d}")
-        C = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
-        return Scenario(
-            id=sid, dimension=3,
-            operators=(("A", _printed_a3()), ("B", shift_operator(3)), ("C", C)),
-            state_builder=_ex6_state,
-            default_m=2, theta_range=(0.0, 2 * math.pi),
-            notes=("state amplitudes are normalized: the raw family "
-                   "(sqrt(2)/2 cos(t/2), sqrt(2)/2 sin(t/2), -sin(t/2)) is not "
-                   "unit length for general t",),
-        )
+            A, notes = clock_operator(d), ()
+        operators = (("A", A), ("B", shift_operator(d)))
+        state_builder = (_ex1_state if sid == "ex1" else _ex2_state)(d)
+        theta_max, default_m = math.pi, max(1, d // 2)
+    return Scenario(id=sid, dimension=len(operators[0][1]), operators=operators,
+                    state_builder=state_builder, default_m=default_m,
+                    theta_range=(0.0, theta_max), notes=notes)
 
 
 @dataclass(frozen=True)

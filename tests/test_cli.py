@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import math
@@ -34,6 +35,16 @@ def test_bounds_json_output_satisfies_chain(capsys):
     assert doc["k_m_v"] <= doc["variance_product"] + 1e-10
     assert doc["k_tilde"] <= doc["variance_product"] + 1e-10
     assert len(doc["i_d"]) == 3
+
+
+def test_bounds_json_prints_boundset_fields_in_declaration_order(capsys):
+    # The report's keys come from the dataclass itself; reordering its fields
+    # reorders the JSON, and this test names that rather than a golden digest.
+    code, out, err = run(["bounds", "--example", "ex5", "--format", "json"], capsys)
+    assert code == 0, err
+    keys = list(json.loads(out))
+    middle = keys[keys.index("theta") + 1:keys.index("notes")]
+    assert middle == [f.name for f in dataclasses.fields(bounds.BoundSet)]
 
 
 def test_bounds_ex1_d2_all_bounds_coincide(capsys):
@@ -144,6 +155,24 @@ def test_out_of_memory_is_resource_error(capsys):
     code, out, err = run(["bounds", "--example", "ex1", "--dim", "4000000"], capsys)
     assert code == 3
     assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_program_fault_is_not_reported_as_input_error(monkeypatch):
+    # Only what input can raise exits 2; a KeyError from a fault propagates.
+    def broken(problem, theta):
+        raise KeyError("fault")
+
+    monkeypatch.setattr(cli, "_report_row", broken)
+    with pytest.raises(KeyError):
+        cli.main(["bounds", "--example", "ex1"])
+
+
+def test_overflowing_param_is_input_error(tmp_path, capsys):
+    path = tmp_path / "prob.json"
+    path.write_text(problem_text(2, params='{"v": %d}' % 10 ** 400), encoding="utf-8")
+    code, out, err = run(["bounds", "--input", str(path)], capsys)
+    assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 

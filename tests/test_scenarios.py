@@ -48,6 +48,24 @@ def test_fixed_dimension_examples_reject_other_dims():
         scenarios.scenario("ex2", 2)
 
 
+@pytest.mark.parametrize("sid, d, error, message", [
+    ("ex7", None, errors.UnknownExample, "unknown example id 'ex7'; expected ex1..ex6"),
+    ("ex1", 1, errors.DimensionTooSmall, "clock operator needs dimension >= 2, got 1"),
+    # ex2's own check runs before any operator is built.
+    ("ex2", 1, errors.IncompatibleDimension, "ex2 needs dimension >= 3, got 1"),
+    ("ex2", 2, errors.IncompatibleDimension, "ex2 needs dimension >= 3, got 2"),
+    ("ex3", 4, errors.IncompatibleDimension, "ex3 is fixed at dimension 3, got 4"),
+    ("ex4", 3, errors.IncompatibleDimension, "ex4 is fixed at qubit dimension 2, got 3"),
+    ("ex5", 3, errors.IncompatibleDimension, "ex5 is fixed at dimension 4, got 3"),
+    ("ex6", 4, errors.IncompatibleDimension, "ex6 is fixed at dimension 3, got 4"),
+])
+def test_scenario_refusals_keep_type_and_message(sid, d, error, message):
+    with pytest.raises(errors.UurError) as info:
+        scenarios.scenario(sid, d)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
 def test_all_scenarios_unit_norm_states_and_unitary_ops():
     for sid in sorted(scenarios.DEFAULT_DIMS):
         scen = scenarios.scenario(sid)
