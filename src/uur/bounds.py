@@ -27,7 +27,6 @@ import numpy as np
 
 from .errors import (
     DimensionTooSmall,
-    IndexOutOfRange,
     InvalidSubset,
     SearchSpaceTooLarge,
     WeightOutOfRange,
@@ -165,11 +164,6 @@ def _blend(k: float, vp: float, v: float) -> float:
     return v * k + (1.0 - v) * vp
 
 
-def split_bound_blend(pair: ModulusPair, subset: SubsetSelection, v: float) -> float:
-    """Convex blend v*split + (1-v)*variance_product, non-increasing in v."""
-    return _blend(split_bound(pair, subset), variance_product(pair), v)
-
-
 def _check_cap(n: int, m: int, cap: int) -> None:
     count = math.comb(n, m)
     if count > cap:
@@ -220,13 +214,6 @@ def best_split_bounds(pair: ModulusPair, cap: int = DEFAULT_CAP) -> list[tuple[f
     return [best_split_bound(pair, m, cap) for m in range(1, max(1, pair.dim // 2) + 1)]
 
 
-def fine_grained_bound(pair: ModulusPair, level: int) -> float:
-    """One level of the interpolation family: fine_grained_sequence(pair)[level - 1]."""
-    if not 1 <= level <= pair.dim:
-        raise IndexOutOfRange(f"level {level} out of range 1..{pair.dim}")
-    return fine_grained_sequence(pair)[level - 1]
-
-
 def fine_grained_sequence(pair: ModulusPair) -> tuple[float, ...]:
     """All levels 1..n of the interpolation family, non-increasing in the level.
 
@@ -272,10 +259,11 @@ def paired_cross_bound(pair: ModulusPair) -> float:
     no fixed sign: x = y = (1, 1, 0) gives i_1' = 3 < i_2 = 4. The ordering
     i_2 <= i_1' holds on the ex1 clock/shift family, not on general states.
 
-    Open: scenarios.example1_reference pairs x_2 with the last coordinate
-    x_n instead, i_1 - y_1^2 (x_2 - x_n)^2. The two forms agree at n == 3
-    only (at n == 4 they differ by up to 4.4e-2 on ex1), and which pairing
-    the published bound means is not settled here.
+    Open: the ex1 closed forms, kept beside the tests in tests/oracles.py,
+    pair x_2 with the last coordinate x_n instead, i_1 - y_1^2 (x_2 - x_n)^2.
+    The two forms agree at n == 3 only (at n == 4 they differ by up to
+    4.4e-2 on ex1), and which pairing the published bound means is not
+    settled here.
     """
     n = pair.dim
     if n < 3:

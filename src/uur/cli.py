@@ -182,6 +182,8 @@ def _theta_grid(cfg: RunConfig, scen: scenarios.Scenario) -> list[float]:
     grid = scenarios.theta_grid(lo, hi, cfg.steps)  # its steps error wins over the range one
     if lo > hi:
         raise UurError(f"theta range is empty: {lo} > {hi}")
+    if not all(map(math.isfinite, grid)):  # (hi - lo) * k can overflow
+        raise UurError(f"theta range {lo} to {hi} in {cfg.steps} steps leaves the finite range")
     return grid
 
 

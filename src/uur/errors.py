@@ -43,10 +43,6 @@ class WeightOutOfRange(UurError):
     pass
 
 
-class IndexOutOfRange(UurError):
-    pass
-
-
 class DimensionTooSmall(UurError):
     pass
 

@@ -1,4 +1,4 @@
-"""Built-in example scenarios: operators, state families, reference values.
+"""Built-in example scenarios: operators, state families, theta grids.
 
 Six named scenarios (ex1..ex6) drive the CLI sweeps. ex1 and ex2 are the
 generic clock/shift family at any dimension; ex3..ex6 are fixed-dimension
@@ -167,49 +167,6 @@ def scenario(sid: str, d: int | None = None) -> Scenario:
     return Scenario(id=sid, dimension=len(operators[0][1]), operators=operators,
                     state_builder=state_builder, default_m=default_m,
                     theta_range=(0.0, theta_max), notes=notes)
-
-
-@dataclass(frozen=True)
-class Example1Reference:
-    """Closed-form values for the ex1 family at one angle.
-
-    Transcribed slot by slot: x_1, x_d and y_1, y_2, y_d are set in that
-    order, so at d = 2 the y_2 and y_d slots collide and the later one wins.
-    The comparison tests itemize where these forms drift from the numeric
-    pipeline instead of silently reconciling them.
-    """
-
-    d: int
-    theta: float
-    x: np.ndarray
-    y: np.ndarray
-    i_1: float
-    i_2: float
-    i_d: float
-    i_1_prime: float
-
-
-def example1_reference(d: int, theta: float) -> Example1Reference:
-    """Evaluate the ex1 closed forms at one angle."""
-    if d < 2:
-        raise DimensionTooSmall(f"reference values need dimension >= 2, got {d}")
-    s, co = math.sin(theta), math.cos(theta)
-    w = abs(1.0 - np.exp(-2j * np.pi / d))
-    x = np.zeros(d)
-    y = np.zeros(d)
-    x[0] = w * abs(s * s * co)
-    x[d - 1] = w * abs(s * co * co)
-    y[0] = abs(s) ** 3
-    y[1] = abs(co)
-    y[d - 1] = abs(s * s * co)
-    w2 = w * w
-    return Example1Reference(
-        d=d, theta=theta, x=x, y=y,
-        i_1=w2 * abs(s ** 6 * co ** 2 + s ** 2 * co ** 4),
-        i_2=w2 * abs(s ** 6 * co ** 2 + s ** 2 * co ** 6),
-        i_d=w2 * abs(s ** 6 * co ** 2),
-        i_1_prime=w2 * abs(s ** 8 * co ** 2 + s ** 6 * co ** 6 + s ** 2 * co ** 4),
-    )
 
 
 def theta_grid(lo: float, hi: float, steps: int) -> list[float]:

@@ -155,7 +155,7 @@ def suite_cross_bound_chain(rec: SuiteResult, seed: int, trial: int):
     inst = {"trial": trial, "dimension": d, "example": "ex1", "theta": theta}
     rec.check(bounds.paired_cross_bound(fam) - bounds.variance_product(fam),
               SLACK, inst, "ex1: i_1_prime > variance_product")
-    rec.check(bounds.fine_grained_bound(fam, 2) - bounds.paired_cross_bound(fam),
+    rec.check(bounds.fine_grained_sequence(fam)[1] - bounds.paired_cross_bound(fam),
               SLACK, inst, "ex1: i_2 > i_1_prime")
 
 

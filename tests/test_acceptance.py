@@ -21,6 +21,8 @@ import uur
 from uur import bounds, cli, moments, scenarios
 from uur.moments import ModulusPair
 
+from oracles import example1_reference, split_bound_blend
+
 SLACK = 1e-10
 
 
@@ -46,7 +48,7 @@ def test_criterion_01_pairwise_bound_chains():
             if not lb <= k + SLACK:
                 violations.append((trial, m, "lb > k_m"))
             for v in (0.0, 0.1, 0.5, 1.0):
-                kv = bounds.split_bound_blend(
+                kv = split_bound_blend(
                     pair, bounds.SubsetSelection.first_block(d, m), v)
                 if not (k <= kv + SLACK and kv <= vp + SLACK):
                     violations.append((trial, m, f"blend chain broke at v={v}"))
@@ -106,7 +108,7 @@ def test_criterion_03_clock_shift_closed_forms():
         scen = scenarios.scenario("ex1", d)
         A, B = (M for _, M in scen.operators)
         for theta in scenarios.theta_grid(0.0, math.pi, 50):
-            ref = scenarios.example1_reference(d, theta)
+            ref = example1_reference(d, theta)
             pair = moments.modulus_pair(A, B, scen.state(theta))
             seq = bounds.fine_grained_sequence(pair)
             got = {
@@ -175,7 +177,7 @@ def test_criterion_05_qubit_purification_ordering():
     for theta in scenarios.theta_grid(0.0, 2 * math.pi, 200):
         pair = moments.modulus_pair(A, B, scen.state(theta))
         vp = bounds.variance_product(pair)
-        k2v = bounds.split_bound_blend(pair, bounds.SubsetSelection.first_block(4, 2), 0.1)
+        k2v = split_bound_blend(pair, bounds.SubsetSelection.first_block(4, 2), 0.1)
         seq = bounds.fine_grained_sequence(pair)
         lb = bounds.correlation_bound(pair)
         chain = [vp, k2v, seq[1], seq[2], seq[3], lb]

@@ -15,6 +15,7 @@ from uur import bounds, cli, errors, moments
 from uur.moments import ModulusPair
 
 from conftest import random_pair
+from oracles import fine_grained_level, split_bound_blend
 
 
 def pair_of(x, y) -> ModulusPair:
@@ -79,27 +80,27 @@ def test_split_bound_blend_endpoints():
     s = subset(3, 2)
     k = bounds.split_bound(p, s)
     norms = float(np.dot(p.x, p.x) * np.dot(p.y, p.y))
-    assert bounds.split_bound_blend(p, s, 1.0) == pytest.approx(k)
-    assert bounds.split_bound_blend(p, s, 0.0) == pytest.approx(norms)
+    assert split_bound_blend(p, s, 1.0) == pytest.approx(k)
+    assert split_bound_blend(p, s, 0.0) == pytest.approx(norms)
 
 
 def test_split_bound_blend_mid_value():
     # x = y makes the split term saturate, so every blend equals 25.
     p = pair_of([1, 2], [1, 2])
-    assert bounds.split_bound_blend(p, subset(2, 1), 0.5) == pytest.approx(25.0)
+    assert split_bound_blend(p, subset(2, 1), 0.5) == pytest.approx(25.0)
 
 
 def test_split_bound_blend_rejects_out_of_range_weight():
     p = pair_of([1, 2], [1, 2])
     for bad in (-0.1, 1.1):
         with pytest.raises(errors.WeightOutOfRange):
-            bounds.split_bound_blend(p, subset(2, 1), bad)
+            split_bound_blend(p, subset(2, 1), bad)
 
 
 def test_split_bound_blend_monotone_in_weight():
     p = pair_of([1, 2, 3, 1], [2, 1, 1, 3])
     s = subset(4, 1, 3)
-    vals = [bounds.split_bound_blend(p, s, v) for v in (0.0, 0.25, 0.5, 0.75, 1.0)]
+    vals = [split_bound_blend(p, s, v) for v in (0.0, 0.25, 0.5, 0.75, 1.0)]
     assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
 
 
@@ -266,8 +267,8 @@ def test_block_symmetry_between_m_and_complement():
 
 def test_fine_grained_worked_values():
     p = pair_of([1, 2], [2, 1])
-    assert bounds.fine_grained_bound(p, 1) == pytest.approx(25.0)
-    assert bounds.fine_grained_bound(p, 2) == pytest.approx(16.0)
+    assert fine_grained_level(p, 1) == pytest.approx(25.0)
+    assert fine_grained_level(p, 2) == pytest.approx(16.0)
 
 
 def test_fine_grained_endpoints_and_monotonicity():
@@ -343,7 +344,7 @@ def test_fine_grained_family_and_cross_bound_match_the_loops_bit_for_bit(entries
     p = pair_of(*zip(*entries))
     want = tuple(reference_fine_grained_bound(p, L) for L in range(1, p.dim + 1))
     assert bounds.fine_grained_sequence(p) == want
-    assert tuple(bounds.fine_grained_bound(p, L) for L in range(1, p.dim + 1)) == want
+    assert tuple(fine_grained_level(p, L) for L in range(1, p.dim + 1)) == want
     if p.dim >= 3:
         assert bounds.paired_cross_bound(p) == reference_paired_cross_bound(p)
 
@@ -356,15 +357,8 @@ def test_fine_grained_family_overflows_to_inf_like_the_loops():
         want = tuple(reference_fine_grained_bound(p, L) for L in range(1, 5))
         assert want == (math.inf,) * 4
         assert bounds.fine_grained_sequence(p) == want
-        assert bounds.fine_grained_bound(p, 2) == want[1]
+        assert fine_grained_level(p, 2) == want[1]
         assert bounds.paired_cross_bound(p) == reference_paired_cross_bound(p) == math.inf
-
-
-def test_fine_grained_rejects_bad_level():
-    p = pair_of([1, 2], [2, 1])
-    for bad in (0, 3):
-        with pytest.raises(errors.IndexOutOfRange):
-            bounds.fine_grained_bound(p, bad)
 
 
 # --- paired cross bound ---------------------------------------------------------
@@ -381,16 +375,16 @@ def test_paired_cross_bound_can_fall_below_level_two():
     # i_1' = 4 - 1 * (1 - 0)^2 = 3, i_2 = 4 - (1 * 1 - 1 * 1)^2 = 4.
     p = pair_of([1, 1, 0], [1, 1, 0])
     assert bounds.paired_cross_bound(p) == pytest.approx(3.0)
-    assert bounds.fine_grained_bound(p, 2) == pytest.approx(4.0)
+    assert fine_grained_level(p, 2) == pytest.approx(4.0)
 
 
 def test_paired_cross_bound_difference_identities():
     # X = Y = 15; y1^2 (x2 - x3)^2 = 4 and (x1 y2 - x2 y1)^2 = 49.
     p = pair_of([3, 1, 2, 1], [2, 3, 1, 1])
-    i_1 = bounds.fine_grained_bound(p, 1)
+    i_1 = fine_grained_level(p, 1)
     assert i_1 == pytest.approx(225.0)
     assert i_1 - bounds.paired_cross_bound(p) == pytest.approx(4.0)
-    assert i_1 - bounds.fine_grained_bound(p, 2) == pytest.approx(49.0)
+    assert i_1 - fine_grained_level(p, 2) == pytest.approx(49.0)
 
 
 def test_paired_cross_bound_requires_three_indices():
@@ -531,7 +525,7 @@ def test_geometric_mean_is_exactly_the_product_of_pairwise_bounds(n_ops):
         block = bounds.SubsetSelection.first_block(d, m)
         products = {
             "plain": math.prod(bounds.split_bound(p, block) for p in pairs),
-            "convex": math.prod(bounds.split_bound_blend(p, block, 0.3) for p in pairs),
+            "convex": math.prod(split_bound_blend(p, block, 0.3) for p in pairs),
             "tilde": math.prod(bounds.best_split_bound(p, m)[0] for p in pairs),
         }
         want = {flavor: val ** (1.0 / (n_ops - 1)) for flavor, val in products.items()}
@@ -554,6 +548,34 @@ def test_bound_report_runs_chain_on_random_instance():
     assert rep.v == pytest.approx(0.1)
     assert len(rep.i_d) == 5
     assert rep.k_tilde_argmax.m >= 1
+
+
+# A consistent report: vp 10 >= k_tilde 5 >= k_tilde_m 4 >= k_m 2 >= lb 1,
+# k_m <= k_m_v 3 <= vp, i_d falls from vp to lb. Each case breaks one link by 0.5.
+CHAIN_BASE = dict(m=1, v=0.1, variance_product=10.0, lb=1.0, k_m=2.0, k_m_v=3.0,
+                  k_tilde_m=4.0, k_tilde=5.0, k_tilde_argmax=subset(3, 1),
+                  i_d=(10.0, 6.0, 1.0), i_1_prime=7.0)
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"lb": 2.5, "i_d": (10.0, 6.0, 2.5)}, "lb > k_m"),
+    ({"k_m_v": 1.5}, "k_m > k_m_v"),
+    ({"k_m_v": 10.5}, "k_m_v > variance_product"),
+    ({"k_tilde_m": 1.5}, "k_m > k_tilde_m"),
+    ({"k_tilde_m": 5.5}, "k_tilde_m > k_tilde"),
+    ({"k_tilde": 10.5}, "k_tilde > variance_product"),
+    ({"i_d": (10.0, 6.0, 6.5, 1.0)}, "i_3 > i_2"),
+    ({"i_d": (10.5, 6.0, 1.0)}, "i_1 != variance_product"),
+    ({"i_d": (10.0, 6.0, 1.5)}, "i_n != lb"),
+])
+def test_bound_set_validate_names_each_broken_link(change, message):
+    assert bounds.BoundSet(**CHAIN_BASE).validate() == []
+    assert bounds.BoundSet(**{**CHAIN_BASE, **change}).validate() == [f"{message} by 5.000e-01"]
+
+
+def test_bound_set_validate_forgives_rounding_within_slack():
+    nudged = {"lb": 2.0 + 1e-11, "i_d": (10.0, 6.0, 2.0 + 1e-11)}
+    assert bounds.BoundSet(**{**CHAIN_BASE, **nudged}).validate() == []
 
 
 def test_bound_report_rejects_degenerate_block():
@@ -598,7 +620,7 @@ def test_split_chain_property(entries, m, v):
     s = bounds.SubsetSelection.first_block(n, m)
     corr = bounds.correlation_bound(p)
     k = bounds.split_bound(p, s)
-    kv = bounds.split_bound_blend(p, s, v)
+    kv = split_bound_blend(p, s, v)
     norms = float(np.dot(x, x) * np.dot(y, y))
     assert corr <= k + 1e-9
     assert k <= kv + 1e-9

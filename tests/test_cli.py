@@ -3,6 +3,7 @@ from __future__ import annotations
 import contextlib
 import copy
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -97,6 +98,45 @@ def usage_error(args, capsys) -> str:
     return out.err
 
 
+# SHA-256 of stdout for `uur [COMMAND] --help`, and of stderr for one usage
+# error per command, at an 80-column terminal: argparse wraps help to
+# COLUMNS. The digests come from Python 3.11's argparse; another version
+# lays out help differently.
+HELP_DIGESTS = {
+    "--help": "e33338909c819414c16dc49ce8f72f81e9fe38c25d4a1fbe908ef355e4476063",
+    "bounds --help": "6b319bac1ae0b9a9a3475efa9f7864a379368600a66d4b80c31d53821ad30c4e",
+    "sweep --help": "fb26cd6bcf5142bf7e3d8b6eff65f9569818ae5e9d81193d0edb437c52b940dc",
+    "compare --help": "3866edbb0626c1211cb40f7442fecd4b6809a1d36bb57d40150ab7e334009851",
+    "check --help": "1dc729c301c075789fec9e3f425f923924ee4b51c03ebe317c94bac0a0c8496d",
+}
+USAGE_ERROR_DIGESTS = {
+    "bounds --example ex1 --steps 3": "ca128186d89e1fdecf50efcb58a630795457eec9e02c999b8e97923de883744d",
+    "sweep --input x": "e4f9db36f0933ea63b9cdd570c45f9f4cb30077c7b9e0952ed72a937e28ec01a",
+    "compare --example ex9": "dbd71edd6128a23d2b3a6e87769bb48346ea67fa0d5d829d06e04a12b114fcd7",
+    "check --cap 1": "d4495f82daa2037fbe72af424e2856346930b8b01c62b6807fa11c58e75f4822",
+}
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("argv", sorted(HELP_DIGESTS))
+def test_help_bytes_are_pinned(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv.split())
+    out = capsys.readouterr()
+    assert (exc.value.code, out.err) == (0, "")
+    assert sha256(out.out) == HELP_DIGESTS[argv]
+
+
+@pytest.mark.parametrize("argv", sorted(USAGE_ERROR_DIGESTS))
+def test_usage_error_bytes_are_pinned(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert sha256(usage_error(argv.split(), capsys)) == USAGE_ERROR_DIGESTS[argv]
+
+
 def test_missing_source_is_input_error(capsys):
     err = usage_error(["bounds"], capsys)
     assert "--input" in err and "--example" in err
@@ -166,6 +206,22 @@ def test_program_fault_is_not_reported_as_input_error(monkeypatch):
     monkeypatch.setattr(cli, "_report_row", broken)
     with pytest.raises(KeyError):
         cli.main(["bounds", "--example", "ex1"])
+
+
+def test_broken_row_chain_exits_1_with_no_stdout(capsys, monkeypatch):
+    real = bounds.correlation_bound
+    monkeypatch.setattr(bounds, "correlation_bound", lambda pair: real(pair) + 1.0)
+    code, out, err = run(["sweep", "--example", "ex1", "--steps", "3"], capsys)
+    assert (code, out) == (1, "")
+    assert err == ("error: chain invariants failed at theta=0.0: "
+                   "lb > k_m by 1.000e+00; i_n != lb by 1.000e+00\n")
+
+
+def test_broken_triple_bound_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(bounds, "triple_correlation_bound", lambda *deltas: 5.0)
+    code, out, err = run(["bounds", "--example", "ex6"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: bong3 exceeds variance_triple by 5.000e+00\n"
 
 
 def test_overflowing_param_is_input_error(tmp_path, capsys):
@@ -497,14 +553,51 @@ def test_ragged_density_error_names_the_density_matrix(tmp_path, capsys):
     assert err == "error: density matrix: matrix rows differ in length [1, 2]\n"
 
 
+THREE_BY_THREE = json.dumps([
+    {"name": "I", "matrix": [[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]],
+                             [[0, 0], [0, 0], [1, 0]]]},
+    {"name": "P", "matrix": [[[0, 0], [0, 0], [1, 0]], [[1, 0], [0, 0], [0, 0]],
+                             [[0, 0], [1, 0], [0, 0]]]},
+])
+
+
+@pytest.mark.parametrize("document, message", [
+    (problem_text(2, '{"pure": [[1, 0]]}'), "pure state has 1 amplitudes, dimension says 2"),
+    (problem_text(2, '{"density": [[[1, 0]]]}'), "density matrix is 1x1, dimension says 2"),
+    (problem_text(2, '{"bloch": [0, 0, 0]}', dimension="3", operators=THREE_BY_THREE),
+     "bloch states require dimension 2"),
+    (problem_text(1), "need 2 or 3 operators, got 1"),
+    (problem_text(2, operators=json.dumps(PAULI_OPERATORS + PAULI_OPERATORS[:1])),
+     "need 2 or 3 operators, got 4"),
+    (problem_text(2, dimension="3"), "operator 'Z' is 2x2, dimension says 3"),
+], ids=["pure-count", "density-size", "bloch-dimension", "one-operator", "four-operators",
+        "operator-size"])
+def test_decoder_refusal_prints_its_line(tmp_path, capsys, document, message):
+    path = tmp_path / "prob.json"
+    path.write_text(document)
+    code, out, err = run(["bounds", "--input", str(path)], capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("extra, message", [
     (["--steps", "0"], "steps must be >= 1, got 0"),
     (["--theta-min", "2", "--theta-max", "1"], "theta range is empty: 2.0 > 1.0"),
     (["--steps", "0", "--theta-min", "2", "--theta-max", "1"], "steps must be >= 1, got 0"),
+    ("sweep --example ex4 --theta-max 1e308 --steps 3".split(),
+     "theta range 0.0 to 1e+308 in 3 steps leaves the finite range"),
+    ("compare --example ex5 --theta-max 1.7e308 --steps 5".split(),
+     "theta range 0.0 to 1.7e+308 in 5 steps leaves the finite range"),
+    ("sweep --example ex1 --theta-min=-1e308 --theta-max 1e308 --steps 2".split(),
+     "theta range -1e+308 to 1e+308 in 2 steps leaves the finite range"),
+    (["--steps", "0", "--theta-max", "1e308"], "steps must be >= 1, got 0"),
+    (["--theta-min", "1e308", "--theta-max=-1e308"], "theta range is empty: 1e+308 > -1e+308"),
 ])
 def test_bad_sweep_grid_is_input_error(capsys, extra, message):
-    # The steps error wins when the range is empty too.
-    code, out, err = run(["sweep", "--example", "ex5"] + extra, capsys)
+    # The steps error wins when the range is empty too, and both win over a
+    # grid whose (hi - lo) * k overflows. A case that names its command runs
+    # as given; the others extend `sweep --example ex5`.
+    argv = extra if extra[0] in ("sweep", "compare") else ["sweep", "--example", "ex5"] + extra
+    code, out, err = run(argv, capsys)
     assert code == 2
     assert out == ""
     assert err == f"error: {message}\n"
@@ -523,6 +616,12 @@ def test_non_finite_angle_is_input_error(tmp_path, capsys, argv, flag):
     value = args[args.index(flag) + 1]
     assert err.splitlines()[-1].endswith(
         f"error: argument {flag}: angle must be finite, got {value!r}")
+
+
+def test_non_number_angle_is_usage_error(capsys):
+    err = usage_error(["sweep", "--example", "ex1", "--theta-min", "abc"], capsys)
+    assert err.splitlines()[-1] == (
+        "uur sweep: error: argument --theta-min: invalid float value: 'abc'")
 
 
 @pytest.mark.parametrize("trials", [0, -1])

@@ -11,6 +11,8 @@ import pytest
 import uur
 from uur import bounds, errors, linalg, moments, scenarios
 
+from oracles import example1_reference
+
 
 def test_clock_operator_small_cases():
     assert np.allclose(scenarios.clock_operator(2), np.diag([1, -1]))
@@ -169,21 +171,21 @@ def test_ex1_internal_consistency_without_closed_forms():
 
 
 def test_example1_reference_zero_angle_vanishes():
-    ref = scenarios.example1_reference(6, 0.0)
+    ref = example1_reference(6, 0.0)
     assert max(ref.x) == 0.0
     assert ref.i_1 == ref.i_2 == ref.i_d == 0.0
 
 
 def test_example1_reference_quarter_pi_value():
     d = 6
-    ref = scenarios.example1_reference(d, math.pi / 4)
+    ref = example1_reference(d, math.pi / 4)
     expected = abs(1 - cmath.exp(-2j * math.pi / d)) ** 2 * (0.5 ** 3) * 0.5
     assert ref.i_d == pytest.approx(expected, rel=1e-12)
 
 
 def test_example1_reference_rejects_tiny_dimension():
     with pytest.raises(errors.DimensionTooSmall):
-        scenarios.example1_reference(1, 0.5)
+        example1_reference(1, 0.5)
 
 
 def test_ex1_reference_and_paired_cross_bound_pair_different_coordinates():
@@ -194,7 +196,7 @@ def test_ex1_reference_and_paired_cross_bound_pair_different_coordinates():
         A, B = (M for _, M in scen.operators)
         gap = 0.0
         for theta in scenarios.theta_grid(*scen.theta_range, 200):
-            ref = scenarios.example1_reference(d, theta)
+            ref = example1_reference(d, theta)
             x, y = ref.x, ref.y
             assert abs(ref.i_1_prime - (ref.i_1 - y[0] ** 2 * (x[1] - x[d - 1]) ** 2)) <= 1e-12
             pair = moments.modulus_pair(A, B, scen.state(theta))
