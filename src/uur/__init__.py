@@ -3,127 +3,4 @@ cross-term lower bounds on products of unitary variances, with the supporting
 moment machinery, built-in worked examples, and randomized self-checks.
 """
 
-from .bounds import (
-    BoundSet,
-    SubsetSelection,
-    best_split_bound,
-    best_split_bounds,
-    bound_report,
-    correlation_bound,
-    fine_grained_sequence,
-    geometric_mean_bound,
-    paired_cross_bound,
-    split_bound,
-    triple_correlation_bound,
-    variance_product,
-)
-from .errors import (
-    BlochVectorTooLong,
-    DimensionMismatch,
-    DimensionTooSmall,
-    IncompatibleDimension,
-    InvalidDensityMatrix,
-    InvalidSubset,
-    NoConvergence,
-    NotHermitian,
-    NotPSD,
-    NotUnitary,
-    SearchSpaceTooLarge,
-    UnknownExample,
-    UurError,
-    WeightOutOfRange,
-)
-from .linalg import (
-    hermitian_eig,
-    partial_trace,
-    psd_sqrt,
-    vec,
-)
-from .moments import (
-    DeltaVector,
-    DensityMatrix,
-    ModulusPair,
-    PureState,
-    Unitary,
-    bloch_density,
-    correlation,
-    delta_vector,
-    expectation,
-    gram_matrix,
-    lift,
-    modulus_pair,
-    purify,
-    variance_mixed,
-    variance_pure,
-)
-from .sampling import random_density, random_state, random_unitary, trial_generator
-from .scenarios import (
-    Scenario,
-    clock_operator,
-    scenario,
-    shift_operator,
-    theta_grid,
-)
-from .selfcheck import SuiteResult, run_all
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BlochVectorTooLong",
-    "BoundSet",
-    "DeltaVector",
-    "DensityMatrix",
-    "DimensionMismatch",
-    "DimensionTooSmall",
-    "IncompatibleDimension",
-    "InvalidDensityMatrix",
-    "InvalidSubset",
-    "ModulusPair",
-    "NoConvergence",
-    "NotHermitian",
-    "NotPSD",
-    "NotUnitary",
-    "PureState",
-    "Scenario",
-    "SearchSpaceTooLarge",
-    "SubsetSelection",
-    "SuiteResult",
-    "UnknownExample",
-    "Unitary",
-    "UurError",
-    "WeightOutOfRange",
-    "best_split_bound",
-    "best_split_bounds",
-    "bloch_density",
-    "bound_report",
-    "clock_operator",
-    "correlation",
-    "correlation_bound",
-    "delta_vector",
-    "expectation",
-    "fine_grained_sequence",
-    "geometric_mean_bound",
-    "gram_matrix",
-    "hermitian_eig",
-    "lift",
-    "modulus_pair",
-    "paired_cross_bound",
-    "partial_trace",
-    "psd_sqrt",
-    "purify",
-    "random_density",
-    "random_state",
-    "random_unitary",
-    "run_all",
-    "scenario",
-    "shift_operator",
-    "split_bound",
-    "theta_grid",
-    "trial_generator",
-    "triple_correlation_bound",
-    "variance_mixed",
-    "variance_product",
-    "variance_pure",
-    "vec",
-    "__version__",
-]

@@ -147,7 +147,7 @@ def _read_input_file(path: str) -> tuple[object, scenarios.Scenario]:
         named = [(name, moments.lift(M)) for name, M in named]
         notes = ("mixed state purified; operators lifted to the doubled space",)
     return doc.get("params", {}), scenarios.Scenario(
-        id=path, dimension=psi.dim, operators=tuple(named), state_builder=lambda theta: psi,
+        id=path, dimension=psi.dim, operators=tuple(named), state=lambda theta: psi,
         default_m=max(1, psi.dim // 2), theta_range=(0.0, 0.0), notes=notes)
 
 

@@ -3,7 +3,7 @@
 Six named scenarios (ex1..ex6) drive the CLI sweeps. ex1 and ex2 are the
 generic clock/shift family at any dimension; ex3..ex6 are fixed-dimension
 setups with explicitly listed matrices. Scenario values are immutable;
-state builders are pure functions of the sweep angle.
+a scenario's `state` is a pure function of the sweep angle.
 """
 
 from __future__ import annotations
@@ -43,13 +43,10 @@ class Scenario:
     id: str
     dimension: int
     operators: tuple[tuple[str, np.ndarray], ...]
-    state_builder: Callable[[float], PureState]
+    state: Callable[[float], PureState]
     default_m: int
     theta_range: tuple[float, float]
     notes: tuple[str, ...] = field(default=())
-
-    def state(self, theta: float) -> PureState:
-        return self.state_builder(theta)
 
 
 def _ex1_state(d: int):
@@ -103,7 +100,7 @@ def _printed_a3() -> np.ndarray:
     return np.diag([1.0, np.exp(1j * np.pi / 2), np.exp(3j * np.pi / 2)]).astype(complex)
 
 
-# Each fixed example's builder returns (operators, state builder, end of the
+# Each fixed example's builder returns (operators, state family, end of the
 # theta range, notes); its dimension is the one in DEFAULT_DIMS.
 def _ex3():
     return ((("A", _printed_a3()), ("B", shift_operator(3))), _ex3_state, math.pi,
@@ -147,7 +144,7 @@ def scenario(sid: str, d: int | None = None) -> Scenario:
         if d != DEFAULT_DIMS[sid]:
             kind = "qubit dimension" if sid == "ex4" else "dimension"
             raise IncompatibleDimension(f"{sid} is fixed at {kind} {DEFAULT_DIMS[sid]}, got {d}")
-        operators, state_builder, theta_max, notes = _FIXED_EXAMPLES[sid]()
+        operators, state, theta_max, notes = _FIXED_EXAMPLES[sid]()
         default_m = 2
     else:
         if sid == "ex2" and d < 3:
@@ -162,10 +159,10 @@ def scenario(sid: str, d: int | None = None) -> Scenario:
         else:
             A, notes = clock_operator(d), ()
         operators = (("A", A), ("B", shift_operator(d)))
-        state_builder = (_ex1_state if sid == "ex1" else _ex2_state)(d)
+        state = (_ex1_state if sid == "ex1" else _ex2_state)(d)
         theta_max, default_m = math.pi, max(1, d // 2)
     return Scenario(id=sid, dimension=len(operators[0][1]), operators=operators,
-                    state_builder=state_builder, default_m=default_m,
+                    state=state, default_m=default_m,
                     theta_range=(0.0, theta_max), notes=notes)
 
 

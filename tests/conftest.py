@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-import uur
+from uur import sampling
 
 _ACCEPTANCE: dict[str, str] = {}
 
@@ -32,24 +32,24 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 @pytest.fixture
 def rng():
-    return uur.trial_generator(seed=1234, trial=0)
+    return sampling.trial_generator(seed=1234, trial=0)
 
 
 @pytest.fixture
 def pair_case():
     """A generic unitary pair and state in dimension 4, fixed seed."""
-    gen = uur.trial_generator(seed=99, trial=0)
-    A = uur.random_unitary(gen, 4)
-    B = uur.random_unitary(gen, 4)
-    psi = uur.random_state(gen, 4)
+    gen = sampling.trial_generator(seed=99, trial=0)
+    A = sampling.random_unitary(gen, 4)
+    B = sampling.random_unitary(gen, 4)
+    psi = sampling.random_state(gen, 4)
     return A, B, psi
 
 
 def random_pair(seed: int, trial: int, dim: int):
-    gen = uur.trial_generator(seed=seed, trial=trial)
-    A = uur.random_unitary(gen, dim)
-    B = uur.random_unitary(gen, dim)
-    psi = uur.random_state(gen, dim)
+    gen = sampling.trial_generator(seed=seed, trial=trial)
+    A = sampling.random_unitary(gen, dim)
+    B = sampling.random_unitary(gen, dim)
+    psi = sampling.random_state(gen, dim)
     return A, B, psi
 
 

@@ -17,8 +17,7 @@ import math
 import numpy as np
 import pytest
 
-import uur
-from uur import bounds, cli, moments, scenarios
+from uur import bounds, cli, linalg, moments, sampling, scenarios
 from uur.moments import ModulusPair
 
 from oracles import example1_reference, split_bound_blend
@@ -27,11 +26,11 @@ SLACK = 1e-10
 
 
 def _instance(seed: int, trial: int, dmin=2, dmax=8):
-    gen = uur.trial_generator(seed=seed, trial=trial)
+    gen = sampling.trial_generator(seed=seed, trial=trial)
     d = dmin + trial % (dmax - dmin + 1)
-    A = uur.random_unitary(gen, d)
-    B = uur.random_unitary(gen, d)
-    psi = uur.random_state(gen, d)
+    A = sampling.random_unitary(gen, d)
+    B = sampling.random_unitary(gen, d)
+    psi = sampling.random_state(gen, d)
     return A, B, psi, d
 
 
@@ -187,7 +186,7 @@ def test_criterion_05_qubit_purification_ordering():
 
 def test_criterion_06_purification_identities():
     for trial in range(200):
-        gen = uur.trial_generator(seed=106, trial=trial)
+        gen = sampling.trial_generator(seed=106, trial=trial)
         r = gen.uniform(-1.0, 1.0, size=3)
         norm = np.linalg.norm(r)
         if norm >= 1.0:
@@ -196,15 +195,15 @@ def test_criterion_06_purification_identities():
         psi = moments.purify(rho)
         proj = np.outer(psi.amplitudes, psi.amplitudes.conj())
         for _ in range(20):
-            U = uur.random_unitary(gen, 2)
+            U = sampling.random_unitary(gen, 2)
             got = moments.expectation(moments.lift(U), psi)
             want = complex(np.trace(U @ rho.matrix))
             assert abs(got - want) <= 1e-10, \
                 f"trial {trial}: lifted expectation off by {abs(got - want):.3e}"
         # keep="second" traces out the first factor, keep="first" the second.
         # For vec(sqrt(rho)) they give rho and its transpose (see purify).
-        second = uur.partial_trace(proj, keep="second")
-        first = uur.partial_trace(proj, keep="first")
+        second = linalg.partial_trace(proj, keep="second")
+        first = linalg.partial_trace(proj, keep="first")
         dev = float(np.max(np.abs(second - rho.matrix)))
         assert dev <= 1e-9, \
             f"trial {trial}: tracing out the first factor misses rho by {dev:.3e}"
@@ -215,14 +214,14 @@ def test_criterion_06_purification_identities():
 
 def test_criterion_07_mixed_state_floor():
     for trial in range(500):
-        gen = uur.trial_generator(seed=107, trial=trial)
+        gen = sampling.trial_generator(seed=107, trial=trial)
         d = 2 + trial % 3
-        rho = uur.random_density(gen, d)
-        A = uur.random_unitary(gen, d)
-        B = uur.random_unitary(gen, d)
+        rho = sampling.random_density(gen, d)
+        A = sampling.random_unitary(gen, d)
+        B = sampling.random_unitary(gen, d)
         va = moments.variance_mixed(A, rho)
         vb = moments.variance_mixed(B, rho)
-        dec = uur.hermitian_eig(rho.matrix)
+        dec = linalg.hermitian_eig(rho.matrix)
         prods, sums = [], []
         for k in range(d):
             vec = dec.eigenvectors[:, k]
@@ -239,11 +238,11 @@ def test_criterion_07_mixed_state_floor():
 
 def test_criterion_08_gram_psd_and_triple():
     for trial in range(500):
-        gen = uur.trial_generator(seed=108, trial=trial)
+        gen = sampling.trial_generator(seed=108, trial=trial)
         d = 2 + trial % 5
         n_ops = 2 + trial % 3
-        ops = [uur.random_unitary(gen, d) for _ in range(n_ops)]
-        psi = uur.random_state(gen, d)
+        ops = [sampling.random_unitary(gen, d) for _ in range(n_ops)]
+        psi = sampling.random_state(gen, d)
         G = moments.gram_matrix(ops, psi)
         assert float(np.min(np.linalg.eigvalsh(G))) >= -SLACK, \
             f"trial {trial}: Gram matrix not PSD"
@@ -257,10 +256,10 @@ def test_criterion_08_gram_psd_and_triple():
 def test_criterion_09_geometric_mean_products():
     for n_ops in (3, 4):
         for trial in range(300):
-            gen = uur.trial_generator(seed=109 + n_ops, trial=trial)
+            gen = sampling.trial_generator(seed=109 + n_ops, trial=trial)
             d = 2 + trial % 5
-            ops = [uur.random_unitary(gen, d) for _ in range(n_ops)]
-            psi = uur.random_state(gen, d)
+            ops = [sampling.random_unitary(gen, d) for _ in range(n_ops)]
+            psi = sampling.random_state(gen, d)
             m = 1 + trial % max(1, d // 2)
             deltas = [moments.delta_vector(U, psi) for U in ops]
             product = math.prod(moments.variance_pure(U, psi) for U in ops)
@@ -274,11 +273,11 @@ def test_criterion_09_geometric_mean_products():
 
 def test_criterion_10_permutation_oracle():
     for trial in range(100):
-        gen = uur.trial_generator(seed=110, trial=trial)
+        gen = sampling.trial_generator(seed=110, trial=trial)
         n = 2 + trial % 5
-        A = uur.random_unitary(gen, n)
-        B = uur.random_unitary(gen, n)
-        psi = uur.random_state(gen, n)
+        A = sampling.random_unitary(gen, n)
+        B = sampling.random_unitary(gen, n)
+        psi = sampling.random_state(gen, n)
         pair = moments.modulus_pair(A, B, psi)
         x2 = pair.x.astype(float) ** 2
         y2 = pair.y.astype(float) ** 2

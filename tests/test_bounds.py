@@ -10,8 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import uur
-from uur import bounds, cli, errors, moments
+from uur import bounds, cli, errors, moments, sampling
 from uur.moments import ModulusPair
 
 from conftest import random_pair
@@ -119,7 +118,7 @@ def test_best_split_bound_tie_picks_lexicographic():
 
 
 def test_best_split_bound_beats_first_block():
-    gen = uur.trial_generator(seed=11, trial=0)
+    gen = sampling.trial_generator(seed=11, trial=0)
     for trial in range(20):
         A, B, psi = random_pair(11, trial, 5)
         p = moments.modulus_pair(A, B, psi)
@@ -410,10 +409,10 @@ def test_gram_matrix_identity_op():
 
 
 def test_gram_matrix_pair_entries():
-    gen = uur.trial_generator(seed=61, trial=0)
-    A = uur.random_unitary(gen, 3)
-    B = uur.random_unitary(gen, 3)
-    psi = uur.random_state(gen, 3)
+    gen = sampling.trial_generator(seed=61, trial=0)
+    A = sampling.random_unitary(gen, 3)
+    B = sampling.random_unitary(gen, 3)
+    psi = sampling.random_state(gen, 3)
     G = moments.gram_matrix([A, B], psi)
     assert G.shape == (3, 3)
     assert G[0, 1] == pytest.approx(moments.expectation(A, psi))
@@ -441,24 +440,24 @@ def test_bounds_imports_only_delta_vector_and_modulus_pair():
                 from_moments |= names
     assert from_moments == {"DeltaVector", "ModulusPair"}
     assert not hasattr(bounds, "gram_matrix")
-    assert uur.gram_matrix is moments.gram_matrix
+    assert moments.gram_matrix is moments.gram_matrix
 
 
 # --- three-operator bound ---------------------------------------------------------
 
 def test_triple_correlation_bound_identity_factor_vanishes():
-    gen = uur.trial_generator(seed=71, trial=0)
-    A = uur.random_unitary(gen, 4)
-    B = uur.random_unitary(gen, 4)
-    psi = uur.random_state(gen, 4)
+    gen = sampling.trial_generator(seed=71, trial=0)
+    A = sampling.random_unitary(gen, 4)
+    B = sampling.random_unitary(gen, 4)
+    psi = sampling.random_state(gen, 4)
     val = bounds.triple_correlation_bound(*deltas_of([A, B, np.eye(4, dtype=complex)], psi))
     assert val == pytest.approx(0.0, abs=1e-12)
 
 
 def test_triple_correlation_bound_equal_operators_saturate():
-    gen = uur.trial_generator(seed=72, trial=0)
-    A = uur.random_unitary(gen, 4)
-    psi = uur.random_state(gen, 4)
+    gen = sampling.trial_generator(seed=72, trial=0)
+    A = sampling.random_unitary(gen, 4)
+    psi = sampling.random_state(gen, 4)
     var = moments.variance_pure(A, psi)
     val = bounds.triple_correlation_bound(*deltas_of([A, A, A], psi))
     assert val == pytest.approx(var ** 3, abs=1e-10)
@@ -466,10 +465,10 @@ def test_triple_correlation_bound_equal_operators_saturate():
 
 def test_triple_bound_matches_gram_determinant():
     for trial in range(30):
-        gen = uur.trial_generator(seed=73, trial=trial)
+        gen = sampling.trial_generator(seed=73, trial=trial)
         d = int(gen.integers(2, 6))
-        ops = [uur.random_unitary(gen, d) for _ in range(3)]
-        psi = uur.random_state(gen, d)
+        ops = [sampling.random_unitary(gen, d) for _ in range(3)]
+        psi = sampling.random_state(gen, d)
         G = moments.gram_matrix(ops, psi)
         det = float(np.linalg.det(G).real)
         triple = math.prod(moments.variance_pure(U, psi) for U in ops)
@@ -481,30 +480,30 @@ def test_triple_bound_matches_gram_determinant():
 # --- multi-operator geometric mean --------------------------------------------------
 
 def test_geometric_mean_two_ops_reduces_to_pairwise():
-    gen = uur.trial_generator(seed=81, trial=0)
-    A = uur.random_unitary(gen, 4)
-    B = uur.random_unitary(gen, 4)
-    psi = uur.random_state(gen, 4)
+    gen = sampling.trial_generator(seed=81, trial=0)
+    A = sampling.random_unitary(gen, 4)
+    B = sampling.random_unitary(gen, 4)
+    psi = sampling.random_state(gen, 4)
     pairwise = bounds.split_bound(moments.modulus_pair(A, B, psi),
                                   bounds.SubsetSelection.first_block(4, 2))
     assert bounds.geometric_mean_bound(deltas_of([A, B], psi), 2, 0.1)["plain"] == pytest.approx(pairwise)
 
 
 def test_geometric_mean_identity_op_kills_bound():
-    gen = uur.trial_generator(seed=82, trial=0)
-    A = uur.random_unitary(gen, 4)
-    B = uur.random_unitary(gen, 4)
-    psi = uur.random_state(gen, 4)
+    gen = sampling.trial_generator(seed=82, trial=0)
+    A = sampling.random_unitary(gen, 4)
+    B = sampling.random_unitary(gen, 4)
+    psi = sampling.random_state(gen, 4)
     val = bounds.geometric_mean_bound(deltas_of([A, B, np.eye(4, dtype=complex)], psi), 2, 1.0)["plain"]
     assert val == pytest.approx(0.0, abs=1e-12)
 
 
 def test_geometric_mean_flavors_all_below_product():
     for trial in range(20):
-        gen = uur.trial_generator(seed=83, trial=trial)
+        gen = sampling.trial_generator(seed=83, trial=trial)
         d = int(gen.integers(3, 6))
-        ops = [uur.random_unitary(gen, d) for _ in range(3)]
-        psi = uur.random_state(gen, d)
+        ops = [sampling.random_unitary(gen, d) for _ in range(3)]
+        psi = sampling.random_state(gen, d)
         product = math.prod(moments.variance_pure(U, psi) for U in ops)
         vals = bounds.geometric_mean_bound(deltas_of(ops, psi), max(1, d // 2), 0.1)
         for val in vals.values():
@@ -516,11 +515,11 @@ def test_geometric_mean_is_exactly_the_product_of_pairwise_bounds(n_ops):
     # Each flavor multiplies its pairwise quantity in combinations order and
     # takes the (l-1)-th root, bit for bit.
     for trial in range(12):
-        gen = uur.trial_generator(seed=84, trial=trial)
+        gen = sampling.trial_generator(seed=84, trial=trial)
         d = 2 + trial % 4
         m = 1 + trial % d
-        ops = [uur.random_unitary(gen, d) for _ in range(n_ops)]
-        psi = uur.random_state(gen, d)
+        ops = [sampling.random_unitary(gen, d) for _ in range(n_ops)]
+        psi = sampling.random_state(gen, d)
         pairs = [moments.modulus_pair(A, B, psi) for A, B in itertools.combinations(ops, 2)]
         block = bounds.SubsetSelection.first_block(d, m)
         products = {

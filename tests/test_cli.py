@@ -15,8 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import uur
-from uur import bounds, cli, linalg, moments
+from uur import bounds, cli, linalg, moments, scenarios
 
 
 def run(args, capsys):
@@ -236,8 +235,8 @@ def test_pure_json_input_round_trip(tmp_path, capsys):
     # Clock and shift in dimension 3, with the state from the first example.
     theta = 1.0
     amps = [[math.cos(theta), 0.0], [0.0, 0.0], [-math.sin(theta), 0.0]]
-    clock = uur.clock_operator(3)
-    shift = uur.shift_operator(3)
+    clock = scenarios.clock_operator(3)
+    shift = scenarios.shift_operator(3)
     enc = lambda M: [[[float(z.real), float(z.imag)] for z in row] for row in M]
     doc = {
         "dimension": 3,
@@ -377,12 +376,12 @@ def test_sweep_csv_round_trip(tmp_path, capsys):
     assert header == ["theta", "variance_product", "lb", "k_m", "k_m_v",
                       "k_tilde", "i_2", "i_1_prime"]
     assert len(lines) == 8
-    scen = uur.scenario("ex1", 3)
+    scen = scenarios.scenario("ex1", 3)
     A, B = (M for _, M in scen.operators)
     for line in lines[1:]:
         cells = dict(zip(header, line.split(",")))
         theta = float(cells["theta"])
-        vp = uur.variance_product(moments.modulus_pair(A, B, scen.state(theta)))
+        vp = bounds.variance_product(moments.modulus_pair(A, B, scen.state(theta)))
         # 17 significant digits round-trip exactly through the CSV.
         assert float(cells["variance_product"]) == vp
 

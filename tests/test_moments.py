@@ -6,8 +6,7 @@ import math
 import numpy as np
 import pytest
 
-import uur
-from uur import errors, linalg, moments
+from uur import errors, linalg, moments, sampling
 
 
 def test_pure_state_requires_unit_norm():
@@ -34,11 +33,11 @@ def test_expectation_and_variance_on_eigenvector():
 
 
 def test_variance_never_exceeds_one():
-    gen = uur.trial_generator(seed=2, trial=0)
+    gen = sampling.trial_generator(seed=2, trial=0)
     for _ in range(50):
         d = int(gen.integers(2, 6))
-        U = uur.random_unitary(gen, d)
-        psi = uur.random_state(gen, d)
+        U = sampling.random_unitary(gen, d)
+        psi = sampling.random_state(gen, d)
         var = moments.variance_pure(U, psi)
         assert -1e-12 <= var <= 1.0 + 1e-12
 
@@ -131,9 +130,9 @@ def test_a_unitary_is_neither_checked_nor_coerced_again(monkeypatch):
 
 
 def test_delta_vector_is_orthogonal_shift():
-    gen = uur.trial_generator(seed=3, trial=0)
-    U = uur.random_unitary(gen, 3)
-    psi = uur.random_state(gen, 3)
+    gen = sampling.trial_generator(seed=3, trial=0)
+    U = sampling.random_unitary(gen, 3)
+    psi = sampling.random_state(gen, 3)
     dv = moments.delta_vector(U, psi)
     # <psi| (U - <U>) |psi> = 0 by construction.
     assert abs(np.vdot(psi.amplitudes, dv.entries)) < 1e-12
@@ -141,10 +140,10 @@ def test_delta_vector_is_orthogonal_shift():
 
 
 def test_modulus_pair_matches_variances():
-    gen = uur.trial_generator(seed=4, trial=0)
-    A = uur.random_unitary(gen, 4)
-    B = uur.random_unitary(gen, 4)
-    psi = uur.random_state(gen, 4)
+    gen = sampling.trial_generator(seed=4, trial=0)
+    A = sampling.random_unitary(gen, 4)
+    B = sampling.random_unitary(gen, 4)
+    psi = sampling.random_state(gen, 4)
     pair = moments.modulus_pair(A, B, psi)
     assert float(np.dot(pair.x, pair.x)) == pytest.approx(moments.variance_pure(A, psi))
     assert float(np.dot(pair.y, pair.y)) == pytest.approx(moments.variance_pure(B, psi))
@@ -175,10 +174,10 @@ def test_modulus_pair_refuses_non_finite_moduli(bad, side):
 
 
 def test_correlation_coordinate_identity():
-    gen = uur.trial_generator(seed=5, trial=0)
-    A = uur.random_unitary(gen, 4)
-    B = uur.random_unitary(gen, 4)
-    psi = uur.random_state(gen, 4)
+    gen = sampling.trial_generator(seed=5, trial=0)
+    A = sampling.random_unitary(gen, 4)
+    B = sampling.random_unitary(gen, 4)
+    psi = sampling.random_state(gen, 4)
     pair = moments.modulus_pair(A, B, psi)
     direct = moments.correlation(A, B, psi)
     alpha, beta = moments.delta_vector(A, psi), moments.delta_vector(B, psi)
@@ -197,19 +196,19 @@ def test_variance_mixed_pure_case_agrees():
 
 
 def test_purify_reproduces_density_and_expectations():
-    gen = uur.trial_generator(seed=6, trial=0)
-    rho = uur.random_density(gen, 3)
+    gen = sampling.trial_generator(seed=6, trial=0)
+    rho = sampling.random_density(gen, 3)
     psi = moments.purify(rho)
     assert psi.dim == 9
-    kept = uur.partial_trace(np.outer(psi.amplitudes, psi.amplitudes.conj()),
-                             keep="second")
+    kept = linalg.partial_trace(np.outer(psi.amplitudes, psi.amplitudes.conj()),
+                                keep="second")
     assert np.max(np.abs(kept - rho.matrix)) < 1e-12
     # The other trace gives the transpose, not rho itself.
-    other = uur.partial_trace(np.outer(psi.amplitudes, psi.amplitudes.conj()),
-                              keep="first")
+    other = linalg.partial_trace(np.outer(psi.amplitudes, psi.amplitudes.conj()),
+                                 keep="first")
     assert np.max(np.abs(other - rho.matrix.T)) < 1e-12
     for _ in range(3):
-        U = uur.random_unitary(gen, 3)
+        U = sampling.random_unitary(gen, 3)
         lifted = moments.lift(U)
         assert moments.expectation(lifted, psi) == pytest.approx(
             complex(np.trace(U @ rho.matrix)), abs=1e-12)
@@ -222,8 +221,8 @@ def test_purification_of_qubit_mixture_components():
     # purification has one zero amplitude pattern fixed by the square root.
     rho = moments.bloch_density([1 / 3, 2 / 3, 0.0])
     psi = moments.purify(rho)
-    recon = uur.partial_trace(np.outer(psi.amplitudes, psi.amplitudes.conj()),
-                              keep="second")
+    recon = linalg.partial_trace(np.outer(psi.amplitudes, psi.amplitudes.conj()),
+                                 keep="second")
     assert np.max(np.abs(recon - rho.matrix)) < 1e-12
 
 

@@ -1,18 +1,32 @@
-"""The package's public namespace: `from uur import *` exports what `uur` imports."""
+"""The package root names nothing but its version: each function and class is `uur.<module>.<name>`.
+
+The README's library example is run here, so a rename cannot leave it stale.
+"""
 
 from __future__ import annotations
 
-import ast
+import json
+import re
+import subprocess
+import sys
 from pathlib import Path
 
-import uur
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 
-def test_all_lists_exactly_the_imported_names():
-    tree = ast.parse(Path(uur.__file__).read_text())
-    imported = {alias.asname or alias.name
-                for node in tree.body if isinstance(node, ast.ImportFrom) and node.level
-                for alias in node.names}
-    assert set(uur.__all__) == imported | {"__version__"}
-    assert len(uur.__all__) == len(set(uur.__all__))
-    assert [name for name in uur.__all__ if not hasattr(uur, name)] == []
+def test_import_uur_exposes_only_the_version():
+    # A fresh interpreter: in this one, imported submodules are attributes of the package.
+    probe = ("import json, uur; print(json.dumps([uur.__file__, uur.__version__, "
+             "sorted(n for n in vars(uur) if not n.startswith('_'))]))")
+    out = subprocess.run([sys.executable, "-c", probe], cwd=SRC, check=True,
+                         capture_output=True, text=True).stdout
+    path, version, public = json.loads(out)
+    assert Path(path).resolve().parent == SRC / "uur"
+    assert (version, public) == ("0.1.0", [])
+
+
+def test_readme_library_example_runs():
+    blocks = re.findall(r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(), re.M | re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})  # the example asserts its own report

@@ -8,8 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import uur
-from uur import bounds, errors, linalg, moments, scenarios
+from uur import bounds, cli, errors, linalg, moments, scenarios
 
 from oracles import example1_reference
 
@@ -61,11 +60,14 @@ def test_fixed_dimension_examples_reject_other_dims():
     ("ex5", 3, errors.IncompatibleDimension, "ex5 is fixed at dimension 4, got 3"),
     ("ex6", 4, errors.IncompatibleDimension, "ex6 is fixed at dimension 3, got 4"),
 ])
-def test_scenario_refusals_keep_type_and_message(sid, d, error, message):
+def test_scenario_refusals_keep_type_and_message(sid, d, error, message, capsys):
     with pytest.raises(errors.UurError) as info:
         scenarios.scenario(sid, d)
     assert type(info.value) is error
     assert str(info.value) == message
+    if sid in scenarios.DEFAULT_DIMS:  # argparse refuses any other --example first
+        assert cli.main(["bounds", "--example", sid, "--dim", str(d)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_all_scenarios_unit_norm_states_and_unitary_ops():
@@ -117,8 +119,8 @@ def test_ex4_state_is_purified_bloch_family():
     scen = scenarios.scenario("ex4")
     psi = scen.state(0.7)
     rho = moments.bloch_density([1 / 3, 2 / 3 * math.cos(0.7), 2 / 3 * math.sin(0.7)])
-    kept = uur.partial_trace(np.outer(psi.amplitudes, psi.amplitudes.conj()),
-                             keep="second")
+    kept = linalg.partial_trace(np.outer(psi.amplitudes, psi.amplitudes.conj()),
+                                keep="second")
     assert np.max(np.abs(kept - rho.matrix)) < 1e-12
 
 
