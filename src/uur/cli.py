@@ -7,6 +7,8 @@ Commands
     check    the seeded randomized invariant suites
 
 Exit codes: 0 ok, 1 invariant violation, 2 input error, 3 search cap or memory.
+Every `main` call in a process parses with one argument parser, built on the
+first call and never mutated; it holds no input and no result.
 Output is deterministic byte for byte for a fixed configuration; floats are
 printed with 17 significant digits so CSV round-trips are exact.
 """
@@ -14,6 +16,7 @@ printed with 17 significant digits so CSV round-trips are exact.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -337,7 +340,10 @@ def _angle(text: str) -> float:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one `uur` parser of a process, never mutated; argparse reads COLUMNS
+    and the output streams when it prints help or an error, not here."""
     parser = argparse.ArgumentParser(
         prog="uur",
         description="Variance lower bounds for unitary operator pairs and triples.")

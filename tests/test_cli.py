@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import contextlib
 import copy
 import dataclasses
@@ -16,6 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uur import bounds, cli, linalg, moments, scenarios
+
+import test_golden
 
 
 def run(args, capsys):
@@ -134,6 +137,75 @@ def test_help_bytes_are_pinned(capsys, monkeypatch, argv):
 def test_usage_error_bytes_are_pinned(capsys, monkeypatch, argv):
     monkeypatch.setenv("COLUMNS", "80")
     assert sha256(usage_error(argv.split(), capsys)) == USAGE_ERROR_DIGESTS[argv]
+
+
+# One parser serves every cli.main call in a process. These tests hold for a
+# parser built on first use or at import alike.
+def test_main_builds_parsers_only_in_its_first_call(capsys, monkeypatch):
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    counts = []
+    for argv in ("bounds --example ex1", "sweep --example ex5 --steps 2", "check --trials 1"):
+        before = len(built)
+        assert run(argv.split(), capsys)[0] == 0
+        counts.append(len(built) - before)
+    assert counts[1:] == [0, 0]
+
+
+def test_a_flag_does_not_carry_into_the_next_command(monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "run_bounds", lambda cfg: seen.append(cfg) or 0)
+    assert cli.main(["bounds", "--example", "ex1", "--m", "3"]) == 0
+    assert cli.main(["bounds", "--example", "ex1"]) == 0
+    assert seen[0].m == 3
+    assert seen[1] == cli.RunConfig(command="bounds", example="ex1")
+
+
+def test_a_usage_error_leaves_the_next_command_unchanged(capsys):
+    usage_error(["bounds"], capsys)
+    argv = "bounds --example ex1 --dim 12"
+    assert test_golden.stdout_digest(argv.split(), capsys) == test_golden.OTHER_COMMANDS[argv]
+
+
+def parser_snapshot() -> list:
+    """Each parser's help at 80 columns, its set_defaults, and its actions' settings."""
+    root = cli.build_parser()
+    commands = next(a for a in root._actions if a.dest == "command").choices
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("COLUMNS", "80")
+        return [(p.format_help(), dict(p._defaults),
+                 [(a.dest, a.default, a.choices and list(a.choices), a.required)
+                  for a in p._actions])
+                for p in (root, *commands.values())]
+
+
+def test_running_every_golden_command_leaves_the_parser_unchanged(capsys, monkeypatch,
+                                                                   tmp_path):
+    before = parser_snapshot()
+    test_golden.write_input_files(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    for argv, digest in test_golden.golden_commands().items():
+        assert test_golden.stdout_digest(argv.split(), capsys) == digest, argv
+    assert parser_snapshot() == before
+
+
+@pytest.mark.parametrize("argv", sorted(HELP_DIGESTS))
+def test_help_reads_the_width_at_each_render(capsys, monkeypatch, argv):
+    # A narrow render first must not leave its width in the shared parser.
+    renders = []
+    for columns in ("40", "80"):
+        monkeypatch.setenv("COLUMNS", columns)
+        with pytest.raises(SystemExit):
+            cli.main(argv.split())
+        renders.append(capsys.readouterr().out)
+    assert renders[0] != renders[1]
+    assert sha256(renders[1]) == HELP_DIGESTS[argv]
 
 
 def test_missing_source_is_input_error(capsys):

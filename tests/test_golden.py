@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -151,6 +152,21 @@ INPUT_COMMANDS = {
 }
 
 
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+def golden_commands() -> dict[str, str]:
+    """Every golden argv of this file, as one line, with its stdout digest."""
+    ex1 = {f"bounds --example ex1 --dim {n} --m {m} --format {fmt}": digest
+           for (n, m, fmt), digest in EX1_BOUNDS.items()}
+    return {**ex1, **OTHER_COMMANDS, **INPUT_COMMANDS}
+
+
+def write_input_files(directory: Path) -> None:
+    for name, document in INPUT_FILES.items():
+        (directory / name).write_text(json.dumps(document))
+
+
 def stdout_digest(args, capsys) -> str:
     assert cli.main(args) == 0
     return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
@@ -175,10 +191,19 @@ def test_other_stdout_is_unchanged(capsys, command):
 
 @pytest.mark.parametrize("command", sorted(INPUT_COMMANDS))
 def test_input_file_stdout_is_unchanged(capsys, monkeypatch, tmp_path, command):
+    write_input_files(tmp_path)
     monkeypatch.chdir(tmp_path)
-    for name, document in INPUT_FILES.items():
-        (tmp_path / name).write_text(json.dumps(document))
     assert stdout_digest(command.split(), capsys) == INPUT_COMMANDS[command]
+
+
+def test_compare_outputs_writes_these_input_files():
+    # tools/compare_outputs.py writes its problem files from this side file.
+    assert json.loads((TOOLS / "input_files.json").read_text(encoding="utf-8")) == INPUT_FILES
+
+
+def test_corpus_runs_every_golden_command():
+    lines = (TOOLS / "corpus.txt").read_text(encoding="utf-8").splitlines()
+    assert set(golden_commands()) <= {line.strip() for line in lines}
 
 
 def test_check_with_corrupted_split_bound_fails_unchanged(capsys, monkeypatch):

@@ -6,15 +6,18 @@ REV (a commit, branch or tag) is extracted with `git archive` into a
 temporary directory. Each line of tools/corpus.txt (blank lines and lines
 starting with # are skipped) is one argv, split like a shell line, and
 runs as `python -m uur.cli ARGV` once with PYTHONPATH at this tree's src
-and once at REV's, each in an empty working directory and at COLUMNS=80,
-because argparse wraps help to the terminal width. Every (argv, stream)
-whose bytes or exit code differ is printed. Exits 1 if anything differs,
-0 if nothing does.
+and once at REV's, each at COLUMNS=80, because argparse wraps help to the
+terminal width, and in a fresh working directory that holds only the
+problem files of tools/input_files.json (file name -> JSON document), so
+`bounds --input pure.json` finds its file. Every (argv, stream) whose
+bytes or exit code differ is printed. Exits 1 if anything differs, 0 if
+nothing does.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import shlex
 import subprocess
@@ -24,6 +27,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "tools" / "corpus.txt"
+INPUT_FILES = ROOT / "tools" / "input_files.json"
 
 
 def read_corpus(path: Path) -> list[str]:
@@ -37,10 +41,13 @@ def extract(rev: str, dest: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
-def run(src: Path, line: str, cwd: Path) -> dict[str, object]:
+def run(src: Path, line: str, files: dict[str, object]) -> dict[str, object]:
     env = {**os.environ, "PYTHONPATH": str(src), "COLUMNS": "80"}
-    proc = subprocess.run([sys.executable, "-m", "uur.cli", *shlex.split(line)],
-                          cwd=cwd, env=env, capture_output=True)
+    with tempfile.TemporaryDirectory() as cwd:
+        for name, document in files.items():
+            (Path(cwd) / name).write_text(json.dumps(document), encoding="utf-8")
+        proc = subprocess.run([sys.executable, "-m", "uur.cli", *shlex.split(line)],
+                              cwd=cwd, env=env, capture_output=True)
     return {"exit code": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr}
 
 
@@ -54,14 +61,12 @@ def main(argv=None) -> int:
     parser.add_argument("rev", help="git revision to compare this tree against")
     args = parser.parse_args(argv)
     corpus = read_corpus(CORPUS)
+    files = json.loads(INPUT_FILES.read_text(encoding="utf-8"))
     differing = 0
     with tempfile.TemporaryDirectory() as tmp:
-        base, work = Path(tmp) / "rev", Path(tmp) / "work"
-        base.mkdir()
-        work.mkdir()
-        extract(args.rev, base)
+        extract(args.rev, Path(tmp))
         for line in corpus:
-            theirs, ours = run(base / "src", line, work), run(ROOT / "src", line, work)
+            theirs, ours = run(Path(tmp) / "src", line, files), run(ROOT / "src", line, files)
             streams = [name for name in ours if ours[name] != theirs[name]]
             differing += bool(streams)
             for name in streams:
