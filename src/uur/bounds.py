@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,13 @@ SLACK = 1e-10
 FLAVORS = ("plain", "convex", "tilde")
 
 
+def _integer(value, what: str) -> int:
+    try:  # ints and numpy integers pass; 1.7, 1.0 and "1" do not
+        return operator.index(value)
+    except TypeError:
+        raise InvalidSubset(f"{what} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class SubsetSelection:
     """A block of 1-based indices S inside {1..n}."""
@@ -49,8 +57,8 @@ class SubsetSelection:
     indices: tuple[int, ...]
 
     def __post_init__(self):
-        idx = tuple(sorted(int(i) for i in self.indices))
-        if self.n < 1:
+        idx = tuple(sorted(_integer(i, "subset index") for i in self.indices))
+        if _integer(self.n, "dimension") < 1:
             raise InvalidSubset(f"dimension must be positive, got {self.n}")
         if not idx:
             raise InvalidSubset("subset must not be empty")
@@ -66,9 +74,7 @@ class SubsetSelection:
 
     @classmethod
     def first_block(cls, n: int, m: int) -> "SubsetSelection":
-        """The leading block {1..m}."""
-        if not 1 <= m <= n:
-            raise InvalidSubset(f"block size {m} out of range 1..{n}")
+        """The leading block {1..m}; __post_init__ refuses m outside 1..n."""
         return cls(n=n, indices=tuple(range(1, m + 1)))
 
 
@@ -300,25 +306,23 @@ def triple_correlation_bound(dA: DeltaVector, dB: DeltaVector, dC: DeltaVector) 
     )
 
 
-def geometric_mean_bound(deltas, m: int, v: float = DEFAULT_V,
-                         cap: int = DEFAULT_CAP) -> dict[str, float]:
+def geometric_mean_bound(deltas, first: BoundSet, cap: int = DEFAULT_CAP) -> dict[str, float]:
     """Multi-operator bounds: geometric means of the pairwise split bounds.
 
-    Takes the delta vectors of l operators on one state and returns one
-    value per flavor in FLAVORS. Each of the l(l-1)/2 pairs yields three
-    pairwise quantities: "plain" the split bound on the leading block of
-    size m, "convex" its blend with weight v, "tilde" the best split over
-    blocks of size m. Each flavor's product over the pairs is raised to
-    1/(l-1); with l = 2 this reduces to the single pairwise bound.
+    Takes the delta vectors of l operators on one state and first, the
+    bound_report of deltas[0] and deltas[1], whose m and v every pair uses.
+    Per pair, "plain" is the split bound on the leading block of size m,
+    "convex" its blend with weight v, "tilde" the best split of size m (first's
+    k_m, k_m_v, k_tilde_m); each flavor's product over the pairs is raised to 1/(l-1).
     """
-    deltas = list(deltas)
+    deltas, m = list(deltas), first.m
     if len(deltas) < 2:
         raise ValueError(f"need at least 2 operators, got {len(deltas)}")
-    products = dict.fromkeys(FLAVORS, 1.0)
-    for alpha, beta in itertools.combinations(deltas, 2):
+    products = dict(zip(FLAVORS, (first.k_m, first.k_m_v, first.k_tilde_m)))
+    for alpha, beta in itertools.islice(itertools.combinations(deltas, 2), 1, None):
         pair = ModulusPair.from_deltas(alpha, beta)
         k = split_bound(pair, SubsetSelection.first_block(pair.dim, m))
-        values = (k, _blend(k, variance_product(pair), v), best_split_bound(pair, m, cap)[0])
+        values = (k, _blend(k, variance_product(pair), first.v), best_split_bound(pair, m, cap)[0])
         for flavor, val in zip(FLAVORS, values):
             products[flavor] *= val
     return {flavor: float(p ** (1.0 / (len(deltas) - 1))) for flavor, p in products.items()}

@@ -190,12 +190,12 @@ def _theta_grid(cfg: RunConfig, scen: scenarios.Scenario) -> list[float]:
     return grid
 
 
-def _triple_fields(problem: Problem, deltas: list[moments.DeltaVector]) -> dict:
+def _triple_fields(report: bounds.BoundSet, deltas: list[moments.DeltaVector], cap: int) -> dict:
     vals = {
         "variance_triple": math.prod(d.variance for d in deltas),
         "bong3": bounds.triple_correlation_bound(*deltas),
     }
-    means = bounds.geometric_mean_bound(deltas, problem.m, problem.v, problem.cap)
+    means = bounds.geometric_mean_bound(deltas, report, cap)
     vals.update((key, means[flavor]) for flavor, key in FLAVOR_FIELDS.items())
     for key in TRIPLE_COLUMNS[1:]:
         if vals[key] > vals["variance_triple"] + SLACK:
@@ -214,7 +214,7 @@ def _report_row(problem: Problem, theta: float) -> tuple[bounds.BoundSet, dict]:
         raise _Violation(f"chain invariants failed at theta={theta!r}: " + "; ".join(bad))
     row = {"theta": theta, **vars(report), "i_2": report.i_d[1]}
     if len(deltas) == 3:
-        row.update(_triple_fields(problem, deltas))
+        row.update(_triple_fields(report, deltas, problem.cap))
     return report, row
 
 
@@ -259,10 +259,9 @@ def run_bounds(cfg: RunConfig) -> int:
                               "indices": list(report.k_tilde_argmax.indices)},
            "notes": list(problem.scenario.notes)}
     if len(problem.operators) == 3:
-        triple = {k: row[k] for k in TRIPLE_COLUMNS}
-        triple["geometric_mean_flavor"] = problem.flavor
-        triple["geometric_mean"] = row[FLAVOR_FIELDS[problem.flavor]]
-        out["triple"] = triple
+        out["triple"] = {**{k: row[k] for k in TRIPLE_COLUMNS},
+                         "geometric_mean_flavor": problem.flavor,
+                         "geometric_mean": row[FLAVOR_FIELDS[problem.flavor]]}
     if (cfg.format or "json") == "json":
         _emit(cfg, json.dumps(out, indent=2) + "\n")
     else:
@@ -319,11 +318,9 @@ def run_check(cfg: RunConfig) -> int:
     results = selfcheck.run_all(cfg.seed, cfg.trials)
     lines = [f"check seed={cfg.seed} trials={cfg.trials}"]
     failed = [r for r in results if r.failures]
-    for r in results:
-        lines.append(f"suite {r.name}: trials={r.trials} failures={r.failures} "
-                     f"worst={r.worst:.3e}")
-    for r in failed:
-        lines.append("counterexample: " + json.dumps(r.counterexample, sort_keys=True))
+    lines += [f"suite {r.name}: trials={r.trials} failures={r.failures} worst={r.worst:.3e}"
+              for r in results]
+    lines += ["counterexample: " + json.dumps(r.counterexample, sort_keys=True) for r in failed]
     lines.append("result: PASS" if not failed else
                  f"result: FAIL ({len(failed)} of {len(results)} suites)")
     _emit(cfg, "\n".join(lines) + "\n")

@@ -242,7 +242,8 @@ def suite_multi_op(rec: SuiteResult, seed: int, trial: int):
     instance["params"] = {"m": m, "l": l}
     deltas = [moments.delta_vector(U, psi) for U in ops]
     prod = math.prod(dv.variance for dv in deltas)
-    vals = bounds.geometric_mean_bound(deltas, m, v=0.1)
+    first = bounds.bound_report(moments.ModulusPair.from_deltas(*deltas[:2]), m, v=0.1)
+    vals = bounds.geometric_mean_bound(deltas, first)
     for flavor in bounds.FLAVORS:
         rec.check(vals[flavor] - prod, SLACK,
                   dict(instance, flavor=flavor), "multi-op bound exceeds product")
@@ -320,10 +321,8 @@ def suite_equality_case(rec: SuiteResult, seed: int, trial: int):
     rec.check(abs(bounds.split_bound(pair, block) - bounds.variance_product(pair)),
               SLACK, instance, "proportional pair misses saturation")
     # A vanishing complement is the other saturating configuration.
-    xz = k * y.copy()
-    yz = y.copy()
-    xz[m:] = 0.0
-    yz[m:] = 0.0
+    xz, yz = k * y, y.copy()
+    xz[m:] = yz[m:] = 0.0
     pair_z = moments.ModulusPair(xz, yz)
     rec.check(abs(bounds.split_bound(pair_z, block) - bounds.variance_product(pair_z)),
               SLACK, instance, "zero-complement pair misses saturation")

@@ -263,7 +263,8 @@ def test_criterion_09_geometric_mean_products():
             m = 1 + trial % max(1, d // 2)
             deltas = [moments.delta_vector(U, psi) for U in ops]
             product = math.prod(moments.variance_pure(U, psi) for U in ops)
-            vals = bounds.geometric_mean_bound(deltas, m, 0.1)
+            first = bounds.bound_report(moments.ModulusPair.from_deltas(*deltas[:2]), m, 0.1)
+            vals = bounds.geometric_mean_bound(deltas, first)
             for flavor in ("plain", "convex", "tilde"):
                 assert vals[flavor] <= product + SLACK, \
                     f"l={n_ops} trial {trial} {flavor}: bound exceeds product"

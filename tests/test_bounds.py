@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import dataclasses
 import itertools
 import math
 from pathlib import Path
@@ -70,6 +71,31 @@ def test_subset_selection_validation():
         bounds.SubsetSelection(n=3, indices=(4,))
     with pytest.raises(errors.InvalidSubset):
         bounds.SubsetSelection(n=3, indices=())
+    for m in (0, 4):
+        with pytest.raises(errors.InvalidSubset):
+            bounds.SubsetSelection.first_block(3, m)
+
+
+@pytest.mark.parametrize("n, indices, message", [
+    (3, (1.7, 2.2), "subset index must be an integer, got 1.7"),
+    (3, (2, 1.0), "subset index must be an integer, got 1.0"),
+    (3, ("1",), "subset index must be an integer, got '1'"),
+    (3.5, (1,), "dimension must be an integer, got 3.5"),
+])
+def test_subset_selection_refuses_non_integers(n, indices, message):
+    # int() would truncate 1.7 to 1 and parse "1"; a block must name its indices exactly.
+    with pytest.raises(errors.InvalidSubset) as err:
+        bounds.SubsetSelection(n=n, indices=indices)
+    assert str(err.value) == message
+
+
+def test_subset_selection_takes_numpy_integers():
+    sel = bounds.SubsetSelection(n=np.int64(3), indices=(np.int64(3), np.int32(1)))
+    assert sel.indices == (1, 3) and all(type(i) is int for i in sel.indices)
+    p = pair_of([1, 2, 3], [3, 1, 2])
+    assert bounds.split_bound(p, sel) == bounds.split_bound(p, subset(3, 1, 3))
+    with pytest.raises(errors.InvalidSubset):
+        bounds.split_bound(p, subset(3, 1.9))
 
 
 # --- blended bound ------------------------------------------------------------
@@ -479,6 +505,13 @@ def test_triple_bound_matches_gram_determinant():
 
 # --- multi-operator geometric mean --------------------------------------------------
 
+def mean_of(ops, psi, m, v) -> dict[str, float]:
+    """The geometric mean as a CLI row takes it: from the report of the first pair."""
+    deltas = deltas_of(ops, psi)
+    first = bounds.bound_report(ModulusPair.from_deltas(*deltas[:2]), m, v)
+    return bounds.geometric_mean_bound(deltas, first)
+
+
 def test_geometric_mean_two_ops_reduces_to_pairwise():
     gen = sampling.trial_generator(seed=81, trial=0)
     A = sampling.random_unitary(gen, 4)
@@ -486,7 +519,7 @@ def test_geometric_mean_two_ops_reduces_to_pairwise():
     psi = sampling.random_state(gen, 4)
     pairwise = bounds.split_bound(moments.modulus_pair(A, B, psi),
                                   bounds.SubsetSelection.first_block(4, 2))
-    assert bounds.geometric_mean_bound(deltas_of([A, B], psi), 2, 0.1)["plain"] == pytest.approx(pairwise)
+    assert mean_of([A, B], psi, 2, 0.1)["plain"] == pytest.approx(pairwise)
 
 
 def test_geometric_mean_identity_op_kills_bound():
@@ -494,7 +527,7 @@ def test_geometric_mean_identity_op_kills_bound():
     A = sampling.random_unitary(gen, 4)
     B = sampling.random_unitary(gen, 4)
     psi = sampling.random_state(gen, 4)
-    val = bounds.geometric_mean_bound(deltas_of([A, B, np.eye(4, dtype=complex)], psi), 2, 1.0)["plain"]
+    val = mean_of([A, B, np.eye(4, dtype=complex)], psi, 2, 1.0)["plain"]
     assert val == pytest.approx(0.0, abs=1e-12)
 
 
@@ -505,7 +538,7 @@ def test_geometric_mean_flavors_all_below_product():
         ops = [sampling.random_unitary(gen, d) for _ in range(3)]
         psi = sampling.random_state(gen, d)
         product = math.prod(moments.variance_pure(U, psi) for U in ops)
-        vals = bounds.geometric_mean_bound(deltas_of(ops, psi), max(1, d // 2), 0.1)
+        vals = mean_of(ops, psi, max(1, d // 2), 0.1)
         for val in vals.values():
             assert val <= product + 1e-10
 
@@ -513,28 +546,37 @@ def test_geometric_mean_flavors_all_below_product():
 @pytest.mark.parametrize("n_ops", [2, 3, 4])
 def test_geometric_mean_is_exactly_the_product_of_pairwise_bounds(n_ops):
     # Each flavor multiplies its pairwise quantity in combinations order and
-    # takes the (l-1)-th root, bit for bit.
+    # takes the (l-1)-th root, bit for bit, at every block size m = 1..d-1:
+    # the first pair's factors come from its report (k_tilde_m from the
+    # table entry of min(m, d - m) when m > d/2), the others from the pair.
     for trial in range(12):
         gen = sampling.trial_generator(seed=84, trial=trial)
         d = 2 + trial % 4
-        m = 1 + trial % d
         ops = [sampling.random_unitary(gen, d) for _ in range(n_ops)]
         psi = sampling.random_state(gen, d)
         pairs = [moments.modulus_pair(A, B, psi) for A, B in itertools.combinations(ops, 2)]
-        block = bounds.SubsetSelection.first_block(d, m)
-        products = {
-            "plain": math.prod(bounds.split_bound(p, block) for p in pairs),
-            "convex": math.prod(split_bound_blend(p, block, 0.3) for p in pairs),
-            "tilde": math.prod(bounds.best_split_bound(p, m)[0] for p in pairs),
-        }
-        want = {flavor: val ** (1.0 / (n_ops - 1)) for flavor, val in products.items()}
-        assert bounds.geometric_mean_bound(deltas_of(ops, psi), m, 0.3) == want
+        for m in range(1, d):
+            block = bounds.SubsetSelection.first_block(d, m)
+            products = {
+                "plain": math.prod(bounds.split_bound(p, block) for p in pairs),
+                "convex": math.prod(split_bound_blend(p, block, 0.3) for p in pairs),
+                "tilde": math.prod(bounds.best_split_bound(p, m)[0] for p in pairs),
+            }
+            want = {flavor: val ** (1.0 / (n_ops - 1)) for flavor, val in products.items()}
+            assert mean_of(ops, psi, m, 0.3) == want, (trial, m)
 
 
 def test_geometric_mean_rejects_out_of_range_weight():
     A, B, psi = random_pair(84, 0, 3)
+    C = sampling.random_unitary(sampling.trial_generator(seed=84, trial=1), 3)
+    # The first pair's report refuses the weight before any mean is taken ...
     with pytest.raises(errors.WeightOutOfRange):
-        bounds.geometric_mean_bound(deltas_of([A, B], psi), 1, 1.5)
+        mean_of([A, B, C], psi, 1, 1.5)
+    # ... and a hand-built BoundSet carrying it is refused at the next pair.
+    deltas = deltas_of([A, B, C], psi)
+    first = bounds.bound_report(ModulusPair.from_deltas(*deltas[:2]), 1, 0.1)
+    with pytest.raises(errors.WeightOutOfRange):
+        bounds.geometric_mean_bound(deltas, dataclasses.replace(first, v=1.5))
 
 
 # --- aggregate report ----------------------------------------------------------------

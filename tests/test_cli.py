@@ -551,44 +551,62 @@ def write_problem(tmp_path, n_ops, state=GOOD_STATE, params="{}"):
 RAGGED_MATRIX = problem_text(2, operators=z_and_x("[[[1, 0]], [[0, 0], [-1, 0]]]"))
 
 
-@pytest.mark.parametrize("document", [
-    problem_text(2, '{"pure": [1, 0]}', "{}"),
-    problem_text(2, GOOD_STATE, '{"m": null}'),
-    problem_text(2, GOOD_STATE, '"x"'),
-    problem_text(2, GOOD_STATE, '{"cap": 1e400}'),
-    problem_text(2, GOOD_STATE, '{"flavor": "bogus"}'),
-    problem_text(3, GOOD_STATE, '{"flavor": "bogus"}'),
-    "5",
-    problem_text(2, dimension="null"),
-    problem_text(2, dimension="[2]"),
-    problem_text(2, dimension="2.5"),
-    problem_text(2, operators="5"),
-    problem_text(2, '{"bloch": 5}'),
-    problem_text(2, '{"bloch": [[1], 0, 0]}'),
-    problem_text(2, GOOD_STATE, '{"m": 1.7}'),
-    problem_text(2, '{"pure": [[true, false], [0, 0]]}'),
-    problem_text(2, '{"pure": [[1, 0, 9], [0, 0]]}'),
-    problem_text(2, operators=z_and_x('[[[true, false], [0, 0]], [[0, 0], [-1, 0]]]')),
-    problem_text(2, operators=z_and_x('[[[1, 0, 9], [0, 0]], [[0, 0], [-1, 0]]]')),
-    problem_text(2, operators=z_and_x("5")),
-    RAGGED_MATRIX,
-    problem_text(2, operators=z_and_x("[[[1e300, 0], [0, 0]], [[0, 0], [-1, 0]]]")),
-    problem_text(2, '{"pure": [[1e300, 0], [0, 0]]}'),
-], ids=["pure-reals", "m-null", "params-string", "cap-overflow", "flavor-2ops", "flavor-3ops",
-        "top-level-number", "dimension-null", "dimension-list", "dimension-fraction",
-        "operators-number", "bloch-number", "bloch-nested", "m-fraction",
-        "pure-booleans", "pure-triple", "matrix-booleans", "matrix-triple", "matrix-number",
-        "matrix-ragged", "matrix-huge", "pure-huge"])
+M_NOT_INTEGER = "params: m must be an integer, got"
+UNKNOWN_FLAVOR = "unknown flavor 'bogus'; expected one of plain, convex, tilde"
+PAIRS_ONLY = "pure state amplitudes must be [re, im] pairs"
+
+
+# Each malformed document and the one stderr line it must print, after "error: ".
+@pytest.mark.parametrize("document, message", [
+    pytest.param(problem_text(2, '{"pure": [1, 0]}', "{}"), PAIRS_ONLY, id="pure-reals"),
+    pytest.param(problem_text(2, GOOD_STATE, '{"m": null}'), f"{M_NOT_INTEGER} None", id="m-null"),
+    pytest.param(problem_text(2, GOOD_STATE, '"x"'), '"params" must be an object',
+                 id="params-string"),
+    pytest.param(problem_text(2, GOOD_STATE, '{"cap": 1e400}'),
+                 "params: cap must be an integer, got inf", id="cap-overflow"),
+    pytest.param(problem_text(2, GOOD_STATE, '{"flavor": "bogus"}'), UNKNOWN_FLAVOR,
+                 id="flavor-2ops"),
+    pytest.param(problem_text(3, GOOD_STATE, '{"flavor": "bogus"}'), UNKNOWN_FLAVOR,
+                 id="flavor-3ops"),
+    pytest.param("5", 'input file needs a top-level "dimension" field', id="top-level-number"),
+    pytest.param(problem_text(2, dimension="null"), "dimension must be an integer, got None",
+                 id="dimension-null"),
+    pytest.param(problem_text(2, dimension="[2]"), "dimension must be an integer, got [2]",
+                 id="dimension-list"),
+    pytest.param(problem_text(2, dimension="2.5"), "dimension must be an integer, got 2.5",
+                 id="dimension-fraction"),
+    pytest.param(problem_text(2, operators="5"), '"operators" must be a list',
+                 id="operators-number"),
+    pytest.param(problem_text(2, '{"bloch": 5}'), "bloch vector must be a list of three numbers",
+                 id="bloch-number"),
+    pytest.param(problem_text(2, '{"bloch": [[1], 0, 0]}'),
+                 "bloch component must be a number, got [1]", id="bloch-nested"),
+    pytest.param(problem_text(2, GOOD_STATE, '{"m": 1.7}'), f"{M_NOT_INTEGER} 1.7", id="m-fraction"),
+    pytest.param(problem_text(2, '{"pure": [[true, false], [0, 0]]}'),
+                 "pure state amplitudes: real part must be a number, got True",
+                 id="pure-booleans"),
+    pytest.param(problem_text(2, '{"pure": [[1, 0, 9], [0, 0]]}'), PAIRS_ONLY,
+                 id="pure-triple"),
+    pytest.param(problem_text(2, operators=z_and_x('[[[true, false], [0, 0]], [[0, 0], [-1, 0]]]')),
+                 "operator 'Z': matrix entries: real part must be a number, got True",
+                 id="matrix-booleans"),
+    pytest.param(problem_text(2, operators=z_and_x('[[[1, 0, 9], [0, 0]], [[0, 0], [-1, 0]]]')),
+                 "operator 'Z': matrix entries must be [re, im] pairs", id="matrix-triple"),
+    pytest.param(problem_text(2, operators=z_and_x("5")),
+                 "operator 'Z': matrix must be a list of rows", id="matrix-number"),
+    pytest.param(RAGGED_MATRIX, "operator 'Z': matrix rows differ in length [1, 2]",
+                 id="matrix-ragged"),
+    pytest.param(problem_text(2, operators=z_and_x("[[[1e300, 0], [0, 0]], [[0, 0], [-1, 0]]]")),
+                 "operator 'Z' deviates from unitarity by inf (tol 1.0e-08)", id="matrix-huge"),
+    pytest.param(problem_text(2, '{"pure": [[1e300, 0], [0, 0]]}'),
+                 "state norm inf deviates from 1 by more than 1e-10", id="pure-huge"),
+])
 # pytest records warnings instead of printing them; as errors they fail here.
 @pytest.mark.filterwarnings("error")
-def test_malformed_input_file_is_input_error(tmp_path, capsys, document):
+def test_malformed_input_file_is_input_error(tmp_path, capsys, document, message):
     path = tmp_path / "prob.json"
     path.write_text(document)
-    code, out, err = run(["bounds", "--input", str(path)], capsys)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: ")
-    assert err.count("\n") == 1 and err.endswith("\n")
+    assert run(["bounds", "--input", str(path)], capsys) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("state, message", [
@@ -752,7 +770,8 @@ def test_sweep_row_searches_each_block_size_once(capsys, monkeypatch):
 def test_three_operator_report_bounds_each_pair_once(capsys, monkeypatch):
     # ex5 has n = 4 and m = 2. The report's pair A-B makes one modulus pair,
     # one k_m, one variance product and the searches m = 1, 2; the geometric
-    # mean makes one of each per pair (A-B, A-C, B-C), searching m = 2 only.
+    # mean takes A-B's factors from that report and makes one of each for the
+    # pairs A-C and B-C, searching m = 2 only.
     calls = {}
 
     def count(owner, name, wrap=lambda f: f):
@@ -771,8 +790,8 @@ def test_three_operator_report_bounds_each_pair_once(capsys, monkeypatch):
         count(bounds, name)
     code, _, err = run(["bounds", "--example", "ex5", "--flavor", "tilde"], capsys)
     assert code == 0, err
-    assert calls == {"geometric_mean_bound": 1, "from_deltas": 4, "split_bound": 4,
-                     "variance_product": 4, "best_split_bound": 5}
+    assert calls == {"geometric_mean_bound": 1, "from_deltas": 3, "split_bound": 3,
+                     "variance_product": 3, "best_split_bound": 4}
 
 
 @pytest.mark.parametrize("command, checks", [

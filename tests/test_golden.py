@@ -20,7 +20,9 @@ params, or a --theta-min that a fixed state only echoes, were recorded
 while a problem file still loaded into its own problem type. The dense ex2
 reports at n = 16 (JSON) and n = 7 (CSV), which print every level of the
 interpolation family with every pair term nonzero, were recorded while each
-level still re-formed all of its pair terms.
+level still re-formed all of its pair terms. The ex5 and ex6 commands at
+m = 1 and m = 3 (block sizes below and above n/2 = 2) were recorded while
+the geometric mean still recomputed the first pair's factors.
 """
 
 from __future__ import annotations
@@ -107,35 +109,18 @@ OTHER_COMMANDS = {
     "sweep --example ex1 --dim 16 --steps 3 --format json": "ffeb6fc7c0f71db0b2ccdc260ddcfe0d7f25f435a8c3b830f46c8b3cb259e9de",
     "bounds --example ex2 --dim 16 --format json": "c99dfa668b036bdac3dc52498d2e5e59c9816479029fcb0a2ca415646e021b4c",
     "bounds --example ex2 --dim 7 --format csv": "ef5fc5035fbc4e0547a5dc22b758e355d310357344f75fc06bbbdf5eeb03dc1e",
+    "bounds --example ex5 --m 1 --flavor tilde --format json": "3d5439a40a4bf32c291fc525589f7bd0560a6ba9c9b510c9e3031c527b2ac27b",
+    "bounds --example ex5 --m 3 --flavor convex --format json": "7f4af1ee3c3624d77e7657ca6c063f317c47f7f6f40254d41f1de013dd1b037e",
+    "sweep --example ex6 --m 1 --steps 5 --format csv": "3c3a60e790185d9df17e44733db3810ec129abd475ecf8707e6d48152800247d",
+    "compare --example ex5 --m 3 --steps 5 --format csv": "e6c1281d1c67201e918bcaee1b258124bd3994ac1a1b23d38db3084eef7d84c6",
 }
 
-PAULI = {
-    "X": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]],
-    "Y": [[[0, 0], [0, -1]], [[0, 1], [0, 0]]],
-    "Z": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]],
-}
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
-
-def _problem(dimension, names, state, params=None, matrices=PAULI):
-    return {"dimension": dimension,
-            "operators": [{"name": n, "matrix": matrices[n]} for n in names],
-            "state": state, "params": params or {}}
-
-
-# Problem files for `bounds --input`, written under these relative names
-# because the report's "source" field prints the path as given.
-INPUT_FILES = {
-    "pure.json": _problem(
-        3, "RP", {"pure": [[0.6, 0], [0, 0.48], [0, 0.64]]}, {"m": 1, "v": 0.3},
-        matrices={"R": [[[0.6, 0], [-0.8, 0], [0, 0]], [[0.8, 0], [0.6, 0], [0, 0]],
-                        [[0, 0], [0, 0], [1, 0]]],
-                  "P": [[[0, 0], [0, 0], [0, 1]], [[1, 0], [0, 0], [0, 0]],
-                        [[0, 0], [-1, 0], [0, 0]]]}),
-    "density.json": _problem(2, "ZX", {"density": [[[0.7, 0], [0.1, 0.2]],
-                                                   [[0.1, -0.2], [0.3, 0]]]}),
-    "bloch.json": _problem(2, "ZY", {"bloch": [0.2, 0.3, 0.4]}),
-    "bloch3.json": _problem(2, "XYZ", {"bloch": [0.5, -0.1, 0.3]}, {"flavor": "tilde"}),
-}
+# Problem files for `bounds --input` (file name -> JSON document), shared with
+# tools/compare_outputs.py and written under these relative names because
+# the report's "source" field prints the path as given.
+INPUT_FILES = json.loads((TOOLS / "input_files.json").read_text(encoding="utf-8"))
 
 INPUT_COMMANDS = {
     "bounds --input pure.json --format json": "044888d968fcae8c24f0c995830c929e1af3aa01a57dfdbed73c53e774980624",
@@ -150,9 +135,6 @@ INPUT_COMMANDS = {
     "bounds --input bloch3.json --flavor convex --cap 100 --format json": "5c285ed3d6350aa027af96963331024976de280af3a9447ba5117656ea48d4a1",
     "bounds --input pure.json --theta-min 0.5 --format json": "d8612cf28c81d7a7415ffa2497f738cb37320f26a35669643345a3f1606079fa",
 }
-
-
-TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
 def golden_commands() -> dict[str, str]:
@@ -194,11 +176,6 @@ def test_input_file_stdout_is_unchanged(capsys, monkeypatch, tmp_path, command):
     write_input_files(tmp_path)
     monkeypatch.chdir(tmp_path)
     assert stdout_digest(command.split(), capsys) == INPUT_COMMANDS[command]
-
-
-def test_compare_outputs_writes_these_input_files():
-    # tools/compare_outputs.py writes its problem files from this side file.
-    assert json.loads((TOOLS / "input_files.json").read_text(encoding="utf-8")) == INPUT_FILES
 
 
 def test_corpus_runs_every_golden_command():

@@ -30,3 +30,21 @@ def test_readme_library_example_runs():
     blocks = re.findall(r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(), re.M | re.S)
     assert len(blocks) == 1
     exec(compile(blocks[0], "README.md", "exec"), {})  # the example asserts its own report
+
+
+def test_benchmark_entry_points_resolve():
+    # perfbench/probe.py parses a first command and builds a RunConfig from it;
+    # perfbench/worker.py imports these seven modules, wraps bounds'
+    # functions by name and runs cli.main in-process. A rename or a merged
+    # module breaks the benchmark; here it fails in a fresh interpreter first.
+    probe = "\n".join([
+        "import uur",
+        "from uur import bounds, cli, linalg, moments, sampling, scenarios, selfcheck",
+        "args = cli.build_parser().parse_args(['bounds', '--example', 'ex5'])",
+        "cli.RunConfig(**vars(args))",
+        "assert callable(bounds.geometric_mean_bound) and callable(bounds.best_split_bound)",
+        "raise SystemExit(cli.main(['sweep', '--example', 'ex5', '--steps', '2']))",
+    ])
+    proc = subprocess.run([sys.executable, "-c", probe], cwd=SRC, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("theta,variance_product,")
