@@ -17,10 +17,10 @@ TOL = 1e-10  # state norm; density Hermiticity, trace, eigenvalues; hermitian_ei
 BLOCH_TOL = 1e-12  # how far a Bloch vector may exceed length 1
 
 
-def as_square_matrix(M) -> np.ndarray:
-    """Coerce input to a finite square complex matrix."""
+def as_square_matrix(M, stack: bool = False) -> np.ndarray:
+    """Coerce input to a finite square complex matrix, or a stack (k, n, n) of them."""
     A = np.asarray(M, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+    if A.ndim != 2 + stack or A.shape[-2] != A.shape[-1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {A.shape}")
     if not np.isfinite(A).all():
         raise DimensionMismatch("matrix entries must be finite")
@@ -60,11 +60,10 @@ def vec(M) -> np.ndarray:
     return as_square_matrix(M).T.reshape(-1)
 
 
-def unitary_deviation(M) -> float:
-    """Max-norm distance of M^dagger M from the identity."""
-    A = as_square_matrix(M)
+def unitary_deviation(A: np.ndarray) -> np.ndarray:
+    """Max-norm distance of A^dagger A from the identity, per matrix of a complex stack (..., n, n)."""
     with np.errstate(over="ignore", invalid="ignore"):  # huge entries give inf or nan
-        return float(np.max(np.abs(A.conj().T @ A - np.eye(A.shape[0]))))
+        return np.abs(A.conj().swapaxes(-1, -2) @ A - np.eye(A.shape[-1])).max(axis=(-2, -1))
 
 
 def partial_trace(M, keep: str) -> np.ndarray:

@@ -80,10 +80,17 @@ class Unitary:
     name: str = "operator"
 
     def __post_init__(self):
-        dev = linalg.unitary_deviation(self.matrix)  # raises first if not finite and square
-        if dev > linalg.UNITARY_TOL:
-            raise NotUnitary(f"{self.name} deviates from unitarity by {dev:.3e} (tol {linalg.UNITARY_TOL:.1e})")
-        object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=complex))
+        M = linalg.as_square_matrix(self.matrix)
+        _refuse_non_unitary(M, self.name)
+        object.__setattr__(self, "matrix", M)
+
+    @classmethod
+    def stack(cls, Ms, name: str = "operator") -> list["Unitary"]:
+        """A Unitary per matrix of the stack Ms (k, n, n), all checked by one unitarity test."""
+        Ms = linalg.as_square_matrix(Ms, stack=True)
+        _refuse_non_unitary(Ms, name)
+        units = [object.__new__(cls) for _ in Ms]  # checked above, so __post_init__ is skipped
+        return [vars(u).update(matrix=M, name=name) or u for u, M in zip(units, Ms)]
 
     def __array__(self, dtype=None, copy=None):
         return np.asarray(self.matrix, dtype=dtype)
@@ -95,6 +102,14 @@ class Unitary:
         if M.shape[0] != dim:
             raise DimensionMismatch(f"operator dim {M.shape[0]} != state dim {dim}")
         return M
+
+
+def _refuse_non_unitary(stack: np.ndarray, name: str):
+    """NotUnitary for the first matrix of a complex stack, or the one matrix, off by more than UNITARY_TOL."""
+    dev = linalg.unitary_deviation(stack)
+    bad = dev[~(dev <= linalg.UNITARY_TOL)]  # a NaN deviation fails too
+    if bad.size:
+        raise NotUnitary(f"{name} deviates from unitarity by {bad[0]:.3e} (tol {linalg.UNITARY_TOL:.1e})")
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,10 @@
 """Test-side oracles and one-line helpers over the package's own kernels.
 
 The ex1 closed forms are a reference the tests compare the numeric pipeline
-against; the program never calls them. The helpers name one value of a
-public function so the tests read like the quantities they check.
+against; the program never calls them. The per-matrix sampler is the one
+`check` drew its instances with before it made its unitaries in stacks; it
+is the bit-for-bit reference for the stacked draw. The helpers name one
+value of a public function so the tests read like the quantities they check.
 """
 
 from __future__ import annotations
@@ -12,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from uur import bounds
+from uur import bounds, sampling
 from uur.errors import DimensionTooSmall
+from uur.moments import DensityMatrix, PureState
 
 
 @dataclass(frozen=True)
@@ -67,3 +70,36 @@ def split_bound_blend(pair, subset, v: float) -> float:
 def fine_grained_level(pair, level: int) -> float:
     """Level `level` (1-based) of the interpolation family."""
     return bounds.fine_grained_sequence(pair)[level - 1]
+
+
+# The per-matrix sampler, verbatim: each unitary has its own QR.
+def _complex_gaussian(rng: np.random.Generator, *shape: int) -> np.ndarray:
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Haar-style random unitary via QR with phase-fixed diagonal."""
+    Q, R = np.linalg.qr(_complex_gaussian(rng, n, n))
+    diag = np.diag(R)
+    return Q * (diag / np.abs(diag))
+
+
+def random_state(rng: np.random.Generator, n: int) -> PureState:
+    """Normalized complex Gaussian vector."""
+    v = _complex_gaussian(rng, n)
+    return PureState(amplitudes=v / np.linalg.norm(v))
+
+
+def random_density(rng: np.random.Generator, n: int) -> DensityMatrix:
+    """Full-rank-ish random mixed state from a normalized Wishart draw."""
+    Z = _complex_gaussian(rng, n, n)
+    M = Z @ Z.conj().T
+    return DensityMatrix(matrix=M / np.real(np.trace(M)))
+
+
+def per_matrix_instance(seed: int, trial: int, stream: int, count: int, d: int):
+    """count unitaries, then one state, drawn one matrix at a time as `check` once drew them."""
+    rng = sampling.trial_generator(seed, trial, stream)
+    ops = [random_unitary(rng, d) for _ in range(count)]
+    psi = random_state(rng, d)
+    return ops, psi

@@ -598,6 +598,10 @@ PAIRS_ONLY = "pure state amplitudes must be [re, im] pairs"
                  id="matrix-ragged"),
     pytest.param(problem_text(2, operators=z_and_x("[[[1e300, 0], [0, 0]], [[0, 0], [-1, 0]]]")),
                  "operator 'Z' deviates from unitarity by inf (tol 1.0e-08)", id="matrix-huge"),
+    # Finite entries whose products overflow to inf - inf: a NaN deviation is refused.
+    pytest.param(problem_text(2, operators=z_and_x(
+        "[[[1e200, 1e200], [1e200, 1e200]], [[1e200, 1e200], [-1e200, -1e200]]]")),
+                 "operator 'Z' deviates from unitarity by nan (tol 1.0e-08)", id="matrix-huge-nan"),
     pytest.param(problem_text(2, '{"pure": [[1e300, 0], [0, 0]]}'),
                  "state norm inf deviates from 1 by more than 1e-10", id="pure-huge"),
 ])

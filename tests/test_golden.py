@@ -22,7 +22,11 @@ reports at n = 16 (JSON) and n = 7 (CSV), which print every level of the
 interpolation family with every pair term nonzero, were recorded while each
 level still re-formed all of its pair terms. The ex5 and ex6 commands at
 m = 1 and m = 3 (block sizes below and above n/2 = 2) were recorded while
-the geometric mean still recomputed the first pair's factors.
+the geometric mean still recomputed the first pair's factors. The
+`check` runs at one trial, at six trials (fewer than the seven dimensions
+2..8, so some dimensions draw nothing) and at 200 trials (the subset
+oracle's cap) were recorded while each trial still turned its own Gaussian
+matrices into unitaries one QR at a time.
 """
 
 from __future__ import annotations
@@ -100,6 +104,9 @@ OTHER_COMMANDS = {
     "check --seed 42 --trials 25": "b756ffda990d39fcdf5da7ec87297af7975fb8dcfc7838db0fc6f875174484b7",
     "check --seed 3 --trials 60": "1a028d1b69d64d62efcedd73ad3d1fe61d99d33e8597b000e1db957a3577bc12",
     "check --seed 5 --trials 301": "30ad49d69712e75329175c5fe4e534903367a7f1ddea2bbd0941f153a9618b83",
+    "check --seed 11 --trials 1": "30ce7196b971127bf3d176620a5fdf98bb567d7277eb245e024ef2f3e9e7a8b3",
+    "check --seed 8 --trials 6": "22255aca873d6ac7bb3118b97077d633cdef876147d1d40d86bdfcd2a92b9176",
+    "check --seed 13 --trials 200": "ece5f1e291ecb3a32aee434aa56dcdee005dda6563d9168a08a238c3f151053b",
     "bounds --example ex1 --dim 12": "32490b5014b6a365946588551aadfd2405b4cd7f57351e2a685cca71cedca80d",
     "bounds --example ex1 --dim 12 --m 3": "d6fbeb2d691323548628ead6710fa6701cf3ac3e335d439a93a7641a9b8133ae",
     "bounds --example ex1 --dim 16": "a3b051c0315fbb7e58f5f583a6a10ee0a0dc0d2a5c9c1126c45ae270131c99c7",

@@ -82,6 +82,36 @@ def test_unitary_construction_checks_and_names_the_operator():
     assert U.matrix.dtype == complex and np.array_equal(np.asarray(U), moments.sigma_y)
 
 
+def test_a_deviation_that_overflows_to_nan_is_refused():
+    # Finite entries near 1e200 overflow M^dagger M to inf - inf = NaN;
+    # NaN is not within the tolerance, so the matrix is not unitary.
+    huge = 1e200 * (1 + 1j) * np.array([[1.0, 1.0], [1.0, -1.0]])
+    with pytest.raises(errors.NotUnitary) as exc:
+        moments.Unitary(huge, "operator 'H'")
+    assert str(exc.value) == "operator 'H' deviates from unitarity by nan (tol 1.0e-08)"
+
+
+def test_a_stack_is_checked_once_and_refuses_its_first_bad_matrix():
+    rng = sampling.trial_generator(7, 0, 3)
+    stack = np.array([sampling.random_unitary(rng, 4) for _ in range(5)])
+    units = moments.Unitary.stack(stack, "operator 'S'")
+    assert [U.name for U in units] == ["operator 'S'"] * 5
+    assert all(np.array_equal(U.matrix, M) for U, M in zip(units, stack))
+    bad = stack.copy()
+    bad[2][1, 2] += 1e-3
+    bad[4][0, 0] += 5e-2
+    # The message Unitary(M) gave for bad[2] before stacks were checked.
+    message = "operator deviates from unitarity by 7.999e-04 (tol 1.0e-08)"
+    for build in (lambda: moments.Unitary.stack(bad), lambda: moments.Unitary(bad[2])):
+        with pytest.raises(errors.NotUnitary) as exc:
+            build()
+        assert str(exc.value) == message
+    with pytest.raises(errors.DimensionMismatch):
+        moments.Unitary.stack(stack[0])
+    with pytest.raises(errors.DimensionMismatch):
+        moments.Unitary(stack)
+
+
 VALIDATION_MESSAGES = [
     (lambda: moments.PureState(np.array([np.nan, 1.0])), ValueError,
      "state amplitudes must be finite"),

@@ -4,6 +4,8 @@ import numpy as np
 
 from uur import linalg, sampling
 
+from oracles import per_matrix_instance, random_density, random_state, random_unitary
+
 
 def test_trial_generator_is_reproducible():
     a = sampling.trial_generator(seed=5, trial=3).normal(size=8)
@@ -40,3 +42,36 @@ def test_random_density_is_valid():
     rho = sampling.random_density(gen, 4)
     assert abs(np.trace(rho.matrix) - 1.0) < 1e-12
     assert np.min(np.linalg.eigvalsh(rho.matrix)) > -1e-12
+
+
+def test_one_stack_draws_what_per_matrix_draws_drew():
+    # A trial's count matrices drawn as one Gaussian stack, then its state,
+    # equal count per-matrix draws and the state bit for bit; several
+    # trials of one dimension share one QR.
+    cases = 0
+    for n in range(2, 9):
+        for count in range(1, 5):
+            stacks, want = [], []
+            for seed, trial in ((0, 0), (1, 5), (42, 3), (2 ** 31 - 1, 1000), (7, 12)):
+                ops, psi = per_matrix_instance(seed, trial, n, count, n)
+                rng = sampling.trial_generator(seed, trial, n)
+                stacks.append(sampling.complex_gaussians(rng, count, n, n))
+                assert np.array_equal(sampling.random_state(rng, n).amplitudes, psi.amplitudes)
+                want += ops
+            got = sampling.haar_unitaries(np.concatenate(stacks))
+            assert got.shape == (len(want), n, n)
+            for U, V in zip(got, want):
+                assert np.array_equal(U, V)
+                cases += 1
+    assert cases == 7 * 10 * 5
+
+
+def test_random_unitary_is_a_stack_of_one():
+    for n in (2, 3, 8):
+        gen, ref = sampling.trial_generator(9, n), sampling.trial_generator(9, n)
+        for _ in range(3):
+            assert np.array_equal(sampling.random_unitary(gen, n), random_unitary(ref, n))
+        assert np.array_equal(sampling.random_state(gen, n).amplitudes,
+                              random_state(ref, n).amplitudes)
+        assert np.array_equal(sampling.random_density(gen, n).matrix,
+                              random_density(ref, n).matrix)

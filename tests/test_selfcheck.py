@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import collections
 import hashlib
 import json
 
 import numpy as np
+import pytest
 
-from uur import bounds, linalg, sampling, selfcheck
+from uur import bounds, errors, linalg, moments, sampling, selfcheck
+
+from oracles import per_matrix_instance
 
 
 def _corrupt_split_bound(monkeypatch):
@@ -91,14 +95,83 @@ def test_split_symmetry_searches_each_block_size_once(monkeypatch):
 
 
 def test_each_sampled_unitary_is_checked_at_most_once(monkeypatch):
-    # Each draw is wrapped in moments.Unitary where it enters a checking
-    # call, so no draw is checked twice (unwrapped, this run made 984).
-    checks, draws = [], []
-    real_deviation, real_draw = linalg.unitary_deviation, sampling.random_unitary
+    # Each suite turns its trials' Gaussian matrices into unitaries with one
+    # QR per dimension and checks them with one unitarity test on the stack:
+    # every sampled matrix is drawn once and tested exactly once. Before the
+    # stacks, this run made 711 random_unitary calls and 686 tests: 636 of
+    # the draws (purification never tested its 75) and the ex1 operators of
+    # cross_bound_chain on every trial (50).
+    checks, stacks = [], []
+    real_deviation, real_haar = linalg.unitary_deviation, sampling.haar_unitaries
     monkeypatch.setattr(linalg, "unitary_deviation",
-                        lambda M: checks.append(1) or real_deviation(M))
-    monkeypatch.setattr(sampling, "random_unitary",
-                        lambda rng, n: draws.append(1) or real_draw(rng, n))
+                        lambda A: checks.append(A.reshape(-1, *A.shape[-2:])) or real_deviation(A))
+    monkeypatch.setattr(sampling, "haar_unitaries",
+                        lambda Z: stacks.append(real_haar(Z)) or stacks[-1])
     selfcheck.run_all(seed=42, trials=25)
-    assert len(draws) == 711
-    assert len(checks) <= 711
+    drawn = [M.tobytes() for stack in stacks for M in stack]
+    tested = collections.Counter(M.tobytes() for A in checks for M in A)
+    assert len(drawn) == len(set(drawn)) == 711
+    assert all(tested[M] == 1 for M in drawn)
+    # 63 (suite, dimension) stacks; the 12 other tests are the ex1 operators
+    # of cross_bound_chain, built once for each of its six dimensions.
+    assert (len(stacks), len(checks), sum(len(A) for A in checks)) == (63, 75, 723)
+
+
+def test_a_bad_matrix_in_a_stack_stops_check_with_its_message(monkeypatch):
+    # One corrupted matrix in the first stack of the first suite (pair_chain's
+    # d = 2 stack; it is trial 0's second unitary) is refused with the message
+    # Unitary(M) gives for that matrix alone.
+    real_haar = sampling.haar_unitaries
+
+    def corrupt_first(Z):
+        U = real_haar(Z)
+        if not seen:
+            U[1][0, 1] += 1e-3
+            seen.append(U[1].copy())
+        return U
+
+    seen = []
+    monkeypatch.setattr(sampling, "haar_unitaries", corrupt_first)
+    with pytest.raises(errors.NotUnitary) as exc:
+        selfcheck.run_all(seed=42, trials=25)
+    with pytest.raises(errors.NotUnitary) as alone:
+        moments.Unitary(seen[0])
+    assert str(exc.value) == str(alone.value)
+    # Unitary(M) gave this message for that matrix before stacks were checked.
+    assert str(exc.value) == "operator deviates from unitarity by 5.308e-04 (tol 1.0e-08)"
+
+
+@pytest.mark.parametrize("counts, dmin, dmax", [((1,), 2, 8), ((2,), 2, 8), ((3,), 2, 6),
+                                                ((4,), 2, 6), ((2, 3, 4), 2, 6), ((3, 4), 3, 8)])
+def test_stacked_instances_match_per_matrix_draws(counts, dmin, dmax):
+    # Every trial's unitaries and state equal the per-matrix draws bit for
+    # bit, though each dimension's matrices across trials share one QR.
+    matched = 0
+    for seed in (0, 1, 5, 42, 2 ** 31 - 1):
+        for stream in (0, 9):
+            for trial, (d, ops, psi, instance) in enumerate(
+                    selfcheck._instances(seed, 40, stream, counts, dmin, dmax)):
+                want, want_psi = per_matrix_instance(
+                    seed, trial, stream, counts[trial % len(counts)], d)
+                assert (instance["trial"], instance["dimension"]) == (trial, d)
+                assert d == dmin + trial % (dmax - dmin + 1)
+                assert len(ops) == len(want)
+                for U, V, raw in zip(ops, want, instance["operators"]):
+                    assert np.array_equal(U.matrix, V) and raw is U.matrix
+                assert np.array_equal(psi.amplitudes, want_psi.amplitudes)
+                matched += len(ops) + 1
+    assert matched == 10 * 40 + 10 * sum(counts[t % len(counts)] for t in range(40))
+
+
+def test_stacked_instances_cross_the_block_boundary(monkeypatch):
+    # Draws are held 1024 trials at a time, so 1030 trials make two blocks;
+    # each block runs one QR per dimension, and every draw is unchanged.
+    stacks = []
+    real_haar = sampling.haar_unitaries
+    monkeypatch.setattr(sampling, "haar_unitaries", lambda Z: stacks.append(len(Z)) or real_haar(Z))
+    trials = list(selfcheck._instances(3, 1030, 1, (1,)))
+    assert [t["trial"] for *_, t in trials] == list(range(1030))
+    assert stacks == [147] * 2 + [146] * 5 + [1] * 6
+    for trial, (d, (U,), psi, _) in enumerate(trials):
+        (want,), want_psi = per_matrix_instance(3, trial, 1, 1, d)
+        assert np.array_equal(U.matrix, want) and np.array_equal(psi.amplitudes, want_psi.amplitudes)
