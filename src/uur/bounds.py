@@ -10,8 +10,10 @@ blocks:
 
 The middle quantity is the split bound; maximizing it over which indices
 form the block gives the best split bound. The search enumerates only the
-support of (x^2, y^2), and a report searches each size m <= n/2 once: a
-block and its complement give the same value. The interpolation family i_d
+support of (x^2, y^2), in one pass for all the sizes m <= n/2 a report needs:
+a support part and its complement give the same value, so each part of at
+most half the support is evaluated once. The cap is judged on the nominal
+binomial(n, m) of every size before the pass. The interpolation family i_d
 and the paired cross bound are transcribed comparison bounds, bit-faithful
 to their published term-by-term sums: each pair's terms are formed once,
 and each level adds them left to right in (i, j) order.
@@ -177,47 +179,62 @@ def _check_cap(n: int, m: int, cap: int) -> None:
                                   f"the cap of {cap}", count=count)
 
 
-def best_split_bound(pair: ModulusPair, m: int, cap: int = DEFAULT_CAP) -> tuple[float, SubsetSelection]:
-    """Maximum split bound over all blocks of size m.
-
-    Only the support of (x^2, y^2) is enumerated: a free index, with x_i^2 =
-    y_i^2 = 0.0, adds exactly 0.0 to both block sums, so the blocks sharing a
-    support part T tie bit for bit, and the smallest completes T with the
-    m - |T| smallest free indices. Ties resolve to the lexicographically
-    smallest block. Raises SearchSpaceTooLarge when the nominal binomial(n,
-    m) exceeds the cap instead of silently truncating the search.
-
-    A block and its complement give the same value bit for bit (the two
-    block terms swap places), so when 2m = n only the first binomial(n-1,
-    m-1) blocks are searched: those holding index 1, the lexicographically
-    smaller block of every complementary pair. The stop cuts only when no
-    index is free; with one, no size holds more support parts than that.
-    """
+def _split_search(pair: ModulusPair, sizes, cap: int) -> list[tuple[float, SubsetSelection]]:
     n = pair.dim
-    if not 1 <= m <= n:
-        raise InvalidSubset(f"block size {m} out of range 1..{n}")
-    _check_cap(n, m, cap)
+    for m in sizes:
+        if not 1 <= m <= n:
+            raise InvalidSubset(f"block size {m} out of range 1..{n}")
+        _check_cap(n, m, cap)
     x2, y2 = _squares(pair)
-    free = [i for i in range(n) if x2[i] == y2[i] == 0.0]
     support = [i for i in range(n) if x2[i] or y2[i]]
-    stop = math.comb(n - 1, m - 1) if 2 * m == n else None
-    best, best_subset = -1.0, ()
-    for t in range(max(0, m - len(free)), min(m, len(support)) + 1):
-        pad = tuple(free[:m - t])
-        for part in itertools.islice(itertools.combinations(support, t), stop):
-            combo = tuple(sorted(part + pad)) if pad else part
-            val = _split_value(x2, y2, frozenset(combo))
-            if val > best or val == best and combo < best_subset:
-                best, best_subset = val, combo
-    return best, SubsetSelection(n=n, indices=tuple(i + 1 for i in best_subset))
+    free = [i for i in range(n) if not (x2[i] or y2[i])]
+    s, f = len(support), len(free)
+    parts = {}  # part size -> (best value, its smallest part)
+    lo, hi = max(0, sizes[0] - f), min(sizes[-1], s)  # part sizes the (consecutive) sizes use
+    for r in range(min(lo, s - hi), min(hi, s - lo, s // 2) + 1):
+        top, first, last = -1.0, (), ()
+        half = math.comb(s - 1, r - 1) if 2 * r == s > 0 else None
+        for part in itertools.islice(itertools.combinations(support, r), half):
+            val = _split_value(x2, y2, frozenset(part))
+            if val > top:
+                top, first, last = val, part, part
+            elif val == top:  # complements come in reverse order: the last is the smallest
+                last = part
+        parts[r] = top, first
+        if 2 * r < s and s - r <= hi:  # the complements' size is asked for
+            parts[s - r] = top, [i for i in support if i not in last]
+    results = []
+    for m in sizes:  # the largest value, then the smallest part padded with free indices
+        best, block = -1.0, ()
+        for t in range(max(0, m - f), min(m, s) + 1):
+            val, part = parts[t]
+            pad = free[:m - t]
+            combo = tuple(sorted([*part, *pad]) if pad else part)
+            if val > best or val == best and combo < block:
+                best, block = val, combo
+        results.append((best, SubsetSelection(n=n, indices=tuple(i + 1 for i in block))))
+    return results
+
+
+def best_split_bound(pair: ModulusPair, m: int, cap: int = DEFAULT_CAP) -> tuple[float, SubsetSelection]:
+    """Maximum split bound over all blocks of size m; ties go to the lexicographically smallest.
+
+    Only the support of (x^2, y^2) is enumerated: a free index (x_i^2 = y_i^2 = 0.0)
+    adds exactly 0.0 to both block sums, so the blocks sharing a support part T tie bit
+    for bit and the smallest pads T with the m - |T| smallest free indices. T and its
+    complement in the support tie too (the two block terms swap), so one pass evaluates
+    each T of at most half the support once (at half, those holding the first support
+    index) for T and its complement, keeps each part size's best value and smallest
+    part, and fills each size from the part sizes it pads. SearchSpaceTooLarge is
+    raised, before any block is evaluated, when the nominal binomial(n, m) exceeds cap.
+    """
+    return _split_search(pair, [m], cap)[0]
 
 
 def best_split_bounds(pair: ModulusPair, cap: int = DEFAULT_CAP) -> list[tuple[float, SubsetSelection]]:
-    """best_split_bound for each block size m = 1 .. floor(n/2), in order.
-
-    Larger blocks are redundant: size n - m gives the same value as size m.
-    """
-    return [best_split_bound(pair, m, cap) for m in range(1, max(1, pair.dim // 2) + 1)]
+    """best_split_bound for each block size m = 1 .. floor(n/2), in order, from one pass
+    (size n - m would repeat size m); every size's nominal binomial(n, m) is capped first."""
+    return _split_search(pair, range(1, max(1, pair.dim // 2) + 1), cap)
 
 
 def fine_grained_sequence(pair: ModulusPair) -> tuple[float, ...]:

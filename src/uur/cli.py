@@ -36,7 +36,7 @@ EXIT_RESOURCE = 3
 
 
 class _Violation(Exception):
-    """Raised when an emitted row fails its own chain invariants."""
+    """An emitted row fails its own chain invariants, or `check`'s own draws fail a check."""
 
 
 @dataclass
@@ -315,7 +315,10 @@ def run_compare(cfg: RunConfig) -> int:
 def run_check(cfg: RunConfig) -> int:
     if cfg.trials < 1:
         raise UurError(f"trials must be >= 1, got {cfg.trials}")
-    results = selfcheck.run_all(cfg.seed, cfg.trials)
+    try:
+        results = selfcheck.run_all(cfg.seed, cfg.trials)
+    except UurError as exc:
+        raise _Violation(exc) from exc
     lines = [f"check seed={cfg.seed} trials={cfg.trials}"]
     failed = [r for r in results if r.failures]
     lines += [f"suite {r.name}: trials={r.trials} failures={r.failures} worst={r.worst:.3e}"

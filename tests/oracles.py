@@ -3,19 +3,22 @@
 The ex1 closed forms are a reference the tests compare the numeric pipeline
 against; the program never calls them. The per-matrix sampler is the one
 `check` drew its instances with before it made its unitaries in stacks; it
-is the bit-for-bit reference for the stacked draw. The helpers name one
+is the bit-for-bit reference for the stacked draw. The per-size split search
+is the one `bounds` ran before one pass served every block size; it is the
+bit-for-bit reference for that pass. The helpers name one
 value of a public function so the tests read like the quantities they check.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from uur import bounds, sampling
-from uur.errors import DimensionTooSmall
+from uur.errors import DimensionTooSmall, InvalidSubset
 from uur.moments import DensityMatrix, PureState
 
 
@@ -103,3 +106,42 @@ def per_matrix_instance(seed: int, trial: int, stream: int, count: int, d: int):
     ops = [random_unitary(rng, d) for _ in range(count)]
     psi = random_state(rng, d)
     return ops, psi
+
+
+# The per-size split search, verbatim: each block size enumerates its own
+# support parts, padded with the smallest free indices.
+def _squares(pair) -> tuple[list[float], list[float]]:
+    return (pair.x ** 2).tolist(), (pair.y ** 2).tolist()
+
+
+def _split_value(x2: list[float], y2: list[float], inside: frozenset[int]) -> float:
+    xs = ys = xc = yc = 0.0
+    for i in range(len(x2)):
+        if i in inside:
+            xs += x2[i]
+            ys += y2[i]
+        else:
+            xc += x2[i]
+            yc += y2[i]
+    return (math.sqrt(xs) * math.sqrt(ys) + math.sqrt(xc) * math.sqrt(yc)) ** 2
+
+
+def per_size_split_bound(pair, m: int, cap: int = bounds.DEFAULT_CAP):
+    """Maximum split bound over the blocks of size m, searched for this size alone."""
+    n = pair.dim
+    if not 1 <= m <= n:
+        raise InvalidSubset(f"block size {m} out of range 1..{n}")
+    bounds._check_cap(n, m, cap)
+    x2, y2 = _squares(pair)
+    free = [i for i in range(n) if x2[i] == y2[i] == 0.0]
+    support = [i for i in range(n) if x2[i] or y2[i]]
+    stop = math.comb(n - 1, m - 1) if 2 * m == n else None
+    best, best_subset = -1.0, ()
+    for t in range(max(0, m - len(free)), min(m, len(support)) + 1):
+        pad = tuple(free[:m - t])
+        for part in itertools.islice(itertools.combinations(support, t), stop):
+            combo = tuple(sorted(part + pad)) if pad else part
+            val = _split_value(x2, y2, frozenset(combo))
+            if val > best or val == best and combo < best_subset:
+                best, best_subset = val, combo
+    return best, bounds.SubsetSelection(n=n, indices=tuple(i + 1 for i in best_subset))

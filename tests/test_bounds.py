@@ -11,11 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uur import bounds, cli, errors, moments, sampling
+from uur import bounds, cli, errors, moments, sampling, scenarios
 from uur.moments import ModulusPair
 
+import oracles
 from conftest import random_pair
-from oracles import fine_grained_level, split_bound_blend
+from oracles import fine_grained_level, per_size_split_bound, split_bound_blend
 
 
 def pair_of(x, y) -> ModulusPair:
@@ -239,18 +240,43 @@ def test_best_split_bound_pads_blocks_with_the_smallest_free_indices():
     assert bounds.best_split_bound(pair_of([0, 0, 0], [0, 0, 0]), 2) == (0.0, subset(3, 1, 2))
 
 
-@pytest.mark.parametrize("theta", [[], ["--theta-min", "1.0"]], ids=["theta-0", "theta-1"])
-def test_ex1_row_evaluates_only_support_blocks(monkeypatch, capsys, theta):
-    # An ex1 state at n = 16 has at most 3 support indices (none at theta
-    # 0); the full enumeration evaluated 32,767 blocks for this row.
+def count_split_values(monkeypatch) -> list:
+    """One entry per part the search evaluates."""
     calls = []
     real = bounds._split_value
     monkeypatch.setattr(bounds, "_split_value",
                         lambda x2, y2, inside: calls.append(1) or real(x2, y2, inside))
+    return calls
+
+
+@pytest.mark.parametrize("theta, parts", [([], 1), (["--theta-min", "1.0"], 4)],
+                         ids=["theta-0", "theta-1"])
+def test_ex1_row_evaluates_only_support_blocks(monkeypatch, capsys, theta, parts):
+    # An ex1 state at n = 16 has at most 3 support indices (one at theta 0);
+    # the full enumeration evaluated 32,767 blocks for this row and the
+    # per-size searches 59. The one pass evaluates each support part of at
+    # most half the support once: the empty part, and each single index of
+    # {1, 2, 16} at theta 1. The row's k_m (split_bound) makes one more call.
+    calls = count_split_values(monkeypatch)
     assert cli.main(["sweep", "--example", "ex1", "--dim", "16", "--steps", "1",
                      "--format", "csv"] + theta) == 0
     assert len(capsys.readouterr().out.splitlines()) == 2  # header and one row
-    assert 0 < len(calls) <= 64
+    assert len(calls) == parts + 1
+
+
+def test_dense_ex2_row_evaluates_every_part_of_at_most_half_the_support_once(monkeypatch):
+    # Sizes 1..7 in full and the 6,435 size-8 parts holding index 1: the
+    # count the per-size searches made, now from one pass.
+    calls = count_split_values(monkeypatch)
+    scen = scenarios.scenario("ex2", 16)
+    psi = scen.state(0.7)
+    pair = moments.ModulusPair.from_deltas(
+        *(moments.delta_vector(moments.Unitary(U), psi) for _, U in scen.operators))
+    table = bounds.best_split_bounds(pair)
+    assert len(calls) == 32_767 == sum(math.comb(16, t) for t in range(1, 8)) + math.comb(15, 7)
+    calls.clear()
+    assert bounds.best_split_bound(pair, 8) == table[-1]
+    assert len(calls) == math.comb(15, 7)
 
 
 def test_bound_report_k_tilde_m_equals_search_at_every_block_size():
@@ -261,21 +287,24 @@ def test_bound_report_k_tilde_m_equals_search_at_every_block_size():
             assert bounds.bound_report(p, m).k_tilde_m == bounds.best_split_bound(p, m)[0]
 
 
-def test_bound_report_searches_each_block_size_once(monkeypatch):
-    p = moments.modulus_pair(*random_pair(24, 0, 7))
-    real = bounds.best_split_bound
+def count_split_searches(monkeypatch) -> list:
+    """The block sizes of each split-search pass, one entry per pass."""
     calls = []
+    real = bounds._split_search
+    monkeypatch.setattr(bounds, "_split_search",
+                        lambda pair, sizes, cap: calls.append(list(sizes)) or real(pair, sizes, cap))
+    return calls
 
-    def counting(pair, m, cap=bounds.DEFAULT_CAP):
-        calls.append(m)
-        return real(pair, m, cap)
 
-    monkeypatch.setattr(bounds, "best_split_bound", counting)
+def test_bound_report_searches_each_block_size_once(monkeypatch):
+    # One pass per report serves the sizes 1..3; m = 4..6 read them.
+    p = moments.modulus_pair(*random_pair(24, 0, 7))
+    calls = count_split_searches(monkeypatch)
     for m in range(1, 7):
         calls.clear()
         rep = bounds.bound_report(p, m)
-        assert calls == [1, 2, 3]
-        assert rep.k_tilde_m == real(p, m)[0]
+        assert calls == [[1, 2, 3]]
+        assert rep.k_tilde_m == per_size_split_bound(p, m)[0]
 
 
 def test_block_symmetry_between_m_and_complement():
@@ -286,6 +315,70 @@ def test_block_symmetry_between_m_and_complement():
             a, _ = bounds.best_split_bound(p, m)
             b, _ = bounds.best_split_bound(p, 6 - m)
             assert a == pytest.approx(b, abs=1e-12)
+
+
+def oracle_pairs(seed: int, count: int):
+    """All-ones and all-zero pairs for n = 1..12, then count seeded random
+    pairs: dense, small integers (ties and free indices), sparse (free
+    indices), x = y, and ones with zeros (ties padded with free indices).
+    Every fourth pair has n in 1..12, the others n in 1..8: a dense n = 12
+    pair costs the two searches about 12 ms."""
+    for n in range(1, 13):
+        yield pair_of(np.ones(n), np.ones(n))
+        yield pair_of(np.zeros(n), np.zeros(n))
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        n = int(rng.integers(1, 13 if k % 4 == 0 else 9))
+        kind = k % 5
+        if kind == 0:
+            x, y = rng.random(n), rng.random(n)
+        elif kind == 1:
+            x, y = rng.integers(0, 3, (2, n)).astype(float)
+        elif kind == 2:
+            x, y = rng.random((2, n)) * (rng.random((2, n)) < 0.4)
+        elif kind == 3:
+            x = y = np.round(rng.random(n) * (rng.random(n) < 0.7), 1)
+        else:
+            x, y = (rng.random((2, n)) < 0.8).astype(float)
+        yield pair_of(x, y)
+
+
+def test_one_pass_matches_the_per_size_search_on_3000_pairs():
+    # Value and block for every size, and the whole table (sizes 1..n/2), with ==.
+    for p in oracle_pairs(2101, 3000):
+        want = [per_size_split_bound(p, m) for m in range(1, p.dim + 1)]
+        assert bounds.best_split_bounds(p) == want[:max(1, p.dim // 2)]
+        for m in range(1, p.dim + 1):
+            assert bounds.best_split_bound(p, m) == want[m - 1], (p.x, p.y, m)
+
+
+def test_no_search_evaluates_more_parts_than_the_per_size_search(monkeypatch):
+    # For one size, and for the table of sizes 1..n/2, against the oracle's count.
+    new, old = count_split_values(monkeypatch), []
+    real = oracles._split_value
+    monkeypatch.setattr(oracles, "_split_value",
+                        lambda x2, y2, inside: old.append(1) or real(x2, y2, inside))
+    for p in oracle_pairs(2102, 600):
+        half = range(1, max(1, p.dim // 2) + 1)
+        for search, per_size in [(lambda: bounds.best_split_bounds(p), half)] + [
+                (lambda m=m: bounds.best_split_bound(p, m), [m]) for m in range(1, p.dim + 1)]:
+            new.clear()
+            old.clear()
+            search()
+            for m in per_size:
+                per_size_split_bound(p, m)
+            assert len(new) <= len(old), (p.x, p.y, list(per_size))
+
+
+def test_the_cap_is_judged_on_every_nominal_size_before_any_part(monkeypatch):
+    # binomial(12, 5) = 792 is the first size of the table over the cap; no
+    # part of the smaller sizes is evaluated first. A sparse pair is judged
+    # on the same nominal counts.
+    calls = count_split_values(monkeypatch)
+    for x in (np.ones(12), np.r_[1.0, np.zeros(11)]):
+        with pytest.raises(errors.SearchSpaceTooLarge, match=r"binomial\(12, 5\) = 792 "):
+            bounds.best_split_bounds(pair_of(x, x), cap=500)
+        assert calls == []
 
 
 # --- fine-grained family -------------------------------------------------------

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uur import bounds, cli, linalg, moments, scenarios
+from uur import bounds, cli, linalg, moments, sampling, scenarios
 
 import test_golden
 
@@ -725,6 +725,26 @@ def test_check_without_trials_is_input_error(capsys, trials):
     assert "trials" in err
 
 
+def test_check_exits_1_when_its_own_draw_fails_the_unitarity_test(capsys, monkeypatch):
+    # check reads no input besides --seed and --trials, so a sampled matrix
+    # that fails the unitarity test is a fault of the program, not of the
+    # input: exit 1 (it was 2), with the error line Unitary(M) gives.
+    real_haar = sampling.haar_unitaries
+
+    def corrupt_first(Z):
+        U = real_haar(Z)
+        if not seen:
+            U[1][0, 1] += 1e-3
+            seen.append(True)
+        return U
+
+    seen = []
+    monkeypatch.setattr(sampling, "haar_unitaries", corrupt_first)
+    code, out, err = run(["check", "--seed", "42", "--trials", "25"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: operator deviates from unitarity by 5.308e-04 (tol 1.0e-08)\n"
+
+
 @pytest.fixture
 def delta_vector_calls(monkeypatch):
     """Every operator moments.delta_vector is called with, in call order."""
@@ -756,26 +776,27 @@ def test_three_operator_report_computes_three_delta_vectors(tmp_path, capsys,
 
 
 def test_sweep_row_searches_each_block_size_once(capsys, monkeypatch):
-    # One ex1 row at n = 16 and m = 8 needs the block-size searches 1..8
-    # once each: sizes above 8 repeat smaller ones, and m = 8 is among them.
-    calls = []
-    real = bounds.best_split_bound
-
-    def counting(pair, m, cap=bounds.DEFAULT_CAP):
-        calls.append(m)
-        return real(pair, m, cap)
-
-    monkeypatch.setattr(bounds, "best_split_bound", counting)
-    code, _, err = run(["sweep", "--example", "ex1", "--dim", "16", "--steps", "1"], capsys)
+    # One ex1 row at n = 16 and m = 8 needs the block sizes 1..8 once each,
+    # from one pass: sizes above 8 repeat smaller ones, and m = 8 is among
+    # them. The pass evaluates 4 support parts (the per-size searches 59).
+    calls, parts = [], []
+    real_search, real_value = bounds._split_search, bounds._split_value
+    monkeypatch.setattr(bounds, "_split_search",
+                        lambda pair, sizes, cap: calls.append(list(sizes)) or real_search(pair, sizes, cap))
+    monkeypatch.setattr(bounds, "_split_value",
+                        lambda x2, y2, inside: parts.append(inside) or real_value(x2, y2, inside))
+    code, _, err = run(["sweep", "--example", "ex1", "--dim", "16", "--steps", "1",
+                        "--theta-min", "1.0"], capsys)
     assert code == 0, err
-    assert calls == list(range(1, 9))
+    assert calls == [list(range(1, 9))]
+    assert len(parts) == 4 + 1  # and the row's k_m (split_bound)
 
 
 def test_three_operator_report_bounds_each_pair_once(capsys, monkeypatch):
     # ex5 has n = 4 and m = 2. The report's pair A-B makes one modulus pair,
-    # one k_m, one variance product and the searches m = 1, 2; the geometric
-    # mean takes A-B's factors from that report and makes one of each for the
-    # pairs A-C and B-C, searching m = 2 only.
+    # one k_m, one variance product and one search pass over the sizes 1, 2;
+    # the geometric mean takes A-B's factors from that report and makes one
+    # of each for the pairs A-C and B-C, its pass searching m = 2 only.
     calls = {}
 
     def count(owner, name, wrap=lambda f: f):
@@ -790,12 +811,12 @@ def test_three_operator_report_bounds_each_pair_once(capsys, monkeypatch):
 
     count(bounds, "geometric_mean_bound")
     count(moments.ModulusPair, "from_deltas", staticmethod)
-    for name in ("split_bound", "variance_product", "best_split_bound"):
+    for name in ("split_bound", "variance_product", "best_split_bound", "_split_search"):
         count(bounds, name)
     code, _, err = run(["bounds", "--example", "ex5", "--flavor", "tilde"], capsys)
     assert code == 0, err
     assert calls == {"geometric_mean_bound": 1, "from_deltas": 3, "split_bound": 3,
-                     "variance_product": 3, "best_split_bound": 4}
+                     "variance_product": 3, "best_split_bound": 2, "_split_search": 1 + 2}
 
 
 @pytest.mark.parametrize("command, checks", [

@@ -72,14 +72,17 @@ def test_counterexample_encoding_is_unchanged(monkeypatch):
 
 def test_subset_chain_reads_large_block_sizes_from_the_table(monkeypatch):
     # d = 2..8 over 7 trials: best_split_bounds searches floor(d/2) sizes
-    # each, 16 in all; sizes above d/2 tie with d - m and are not searched.
+    # each in one pass, 16 sizes in 7 passes; sizes above d/2 tie with d - m
+    # and are not searched.
     calls = []
-    real = bounds.best_split_bound
-    monkeypatch.setattr(bounds, "best_split_bound",
-                        lambda pair, m, cap=bounds.DEFAULT_CAP: calls.append(m) or real(pair, m, cap))
+    real = bounds._split_search
+    monkeypatch.setattr(bounds, "_split_search",
+                        lambda pair, sizes, cap: calls.append(list(sizes)) or real(pair, sizes, cap))
     result = selfcheck.suite_subset_chain(42, 7)
     assert result.failures == 0 and result.trials == 7
-    assert len(calls) == 16
+    assert len(calls) == 7
+    assert sum(len(sizes) for sizes in calls) == 16
+    assert all(sizes == list(range(1, len(sizes) + 1)) for sizes in calls)
 
 
 def test_split_symmetry_searches_each_block_size_once(monkeypatch):
