@@ -16,7 +16,9 @@ most half the support is evaluated once. The cap is judged on the nominal
 binomial(n, m) of every size before the pass. The interpolation family i_d
 and the paired cross bound are transcribed comparison bounds, bit-faithful
 to their published term-by-term sums: each pair's terms are formed once,
-and each level adds them left to right in (i, j) order.
+and each level adds them left to right in (i, j) order. Like the search,
+both skip a zero coordinate's terms: each is +-0.0, which changes no bit of
+a total >= +0.0, unless an overflow makes it inf * 0.0 = NaN.
 """
 
 from __future__ import annotations
@@ -129,6 +131,13 @@ def _squares(pair: ModulusPair) -> tuple[list[float], list[float]]:
     return (pair.x ** 2).tolist(), (pair.y ** 2).tolist()
 
 
+def _pow_squares(v: np.ndarray) -> list[float]:
+    try:  # C pow: a Python float's ** is numpy scalar's, but raises where that gives inf
+        return [t ** 2 for t in v.tolist()]
+    except OverflowError:
+        return [float(t ** 2) for t in v]
+
+
 def _split_value(x2: list[float], y2: list[float], inside: frozenset[int]) -> float:
     # Sums run in ascending global index order for both blocks, so any two
     # representations of the same subset produce bit-identical results.
@@ -179,7 +188,7 @@ def _check_cap(n: int, m: int, cap: int) -> None:
                                   f"the cap of {cap}", count=count)
 
 
-def _split_search(pair: ModulusPair, sizes, cap: int) -> list[tuple[float, SubsetSelection]]:
+def _split_search(pair: ModulusPair, sizes, cap: int) -> list[tuple[float, tuple[int, ...]]]:
     n = pair.dim
     for m in sizes:
         if not 1 <= m <= n:
@@ -212,7 +221,7 @@ def _split_search(pair: ModulusPair, sizes, cap: int) -> list[tuple[float, Subse
             combo = tuple(sorted([*part, *pad]) if pad else part)
             if val > best or val == best and combo < block:
                 best, block = val, combo
-        results.append((best, SubsetSelection(n=n, indices=tuple(i + 1 for i in block))))
+        results.append((best, tuple(i + 1 for i in block)))  # 1-based; callers wrap what they keep
     return results
 
 
@@ -228,13 +237,15 @@ def best_split_bound(pair: ModulusPair, m: int, cap: int = DEFAULT_CAP) -> tuple
     part, and fills each size from the part sizes it pads. SearchSpaceTooLarge is
     raised, before any block is evaluated, when the nominal binomial(n, m) exceeds cap.
     """
-    return _split_search(pair, [m], cap)[0]
+    [(best, block)] = _split_search(pair, [m], cap)
+    return best, SubsetSelection(n=pair.dim, indices=block)
 
 
 def best_split_bounds(pair: ModulusPair, cap: int = DEFAULT_CAP) -> list[tuple[float, SubsetSelection]]:
     """best_split_bound for each block size m = 1 .. floor(n/2), in order, from one pass
     (size n - m would repeat size m); every size's nominal binomial(n, m) is capped first."""
-    return _split_search(pair, range(1, max(1, pair.dim // 2) + 1), cap)
+    return [(best, SubsetSelection(n=pair.dim, indices=block))
+            for best, block in _split_search(pair, range(1, max(1, pair.dim // 2) + 1), cap)]
 
 
 def fine_grained_sequence(pair: ModulusPair) -> tuple[float, ...]:
@@ -245,21 +256,26 @@ def fine_grained_sequence(pair: ModulusPair) -> tuple[float, ...]:
     Each pair's terms are formed once; each level adds them with +=, left to
     right in (i, j) order: the per-level sum's floats in its order, bit for bit.
     np.sum (pairwise), math.fsum (exact) and sum (compensated from 3.12) move
-    bits, as does x * x (an array's x ** 2, _squares) in place of numpy's
-    scalar pow (~1 draw in 1,000); a Python float's ** raises OverflowError.
+    bits, as does x * x (an array's x ** 2, _squares) in place of C pow (~1
+    draw in 1,000). Only pairs inside S = {i : x_i != 0 or y_i != 0} are
+    formed, and a sum only at level 0 and at each such pair's j; any other
+    level repeats the one before (the same floats in the same order). While
+    the diagonal sum of x_i^2 y_i^2 is not finite, S is every index: an inf
+    square or 2 x_i y_i times a zero is NaN.
     """
     n = pair.dim
     x, y = pair.x.tolist(), pair.y.tolist()
-    x2, y2 = [float(t ** 2) for t in pair.x], [float(t ** 2) for t in pair.y]
-    terms = [(j, x2[i] * y2[j] + x2[j] * y2[i], 2.0 * x[i] * y[i] * x[j] * y[j])
-             for i in range(n) for j in range(i + 1, n)]
+    x2, y2 = _pow_squares(pair.x), _pow_squares(pair.y)
     diagonal = float(np.sum(pair.x ** 2 * pair.y ** 2))
+    support = [i for i in range(n) if x[i] or y[i]] if math.isfinite(diagonal) else range(n)
+    terms = [(j, x2[i] * y2[j] + x2[j] * y2[i], 2.0 * x[i] * y[i] * x[j] * y[j])
+             for i, j in itertools.combinations(support, 2)]
     family = []
-    for level in range(n):  # 0-based: pair (i, j) takes its cross term when j <= level
-        total = diagonal
+    for level, stop in itertools.pairwise([0, *support[1:], n]):
+        total = diagonal  # 0-based: pair (i, j) takes its cross term when j <= level
         for j, symmetric, cross in terms:
             total += cross if j <= level else symmetric
-        family.append(total)
+        family += [total] * (stop - level)
     return tuple(family)
 
 
@@ -271,8 +287,9 @@ def paired_cross_bound(pair: ModulusPair) -> float:
         sum_i x_i^2 y_i^2  +  sum_{j != 1, i != j} x_i^2 y_j^2
         +  y_1^2 sum_{i >= 4} x_i^2  +  2 y_1^2 x_2 x_3
 
-    (1-based indices; the third term is an empty sum when n == 3). The
-    terms missing from |x|^2 |y|^2 are y_1^2 (x_2^2 + x_3^2 - 2 x_2 x_3), so
+    (1-based indices; the third term is an empty sum when n == 3, and the
+    second adds no x_i^2 y_j^2 with a zero factor while the diagonal sum is
+    finite). The terms missing from |x|^2 |y|^2 are y_1^2 (x_2^2 + x_3^2 - 2 x_2 x_3), so
 
         i_1 - i_1'  =  y_1^2 (x_2 - x_3)^2  >=  0
 
@@ -292,12 +309,15 @@ def paired_cross_bound(pair: ModulusPair) -> float:
     if n < 3:
         raise DimensionTooSmall(f"paired cross bound needs dimension >= 3, got {n}")
     x, y = pair.x, pair.y
-    x2, y2 = [float(t ** 2) for t in x], [float(t ** 2) for t in y]  # scalar pow, not x * x
+    x2, y2 = _pow_squares(x), _pow_squares(y)  # C pow, not x * x
     total = float(np.sum(x ** 2 * y ** 2))
+    every = not math.isfinite(total)
+    rows = [i for i in range(n) if x2[i] or every]
     for j in range(1, n):
-        for i in range(n):
-            if i != j:
-                total += x2[i] * y2[j]
+        if y2[j] or every:
+            for i in rows:
+                if i != j:
+                    total += x2[i] * y2[j]
     total += float(y[0] ** 2 * np.sum(x[3:] ** 2))
     total += float(2.0 * y[0] ** 2 * x[1] * x[2])
     return total
@@ -359,9 +379,9 @@ def bound_report(pair: ModulusPair, m: int, v: float = DEFAULT_V,
         raise InvalidSubset(f"block size {m} out of range 1..{n - 1} (m = n is degenerate)")
     block = SubsetSelection.first_block(n, m)
     _check_cap(n, m, cap)
-    table = best_split_bounds(pair, cap)
+    table = _split_search(pair, range(1, n // 2 + 1), cap)
     # max keeps the first maximum, so ties go to the smallest block size.
-    k_tilde, k_tilde_argmax = max(table, key=lambda entry: entry[0])
+    k_tilde, argmax = max(table, key=lambda entry: entry[0])
     k_m, vp = split_bound(pair, block), variance_product(pair)
     return BoundSet(
         m=m,
@@ -372,7 +392,7 @@ def bound_report(pair: ModulusPair, m: int, v: float = DEFAULT_V,
         k_m_v=_blend(k_m, vp, v),
         k_tilde_m=table[min(m, n - m) - 1][0],
         k_tilde=k_tilde,
-        k_tilde_argmax=k_tilde_argmax,
+        k_tilde_argmax=SubsetSelection(n=n, indices=argmax),
         i_d=fine_grained_sequence(pair),
         i_1_prime=paired_cross_bound(pair) if n >= 3 else None,
     )

@@ -35,11 +35,6 @@ def haar_unitaries(Z: np.ndarray) -> np.ndarray:
     return Q * (diag / np.abs(diag))
 
 
-def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
-    """One Haar-style random unitary: a stack of one."""
-    return haar_unitaries(complex_gaussians(rng, 1, n, n))[0]
-
-
 def random_state(rng: np.random.Generator, n: int) -> PureState:
     """Normalized complex Gaussian vector."""
     v = complex_gaussians(rng, 1, n)[0]

@@ -7,6 +7,8 @@ import pytest
 
 from uur import sampling
 
+from oracles import random_unitary
+
 _ACCEPTANCE: dict[str, str] = {}
 
 
@@ -39,16 +41,16 @@ def rng():
 def pair_case():
     """A generic unitary pair and state in dimension 4, fixed seed."""
     gen = sampling.trial_generator(seed=99, trial=0)
-    A = sampling.random_unitary(gen, 4)
-    B = sampling.random_unitary(gen, 4)
+    A = random_unitary(gen, 4)
+    B = random_unitary(gen, 4)
     psi = sampling.random_state(gen, 4)
     return A, B, psi
 
 
 def random_pair(seed: int, trial: int, dim: int):
     gen = sampling.trial_generator(seed=seed, trial=trial)
-    A = sampling.random_unitary(gen, dim)
-    B = sampling.random_unitary(gen, dim)
+    A = random_unitary(gen, dim)
+    B = random_unitary(gen, dim)
     psi = sampling.random_state(gen, dim)
     return A, B, psi
 

@@ -3,7 +3,8 @@
 The ex1 closed forms are a reference the tests compare the numeric pipeline
 against; the program never calls them. The per-matrix sampler is the one
 `check` drew its instances with before it made its unitaries in stacks; it
-is the bit-for-bit reference for the stacked draw. The per-size split search
+is the bit-for-bit reference for the stacked draw, and the tests draw their
+single unitaries with its `random_unitary`. The per-size split search
 is the one `bounds` ran before one pass served every block size; it is the
 bit-for-bit reference for that pass. The helpers name one
 value of a public function so the tests read like the quantities they check.

@@ -20,7 +20,7 @@ import pytest
 from uur import bounds, cli, linalg, moments, sampling, scenarios
 from uur.moments import ModulusPair
 
-from oracles import example1_reference, split_bound_blend
+from oracles import example1_reference, random_unitary, split_bound_blend
 
 SLACK = 1e-10
 
@@ -28,8 +28,8 @@ SLACK = 1e-10
 def _instance(seed: int, trial: int, dmin=2, dmax=8):
     gen = sampling.trial_generator(seed=seed, trial=trial)
     d = dmin + trial % (dmax - dmin + 1)
-    A = sampling.random_unitary(gen, d)
-    B = sampling.random_unitary(gen, d)
+    A = random_unitary(gen, d)
+    B = random_unitary(gen, d)
     psi = sampling.random_state(gen, d)
     return A, B, psi, d
 
@@ -195,7 +195,7 @@ def test_criterion_06_purification_identities():
         psi = moments.purify(rho)
         proj = np.outer(psi.amplitudes, psi.amplitudes.conj())
         for _ in range(20):
-            U = sampling.random_unitary(gen, 2)
+            U = random_unitary(gen, 2)
             got = moments.expectation(moments.lift(U), psi)
             want = complex(np.trace(U @ rho.matrix))
             assert abs(got - want) <= 1e-10, \
@@ -217,8 +217,8 @@ def test_criterion_07_mixed_state_floor():
         gen = sampling.trial_generator(seed=107, trial=trial)
         d = 2 + trial % 3
         rho = sampling.random_density(gen, d)
-        A = sampling.random_unitary(gen, d)
-        B = sampling.random_unitary(gen, d)
+        A = random_unitary(gen, d)
+        B = random_unitary(gen, d)
         va = moments.variance_mixed(A, rho)
         vb = moments.variance_mixed(B, rho)
         dec = linalg.hermitian_eig(rho.matrix)
@@ -241,7 +241,7 @@ def test_criterion_08_gram_psd_and_triple():
         gen = sampling.trial_generator(seed=108, trial=trial)
         d = 2 + trial % 5
         n_ops = 2 + trial % 3
-        ops = [sampling.random_unitary(gen, d) for _ in range(n_ops)]
+        ops = [random_unitary(gen, d) for _ in range(n_ops)]
         psi = sampling.random_state(gen, d)
         G = moments.gram_matrix(ops, psi)
         assert float(np.min(np.linalg.eigvalsh(G))) >= -SLACK, \
@@ -258,7 +258,7 @@ def test_criterion_09_geometric_mean_products():
         for trial in range(300):
             gen = sampling.trial_generator(seed=109 + n_ops, trial=trial)
             d = 2 + trial % 5
-            ops = [sampling.random_unitary(gen, d) for _ in range(n_ops)]
+            ops = [random_unitary(gen, d) for _ in range(n_ops)]
             psi = sampling.random_state(gen, d)
             m = 1 + trial % max(1, d // 2)
             deltas = [moments.delta_vector(U, psi) for U in ops]
@@ -276,8 +276,8 @@ def test_criterion_10_permutation_oracle():
     for trial in range(100):
         gen = sampling.trial_generator(seed=110, trial=trial)
         n = 2 + trial % 5
-        A = sampling.random_unitary(gen, n)
-        B = sampling.random_unitary(gen, n)
+        A = random_unitary(gen, n)
+        B = random_unitary(gen, n)
         psi = sampling.random_state(gen, n)
         pair = moments.modulus_pair(A, B, psi)
         x2 = pair.x.astype(float) ** 2

@@ -16,7 +16,7 @@ from uur.moments import ModulusPair
 
 import oracles
 from conftest import random_pair
-from oracles import fine_grained_level, per_size_split_bound, split_bound_blend
+from oracles import fine_grained_level, per_size_split_bound, random_unitary, split_bound_blend
 
 
 def pair_of(x, y) -> ModulusPair:
@@ -279,6 +279,26 @@ def test_dense_ex2_row_evaluates_every_part_of_at_most_half_the_support_once(mon
     assert len(calls) == math.comb(15, 7)
 
 
+def test_bound_report_builds_only_the_leading_and_the_argmax_block(monkeypatch):
+    # An ex1 row at n = 16 reads 8 block sizes from its table; only the
+    # leading block {1..m} and the argmax become SubsetSelections (the
+    # report built 1 + 8 of them while the table held one per size).
+    scen = scenarios.scenario("ex1", 16)
+    psi = scen.state(1.0)
+    pair = moments.ModulusPair.from_deltas(
+        *(moments.delta_vector(moments.Unitary(U), psi) for _, U in scen.operators))
+    built = []
+    real = bounds.SubsetSelection.__post_init__
+    monkeypatch.setattr(bounds.SubsetSelection, "__post_init__",
+                        lambda self: built.append(self.indices) or real(self))
+    report = bounds.bound_report(pair, 8)
+    assert len(built) == 2
+    assert built[0] == tuple(range(1, 9))
+    monkeypatch.undo()
+    assert max(bounds.best_split_bounds(pair), key=lambda entry: entry[0]) == (
+        report.k_tilde, report.k_tilde_argmax)
+
+
 def test_bound_report_k_tilde_m_equals_search_at_every_block_size():
     for trial in range(6):
         n = 2 + trial
@@ -449,15 +469,21 @@ def reference_paired_cross_bound(pair):
     return total
 
 
+signed_zero = st.sampled_from([0.0, -0.0])  # ModulusPair accepts -0.0: -0.0 < 0 is False
 spread_modulus = st.one_of(
-    st.just(0.0),
+    signed_zero,
     st.builds(lambda mantissa, exponent: mantissa * 10.0 ** exponent,
               st.floats(min_value=1.0, max_value=10.0), st.integers(min_value=-12, max_value=11)),
     st.floats(min_value=1e-12, max_value=1e12))
+# Mostly indices where both moduli are +-0.0, so the support has gaps inside
+# it, and some where only one of the two is.
+sparse_entry = st.one_of(*[st.tuples(signed_zero, signed_zero)] * 4,
+                         st.tuples(spread_modulus, spread_modulus))
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(spread_modulus, spread_modulus), min_size=1, max_size=20))
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.lists(st.tuples(spread_modulus, spread_modulus), min_size=1, max_size=20),
+                 st.lists(sparse_entry, min_size=1, max_size=24)))
 def test_fine_grained_family_and_cross_bound_match_the_loops_bit_for_bit(entries):
     p = pair_of(*zip(*entries))
     want = tuple(reference_fine_grained_bound(p, L) for L in range(1, p.dim + 1))
@@ -465,6 +491,30 @@ def test_fine_grained_family_and_cross_bound_match_the_loops_bit_for_bit(entries
     assert tuple(fine_grained_level(p, L) for L in range(1, p.dim + 1)) == want
     if p.dim >= 3:
         assert bounds.paired_cross_bound(p) == reference_paired_cross_bound(p)
+
+
+@pytest.mark.parametrize("x, y", [
+    # An inf square beside zeros: the loops' inf * 0.0 terms give NaN, on
+    # top of a NaN diagonal in the first pair and of an inf one in the next
+    # two, whose levels past their last such term stay inf.
+    ([1e200, 0.0, 3.0, 0.0], [1.0, 1e200, 0.0, 0.0]),
+    ([1e200, 0.0, 0.0, 3.0], [1.0, 0.0, 0.0, 2.0]),
+    ([0.0, 1e200, 0.0, 0.0], [0.0, 1.0, 2.0, 0.0]),
+    # Finite squares whose 2 x_1 y_1 overflows: a later zero index's cross
+    # term is inf * 0.0 from level 2 on, while the diagonal is already inf.
+    ([1e154, 0.0], [1e154, 0.0]),
+    ([1e154, 0.0, 0.0], [1e154, -0.0, 0.0]),
+    # The largest float whose square is finite, and the next one up.
+    ([1.3407807929942596e154, 0.0, 1.0], [0.0, 1.0, 0.0]),
+    ([1.3407807929942597e154, 0.0, 1.0], [0.0, 1.0, 0.0]),
+])
+def test_overflow_beside_zeros_keeps_the_loops_nans(x, y):
+    p = pair_of(x, y)
+    with np.errstate(all="ignore"):
+        want = tuple(reference_fine_grained_bound(p, L) for L in range(1, p.dim + 1))
+        assert repr(bounds.fine_grained_sequence(p)) == repr(want)
+        if p.dim >= 3:
+            assert repr(bounds.paired_cross_bound(p)) == repr(reference_paired_cross_bound(p))
 
 
 def test_fine_grained_family_overflows_to_inf_like_the_loops():
@@ -529,8 +579,8 @@ def test_gram_matrix_identity_op():
 
 def test_gram_matrix_pair_entries():
     gen = sampling.trial_generator(seed=61, trial=0)
-    A = sampling.random_unitary(gen, 3)
-    B = sampling.random_unitary(gen, 3)
+    A = random_unitary(gen, 3)
+    B = random_unitary(gen, 3)
     psi = sampling.random_state(gen, 3)
     G = moments.gram_matrix([A, B], psi)
     assert G.shape == (3, 3)
@@ -566,8 +616,8 @@ def test_bounds_imports_only_delta_vector_and_modulus_pair():
 
 def test_triple_correlation_bound_identity_factor_vanishes():
     gen = sampling.trial_generator(seed=71, trial=0)
-    A = sampling.random_unitary(gen, 4)
-    B = sampling.random_unitary(gen, 4)
+    A = random_unitary(gen, 4)
+    B = random_unitary(gen, 4)
     psi = sampling.random_state(gen, 4)
     val = bounds.triple_correlation_bound(*deltas_of([A, B, np.eye(4, dtype=complex)], psi))
     assert val == pytest.approx(0.0, abs=1e-12)
@@ -575,7 +625,7 @@ def test_triple_correlation_bound_identity_factor_vanishes():
 
 def test_triple_correlation_bound_equal_operators_saturate():
     gen = sampling.trial_generator(seed=72, trial=0)
-    A = sampling.random_unitary(gen, 4)
+    A = random_unitary(gen, 4)
     psi = sampling.random_state(gen, 4)
     var = moments.variance_pure(A, psi)
     val = bounds.triple_correlation_bound(*deltas_of([A, A, A], psi))
@@ -586,7 +636,7 @@ def test_triple_bound_matches_gram_determinant():
     for trial in range(30):
         gen = sampling.trial_generator(seed=73, trial=trial)
         d = int(gen.integers(2, 6))
-        ops = [sampling.random_unitary(gen, d) for _ in range(3)]
+        ops = [random_unitary(gen, d) for _ in range(3)]
         psi = sampling.random_state(gen, d)
         G = moments.gram_matrix(ops, psi)
         det = float(np.linalg.det(G).real)
@@ -607,8 +657,8 @@ def mean_of(ops, psi, m, v) -> dict[str, float]:
 
 def test_geometric_mean_two_ops_reduces_to_pairwise():
     gen = sampling.trial_generator(seed=81, trial=0)
-    A = sampling.random_unitary(gen, 4)
-    B = sampling.random_unitary(gen, 4)
+    A = random_unitary(gen, 4)
+    B = random_unitary(gen, 4)
     psi = sampling.random_state(gen, 4)
     pairwise = bounds.split_bound(moments.modulus_pair(A, B, psi),
                                   bounds.SubsetSelection.first_block(4, 2))
@@ -617,8 +667,8 @@ def test_geometric_mean_two_ops_reduces_to_pairwise():
 
 def test_geometric_mean_identity_op_kills_bound():
     gen = sampling.trial_generator(seed=82, trial=0)
-    A = sampling.random_unitary(gen, 4)
-    B = sampling.random_unitary(gen, 4)
+    A = random_unitary(gen, 4)
+    B = random_unitary(gen, 4)
     psi = sampling.random_state(gen, 4)
     val = mean_of([A, B, np.eye(4, dtype=complex)], psi, 2, 1.0)["plain"]
     assert val == pytest.approx(0.0, abs=1e-12)
@@ -628,7 +678,7 @@ def test_geometric_mean_flavors_all_below_product():
     for trial in range(20):
         gen = sampling.trial_generator(seed=83, trial=trial)
         d = int(gen.integers(3, 6))
-        ops = [sampling.random_unitary(gen, d) for _ in range(3)]
+        ops = [random_unitary(gen, d) for _ in range(3)]
         psi = sampling.random_state(gen, d)
         product = math.prod(moments.variance_pure(U, psi) for U in ops)
         vals = mean_of(ops, psi, max(1, d // 2), 0.1)
@@ -645,7 +695,7 @@ def test_geometric_mean_is_exactly_the_product_of_pairwise_bounds(n_ops):
     for trial in range(12):
         gen = sampling.trial_generator(seed=84, trial=trial)
         d = 2 + trial % 4
-        ops = [sampling.random_unitary(gen, d) for _ in range(n_ops)]
+        ops = [random_unitary(gen, d) for _ in range(n_ops)]
         psi = sampling.random_state(gen, d)
         pairs = [moments.modulus_pair(A, B, psi) for A, B in itertools.combinations(ops, 2)]
         for m in range(1, d):
@@ -661,7 +711,7 @@ def test_geometric_mean_is_exactly_the_product_of_pairwise_bounds(n_ops):
 
 def test_geometric_mean_rejects_out_of_range_weight():
     A, B, psi = random_pair(84, 0, 3)
-    C = sampling.random_unitary(sampling.trial_generator(seed=84, trial=1), 3)
+    C = random_unitary(sampling.trial_generator(seed=84, trial=1), 3)
     # The first pair's report refuses the weight before any mean is taken ...
     with pytest.raises(errors.WeightOutOfRange):
         mean_of([A, B, C], psi, 1, 1.5)

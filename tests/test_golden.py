@@ -26,7 +26,11 @@ the geometric mean still recomputed the first pair's factors. The
 `check` runs at one trial, at six trials (fewer than the seven dimensions
 2..8, so some dimensions draw nothing) and at 200 trials (the subset
 oracle's cap) were recorded while each trial still turned its own Gaussian
-matrices into unitaries one QR at a time.
+matrices into unitaries one QR at a time. The `bounds --input gap3.json`
+reports (a mixed state purified to n = 9 whose support {1, 2, 7, 9} has
+gaps inside it, so the interpolation family repeats some levels and not
+others) were recorded while the family and the paired cross bound still
+formed every pair term, zero or not.
 """
 
 from __future__ import annotations
@@ -141,6 +145,8 @@ INPUT_COMMANDS = {
     "bounds --input pure.json --m 2 --v 0.7 --format json": "6d6c948424d534d52aea87403b7e7d0aa8e1c29d026f4c9e34b7de1bf8276651",
     "bounds --input bloch3.json --flavor convex --cap 100 --format json": "5c285ed3d6350aa027af96963331024976de280af3a9447ba5117656ea48d4a1",
     "bounds --input pure.json --theta-min 0.5 --format json": "d8612cf28c81d7a7415ffa2497f738cb37320f26a35669643345a3f1606079fa",
+    "bounds --input gap3.json --format json": "7b1358c355622f4879ce7ba82cb469408fa454f956bf7cd77970fc7aec81cd6a",
+    "bounds --input gap3.json --format csv": "7495c55e51ca364a3120b1cbed4c2077a7571e8aefb85c798201fd1a8b59be31",
 }
 
 

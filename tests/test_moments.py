@@ -8,6 +8,8 @@ import pytest
 
 from uur import errors, linalg, moments, sampling
 
+from oracles import random_unitary
+
 
 def test_pure_state_requires_unit_norm():
     with pytest.raises(ValueError):
@@ -36,7 +38,7 @@ def test_variance_never_exceeds_one():
     gen = sampling.trial_generator(seed=2, trial=0)
     for _ in range(50):
         d = int(gen.integers(2, 6))
-        U = sampling.random_unitary(gen, d)
+        U = random_unitary(gen, d)
         psi = sampling.random_state(gen, d)
         var = moments.variance_pure(U, psi)
         assert -1e-12 <= var <= 1.0 + 1e-12
@@ -93,7 +95,7 @@ def test_a_deviation_that_overflows_to_nan_is_refused():
 
 def test_a_stack_is_checked_once_and_refuses_its_first_bad_matrix():
     rng = sampling.trial_generator(7, 0, 3)
-    stack = np.array([sampling.random_unitary(rng, 4) for _ in range(5)])
+    stack = np.array([random_unitary(rng, 4) for _ in range(5)])
     units = moments.Unitary.stack(stack, "operator 'S'")
     assert [U.name for U in units] == ["operator 'S'"] * 5
     assert all(np.array_equal(U.matrix, M) for U, M in zip(units, stack))
@@ -161,7 +163,7 @@ def test_a_unitary_is_neither_checked_nor_coerced_again(monkeypatch):
 
 def test_delta_vector_is_orthogonal_shift():
     gen = sampling.trial_generator(seed=3, trial=0)
-    U = sampling.random_unitary(gen, 3)
+    U = random_unitary(gen, 3)
     psi = sampling.random_state(gen, 3)
     dv = moments.delta_vector(U, psi)
     # <psi| (U - <U>) |psi> = 0 by construction.
@@ -171,8 +173,8 @@ def test_delta_vector_is_orthogonal_shift():
 
 def test_modulus_pair_matches_variances():
     gen = sampling.trial_generator(seed=4, trial=0)
-    A = sampling.random_unitary(gen, 4)
-    B = sampling.random_unitary(gen, 4)
+    A = random_unitary(gen, 4)
+    B = random_unitary(gen, 4)
     psi = sampling.random_state(gen, 4)
     pair = moments.modulus_pair(A, B, psi)
     assert float(np.dot(pair.x, pair.x)) == pytest.approx(moments.variance_pure(A, psi))
@@ -205,8 +207,8 @@ def test_modulus_pair_refuses_non_finite_moduli(bad, side):
 
 def test_correlation_coordinate_identity():
     gen = sampling.trial_generator(seed=5, trial=0)
-    A = sampling.random_unitary(gen, 4)
-    B = sampling.random_unitary(gen, 4)
+    A = random_unitary(gen, 4)
+    B = random_unitary(gen, 4)
     psi = sampling.random_state(gen, 4)
     pair = moments.modulus_pair(A, B, psi)
     direct = moments.correlation(A, B, psi)
@@ -238,7 +240,7 @@ def test_purify_reproduces_density_and_expectations():
                                  keep="first")
     assert np.max(np.abs(other - rho.matrix.T)) < 1e-12
     for _ in range(3):
-        U = sampling.random_unitary(gen, 3)
+        U = random_unitary(gen, 3)
         lifted = moments.lift(U)
         assert moments.expectation(lifted, psi) == pytest.approx(
             complex(np.trace(U @ rho.matrix)), abs=1e-12)

@@ -23,11 +23,11 @@ def test_trial_generator_separates_cells():
     assert not np.array_equal(base, other_stream)
 
 
-def test_random_unitary_is_unitary():
+def test_haar_unitaries_are_unitary():
     gen = sampling.trial_generator(seed=1, trial=0)
     for d in (2, 3, 5, 8):
-        U = sampling.random_unitary(gen, d)
-        assert linalg.unitary_deviation(U) <= 1e-12
+        for U in sampling.haar_unitaries(sampling.complex_gaussians(gen, 3, d, d)):
+            assert linalg.unitary_deviation(U) <= 1e-12
 
 
 def test_random_state_unit_norm():
@@ -66,11 +66,12 @@ def test_one_stack_draws_what_per_matrix_draws_drew():
     assert cases == 7 * 10 * 5
 
 
-def test_random_unitary_is_a_stack_of_one():
+def test_random_state_and_density_draw_what_per_matrix_draws_drew():
+    # After a stack of three unitaries, as after three per-matrix draws.
     for n in (2, 3, 8):
         gen, ref = sampling.trial_generator(9, n), sampling.trial_generator(9, n)
-        for _ in range(3):
-            assert np.array_equal(sampling.random_unitary(gen, n), random_unitary(ref, n))
+        stack = sampling.haar_unitaries(sampling.complex_gaussians(gen, 3, n, n))
+        assert np.array_equal(stack, [random_unitary(ref, n) for _ in range(3)])
         assert np.array_equal(sampling.random_state(gen, n).amplitudes,
                               random_state(ref, n).amplitudes)
         assert np.array_equal(sampling.random_density(gen, n).matrix,
