@@ -7,18 +7,6 @@ class UurError(ValueError):
     """Base class for all validation and computation errors raised here."""
 
 
-class NotHermitian(UurError):
-    pass
-
-
-class NoConvergence(UurError):
-    pass
-
-
-class NotPSD(UurError):
-    pass
-
-
 class DimensionMismatch(UurError):
     pass
 

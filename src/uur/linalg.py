@@ -1,19 +1,21 @@
 """Dense complex linear algebra for small matrices.
 
-Everything here works on plain numpy arrays of complex128. Matrices are
-square and dense; dimensions stay small (tens, not thousands), so clarity
-wins over performance everywhere.
+Everything here works on plain numpy arrays of complex128: square-matrix
+coercion, the unitarity deviation, vectorization and partial traces.
+Matrices are square and dense; dimensions stay small (tens, not thousands),
+so clarity wins over performance everywhere. There is no eigensolver here:
+a moments.DensityMatrix diagonalises itself once, when it is checked.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, NoConvergence, NotHermitian, NotPSD
+from .errors import DimensionMismatch
 
 # The validation tolerances of linalg and moments.
 UNITARY_TOL = 1e-8  # building a moments.Unitary
-TOL = 1e-10  # state norm; density Hermiticity, trace, eigenvalues; hermitian_eig; psd_sqrt
+TOL = 1e-10  # state norm; density Hermiticity, trace, eigenvalues (purify clamps those in [-TOL, 0) to 0)
 BLOCH_TOL = 1e-12  # how far a Bloch vector may exceed length 1
 
 
@@ -25,30 +27,6 @@ def as_square_matrix(M, stack: bool = False) -> np.ndarray:
     if not np.isfinite(A).all():
         raise DimensionMismatch("matrix entries must be finite")
     return A
-
-
-def hermitian_eig(M):
-    """numpy's EighResult (eigenvalues ascending, eigenvectors) of a Hermitian matrix."""
-    A = as_square_matrix(M)
-    dev = np.max(np.abs(A - A.conj().T))
-    if dev > TOL:
-        raise NotHermitian(f"matrix deviates from Hermitian by {dev:.3e} (tol {TOL:.1e})")
-    try:
-        return np.linalg.eigh(A)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"eigensolver failed to converge: {exc}") from exc
-
-
-def psd_sqrt(M) -> np.ndarray:
-    """Hermitian square root of a positive semidefinite matrix.
-
-    Eigenvalues in [-TOL, 0) are rounding debris and are clamped to zero;
-    anything more negative is a genuine violation and raises NotPSD.
-    """
-    w, V = hermitian_eig(M)
-    if np.min(w) < -TOL:
-        raise NotPSD(f"matrix has eigenvalue {np.min(w):.3e} < {-TOL:g}")
-    return (V * np.sqrt(np.clip(w, 0.0, None))) @ V.conj().T
 
 
 def vec(M) -> np.ndarray:

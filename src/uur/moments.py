@@ -8,7 +8,7 @@ in the computational basis drives every bound downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,9 +48,14 @@ class PureState:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, unit-trace, positive semidefinite matrix."""
+    """Hermitian, unit-trace, positive semidefinite matrix.
+
+    eig is numpy's EighResult of the matrix (eigenvalues ascending), kept
+    from the positivity check so that no caller diagonalises it again.
+    """
 
     matrix: np.ndarray
+    eig: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         M = linalg.as_square_matrix(self.matrix)
@@ -60,9 +65,11 @@ class DensityMatrix:
         tr = complex(np.trace(M))
         if abs(tr - 1.0) > tol:
             raise InvalidDensityMatrix(f"trace {tr!r} deviates from 1 by more than {tol:g}")
-        if np.min(np.linalg.eigvalsh(M)) < -tol:
+        eig = np.linalg.eigh(M)
+        if eig.eigenvalues[0] < -tol:
             raise InvalidDensityMatrix(f"density matrix has an eigenvalue below {-tol:g}")
         object.__setattr__(self, "matrix", M)
+        object.__setattr__(self, "eig", eig)
 
     @property
     def dim(self) -> int:
@@ -226,8 +233,8 @@ def purify(rho: DensityMatrix) -> PureState:
     The partial trace over the first factor is rho; the one over the second
     factor is the transpose of rho (they coincide only for real rho).
     """
-    root = linalg.psd_sqrt(rho.matrix)
-    v = linalg.vec(root)
+    w, V = rho.eig  # eigenvalues in [-TOL, 0) are rounding debris, clamped to zero
+    v = linalg.vec((V * np.sqrt(np.clip(w, 0.0, None))) @ V.conj().T)
     return PureState(amplitudes=v / np.linalg.norm(v))
 
 

@@ -299,8 +299,7 @@ def suite_mixed_state_floor(rec: SuiteResult, seed: int, trials: int):
         return sampling.complex_gaussians(rng, 2, rho.dim, rho.dim), rho
 
     for trial, (uA, uB), rho in _sampled(seed, trials, 11, draw):
-        dec = linalg.hermitian_eig(rho.matrix)
-        eig = [moments.PureState(amplitudes=v / np.linalg.norm(v)) for v in dec.eigenvectors.T]
+        eig = [moments.PureState(amplitudes=v / np.linalg.norm(v)) for v in rho.eig.eigenvectors.T]
         pa = [moments.variance_pure(uA, u) for u in eig]
         pb = [moments.variance_pure(uB, u) for u in eig]
         va = moments.variance_mixed(uA, rho)

@@ -6,7 +6,10 @@ against; the program never calls them. The per-matrix sampler is the one
 is the bit-for-bit reference for the stacked draw, and the tests draw their
 single unitaries with its `random_unitary`. The per-size split search
 is the one `bounds` ran before one pass served every block size; it is the
-bit-for-bit reference for that pass. The helpers name one
+bit-for-bit reference for that pass. The purification through a Hermitian
+eigensolver and a PSD square root is the one `moments.purify` ran before a
+`DensityMatrix` kept its eigendecomposition; it is the bit-for-bit
+reference for the purification from that decomposition. The helpers name one
 value of a public function so the tests read like the quantities they check.
 """
 
@@ -18,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from uur import bounds, sampling
-from uur.errors import DimensionTooSmall, InvalidSubset
+from uur import bounds, linalg, sampling
+from uur.errors import DimensionTooSmall, InvalidSubset, UurError
 from uur.moments import DensityMatrix, PureState
 
 
@@ -146,3 +149,38 @@ def per_size_split_bound(pair, m: int, cap: int = bounds.DEFAULT_CAP):
             if val > best or val == best and combo < best_subset:
                 best, best_subset = val, combo
     return best, bounds.SubsetSelection(n=n, indices=tuple(i + 1 for i in best_subset))
+
+
+# The purification, verbatim but for the `linalg.` prefixes and its errors,
+# which were the NotHermitian, NoConvergence and NotPSD subclasses of
+# UurError: the state is checked and diagonalised a second time, then
+# square-rooted with debris clamped to zero.
+def hermitian_eig(M):
+    """numpy's EighResult (eigenvalues ascending, eigenvectors) of a Hermitian matrix."""
+    A = linalg.as_square_matrix(M)
+    dev = np.max(np.abs(A - A.conj().T))
+    if dev > linalg.TOL:
+        raise UurError(f"matrix deviates from Hermitian by {dev:.3e} (tol {linalg.TOL:.1e})")
+    try:
+        return np.linalg.eigh(A)
+    except np.linalg.LinAlgError as exc:
+        raise UurError(f"eigensolver failed to converge: {exc}") from exc
+
+
+def psd_sqrt(M) -> np.ndarray:
+    """Hermitian square root of a positive semidefinite matrix.
+
+    Eigenvalues in [-TOL, 0) are rounding debris and are clamped to zero;
+    anything more negative is a genuine violation and raises.
+    """
+    w, V = hermitian_eig(M)
+    if np.min(w) < -linalg.TOL:
+        raise UurError(f"matrix has eigenvalue {np.min(w):.3e} < {-linalg.TOL:g}")
+    return (V * np.sqrt(np.clip(w, 0.0, None))) @ V.conj().T
+
+
+def two_pass_purify(rho: DensityMatrix) -> PureState:
+    """vec(sqrt(rho)), normalized, with sqrt(rho) from psd_sqrt."""
+    root = psd_sqrt(rho.matrix)
+    v = linalg.vec(root)
+    return PureState(amplitudes=v / np.linalg.norm(v))

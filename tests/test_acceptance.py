@@ -221,7 +221,7 @@ def test_criterion_07_mixed_state_floor():
         B = random_unitary(gen, d)
         va = moments.variance_mixed(A, rho)
         vb = moments.variance_mixed(B, rho)
-        dec = linalg.hermitian_eig(rho.matrix)
+        dec = rho.eig
         prods, sums = [], []
         for k in range(d):
             vec = dec.eigenvectors[:, k]

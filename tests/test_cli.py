@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uur import bounds, cli, linalg, moments, sampling, scenarios
+from uur import bounds, cli, linalg, moments, sampling, scenarios, selfcheck
 
 import test_golden
 
@@ -604,6 +604,10 @@ PAIRS_ONLY = "pure state amplitudes must be [re, im] pairs"
                  "operator 'Z' deviates from unitarity by nan (tol 1.0e-08)", id="matrix-huge-nan"),
     pytest.param(problem_text(2, '{"pure": [[1e300, 0], [0, 0]]}'),
                  "state norm inf deviates from 1 by more than 1e-10", id="pure-huge"),
+    pytest.param(problem_text(2, '{"density": [[[1.000001, 0], [0, 0]], [[0, 0], [-1e-06, 0]]]}'),
+                 "density matrix has an eigenvalue below -1e-10", id="density-negative"),
+    pytest.param(problem_text(2, '{"density": [[[0.5, 0], [0.1, 0]], [[0, 0], [0.5, 0]]]}'),
+                 "density matrix is not Hermitian to 1e-10", id="density-not-hermitian"),
 ])
 # pytest records warnings instead of printing them; as errors they fail here.
 @pytest.mark.filterwarnings("error")
@@ -817,6 +821,32 @@ def test_three_operator_report_bounds_each_pair_once(capsys, monkeypatch):
     assert code == 0, err
     assert calls == {"geometric_mean_bound": 1, "from_deltas": 3, "split_bound": 3,
                      "variance_product": 3, "best_split_bound": 2, "_split_search": 1 + 2}
+
+
+@pytest.mark.parametrize("case, counts", [
+    ("bounds --input density.json", (1, 0)),
+    ("sweep --example ex4 --steps 4", (4, 0)),
+    ("suite_purification", (6, 0)),
+    ("suite_mixed_state_floor", (6, 0)),
+])
+def test_each_density_matrix_is_diagonalised_once(tmp_path, capsys, monkeypatch, case, counts):
+    # A DensityMatrix keeps the eigendecomposition of its positivity check;
+    # the purification and the mixed-state floor read it, so every state
+    # (one per file, per sweep row, per trial) makes one eigh and no eigvalsh.
+    calls = {"eigh": 0, "eigvalsh": 0}
+    for name in calls:
+        def counting(*args, name=name, real=getattr(np.linalg, name), **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counting)
+    if case.startswith("suite_"):
+        assert getattr(selfcheck, case)(17, 6).failures == 0
+    else:
+        test_golden.write_input_files(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run(case.split(), capsys)
+        assert code == 0, err
+    assert (calls["eigh"], calls["eigvalsh"]) == counts
 
 
 @pytest.mark.parametrize("command, checks", [

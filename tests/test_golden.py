@@ -30,7 +30,11 @@ matrices into unitaries one QR at a time. The `bounds --input gap3.json`
 reports (a mixed state purified to n = 9 whose support {1, 2, 7, 9} has
 gaps inside it, so the interpolation family repeats some levels and not
 others) were recorded while the family and the paired cross bound still
-formed every pair term, zero or not.
+formed every pair term, zero or not. The ex4 commands (the built-in mixed
+state), the `rank1.json` and `debris.json` reports (eigenvalues at rounding
+level and at -5e-11, which the square root clamps to zero) and the stderr
+of every refusal in tools/corpus.txt were recorded while a density matrix
+was still checked and diagonalised again on its way to purification.
 """
 
 from __future__ import annotations
@@ -124,6 +128,10 @@ OTHER_COMMANDS = {
     "bounds --example ex5 --m 3 --flavor convex --format json": "7f4af1ee3c3624d77e7657ca6c063f317c47f7f6f40254d41f1de013dd1b037e",
     "sweep --example ex6 --m 1 --steps 5 --format csv": "3c3a60e790185d9df17e44733db3810ec129abd475ecf8707e6d48152800247d",
     "compare --example ex5 --m 3 --steps 5 --format csv": "e6c1281d1c67201e918bcaee1b258124bd3994ac1a1b23d38db3084eef7d84c6",
+    "sweep --example ex4 --steps 5 --format csv": "546617ca947c2e806e0966609d084e5fd10356ce678472dec5552cc7a1fefd83",
+    "sweep --example ex4 --steps 5 --format json": "c614bb01c05572eeb402e3a87a8c6621aa34ef37b463a5d1df0bfa418ce14a6b",
+    "compare --example ex4 --steps 5": "9d6b9daa446c66ce05d8e8a56e58ff7dceb080c934f223be92228f6d6b25318f",
+    "bounds --example ex4 --format json": "5c19dde0f485b44cc35ef933538acc371a47167a94f432608417ffdb5f6071de",
 }
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
@@ -147,6 +155,34 @@ INPUT_COMMANDS = {
     "bounds --input pure.json --theta-min 0.5 --format json": "d8612cf28c81d7a7415ffa2497f738cb37320f26a35669643345a3f1606079fa",
     "bounds --input gap3.json --format json": "7b1358c355622f4879ce7ba82cb469408fa454f956bf7cd77970fc7aec81cd6a",
     "bounds --input gap3.json --format csv": "7495c55e51ca364a3120b1cbed4c2077a7571e8aefb85c798201fd1a8b59be31",
+    "bounds --input rank1.json --format json": "278c6a17940d65c956235b7e83515fe9fead0b49c482af0df3248bdc9e0698ce",
+    "bounds --input debris.json --format json": "643149cd3c79a206a7b609bc359d5676c66723dbe4e8c041542af89166109568",
+}
+
+# argv -> (exit code, SHA-256 of stderr at COLUMNS=80) of every corpus command
+# that exits non-zero: usage errors, theta grids that overflow, scenario
+# refusals, subset-cap refusals and refused density matrices.
+REFUSALS = {
+    "bounds --example ex1 --steps 3": (2, "ca128186d89e1fdecf50efcb58a630795457eec9e02c999b8e97923de883744d"),
+    "sweep --input x": (2, "e4f9db36f0933ea63b9cdd570c45f9f4cb30077c7b9e0952ed72a937e28ec01a"),
+    "compare --example ex9": (2, "dbd71edd6128a23d2b3a6e87769bb48346ea67fa0d5d829d06e04a12b114fcd7"),
+    "check --cap 1": (2, "d4495f82daa2037fbe72af424e2856346930b8b01c62b6807fa11c58e75f4822"),
+    "sweep --example ex1 --theta-min abc": (2, "8eb5e8648834357b8ae7f25195a409800098408fb1553c78f9a317c2806b13d4"),
+    "bounds --example ex1 --input pure.json": (2, "c3cb3f1743d016e85d2724d3a343403892fada27fdb1f7a8f394bf1f2ed4e590"),
+    "sweep --example ex4 --theta-max 1e308 --steps 3": (2, "222996f452931c17bec664bf963eee86ce33f929014b1066650ec4029e22b044"),
+    "compare --example ex5 --theta-max 1.7e308 --steps 5": (2, "1dfbf9313a07e366bf66e263cdfea7d89393178ca45a27778764892e130e1ee0"),
+    "sweep --example ex1 --theta-min=-1e308 --theta-max 1e308 --steps 2": (2, "c0e325a975b6568ac8752a03a1723fd667fa48153ff395de4774e8cafd985c94"),
+    "bounds --example ex1 --dim 1": (2, "4f06c70f14154336e8840d9d8c48bb09690c9532d625b70c69ab24a20407b3cb"),
+    "bounds --example ex2 --dim 1": (2, "ec6cf968158e358712603fd17a70cb8826d7c0d543880f96390d49f4f138bdbd"),
+    "bounds --example ex2 --dim 2": (2, "149c5a6de2419f4264910ac60cd347984cda650a75141ed9d18c36dbdb5f5505"),
+    "bounds --example ex3 --dim 4": (2, "34116082812afaccdc39fa103d572ea57894257208af912b4833fe62db1e5f3f"),
+    "bounds --example ex4 --dim 3": (2, "250d685e45cbea2eb11812419375f296da04dff0bda2d9b6c4d770889ef6b851"),
+    "bounds --example ex5 --dim 3": (2, "868a370a3c3e393ee28519f5d0dc02bab03fa9ac735144034ea263777631fa26"),
+    "bounds --example ex6 --dim 4": (2, "e441a8ace5acacdf983b314bea01bc344530125de88dc67925d94bf08bd2966c"),
+    "bounds --example ex1 --dim 30 --m 15": (3, "20462f482977fc34afe797fe99478bed6fb11c6920d18cd12482f219a4bb783f"),
+    "bounds --example ex2 --dim 12 --m 2 --cap 500": (3, "4d449d8ed9dbc27ec241486dee0e4dd946b547085a3b4803e95a343620d17b1d"),
+    "bounds --input negative.json": (2, "139c2bfc62a583eb2f78a5a9fb86d4bf2fd9c8f5e44c93eac221622082694f84"),
+    "bounds --input nonherm.json": (2, "4a6053f656841437a278dd6252b7270b83a9ea58737d55b2faf1d7b5029a0c1a"),
 }
 
 
@@ -191,9 +227,23 @@ def test_input_file_stdout_is_unchanged(capsys, monkeypatch, tmp_path, command):
     assert stdout_digest(command.split(), capsys) == INPUT_COMMANDS[command]
 
 
+@pytest.mark.parametrize("command", sorted(REFUSALS))
+def test_refusal_stderr_is_unchanged(capsys, monkeypatch, tmp_path, command):
+    write_input_files(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage line to the terminal
+    try:
+        code = cli.main(command.split())
+    except SystemExit as exc:  # argparse's usage errors
+        code = exc.code
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert (code, hashlib.sha256(out.err.encode()).hexdigest()) == REFUSALS[command]
+
+
 def test_corpus_runs_every_golden_command():
     lines = (TOOLS / "corpus.txt").read_text(encoding="utf-8").splitlines()
-    assert set(golden_commands()) <= {line.strip() for line in lines}
+    assert {*golden_commands(), *REFUSALS} <= {line.strip() for line in lines}
 
 
 def test_check_with_corrupted_split_bound_fails_unchanged(capsys, monkeypatch):
