@@ -30,12 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionTooSmall,
-    InvalidSubset,
-    SearchSpaceTooLarge,
-    WeightOutOfRange,
-)
+from .errors import SearchSpaceTooLarge, UurError
 from .moments import DeltaVector, ModulusPair
 
 DEFAULT_CAP = 5_000_000
@@ -50,7 +45,7 @@ def _integer(value, what: str) -> int:
     try:  # ints and numpy integers pass; 1.7, 1.0 and "1" do not
         return operator.index(value)
     except TypeError:
-        raise InvalidSubset(f"{what} must be an integer, got {value!r}") from None
+        raise UurError(f"{what} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -63,13 +58,13 @@ class SubsetSelection:
     def __post_init__(self):
         idx = tuple(sorted(_integer(i, "subset index") for i in self.indices))
         if _integer(self.n, "dimension") < 1:
-            raise InvalidSubset(f"dimension must be positive, got {self.n}")
+            raise UurError(f"dimension must be positive, got {self.n}")
         if not idx:
-            raise InvalidSubset("subset must not be empty")
+            raise UurError("subset must not be empty")
         if len(set(idx)) != len(idx):
-            raise InvalidSubset(f"subset has repeated indices: {idx}")
+            raise UurError(f"subset has repeated indices: {idx}")
         if idx[0] < 1 or idx[-1] > self.n:
-            raise InvalidSubset(f"indices {idx} out of range 1..{self.n}")
+            raise UurError(f"indices {idx} out of range 1..{self.n}")
         object.__setattr__(self, "indices", idx)
 
     @property
@@ -169,7 +164,7 @@ def correlation_bound(pair: ModulusPair) -> float:
 def split_bound(pair: ModulusPair, subset: SubsetSelection) -> float:
     """Two-block Cauchy-Schwarz bound for a given index block."""
     if subset.n != pair.dim:
-        raise InvalidSubset(f"subset is over {subset.n} indices, pair has {pair.dim}")
+        raise UurError(f"subset is over {subset.n} indices, pair has {pair.dim}")
     x2, y2 = _squares(pair)
     inside = frozenset(i - 1 for i in subset.indices)
     return _split_value(x2, y2, inside)
@@ -177,7 +172,7 @@ def split_bound(pair: ModulusPair, subset: SubsetSelection) -> float:
 
 def _blend(k: float, vp: float, v: float) -> float:
     if not 0.0 <= v <= 1.0:
-        raise WeightOutOfRange(f"blend weight must lie in [0, 1], got {v}")
+        raise UurError(f"blend weight must lie in [0, 1], got {v}")
     return v * k + (1.0 - v) * vp
 
 
@@ -192,7 +187,7 @@ def _split_search(pair: ModulusPair, sizes, cap: int) -> list[tuple[float, tuple
     n = pair.dim
     for m in sizes:
         if not 1 <= m <= n:
-            raise InvalidSubset(f"block size {m} out of range 1..{n}")
+            raise UurError(f"block size {m} out of range 1..{n}")
         _check_cap(n, m, cap)
     x2, y2 = _squares(pair)
     support = [i for i in range(n) if x2[i] or y2[i]]
@@ -307,7 +302,7 @@ def paired_cross_bound(pair: ModulusPair) -> float:
     """
     n = pair.dim
     if n < 3:
-        raise DimensionTooSmall(f"paired cross bound needs dimension >= 3, got {n}")
+        raise UurError(f"paired cross bound needs dimension >= 3, got {n}")
     x, y = pair.x, pair.y
     x2, y2 = _pow_squares(x), _pow_squares(y)  # C pow, not x * x
     total = float(np.sum(x ** 2 * y ** 2))
@@ -374,9 +369,9 @@ def bound_report(pair: ModulusPair, m: int, v: float = DEFAULT_V,
     """
     n = pair.dim
     if n < 2:
-        raise DimensionTooSmall(f"bound reports need dimension >= 2, got {n}")
+        raise UurError(f"bound reports need dimension >= 2, got {n}")
     if not 1 <= m <= n - 1:
-        raise InvalidSubset(f"block size {m} out of range 1..{n - 1} (m = n is degenerate)")
+        raise UurError(f"block size {m} out of range 1..{n - 1} (m = n is degenerate)")
     block = SubsetSelection.first_block(n, m)
     _check_cap(n, m, cap)
     table = _split_search(pair, range(1, n // 2 + 1), cap)

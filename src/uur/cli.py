@@ -383,7 +383,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse's exit: 2 after a usage error, 0 after --help
+        return exc.code
     cfg = RunConfig(**vars(args))
     dispatch = {"bounds": run_bounds, "sweep": run_sweep,
                 "compare": run_compare, "check": run_check}

@@ -1,53 +1,17 @@
-"""Exception hierarchy shared by every module in the package."""
+"""Two exception types. Every refusal is a `UurError`, a `ValueError` whose
+message is the CLI's `error:` line (exit 2, or 1 if `check` refuses its own
+draw). `SearchSpaceTooLarge` is kept apart because the CLI exits 3 on it.
+"""
 
 from __future__ import annotations
 
 
 class UurError(ValueError):
-    """Base class for all validation and computation errors raised here."""
-
-
-class DimensionMismatch(UurError):
-    pass
-
-
-class NotUnitary(UurError):
-    pass
-
-
-class InvalidDensityMatrix(UurError):
-    pass
-
-
-class BlochVectorTooLong(UurError):
-    pass
-
-
-class InvalidSubset(UurError):
-    pass
-
-
-class WeightOutOfRange(UurError):
-    pass
-
-
-class DimensionTooSmall(UurError):
-    pass
-
-
-class UnknownExample(UurError):
-    pass
-
-
-class IncompatibleDimension(UurError):
-    pass
+    """A refused input or problem; the message says what and why."""
 
 
 class SearchSpaceTooLarge(UurError):
-    """Subset search would exceed the configured cap.
-
-    Carries the offending candidate count so callers can report it.
-    """
+    """Subset search would exceed the configured cap; `count` is the candidate count."""
 
     def __init__(self, message: str, count: int):
         super().__init__(message)

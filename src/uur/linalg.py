@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import UurError
 
 # The validation tolerances of linalg and moments.
 UNITARY_TOL = 1e-8  # building a moments.Unitary
@@ -23,9 +23,9 @@ def as_square_matrix(M, stack: bool = False) -> np.ndarray:
     """Coerce input to a finite square complex matrix, or a stack (k, n, n) of them."""
     A = np.asarray(M, dtype=complex)
     if A.ndim != 2 + stack or A.shape[-2] != A.shape[-1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {A.shape}")
+        raise UurError(f"expected a square matrix, got shape {A.shape}")
     if not np.isfinite(A).all():
-        raise DimensionMismatch("matrix entries must be finite")
+        raise UurError("matrix entries must be finite")
     return A
 
 
@@ -53,7 +53,7 @@ def partial_trace(M, keep: str) -> np.ndarray:
     A = as_square_matrix(M)
     n = int(round(np.sqrt(A.shape[0])))
     if n * n != A.shape[0]:
-        raise DimensionMismatch(f"dimension {A.shape[0]} is not a perfect square")
+        raise UurError(f"dimension {A.shape[0]} is not a perfect square")
     T = A.reshape(n, n, n, n)
     if keep == "first":
         return np.einsum("ikjk->ij", T)

@@ -13,12 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import (
-    BlochVectorTooLong,
-    DimensionMismatch,
-    InvalidDensityMatrix,
-    NotUnitary,
-)
+from .errors import UurError
 
 sigma_x = np.array([[0, 1], [1, 0]], dtype=complex)
 sigma_y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -61,13 +56,13 @@ class DensityMatrix:
         M = linalg.as_square_matrix(self.matrix)
         tol = linalg.TOL
         if np.max(np.abs(M - M.conj().T)) > tol:
-            raise InvalidDensityMatrix(f"density matrix is not Hermitian to {tol:g}")
+            raise UurError(f"density matrix is not Hermitian to {tol:g}")
         tr = complex(np.trace(M))
         if abs(tr - 1.0) > tol:
-            raise InvalidDensityMatrix(f"trace {tr!r} deviates from 1 by more than {tol:g}")
+            raise UurError(f"trace {tr!r} deviates from 1 by more than {tol:g}")
         eig = np.linalg.eigh(M)
         if eig.eigenvalues[0] < -tol:
-            raise InvalidDensityMatrix(f"density matrix has an eigenvalue below {-tol:g}")
+            raise UurError(f"density matrix has an eigenvalue below {-tol:g}")
         object.__setattr__(self, "matrix", M)
         object.__setattr__(self, "eig", eig)
 
@@ -80,7 +75,7 @@ class DensityMatrix:
 class Unitary:
     """A finite square matrix, checked once on construction to be unitary.
 
-    The variance 1 - |<U>|^2 needs unitary U; name leads the NotUnitary message.
+    The variance 1 - |<U>|^2 needs unitary U; name leads the refusal's message.
     """
 
     matrix: np.ndarray
@@ -107,16 +102,16 @@ class Unitary:
         """The matrix of A, which must act on dim; only a non-Unitary A is checked."""
         M = (A if isinstance(A, cls) else cls(A, name)).matrix
         if M.shape[0] != dim:
-            raise DimensionMismatch(f"operator dim {M.shape[0]} != state dim {dim}")
+            raise UurError(f"operator dim {M.shape[0]} != state dim {dim}")
         return M
 
 
 def _refuse_non_unitary(stack: np.ndarray, name: str):
-    """NotUnitary for the first matrix of a complex stack, or the one matrix, off by more than UNITARY_TOL."""
+    """Refuse the first matrix of a complex stack, or the one matrix, off by more than UNITARY_TOL."""
     dev = linalg.unitary_deviation(stack)
     bad = dev[~(dev <= linalg.UNITARY_TOL)]  # a NaN deviation fails too
     if bad.size:
-        raise NotUnitary(f"{name} deviates from unitarity by {bad[0]:.3e} (tol {linalg.UNITARY_TOL:.1e})")
+        raise UurError(f"{name} deviates from unitarity by {bad[0]:.3e} (tol {linalg.UNITARY_TOL:.1e})")
 
 
 @dataclass(frozen=True)
@@ -156,7 +151,7 @@ class ModulusPair:
         x = np.asarray(self.x, dtype=float)
         y = np.asarray(self.y, dtype=float)
         if x.shape != y.shape or x.ndim != 1:
-            raise DimensionMismatch(f"x and y must be 1-D of equal length, got {x.shape} and {y.shape}")
+            raise UurError(f"x and y must be 1-D of equal length, got {x.shape} and {y.shape}")
         if not (np.isfinite(x).all() and np.isfinite(y).all()):
             raise ValueError("modulus vectors must be finite")
         if np.min(x) < 0 or np.min(y) < 0:
@@ -178,7 +173,7 @@ def expectation(A, psi: PureState) -> complex:
     """<psi|A|psi>."""
     M = linalg.as_square_matrix(A)
     if M.shape[0] != psi.dim:
-        raise DimensionMismatch(f"operator dim {M.shape[0]} != state dim {psi.dim}")
+        raise UurError(f"operator dim {M.shape[0]} != state dim {psi.dim}")
     return complex(np.vdot(psi.amplitudes, M @ psi.amplitudes))
 
 
@@ -252,6 +247,6 @@ def bloch_density(r) -> DensityMatrix:
     with np.errstate(over="ignore"):  # a huge component reads as norm inf
         nrm = float(np.linalg.norm(r))
     if nrm > 1.0 + linalg.BLOCH_TOL:
-        raise BlochVectorTooLong(f"Bloch vector norm {nrm!r} exceeds 1")
+        raise UurError(f"Bloch vector norm {nrm!r} exceeds 1")
     M = 0.5 * (np.eye(2, dtype=complex) + r[0] * sigma_x + r[1] * sigma_y + r[2] * sigma_z)
     return DensityMatrix(matrix=M)

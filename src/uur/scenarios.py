@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from . import moments
-from .errors import DimensionTooSmall, IncompatibleDimension, UnknownExample
+from .errors import UurError
 from .moments import PureState
 
 DEFAULT_DIMS = {"ex1": 6, "ex2": 4, "ex3": 3, "ex4": 2, "ex5": 4, "ex6": 3}
@@ -25,14 +25,14 @@ DEFAULT_STEPS = 200
 def clock_operator(d: int) -> np.ndarray:
     """Diagonal phase operator diag(1, w, w^2, ..., w^(d-1)), w = e^(2 pi i/d)."""
     if d < 2:
-        raise DimensionTooSmall(f"clock operator needs dimension >= 2, got {d}")
+        raise UurError(f"clock operator needs dimension >= 2, got {d}")
     return np.diag(np.exp(2j * np.pi * np.arange(d) / d))
 
 
 def shift_operator(d: int) -> np.ndarray:
     """Cyclic shift |k> -> |k+1 mod d>; satisfies clock @ shift = w shift @ clock."""
     if d < 2:
-        raise DimensionTooSmall(f"shift operator needs dimension >= 2, got {d}")
+        raise UurError(f"shift operator needs dimension >= 2, got {d}")
     return np.roll(np.eye(d, dtype=complex), 1, axis=0)
 
 
@@ -137,18 +137,18 @@ _FIXED_EXAMPLES = {"ex3": _ex3, "ex4": _ex4, "ex5": _ex5, "ex6": _ex6}
 def scenario(sid: str, d: int | None = None) -> Scenario:
     """Build a named scenario, checking the dimension is one it supports."""
     if sid not in DEFAULT_DIMS:
-        raise UnknownExample(f"unknown example id {sid!r}; expected ex1..ex6")
+        raise UurError(f"unknown example id {sid!r}; expected ex1..ex6")
     if d is None:
         d = DEFAULT_DIMS[sid]
     if sid in _FIXED_EXAMPLES:
         if d != DEFAULT_DIMS[sid]:
             kind = "qubit dimension" if sid == "ex4" else "dimension"
-            raise IncompatibleDimension(f"{sid} is fixed at {kind} {DEFAULT_DIMS[sid]}, got {d}")
+            raise UurError(f"{sid} is fixed at {kind} {DEFAULT_DIMS[sid]}, got {d}")
         operators, state, theta_max, notes = _FIXED_EXAMPLES[sid]()
         default_m = 2
     else:
         if sid == "ex2" and d < 3:
-            raise IncompatibleDimension(f"ex2 needs dimension >= 3, got {d}")
+            raise UurError(f"ex2 needs dimension >= 3, got {d}")
         if sid == "ex2" and d == 4:
             # Listed d=4 matrices win over the generic family: the last
             # phase is e^{4i pi/3}, not the clock's w^3 = e^{3i pi/2}.

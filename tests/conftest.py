@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
-from uur import sampling
+from uur import errors, sampling
 
 from oracles import random_unitary
 
@@ -53,6 +55,11 @@ def random_pair(seed: int, trial: int, dim: int):
     B = random_unitary(gen, dim)
     psi = sampling.random_state(gen, dim)
     return A, B, psi
+
+
+def refused(message: str):
+    """pytest.raises for a UurError whose message is exactly `message`."""
+    return pytest.raises(errors.UurError, match=rf"\A{re.escape(message)}\Z")
 
 
 def assert_close(a, b, tol=1e-10, label=""):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from uur import bounds, linalg, sampling
-from uur.errors import DimensionTooSmall, InvalidSubset, UurError
+from uur.errors import UurError
 from uur.moments import DensityMatrix, PureState
 
 
@@ -49,7 +49,7 @@ class Example1Reference:
 def example1_reference(d: int, theta: float) -> Example1Reference:
     """Evaluate the ex1 closed forms at one angle."""
     if d < 2:
-        raise DimensionTooSmall(f"reference values need dimension >= 2, got {d}")
+        raise UurError(f"reference values need dimension >= 2, got {d}")
     s, co = math.sin(theta), math.cos(theta)
     w = abs(1.0 - np.exp(-2j * np.pi / d))
     x = np.zeros(d)
@@ -134,7 +134,7 @@ def per_size_split_bound(pair, m: int, cap: int = bounds.DEFAULT_CAP):
     """Maximum split bound over the blocks of size m, searched for this size alone."""
     n = pair.dim
     if not 1 <= m <= n:
-        raise InvalidSubset(f"block size {m} out of range 1..{n}")
+        raise UurError(f"block size {m} out of range 1..{n}")
     bounds._check_cap(n, m, cap)
     x2, y2 = _squares(pair)
     free = [i for i in range(n) if x2[i] == y2[i] == 0.0]

@@ -9,7 +9,10 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -92,10 +95,9 @@ def test_flavor_changes_only_the_json_geometric_mean(capsys):
 
 def usage_error(args, capsys) -> str:
     """The stderr of a command argparse refuses: exit 2 and empty stdout."""
-    with pytest.raises(SystemExit) as exc:
-        cli.main(args)
+    code = cli.main(args)
     out = capsys.readouterr()
-    assert exc.value.code == 2
+    assert code == 2
     assert out.out == ""
     return out.err
 
@@ -126,10 +128,9 @@ def sha256(text: str) -> str:
 @pytest.mark.parametrize("argv", sorted(HELP_DIGESTS))
 def test_help_bytes_are_pinned(capsys, monkeypatch, argv):
     monkeypatch.setenv("COLUMNS", "80")
-    with pytest.raises(SystemExit) as exc:
-        cli.main(argv.split())
+    code = cli.main(argv.split())
     out = capsys.readouterr()
-    assert (exc.value.code, out.err) == (0, "")
+    assert (code, out.err) == (0, "")
     assert sha256(out.out) == HELP_DIGESTS[argv]
 
 
@@ -137,6 +138,19 @@ def test_help_bytes_are_pinned(capsys, monkeypatch, argv):
 def test_usage_error_bytes_are_pinned(capsys, monkeypatch, argv):
     monkeypatch.setenv("COLUMNS", "80")
     assert sha256(usage_error(argv.split(), capsys)) == USAGE_ERROR_DIGESTS[argv]
+
+
+@pytest.mark.parametrize("argv", ["--help", "check --cap 1"])
+def test_python_m_uur_cli_exits_with_the_code_main_returns(argv):
+    # main returns argparse's exit code; the module's sys.exit(main()) passes it on.
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-m", "uur.cli", *argv.split()], capture_output=True,
+                          text=True, env={**os.environ, "COLUMNS": "80", "PYTHONPATH": str(src)})
+    streams = (sha256(proc.stdout), sha256(proc.stderr))
+    if argv in HELP_DIGESTS:
+        assert (proc.returncode, streams) == (0, (HELP_DIGESTS[argv], sha256("")))
+    else:
+        assert (proc.returncode, streams) == (2, (sha256(""), USAGE_ERROR_DIGESTS[argv]))
 
 
 # One parser serves every cli.main call in a process. These tests hold for a
@@ -201,8 +215,7 @@ def test_help_reads_the_width_at_each_render(capsys, monkeypatch, argv):
     renders = []
     for columns in ("40", "80"):
         monkeypatch.setenv("COLUMNS", columns)
-        with pytest.raises(SystemExit):
-            cli.main(argv.split())
+        assert cli.main(argv.split()) == 0
         renders.append(capsys.readouterr().out)
     assert renders[0] != renders[1]
     assert sha256(renders[1]) == HELP_DIGESTS[argv]
@@ -383,9 +396,7 @@ def test_sweep_and_compare_require_example_line(tmp_path, capsys, command):
 def test_flag_a_command_does_not_read_is_rejected(capsys, argv):
     # check reads only --seed, --trials and --output; the problem commands
     # read every other flag and not these two.
-    with pytest.raises(SystemExit) as exc:
-        cli.main(argv.split())
-    assert exc.value.code == 2
+    assert cli.main(argv.split()) == 2
     assert capsys.readouterr().out == ""
 
 
@@ -557,7 +568,7 @@ PAIRS_ONLY = "pure state amplitudes must be [re, im] pairs"
 
 
 # Each malformed document and the one stderr line it must print, after "error: ".
-@pytest.mark.parametrize("document, message", [
+MALFORMED_DOCUMENTS = [
     pytest.param(problem_text(2, '{"pure": [1, 0]}', "{}"), PAIRS_ONLY, id="pure-reals"),
     pytest.param(problem_text(2, GOOD_STATE, '{"m": null}'), f"{M_NOT_INTEGER} None", id="m-null"),
     pytest.param(problem_text(2, GOOD_STATE, '"x"'), '"params" must be an object',
@@ -608,13 +619,26 @@ PAIRS_ONLY = "pure state amplitudes must be [re, im] pairs"
                  "density matrix has an eigenvalue below -1e-10", id="density-negative"),
     pytest.param(problem_text(2, '{"density": [[[0.5, 0], [0.1, 0]], [[0, 0], [0.5, 0]]]}'),
                  "density matrix is not Hermitian to 1e-10", id="density-not-hermitian"),
-])
+]
+
+
+@pytest.mark.parametrize("document, message", MALFORMED_DOCUMENTS)
 # pytest records warnings instead of printing them; as errors they fail here.
 @pytest.mark.filterwarnings("error")
 def test_malformed_input_file_is_input_error(tmp_path, capsys, document, message):
     path = tmp_path / "prob.json"
     path.write_text(document)
     assert run(["bounds", "--input", str(path)], capsys) == (2, "", f"error: {message}\n")
+
+
+def test_every_malformed_document_is_a_pinned_corpus_refusal():
+    # Each document is a problem file of tools/input_files.json whose
+    # `bounds --input` line is in the corpus with its stderr digest pinned.
+    names = {json.dumps(doc, sort_keys=True): name
+             for name, doc in test_golden.INPUT_FILES.items()}
+    for case in MALFORMED_DOCUMENTS:
+        name = names[json.dumps(json.loads(case.values[0]), sort_keys=True)]
+        assert test_golden.REFUSALS[f"bounds --input {name}"][0] == 2, case.id
 
 
 @pytest.mark.parametrize("state, message", [

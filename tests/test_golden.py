@@ -34,7 +34,11 @@ formed every pair term, zero or not. The ex4 commands (the built-in mixed
 state), the `rank1.json` and `debris.json` reports (eigenvalues at rounding
 level and at -5e-11, which the square root clamps to zero) and the stderr
 of every refusal in tools/corpus.txt were recorded while a density matrix
-was still checked and diagonalised again on its way to purification.
+was still checked and diagonalised again on its way to purification. The
+ex2 commands at its default dimension 4 (the listed-matrix branch, whose
+last phase is e^(4i pi/3)) and the stderr of the 23 malformed problem
+documents named bad-*.json were recorded while each validation still raised
+its own subclass of UurError.
 """
 
 from __future__ import annotations
@@ -132,6 +136,10 @@ OTHER_COMMANDS = {
     "sweep --example ex4 --steps 5 --format json": "c614bb01c05572eeb402e3a87a8c6621aa34ef37b463a5d1df0bfa418ce14a6b",
     "compare --example ex4 --steps 5": "9d6b9daa446c66ce05d8e8a56e58ff7dceb080c934f223be92228f6d6b25318f",
     "bounds --example ex4 --format json": "5c19dde0f485b44cc35ef933538acc371a47167a94f432608417ffdb5f6071de",
+    "bounds --example ex2": "7ea42235a1eaf2c3a54f39496f4c0bfba79dfce44b4533ae97cb1e2a4f0192ee",
+    "sweep --example ex2 --steps 5 --format csv": "b02c9bca72b2d767c0e3d6408ce664b126b8943c1ba75c032d8128218f951874",
+    "sweep --example ex2 --steps 5 --format json": "cd597f1dd444fc7143fb280145f6998545439ee2704a6d8b15aaf17e4fbe3b1d",
+    "compare --example ex2 --steps 5": "26376e3b45eaba48b5937312b5ed645df7c53d1f412853014dfef8626db1cc1a",
 }
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
@@ -161,7 +169,8 @@ INPUT_COMMANDS = {
 
 # argv -> (exit code, SHA-256 of stderr at COLUMNS=80) of every corpus command
 # that exits non-zero: usage errors, theta grids that overflow, scenario
-# refusals, subset-cap refusals and refused density matrices.
+# refusals, subset-cap refusals, refused density matrices and malformed
+# problem documents.
 REFUSALS = {
     "bounds --example ex1 --steps 3": (2, "ca128186d89e1fdecf50efcb58a630795457eec9e02c999b8e97923de883744d"),
     "sweep --input x": (2, "e4f9db36f0933ea63b9cdd570c45f9f4cb30077c7b9e0952ed72a937e28ec01a"),
@@ -183,6 +192,29 @@ REFUSALS = {
     "bounds --example ex2 --dim 12 --m 2 --cap 500": (3, "4d449d8ed9dbc27ec241486dee0e4dd946b547085a3b4803e95a343620d17b1d"),
     "bounds --input negative.json": (2, "139c2bfc62a583eb2f78a5a9fb86d4bf2fd9c8f5e44c93eac221622082694f84"),
     "bounds --input nonherm.json": (2, "4a6053f656841437a278dd6252b7270b83a9ea58737d55b2faf1d7b5029a0c1a"),
+    "bounds --input bad-pure-reals.json": (2, "4a692173081f1751231d3014e806b0ef04c867c1c83ad18c18531eb437ef1019"),
+    "bounds --input bad-m-null.json": (2, "b4f9f6cf0b5060cb8048b7a9d1441c06570f07b5c121d5dbb9632b111cf2389a"),
+    "bounds --input bad-params-string.json": (2, "72fc137ea607b1262fe5aef928abb4b2d7fb8cfd599f9ef39dcbef74116b39f1"),
+    "bounds --input bad-cap-overflow.json": (2, "886279cd487eb7b824da03e392ef79ea2ead3c536b14f2b6412a3860d1c15571"),
+    "bounds --input bad-flavor-2ops.json": (2, "8ffea71142c7ea538ed7d262ce9f44c6549bbec6310fb0acc2690e298851b42e"),
+    "bounds --input bad-flavor-3ops.json": (2, "8ffea71142c7ea538ed7d262ce9f44c6549bbec6310fb0acc2690e298851b42e"),
+    "bounds --input bad-top-level-number.json": (2, "c3ea62cdd403b87946a11f0fc2d785b86902aacb22588289160ba472808811af"),
+    "bounds --input bad-dimension-null.json": (2, "4afd2aa7de6dab32300470d63badd0d7fb3b08fb2deacfeb8a0adabc34cad7c5"),
+    "bounds --input bad-dimension-list.json": (2, "0ecc65eb57a0f444664f535b80a8efb31d739450243bf1b5124f600cef080821"),
+    "bounds --input bad-dimension-fraction.json": (2, "58823a6a773a10cf4509006a2a6803c728db5cfba808d106387e64fde6d78d95"),
+    "bounds --input bad-operators-number.json": (2, "e52cf1f8a857f9a67f4965a8a941133c7cf55ba730290d0728681df1d200f08f"),
+    "bounds --input bad-bloch-number.json": (2, "ae20857e0f57604d86386e9d37220a924256b368e8e8e82b29d5da9fd53f503e"),
+    "bounds --input bad-bloch-nested.json": (2, "9cab6eabc8af81bb6873a4b47f26581efa13a597f31c82b53c4027c3f16b9da0"),
+    "bounds --input bad-m-fraction.json": (2, "f998de457179f8407780f7627ade8e9463f2ab36a10e7ac9d5898aa252f1719d"),
+    "bounds --input bad-pure-booleans.json": (2, "49e8fd31563b71cd1d752ba939c4ad2324e7b298261ef78f81cff75f7a2d36a8"),
+    "bounds --input bad-pure-triple.json": (2, "4a692173081f1751231d3014e806b0ef04c867c1c83ad18c18531eb437ef1019"),
+    "bounds --input bad-matrix-booleans.json": (2, "637e0afe04d49fd67a00bcd4c6889b467f3df692e9d91fa637a2243c69d13fd3"),
+    "bounds --input bad-matrix-triple.json": (2, "826cda47e9b18728b28a1f9aea5429a46b20755e510a3dc63c2db1258f43d349"),
+    "bounds --input bad-matrix-number.json": (2, "74da3374bdb9eb67081e4122552c8883ab314e4b53c6e82cc3e153180555d81d"),
+    "bounds --input bad-matrix-ragged.json": (2, "df45eda9429bbd4a0c14ff6220131c4efdb321835170d90e3087afab8f4a342b"),
+    "bounds --input bad-matrix-huge.json": (2, "b29a7fbc19400f1aea232b38b26886caf6b42d38457e4c767a56f6443c4b19fb"),
+    "bounds --input bad-matrix-huge-nan.json": (2, "0b1cf2a94effc957b9b55de01850be4daddb39929c08f9b22b6bf782b13d0088"),
+    "bounds --input bad-pure-huge.json": (2, "a8dfb86ff7e4c06ee4d3204f98228a9df91a3f5522577c4b697b010e9a6fa73a"),
 }
 
 
@@ -232,10 +264,7 @@ def test_refusal_stderr_is_unchanged(capsys, monkeypatch, tmp_path, command):
     write_input_files(tmp_path)
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage line to the terminal
-    try:
-        code = cli.main(command.split())
-    except SystemExit as exc:  # argparse's usage errors
-        code = exc.code
+    code = cli.main(command.split())
     out = capsys.readouterr()
     assert out.out == ""
     assert (code, hashlib.sha256(out.err.encode()).hexdigest()) == REFUSALS[command]

@@ -3,7 +3,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from uur import errors, linalg
+from uur import linalg
+
+from conftest import refused
 
 
 def test_vec_stacks_columns():
@@ -41,7 +43,7 @@ def test_partial_trace_recovers_factors():
 
 
 def test_partial_trace_rejects_bad_shape():
-    with pytest.raises(errors.DimensionMismatch):
+    with refused("dimension 6 is not a perfect square"):
         linalg.partial_trace(np.eye(6), keep="first")
 
 

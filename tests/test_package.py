@@ -11,6 +11,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from uur import errors
+
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 
@@ -24,6 +26,16 @@ def test_import_uur_exposes_only_the_version():
     path, version, public = json.loads(out)
     assert Path(path).resolve().parent == SRC / "uur"
     assert (version, public) == ("0.1.0", [])
+
+
+def test_errors_defines_one_refusal_type_and_the_search_cap():
+    # Nothing tells refusals apart by type except the CLI, which exits 3 on
+    # SearchSpaceTooLarge and 2 on every other ValueError.
+    defined = {name for name, obj in vars(errors).items()
+               if isinstance(obj, type) and obj.__module__ == errors.__name__}
+    assert defined == {"UurError", "SearchSpaceTooLarge"}
+    assert errors.UurError.__bases__ == (ValueError,)
+    assert errors.SearchSpaceTooLarge.__bases__ == (errors.UurError,)
 
 
 def test_readme_library_example_runs():

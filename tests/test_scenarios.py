@@ -10,20 +10,21 @@ import pytest
 
 from uur import bounds, cli, errors, linalg, moments, scenarios
 
+from conftest import refused
 from oracles import example1_reference
 
 
 def test_clock_operator_small_cases():
     assert np.allclose(scenarios.clock_operator(2), np.diag([1, -1]))
     assert np.allclose(scenarios.clock_operator(4), np.diag([1, 1j, -1, -1j]))
-    with pytest.raises(errors.DimensionTooSmall):
+    with refused("clock operator needs dimension >= 2, got 1"):
         scenarios.clock_operator(1)
 
 
 def test_shift_operator_small_cases():
     assert np.allclose(scenarios.shift_operator(2), [[0, 1], [1, 0]])
     assert np.allclose(scenarios.shift_operator(3), [[0, 0, 1], [1, 0, 0], [0, 1, 0]])
-    with pytest.raises(errors.DimensionTooSmall):
+    with refused("shift operator needs dimension >= 2, got 1"):
         scenarios.shift_operator(1)
 
 
@@ -37,33 +38,34 @@ def test_clock_shift_commutation():
 
 
 def test_unknown_example_rejected():
-    with pytest.raises(errors.UnknownExample):
+    with refused("unknown example id 'ex7'; expected ex1..ex6"):
         scenarios.scenario("ex7")
 
 
 def test_fixed_dimension_examples_reject_other_dims():
     for sid, d in (("ex3", 4), ("ex4", 3), ("ex5", 3), ("ex6", 4)):
-        with pytest.raises(errors.IncompatibleDimension):
+        kind = "qubit dimension" if sid == "ex4" else "dimension"
+        with refused(f"{sid} is fixed at {kind} {scenarios.DEFAULT_DIMS[sid]}, got {d}"):
             scenarios.scenario(sid, d)
-    with pytest.raises(errors.IncompatibleDimension):
+    with refused("ex2 needs dimension >= 3, got 2"):
         scenarios.scenario("ex2", 2)
 
 
-@pytest.mark.parametrize("sid, d, error, message", [
-    ("ex7", None, errors.UnknownExample, "unknown example id 'ex7'; expected ex1..ex6"),
-    ("ex1", 1, errors.DimensionTooSmall, "clock operator needs dimension >= 2, got 1"),
+@pytest.mark.parametrize("sid, d, message", [
+    ("ex7", None, "unknown example id 'ex7'; expected ex1..ex6"),
+    ("ex1", 1, "clock operator needs dimension >= 2, got 1"),
     # ex2's own check runs before any operator is built.
-    ("ex2", 1, errors.IncompatibleDimension, "ex2 needs dimension >= 3, got 1"),
-    ("ex2", 2, errors.IncompatibleDimension, "ex2 needs dimension >= 3, got 2"),
-    ("ex3", 4, errors.IncompatibleDimension, "ex3 is fixed at dimension 3, got 4"),
-    ("ex4", 3, errors.IncompatibleDimension, "ex4 is fixed at qubit dimension 2, got 3"),
-    ("ex5", 3, errors.IncompatibleDimension, "ex5 is fixed at dimension 4, got 3"),
-    ("ex6", 4, errors.IncompatibleDimension, "ex6 is fixed at dimension 3, got 4"),
+    ("ex2", 1, "ex2 needs dimension >= 3, got 1"),
+    ("ex2", 2, "ex2 needs dimension >= 3, got 2"),
+    ("ex3", 4, "ex3 is fixed at dimension 3, got 4"),
+    ("ex4", 3, "ex4 is fixed at qubit dimension 2, got 3"),
+    ("ex5", 3, "ex5 is fixed at dimension 4, got 3"),
+    ("ex6", 4, "ex6 is fixed at dimension 3, got 4"),
 ])
-def test_scenario_refusals_keep_type_and_message(sid, d, error, message, capsys):
+def test_scenario_refusals_keep_type_and_message(sid, d, message, capsys):
     with pytest.raises(errors.UurError) as info:
         scenarios.scenario(sid, d)
-    assert type(info.value) is error
+    assert type(info.value) is errors.UurError  # not SearchSpaceTooLarge
     assert str(info.value) == message
     if sid in scenarios.DEFAULT_DIMS:  # argparse refuses any other --example first
         assert cli.main(["bounds", "--example", sid, "--dim", str(d)]) == 2
@@ -186,7 +188,7 @@ def test_example1_reference_quarter_pi_value():
 
 
 def test_example1_reference_rejects_tiny_dimension():
-    with pytest.raises(errors.DimensionTooSmall):
+    with refused("reference values need dimension >= 2, got 1"):
         example1_reference(1, 0.5)
 
 

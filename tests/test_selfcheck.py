@@ -135,9 +135,9 @@ def test_a_bad_matrix_in_a_stack_stops_check_with_its_message(monkeypatch):
 
     seen = []
     monkeypatch.setattr(sampling, "haar_unitaries", corrupt_first)
-    with pytest.raises(errors.NotUnitary) as exc:
+    with pytest.raises(errors.UurError) as exc:
         selfcheck.run_all(seed=42, trials=25)
-    with pytest.raises(errors.NotUnitary) as alone:
+    with pytest.raises(errors.UurError) as alone:
         moments.Unitary(seen[0])
     assert str(exc.value) == str(alone.value)
     # Unitary(M) gave this message for that matrix before stacks were checked.
