@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from uur import errors, sampling
+from uur import cli, errors, sampling
 
 from oracles import random_unitary
 
@@ -32,6 +35,32 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         outcome = _ACCEPTANCE[name]
         marker = "PASS" if outcome == "PASSED" else "FAIL"
         terminalreporter.write_line(f"{marker}  {name}")
+
+
+@pytest.fixture(scope="session")
+def problem_dir(tmp_path_factory):
+    """The problem files of tools/input_files.json, under their names: a
+    report's "source" prints the path as given."""
+    files = Path(__file__).resolve().parent.parent / "tools" / "input_files.json"
+    directory = tmp_path_factory.mktemp("problems")
+    for name, document in json.loads(files.read_text(encoding="utf-8")).items():
+        (directory / name).write_text(json.dumps(document), encoding="utf-8")
+    return directory
+
+
+@pytest.fixture
+def run_line(problem_dir, monkeypatch, capsys):
+    """Runs an argv of tools/corpus.jsonl as the corpus does: in problem_dir
+    at an 80-column terminal. Returns (exit code, SHA-256 of stdout, stderr)."""
+    monkeypatch.chdir(problem_dir)
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help and usage to the terminal
+
+    def run(argv: str) -> tuple[int, str, str]:
+        code = cli.main(argv.split())
+        out = capsys.readouterr()
+        return code, hashlib.sha256(out.out.encode()).hexdigest(), out.err
+
+    return run
 
 
 @pytest.fixture

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from uur import bounds, cli, linalg, moments, sampling, scenarios, selfcheck
 
-import test_golden
+from test_golden import CORPUS
 
 
 def run(args, capsys):
@@ -102,42 +102,24 @@ def usage_error(args, capsys) -> str:
     return out.err
 
 
-# SHA-256 of stdout for `uur [COMMAND] --help`, and of stderr for one usage
-# error per command, at an 80-column terminal: argparse wraps help to
-# COLUMNS. The digests come from Python 3.11's argparse; another version
-# lays out help differently.
-HELP_DIGESTS = {
-    "--help": "e33338909c819414c16dc49ce8f72f81e9fe38c25d4a1fbe908ef355e4476063",
-    "bounds --help": "6b319bac1ae0b9a9a3475efa9f7864a379368600a66d4b80c31d53821ad30c4e",
-    "sweep --help": "fb26cd6bcf5142bf7e3d8b6eff65f9569818ae5e9d81193d0edb437c52b940dc",
-    "compare --help": "3866edbb0626c1211cb40f7442fecd4b6809a1d36bb57d40150ab7e334009851",
-    "check --help": "1dc729c301c075789fec9e3f425f923924ee4b51c03ebe317c94bac0a0c8496d",
-}
-USAGE_ERROR_DIGESTS = {
-    "bounds --example ex1 --steps 3": "ca128186d89e1fdecf50efcb58a630795457eec9e02c999b8e97923de883744d",
-    "sweep --input x": "e4f9db36f0933ea63b9cdd570c45f9f4cb30077c7b9e0952ed72a937e28ec01a",
-    "compare --example ex9": "dbd71edd6128a23d2b3a6e87769bb48346ea67fa0d5d829d06e04a12b114fcd7",
-    "check --cap 1": "d4495f82daa2037fbe72af424e2856346930b8b01c62b6807fa11c58e75f4822",
-}
+# The corpus lines of `uur [COMMAND] --help` and of the usage errors; argparse
+# wraps both to COLUMNS, and the help digests come from Python 3.11's argparse.
+HELP = [argv for argv in CORPUS if argv.endswith("--help")]
+USAGE_ERRORS = [argv for argv, (_, _, err) in CORPUS.items() if err.startswith("usage: ")]
 
 
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-@pytest.mark.parametrize("argv", sorted(HELP_DIGESTS))
-def test_help_bytes_are_pinned(capsys, monkeypatch, argv):
-    monkeypatch.setenv("COLUMNS", "80")
-    code = cli.main(argv.split())
-    out = capsys.readouterr()
-    assert (code, out.err) == (0, "")
-    assert sha256(out.out) == HELP_DIGESTS[argv]
+@pytest.mark.parametrize("argv", HELP)
+def test_help_bytes_are_pinned(run_line, argv):
+    assert run_line(argv) == CORPUS[argv]
 
 
-@pytest.mark.parametrize("argv", sorted(USAGE_ERROR_DIGESTS))
-def test_usage_error_bytes_are_pinned(capsys, monkeypatch, argv):
-    monkeypatch.setenv("COLUMNS", "80")
-    assert sha256(usage_error(argv.split(), capsys)) == USAGE_ERROR_DIGESTS[argv]
+@pytest.mark.parametrize("argv", USAGE_ERRORS)
+def test_usage_error_bytes_are_pinned(run_line, argv):
+    assert run_line(argv) == CORPUS[argv]
 
 
 @pytest.mark.parametrize("argv", ["--help", "check --cap 1"])
@@ -146,11 +128,7 @@ def test_python_m_uur_cli_exits_with_the_code_main_returns(argv):
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run([sys.executable, "-m", "uur.cli", *argv.split()], capture_output=True,
                           text=True, env={**os.environ, "COLUMNS": "80", "PYTHONPATH": str(src)})
-    streams = (sha256(proc.stdout), sha256(proc.stderr))
-    if argv in HELP_DIGESTS:
-        assert (proc.returncode, streams) == (0, (HELP_DIGESTS[argv], sha256("")))
-    else:
-        assert (proc.returncode, streams) == (2, (sha256(""), USAGE_ERROR_DIGESTS[argv]))
+    assert (proc.returncode, sha256(proc.stdout), proc.stderr) == CORPUS[argv]
 
 
 # One parser serves every cli.main call in a process. These tests hold for a
@@ -181,10 +159,9 @@ def test_a_flag_does_not_carry_into_the_next_command(monkeypatch):
     assert seen[1] == cli.RunConfig(command="bounds", example="ex1")
 
 
-def test_a_usage_error_leaves_the_next_command_unchanged(capsys):
+def test_a_usage_error_leaves_the_next_command_unchanged(capsys, run_line):
     usage_error(["bounds"], capsys)
-    argv = "bounds --example ex1 --dim 12"
-    assert test_golden.stdout_digest(argv.split(), capsys) == test_golden.OTHER_COMMANDS[argv]
+    assert run_line("bounds --example ex1 --dim 12") == CORPUS["bounds --example ex1 --dim 12"]
 
 
 def parser_snapshot() -> list:
@@ -199,17 +176,14 @@ def parser_snapshot() -> list:
                 for p in (root, *commands.values())]
 
 
-def test_running_every_golden_command_leaves_the_parser_unchanged(capsys, monkeypatch,
-                                                                   tmp_path):
+def test_running_every_golden_command_leaves_the_parser_unchanged(run_line):
     before = parser_snapshot()
-    test_golden.write_input_files(tmp_path)
-    monkeypatch.chdir(tmp_path)
-    for argv, digest in test_golden.golden_commands().items():
-        assert test_golden.stdout_digest(argv.split(), capsys) == digest, argv
+    for argv, pin in CORPUS.items():
+        assert run_line(argv) == pin, argv
     assert parser_snapshot() == before
 
 
-@pytest.mark.parametrize("argv", sorted(HELP_DIGESTS))
+@pytest.mark.parametrize("argv", HELP)
 def test_help_reads_the_width_at_each_render(capsys, monkeypatch, argv):
     # A narrow render first must not leave its width in the shared parser.
     renders = []
@@ -218,7 +192,7 @@ def test_help_reads_the_width_at_each_render(capsys, monkeypatch, argv):
         assert cli.main(argv.split()) == 0
         renders.append(capsys.readouterr().out)
     assert renders[0] != renders[1]
-    assert sha256(renders[1]) == HELP_DIGESTS[argv]
+    assert sha256(renders[1]) == CORPUS[argv][1]
 
 
 def test_missing_source_is_input_error(capsys):
@@ -539,17 +513,10 @@ PAULI_OPERATORS = [
 GOOD_STATE = '{"pure": [[0.6, 0], [0, 0.8]]}'
 
 
-def problem_text(n_ops, state=GOOD_STATE, params="{}", dimension="2", operators=None):
-    """A qubit problem document; every argument but n_ops is raw JSON text."""
-    if operators is None:
-        operators = json.dumps(PAULI_OPERATORS[:n_ops])
-    return (f'{{"dimension": {dimension}, "operators": {operators}, '
+def problem_text(n_ops, state=GOOD_STATE, params="{}"):
+    """A qubit problem document; state and params are raw JSON text."""
+    return (f'{{"dimension": 2, "operators": {json.dumps(PAULI_OPERATORS[:n_ops])}, '
             f'"state": {state}, "params": {params}}}')
-
-
-def z_and_x(z_matrix):
-    """The operator list Z, X with Z's matrix given as raw JSON text."""
-    return f'[{{"name": "Z", "matrix": {z_matrix}}}, {json.dumps(PAULI_OPERATORS[1])}]'
 
 
 def write_problem(tmp_path, n_ops, state=GOOD_STATE, params="{}"):
@@ -559,145 +526,43 @@ def write_problem(tmp_path, n_ops, state=GOOD_STATE, params="{}"):
     return path
 
 
-RAGGED_MATRIX = problem_text(2, operators=z_and_x("[[[1, 0]], [[0, 0], [-1, 0]]]"))
+# Each decoder refusal (the case ids below) is a problem file of
+# tools/input_files.json, named bad-<case>.json unless named here.
+REFUSAL_FILES = {"density-negative": "negative.json", "density-not-hermitian": "nonherm.json"}
 
 
-M_NOT_INTEGER = "params: m must be an integer, got"
-UNKNOWN_FLAVOR = "unknown flavor 'bogus'; expected one of plain, convex, tilde"
-PAIRS_ONLY = "pure state amplitudes must be [re, im] pairs"
+def assert_input_error_pinned(run_line, case):
+    """`bounds --input` on the file exits 2 with empty stdout and one `error:`
+    line: the bytes its corpus line pins."""
+    argv = f"bounds --input {REFUSAL_FILES.get(case, f'bad-{case}.json')}"
+    code, digest, err = CORPUS[argv]
+    assert (code, digest) == (2, sha256("")) and err.startswith("error: ") and err.count("\n") == 1
+    assert run_line(argv) == CORPUS[argv]
 
 
-# Each malformed document and the one stderr line it must print, after "error: ".
-MALFORMED_DOCUMENTS = [
-    pytest.param(problem_text(2, '{"pure": [1, 0]}', "{}"), PAIRS_ONLY, id="pure-reals"),
-    pytest.param(problem_text(2, GOOD_STATE, '{"m": null}'), f"{M_NOT_INTEGER} None", id="m-null"),
-    pytest.param(problem_text(2, GOOD_STATE, '"x"'), '"params" must be an object',
-                 id="params-string"),
-    pytest.param(problem_text(2, GOOD_STATE, '{"cap": 1e400}'),
-                 "params: cap must be an integer, got inf", id="cap-overflow"),
-    pytest.param(problem_text(2, GOOD_STATE, '{"flavor": "bogus"}'), UNKNOWN_FLAVOR,
-                 id="flavor-2ops"),
-    pytest.param(problem_text(3, GOOD_STATE, '{"flavor": "bogus"}'), UNKNOWN_FLAVOR,
-                 id="flavor-3ops"),
-    pytest.param("5", 'input file needs a top-level "dimension" field', id="top-level-number"),
-    pytest.param(problem_text(2, dimension="null"), "dimension must be an integer, got None",
-                 id="dimension-null"),
-    pytest.param(problem_text(2, dimension="[2]"), "dimension must be an integer, got [2]",
-                 id="dimension-list"),
-    pytest.param(problem_text(2, dimension="2.5"), "dimension must be an integer, got 2.5",
-                 id="dimension-fraction"),
-    pytest.param(problem_text(2, operators="5"), '"operators" must be a list',
-                 id="operators-number"),
-    pytest.param(problem_text(2, '{"bloch": 5}'), "bloch vector must be a list of three numbers",
-                 id="bloch-number"),
-    pytest.param(problem_text(2, '{"bloch": [[1], 0, 0]}'),
-                 "bloch component must be a number, got [1]", id="bloch-nested"),
-    pytest.param(problem_text(2, GOOD_STATE, '{"m": 1.7}'), f"{M_NOT_INTEGER} 1.7", id="m-fraction"),
-    pytest.param(problem_text(2, '{"pure": [[true, false], [0, 0]]}'),
-                 "pure state amplitudes: real part must be a number, got True",
-                 id="pure-booleans"),
-    pytest.param(problem_text(2, '{"pure": [[1, 0, 9], [0, 0]]}'), PAIRS_ONLY,
-                 id="pure-triple"),
-    pytest.param(problem_text(2, operators=z_and_x('[[[true, false], [0, 0]], [[0, 0], [-1, 0]]]')),
-                 "operator 'Z': matrix entries: real part must be a number, got True",
-                 id="matrix-booleans"),
-    pytest.param(problem_text(2, operators=z_and_x('[[[1, 0, 9], [0, 0]], [[0, 0], [-1, 0]]]')),
-                 "operator 'Z': matrix entries must be [re, im] pairs", id="matrix-triple"),
-    pytest.param(problem_text(2, operators=z_and_x("5")),
-                 "operator 'Z': matrix must be a list of rows", id="matrix-number"),
-    pytest.param(RAGGED_MATRIX, "operator 'Z': matrix rows differ in length [1, 2]",
-                 id="matrix-ragged"),
-    pytest.param(problem_text(2, operators=z_and_x("[[[1e300, 0], [0, 0]], [[0, 0], [-1, 0]]]")),
-                 "operator 'Z' deviates from unitarity by inf (tol 1.0e-08)", id="matrix-huge"),
-    # Finite entries whose products overflow to inf - inf: a NaN deviation is refused.
-    pytest.param(problem_text(2, operators=z_and_x(
-        "[[[1e200, 1e200], [1e200, 1e200]], [[1e200, 1e200], [-1e200, -1e200]]]")),
-                 "operator 'Z' deviates from unitarity by nan (tol 1.0e-08)", id="matrix-huge-nan"),
-    pytest.param(problem_text(2, '{"pure": [[1e300, 0], [0, 0]]}'),
-                 "state norm inf deviates from 1 by more than 1e-10", id="pure-huge"),
-    pytest.param(problem_text(2, '{"density": [[[1.000001, 0], [0, 0]], [[0, 0], [-1e-06, 0]]]}'),
-                 "density matrix has an eigenvalue below -1e-10", id="density-negative"),
-    pytest.param(problem_text(2, '{"density": [[[0.5, 0], [0.1, 0]], [[0, 0], [0.5, 0]]]}'),
-                 "density matrix is not Hermitian to 1e-10", id="density-not-hermitian"),
-]
+@pytest.mark.parametrize("case", [
+    "pure-reals", "m-null", "params-string", "cap-overflow", "flavor-2ops", "flavor-3ops",
+    "top-level-number", "dimension-null", "dimension-list", "dimension-fraction",
+    "operators-number", "bloch-number", "bloch-nested", "m-fraction", "pure-booleans",
+    "pure-triple", "matrix-booleans", "matrix-triple", "matrix-number", "matrix-ragged",
+    "matrix-huge", "matrix-huge-nan", "pure-huge", "density-negative", "density-not-hermitian"])
+def test_malformed_input_file_is_input_error(run_line, case):
+    assert_input_error_pinned(run_line, case)
 
 
-@pytest.mark.parametrize("document, message", MALFORMED_DOCUMENTS)
-# pytest records warnings instead of printing them; as errors they fail here.
-@pytest.mark.filterwarnings("error")
-def test_malformed_input_file_is_input_error(tmp_path, capsys, document, message):
-    path = tmp_path / "prob.json"
-    path.write_text(document)
-    assert run(["bounds", "--input", str(path)], capsys) == (2, "", f"error: {message}\n")
+@pytest.mark.parametrize("case", ["pure-norm", "density-trace", "bloch-norm"])
+def test_invalid_state_error_prints_plain_numbers(run_line, case):
+    assert_input_error_pinned(run_line, case)
 
 
-def test_every_malformed_document_is_a_pinned_corpus_refusal():
-    # Each document is a problem file of tools/input_files.json whose
-    # `bounds --input` line is in the corpus with its stderr digest pinned.
-    names = {json.dumps(doc, sort_keys=True): name
-             for name, doc in test_golden.INPUT_FILES.items()}
-    for case in MALFORMED_DOCUMENTS:
-        name = names[json.dumps(json.loads(case.values[0]), sort_keys=True)]
-        assert test_golden.REFUSALS[f"bounds --input {name}"][0] == 2, case.id
+def test_ragged_density_error_names_the_density_matrix(run_line):
+    assert_input_error_pinned(run_line, "density-ragged")
 
 
-@pytest.mark.parametrize("state, message", [
-    ('{"pure": [[0.6, 0], [0, 0.7]]}',
-     "state norm 0.9219544457292886 deviates from 1 by more than 1e-10"),
-    ('{"pure": [[1e300, 0], [0, 0]]}', "state norm inf deviates from 1 by more than 1e-10"),
-    ('{"density": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}',
-     "trace (2+0j) deviates from 1 by more than 1e-10"),
-    ('{"bloch": [1, 1, 1]}', "Bloch vector norm 1.7320508075688772 exceeds 1"),
-], ids=["pure-norm", "pure-huge", "density-trace", "bloch-norm"])
-def test_invalid_state_error_prints_plain_numbers(tmp_path, capsys, state, message):
-    path = write_problem(tmp_path, 2, state)
-    code, out, err = run(["bounds", "--input", str(path)], capsys)
-    assert code == 2
-    assert out == ""
-    assert err == f"error: {message}\n"
-
-
-def test_ragged_matrix_error_names_the_operator(tmp_path, capsys):
-    path = tmp_path / "prob.json"
-    path.write_text(RAGGED_MATRIX)
-    code, _, err = run(["bounds", "--input", str(path)], capsys)
-    assert code == 2
-    assert err == "error: operator 'Z': matrix rows differ in length [1, 2]\n"
-
-
-def test_ragged_density_error_names_the_density_matrix(tmp_path, capsys):
-    path = tmp_path / "prob.json"
-    path.write_text(problem_text(2, '{"density": [[[1, 0]], [[0, 0], [0, 0]]]}'))
-    code, out, err = run(["bounds", "--input", str(path)], capsys)
-    assert code == 2
-    assert out == ""
-    assert err == "error: density matrix: matrix rows differ in length [1, 2]\n"
-
-
-THREE_BY_THREE = json.dumps([
-    {"name": "I", "matrix": [[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]],
-                             [[0, 0], [0, 0], [1, 0]]]},
-    {"name": "P", "matrix": [[[0, 0], [0, 0], [1, 0]], [[1, 0], [0, 0], [0, 0]],
-                             [[0, 0], [1, 0], [0, 0]]]},
-])
-
-
-@pytest.mark.parametrize("document, message", [
-    (problem_text(2, '{"pure": [[1, 0]]}'), "pure state has 1 amplitudes, dimension says 2"),
-    (problem_text(2, '{"density": [[[1, 0]]]}'), "density matrix is 1x1, dimension says 2"),
-    (problem_text(2, '{"bloch": [0, 0, 0]}', dimension="3", operators=THREE_BY_THREE),
-     "bloch states require dimension 2"),
-    (problem_text(1), "need 2 or 3 operators, got 1"),
-    (problem_text(2, operators=json.dumps(PAULI_OPERATORS + PAULI_OPERATORS[:1])),
-     "need 2 or 3 operators, got 4"),
-    (problem_text(2, dimension="3"), "operator 'Z' is 2x2, dimension says 3"),
-], ids=["pure-count", "density-size", "bloch-dimension", "one-operator", "four-operators",
-        "operator-size"])
-def test_decoder_refusal_prints_its_line(tmp_path, capsys, document, message):
-    path = tmp_path / "prob.json"
-    path.write_text(document)
-    code, out, err = run(["bounds", "--input", str(path)], capsys)
-    assert (code, out, err) == (2, "", f"error: {message}\n")
+@pytest.mark.parametrize("case", ["pure-count", "density-size", "bloch-dimension",
+                                  "one-operator", "four-operators", "operator-size"])
+def test_decoder_refusal_prints_its_line(run_line, case):
+    assert_input_error_pinned(run_line, case)
 
 
 @pytest.mark.parametrize("extra, message", [
@@ -853,7 +718,8 @@ def test_three_operator_report_bounds_each_pair_once(capsys, monkeypatch):
     ("suite_purification", (6, 0)),
     ("suite_mixed_state_floor", (6, 0)),
 ])
-def test_each_density_matrix_is_diagonalised_once(tmp_path, capsys, monkeypatch, case, counts):
+def test_each_density_matrix_is_diagonalised_once(problem_dir, capsys, monkeypatch, case,
+                                                   counts):
     # A DensityMatrix keeps the eigendecomposition of its positivity check;
     # the purification and the mixed-state floor read it, so every state
     # (one per file, per sweep row, per trial) makes one eigh and no eigvalsh.
@@ -866,8 +732,7 @@ def test_each_density_matrix_is_diagonalised_once(tmp_path, capsys, monkeypatch,
     if case.startswith("suite_"):
         assert getattr(selfcheck, case)(17, 6).failures == 0
     else:
-        test_golden.write_input_files(tmp_path)
-        monkeypatch.chdir(tmp_path)
+        monkeypatch.chdir(problem_dir)
         code, _, err = run(case.split(), capsys)
         assert code == 0, err
     assert (calls["eigh"], calls["eigvalsh"]) == counts
