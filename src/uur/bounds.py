@@ -9,16 +9,18 @@ blocks:
     (x . y)^2  <=  (|x_S||y_S| + |x_Sc||y_Sc|)^2  <=  |x|^2 |y|^2
 
 The middle quantity is the split bound; maximizing it over which indices
-form the block gives the best split bound. The search enumerates only the
-support of (x^2, y^2), in one pass for all the sizes m <= n/2 a report needs:
-a support part and its complement give the same value, so each part of at
-most half the support is evaluated once. The cap is judged on the nominal
-binomial(n, m) of every size before the pass. The interpolation family i_d
-and the paired cross bound are transcribed comparison bounds, bit-faithful
-to their published term-by-term sums: each pair's terms are formed once,
-and each level adds them left to right in (i, j) order. Like the search,
-both skip a zero coordinate's terms: each is +-0.0, which changes no bit of
-a total >= +0.0, unless an overflow makes it inf * 0.0 = NaN.
+form the block gives the best split bound. A block is a sorted tuple of
+1-based indices, and the searches return (value, block). The search
+enumerates only the support of (x^2, y^2), in one pass for all the sizes
+m <= n/2 a report needs: a support part and its complement give the same
+value, so each part of at most half the support is evaluated once. The cap
+is judged on the nominal binomial(n, m) of every size before the pass. The
+interpolation family i_d and the paired cross bound are transcribed
+comparison bounds, bit-faithful to their published term-by-term sums: each
+pair's terms are formed once, and each level adds them left to right in
+(i, j) order. Like the search, both skip a zero coordinate's terms: each is
++-0.0, which changes no bit of a total >= +0.0, unless an overflow makes it
+inf * 0.0 = NaN.
 """
 
 from __future__ import annotations
@@ -49,35 +51,6 @@ def _integer(value, what: str) -> int:
 
 
 @dataclass(frozen=True)
-class SubsetSelection:
-    """A block of 1-based indices S inside {1..n}."""
-
-    n: int
-    indices: tuple[int, ...]
-
-    def __post_init__(self):
-        idx = tuple(sorted(_integer(i, "subset index") for i in self.indices))
-        if _integer(self.n, "dimension") < 1:
-            raise UurError(f"dimension must be positive, got {self.n}")
-        if not idx:
-            raise UurError("subset must not be empty")
-        if len(set(idx)) != len(idx):
-            raise UurError(f"subset has repeated indices: {idx}")
-        if idx[0] < 1 or idx[-1] > self.n:
-            raise UurError(f"indices {idx} out of range 1..{self.n}")
-        object.__setattr__(self, "indices", idx)
-
-    @property
-    def m(self) -> int:
-        return len(self.indices)
-
-    @classmethod
-    def first_block(cls, n: int, m: int) -> "SubsetSelection":
-        """The leading block {1..m}; __post_init__ refuses m outside 1..n."""
-        return cls(n=n, indices=tuple(range(1, m + 1)))
-
-
-@dataclass(frozen=True)
 class BoundSet:
     """Every bound for one operator pair and state, plus the variance product.
 
@@ -95,7 +68,7 @@ class BoundSet:
     k_m_v: float
     k_tilde_m: float
     k_tilde: float
-    k_tilde_argmax: SubsetSelection
+    k_tilde_argmax: tuple[int, ...]
     i_d: tuple[float, ...]
     i_1_prime: float | None
 
@@ -161,13 +134,18 @@ def correlation_bound(pair: ModulusPair) -> float:
     return float(np.dot(pair.x, pair.y)) ** 2
 
 
-def split_bound(pair: ModulusPair, subset: SubsetSelection) -> float:
-    """Two-block Cauchy-Schwarz bound for a given index block."""
-    if subset.n != pair.dim:
-        raise UurError(f"subset is over {subset.n} indices, pair has {pair.dim}")
+def split_bound(pair: ModulusPair, block) -> float:
+    """Two-block Cauchy-Schwarz bound for a block: any iterable of distinct integer
+    indices in 1..n, e.g. (2, 4) or range(1, m + 1) for the leading block."""
+    idx = tuple(sorted(_integer(i, "subset index") for i in block))
+    if not idx:
+        raise UurError("subset must not be empty")
+    if len(set(idx)) != len(idx):
+        raise UurError(f"subset has repeated indices: {idx}")
+    if idx[0] < 1 or idx[-1] > pair.dim:
+        raise UurError(f"indices {idx} out of range 1..{pair.dim}")
     x2, y2 = _squares(pair)
-    inside = frozenset(i - 1 for i in subset.indices)
-    return _split_value(x2, y2, inside)
+    return _split_value(x2, y2, frozenset(i - 1 for i in idx))
 
 
 def _blend(k: float, vp: float, v: float) -> float:
@@ -216,12 +194,13 @@ def _split_search(pair: ModulusPair, sizes, cap: int) -> list[tuple[float, tuple
             combo = tuple(sorted([*part, *pad]) if pad else part)
             if val > best or val == best and combo < block:
                 best, block = val, combo
-        results.append((best, tuple(i + 1 for i in block)))  # 1-based; callers wrap what they keep
+        results.append((best, tuple(i + 1 for i in block)))  # 1-based
     return results
 
 
-def best_split_bound(pair: ModulusPair, m: int, cap: int = DEFAULT_CAP) -> tuple[float, SubsetSelection]:
-    """Maximum split bound over all blocks of size m; ties go to the lexicographically smallest.
+def best_split_bound(pair: ModulusPair, m: int, cap: int = DEFAULT_CAP) -> tuple[float, tuple[int, ...]]:
+    """(value, block): the maximum split bound over all blocks of size m and its block of
+    1-based indices; ties go to the lexicographically smallest.
 
     Only the support of (x^2, y^2) is enumerated: a free index (x_i^2 = y_i^2 = 0.0)
     adds exactly 0.0 to both block sums, so the blocks sharing a support part T tie bit
@@ -232,15 +211,14 @@ def best_split_bound(pair: ModulusPair, m: int, cap: int = DEFAULT_CAP) -> tuple
     part, and fills each size from the part sizes it pads. SearchSpaceTooLarge is
     raised, before any block is evaluated, when the nominal binomial(n, m) exceeds cap.
     """
-    [(best, block)] = _split_search(pair, [m], cap)
-    return best, SubsetSelection(n=pair.dim, indices=block)
+    return _split_search(pair, [m], cap)[0]
 
 
-def best_split_bounds(pair: ModulusPair, cap: int = DEFAULT_CAP) -> list[tuple[float, SubsetSelection]]:
-    """best_split_bound for each block size m = 1 .. floor(n/2), in order, from one pass
-    (size n - m would repeat size m); every size's nominal binomial(n, m) is capped first."""
-    return [(best, SubsetSelection(n=pair.dim, indices=block))
-            for best, block in _split_search(pair, range(1, max(1, pair.dim // 2) + 1), cap)]
+def best_split_bounds(pair: ModulusPair, cap: int = DEFAULT_CAP) -> list[tuple[float, tuple[int, ...]]]:
+    """best_split_bound's (value, block) for each block size m = 1 .. floor(n/2), in order,
+    from one pass (size n - m would repeat size m); every size's nominal binomial(n, m) is
+    capped first."""
+    return _split_search(pair, range(1, max(1, pair.dim // 2) + 1), cap)
 
 
 def fine_grained_sequence(pair: ModulusPair) -> tuple[float, ...]:
@@ -349,11 +327,11 @@ def geometric_mean_bound(deltas, first: BoundSet, cap: int = DEFAULT_CAP) -> dic
     """
     deltas, m = list(deltas), first.m
     if len(deltas) < 2:
-        raise ValueError(f"need at least 2 operators, got {len(deltas)}")
+        raise UurError(f"need at least 2 operators, got {len(deltas)}")
     products = dict(zip(FLAVORS, (first.k_m, first.k_m_v, first.k_tilde_m)))
     for alpha, beta in itertools.islice(itertools.combinations(deltas, 2), 1, None):
         pair = ModulusPair.from_deltas(alpha, beta)
-        k = split_bound(pair, SubsetSelection.first_block(pair.dim, m))
+        k = split_bound(pair, range(1, m + 1))
         values = (k, _blend(k, variance_product(pair), first.v), best_split_bound(pair, m, cap)[0])
         for flavor, val in zip(FLAVORS, values):
             products[flavor] *= val
@@ -372,12 +350,11 @@ def bound_report(pair: ModulusPair, m: int, v: float = DEFAULT_V,
         raise UurError(f"bound reports need dimension >= 2, got {n}")
     if not 1 <= m <= n - 1:
         raise UurError(f"block size {m} out of range 1..{n - 1} (m = n is degenerate)")
-    block = SubsetSelection.first_block(n, m)
     _check_cap(n, m, cap)
     table = _split_search(pair, range(1, n // 2 + 1), cap)
     # max keeps the first maximum, so ties go to the smallest block size.
     k_tilde, argmax = max(table, key=lambda entry: entry[0])
-    k_m, vp = split_bound(pair, block), variance_product(pair)
+    k_m, vp = split_bound(pair, range(1, m + 1)), variance_product(pair)
     return BoundSet(
         m=m,
         v=v,
@@ -387,7 +364,7 @@ def bound_report(pair: ModulusPair, m: int, v: float = DEFAULT_V,
         k_m_v=_blend(k_m, vp, v),
         k_tilde_m=table[min(m, n - m) - 1][0],
         k_tilde=k_tilde,
-        k_tilde_argmax=SubsetSelection(n=n, indices=argmax),
+        k_tilde_argmax=argmax,
         i_d=fine_grained_sequence(pair),
         i_1_prime=paired_cross_bound(pair) if n >= 3 else None,
     )

@@ -255,8 +255,7 @@ def run_bounds(cfg: RunConfig) -> int:
     # BoundSet's fields in declaration order; a key given again keeps its first position.
     out = {"command": "bounds", "source": problem.scenario.id,
            "dimension": problem.scenario.dimension, "theta": theta, **vars(report),
-           "k_tilde_argmax": {"m": report.k_tilde_argmax.m,
-                              "indices": list(report.k_tilde_argmax.indices)},
+           "k_tilde_argmax": {"m": len(report.k_tilde_argmax), "indices": list(report.k_tilde_argmax)},
            "notes": list(problem.scenario.notes)}
     if len(problem.operators) == 3:
         out["triple"] = {**{k: row[k] for k in TRIPLE_COLUMNS},
@@ -266,8 +265,8 @@ def run_bounds(cfg: RunConfig) -> int:
         _emit(cfg, json.dumps(out, indent=2) + "\n")
     else:
         flat = {k: val for k, val in out.items() if k not in ("k_tilde_argmax", "notes", "triple")}
-        flat["k_tilde_argmax_m"] = report.k_tilde_argmax.m
-        flat["k_tilde_argmax"] = ";".join(str(i) for i in report.k_tilde_argmax.indices)
+        flat["k_tilde_argmax_m"] = len(report.k_tilde_argmax)
+        flat["k_tilde_argmax"] = ";".join(str(i) for i in report.k_tilde_argmax)
         flat.update((f"i_{lev}", val) for lev, val in enumerate(flat.pop("i_d"), start=1))
         if "triple" in out:
             flat.update((key, row[key]) for key in TRIPLE_COLUMNS)

@@ -59,4 +59,4 @@ def partial_trace(M, keep: str) -> np.ndarray:
         return np.einsum("ikjk->ij", T)
     if keep == "second":
         return np.einsum("kikj->ij", T)
-    raise ValueError(f"keep must be 'first' or 'second', got {keep!r}")
+    raise UurError(f"keep must be 'first' or 'second', got {keep!r}")

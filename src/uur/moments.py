@@ -29,11 +29,11 @@ class PureState:
     def __post_init__(self):
         a = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
         if not np.isfinite(a).all():
-            raise ValueError("state amplitudes must be finite")
+            raise UurError("state amplitudes must be finite")
         with np.errstate(over="ignore"):  # a huge amplitude reads as norm inf
             nrm = float(np.linalg.norm(a))
         if abs(nrm - 1.0) > linalg.TOL:
-            raise ValueError(f"state norm {nrm!r} deviates from 1 by more than {linalg.TOL:g}")
+            raise UurError(f"state norm {nrm!r} deviates from 1 by more than {linalg.TOL:g}")
         object.__setattr__(self, "amplitudes", a)
 
     @property
@@ -153,9 +153,9 @@ class ModulusPair:
         if x.shape != y.shape or x.ndim != 1:
             raise UurError(f"x and y must be 1-D of equal length, got {x.shape} and {y.shape}")
         if not (np.isfinite(x).all() and np.isfinite(y).all()):
-            raise ValueError("modulus vectors must be finite")
+            raise UurError("modulus vectors must be finite")
         if np.min(x) < 0 or np.min(y) < 0:
-            raise ValueError("modulus vectors must be nonnegative")
+            raise UurError("modulus vectors must be nonnegative")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
 
@@ -243,7 +243,7 @@ def bloch_density(r) -> DensityMatrix:
     """Qubit density matrix (I + r . sigma)/2 from a Bloch 3-vector."""
     r = np.asarray(r, dtype=float).reshape(-1)
     if r.size != 3:
-        raise ValueError(f"Bloch vector must have 3 components, got {r.size}")
+        raise UurError(f"Bloch vector must have 3 components, got {r.size}")
     with np.errstate(over="ignore"):  # a huge component reads as norm inf
         nrm = float(np.linalg.norm(r))
     if nrm > 1.0 + linalg.BLOCH_TOL:

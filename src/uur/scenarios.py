@@ -169,7 +169,7 @@ def scenario(sid: str, d: int | None = None) -> Scenario:
 def theta_grid(lo: float, hi: float, steps: int) -> list[float]:
     """Evenly spaced sweep angles, inclusive of both ends when steps > 1."""
     if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
+        raise UurError(f"steps must be >= 1, got {steps}")
     if steps == 1:
         return [lo]
     return [lo + (hi - lo) * k / (steps - 1) for k in range(steps)]

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds, linalg, moments, sampling, scenarios
-from .bounds import SLACK, SubsetSelection
+from .bounds import SLACK
 
 
 def _encode(value):
@@ -109,7 +109,7 @@ def suite_pair_chain(rec: SuiteResult, seed: int, trials: int):
         vp = bounds.variance_product(pair)
         lb = bounds.correlation_bound(pair)
         for m in range(1, d + 1):
-            km = bounds.split_bound(pair, SubsetSelection.first_block(d, m))
+            km = bounds.split_bound(pair, range(1, m + 1))
             inst = dict(instance, params={"m": m})
             rec.check(lb - km, SLACK, inst, "lb > k_m")
             for v in (0.0, 0.1, 0.5, 1.0):
@@ -128,7 +128,7 @@ def suite_subset_chain(rec: SuiteResult, seed: int, trials: int):
         table = bounds.best_split_bounds(pair)
         ktilde = max(val for val, _ in table)
         for m in range(1, d):
-            km = bounds.split_bound(pair, SubsetSelection.first_block(d, m))
+            km = bounds.split_bound(pair, range(1, m + 1))
             ktm, _ = table[min(m, d - m) - 1]  # sizes m and d - m tie bit for bit
             inst = dict(instance, params={"m": m})
             rec.check(km - ktm, SLACK, inst, "k_m > k_tilde_m")
@@ -185,7 +185,7 @@ def suite_subset_oracle(rec: SuiteResult, seed: int, trials: int):
         pair = moments.modulus_pair(A, B, psi)
         instance["params"] = {"m": m}
         by_subset = {
-            combo: bounds.split_bound(pair, SubsetSelection(n=n, indices=tuple(i + 1 for i in combo)))
+            combo: bounds.split_bound(pair, [i + 1 for i in combo])
             for combo in itertools.combinations(range(n), m)
         }
         enum_max, _ = bounds.best_split_bound(pair, m)
@@ -321,7 +321,7 @@ def suite_equality_case(rec: SuiteResult, seed: int, trials: int):
         m = 1 + trial % (n - 1)
         y = np.abs(rng.standard_normal(n)) + 0.05
         k = float(abs(rng.standard_normal()) + 0.05)
-        block = SubsetSelection.first_block(n, m)
+        block = range(1, m + 1)
         instance = {"trial": trial, "dimension": n, "params": {"m": m, "k": k}}
         # Globally proportional blocks balance the cross products exactly.
         pair = moments.ModulusPair(k * y, y)

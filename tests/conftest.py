@@ -1,7 +1,9 @@
-"""Shared fixtures plus a one-line pass/fail report for the acceptance tests."""
+"""Shared fixtures, a header naming the arithmetic, and a one-line pass/fail
+report for the acceptance tests."""
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
 import re
@@ -15,6 +17,25 @@ from uur import cli, errors, sampling
 from oracles import random_unitary
 
 _ACCEPTANCE: dict[str, str] = {}
+
+
+def blas_kernel(symbol: str = "scipy_openblas_get_corename64_") -> str:
+    """The OpenBLAS kernel numpy's bundled library picked for this CPU, or "unknown".
+
+    dlsym on numpy's extension module also searches the libraries it links.
+    """
+    from numpy._core import _multiarray_umath
+    corename = getattr(ctypes.CDLL(_multiarray_umath.__file__), symbol, None)
+    if corename is None:
+        return "unknown"
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
+
+
+def pytest_report_header(config):
+    # The corpus digests hold for one arithmetic: other BLAS kernels round
+    # vdot, matrix products, QR and eigh differently.
+    return f"numpy {np.__version__}, OpenBLAS kernel {blas_kernel()}"
 
 
 @pytest.hookimpl(hookwrapper=True)

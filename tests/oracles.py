@@ -148,7 +148,7 @@ def per_size_split_bound(pair, m: int, cap: int = bounds.DEFAULT_CAP):
             val = _split_value(x2, y2, frozenset(combo))
             if val > best or val == best and combo < best_subset:
                 best, best_subset = val, combo
-    return best, bounds.SubsetSelection(n=n, indices=tuple(i + 1 for i in best_subset))
+    return best, tuple(i + 1 for i in best_subset)
 
 
 # The purification, verbatim but for the `linalg.` prefixes and its errors,

@@ -43,12 +43,11 @@ def test_criterion_01_pairwise_bound_chains():
         lb = bounds.correlation_bound(pair)
         k_tilde = max(val for val, _ in bounds.best_split_bounds(pair))
         for m in range(1, d + 1):
-            k = bounds.split_bound(pair, bounds.SubsetSelection.first_block(d, m))
+            k = bounds.split_bound(pair, range(1, m + 1))
             if not lb <= k + SLACK:
                 violations.append((trial, m, "lb > k_m"))
             for v in (0.0, 0.1, 0.5, 1.0):
-                kv = split_bound_blend(
-                    pair, bounds.SubsetSelection.first_block(d, m), v)
+                kv = split_bound_blend(pair, range(1, m + 1), v)
                 if not (k <= kv + SLACK and kv <= vp + SLACK):
                     violations.append((trial, m, f"blend chain broke at v={v}"))
             if m < d:
@@ -151,20 +150,18 @@ def test_criterion_04_block_choice_saturation():
         scen = scenarios.scenario("ex1", d)
         A, B = (M for _, M in scen.operators)
         indices = (1, 2, d) if d > 3 else (1, 2, 3)
-        sel = bounds.SubsetSelection(n=d, indices=indices)
         for theta in scenarios.theta_grid(0.1, math.pi - 0.1, 25):
             pair = moments.modulus_pair(A, B, scen.state(theta))
             vp = bounds.variance_product(pair)
-            assert bounds.split_bound(pair, sel) == pytest.approx(vp, abs=SLACK), \
+            assert bounds.split_bound(pair, indices) == pytest.approx(vp, abs=SLACK), \
                 f"d={d} theta={theta}: subset {indices} fails to saturate"
     # Qubit purification example: the pair swap {2, 4} at block size 2.
     scen = scenarios.scenario("ex4")
     A, B = (M for _, M in scen.operators)
-    sel = bounds.SubsetSelection(n=4, indices=(2, 4))
     for theta in scenarios.theta_grid(0.0, 2 * math.pi, 50):
         pair = moments.modulus_pair(A, B, scen.state(theta))
         vp = bounds.variance_product(pair)
-        assert bounds.split_bound(pair, sel) == pytest.approx(vp, abs=SLACK), \
+        assert bounds.split_bound(pair, (2, 4)) == pytest.approx(vp, abs=SLACK), \
             f"theta={theta}: subset (2, 4) fails to saturate"
         best, _ = bounds.best_split_bound(pair, 2)
         assert best == pytest.approx(vp, abs=SLACK)
@@ -176,7 +173,7 @@ def test_criterion_05_qubit_purification_ordering():
     for theta in scenarios.theta_grid(0.0, 2 * math.pi, 200):
         pair = moments.modulus_pair(A, B, scen.state(theta))
         vp = bounds.variance_product(pair)
-        k2v = split_bound_blend(pair, bounds.SubsetSelection.first_block(4, 2), 0.1)
+        k2v = split_bound_blend(pair, (1, 2), 0.1)
         seq = bounds.fine_grained_sequence(pair)
         lb = bounds.correlation_bound(pair)
         chain = [vp, k2v, seq[1], seq[2], seq[3], lb]
@@ -285,8 +282,7 @@ def test_criterion_10_permutation_oracle():
         for m in range(1, n):
             by_subset = {}
             for comb in itertools.combinations(range(n), m):
-                by_subset[frozenset(comb)] = bounds.split_bound(
-                    pair, bounds.SubsetSelection(n=n, indices=tuple(i + 1 for i in comb)))
+                by_subset[frozenset(comb)] = bounds.split_bound(pair, [i + 1 for i in comb])
             perm_max = max(by_subset[frozenset(perm[:m])]
                            for perm in itertools.permutations(range(n)))
             enum_val, _ = bounds.best_split_bound(pair, m)

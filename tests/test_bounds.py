@@ -23,10 +23,6 @@ def pair_of(x, y) -> ModulusPair:
     return ModulusPair(np.array(x, float), np.array(y, float))
 
 
-def subset(n, *idx) -> bounds.SubsetSelection:
-    return bounds.SubsetSelection(n=n, indices=tuple(idx))
-
-
 def deltas_of(ops, psi) -> list[moments.DeltaVector]:
     return [moments.delta_vector(U, psi) for U in ops]
 
@@ -45,65 +41,65 @@ def test_correlation_bound_real_positive_case():
 
 def test_split_bound_full_set_gives_norm_product():
     p = pair_of([1, 2, 3], [3, 1, 2])
-    full = subset(3, 1, 2, 3)
+    full = (1, 2, 3)
     norms = float(np.dot(p.x, p.x) * np.dot(p.y, p.y))
     assert bounds.split_bound(p, full) == pytest.approx(norms)
 
 
 def test_split_bound_disjoint_supports_vanish():
-    assert bounds.split_bound(pair_of([1, 0], [0, 1]), subset(2, 1)) == pytest.approx(0.0)
+    assert bounds.split_bound(pair_of([1, 0], [0, 1]), (1,)) == pytest.approx(0.0)
 
 
 def test_split_bound_equal_vectors_saturate():
-    assert bounds.split_bound(pair_of([1, 1], [1, 1]), subset(2, 1)) == pytest.approx(4.0)
+    assert bounds.split_bound(pair_of([1, 1], [1, 1]), (1,)) == pytest.approx(4.0)
 
 
 def test_split_bound_rejects_foreign_subset():
-    with refused("subset is over 3 indices, pair has 2"):
-        bounds.split_bound(pair_of([1, 1], [1, 1]), subset(3, 1))
+    # A block is checked against the dimension of the pair it splits.
+    with refused("indices (1, 3) out of range 1..2"):
+        bounds.split_bound(pair_of([1, 1], [1, 1]), (3, 1))
 
 
 def test_subset_selection_validation():
-    with refused("indices (0,) out of range 1..3"):
-        bounds.SubsetSelection(n=3, indices=(0,))
-    with refused("subset has repeated indices: (1, 1)"):
-        bounds.SubsetSelection(n=3, indices=(1, 1))
-    with refused("indices (4,) out of range 1..3"):
-        bounds.SubsetSelection(n=3, indices=(4,))
-    with refused("subset must not be empty"):
-        bounds.SubsetSelection(n=3, indices=())
-    for m, message in ((0, "subset must not be empty"),
-                       (4, "indices (1, 2, 3, 4) out of range 1..3")):
+    # A block of split_bound: distinct indices in 1..n, in any order and any iterable.
+    p = pair_of([1, 2, 3], [3, 1, 2])
+    for block, message in (((0,), "indices (0,) out of range 1..3"),
+                           ((1, 1), "subset has repeated indices: (1, 1)"),
+                           ((4,), "indices (4,) out of range 1..3"),
+                           ((), "subset must not be empty"),
+                           (range(1, 1), "subset must not be empty"),
+                           (range(1, 5), "indices (1, 2, 3, 4) out of range 1..3")):
         with refused(message):
-            bounds.SubsetSelection.first_block(3, m)
+            bounds.split_bound(p, block)
 
 
 @pytest.mark.parametrize("n, indices, message", [
     (3, (1.7, 2.2), "subset index must be an integer, got 1.7"),
     (3, (2, 1.0), "subset index must be an integer, got 1.0"),
     (3, ("1",), "subset index must be an integer, got '1'"),
-    (3.5, (1,), "dimension must be an integer, got 3.5"),
 ])
 def test_subset_selection_refuses_non_integers(n, indices, message):
     # int() would truncate 1.7 to 1 and parse "1"; a block must name its indices exactly.
     with refused(message):
-        bounds.SubsetSelection(n=n, indices=indices)
+        bounds.split_bound(pair_of(np.ones(n), np.ones(n)), indices)
 
 
 def test_subset_selection_takes_numpy_integers():
-    sel = bounds.SubsetSelection(n=np.int64(3), indices=(np.int64(3), np.int32(1)))
-    assert sel.indices == (1, 3) and all(type(i) is int for i in sel.indices)
     p = pair_of([1, 2, 3], [3, 1, 2])
-    assert bounds.split_bound(p, sel) == bounds.split_bound(p, subset(3, 1, 3))
+    want = bounds.split_bound(p, (1, 3))
+    assert bounds.split_bound(p, (np.int64(3), np.int32(1))) == want
+    assert bounds.split_bound(p, np.array([3, 1])) == want
+    assert bounds.split_bound(p, range(1, 3)) == bounds.split_bound(p, (1, 2))
+    assert bounds.split_bound(p, range(1, 4)) == bounds.split_bound(p, [3, 2, 1])
     with refused("subset index must be an integer, got 1.9"):
-        bounds.split_bound(p, subset(3, 1.9))
+        bounds.split_bound(p, (1.9,))
 
 
 # --- blended bound ------------------------------------------------------------
 
 def test_split_bound_blend_endpoints():
     p = pair_of([1, 2, 3], [3, 1, 2])
-    s = subset(3, 2)
+    s = (2,)
     k = bounds.split_bound(p, s)
     norms = float(np.dot(p.x, p.x) * np.dot(p.y, p.y))
     assert split_bound_blend(p, s, 1.0) == pytest.approx(k)
@@ -113,19 +109,19 @@ def test_split_bound_blend_endpoints():
 def test_split_bound_blend_mid_value():
     # x = y makes the split term saturate, so every blend equals 25.
     p = pair_of([1, 2], [1, 2])
-    assert split_bound_blend(p, subset(2, 1), 0.5) == pytest.approx(25.0)
+    assert split_bound_blend(p, (1,), 0.5) == pytest.approx(25.0)
 
 
 def test_split_bound_blend_rejects_out_of_range_weight():
     p = pair_of([1, 2], [1, 2])
     for bad in (-0.1, 1.1):
         with refused(f"blend weight must lie in [0, 1], got {bad}"):
-            split_bound_blend(p, subset(2, 1), bad)
+            split_bound_blend(p, (1,), bad)
 
 
 def test_split_bound_blend_monotone_in_weight():
     p = pair_of([1, 2, 3, 1], [2, 1, 1, 3])
-    s = subset(4, 1, 3)
+    s = (1, 3)
     vals = [split_bound_blend(p, s, v) for v in (0.0, 0.25, 0.5, 0.75, 1.0)]
     assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
 
@@ -135,22 +131,22 @@ def test_split_bound_blend_monotone_in_weight():
 def test_best_split_bound_single_index_vector():
     val, sel = bounds.best_split_bound(pair_of([2.0], [3.0]), 1)
     assert val == pytest.approx(36.0)
-    assert sel.indices == (1,)
+    assert sel == (1,)
 
 
 def test_best_split_bound_tie_picks_lexicographic():
     val, sel = bounds.best_split_bound(pair_of([1, 2], [2, 1]), 1)
     assert val == pytest.approx(16.0)
-    assert sel.indices == (1,)
+    assert sel == (1,)
 
 
-def test_best_split_bound_beats_first_block():
+def test_best_split_bound_beats_the_leading_block():
     gen = sampling.trial_generator(seed=11, trial=0)
     for trial in range(20):
         A, B, psi = random_pair(11, trial, 5)
         p = moments.modulus_pair(A, B, psi)
         for m in range(1, 5):
-            first = bounds.split_bound(p, bounds.SubsetSelection.first_block(5, m))
+            first = bounds.split_bound(p, range(1, m + 1))
             best, _ = bounds.best_split_bound(p, m)
             assert best >= first - 1e-12
 
@@ -165,9 +161,9 @@ def test_best_split_bound_cap_is_enforced():
 def test_best_split_bounds_reports_achieving_m():
     p = pair_of([1, 2, 3, 4], [4, 3, 2, 1])
     table = bounds.best_split_bounds(p)
-    assert [sel.m for _, sel in table] == [1, 2]
+    assert [len(sel) for _, sel in table] == [1, 2]
     val, sel = max(table, key=lambda entry: entry[0])
-    m = sel.m
+    m = len(sel)
     assert 1 <= m <= 2
     per_m = max(bounds.best_split_bound(p, mm)[0] for mm in (1, 2))
     assert val == pytest.approx(per_m)
@@ -177,10 +173,9 @@ def brute_force_split(p, m):
     """First maximum of split_bound over every block of size m, in lexicographic order."""
     best, best_sel = -1.0, None
     for combo in itertools.combinations(range(1, p.dim + 1), m):
-        sel = subset(p.dim, *combo)
-        val = bounds.split_bound(p, sel)
+        val = bounds.split_bound(p, combo)
         if val > best:
-            best, best_sel = val, sel
+            best, best_sel = val, combo
     return best, best_sel
 
 
@@ -206,9 +201,9 @@ def test_best_split_bound_half_size_ties_keep_lexicographic_block():
     # Every block of size 2 ties with its complement, and {1, 4} ties {2, 3}.
     p = pair_of([1, 2, 2, 1], [1, 2, 2, 1])
     assert bounds.best_split_bound(p, 2) == brute_force_split(p, 2)
-    assert bounds.best_split_bound(p, 2)[1].indices == (1, 2)
+    assert bounds.best_split_bound(p, 2)[1] == (1, 2)
     flat = pair_of([1, 1, 1, 1, 1, 1], [1, 1, 1, 1, 1, 1])
-    assert bounds.best_split_bound(flat, 3)[1].indices == (1, 2, 3)
+    assert bounds.best_split_bound(flat, 3)[1] == (1, 2, 3)
 
 
 # Exact zeros, in both coordinates or in one, make free indices; values
@@ -236,8 +231,8 @@ def test_best_split_bound_pads_blocks_with_the_smallest_free_indices():
     # Only index 3 carries weight; every block holding it ties, and so does
     # every block without it, so the lexicographically smallest block wins.
     p = pair_of([0, 0, 2, 0, 0], [0, 0, 3, 0, 0])
-    assert bounds.best_split_bound(p, 2) == (36.0, subset(5, 1, 2))
-    assert bounds.best_split_bound(pair_of([0, 0, 0], [0, 0, 0]), 2) == (0.0, subset(3, 1, 2))
+    assert bounds.best_split_bound(p, 2) == (36.0, (1, 2))
+    assert bounds.best_split_bound(pair_of([0, 0, 0], [0, 0, 0]), 2) == (0.0, (1, 2))
 
 
 def count_split_values(monkeypatch) -> list:
@@ -279,24 +274,21 @@ def test_dense_ex2_row_evaluates_every_part_of_at_most_half_the_support_once(mon
     assert len(calls) == math.comb(15, 7)
 
 
-def test_bound_report_builds_only_the_leading_and_the_argmax_block(monkeypatch):
-    # An ex1 row at n = 16 reads 8 block sizes from its table; only the
-    # leading block {1..m} and the argmax become SubsetSelections (the
-    # report built 1 + 8 of them while the table held one per size).
+def test_bound_report_argmax_is_the_oracle_block_as_a_tuple_of_ints():
+    # The first maximum over the sizes 1..n/2 of the per-size search, on
+    # random dense pairs and on a sparse ex1 n = 16 row (blocks padded with
+    # free indices).
     scen = scenarios.scenario("ex1", 16)
     psi = scen.state(1.0)
-    pair = moments.ModulusPair.from_deltas(
+    ex1 = moments.ModulusPair.from_deltas(
         *(moments.delta_vector(moments.Unitary(U), psi) for _, U in scen.operators))
-    built = []
-    real = bounds.SubsetSelection.__post_init__
-    monkeypatch.setattr(bounds.SubsetSelection, "__post_init__",
-                        lambda self: built.append(self.indices) or real(self))
-    report = bounds.bound_report(pair, 8)
-    assert len(built) == 2
-    assert built[0] == tuple(range(1, 9))
-    monkeypatch.undo()
-    assert max(bounds.best_split_bounds(pair), key=lambda entry: entry[0]) == (
-        report.k_tilde, report.k_tilde_argmax)
+    pairs = [moments.modulus_pair(*random_pair(25, trial, 2 + trial)) for trial in range(6)]
+    for p in [ex1, *pairs]:
+        report = bounds.bound_report(p, 1)
+        table = [per_size_split_bound(p, m) for m in range(1, p.dim // 2 + 1)]
+        assert (report.k_tilde, report.k_tilde_argmax) == max(table, key=lambda entry: entry[0])
+        assert type(report.k_tilde_argmax) is tuple
+        assert all(type(i) is int for i in report.k_tilde_argmax)
 
 
 def test_bound_report_k_tilde_m_equals_search_at_every_block_size():
@@ -660,8 +652,7 @@ def test_geometric_mean_two_ops_reduces_to_pairwise():
     A = random_unitary(gen, 4)
     B = random_unitary(gen, 4)
     psi = sampling.random_state(gen, 4)
-    pairwise = bounds.split_bound(moments.modulus_pair(A, B, psi),
-                                  bounds.SubsetSelection.first_block(4, 2))
+    pairwise = bounds.split_bound(moments.modulus_pair(A, B, psi), (1, 2))
     assert mean_of([A, B], psi, 2, 0.1)["plain"] == pytest.approx(pairwise)
 
 
@@ -699,7 +690,7 @@ def test_geometric_mean_is_exactly_the_product_of_pairwise_bounds(n_ops):
         psi = sampling.random_state(gen, d)
         pairs = [moments.modulus_pair(A, B, psi) for A, B in itertools.combinations(ops, 2)]
         for m in range(1, d):
-            block = bounds.SubsetSelection.first_block(d, m)
+            block = range(1, m + 1)
             products = {
                 "plain": math.prod(bounds.split_bound(p, block) for p in pairs),
                 "convex": math.prod(split_bound_blend(p, block, 0.3) for p in pairs),
@@ -707,6 +698,14 @@ def test_geometric_mean_is_exactly_the_product_of_pairwise_bounds(n_ops):
             }
             want = {flavor: val ** (1.0 / (n_ops - 1)) for flavor, val in products.items()}
             assert mean_of(ops, psi, m, 0.3) == want, (trial, m)
+
+
+def test_geometric_mean_needs_two_operators():
+    A, B, psi = random_pair(84, 0, 3)
+    deltas = deltas_of([A, B], psi)
+    first = bounds.bound_report(ModulusPair.from_deltas(*deltas), 1)
+    with refused("need at least 2 operators, got 1"):
+        bounds.geometric_mean_bound(deltas[:1], first)
 
 
 def test_geometric_mean_rejects_out_of_range_weight():
@@ -731,13 +730,13 @@ def test_bound_report_runs_chain_on_random_instance():
     assert rep.m == 2
     assert rep.v == pytest.approx(0.1)
     assert len(rep.i_d) == 5
-    assert rep.k_tilde_argmax.m >= 1
+    assert len(rep.k_tilde_argmax) >= 1
 
 
 # A consistent report: vp 10 >= k_tilde 5 >= k_tilde_m 4 >= k_m 2 >= lb 1,
 # k_m <= k_m_v 3 <= vp, i_d falls from vp to lb. Each case breaks one link by 0.5.
 CHAIN_BASE = dict(m=1, v=0.1, variance_product=10.0, lb=1.0, k_m=2.0, k_m_v=3.0,
-                  k_tilde_m=4.0, k_tilde=5.0, k_tilde_argmax=subset(3, 1),
+                  k_tilde_m=4.0, k_tilde=5.0, k_tilde_argmax=(1,),
                   i_d=(10.0, 6.0, 1.0), i_1_prime=7.0)
 
 
@@ -781,7 +780,7 @@ def test_equality_condition_saturates_split():
     x = np.array([3.0, 4.0, 2.0])
     y = np.array([4.0, 3.0, 2.0])
     p = pair_of(x, y)
-    val = bounds.split_bound(p, subset(3, 1, 2))
+    val = bounds.split_bound(p, (1, 2))
     norms = float(np.dot(x, x) * np.dot(y, y))
     assert val == pytest.approx(norms, abs=1e-10)
 
@@ -801,7 +800,7 @@ def test_split_chain_property(entries, m, v):
     n = len(entries)
     m = min(m, n)
     p = pair_of(x, y)
-    s = bounds.SubsetSelection.first_block(n, m)
+    s = range(1, m + 1)
     corr = bounds.correlation_bound(p)
     k = bounds.split_bound(p, s)
     kv = split_bound_blend(p, s, v)

@@ -499,10 +499,9 @@ def test_check_determinism_byte_identical(tmp_path, capsys):
 
 
 def test_invalid_v_rejected(capsys):
-    code, _, err = run(["bounds", "--example", "ex1", "--dim", "3",
-                        "--theta-min", "1.0", "--v", "1.5"], capsys)
-    assert code == 2
-    assert "weight" in err.lower() or "v" in err.lower()
+    code, out, err = run(["bounds", "--example", "ex1", "--dim", "3",
+                          "--theta-min", "1.0", "--v", "1.5"], capsys)
+    assert (code, out, err) == (2, "", "error: blend weight must lie in [0, 1], got 1.5\n")
 
 
 PAULI_OPERATORS = [

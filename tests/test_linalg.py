@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from uur import linalg
 
@@ -48,5 +47,5 @@ def test_partial_trace_rejects_bad_shape():
 
 
 def test_partial_trace_rejects_bad_keep():
-    with pytest.raises(ValueError):
+    with refused("keep must be 'first' or 'second', got 'third'"):
         linalg.partial_trace(np.eye(4), keep="third")

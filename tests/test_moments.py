@@ -13,7 +13,7 @@ from oracles import random_unitary, two_pass_purify
 
 
 def test_pure_state_requires_unit_norm():
-    with pytest.raises(ValueError):
+    with refused("state norm 1.4142135623730951 deviates from 1 by more than 1e-10"):
         moments.PureState(amplitudes=np.array([1.0, 1.0], dtype=complex))
 
 
@@ -127,6 +127,8 @@ VALIDATION_MESSAGES = [
      "density matrix is not Hermitian to 1e-10"),
     (lambda: moments.DensityMatrix(np.diag([1.5, -0.5])), errors.UurError,
      "density matrix has an eigenvalue below -1e-10"),
+    (lambda: moments.bloch_density([0.1, 0.2]), errors.UurError,
+     "Bloch vector must have 3 components, got 2"),
 ]
 
 
@@ -184,7 +186,7 @@ def test_modulus_pair_holds_only_the_moduli():
     assert not hasattr(moments.ModulusPair, "from_moduli")
     pair = moments.ModulusPair([3, 0], [1, 2])
     assert pair.x.dtype == float and pair.dim == 2
-    with pytest.raises(ValueError):
+    with refused("modulus vectors must be nonnegative"):
         moments.ModulusPair([1.0, -1.0], [1.0, 1.0])
 
 
@@ -193,12 +195,11 @@ def test_modulus_pair_holds_only_the_moduli():
 def test_modulus_pair_refuses_non_finite_moduli(bad, side):
     # Past this check a NaN modulus makes bound_report's split search find no
     # block ("subset must not be empty"), and an inf one gives an all-inf
-    # report that validates; both stop here with one plain ValueError.
+    # report that validates; both stop here with one UurError.
     moduli = {"x": [1.0, 2.0, 3.0], "y": [3.0, 2.0, 1.0]}
     moduli[side][1] = bad
-    with pytest.raises(ValueError, match="^modulus vectors must be finite$") as err:
+    with refused("modulus vectors must be finite"):
         moments.ModulusPair(**moduli)
-    assert type(err.value) is ValueError
 
 
 def test_correlation_coordinate_identity():

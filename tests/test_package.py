@@ -5,13 +5,18 @@ The README's library example is run here, so a rename cannot leave it stale.
 
 from __future__ import annotations
 
+import ast
 import json
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from uur import errors
+
+from conftest import blas_kernel, pytest_report_header
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -36,6 +41,21 @@ def test_errors_defines_one_refusal_type_and_the_search_cap():
     assert defined == {"UurError", "SearchSpaceTooLarge"}
     assert errors.UurError.__bases__ == (ValueError,)
     assert errors.SearchSpaceTooLarge.__bases__ == (errors.UurError,)
+
+
+def test_no_module_raises_a_plain_value_error():
+    # Every refusal is a UurError (errors.py); the tests of each module pin its messages.
+    raised = [(path.name, node.lineno) for path in sorted((SRC / "uur").glob("*.py"))
+              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+              if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+              and getattr(node.exc.func, "id", None) == "ValueError"]
+    assert raised == []
+
+
+def test_report_header_names_numpy_and_the_blas_kernel(pytestconfig):
+    header = pytest_report_header(pytestconfig)
+    assert header == f"numpy {np.__version__}, OpenBLAS kernel {blas_kernel()}"
+    assert blas_kernel("no_such_symbol") == "unknown"
 
 
 def test_readme_library_example_runs():

@@ -157,6 +157,8 @@ def test_theta_grid_endpoints():
     assert grid[-1] == pytest.approx(math.pi)
     assert len(grid) == 5
     assert scenarios.theta_grid(1.0, 2.0, 1) == [1.0]
+    with refused("steps must be >= 1, got 0"):
+        scenarios.theta_grid(1.0, 2.0, 0)
 
 
 def test_ex1_internal_consistency_without_closed_forms():
