@@ -122,7 +122,7 @@ def _split_value(x2: list[float], y2: list[float], inside: frozenset[int]) -> fl
 
 def variance_product(pair: ModulusPair) -> float:
     """|x|^2 |y|^2, the quantity every bound here sits below."""
-    return float(np.sum(pair.x ** 2) * np.sum(pair.y ** 2))
+    return float((pair.x ** 2).sum() * (pair.y ** 2).sum())
 
 
 def correlation_bound(pair: ModulusPair) -> float:
@@ -131,7 +131,7 @@ def correlation_bound(pair: ModulusPair) -> float:
     This is the weakest member of the split-bound chain and doubles as the
     final level of the interpolation family.
     """
-    return float(np.dot(pair.x, pair.y)) ** 2
+    return float(pair.x.dot(pair.y)) ** 2
 
 
 def split_bound(pair: ModulusPair, block) -> float:
@@ -239,7 +239,7 @@ def fine_grained_sequence(pair: ModulusPair) -> tuple[float, ...]:
     n = pair.dim
     x, y = pair.x.tolist(), pair.y.tolist()
     x2, y2 = _pow_squares(pair.x), _pow_squares(pair.y)
-    diagonal = float(np.sum(pair.x ** 2 * pair.y ** 2))
+    diagonal = float((pair.x ** 2 * pair.y ** 2).sum())
     support = [i for i in range(n) if x[i] or y[i]] if math.isfinite(diagonal) else range(n)
     terms = [(j, x2[i] * y2[j] + x2[j] * y2[i], 2.0 * x[i] * y[i] * x[j] * y[j])
              for i, j in itertools.combinations(support, 2)]
@@ -283,7 +283,7 @@ def paired_cross_bound(pair: ModulusPair) -> float:
         raise UurError(f"paired cross bound needs dimension >= 3, got {n}")
     x, y = pair.x, pair.y
     x2, y2 = _pow_squares(x), _pow_squares(y)  # C pow, not x * x
-    total = float(np.sum(x ** 2 * y ** 2))
+    total = float((x ** 2 * y ** 2).sum())
     every = not math.isfinite(total)
     rows = [i for i in range(n) if x2[i] or every]
     for j in range(1, n):
@@ -291,7 +291,7 @@ def paired_cross_bound(pair: ModulusPair) -> float:
             for i in rows:
                 if i != j:
                     total += x2[i] * y2[j]
-    total += float(y[0] ** 2 * np.sum(x[3:] ** 2))
+    total += float(y[0] ** 2 * (x[3:] ** 2).sum())
     total += float(2.0 * y[0] ** 2 * x[1] * x[2])
     return total
 
@@ -312,7 +312,7 @@ def triple_correlation_bound(dA: DeltaVector, dB: DeltaVector, dC: DeltaVector) 
         vA * abs(cBC) ** 2
         + vB * abs(cAC) ** 2
         + vC * abs(cAB) ** 2
-        - 2.0 * np.real(cAC * np.conj(cBC) * np.conj(cAB))
+        - 2.0 * (cAC * np.conj(cBC) * np.conj(cAB)).real
     )
 
 

@@ -55,9 +55,9 @@ class DensityMatrix:
     def __post_init__(self):
         M = linalg.as_square_matrix(self.matrix)
         tol = linalg.TOL
-        if np.max(np.abs(M - M.conj().T)) > tol:
+        if np.abs(M - M.conj().T).max() > tol:
             raise UurError(f"density matrix is not Hermitian to {tol:g}")
-        tr = complex(np.trace(M))
+        tr = complex(M.trace())
         if abs(tr - 1.0) > tol:
             raise UurError(f"trace {tr!r} deviates from 1 by more than {tol:g}")
         eig = np.linalg.eigh(M)
@@ -128,7 +128,7 @@ class DeltaVector:
     @property
     def variance(self) -> float:
         """<dA^dagger dA>, the squared norm of the entries."""
-        return float(np.real(np.vdot(self.entries, self.entries)))
+        return float(np.vdot(self.entries, self.entries).real)
 
     def correlation(self, other: "DeltaVector") -> complex:
         """<A^dagger B> - <A^dagger><B>, the inner product with other's entries."""
@@ -154,7 +154,7 @@ class ModulusPair:
             raise UurError(f"x and y must be 1-D of equal length, got {x.shape} and {y.shape}")
         if not (np.isfinite(x).all() and np.isfinite(y).all()):
             raise UurError("modulus vectors must be finite")
-        if np.min(x) < 0 or np.min(y) < 0:
+        if x.min() < 0 or y.min() < 0:
             raise UurError("modulus vectors must be nonnegative")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
@@ -205,7 +205,7 @@ def variance_pure(A, psi: PureState) -> float:
 
 def variance_mixed(A, rho: DensityMatrix) -> float:
     """Variance 1 - |Tr(A rho)|^2 of a unitary operator on a mixed state."""
-    return float(1.0 - abs(np.trace(Unitary.matrix_on(A, rho.dim) @ rho.matrix)) ** 2)
+    return float(1.0 - abs((Unitary.matrix_on(A, rho.dim) @ rho.matrix).trace()) ** 2)
 
 
 def gram_matrix(ops, psi: PureState) -> np.ndarray:

@@ -1,9 +1,9 @@
 """Deterministic random instance generation for property suites.
 
-Every trial gets its own counter-based generator keyed by (seed, trial), so
-results never depend on the order trials run in and reruns with the same
-seed are bit-identical. A trial draws its own Gaussian matrices; a whole
-stack of them becomes unitary with one QR, bit for bit as one at a time.
+Each trial draws from a Philox stream set by its key and counter (seed, trial,
+stream) alone, so results never depend on trial order and reruns are bit-identical;
+a suite re-keys one Philox per trial (trial_generators) instead of building one. A
+trial's Gaussian matrices become unitary in a stack, one QR, bit for bit as one at a time.
 """
 
 from __future__ import annotations
@@ -20,6 +20,17 @@ def trial_generator(seed: int, trial: int, stream: int = 0) -> np.random.Generat
     check suites, for instance) without any draw-order coupling.
     """
     return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, stream, trial]))
+
+
+def trial_generators(seed: int, trials: int, stream: int):
+    """(trial, generator) for trials 0..trials-1: one Philox re-keyed to each trial's counter with
+    a spent buffer, so it draws what trial_generator(seed, trial, stream) would; use it before the next."""
+    rng = trial_generator(seed, 0, stream)
+    state = rng.bit_generator.state
+    for trial in range(trials):
+        state["state"]["counter"][3] = trial
+        rng.bit_generator.state = state
+        yield trial, rng
 
 
 def complex_gaussians(rng: np.random.Generator, count: int, *shape: int) -> np.ndarray:
@@ -45,4 +56,4 @@ def random_density(rng: np.random.Generator, n: int) -> DensityMatrix:
     """Full-rank-ish random mixed state from a normalized Wishart draw."""
     Z = complex_gaussians(rng, 1, n, n)[0]
     M = Z @ Z.conj().T
-    return DensityMatrix(matrix=M / np.real(np.trace(M)))
+    return DensityMatrix(matrix=M / M.trace().real)

@@ -1,11 +1,11 @@
 """Seeded randomized invariant suites backing the `check` CLI command.
 
 Each suite runs trials 0..trials-1; the `_suite` decorator names it after
-the function. Every trial draws from its own counter-based generator, so
-a rerun with the same seed reproduces every draw bit for bit. Draws are
-per trial (most suites draw through `_instances`: the unitaries' Gaussian
-matrices, then the state); the QR that makes them unitary and the unitarity
-test run on a stack, once per suite, dimension and 1,024 trials (`_sampled`).
+the function. Every trial draws from its own counter-based stream (one
+Philox per suite and stream, re-keyed per trial), so a rerun reproduces
+every draw. Draws are per trial (most suites draw through `_instances`: the
+unitaries' Gaussian matrices, then the state); the QR that makes them unitary
+and the unitarity test run on a stack, once per suite, dimension and 1,024 trials.
 A suite reports its trial count, failure count, the worst margin it
 observed, and the first counterexample (fully serialized) on a failure.
 
@@ -79,13 +79,12 @@ def _suite(body):
 def _sampled(seed: int, trials: int, stream: int, draw):
     """Yield (trial, unitaries, rest) in trial order; draw(rng, trial) returns the trial's Gaussian
     stack (k, n, n) and the rest it drew. A dimension gets one QR and one unitarity test per 1024 trials."""
-    for first in range(0, trials, 1024):  # a block at a time: memory stays flat in --trials
-        drawn = [draw(sampling.trial_generator(seed, trial, stream), trial)
-                 for trial in range(first, min(trials, first + 1024))]
+    rngs = sampling.trial_generators(seed, trials, stream)  # one Philox; blocks keep memory flat in --trials
+    while drawn := [(trial, *draw(rng, trial)) for trial, rng in itertools.islice(rngs, 1024)]:
         units = {n: iter(moments.Unitary.stack(sampling.haar_unitaries(
-            np.concatenate([G for G, _ in drawn if G.shape[-1] == n]))))
-            for n in sorted({G.shape[-1] for G, _ in drawn})}
-        for trial, (G, rest) in enumerate(drawn, first):
+            np.concatenate([G for _, G, _ in drawn if G.shape[-1] == n]))))
+            for n in sorted({G.shape[-1] for _, G, _ in drawn})}
+        for trial, G, rest in drawn:
             yield trial, list(itertools.islice(units[G.shape[-1]], len(G))), rest
 
 
@@ -157,11 +156,12 @@ def suite_cross_bound_chain(rec: SuiteResult, seed: int, trials: int):
     the full sandwich down to level 2 on the ex1 closed-form family."""
     ex1 = {d: scenarios.scenario("ex1", d) for d in range(3, 3 + min(trials, 6))}  # its d, once per run
     ex1_ops = {d: [moments.Unitary(M) for _, M in scen.operators] for d, scen in ex1.items()}
-    for d, (A, B), psi, instance in _instances(seed, trials, 3, dmin=3):
+    thetas = sampling.trial_generators(seed, trials, 31)
+    for (d, (A, B), psi, instance), (_, rng) in zip(_instances(seed, trials, 3, dmin=3), thetas):
         pair = moments.modulus_pair(A, B, psi)
         rec.check(bounds.paired_cross_bound(pair) - bounds.variance_product(pair),
                   SLACK, instance, "i_1_prime > variance_product")
-        theta = float(sampling.trial_generator(seed, instance["trial"], 31).uniform(0.0, math.pi))
+        theta = float(rng.uniform(0.0, math.pi))
         fam = moments.modulus_pair(*ex1_ops[d], ex1[d].state(theta))
         inst = {"trial": instance["trial"], "dimension": d, "example": "ex1", "theta": theta}
         rec.check(bounds.paired_cross_bound(fam) - bounds.variance_product(fam),
@@ -225,7 +225,7 @@ def suite_split_symmetry(rec: SuiteResult, seed: int, trials: int):
 def suite_gram_psd(rec: SuiteResult, seed: int, trials: int):
     """Gram matrix of (I, U_1..U_l) has min eigenvalue >= -1e-10."""
     for _, ops, psi, instance in _instances(seed, trials, 7, counts=(2, 3, 4), dmax=6):
-        lo = float(np.min(np.linalg.eigvalsh(moments.gram_matrix(ops, psi))))
+        lo = float(np.linalg.eigvalsh(moments.gram_matrix(ops, psi)).min())
         rec.check(-lo, SLACK, instance, "gram matrix not PSD")
 
 
@@ -237,7 +237,7 @@ def suite_triple_bound(rec: SuiteResult, seed: int, trials: int):
         deltas = [moments.delta_vector(U, psi) for U in ops]
         vp3 = math.prod(dv.variance for dv in deltas)
         rhs = bounds.triple_correlation_bound(*deltas)
-        det = float(np.real(np.linalg.det(moments.gram_matrix(ops, psi))))
+        det = float(np.linalg.det(moments.gram_matrix(ops, psi)).real)
         rec.check(rhs - vp3, SLACK, instance, "triple bound exceeds product")
         rec.check(-det, SLACK, instance, "gram determinant negative")
         rec.check(abs(det - (vp3 - rhs)), 1e-9, instance,
@@ -277,16 +277,16 @@ def suite_purification(rec: SuiteResult, seed: int, trials: int):
         instance = {"trial": trial, "bloch": [float(t) for t in r]}
         for A in (U.matrix for U in ops):
             got = moments.expectation(moments.lift(A), psi)
-            want = complex(np.trace(A @ rho.matrix))
+            want = complex((A @ rho.matrix).trace())
             rec.check(abs(got - want), SLACK,
                       dict(instance, operators=[A]),
                       "lifted expectation != Tr(A rho)")
         proj = np.outer(psi.amplitudes, psi.amplitudes.conj())
         kept_second = linalg.partial_trace(proj, keep="second")
         kept_first = linalg.partial_trace(proj, keep="first")
-        rec.check(float(np.max(np.abs(kept_second - rho.matrix))), 1e-9,
+        rec.check(float(np.abs(kept_second - rho.matrix).max()), 1e-9,
                   instance, "reduced state (second factor) != rho")
-        rec.check(float(np.max(np.abs(kept_first - rho.matrix.T))), 1e-9,
+        rec.check(float(np.abs(kept_first - rho.matrix.T).max()), 1e-9,
                   instance, "reduced state (first factor) != transpose(rho)")
 
 
@@ -315,8 +315,7 @@ def suite_mixed_state_floor(rec: SuiteResult, seed: int, trials: int):
 @_suite
 def suite_equality_case(rec: SuiteResult, seed: int, trials: int):
     """Block-proportional modulus pairs saturate the split bound."""
-    for trial in range(trials):
-        rng = sampling.trial_generator(seed, trial, 12)
+    for trial, rng in sampling.trial_generators(seed, trials, 12):
         n = 2 + trial % 7
         m = 1 + trial % (n - 1)
         y = np.abs(rng.standard_normal(n)) + 0.05
@@ -344,7 +343,7 @@ def suite_coordinate_identities(rec: SuiteResult, seed: int, trials: int):
         mean = moments.expectation(A, psi)
         rec.check(abs(va - (1.0 - abs(mean) ** 2)), SLACK, instance,
                   "variance != 1 - |mean|^2")
-        rec.check(abs(va - float(np.sum(pair.x ** 2))), SLACK, instance,
+        rec.check(abs(va - float((pair.x ** 2).sum())), SLACK, instance,
                   "variance != |x|^2")
         c_ops = complex(
             np.vdot(psi.amplitudes, (A.matrix.conj().T @ B.matrix) @ psi.amplitudes)

@@ -817,3 +817,51 @@ def test_fine_grained_chain_property(entries):
     y = np.array([e[1] for e in entries])
     seq = bounds.fine_grained_sequence(pair_of(x, y))
     assert all(a >= b - 1e-9 for a, b in zip(seq, seq[1:]))
+
+
+# --- ndarray-method reductions against the np.* calls they replaced --------------------
+
+def seeded_vector(rng, n: int, dtype=float) -> np.ndarray:
+    """Gaussian coordinates (moduli for float, both parts for complex) with about a third of
+    the parts a zero of random sign, 0.0 or -0.0."""
+    parts = rng.standard_normal((n, 2 if dtype is complex else 1))
+    zero = rng.uniform(size=parts.shape) < 1 / 3
+    parts = np.where(zero, np.copysign(0.0, parts), parts if dtype is complex else np.abs(parts))
+    return parts.view(dtype).ravel()
+
+
+def seeded_cases(per_n: int = 20):
+    for n in range(2, 21):
+        for trial in range(per_n):
+            yield n, sampling.trial_generator(seed=2027, trial=trial, stream=n)
+
+
+def test_pair_reductions_equal_the_np_functions():
+    signed_zeros = 0
+    for n, rng in seeded_cases():
+        x, y = seeded_vector(rng, n), seeded_vector(rng, n)
+        signed_zeros += np.count_nonzero(np.signbit(x) & (x == 0.0))
+        pair = ModulusPair(x, y)
+        assert bounds.variance_product(pair) == float(np.sum(pair.x ** 2) * np.sum(pair.y ** 2))
+        assert bounds.correlation_bound(pair) == float(np.dot(pair.x, pair.y)) ** 2
+    assert signed_zeros > 0
+
+
+def test_delta_reductions_equal_the_np_functions():
+    signed_zeros = 0
+    for n, rng in seeded_cases():
+        dA, dB, dC = (moments.DeltaVector(seeded_vector(rng, n, complex), 0j) for _ in range(3))
+        signed_zeros += np.count_nonzero(np.signbit(dA.entries.imag) & (dA.entries.imag == 0.0))
+        assert dA.variance == float(np.real(np.vdot(dA.entries, dA.entries)))
+        vA, vB, vC = dA.variance, dB.variance, dC.variance
+        cAB, cAC, cBC = dA.correlation(dB), dA.correlation(dC), dB.correlation(dC)
+        want = float(vA * abs(cBC) ** 2 + vB * abs(cAC) ** 2 + vC * abs(cAB) ** 2
+                     - 2.0 * np.real(cAC * np.conj(cBC) * np.conj(cAB)))
+        assert bounds.triple_correlation_bound(dA, dB, dC) == want
+    assert signed_zeros > 0
+
+
+def test_variance_mixed_equals_the_np_trace_form():
+    for n, rng in seeded_cases(per_n=3):
+        U, rho = random_unitary(rng, n), sampling.random_density(rng, n)
+        assert moments.variance_mixed(U, rho) == float(1.0 - abs(np.trace(U @ rho.matrix)) ** 2)

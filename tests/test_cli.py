@@ -443,6 +443,15 @@ def test_sweep_csv_round_trip(tmp_path, capsys):
         assert float(cells["variance_product"]) == vp
 
 
+def test_qubit_file_csv_leaves_the_cross_bound_cell_empty(problem_dir, monkeypatch, capsys):
+    # The paired cross bound needs n >= 3; a qubit row prints an empty cell (corpus-pinned).
+    monkeypatch.chdir(problem_dir)
+    code, out, _ = run(["bounds", "--input", "qubit.json", "--format", "csv"], capsys)
+    assert code == 0
+    header, row = (line.split(",") for line in out.strip().split("\n"))
+    assert dict(zip(header, row, strict=True))["i_1_prime"] == ""
+
+
 def test_sweep_json_format(capsys):
     code, out, _ = run(["sweep", "--example", "ex4", "--steps", "3",
                         "--format", "json"], capsys)
@@ -559,7 +568,9 @@ def test_ragged_density_error_names_the_density_matrix(run_line):
 
 
 @pytest.mark.parametrize("case", ["pure-count", "density-size", "bloch-dimension",
-                                  "one-operator", "four-operators", "operator-size"])
+                                  "one-operator", "four-operators", "operator-size",
+                                  "matrix-nonsquare", "state-two-keys", "state-kind",
+                                  "operator-no-matrix", "bloch-two", "pure-nan", "matrix-nan"])
 def test_decoder_refusal_prints_its_line(run_line, case):
     assert_input_error_pinned(run_line, case)
 

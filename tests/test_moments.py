@@ -202,6 +202,19 @@ def test_modulus_pair_refuses_non_finite_moduli(bad, side):
         moments.ModulusPair(**moduli)
 
 
+@pytest.mark.parametrize("x, y, message", [
+    ([math.nan, -1.0], [1.0], "x and y must be 1-D of equal length, got (2,) and (1,)"),
+    ([[-1.0]], [[math.nan]], "x and y must be 1-D of equal length, got (1, 1) and (1, 1)"),
+    ([math.nan, -1.0], [1.0, 1.0], "modulus vectors must be finite"),
+    ([-1.0, 1.0], [1.0, math.inf], "modulus vectors must be finite"),
+    ([1.0, 1.0], [-0.5, 1.0], "modulus vectors must be nonnegative")],
+    ids=["unequal-before-nan-and-negative", "2d-before-nan-and-negative", "nan-before-negative",
+         "inf-before-negative", "negative"])
+def test_modulus_pair_refuses_shape_then_non_finite_then_negative(x, y, message):
+    with refused(message):
+        moments.ModulusPair(x, y)
+
+
 def test_correlation_coordinate_identity():
     gen = sampling.trial_generator(seed=5, trial=0)
     A = random_unitary(gen, 4)

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from uur import linalg, sampling
+from uur import linalg, sampling, selfcheck
 
 from oracles import per_matrix_instance, random_density, random_state, random_unitary
 
@@ -76,3 +76,43 @@ def test_random_state_and_density_draw_what_per_matrix_draws_drew():
                               random_state(ref, n).amplitudes)
         assert np.array_equal(sampling.random_density(gen, n).matrix,
                               random_density(ref, n).matrix)
+
+
+def mixed_draws(rng, trial):
+    # Draw sizes that stop mid-buffer, and a 32-bit draw that leaves half a
+    # word: the next trial's re-key must discard both.
+    k = 1 + trial % 5
+    return [rng.standard_normal(k), rng.uniform(0.0, np.pi, 3), rng.integers(0, 9, k, dtype=np.int32),
+            rng.standard_normal((k, 2, 2)), np.array([rng.uniform()])]
+
+
+def test_rekeyed_generators_draw_what_fresh_generators_draw():
+    for stream in [*range(13), 31]:
+        for seed in (0, 42, 2 ** 31 - 1):
+            for trial, rng in sampling.trial_generators(seed, 12, stream):
+                want = mixed_draws(sampling.trial_generator(seed, trial, stream), trial)
+                got = mixed_draws(rng, trial)
+                assert all(np.array_equal(a, b) for a, b in zip(want, got, strict=True))
+
+
+def test_rekeyed_generators_share_one_philox_per_stream():
+    gens = list(sampling.trial_generators(5, 4, 3))
+    assert [trial for trial, _ in gens] == [0, 1, 2, 3]
+    assert len({id(rng) for _, rng in gens}) == 1
+    assert isinstance(gens[0][1].bit_generator, np.random.Philox)
+
+
+def test_sampled_draws_past_the_block_boundary_as_fresh_generators():
+    # A toy draw (one 2x2 Gaussian stack, then three uniforms) across the
+    # 1,024-trial block: each trial's rest and unitary as from its own generator.
+    def draw(rng, trial):
+        return sampling.complex_gaussians(rng, 1, 2, 2), rng.uniform(size=3)
+
+    trials = 1030
+    got = list(selfcheck._sampled(7, trials, 11, draw))
+    assert [trial for trial, _, _ in got] == list(range(trials))
+    for trial in (0, 1, 1023, 1024, 1029):
+        _, (U,), rest = got[trial]
+        G, want = draw(sampling.trial_generator(7, trial, 11), trial)
+        assert np.array_equal(rest, want)
+        assert np.array_equal(U.matrix, sampling.haar_unitaries(G)[0])
