@@ -117,7 +117,10 @@ def _split_value(x2: list[float], y2: list[float], inside: frozenset[int]) -> fl
         else:
             xc += x2[i]
             yc += y2[i]
-    return (math.sqrt(xs) * math.sqrt(ys) + math.sqrt(xc) * math.sqrt(yc)) ** 2
+    try:
+        return (math.sqrt(xs) * math.sqrt(ys) + math.sqrt(xc) * math.sqrt(yc)) ** 2
+    except OverflowError:  # finite block sums whose square passes the largest float
+        return math.inf
 
 
 def variance_product(pair: ModulusPair) -> float:
@@ -131,7 +134,7 @@ def correlation_bound(pair: ModulusPair) -> float:
     This is the weakest member of the split-bound chain and doubles as the
     final level of the interpolation family.
     """
-    return float(pair.x.dot(pair.y)) ** 2
+    return float(pair.x.dot(pair.y) ** 2)  # numpy's pow: inf, not OverflowError, past 1.8e308
 
 
 def split_bound(pair: ModulusPair, block) -> float:

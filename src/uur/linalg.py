@@ -1,13 +1,15 @@
 """Dense complex linear algebra for small matrices.
 
 Everything here works on plain numpy arrays of complex128: square-matrix
-coercion, the unitarity deviation, vectorization and partial traces.
-Matrices are square and dense; dimensions stay small (tens, not thousands),
-so clarity wins over performance everywhere. There is no eigensolver here:
+coercion, the unitarity deviation, vector norms, vectorization and partial
+traces. Matrices are square, dense and small (tens, not thousands), so a
+numpy wrapper costs more than its arithmetic. There is no eigensolver here:
 a moments.DensityMatrix diagonalises itself once, when it is checked.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -27,6 +29,15 @@ def as_square_matrix(M, stack: bool = False) -> np.ndarray:
     if not np.isfinite(A).all():
         raise UurError("matrix entries must be finite")
     return A
+
+
+def vector_norm(v: np.ndarray) -> float:
+    """np.linalg.norm(v) of a float or complex vector without its wrapper: the same ravel and dots."""
+    v = v.ravel(order="K")
+    if v.dtype.kind == "c":
+        re, im = v.real, v.imag
+        return math.sqrt(float(re.dot(re)) + float(im.dot(im)))
+    return math.sqrt(v.dot(v))
 
 
 def vec(M) -> np.ndarray:
@@ -56,7 +67,7 @@ def partial_trace(M, keep: str) -> np.ndarray:
         raise UurError(f"dimension {A.shape[0]} is not a perfect square")
     T = A.reshape(n, n, n, n)
     if keep == "first":
-        return np.einsum("ikjk->ij", T)
+        return T.trace(axis1=1, axis2=3)
     if keep == "second":
-        return np.einsum("kikj->ij", T)
+        return T.trace(axis1=0, axis2=2)
     raise UurError(f"keep must be 'first' or 'second', got {keep!r}")

@@ -28,13 +28,17 @@ class PureState:
 
     def __post_init__(self):
         a = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        if not np.isfinite(a).all():
-            raise UurError("state amplitudes must be finite")
         with np.errstate(over="ignore"):  # a huge amplitude reads as norm inf
-            nrm = float(np.linalg.norm(a))
-        if abs(nrm - 1.0) > linalg.TOL:
-            raise UurError(f"state norm {nrm!r} deviates from 1 by more than {linalg.TOL:g}")
+            nrm = linalg.vector_norm(a)
+        if not abs(nrm - 1.0) <= linalg.TOL:  # a finite norm has finite terms: scan only past here
+            raise UurError("state amplitudes must be finite" if not np.isfinite(a).all() else
+                           f"state norm {nrm!r} deviates from 1 by more than {linalg.TOL:g}")
         object.__setattr__(self, "amplitudes", a)
+
+    @classmethod
+    def normalized(cls, v: np.ndarray) -> "PureState":
+        """The state v / |v| of a nonzero complex vector v."""
+        return cls(amplitudes=v / linalg.vector_norm(v))
 
     @property
     def dim(self) -> int:
@@ -154,6 +158,8 @@ class ModulusPair:
             raise UurError(f"x and y must be 1-D of equal length, got {x.shape} and {y.shape}")
         if not (np.isfinite(x).all() and np.isfinite(y).all()):
             raise UurError("modulus vectors must be finite")
+        if not x.size:
+            raise UurError("modulus vectors must not be empty")
         if x.min() < 0 or y.min() < 0:
             raise UurError("modulus vectors must be nonnegative")
         object.__setattr__(self, "x", x)
@@ -229,14 +235,14 @@ def purify(rho: DensityMatrix) -> PureState:
     factor is the transpose of rho (they coincide only for real rho).
     """
     w, V = rho.eig  # eigenvalues in [-TOL, 0) are rounding debris, clamped to zero
-    v = linalg.vec((V * np.sqrt(np.clip(w, 0.0, None))) @ V.conj().T)
-    return PureState(amplitudes=v / np.linalg.norm(v))
+    v = linalg.vec((V * np.sqrt(w.clip(0.0, None))) @ V.conj().T)
+    return PureState.normalized(v)
 
 
 def lift(A) -> np.ndarray:
-    """Lift an operator to the purified space as I (x) A."""
+    """Lift an operator to the purified space as I (x) A: np.kron's own broadcast product."""
     M = linalg.as_square_matrix(A)
-    return np.kron(np.eye(M.shape[0], dtype=complex), M)
+    return (np.eye(len(M), dtype=complex)[:, None, :, None] * M[None, :, None, :]).reshape(M.size, M.size)
 
 
 def bloch_density(r) -> DensityMatrix:
@@ -245,7 +251,7 @@ def bloch_density(r) -> DensityMatrix:
     if r.size != 3:
         raise UurError(f"Bloch vector must have 3 components, got {r.size}")
     with np.errstate(over="ignore"):  # a huge component reads as norm inf
-        nrm = float(np.linalg.norm(r))
+        nrm = linalg.vector_norm(r)
     if nrm > 1.0 + linalg.BLOCH_TOL:
         raise UurError(f"Bloch vector norm {nrm!r} exceeds 1")
     M = 0.5 * (np.eye(2, dtype=complex) + r[0] * sigma_x + r[1] * sigma_y + r[2] * sigma_z)

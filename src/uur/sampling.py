@@ -42,14 +42,14 @@ def complex_gaussians(rng: np.random.Generator, count: int, *shape: int) -> np.n
 def haar_unitaries(Z: np.ndarray) -> np.ndarray:
     """Haar-style unitaries of a Gaussian stack (k, n, n): QR, then a phase-fixed diagonal (Mezzadri 2007)."""
     Q, R = np.linalg.qr(Z)
-    diag = np.diagonal(R, axis1=-2, axis2=-1)[:, None, :]
+    diag = R.diagonal(axis1=-2, axis2=-1)[:, None, :]
     return Q * (diag / np.abs(diag))
 
 
 def random_state(rng: np.random.Generator, n: int) -> PureState:
     """Normalized complex Gaussian vector."""
     v = complex_gaussians(rng, 1, n)[0]
-    return PureState(amplitudes=v / np.linalg.norm(v))
+    return PureState.normalized(v)
 
 
 def random_density(rng: np.random.Generator, n: int) -> DensityMatrix:

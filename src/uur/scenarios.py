@@ -33,7 +33,7 @@ def shift_operator(d: int) -> np.ndarray:
     """Cyclic shift |k> -> |k+1 mod d>; satisfies clock @ shift = w shift @ clock."""
     if d < 2:
         raise UurError(f"shift operator needs dimension >= 2, got {d}")
-    return np.roll(np.eye(d, dtype=complex), 1, axis=0)
+    return np.eye(d, dtype=complex)[np.arange(-1, d - 1)]  # row k is row k - 1 (mod d) of I
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,7 @@ def _ex6_state(theta: float) -> PureState:
     h = math.sqrt(2) / 2
     raw = np.array([h * math.cos(theta / 2), h * math.sin(theta / 2),
                     -math.sin(theta / 2)], dtype=complex)
-    return PureState(amplitudes=raw / np.linalg.norm(raw))
+    return PureState.normalized(raw)
 
 
 def _printed_a3() -> np.ndarray:

@@ -193,8 +193,7 @@ def suite_subset_oracle(rec: SuiteResult, seed: int, trials: int):
         perm_max = max(by_subset[tuple(sorted(p[:m]))] for p in perms)
         exact = 0.0 if perm_max == enum_max else abs(perm_max - enum_max) + 1.0
         rec.check(exact, 0.0, instance, "enumeration != permutation brute force")
-        x2 = [float(t) for t in pair.x ** 2]
-        y2 = [float(t) for t in pair.y ** 2]
+        x2, y2 = (pair.x ** 2).tolist(), (pair.y ** 2).tolist()
         for p in perms[:: max(1, len(perms) // 20)]:
             raw = _raw_order_value(x2, y2, p, m)
             canon = by_subset[tuple(sorted(p[:m]))]
@@ -270,7 +269,7 @@ def suite_purification(rec: SuiteResult, seed: int, trials: int):
         return sampling.complex_gaussians(rng, 3, 2, 2), r
 
     for trial, ops, r in _sampled(seed, trials, 10, draw):
-        nrm = float(np.linalg.norm(r))
+        nrm = linalg.vector_norm(r)
         r = r * (0.98 / nrm) if nrm >= 1.0 else r
         rho = moments.bloch_density(r)
         psi = moments.purify(rho)
@@ -281,7 +280,7 @@ def suite_purification(rec: SuiteResult, seed: int, trials: int):
             rec.check(abs(got - want), SLACK,
                       dict(instance, operators=[A]),
                       "lifted expectation != Tr(A rho)")
-        proj = np.outer(psi.amplitudes, psi.amplitudes.conj())
+        proj = psi.amplitudes[:, None] * psi.amplitudes.conj()[None, :]
         kept_second = linalg.partial_trace(proj, keep="second")
         kept_first = linalg.partial_trace(proj, keep="first")
         rec.check(float(np.abs(kept_second - rho.matrix).max()), 1e-9,
@@ -299,7 +298,7 @@ def suite_mixed_state_floor(rec: SuiteResult, seed: int, trials: int):
         return sampling.complex_gaussians(rng, 2, rho.dim, rho.dim), rho
 
     for trial, (uA, uB), rho in _sampled(seed, trials, 11, draw):
-        eig = [moments.PureState(amplitudes=v / np.linalg.norm(v)) for v in rho.eig.eigenvectors.T]
+        eig = [moments.PureState.normalized(v) for v in rho.eig.eigenvectors.T]
         pa = [moments.variance_pure(uA, u) for u in eig]
         pb = [moments.variance_pure(uB, u) for u in eig]
         va = moments.variance_mixed(uA, rho)

@@ -112,6 +112,17 @@ def refused(message: str):
     return pytest.raises(errors.UurError, match=rf"\A{re.escape(message)}\Z")
 
 
+def assert_same_bits(got, want):
+    """got == want entry by entry, with the sign bit of every real and imaginary part equal
+    (== alone takes -0.0 for 0.0)."""
+    __tracebackhide__ = True
+    got, want = np.asarray(got), np.asarray(want)
+    assert (got.shape, got.dtype) == (want.shape, want.dtype)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got.real), np.signbit(want.real))
+    assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))
+
+
 def assert_close(a, b, tol=1e-10, label=""):
     __tracebackhide__ = True
     if abs(a - b) > tol:

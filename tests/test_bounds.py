@@ -521,6 +521,29 @@ def test_fine_grained_family_overflows_to_inf_like_the_loops():
         assert bounds.paired_cross_bound(p) == reference_paired_cross_bound(p) == math.inf
 
 
+@pytest.mark.parametrize("x1", [1.5e154, 1e154])
+def test_bound_report_on_huge_finite_moduli_reads_inf(x1):
+    # At 1e154 the squares and block sums are finite, but the squares of x . y and of
+    # |x_S||y_S| + |x_Sc||y_Sc| pass the largest float: inf, as numpy's pow gives, where
+    # a Python float's ** raises OverflowError. At 1.5e154 the squares are inf already.
+    p = pair_of([x1, 2.0, 3.0], [3.0, 2.0, 1.0])
+    with np.errstate(all="ignore"):
+        report = bounds.bound_report(p, 1)
+        assert bounds.correlation_bound(p) == bounds.split_bound(p, (2, 3)) == math.inf
+    values = [getattr(report, name) for name in
+              ("variance_product", "lb", "k_m", "k_m_v", "k_tilde_m", "k_tilde", "i_1_prime")]
+    assert values + list(report.i_d) == [math.inf] * 10
+    assert report.k_tilde_argmax == (1,)
+
+
+def test_split_and_correlation_bounds_below_overflow_keep_their_floats():
+    # One step below: every square is finite, and the same ** gives the same float.
+    p = pair_of([1e153, 2.0, 3.0], [3.0, 2.0, 1.0])
+    x2, y2 = oracles._squares(p)
+    assert bounds.split_bound(p, (1,)) == oracles._split_value(x2, y2, frozenset({0})) < math.inf
+    assert bounds.correlation_bound(p) == float(np.dot(p.x, p.y)) ** 2 < math.inf
+
+
 # --- paired cross bound ---------------------------------------------------------
 
 def test_paired_cross_bound_zero_x():

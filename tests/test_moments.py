@@ -8,13 +8,31 @@ import pytest
 
 from uur import errors, linalg, moments, sampling
 
-from conftest import refused
+from conftest import assert_same_bits, refused
 from oracles import random_unitary, two_pass_purify
 
 
 def test_pure_state_requires_unit_norm():
     with refused("state norm 1.4142135623730951 deviates from 1 by more than 1e-10"):
         moments.PureState(amplitudes=np.array([1.0, 1.0], dtype=complex))
+
+
+@pytest.mark.parametrize("amplitudes, message", [
+    ([np.nan, 1.0], "state amplitudes must be finite"),
+    ([complex(0, -np.inf), 0.0], "state amplitudes must be finite"),
+    ([1e200, np.nan], "state amplitudes must be finite"),
+    ([complex(np.nan, 1e200), np.inf], "state amplitudes must be finite"),
+    ([1e200, 1.0], "state norm inf deviates from 1 by more than 1e-10"),
+    ([complex(1e200, 1e200)], "state norm inf deviates from 1 by more than 1e-10"),
+    ([0.0, -0.0], "state norm 0.0 deviates from 1 by more than 1e-10"),
+    ([1e-200, 0.0], "state norm 0.0 deviates from 1 by more than 1e-10")],
+    ids=["nan", "inf", "nan-beside-huge", "nan-and-inf-beside-huge", "huge", "huge-complex",
+         "zeros", "tiny"])
+def test_pure_state_refuses_non_finite_before_norm(amplitudes, message):
+    # The norm runs first; a NaN or inf amplitude makes it NaN or inf, which fails the
+    # norm test, and only then are the amplitudes scanned: the finite message still wins.
+    with refused(message):
+        moments.PureState(np.array(amplitudes))
 
 
 def test_density_matrix_validation():
@@ -202,6 +220,14 @@ def test_modulus_pair_refuses_non_finite_moduli(bad, side):
         moments.ModulusPair(**moduli)
 
 
+def test_modulus_pair_refuses_empty_moduli():
+    # Past the shape and finite checks, x.min() would raise numpy's zero-size ValueError.
+    with refused("modulus vectors must not be empty"):
+        moments.ModulusPair([], [])
+    with refused("x and y must be 1-D of equal length, got (0,) and (1,)"):
+        moments.ModulusPair([], [1.0])
+
+
 @pytest.mark.parametrize("x, y, message", [
     ([math.nan, -1.0], [1.0], "x and y must be 1-D of equal length, got (2,) and (1,)"),
     ([[-1.0]], [[math.nan]], "x and y must be 1-D of equal length, got (1, 1) and (1, 1)"),
@@ -309,3 +335,15 @@ def test_lift_acts_on_second_factor():
     U = moments.sigma_x
     L = moments.lift(U)
     assert np.array_equal(L, np.kron(np.eye(2), U))
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_lift_is_numpys_kron_bit_for_bit(n):
+    # eye's zeros times a negative entry are -0.0 in both.
+    gen = np.random.Generator(np.random.Philox(key=30, counter=[0, 0, 0, n]))
+    for _ in range(20):
+        M = gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))
+        M[gen.random((n, n)) < 0.25] = 0.0
+        M.real[gen.random((n, n)) < 0.25] = -0.0
+        M.imag[gen.random((n, n)) < 0.25] = -0.0
+        assert_same_bits(moments.lift(M), np.kron(np.eye(n, dtype=complex), M))

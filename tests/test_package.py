@@ -52,6 +52,31 @@ def test_no_module_raises_a_plain_value_error():
     assert raised == []
 
 
+# numpy functions whose ndarray method, attribute or broadcast product computes the same bits
+# (a.sum(), x.dot(y), z.real, M.trace(axis1=..., axis2=...), w.clip(lo, None), linalg.vector_norm,
+# a[:, None] * b[None, :], ...): on vectors of 2-16 entries the wrapper costs more than the arithmetic.
+WRAPPERS = {"sum", "min", "max", "dot", "real", "trace", "linalg.norm", "kron", "clip", "roll",
+            "outer", "einsum", "diagonal"}
+
+
+def _dotted(node) -> str:
+    if isinstance(node, ast.Attribute):
+        return f"{_dotted(node.value)}.{node.attr}"
+    return getattr(node, "id", "")
+
+
+def test_no_module_calls_a_numpy_wrapper_of_an_array_method():
+    calls = [(path.name, node.lineno, name) for path in sorted((SRC / "uur").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call) and (name := _dotted(node.func)).startswith("np.")
+             and name.removeprefix("np.") in WRAPPERS]
+    assert calls == []
+    imports = [node.module for path in sorted((SRC / "uur").glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy")]
+    assert imports == []  # every numpy name is spelt np.<name>, which the walk above sees
+
+
 def test_report_header_names_numpy_and_the_blas_kernel(pytestconfig):
     header = pytest_report_header(pytestconfig)
     assert header == f"numpy {np.__version__}, OpenBLAS kernel {blas_kernel()}"

@@ -10,7 +10,7 @@ import pytest
 
 from uur import bounds, cli, errors, linalg, moments, scenarios
 
-from conftest import refused
+from conftest import assert_same_bits, refused
 from oracles import example1_reference
 
 
@@ -19,6 +19,11 @@ def test_clock_operator_small_cases():
     assert np.allclose(scenarios.clock_operator(4), np.diag([1, 1j, -1, -1j]))
     with refused("clock operator needs dimension >= 2, got 1"):
         scenarios.clock_operator(1)
+
+
+@pytest.mark.parametrize("d", range(2, 33))
+def test_shift_operator_is_the_rolled_identity_bit_for_bit(d):
+    assert_same_bits(scenarios.shift_operator(d), np.roll(np.eye(d, dtype=complex), 1, axis=0))
 
 
 def test_shift_operator_small_cases():
