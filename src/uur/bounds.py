@@ -10,17 +10,17 @@ blocks:
 
 The middle quantity is the split bound; maximizing it over which indices
 form the block gives the best split bound. A block is a sorted tuple of
-1-based indices, and the searches return (value, block). The search
-enumerates only the support of (x^2, y^2), in one pass for all the sizes
-m <= n/2 a report needs: a support part and its complement give the same
-value, so each part of at most half the support is evaluated once. The cap
-is judged on the nominal binomial(n, m) of every size before the pass. The
-interpolation family i_d and the paired cross bound are transcribed
-comparison bounds, bit-faithful to their published term-by-term sums: each
-pair's terms are formed once, and each level adds them left to right in
-(i, j) order. Like the search, both skip a zero coordinate's terms: each is
-+-0.0, which changes no bit of a total >= +0.0, unless an overflow makes it
-inf * 0.0 = NaN.
+1-based indices. One pass over the support of (x^2, y^2) serves all the
+sizes m <= n/2 a report needs: a support part and its complement give the
+same value, so each part of at most half the support is evaluated once. The
+pass forms every size's value and pads a block only for a size whose block
+is returned (a report's: its argmax). The cap is judged on the nominal
+binomial(n, m) of every size first. The interpolation family i_d and the
+paired cross bound are transcribed comparison bounds, bit-faithful to their
+published term-by-term sums: each pair's terms are formed once, and each
+level adds them left to right in (i, j) order. Like the search, both skip a
+zero coordinate's terms: each is +-0.0, which changes no bit of a total >=
++0.0, unless an overflow makes it inf * 0.0 = NaN.
 """
 
 from __future__ import annotations
@@ -99,11 +99,12 @@ def _squares(pair: ModulusPair) -> tuple[list[float], list[float]]:
     return (pair.x ** 2).tolist(), (pair.y ** 2).tolist()
 
 
-def _pow_squares(v: np.ndarray) -> list[float]:
+def _pow_terms(pair: ModulusPair, X2: np.ndarray, Y2: np.ndarray) -> tuple[list[float], list[float], float]:
+    """The C-pow squares of x and y, and the diagonal sum of numpy's squares X2 = x ** 2, Y2 = y ** 2."""
     try:  # C pow: a Python float's ** is numpy scalar's, but raises where that gives inf
-        return [t ** 2 for t in v.tolist()]
+        return [t ** 2 for t in pair.x.tolist()], [t ** 2 for t in pair.y.tolist()], float((X2 * Y2).sum())
     except OverflowError:
-        return [float(t ** 2) for t in v]
+        return [float(t ** 2) for t in pair.x], [float(t ** 2) for t in pair.y], float((X2 * Y2).sum())
 
 
 def _split_value(x2: list[float], y2: list[float], inside: frozenset[int]) -> float:
@@ -164,15 +165,21 @@ def _check_cap(n: int, m: int, cap: int) -> None:
                                   f"the cap of {cap}", count=count)
 
 
-def _split_search(pair: ModulusPair, sizes, cap: int) -> list[tuple[float, tuple[int, ...]]]:
+def _padded(part, pad: list[int]) -> tuple[int, ...]:  # a support part and free indices, sorted
+    return tuple(sorted([*part, *pad]))
+
+
+def _split_search(pair: ModulusPair, sizes, cap: int, squares=None, every: bool = True):
+    """(values, picks): each size's best value, and (value, block) of every size or of the first largest."""
     n = pair.dim
     for m in sizes:
         if not 1 <= m <= n:
             raise UurError(f"block size {m} out of range 1..{n}")
         _check_cap(n, m, cap)
-    x2, y2 = _squares(pair)
-    support = [i for i in range(n) if x2[i] or y2[i]]
-    free = [i for i in range(n) if not (x2[i] or y2[i])]
+    x2, y2 = squares or _squares(pair)
+    support, free = [], []
+    for i in range(n):
+        (support if x2[i] or y2[i] else free).append(i)
     s, f = len(support), len(free)
     parts = {}  # part size -> (best value, its smallest part)
     lo, hi = max(0, sizes[0] - f), min(sizes[-1], s)  # part sizes the (consecutive) sizes use
@@ -188,40 +195,46 @@ def _split_search(pair: ModulusPair, sizes, cap: int) -> list[tuple[float, tuple
         parts[r] = top, first
         if 2 * r < s and s - r <= hi:  # the complements' size is asked for
             parts[s - r] = top, [i for i in support if i not in last]
-    results = []
-    for m in sizes:  # the largest value, then the smallest part padded with free indices
-        best, block = -1.0, ()
-        for t in range(max(0, m - f), min(m, s) + 1):
-            val, part = parts[t]
-            pad = free[:m - t]
-            combo = tuple(sorted([*part, *pad]) if pad else part)
-            if val > best or val == best and combo < block:
-                best, block = val, combo
-        results.append((best, tuple(i + 1 for i in block)))  # 1-based
-    return results
+    values, spans = [], []
+    for m in sizes:  # the largest value over the part sizes m pads; a NaN never wins
+        best, span = -1.0, range(max(0, m - f), min(m, s) + 1)
+        for t in span:
+            if parts[t][0] > best:
+                best = parts[t][0]
+        values.append(best)
+        spans.append(span)
+    picks = []
+    for k in range(len(values)) if every else [values.index(max(values))]:
+        m, best, block = sizes[k], values[k], ()
+        for t in spans[k]:
+            if parts[t][0] == best > -1.0:  # the smallest block of a part reaching best (-1.0: all NaN)
+                combo = _padded(parts[t][1], free[:m - t]) if m > t else tuple(parts[t][1])
+                block = min(block, combo) if block else combo
+        picks.append((best, tuple([i + 1 for i in block])))  # 1-based
+    return values, picks
 
 
 def best_split_bound(pair: ModulusPair, m: int, cap: int = DEFAULT_CAP) -> tuple[float, tuple[int, ...]]:
     """(value, block): the maximum split bound over all blocks of size m and its block of
     1-based indices; ties go to the lexicographically smallest.
 
-    Only the support of (x^2, y^2) is enumerated: a free index (x_i^2 = y_i^2 = 0.0)
-    adds exactly 0.0 to both block sums, so the blocks sharing a support part T tie bit
-    for bit and the smallest pads T with the m - |T| smallest free indices. T and its
-    complement in the support tie too (the two block terms swap), so one pass evaluates
-    each T of at most half the support once (at half, those holding the first support
-    index) for T and its complement, keeps each part size's best value and smallest
-    part, and fills each size from the part sizes it pads. SearchSpaceTooLarge is
-    raised, before any block is evaluated, when the nominal binomial(n, m) exceeds cap.
+    Only the support of (x^2, y^2) is enumerated: a free index (x_i^2 = y_i^2 = 0.0) adds
+    exactly 0.0 to both block sums, so the blocks sharing a support part T tie bit for bit
+    and the smallest pads T with the m - |T| smallest free indices. T and its complement
+    in the support tie too (the two block terms swap), so one pass evaluates each T of at
+    most half the support once (at half, those holding the first support index) for T and
+    its complement, keeps each part size's best value and smallest part and pads only the
+    parts reaching the value of a size it returns. SearchSpaceTooLarge is raised, before
+    any block is evaluated, when the nominal binomial(n, m) exceeds cap.
     """
-    return _split_search(pair, [m], cap)[0]
+    return _split_search(pair, [m], cap)[1][0]
 
 
 def best_split_bounds(pair: ModulusPair, cap: int = DEFAULT_CAP) -> list[tuple[float, tuple[int, ...]]]:
     """best_split_bound's (value, block) for each block size m = 1 .. floor(n/2), in order,
     from one pass (size n - m would repeat size m); every size's nominal binomial(n, m) is
     capped first."""
-    return _split_search(pair, range(1, max(1, pair.dim // 2) + 1), cap)
+    return _split_search(pair, range(1, max(1, pair.dim // 2) + 1), cap)[1]
 
 
 def fine_grained_sequence(pair: ModulusPair) -> tuple[float, ...]:
@@ -239,10 +252,12 @@ def fine_grained_sequence(pair: ModulusPair) -> tuple[float, ...]:
     the diagonal sum of x_i^2 y_i^2 is not finite, S is every index: an inf
     square or 2 x_i y_i times a zero is NaN.
     """
+    return _fine_grained(pair, *_pow_terms(pair, pair.x ** 2, pair.y ** 2))
+
+
+def _fine_grained(pair: ModulusPair, x2: list[float], y2: list[float], diagonal: float) -> tuple[float, ...]:
     n = pair.dim
     x, y = pair.x.tolist(), pair.y.tolist()
-    x2, y2 = _pow_squares(pair.x), _pow_squares(pair.y)
-    diagonal = float((pair.x ** 2 * pair.y ** 2).sum())
     support = [i for i in range(n) if x[i] or y[i]] if math.isfinite(diagonal) else range(n)
     terms = [(j, x2[i] * y2[j] + x2[j] * y2[i], 2.0 * x[i] * y[i] * x[j] * y[j])
              for i, j in itertools.combinations(support, 2)]
@@ -281,12 +296,14 @@ def paired_cross_bound(pair: ModulusPair) -> float:
     4.4e-2 on ex1), and which pairing the published bound means is not
     settled here.
     """
+    return _paired_cross(pair, *_pow_terms(pair, pair.x ** 2, pair.y ** 2))
+
+
+def _paired_cross(pair: ModulusPair, x2: list[float], y2: list[float], total: float) -> float:
     n = pair.dim
     if n < 3:
         raise UurError(f"paired cross bound needs dimension >= 3, got {n}")
     x, y = pair.x, pair.y
-    x2, y2 = _pow_squares(x), _pow_squares(y)  # C pow, not x * x
-    total = float((x ** 2 * y ** 2).sum())
     every = not math.isfinite(total)
     rows = [i for i in range(n) if x2[i] or every]
     for j in range(1, n):
@@ -354,10 +371,10 @@ def bound_report(pair: ModulusPair, m: int, v: float = DEFAULT_V,
     if not 1 <= m <= n - 1:
         raise UurError(f"block size {m} out of range 1..{n - 1} (m = n is degenerate)")
     _check_cap(n, m, cap)
-    table = _split_search(pair, range(1, n // 2 + 1), cap)
-    # max keeps the first maximum, so ties go to the smallest block size.
-    k_tilde, argmax = max(table, key=lambda entry: entry[0])
-    k_m, vp = split_bound(pair, range(1, m + 1)), variance_product(pair)
+    X2, Y2 = pair.x ** 2, pair.y ** 2  # one squaring for the pass, vp and the diagonal sum
+    values, [(k_tilde, argmax)] = _split_search(pair, range(1, n // 2 + 1), cap,
+                                                (X2.tolist(), Y2.tolist()), every=False)
+    k_m, vp, terms = split_bound(pair, range(1, m + 1)), float(X2.sum() * Y2.sum()), _pow_terms(pair, X2, Y2)
     return BoundSet(
         m=m,
         v=v,
@@ -365,9 +382,9 @@ def bound_report(pair: ModulusPair, m: int, v: float = DEFAULT_V,
         lb=correlation_bound(pair),
         k_m=k_m,
         k_m_v=_blend(k_m, vp, v),
-        k_tilde_m=table[min(m, n - m) - 1][0],
+        k_tilde_m=values[min(m, n - m) - 1],
         k_tilde=k_tilde,
         k_tilde_argmax=argmax,
-        i_d=fine_grained_sequence(pair),
-        i_1_prime=paired_cross_bound(pair) if n >= 3 else None,
+        i_d=_fine_grained(pair, *terms),
+        i_1_prime=_paired_cross(pair, *terms) if n >= 3 else None,
     )

@@ -156,12 +156,10 @@ class ModulusPair:
         y = np.asarray(self.y, dtype=float)
         if x.shape != y.shape or x.ndim != 1:
             raise UurError(f"x and y must be 1-D of equal length, got {x.shape} and {y.shape}")
-        if not (np.isfinite(x).all() and np.isfinite(y).all()):
-            raise UurError("modulus vectors must be finite")
-        if not x.size:
-            raise UurError("modulus vectors must not be empty")
-        if x.min() < 0 or y.min() < 0:
-            raise UurError("modulus vectors must be nonnegative")
+        if not (x.size and all(0.0 <= t < np.inf for t in x.tolist() + y.tolist())):
+            raise UurError("modulus vectors must be finite" if not (np.isfinite(x).all() and np.isfinite(y).all())
+                           else "modulus vectors must not be empty" if not x.size
+                           else "modulus vectors must be nonnegative")  # a NaN fails the scan too
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
 

@@ -303,8 +303,16 @@ def count_split_searches(monkeypatch) -> list:
     """The block sizes of each split-search pass, one entry per pass."""
     calls = []
     real = bounds._split_search
-    monkeypatch.setattr(bounds, "_split_search",
-                        lambda pair, sizes, cap: calls.append(list(sizes)) or real(pair, sizes, cap))
+    monkeypatch.setattr(bounds, "_split_search", lambda pair, sizes, cap, *args, **kwargs:
+                        calls.append(list(sizes)) or real(pair, sizes, cap, *args, **kwargs))
+    return calls
+
+
+def count_padded_blocks(monkeypatch) -> list:
+    """One entry per block the search pads with free indices and sorts."""
+    calls = []
+    real = bounds._padded
+    monkeypatch.setattr(bounds, "_padded", lambda part, pad: calls.append(len(pad)) or real(part, pad))
     return calls
 
 
@@ -317,6 +325,72 @@ def test_bound_report_searches_each_block_size_once(monkeypatch):
         rep = bounds.bound_report(p, m)
         assert calls == [[1, 2, 3]]
         assert rep.k_tilde_m == per_size_split_bound(p, m)[0]
+
+
+@pytest.mark.parametrize("theta", [0.2, 0.7, 1.0, 1.3])
+def test_bound_report_pads_only_the_block_it_returns(monkeypatch, theta):
+    # An ex1 n = 16 row has support {1, 2, 16} and 13 free indices. Its sizes
+    # 1..8 take 29 (size, part size) candidates, and the pick once padded and
+    # sorted each of them before comparing values. A report returns one
+    # block, the argmax's, and pads one; the table returns all 8 and pads
+    # the tied winners of each size (13), never the 29.
+    scen = scenarios.scenario("ex1", 16)
+    psi = scen.state(theta)
+    p = moments.ModulusPair.from_deltas(
+        *(moments.delta_vector(moments.Unitary(U), psi) for _, U in scen.operators))
+    x2, y2 = oracles._squares(p)
+    s = sum(1 for a, b in zip(x2, y2) if a or b)
+    assert (s, sum(min(m, s) - max(0, m - (16 - s)) + 1 for m in range(1, 9))) == (3, 29)
+    padded = count_padded_blocks(monkeypatch)
+    report = bounds.bound_report(p, 8)
+    assert padded == [1]
+    table = [per_size_split_bound(p, m) for m in range(1, 9)]
+    assert (report.k_tilde, report.k_tilde_argmax) == max(table, key=lambda entry: entry[0])
+    padded.clear()
+    assert bounds.best_split_bounds(p) == table
+    assert len(padded) == 13
+
+
+@pytest.mark.parametrize("x, y, pinned", [
+    ((1e200, 0, 3, 0), (0, 1, 2, 0),
+     [(math.inf, (2,)), (math.inf, (1, 2)), (math.inf, (1, 2, 3)), (math.inf, (1, 2, 3, 4))]),
+    ((1e200, 1e200), (0, 0), [(-1.0, ())] * 2),
+    ((1e200, 1e200, 0), (0, 0, 0), [(-1.0, ())] * 3)],
+    ids=["inf-square-beside-a-zero", "all-nan", "all-nan-beside-a-free-index"])
+def test_nan_part_values_never_win(x, y, pinned):
+    # A 1e200 modulus squares to inf, and inf * 0.0 in a block term is NaN.
+    # Every size's value starts at -1.0 and moves only on >, so a NaN part
+    # never wins; where every part is NaN the search gives (-1.0, ()), as the
+    # per-size search does, even where a free index could pad the part.
+    p = pair_of(x, y)
+    with np.errstate(all="ignore"):
+        want = [per_size_split_bound(p, m) for m in range(1, p.dim + 1)]
+        assert [bounds.best_split_bound(p, m) for m in range(1, p.dim + 1)] == want == pinned
+        assert bounds.best_split_bounds(p) == want[:p.dim // 2]
+        for m in range(1, p.dim):
+            report = bounds.bound_report(p, m)
+            assert (report.k_tilde, report.k_tilde_argmax) == max(want[:p.dim // 2], key=lambda e: e[0])
+
+
+def test_bound_report_fields_are_the_public_functions_bits():
+    # A report shares its squares between the search, the variance product,
+    # the interpolation family and the cross bound; each field keeps the
+    # float (repr, sign bits and NaN included) of the public function it stands for.
+    huge = [pair_of([1e200, 0, 3, 0], [0, 1, 2, 0]), pair_of([1.5e154, 2.0, 3.0], [3.0, 2.0, 1.0]),
+            pair_of([1e200, 2.0, 3.0, 4.0], [1.0, 1e200, 2.0, 3.0])]
+    pairs = [p for p in oracle_pairs(2901, 400) if p.dim >= 2]
+    with np.errstate(all="ignore"):
+        for p in [*huge, *pairs]:
+            n = p.dim
+            table = bounds.best_split_bounds(p)
+            for m in {1, n // 2, n - 1}:
+                report = bounds.bound_report(p, m)
+                want = (bounds.variance_product(p), bounds.correlation_bound(p),
+                        bounds.best_split_bound(p, m)[0], max(table, key=lambda entry: entry[0]),
+                        bounds.fine_grained_sequence(p), bounds.paired_cross_bound(p) if n >= 3 else None)
+                got = (report.variance_product, report.lb, report.k_tilde_m,
+                       (report.k_tilde, report.k_tilde_argmax), report.i_d, report.i_1_prime)
+                assert repr(got) == repr(want), (p.x, p.y, m)
 
 
 def test_block_symmetry_between_m_and_complement():

@@ -681,25 +681,30 @@ def test_three_operator_report_computes_three_delta_vectors(tmp_path, capsys,
 def test_sweep_row_searches_each_block_size_once(capsys, monkeypatch):
     # One ex1 row at n = 16 and m = 8 needs the block sizes 1..8 once each,
     # from one pass: sizes above 8 repeat smaller ones, and m = 8 is among
-    # them. The pass evaluates 4 support parts (the per-size searches 59).
-    calls, parts = [], []
-    real_search, real_value = bounds._split_search, bounds._split_value
-    monkeypatch.setattr(bounds, "_split_search",
-                        lambda pair, sizes, cap: calls.append(list(sizes)) or real_search(pair, sizes, cap))
+    # them. The pass evaluates 4 support parts (the per-size searches 59)
+    # and pads one block, the argmax's (the pick padded all 29 candidates).
+    calls, parts, padded = [], [], []
+    real_search, real_value, real_padded = bounds._split_search, bounds._split_value, bounds._padded
+    monkeypatch.setattr(bounds, "_split_search", lambda pair, sizes, cap, *args, **kwargs:
+                        calls.append(list(sizes)) or real_search(pair, sizes, cap, *args, **kwargs))
     monkeypatch.setattr(bounds, "_split_value",
                         lambda x2, y2, inside: parts.append(inside) or real_value(x2, y2, inside))
+    monkeypatch.setattr(bounds, "_padded", lambda part, pad: padded.append(pad) or real_padded(part, pad))
     code, _, err = run(["sweep", "--example", "ex1", "--dim", "16", "--steps", "1",
                         "--theta-min", "1.0"], capsys)
     assert code == 0, err
     assert calls == [list(range(1, 9))]
     assert len(parts) == 4 + 1  # and the row's k_m (split_bound)
+    assert len(padded) == 1
 
 
 def test_three_operator_report_bounds_each_pair_once(capsys, monkeypatch):
     # ex5 has n = 4 and m = 2. The report's pair A-B makes one modulus pair,
-    # one k_m, one variance product and one search pass over the sizes 1, 2;
-    # the geometric mean takes A-B's factors from that report and makes one
-    # of each for the pairs A-C and B-C, its pass searching m = 2 only.
+    # one k_m, one variance product (from the squares its pass reads, not
+    # variance_product) and one search pass over the sizes 1, 2, and forms
+    # its C-pow terms once for i_d and i_1'; the geometric mean takes A-B's
+    # factors from that report and makes one of each for the pairs A-C and
+    # B-C, its pass searching m = 2 only.
     calls = {}
 
     def count(owner, name, wrap=lambda f: f):
@@ -714,12 +719,13 @@ def test_three_operator_report_bounds_each_pair_once(capsys, monkeypatch):
 
     count(bounds, "geometric_mean_bound")
     count(moments.ModulusPair, "from_deltas", staticmethod)
-    for name in ("split_bound", "variance_product", "best_split_bound", "_split_search"):
+    for name in ("split_bound", "variance_product", "best_split_bound", "_split_search", "_pow_terms"):
         count(bounds, name)
     code, _, err = run(["bounds", "--example", "ex5", "--flavor", "tilde"], capsys)
     assert code == 0, err
     assert calls == {"geometric_mean_bound": 1, "from_deltas": 3, "split_bound": 3,
-                     "variance_product": 3, "best_split_bound": 2, "_split_search": 1 + 2}
+                     "variance_product": 2, "best_split_bound": 2, "_split_search": 1 + 2,
+                     "_pow_terms": 1}
 
 
 @pytest.mark.parametrize("case, counts", [

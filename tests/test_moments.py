@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -232,11 +233,24 @@ def test_modulus_pair_refuses_empty_moduli():
     ([math.nan, -1.0], [1.0], "x and y must be 1-D of equal length, got (2,) and (1,)"),
     ([[-1.0]], [[math.nan]], "x and y must be 1-D of equal length, got (1, 1) and (1, 1)"),
     ([math.nan, -1.0], [1.0, 1.0], "modulus vectors must be finite"),
+    ([-1.0, math.nan], [1.0, 1.0], "modulus vectors must be finite"),
+    ([-1.0, 1.0], [math.nan, 1.0], "modulus vectors must be finite"),
     ([-1.0, 1.0], [1.0, math.inf], "modulus vectors must be finite"),
-    ([1.0, 1.0], [-0.5, 1.0], "modulus vectors must be nonnegative")],
+    ([1.0, -math.inf], [1.0, 1.0], "modulus vectors must be finite"),
+    ([], [], "modulus vectors must not be empty"),
+    ([1.0, 1.0], [-0.5, 1.0], "modulus vectors must be nonnegative"),
+    ([-5e-324, 0.0], [0.0, 0.0], "modulus vectors must be nonnegative"),
+    ([-0.0, sys.float_info.max], [0.0, -0.0], None)],
     ids=["unequal-before-nan-and-negative", "2d-before-nan-and-negative", "nan-before-negative",
-         "inf-before-negative", "negative"])
+         "nan-after-negative", "nan-beside-a-negative", "inf-before-negative", "minus-inf", "empty",
+         "negative", "negative-subnormal", "minus-zero-and-the-largest-float-pass"])
 def test_modulus_pair_refuses_shape_then_non_finite_then_negative(x, y, message):
+    # One scan passes a finite, nonnegative pair; a refusal names the first
+    # failed check in the order shape, finite, empty, nonnegative.
+    if message is None:
+        pair = moments.ModulusPair(x, y)
+        assert [np.signbit(pair.x[0]), pair.x[1], np.signbit(pair.y[1])] == [True, sys.float_info.max, True]
+        return
     with refused(message):
         moments.ModulusPair(x, y)
 
