@@ -73,21 +73,27 @@ class BoundSet:
     i_1_prime: float | None
 
     def validate(self) -> list[str]:
-        """Return chain-invariant violations (empty list when consistent)."""
+        """Return chain-invariant violations (empty list when consistent); a NaN link names its NaN."""
         bad = []
         vp = self.variance_product
 
         def chain(names, vals):
             for (na, va), (nb, vb) in itertools.pairwise(zip(names, vals)):
-                if va > vb + SLACK:
-                    bad.append(f"{na} > {nb} by {va - vb:.3e}")
+                if not va <= vb + SLACK:  # a NaN member breaks the link too
+                    broken(na, va, nb, vb)
+
+        def broken(na, va, nb, vb):
+            nan = na if math.isnan(va) else nb if math.isnan(vb) else None
+            msg = f"{nan} is NaN" if nan else f"{na} > {nb} by {va - vb:.3e}"
+            if msg not in bad:
+                bad.append(msg)
 
         chain(("lb", "k_m", "k_m_v", "variance_product"), (self.lb, self.k_m, self.k_m_v, vp))
         chain(("k_m", "k_tilde_m", "k_tilde", "variance_product"),
               (self.k_m, self.k_tilde_m, self.k_tilde, vp))
         for lev in range(1, len(self.i_d)):
-            if self.i_d[lev] > self.i_d[lev - 1] + SLACK:
-                bad.append(f"i_{lev + 1} > i_{lev} by {self.i_d[lev] - self.i_d[lev - 1]:.3e}")
+            if not self.i_d[lev] <= self.i_d[lev - 1] + SLACK:
+                broken(f"i_{lev + 1}", self.i_d[lev], f"i_{lev}", self.i_d[lev - 1])
         if abs(self.i_d[0] - vp) > SLACK:
             bad.append(f"i_1 != variance_product by {abs(self.i_d[0] - vp):.3e}")
         if abs(self.i_d[-1] - self.lb) > SLACK:

@@ -2,8 +2,8 @@
 
 Each trial draws from a Philox stream set by its key and counter (seed, trial,
 stream) alone, so results never depend on trial order and reruns are bit-identical;
-a suite re-keys one Philox per trial (trial_generators) instead of building one. A
-trial's Gaussian matrices become unitary in a stack, one QR, bit for bit as one at a time.
+a suite re-keys one Philox per trial (trial_generators) instead of building one. A stack
+of many trials' and suites' Gaussian matrices becomes unitary in one QR, bit for bit as one at a time.
 """
 
 from __future__ import annotations

@@ -3,11 +3,11 @@
 Each suite runs trials 0..trials-1; the `_suite` decorator names it after
 the function. Every trial draws from its own counter-based stream (one
 Philox per suite and stream, re-keyed per trial), so a rerun reproduces
-every draw. Draws are per trial (most suites draw through `_instances`: the
-unitaries' Gaussian matrices, then the state); the QR that makes them unitary
-and the unitarity test run on a stack, once per suite, dimension and 1,024 trials.
-A suite reports its trial count, failure count, the worst margin it
-observed, and the first counterexample (fully serialized) on a failure.
+every draw. One sampler (`_run`) serves a suite alone and all of them: per
+block of 64 trials, every suite draws (most through `_draws`: Gaussian
+matrices, then a state), each dimension's matrices become unitary in one QR
+and one unitarity test, then each suite checks its block. A suite reports its
+trials, failures, worst margin and first counterexample (fully serialized).
 
 Two tempting claims are false and are NOT suites here: the paired cross
 bound is not >= level 2 of the fine-grained family on general states (it
@@ -19,10 +19,12 @@ tests.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -61,49 +63,66 @@ class SuiteResult:
                                            suite=self.name, violation=label, amount=margin)
 
 
-def _suite(body):
-    """Turn body(rec, seed, trials), which runs every trial, into suite(seed, trials)."""
-    name = body.__name__.removeprefix("suite_")
-
-    @functools.wraps(body)
-    def run(seed: int, trials: int) -> SuiteResult:
-        rec = SuiteResult(name, trials)
-        body(rec, seed, trials)
-        if rec.worst == -math.inf:  # no check ran
-            rec.worst = 0.0
-        return rec
-
-    return run
+_BLOCK = 64  # trials per suite in flight: a block's draws of every suite are held at once
+_Spec = collections.namedtuple("_Spec", "name stream draw setup cap body")
+_SPECS = []  # every suite, in the order run_all runs them
 
 
-def _sampled(seed: int, trials: int, stream: int, draw):
-    """Yield (trial, unitaries, rest) in trial order; draw(rng, trial) returns the trial's Gaussian
-    stack (k, n, n) and the rest it drew. A dimension gets one QR and one unitarity test per 1024 trials."""
-    rngs = sampling.trial_generators(seed, trials, stream)  # one Philox; blocks keep memory flat in --trials
-    while drawn := [(trial, *draw(rng, trial)) for trial, rng in itertools.islice(rngs, 1024)]:
+def _suite(stream: int, draw, setup=lambda seed, trials: (), cap=math.inf):
+    """Make body(rec, items, *setup(seed, trials)), which checks a block's (trial, unitaries, rest), into
+    suite(seed, trials); draw(rng, trial) returns a trial's Gaussian stack (k, n, n) and rest."""
+    def decorate(body):
+        _SPECS.append(spec := _Spec(body.__name__.removeprefix("suite_"), stream, draw, setup, cap, body))
+
+        @functools.wraps(body)
+        def suite(seed: int, trials: int) -> SuiteResult:
+            return _run(seed, [(spec, trials)])[0]
+
+        del suite.__wrapped__  # its signature is (seed, trials), not the body's
+        return suite
+
+    return decorate
+
+
+def _run(seed: int, runs) -> list[SuiteResult]:
+    """Run (spec, trials) suites _BLOCK trials at a time: all draw, each dimension's matrices (suite
+    order, then trial order) pass one QR and one unitarity test, then each suite checks its block."""
+    recs = [SuiteResult(spec.name, trials) for spec, trials in runs]
+    states = [spec.setup(seed, trials) for spec, trials in runs]
+    rngs = [sampling.trial_generators(seed, trials, spec.stream) for spec, trials in runs]
+    while any(drawn := [[(trial, *spec.draw(rng, trial)) for trial, rng in itertools.islice(gen, _BLOCK)]
+                        for (spec, _), gen in zip(runs, rngs)]):
+        stacks = [G for block in drawn for _, G, _ in block]
         units = {n: iter(moments.Unitary.stack(sampling.haar_unitaries(
-            np.concatenate([G for _, G, _ in drawn if G.shape[-1] == n]))))
-            for n in sorted({G.shape[-1] for _, G, _ in drawn})}
-        for trial, G, rest in drawn:
-            yield trial, list(itertools.islice(units[G.shape[-1]], len(G))), rest
+            np.concatenate([G for G in stacks if G.shape[-1] == n]))))
+            for n in sorted({G.shape[-1] for G in stacks})}
+        for (spec, _), rec, state, block in zip(runs, recs, states, drawn):
+            spec.body(rec, [(trial, list(itertools.islice(units[G.shape[-1]], len(G))), rest)
+                            for trial, G, rest in block], *state)
+    return [replace(rec, worst=0.0) if rec.worst == -math.inf else rec for rec in recs]  # none ran
 
 
-def _instances(seed: int, trials: int, stream: int, counts=(2,), dmin: int = 2, dmax: int = 8):
-    """Yield (d, unitaries, state, instance of raw arrays) per trial: counts[trial % len(counts)]
-    unitaries, then one state, of dimension d = dmin + trial % (dmax - dmin + 1)."""
+def _draws(counts=(2,), dmin: int = 2, dmax: int = 8):
+    """draw(rng, trial): counts[trial % len(counts)] Gaussian matrices, then a state, of dimension
+    dmin + trial % (dmax - dmin + 1)."""
     def draw(rng, trial):
         d = dmin + trial % (dmax - dmin + 1)
         return sampling.complex_gaussians(rng, counts[trial % len(counts)], d, d), sampling.random_state(rng, d)
 
-    for trial, ops, psi in _sampled(seed, trials, stream, draw):
+    return draw
+
+
+def _instances(items):
+    """(d, unitaries, state, instance of raw arrays) per item of a _draws block."""
+    for trial, ops, psi in items:
         yield psi.dim, ops, psi, {"trial": trial, "dimension": psi.dim,
                                   "operators": [U.matrix for U in ops], "state": psi.amplitudes}
 
 
-@_suite
-def suite_pair_chain(rec: SuiteResult, seed: int, trials: int):
+@_suite(0, _draws())
+def suite_pair_chain(rec: SuiteResult, items):
     """lb <= k_m <= k_m_v <= variance product, all block sizes, weight grid."""
-    for d, (A, B), psi, instance in _instances(seed, trials, 0):
+    for d, (A, B), psi, instance in _instances(items):
         pair = moments.modulus_pair(A, B, psi)
         vp = bounds.variance_product(pair)
         lb = bounds.correlation_bound(pair)
@@ -118,10 +137,10 @@ def suite_pair_chain(rec: SuiteResult, seed: int, trials: int):
                 rec.check(kmv - vp, SLACK, inst_v, "k_m_v > variance_product")
 
 
-@_suite
-def suite_subset_chain(rec: SuiteResult, seed: int, trials: int):
+@_suite(1, _draws())
+def suite_subset_chain(rec: SuiteResult, items):
     """k_m <= k_tilde_m <= k_tilde <= variance product for every block size."""
-    for d, (A, B), psi, instance in _instances(seed, trials, 1):
+    for d, (A, B), psi, instance in _instances(items):
         pair = moments.modulus_pair(A, B, psi)
         vp = bounds.variance_product(pair)
         table = bounds.best_split_bounds(pair)
@@ -135,10 +154,10 @@ def suite_subset_chain(rec: SuiteResult, seed: int, trials: int):
             rec.check(ktilde - vp, SLACK, inst, "k_tilde > variance_product")
 
 
-@_suite
-def suite_fine_grained_chain(rec: SuiteResult, seed: int, trials: int):
+@_suite(2, _draws())
+def suite_fine_grained_chain(rec: SuiteResult, items):
     """Interpolation family: endpoints and monotonicity."""
-    for d, (A, B), psi, instance in _instances(seed, trials, 2):
+    for d, (A, B), psi, instance in _instances(items):
         pair = moments.modulus_pair(A, B, psi)
         seq = bounds.fine_grained_sequence(pair)
         rec.check(abs(seq[0] - bounds.variance_product(pair)), SLACK, instance,
@@ -150,14 +169,18 @@ def suite_fine_grained_chain(rec: SuiteResult, seed: int, trials: int):
                       dict(instance, params={"level": lev + 1}), "i_d increased")
 
 
-@_suite
-def suite_cross_bound_chain(rec: SuiteResult, seed: int, trials: int):
+def _ex1_family(seed: int, trials: int):
+    """Per run: the ex1 scenario and its operators, checked once, at each d reached; the theta stream."""
+    ex1 = {d: scenarios.scenario("ex1", d) for d in range(3, 3 + min(trials, 6))}
+    ex1_ops = {d: [moments.Unitary(M) for _, M in scen.operators] for d, scen in ex1.items()}
+    return ex1, ex1_ops, sampling.trial_generators(seed, trials, 31)
+
+
+@_suite(3, _draws(dmin=3), setup=_ex1_family)
+def suite_cross_bound_chain(rec: SuiteResult, items, ex1, ex1_ops, thetas):
     """Paired cross bound: below the variance product on random states, and
     the full sandwich down to level 2 on the ex1 closed-form family."""
-    ex1 = {d: scenarios.scenario("ex1", d) for d in range(3, 3 + min(trials, 6))}  # its d, once per run
-    ex1_ops = {d: [moments.Unitary(M) for _, M in scen.operators] for d, scen in ex1.items()}
-    thetas = sampling.trial_generators(seed, trials, 31)
-    for (d, (A, B), psi, instance), (_, rng) in zip(_instances(seed, trials, 3, dmin=3), thetas):
+    for (d, (A, B), psi, instance), (_, rng) in zip(_instances(items), thetas):
         pair = moments.modulus_pair(A, B, psi)
         rec.check(bounds.paired_cross_bound(pair) - bounds.variance_product(pair),
                   SLACK, instance, "i_1_prime > variance_product")
@@ -170,8 +193,8 @@ def suite_cross_bound_chain(rec: SuiteResult, seed: int, trials: int):
                   SLACK, inst, "ex1: i_2 > i_1_prime")
 
 
-@_suite
-def suite_subset_oracle(rec: SuiteResult, seed: int, trials: int):
+@_suite(6, _draws(dmax=6), cap=200)
+def suite_subset_oracle(rec: SuiteResult, items):
     """Subset enumeration equals brute-force permutation maximization.
 
     Every permutation's block value is the value of the subset its first m
@@ -180,39 +203,44 @@ def suite_subset_oracle(rec: SuiteResult, seed: int, trials: int):
     permutations is also evaluated with sums taken in raw permutation order
     to confirm the canonical-order kernel is not hiding rounding drift.
     """
-    for n, (A, B), psi, instance in _instances(seed, trials, 6, dmax=6):
+    for n, (A, B), psi, instance in _instances(items):
         m = 1 + instance["trial"] % n
         pair = moments.modulus_pair(A, B, psi)
         instance["params"] = {"m": m}
         by_subset = {
-            combo: bounds.split_bound(pair, [i + 1 for i in combo])
+            frozenset(combo): bounds.split_bound(pair, [i + 1 for i in combo])
             for combo in itertools.combinations(range(n), m)
         }
         enum_max, _ = bounds.best_split_bound(pair, m)
         perms = list(itertools.permutations(range(n)))
-        perm_max = max(by_subset[tuple(sorted(p[:m]))] for p in perms)
+        firsts = map(frozenset, map(operator.itemgetter(slice(m)), perms))  # each one's first m slots
+        perm_max = max(map(by_subset.__getitem__, firsts))
         exact = 0.0 if perm_max == enum_max else abs(perm_max - enum_max) + 1.0
         rec.check(exact, 0.0, instance, "enumeration != permutation brute force")
         x2, y2 = (pair.x ** 2).tolist(), (pair.y ** 2).tolist()
         for p in perms[:: max(1, len(perms) // 20)]:
             raw = _raw_order_value(x2, y2, p, m)
-            canon = by_subset[tuple(sorted(p[:m]))]
+            canon = by_subset[frozenset(p[:m])]
             rec.check(abs(raw - canon), 1e-12,
                       dict(instance, permutation=list(p)), "raw-order drift")
 
 
 def _raw_order_value(x2, y2, perm, m) -> float:
-    xs = sum(x2[i] for i in perm[:m])
-    ys = sum(y2[i] for i in perm[:m])
-    xc = sum(x2[i] for i in perm[m:])
-    yc = sum(y2[i] for i in perm[m:])
+    # += adds left to right; the builtin sum is compensated from Python 3.12 on.
+    xs = ys = xc = yc = 0.0
+    for i in perm[:m]:
+        xs += x2[i]
+        ys += y2[i]
+    for i in perm[m:]:
+        xc += x2[i]
+        yc += y2[i]
     return (math.sqrt(xs) * math.sqrt(ys) + math.sqrt(xc) * math.sqrt(yc)) ** 2
 
 
-@_suite
-def suite_split_symmetry(rec: SuiteResult, seed: int, trials: int):
+@_suite(4, _draws(dmax=6), cap=300)
+def suite_split_symmetry(rec: SuiteResult, items):
     """Best split at block size m equals the one at n - m."""
-    for d, (A, B), psi, instance in _instances(seed, trials, 4, dmax=6):
+    for d, (A, B), psi, instance in _instances(items):
         pair = moments.modulus_pair(A, B, psi)
         best = [bounds.best_split_bound(pair, m)[0] for m in range(1, d)]
         for m in range(1, d):
@@ -220,19 +248,19 @@ def suite_split_symmetry(rec: SuiteResult, seed: int, trials: int):
                       "k_tilde_m != k_tilde_(n-m)")
 
 
-@_suite
-def suite_gram_psd(rec: SuiteResult, seed: int, trials: int):
+@_suite(7, _draws((2, 3, 4), dmax=6))
+def suite_gram_psd(rec: SuiteResult, items):
     """Gram matrix of (I, U_1..U_l) has min eigenvalue >= -1e-10."""
-    for _, ops, psi, instance in _instances(seed, trials, 7, counts=(2, 3, 4), dmax=6):
+    for _, ops, psi, instance in _instances(items):
         lo = float(np.linalg.eigvalsh(moments.gram_matrix(ops, psi)).min())
         rec.check(-lo, SLACK, instance, "gram matrix not PSD")
 
 
-@_suite
-def suite_triple_bound(rec: SuiteResult, seed: int, trials: int):
+@_suite(8, _draws((3,), dmax=6))
+def suite_triple_bound(rec: SuiteResult, items):
     """Three-operator floor sits below the triple variance product and
     differs from it by exactly the 4x4 Gram determinant."""
-    for _, ops, psi, instance in _instances(seed, trials, 8, counts=(3,), dmax=6):
+    for _, ops, psi, instance in _instances(items):
         deltas = [moments.delta_vector(U, psi) for U in ops]
         vp3 = math.prod(dv.variance for dv in deltas)
         rhs = bounds.triple_correlation_bound(*deltas)
@@ -243,10 +271,10 @@ def suite_triple_bound(rec: SuiteResult, seed: int, trials: int):
                   "determinant identity broken")
 
 
-@_suite
-def suite_multi_op(rec: SuiteResult, seed: int, trials: int):
+@_suite(9, _draws((3, 4), dmax=6), cap=300)
+def suite_multi_op(rec: SuiteResult, items):
     """Geometric-mean bounds stay below the variance product; tilde >= plain."""
-    for d, ops, psi, instance in _instances(seed, trials, 9, counts=(3, 4), dmax=6):
+    for d, ops, psi, instance in _instances(items):
         m = 1 + instance["trial"] % max(1, d // 2)
         instance["params"] = {"m": m, "l": len(ops)}
         deltas = [moments.delta_vector(U, psi) for U in ops]
@@ -260,15 +288,16 @@ def suite_multi_op(rec: SuiteResult, seed: int, trials: int):
                   "tilde flavor below plain flavor")
 
 
-@_suite
-def suite_purification(rec: SuiteResult, seed: int, trials: int):
+def _bloch_draws(rng, trial):
+    r = rng.uniform(-1.0, 1.0, 3)
+    return sampling.complex_gaussians(rng, 3, 2, 2), r
+
+
+@_suite(10, _bloch_draws, cap=300)
+def suite_purification(rec: SuiteResult, items):
     """Purified expectations reproduce Tr(A rho); reduced states behave as
     documented (rho on one side, its transpose on the other)."""
-    def draw(rng, trial):
-        r = rng.uniform(-1.0, 1.0, 3)
-        return sampling.complex_gaussians(rng, 3, 2, 2), r
-
-    for trial, ops, r in _sampled(seed, trials, 10, draw):
+    for trial, ops, r in items:
         nrm = linalg.vector_norm(r)
         r = r * (0.98 / nrm) if nrm >= 1.0 else r
         rho = moments.bloch_density(r)
@@ -289,15 +318,16 @@ def suite_purification(rec: SuiteResult, seed: int, trials: int):
                   instance, "reduced state (first factor) != transpose(rho)")
 
 
-@_suite
-def suite_mixed_state_floor(rec: SuiteResult, seed: int, trials: int):
+def _density_draws(rng, trial):
+    rho = sampling.random_density(rng, 2 + trial % 3)
+    return sampling.complex_gaussians(rng, 2, rho.dim, rho.dim), rho
+
+
+@_suite(11, _density_draws)
+def suite_mixed_state_floor(rec: SuiteResult, items):
     """Mixed-state variances dominate the worst pure eigenstate, in both
     product and sum form."""
-    def draw(rng, trial):
-        rho = sampling.random_density(rng, 2 + trial % 3)
-        return sampling.complex_gaussians(rng, 2, rho.dim, rho.dim), rho
-
-    for trial, (uA, uB), rho in _sampled(seed, trials, 11, draw):
+    for trial, (uA, uB), rho in items:
         eig = [moments.PureState.normalized(v) for v in rho.eig.eigenvectors.T]
         pa = [moments.variance_pure(uA, u) for u in eig]
         pb = [moments.variance_pure(uB, u) for u in eig]
@@ -311,14 +341,17 @@ def suite_mixed_state_floor(rec: SuiteResult, seed: int, trials: int):
                   instance, "sum floor broken")
 
 
-@_suite
-def suite_equality_case(rec: SuiteResult, seed: int, trials: int):
+def _proportional_draws(rng, trial):
+    y = np.abs(rng.standard_normal(2 + trial % 7)) + 0.05
+    return np.empty((0, 2, 2)), (y, float(abs(rng.standard_normal()) + 0.05))  # no unitaries
+
+
+@_suite(12, _proportional_draws)
+def suite_equality_case(rec: SuiteResult, items):
     """Block-proportional modulus pairs saturate the split bound."""
-    for trial, rng in sampling.trial_generators(seed, trials, 12):
-        n = 2 + trial % 7
+    for trial, _, (y, k) in items:
+        n = len(y)
         m = 1 + trial % (n - 1)
-        y = np.abs(rng.standard_normal(n)) + 0.05
-        k = float(abs(rng.standard_normal()) + 0.05)
         block = range(1, m + 1)
         instance = {"trial": trial, "dimension": n, "params": {"m": m, "k": k}}
         # Globally proportional blocks balance the cross products exactly.
@@ -333,10 +366,10 @@ def suite_equality_case(rec: SuiteResult, seed: int, trials: int):
                   SLACK, instance, "zero-complement pair misses saturation")
 
 
-@_suite
-def suite_coordinate_identities(rec: SuiteResult, seed: int, trials: int):
+@_suite(5, _draws())
+def suite_coordinate_identities(rec: SuiteResult, items):
     """Variance and correlation agree across all their equivalent forms."""
-    for d, (A, B), psi, instance in _instances(seed, trials, 5):
+    for d, (A, B), psi, instance in _instances(items):
         pair = moments.modulus_pair(A, B, psi)
         va = moments.variance_pure(A, psi)
         mean = moments.expectation(A, psi)
@@ -354,19 +387,5 @@ def suite_coordinate_identities(rec: SuiteResult, seed: int, trials: int):
 
 
 def run_all(seed: int, trials: int) -> list[SuiteResult]:
-    """Run every suite in order; four costly ones stop at 200 or 300 trials."""
-    return [
-        suite_pair_chain(seed, trials),
-        suite_subset_chain(seed, trials),
-        suite_fine_grained_chain(seed, trials),
-        suite_cross_bound_chain(seed, trials),
-        suite_subset_oracle(seed, min(trials, 200)),
-        suite_split_symmetry(seed, min(trials, 300)),
-        suite_gram_psd(seed, trials),
-        suite_triple_bound(seed, trials),
-        suite_multi_op(seed, min(trials, 300)),
-        suite_purification(seed, min(trials, 300)),
-        suite_mixed_state_floor(seed, trials),
-        suite_equality_case(seed, trials),
-        suite_coordinate_identities(seed, trials),
-    ]
+    """Run every suite in order on one sampler; four costly ones stop at 200 or 300 trials."""
+    return _run(seed, [(spec, min(trials, spec.cap)) for spec in _SPECS])

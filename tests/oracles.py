@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from uur import bounds, linalg, sampling
+from uur import bounds, linalg, sampling, selfcheck
 from uur.errors import UurError
 from uur.moments import DensityMatrix, PureState
 
@@ -102,6 +102,15 @@ def random_density(rng: np.random.Generator, n: int) -> DensityMatrix:
     Z = _complex_gaussian(rng, n, n)
     M = Z @ Z.conj().T
     return DensityMatrix(matrix=M / np.real(np.trace(M)))
+
+
+def sampled_items(seed: int, trials: int, stream: int, draw) -> list:
+    """Every (trial, unitaries, rest) that a suite drawing with draw from stream checks, run alone."""
+    items = []
+    probe = selfcheck._Spec("probe", stream, draw, lambda seed, trials: (), math.inf,
+                            lambda rec, block: items.extend(block))
+    selfcheck._run(seed, [(probe, trials)])
+    return items
 
 
 def per_matrix_instance(seed: int, trial: int, stream: int, count: int, d: int):

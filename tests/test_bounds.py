@@ -370,6 +370,10 @@ def test_nan_part_values_never_win(x, y, pinned):
         for m in range(1, p.dim):
             report = bounds.bound_report(p, m)
             assert (report.k_tilde, report.k_tilde_argmax) == max(want[:p.dim // 2], key=lambda e: e[0])
+            # Every link with a NaN member is broken and names it (once); i_d is NaN throughout.
+            nan = [name for name in ("k_m", "k_m_v", "variance_product") if math.isnan(getattr(report, name))]
+            assert report.validate() == [f"{name} is NaN" for name in nan] + [
+                f"i_{level} is NaN" for level in range(2, p.dim + 1)]
 
 
 def test_bound_report_fields_are_the_public_functions_bits():
@@ -851,6 +855,15 @@ CHAIN_BASE = dict(m=1, v=0.1, variance_product=10.0, lb=1.0, k_m=2.0, k_m_v=3.0,
 def test_bound_set_validate_names_each_broken_link(change, message):
     assert bounds.BoundSet(**CHAIN_BASE).validate() == []
     assert bounds.BoundSet(**{**CHAIN_BASE, **change}).validate() == [f"{message} by 5.000e-01"]
+
+
+@pytest.mark.parametrize("change, verdict", [
+    ({"k_tilde": math.inf, "variance_product": math.inf, "i_d": (math.inf, 6.0, 1.0)}, []),
+    ({"k_tilde": math.inf}, ["k_tilde > variance_product by inf"]),
+    ({"lb": -math.inf, "i_d": (10.0, 6.0, -math.inf)}, []),
+])
+def test_bound_set_validate_keeps_its_inf_verdicts(change, verdict):
+    assert bounds.BoundSet(**{**CHAIN_BASE, **change}).validate() == verdict
 
 
 def test_bound_set_validate_forgives_rounding_within_slack():

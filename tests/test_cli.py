@@ -754,6 +754,18 @@ def test_each_density_matrix_is_diagonalised_once(problem_dir, capsys, monkeypat
     assert (calls["eigh"], calls["eigvalsh"]) == counts
 
 
+def test_check_makes_one_qr_per_dimension(capsys, monkeypatch):
+    # 15 trials fit one 64-trial block: the 12 sampled suites' Gaussian
+    # matrices of d = 2..8 become unitary in 7 QR calls (63, one per suite
+    # and dimension, when each suite sampled on its own).
+    calls = []
+    real = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda Z: calls.append(Z.shape) or real(Z))
+    code, out, err = run(["check", "--seed", "42", "--trials", "15"], capsys)
+    assert code == 0, err
+    assert sorted(shape[-1] for shape in calls) == list(range(2, 9))
+
+
 @pytest.mark.parametrize("command, checks", [
     ("sweep --example ex5 --steps 4", 3),
     ("sweep --example ex1 --dim 16 --steps 3", 2),

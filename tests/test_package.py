@@ -77,6 +77,15 @@ def test_no_module_calls_a_numpy_wrapper_of_an_array_method():
     assert imports == []  # every numpy name is spelt np.<name>, which the walk above sees
 
 
+def test_no_module_calls_the_builtin_sum():
+    # From Python 3.12 the builtin sum of floats is compensated (Neumaier), so
+    # it no longer adds left to right; the program adds with += where order matters.
+    calls = [(path.name, node.lineno) for path in sorted((SRC / "uur").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "sum"]
+    assert calls == []
+
+
 def test_report_header_names_numpy_and_the_blas_kernel(pytestconfig):
     header = pytest_report_header(pytestconfig)
     assert header == f"numpy {np.__version__}, OpenBLAS kernel {blas_kernel()}"

@@ -9,7 +9,7 @@ import pytest
 
 from uur import bounds, errors, linalg, moments, sampling, selfcheck
 
-from oracles import per_matrix_instance
+from oracles import per_matrix_instance, sampled_items
 
 
 def _corrupt_split_bound(monkeypatch):
@@ -19,10 +19,12 @@ def _corrupt_split_bound(monkeypatch):
                         lambda pair, subset: real(pair, subset) + 2e-6)
 
 
-def test_suite_result_records_the_first_counterexample():
+def test_suite_result_records_the_first_counterexample(monkeypatch):
     # A suite whose body checks nothing reports worst 0.0, not -inf.
-    assert selfcheck._suite(lambda rec, seed, trial: None)(42, 3) == selfcheck.SuiteResult(
-        "<lambda>", 3, failures=0, worst=0.0)
+    monkeypatch.setattr(selfcheck, "_SPECS", [])  # the decorator registers the suite for run_all
+    quiet = selfcheck._suite(0, lambda rng, trial: (np.empty((0, 2, 2)), None))(lambda rec, items: None)
+    assert quiet(42, 3) == selfcheck.SuiteResult("<lambda>", 3, failures=0, worst=0.0)
+    assert [spec.name for spec in selfcheck._SPECS] == ["<lambda>"]
     rec = selfcheck.SuiteResult("demo", 2)
     rec.check(-1.0, 0.0, {"trial": 0}, "fine")
     rec.check(2.0, 0.0, {"trial": 1, "state": np.array([1j])}, "first")
@@ -98,12 +100,13 @@ def test_split_symmetry_searches_each_block_size_once(monkeypatch):
 
 
 def test_each_sampled_unitary_is_checked_at_most_once(monkeypatch):
-    # Each suite turns its trials' Gaussian matrices into unitaries with one
-    # QR per dimension and checks them with one unitarity test on the stack:
-    # every sampled matrix is drawn once and tested exactly once. Before the
-    # stacks, this run made 711 random_unitary calls and 686 tests: 636 of
+    # The suites' Gaussian matrices of a block become unitaries with one QR
+    # per dimension across all suites, checked with one unitarity test on the
+    # stack: every sampled matrix is drawn once and tested exactly once. Before
+    # the stacks, this run made 711 random_unitary calls and 686 tests: 636 of
     # the draws (purification never tested its 75) and the ex1 operators of
-    # cross_bound_chain on every trial (50).
+    # cross_bound_chain on every trial (50); with a stack per suite and
+    # dimension it made 63 stacks and 75 tests.
     checks, stacks = [], []
     real_deviation, real_haar = linalg.unitary_deviation, sampling.haar_unitaries
     monkeypatch.setattr(linalg, "unitary_deviation",
@@ -115,15 +118,15 @@ def test_each_sampled_unitary_is_checked_at_most_once(monkeypatch):
     tested = collections.Counter(M.tobytes() for A in checks for M in A)
     assert len(drawn) == len(set(drawn)) == 711
     assert all(tested[M] == 1 for M in drawn)
-    # 63 (suite, dimension) stacks; the 12 other tests are the ex1 operators
-    # of cross_bound_chain, built once for each of its six dimensions.
-    assert (len(stacks), len(checks), sum(len(A) for A in checks)) == (63, 75, 723)
+    # 7 stacks, one per dimension 2..8; the 12 other tests are the ex1
+    # operators of cross_bound_chain, built once for each of its six dimensions.
+    assert (len(stacks), len(checks), sum(len(A) for A in checks)) == (7, 19, 723)
 
 
 def test_a_bad_matrix_in_a_stack_stops_check_with_its_message(monkeypatch):
-    # One corrupted matrix in the first stack of the first suite (pair_chain's
-    # d = 2 stack; it is trial 0's second unitary) is refused with the message
-    # Unitary(M) gives for that matrix alone.
+    # One corrupted matrix in the first stack (d = 2, pair_chain's matrices
+    # first; it is pair_chain's trial 0's second unitary) is refused with the
+    # message Unitary(M) gives for that matrix alone.
     real_haar = sampling.haar_unitaries
 
     def corrupt_first(Z):
@@ -152,8 +155,8 @@ def test_stacked_instances_match_per_matrix_draws(counts, dmin, dmax):
     matched = 0
     for seed in (0, 1, 5, 42, 2 ** 31 - 1):
         for stream in (0, 9):
-            for trial, (d, ops, psi, instance) in enumerate(
-                    selfcheck._instances(seed, 40, stream, counts, dmin, dmax)):
+            for trial, (d, ops, psi, instance) in enumerate(selfcheck._instances(
+                    sampled_items(seed, 40, stream, selfcheck._draws(counts, dmin, dmax)))):
                 want, want_psi = per_matrix_instance(
                     seed, trial, stream, counts[trial % len(counts)], d)
                 assert (instance["trial"], instance["dimension"]) == (trial, d)
@@ -167,14 +170,26 @@ def test_stacked_instances_match_per_matrix_draws(counts, dmin, dmax):
 
 
 def test_stacked_instances_cross_the_block_boundary(monkeypatch):
-    # Draws are held 1024 trials at a time, so 1030 trials make two blocks;
+    # Draws are held 64 trials at a time, so 66 trials make two blocks;
     # each block runs one QR per dimension, and every draw is unchanged.
     stacks = []
     real_haar = sampling.haar_unitaries
     monkeypatch.setattr(sampling, "haar_unitaries", lambda Z: stacks.append(len(Z)) or real_haar(Z))
-    trials = list(selfcheck._instances(3, 1030, 1, (1,)))
-    assert [t["trial"] for *_, t in trials] == list(range(1030))
-    assert stacks == [147] * 2 + [146] * 5 + [1] * 6
+    trials = list(selfcheck._instances(sampled_items(3, 66, 1, selfcheck._draws((1,)))))
+    assert [t["trial"] for *_, t in trials] == list(range(66))
+    assert stacks == [10] + [9] * 6 + [1] * 2
     for trial, (d, (U,), psi, _) in enumerate(trials):
         (want,), want_psi = per_matrix_instance(3, trial, 1, 1, d)
         assert np.array_equal(U.matrix, want) and np.array_equal(psi.amplitudes, want_psi.amplitudes)
+
+
+@pytest.mark.parametrize("corrupt", [False, True], ids=["plain", "corrupted-split-bound"])
+def test_every_suite_of_run_all_reports_what_it_reports_alone(monkeypatch, corrupt):
+    # run_all draws every suite's block before any suite checks it; 130 trials
+    # make three 64-trial blocks, and no suite is capped below 130.
+    if corrupt:
+        _corrupt_split_bound(monkeypatch)
+    together = selfcheck.run_all(11, 130)
+    alone = [getattr(selfcheck, f"suite_{r.name}")(11, 130) for r in together]
+    assert [repr(r) for r in together] == [repr(r) for r in alone]
+    assert any(r.failures for r in together) == corrupt
