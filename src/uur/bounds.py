@@ -13,14 +13,14 @@ form the block gives the best split bound. A block is a sorted tuple of
 1-based indices. One pass over the support of (x^2, y^2) serves all the
 sizes m <= n/2 a report needs: a support part and its complement give the
 same value, so each part of at most half the support is evaluated once. The
-pass forms every size's value and pads a block only for a size whose block
-is returned (a report's: its argmax). The cap is judged on the nominal
-binomial(n, m) of every size first. The interpolation family i_d and the
-paired cross bound are transcribed comparison bounds, bit-faithful to their
-published term-by-term sums: each pair's terms are formed once, and each
-level adds them left to right in (i, j) order. Like the search, both skip a
-zero coordinate's terms: each is +-0.0, which changes no bit of a total >=
-+0.0, unless an overflow makes it inf * 0.0 = NaN.
+pass takes the squares x^2, y^2 and gives every size's value, and a block of
+a size only when asked (a report asks for its argmax's). The cap is judged on
+the nominal binomial(n, m) of every size first. The interpolation family i_d
+and the paired cross bound are transcribed comparison bounds, bit-faithful to
+their published term-by-term sums: each pair's terms are formed once, and
+each level adds them left to right in (i, j) order. Like the search, both
+skip a zero coordinate's terms: each is +-0.0, which changes no bit of a
+total >= +0.0, unless an overflow makes it inf * 0.0 = NaN.
 """
 
 from __future__ import annotations
@@ -167,22 +167,20 @@ def _blend(k: float, vp: float, v: float) -> float:
 def _check_cap(n: int, m: int, cap: int) -> None:
     count = math.comb(n, m)
     if count > cap:
-        raise SearchSpaceTooLarge(f"binomial({n}, {m}) = {count} subsets exceeds "
-                                  f"the cap of {cap}", count=count)
+        raise SearchSpaceTooLarge(f"binomial({n}, {m}) = {count} subsets exceeds the cap of {cap}")
 
 
 def _padded(part, pad: list[int]) -> tuple[int, ...]:  # a support part and free indices, sorted
     return tuple(sorted([*part, *pad]))
 
 
-def _split_search(pair: ModulusPair, sizes, cap: int, squares=None, every: bool = True):
-    """(values, picks): each size's best value, and (value, block) of every size or of the first largest."""
-    n = pair.dim
+def _split_search(x2: list[float], y2: list[float], sizes, cap: int):
+    """(values, block): each size's best value, and block(k), the smallest block reaching values[k]."""
+    n = len(x2)
     for m in sizes:
         if not 1 <= m <= n:
             raise UurError(f"block size {m} out of range 1..{n}")
         _check_cap(n, m, cap)
-    x2, y2 = squares or _squares(pair)
     support, free = [], []
     for i in range(n):
         (support if x2[i] or y2[i] else free).append(i)
@@ -209,15 +207,16 @@ def _split_search(pair: ModulusPair, sizes, cap: int, squares=None, every: bool 
                 best = parts[t][0]
         values.append(best)
         spans.append(span)
-    picks = []
-    for k in range(len(values)) if every else [values.index(max(values))]:
-        m, best, block = sizes[k], values[k], ()
+
+    def block(k: int) -> tuple[int, ...]:
+        m, best, smallest = sizes[k], values[k], ()
         for t in spans[k]:
             if parts[t][0] == best > -1.0:  # the smallest block of a part reaching best (-1.0: all NaN)
                 combo = _padded(parts[t][1], free[:m - t]) if m > t else tuple(parts[t][1])
-                block = min(block, combo) if block else combo
-        picks.append((best, tuple([i + 1 for i in block])))  # 1-based
-    return values, picks
+                smallest = min(smallest, combo) if smallest else combo
+        return tuple([i + 1 for i in smallest])  # 1-based
+
+    return values, block
 
 
 def best_split_bound(pair: ModulusPair, m: int, cap: int = DEFAULT_CAP) -> tuple[float, tuple[int, ...]]:
@@ -230,17 +229,19 @@ def best_split_bound(pair: ModulusPair, m: int, cap: int = DEFAULT_CAP) -> tuple
     in the support tie too (the two block terms swap), so one pass evaluates each T of at
     most half the support once (at half, those holding the first support index) for T and
     its complement, keeps each part size's best value and smallest part and pads only the
-    parts reaching the value of a size it returns. SearchSpaceTooLarge is raised, before
-    any block is evaluated, when the nominal binomial(n, m) exceeds cap.
+    parts reaching the value of a size whose block is asked for. SearchSpaceTooLarge is
+    raised, before any block is evaluated, when the nominal binomial(n, m) exceeds cap.
     """
-    return _split_search(pair, [m], cap)[1][0]
+    values, block = _split_search(*_squares(pair), [m], cap)
+    return values[0], block(0)
 
 
 def best_split_bounds(pair: ModulusPair, cap: int = DEFAULT_CAP) -> list[tuple[float, tuple[int, ...]]]:
     """best_split_bound's (value, block) for each block size m = 1 .. floor(n/2), in order,
     from one pass (size n - m would repeat size m); every size's nominal binomial(n, m) is
     capped first."""
-    return _split_search(pair, range(1, max(1, pair.dim // 2) + 1), cap)[1]
+    values, block = _split_search(*_squares(pair), range(1, max(1, pair.dim // 2) + 1), cap)
+    return [(value, block(k)) for k, value in enumerate(values)]
 
 
 def fine_grained_sequence(pair: ModulusPair) -> tuple[float, ...]:
@@ -378,8 +379,8 @@ def bound_report(pair: ModulusPair, m: int, v: float = DEFAULT_V,
         raise UurError(f"block size {m} out of range 1..{n - 1} (m = n is degenerate)")
     _check_cap(n, m, cap)
     X2, Y2 = pair.x ** 2, pair.y ** 2  # one squaring for the pass, vp and the diagonal sum
-    values, [(k_tilde, argmax)] = _split_search(pair, range(1, n // 2 + 1), cap,
-                                                (X2.tolist(), Y2.tolist()), every=False)
+    values, block = _split_search(X2.tolist(), Y2.tolist(), range(1, n // 2 + 1), cap)
+    first = values.index(max(values))  # the first largest size: the report pads only its block
     k_m, vp, terms = split_bound(pair, range(1, m + 1)), float(X2.sum() * Y2.sum()), _pow_terms(pair, X2, Y2)
     return BoundSet(
         m=m,
@@ -389,8 +390,8 @@ def bound_report(pair: ModulusPair, m: int, v: float = DEFAULT_V,
         k_m=k_m,
         k_m_v=_blend(k_m, vp, v),
         k_tilde_m=values[min(m, n - m) - 1],
-        k_tilde=k_tilde,
-        k_tilde_argmax=argmax,
+        k_tilde=values[first],
+        k_tilde_argmax=block(first),
         i_d=_fine_grained(pair, *terms),
         i_1_prime=_paired_cross(pair, *terms) if n >= 3 else None,
     )

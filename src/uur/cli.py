@@ -124,7 +124,10 @@ def _decode_state(obj, dim: int) -> PureState | DensityMatrix:
 def _read_input_file(path: str) -> tuple[object, scenarios.Scenario]:
     """A problem file's raw "params", and its problem as a Scenario whose state ignores theta."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError:  # the decoder recurses once per level of nesting
+            raise UurError("input file nests too deeply to decode") from None
     if not isinstance(doc, dict) or "dimension" not in doc:
         raise UurError('input file needs a top-level "dimension" field')
     dim = _number(doc["dimension"], "dimension", integer=True)

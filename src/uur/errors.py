@@ -11,8 +11,4 @@ class UurError(ValueError):
 
 
 class SearchSpaceTooLarge(UurError):
-    """Subset search would exceed the configured cap; `count` is the candidate count."""
-
-    def __init__(self, message: str, count: int):
-        super().__init__(message)
-        self.count = count
+    """Subset search would exceed the configured cap; the message names the candidate count."""

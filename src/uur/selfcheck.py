@@ -1,13 +1,14 @@
 """Seeded randomized invariant suites backing the `check` CLI command.
 
-Each suite runs trials 0..trials-1; the `_suite` decorator names it after
-the function. Every trial draws from its own counter-based stream (one
-Philox per suite and stream, re-keyed per trial), so a rerun reproduces
-every draw. One sampler (`_run`) serves a suite alone and all of them: per
-block of 64 trials, every suite draws (most through `_draws`: Gaussian
-matrices, then a state), each dimension's matrices become unitary in one QR
-and one unitarity test, then each suite checks its block. A suite reports its
-trials, failures, worst margin and first counterexample (fully serialized).
+Each suite runs trials 0..trials-1; the `_suite` decorator registers its
+body under the function's name. Every trial draws from its own
+counter-based stream (one Philox per suite and stream, re-keyed per trial),
+so a rerun reproduces every draw. `run_all` is the one public runner; its
+sampler (`_run`) runs any list of suites: per block of 64 trials, every
+suite draws (most through `_draws`: Gaussian matrices, then a state), each
+dimension's matrices become unitary in one QR and one unitarity test, then
+each suite checks its block. A suite reports its trials, failures, worst
+margin and first counterexample (fully serialized).
 
 Two tempting claims are false and are NOT suites here: the paired cross
 bound is not >= level 2 of the fine-grained family on general states (it
@@ -20,7 +21,6 @@ tests.
 from __future__ import annotations
 
 import collections
-import functools
 import itertools
 import math
 import operator
@@ -69,17 +69,11 @@ _SPECS = []  # every suite, in the order run_all runs them
 
 
 def _suite(stream: int, draw, setup=lambda seed, trials: (), cap=math.inf):
-    """Make body(rec, items, *setup(seed, trials)), which checks a block's (trial, unitaries, rest), into
-    suite(seed, trials); draw(rng, trial) returns a trial's Gaussian stack (k, n, n) and rest."""
+    """Register body(rec, items, *setup(seed, trials)), which checks a block's (trial, unitaries, rest),
+    in _SPECS under its name; draw(rng, trial) returns a trial's Gaussian stack (k, n, n) and rest."""
     def decorate(body):
-        _SPECS.append(spec := _Spec(body.__name__.removeprefix("suite_"), stream, draw, setup, cap, body))
-
-        @functools.wraps(body)
-        def suite(seed: int, trials: int) -> SuiteResult:
-            return _run(seed, [(spec, trials)])[0]
-
-        del suite.__wrapped__  # its signature is (seed, trials), not the body's
-        return suite
+        _SPECS.append(_Spec(body.__name__.removeprefix("suite_"), stream, draw, setup, cap, body))
+        return body
 
     return decorate
 

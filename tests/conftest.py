@@ -6,6 +6,7 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import json
+import platform
 import re
 from pathlib import Path
 
@@ -32,10 +33,17 @@ def blas_kernel(symbol: str = "scipy_openblas_get_corename64_") -> str:
     return corename().decode()
 
 
+def libc() -> str:
+    """The C library and its version, e.g. "glibc 2.36", or "libc unknown"."""
+    name, version = platform.libc_ver()
+    return f"{name} {version}" if name else "libc unknown"
+
+
 def pytest_report_header(config):
     # The corpus digests hold for one arithmetic: other BLAS kernels round
-    # vdot, matrix products, QR and eigh differently.
-    return f"numpy {np.__version__}, OpenBLAS kernel {blas_kernel()}"
+    # vdot, matrix products, QR and eigh differently, and a Python float's
+    # ** is the C library's pow, which another libm may round differently.
+    return f"numpy {np.__version__}, OpenBLAS kernel {blas_kernel()}, {libc()}"
 
 
 @pytest.hookimpl(hookwrapper=True)

@@ -10,7 +10,8 @@ bit-for-bit reference for that pass. The purification through a Hermitian
 eigensolver and a PSD square root is the one `moments.purify` ran before a
 `DensityMatrix` kept its eigendecomposition; it is the bit-for-bit
 reference for the purification from that decomposition. The helpers name one
-value of a public function so the tests read like the quantities they check.
+value of a public function so the tests read like the quantities they check,
+and `run_suite` runs one `check` suite alone through the sampler `run_all` uses.
 """
 
 from __future__ import annotations
@@ -102,6 +103,12 @@ def random_density(rng: np.random.Generator, n: int) -> DensityMatrix:
     Z = _complex_gaussian(rng, n, n)
     M = Z @ Z.conj().T
     return DensityMatrix(matrix=M / np.real(np.trace(M)))
+
+
+def run_suite(name: str, seed: int, trials: int) -> selfcheck.SuiteResult:
+    """The result of the registered suite `name` over trials 0..trials-1, run alone on `check`'s sampler."""
+    spec = next(spec for spec in selfcheck._SPECS if spec.name == name)
+    return selfcheck._run(seed, [(spec, trials)])[0]
 
 
 def sampled_items(seed: int, trials: int, stream: int, draw) -> list:

@@ -19,8 +19,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uur import bounds, cli, linalg, moments, sampling, scenarios, selfcheck
+from uur import bounds, cli, linalg, moments, sampling, scenarios
 
+from oracles import run_suite
 from test_golden import CORPUS
 
 
@@ -122,9 +123,11 @@ def test_usage_error_bytes_are_pinned(run_line, argv):
     assert run_line(argv) == CORPUS[argv]
 
 
-@pytest.mark.parametrize("argv", ["--help", "check --cap 1"])
+@pytest.mark.parametrize("argv", ["--help", "check --cap 1", "bounds --example ex5 --flavor tilde",
+                                  "compare --example ex9"])
 def test_python_m_uur_cli_exits_with_the_code_main_returns(argv):
-    # main returns argparse's exit code; the module's sys.exit(main()) passes it on.
+    # main returns argparse's exit code, or its own after a command ran; the
+    # module's sys.exit(main()) passes it on, and a report prints its pinned bytes.
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run([sys.executable, "-m", "uur.cli", *argv.split()], capture_output=True,
                           text=True, env={**os.environ, "COLUMNS": "80", "PYTHONPATH": str(src)})
@@ -575,6 +578,31 @@ def test_decoder_refusal_prints_its_line(run_line, case):
     assert_input_error_pinned(run_line, case)
 
 
+@pytest.mark.parametrize("document", [
+    "[" * 100_000 + "]" * 100_000,
+    '{"dimension": 2, "operators": ' + "[" * 100_000 + "]" * 100_000 + "}",
+], ids=["top-level", "operators"])
+def test_deeply_nested_problem_file_is_input_error(tmp_path, capsys, document):
+    # json's decoder recurses once per level of nesting and raises RecursionError
+    # near 1,000 levels. tools/input_files.json cannot hold such a file: its own
+    # loader would recurse too.
+    path = tmp_path / "deep.json"
+    path.write_text(document, encoding="utf-8")
+    code, out, err = run(["bounds", "--input", str(path)], capsys)
+    assert (code, out, err) == (2, "", "error: input file nests too deeply to decode\n")
+
+
+@pytest.mark.parametrize("argv", [
+    "bounds --example ex5 --flavor tilde", "bounds --example ex2 --dim 7 --format csv",
+    "sweep --example ex5 --steps 5 --format csv", "compare --example ex5 --steps 5 --format json",
+    "check --seed 42 --trials 25"])
+def test_output_file_holds_the_bytes_stdout_would(run_line, tmp_path, argv):
+    # --output writes the corpus line's stdout to the file and prints nothing.
+    code, digest, err = run_line(f"{argv} --output {tmp_path / 'out'}")
+    assert (code, digest, err) == (CORPUS[argv][0], sha256(""), CORPUS[argv][2])
+    assert hashlib.sha256((tmp_path / "out").read_bytes()).hexdigest() == CORPUS[argv][1]
+
+
 @pytest.mark.parametrize("extra, message", [
     (["--steps", "0"], "steps must be >= 1, got 0"),
     (["--theta-min", "2", "--theta-max", "1"], "theta range is empty: 2.0 > 1.0"),
@@ -685,8 +713,8 @@ def test_sweep_row_searches_each_block_size_once(capsys, monkeypatch):
     # and pads one block, the argmax's (the pick padded all 29 candidates).
     calls, parts, padded = [], [], []
     real_search, real_value, real_padded = bounds._split_search, bounds._split_value, bounds._padded
-    monkeypatch.setattr(bounds, "_split_search", lambda pair, sizes, cap, *args, **kwargs:
-                        calls.append(list(sizes)) or real_search(pair, sizes, cap, *args, **kwargs))
+    monkeypatch.setattr(bounds, "_split_search", lambda x2, y2, sizes, cap:
+                        calls.append(list(sizes)) or real_search(x2, y2, sizes, cap))
     monkeypatch.setattr(bounds, "_split_value",
                         lambda x2, y2, inside: parts.append(inside) or real_value(x2, y2, inside))
     monkeypatch.setattr(bounds, "_padded", lambda part, pad: padded.append(pad) or real_padded(part, pad))
@@ -746,7 +774,7 @@ def test_each_density_matrix_is_diagonalised_once(problem_dir, capsys, monkeypat
             return real(*args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counting)
     if case.startswith("suite_"):
-        assert getattr(selfcheck, case)(17, 6).failures == 0
+        assert run_suite(case.removeprefix("suite_"), 17, 6).failures == 0
     else:
         monkeypatch.chdir(problem_dir)
         code, _, err = run(case.split(), capsys)

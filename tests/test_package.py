@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import ast
 import json
+import platform
 import re
 import subprocess
 import sys
@@ -16,7 +17,7 @@ import numpy as np
 
 from uur import errors
 
-from conftest import blas_kernel, pytest_report_header
+from conftest import blas_kernel, libc, pytest_report_header
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -86,10 +87,15 @@ def test_no_module_calls_the_builtin_sum():
     assert calls == []
 
 
-def test_report_header_names_numpy_and_the_blas_kernel(pytestconfig):
+def test_report_header_names_numpy_and_the_blas_kernel(pytestconfig, monkeypatch):
+    # ... and the C library, whose pow a Python float's ** is.
     header = pytest_report_header(pytestconfig)
-    assert header == f"numpy {np.__version__}, OpenBLAS kernel {blas_kernel()}"
+    assert header == f"numpy {np.__version__}, OpenBLAS kernel {blas_kernel()}, {libc()}"
     assert blas_kernel("no_such_symbol") == "unknown"
+    monkeypatch.setattr(platform, "libc_ver", lambda: ("glibc", "2.36"))
+    assert libc() == "glibc 2.36"
+    monkeypatch.setattr(platform, "libc_ver", lambda: ("", ""))  # e.g. musl or macOS
+    assert libc() == "libc unknown"
 
 
 def test_readme_library_example_runs():

@@ -9,7 +9,7 @@ import pytest
 
 from uur import bounds, errors, linalg, moments, sampling, selfcheck
 
-from oracles import per_matrix_instance, sampled_items
+from oracles import per_matrix_instance, run_suite, sampled_items
 
 
 def _corrupt_split_bound(monkeypatch):
@@ -22,8 +22,8 @@ def _corrupt_split_bound(monkeypatch):
 def test_suite_result_records_the_first_counterexample(monkeypatch):
     # A suite whose body checks nothing reports worst 0.0, not -inf.
     monkeypatch.setattr(selfcheck, "_SPECS", [])  # the decorator registers the suite for run_all
-    quiet = selfcheck._suite(0, lambda rng, trial: (np.empty((0, 2, 2)), None))(lambda rec, items: None)
-    assert quiet(42, 3) == selfcheck.SuiteResult("<lambda>", 3, failures=0, worst=0.0)
+    selfcheck._suite(0, lambda rng, trial: (np.empty((0, 2, 2)), None))(lambda rec, items: None)
+    assert run_suite("<lambda>", 42, 3) == selfcheck.SuiteResult("<lambda>", 3, failures=0, worst=0.0)
     assert [spec.name for spec in selfcheck._SPECS] == ["<lambda>"]
     rec = selfcheck.SuiteResult("demo", 2)
     rec.check(-1.0, 0.0, {"trial": 0}, "fine")
@@ -79,8 +79,8 @@ def test_subset_chain_reads_large_block_sizes_from_the_table(monkeypatch):
     calls = []
     real = bounds._split_search
     monkeypatch.setattr(bounds, "_split_search",
-                        lambda pair, sizes, cap: calls.append(list(sizes)) or real(pair, sizes, cap))
-    result = selfcheck.suite_subset_chain(42, 7)
+                        lambda x2, y2, sizes, cap: calls.append(list(sizes)) or real(x2, y2, sizes, cap))
+    result = run_suite("subset_chain", 42, 7)
     assert result.failures == 0 and result.trials == 7
     assert len(calls) == 7
     assert sum(len(sizes) for sizes in calls) == 16
@@ -94,7 +94,7 @@ def test_split_symmetry_searches_each_block_size_once(monkeypatch):
     real = bounds.best_split_bound
     monkeypatch.setattr(bounds, "best_split_bound",
                         lambda pair, m, cap=bounds.DEFAULT_CAP: calls.append(m) or real(pair, m, cap))
-    result = selfcheck.suite_split_symmetry(42, 15)
+    result = run_suite("split_symmetry", 42, 15)
     assert result.failures == 0 and result.trials == 15
     assert len(calls) == 45
 
@@ -190,6 +190,6 @@ def test_every_suite_of_run_all_reports_what_it_reports_alone(monkeypatch, corru
     if corrupt:
         _corrupt_split_bound(monkeypatch)
     together = selfcheck.run_all(11, 130)
-    alone = [getattr(selfcheck, f"suite_{r.name}")(11, 130) for r in together]
+    alone = [run_suite(r.name, 11, 130) for r in together]
     assert [repr(r) for r in together] == [repr(r) for r in alone]
     assert any(r.failures for r in together) == corrupt
