@@ -8,7 +8,9 @@ Commands
 
 Exit codes: 0 ok, 1 invariant violation, 2 input error, 3 search cap or memory.
 Every `main` call in a process parses with one argument parser, built on the
-first call and never mutated; it holds no input and no result.
+first call and never mutated; it holds no input and no result. The parser is
+the one list of a command's flags and of their defaults: each `run_*` takes
+its namespace as the command's whole input.
 Output is deterministic byte for byte for a fixed configuration; floats are
 printed with 17 significant digits so CSV round-trips are exact.
 """
@@ -39,23 +41,8 @@ class _Violation(Exception):
     """An emitted row fails its own chain invariants, or `check`'s own draws fail a check."""
 
 
-@dataclass
-class RunConfig:
-    command: str
-    input_path: str | None = None
-    example: str | None = None
-    dim: int | None = None
-    theta_min: float | None = None
-    theta_max: float | None = None
-    steps: int | None = None
-    m: int | None = None
-    v: float | None = None
-    flavor: str | None = None
-    cap: int | None = None
-    seed: int | None = None
-    trials: int | None = None
-    output: str | None = None
-    format: str | None = None
+# A command's input is the parser's namespace; the name stays for callers that build one.
+RunConfig = argparse.Namespace
 
 
 @dataclass
@@ -138,8 +125,8 @@ def _read_input_file(path: str) -> tuple[object, scenarios.Scenario]:
     for entry in entries:
         if not isinstance(entry, dict) or "name" not in entry or "matrix" not in entry:
             raise UurError('each operator must be an object with "name" and "matrix"')
-        label = f"operator {entry['name']!r}"
-        named.append((str(entry["name"]), _decode_complex_matrix(entry["matrix"], label)))
+        name = str(entry["name"])
+        named.append((name, _decode_complex_matrix(entry["matrix"], f"operator {name!r}")))
     if not 2 <= len(named) <= 3:
         raise UurError(f"need 2 or 3 operators, got {len(named)}")
     for name, M in named:
@@ -157,7 +144,7 @@ def _read_input_file(path: str) -> tuple[object, scenarios.Scenario]:
         default_m=max(1, psi.dim // 2), theta_range=(0.0, 0.0), notes=notes)
 
 
-def _load_problem(cfg: RunConfig) -> Problem:
+def _load_problem(cfg: argparse.Namespace) -> Problem:
     """Load --example or --input; m, v, cap and flavor: flag, then file "params", then default."""
     if cfg.input_path is not None:
         if cfg.dim is not None:
@@ -180,17 +167,6 @@ def _load_problem(cfg: RunConfig) -> Problem:
                    m=_number(pick(cfg.m, "m", scen.default_m), "params: m", integer=True),
                    v=_number(pick(cfg.v, "v", DEFAULT_V), "params: v"),
                    cap=_number(pick(cfg.cap, "cap", DEFAULT_CAP), "params: cap", integer=True))
-
-
-def _theta_grid(cfg: RunConfig, scen: scenarios.Scenario) -> list[float]:
-    lo = cfg.theta_min if cfg.theta_min is not None else scen.theta_range[0]
-    hi = cfg.theta_max if cfg.theta_max is not None else scen.theta_range[1]
-    grid = scenarios.theta_grid(lo, hi, cfg.steps)  # its steps error wins over the range one
-    if lo > hi:
-        raise UurError(f"theta range is empty: {lo} > {hi}")
-    if not all(map(math.isfinite, grid)):  # (hi - lo) * k can overflow
-        raise UurError(f"theta range {lo} to {hi} in {cfg.steps} steps leaves the finite range")
-    return grid
 
 
 def _triple_fields(report: bounds.BoundSet, deltas: list[moments.DeltaVector], cap: int) -> dict:
@@ -221,7 +197,7 @@ def _report_row(problem: Problem, theta: float) -> tuple[bounds.BoundSet, dict]:
     return report, row
 
 
-def _emit(cfg: RunConfig, text: str):
+def _emit(cfg: argparse.Namespace, text: str):
     if cfg.output:
         with open(cfg.output, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -244,14 +220,14 @@ def _rows_to_csv(columns: list[str], rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit_rows(cfg: RunConfig, columns: list[str], rows: list[dict]):
-    if (cfg.format or "csv") == "csv":
+def _emit_rows(cfg: argparse.Namespace, columns: list[str], rows: list[dict]):
+    if cfg.format == "csv":
         _emit(cfg, _rows_to_csv(columns, rows))
     else:
         _emit(cfg, json.dumps([{c: r[c] for c in columns} for r in rows], indent=2) + "\n")
 
 
-def run_bounds(cfg: RunConfig) -> int:
+def run_bounds(cfg: argparse.Namespace) -> int:
     problem = _load_problem(cfg)
     theta = cfg.theta_min if cfg.theta_min is not None else problem.scenario.theta_range[0]
     report, row = _report_row(problem, theta)
@@ -264,7 +240,7 @@ def run_bounds(cfg: RunConfig) -> int:
         out["triple"] = {**{k: row[k] for k in TRIPLE_COLUMNS},
                          "geometric_mean_flavor": problem.flavor,
                          "geometric_mean": row[FLAVOR_FIELDS[problem.flavor]]}
-    if (cfg.format or "json") == "json":
+    if cfg.format == "json":
         _emit(cfg, json.dumps(out, indent=2) + "\n")
     else:
         flat = {k: val for k, val in out.items() if k not in ("k_tilde_argmax", "notes", "triple")}
@@ -283,20 +259,23 @@ TRIPLE_COLUMNS = ["variance_triple", "bong3", "prod_k", "prod_k_v", "prod_k_tild
 FLAVOR_FIELDS = {"plain": "prod_k", "convex": "prod_k_v", "tilde": "prod_k_tilde"}
 
 
-def _sweep_rows(cfg: RunConfig) -> tuple[Problem, list[dict]]:
-    """One report row per angle of the example's theta grid."""
+def _sweep_rows(cfg: argparse.Namespace) -> tuple[Problem, list[dict]]:
+    """One report row per angle of the example's theta grid; a flag overrides its end."""
     problem = _load_problem(cfg)
-    return problem, [_report_row(problem, theta)[1] for theta in _theta_grid(cfg, problem.scenario)]
+    lo, hi = problem.scenario.theta_range
+    grid = scenarios.theta_grid(lo if cfg.theta_min is None else cfg.theta_min,
+                                hi if cfg.theta_max is None else cfg.theta_max, cfg.steps)
+    return problem, [_report_row(problem, theta)[1] for theta in grid]
 
 
-def run_sweep(cfg: RunConfig) -> int:
+def run_sweep(cfg: argparse.Namespace) -> int:
     problem, rows = _sweep_rows(cfg)
     columns = SWEEP_COLUMNS + (TRIPLE_COLUMNS if len(problem.operators) == 3 else [])
     _emit_rows(cfg, columns, rows)
     return EXIT_OK
 
 
-def run_compare(cfg: RunConfig) -> int:
+def run_compare(cfg: argparse.Namespace) -> int:
     problem, rows = _sweep_rows(cfg)
     out_rows = []
     for row in rows:
@@ -314,9 +293,11 @@ def run_compare(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def run_check(cfg: RunConfig) -> int:
+def run_check(cfg: argparse.Namespace) -> int:
     if cfg.trials < 1:
         raise UurError(f"trials must be >= 1, got {cfg.trials}")
+    if not 0 <= cfg.seed < 2 ** 128:  # a Philox key
+        raise UurError(f"seed must be in 0..2**128 - 1, got {cfg.seed}")
     try:
         results = selfcheck.run_all(cfg.seed, cfg.trials)
     except UurError as exc:
@@ -371,12 +352,14 @@ def build_parser() -> argparse.ArgumentParser:
         else:  # a theta family; every flavor has its own column
             p.add_argument("--theta-max", type=_angle, dest="theta_max")
             p.add_argument("--steps", type=int, default=scenarios.DEFAULT_STEPS)
+            p.set_defaults(input_path=None, flavor=None)  # _load_problem reads both
         p.add_argument("--m", type=int, help="block size (default: the example's own" + (
             ", or half a file's working dimension)" if name == "bounds" else ")"))
         p.add_argument("--v", type=float, help=f"blend weight in [0, 1] (default {DEFAULT_V})")
         p.add_argument("--cap", type=int, help=f"subset search cap (default {DEFAULT_CAP})")
         p.add_argument("--output", metavar="PATH", help="write here instead of stdout")
-        p.add_argument("--format", choices=("csv", "json"))
+        p.add_argument("--format", choices=("csv", "json"),
+                       default="json" if name == "bounds" else "csv")
     p = sub.add_parser("check", help="seeded randomized invariant suites")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--trials", type=int, default=1000)
@@ -389,11 +372,10 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse's exit: 2 after a usage error, 0 after --help
         return exc.code
-    cfg = RunConfig(**vars(args))
     dispatch = {"bounds": run_bounds, "sweep": run_sweep,
                 "compare": run_compare, "check": run_check}
     try:
-        return dispatch[cfg.command](cfg)
+        return dispatch[args.command](args)
     except (SearchSpaceTooLarge, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

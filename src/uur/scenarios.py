@@ -167,9 +167,12 @@ def scenario(sid: str, d: int | None = None) -> Scenario:
 
 
 def theta_grid(lo: float, hi: float, steps: int) -> list[float]:
-    """Evenly spaced sweep angles, inclusive of both ends when steps > 1."""
+    """Evenly spaced sweep angles, inclusive of both ends when steps > 1; every angle is finite."""
     if steps < 1:
         raise UurError(f"steps must be >= 1, got {steps}")
-    if steps == 1:
-        return [lo]
-    return [lo + (hi - lo) * k / (steps - 1) for k in range(steps)]
+    if lo > hi:
+        raise UurError(f"theta range is empty: {lo} > {hi}")
+    grid = [lo] if steps == 1 else [lo + (hi - lo) * k / (steps - 1) for k in range(steps)]
+    if not all(map(math.isfinite, grid)):  # (hi - lo) * k can overflow
+        raise UurError(f"theta range {lo} to {hi} in {steps} steps leaves the finite range")
+    return grid

@@ -159,7 +159,7 @@ def test_a_flag_does_not_carry_into_the_next_command(monkeypatch):
     assert cli.main(["bounds", "--example", "ex1", "--m", "3"]) == 0
     assert cli.main(["bounds", "--example", "ex1"]) == 0
     assert seen[0].m == 3
-    assert seen[1] == cli.RunConfig(command="bounds", example="ex1")
+    assert seen[1] == cli.build_parser().parse_args(["bounds", "--example", "ex1"])
 
 
 def test_a_usage_error_leaves_the_next_command_unchanged(capsys, run_line):
@@ -654,6 +654,14 @@ def test_check_without_trials_is_input_error(capsys, trials):
     assert code == 2
     assert out == ""
     assert "trials" in err
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 128 - 1])
+def test_check_takes_both_ends_of_the_seed_range(capsys, seed):
+    # The corpus pins the refusals just outside: -1 and 2**128.
+    code, out, err = run(["check", "--seed", str(seed), "--trials", "1"], capsys)
+    assert (code, err) == (0, "")
+    assert out.startswith(f"check seed={seed} trials=1\n") and out.endswith("result: PASS\n")
 
 
 def test_check_exits_1_when_its_own_draw_fails_the_unitarity_test(capsys, monkeypatch):

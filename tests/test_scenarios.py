@@ -166,6 +166,22 @@ def test_theta_grid_endpoints():
         scenarios.theta_grid(1.0, 2.0, 0)
 
 
+def test_theta_grid_refuses_an_empty_range():
+    with refused("theta range is empty: 2.0 > 1.0"):
+        scenarios.theta_grid(2.0, 1.0, 5)
+
+
+@pytest.mark.parametrize("lo, hi, steps", [(0.0, 1e308, 3), (-1e308, 1e308, 2)])
+def test_theta_grid_refuses_a_grid_that_overflows(lo, hi, steps):
+    with refused(f"theta range {lo} to {hi} in {steps} steps leaves the finite range"):
+        scenarios.theta_grid(lo, hi, steps)
+
+
+def test_theta_grid_steps_error_wins_over_the_range_one():
+    with refused("steps must be >= 1, got 0"):
+        scenarios.theta_grid(2.0, 1.0, 0)
+
+
 def test_ex1_internal_consistency_without_closed_forms():
     # Pipeline-level identity: the fine-grained endpoints agree with the
     # variance product and the correlation bound on the clock/shift family.
