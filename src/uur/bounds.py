@@ -1,10 +1,10 @@
 """Lower bounds on variance products of unitary operator pairs and tuples.
 
-The pairwise bounds consume the coordinate moduli x, y of a ModulusPair,
-the multi-operator ones the DeltaVectors those come from. The central
-construction splits the index set into a block S and its complement, applies
-the Cauchy-Schwarz inequality per block, and once more across the two
-blocks:
+The pairwise bounds read the squares of the coordinate moduli x, y that a
+ModulusPair keeps (formed once per pair), the multi-operator ones the
+DeltaVectors the moduli come from. The central construction splits the
+index set into a block S and its complement, applies the Cauchy-Schwarz
+inequality per block, and once more across the two blocks:
 
     (x . y)^2  <=  (|x_S||y_S| + |x_Sc||y_Sc|)^2  <=  |x|^2 |y|^2
 
@@ -101,18 +101,6 @@ class BoundSet:
         return bad
 
 
-def _squares(pair: ModulusPair) -> tuple[list[float], list[float]]:
-    return (pair.x ** 2).tolist(), (pair.y ** 2).tolist()
-
-
-def _pow_terms(pair: ModulusPair, X2: np.ndarray, Y2: np.ndarray) -> tuple[list[float], list[float], float]:
-    """The C-pow squares of x and y, and the diagonal sum of numpy's squares X2 = x ** 2, Y2 = y ** 2."""
-    try:  # C pow: a Python float's ** is numpy scalar's, but raises where that gives inf
-        return [t ** 2 for t in pair.x.tolist()], [t ** 2 for t in pair.y.tolist()], float((X2 * Y2).sum())
-    except OverflowError:
-        return [float(t ** 2) for t in pair.x], [float(t ** 2) for t in pair.y], float((X2 * Y2).sum())
-
-
 def _split_value(x2: list[float], y2: list[float], inside: frozenset[int]) -> float:
     # Sums run in ascending global index order for both blocks, so any two
     # representations of the same subset produce bit-identical results.
@@ -132,7 +120,7 @@ def _split_value(x2: list[float], y2: list[float], inside: frozenset[int]) -> fl
 
 def variance_product(pair: ModulusPair) -> float:
     """|x|^2 |y|^2, the quantity every bound here sits below."""
-    return float((pair.x ** 2).sum() * (pair.y ** 2).sum())
+    return float(pair.squares[0].sum() * pair.squares[1].sum())
 
 
 def correlation_bound(pair: ModulusPair) -> float:
@@ -154,8 +142,7 @@ def split_bound(pair: ModulusPair, block) -> float:
         raise UurError(f"subset has repeated indices: {idx}")
     if idx[0] < 1 or idx[-1] > pair.dim:
         raise UurError(f"indices {idx} out of range 1..{pair.dim}")
-    x2, y2 = _squares(pair)
-    return _split_value(x2, y2, frozenset(i - 1 for i in idx))
+    return _split_value(pair.squares[0].tolist(), pair.squares[1].tolist(), frozenset(i - 1 for i in idx))
 
 
 def _blend(k: float, vp: float, v: float) -> float:
@@ -174,13 +161,14 @@ def _padded(part, pad: list[int]) -> tuple[int, ...]:  # a support part and free
     return tuple(sorted([*part, *pad]))
 
 
-def _split_search(x2: list[float], y2: list[float], sizes, cap: int):
+def _split_search(pair: ModulusPair, sizes, cap: int):
     """(values, block): each size's best value, and block(k), the smallest block reaching values[k]."""
-    n = len(x2)
+    n = pair.dim
     for m in sizes:
         if not 1 <= m <= n:
             raise UurError(f"block size {m} out of range 1..{n}")
         _check_cap(n, m, cap)
+    x2, y2 = pair.squares[0].tolist(), pair.squares[1].tolist()
     support, free = [], []
     for i in range(n):
         (support if x2[i] or y2[i] else free).append(i)
@@ -232,7 +220,7 @@ def best_split_bound(pair: ModulusPair, m: int, cap: int = DEFAULT_CAP) -> tuple
     parts reaching the value of a size whose block is asked for. SearchSpaceTooLarge is
     raised, before any block is evaluated, when the nominal binomial(n, m) exceeds cap.
     """
-    values, block = _split_search(*_squares(pair), [m], cap)
+    values, block = _split_search(pair, [m], cap)
     return values[0], block(0)
 
 
@@ -240,7 +228,7 @@ def best_split_bounds(pair: ModulusPair, cap: int = DEFAULT_CAP) -> list[tuple[f
     """best_split_bound's (value, block) for each block size m = 1 .. floor(n/2), in order,
     from one pass (size n - m would repeat size m); every size's nominal binomial(n, m) is
     capped first."""
-    values, block = _split_search(*_squares(pair), range(1, max(1, pair.dim // 2) + 1), cap)
+    values, block = _split_search(pair, range(1, max(1, pair.dim // 2) + 1), cap)
     return [(value, block(k)) for k, value in enumerate(values)]
 
 
@@ -252,18 +240,14 @@ def fine_grained_sequence(pair: ModulusPair) -> tuple[float, ...]:
     Each pair's terms are formed once; each level adds them with +=, left to
     right in (i, j) order: the per-level sum's floats in its order, bit for bit.
     np.sum (pairwise), math.fsum (exact) and sum (compensated from 3.12) move
-    bits, as does x * x (an array's x ** 2, _squares) in place of C pow (~1
-    draw in 1,000). Only pairs inside S = {i : x_i != 0 or y_i != 0} are
-    formed, and a sum only at level 0 and at each such pair's j; any other
+    bits, as does x * x (numpy's x ** 2, ModulusPair.squares) in place of C
+    pow (~1 draw in 1,000). Only pairs inside S = {i : x_i != 0 or y_i != 0}
+    are formed, and a sum only at level 0 and at each such pair's j; any other
     level repeats the one before (the same floats in the same order). While
     the diagonal sum of x_i^2 y_i^2 is not finite, S is every index: an inf
     square or 2 x_i y_i times a zero is NaN.
     """
-    return _fine_grained(pair, *_pow_terms(pair, pair.x ** 2, pair.y ** 2))
-
-
-def _fine_grained(pair: ModulusPair, x2: list[float], y2: list[float], diagonal: float) -> tuple[float, ...]:
-    n = pair.dim
+    n, (x2, y2, diagonal) = pair.dim, pair.pow_terms
     x, y = pair.x.tolist(), pair.y.tolist()
     support = [i for i in range(n) if x[i] or y[i]] if math.isfinite(diagonal) else range(n)
     terms = [(j, x2[i] * y2[j] + x2[j] * y2[i], 2.0 * x[i] * y[i] * x[j] * y[j])
@@ -303,14 +287,10 @@ def paired_cross_bound(pair: ModulusPair) -> float:
     4.4e-2 on ex1), and which pairing the published bound means is not
     settled here.
     """
-    return _paired_cross(pair, *_pow_terms(pair, pair.x ** 2, pair.y ** 2))
-
-
-def _paired_cross(pair: ModulusPair, x2: list[float], y2: list[float], total: float) -> float:
     n = pair.dim
     if n < 3:
         raise UurError(f"paired cross bound needs dimension >= 3, got {n}")
-    x, y = pair.x, pair.y
+    x, y, (x2, y2, total) = pair.x, pair.y, pair.pow_terms
     every = not math.isfinite(total)
     rows = [i for i in range(n) if x2[i] or every]
     for j in range(1, n):
@@ -378,10 +358,9 @@ def bound_report(pair: ModulusPair, m: int, v: float = DEFAULT_V,
     if not 1 <= m <= n - 1:
         raise UurError(f"block size {m} out of range 1..{n - 1} (m = n is degenerate)")
     _check_cap(n, m, cap)
-    X2, Y2 = pair.x ** 2, pair.y ** 2  # one squaring for the pass, vp and the diagonal sum
-    values, block = _split_search(X2.tolist(), Y2.tolist(), range(1, n // 2 + 1), cap)
+    values, block = _split_search(pair, range(1, n // 2 + 1), cap)
     first = values.index(max(values))  # the first largest size: the report pads only its block
-    k_m, vp, terms = split_bound(pair, range(1, m + 1)), float(X2.sum() * Y2.sum()), _pow_terms(pair, X2, Y2)
+    k_m, vp, i_d = split_bound(pair, range(1, m + 1)), variance_product(pair), fine_grained_sequence(pair)
     return BoundSet(
         m=m,
         v=v,
@@ -392,6 +371,6 @@ def bound_report(pair: ModulusPair, m: int, v: float = DEFAULT_V,
         k_tilde_m=values[min(m, n - m) - 1],
         k_tilde=values[first],
         k_tilde_argmax=block(first),
-        i_d=_fine_grained(pair, *terms),
-        i_1_prime=_paired_cross(pair, *terms) if n >= 3 else None,
+        i_d=i_d,
+        i_1_prime=paired_cross_bound(pair) if n >= 3 else None,
     )

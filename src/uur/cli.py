@@ -163,10 +163,12 @@ def _load_problem(cfg: argparse.Namespace) -> Problem:
     flavor = pick(cfg.flavor, "flavor", "plain")
     if flavor not in bounds.FLAVORS:
         raise UurError(f"unknown flavor {flavor!r}; expected one of {', '.join(bounds.FLAVORS)}")
+    cap = _number(pick(cfg.cap, "cap", DEFAULT_CAP), "params: cap", integer=True)
+    if cap < 1:  # no block fits: an input error, not a search too large
+        raise UurError(f"cap must be >= 1, got {cap}")
     return Problem(scenario=scen, operators=operators, flavor=flavor,
                    m=_number(pick(cfg.m, "m", scen.default_m), "params: m", integer=True),
-                   v=_number(pick(cfg.v, "v", DEFAULT_V), "params: v"),
-                   cap=_number(pick(cfg.cap, "cap", DEFAULT_CAP), "params: cap", integer=True))
+                   v=_number(pick(cfg.v, "v", DEFAULT_V), "params: v"), cap=cap)
 
 
 def _triple_fields(report: bounds.BoundSet, deltas: list[moments.DeltaVector], cap: int) -> dict:

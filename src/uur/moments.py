@@ -9,6 +9,7 @@ in the computational basis drives every bound downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -145,7 +146,9 @@ class ModulusPair:
 
     x_i = |alpha_i| and y_i = |beta_i| where alpha, beta are the delta
     coordinate vectors of the two operators on the shared state. The
-    pairwise bound formulas consume only x and y.
+    pairwise bound formulas consume only x and y, through their squares,
+    each kind formed on first use and kept: mutating x or y after that leaves
+    them stale (like DensityMatrix.eig), and an overflowing square warns once.
     """
 
     x: np.ndarray
@@ -166,6 +169,20 @@ class ModulusPair:
     @property
     def dim(self) -> int:
         return self.x.size
+
+    @cached_property
+    def squares(self) -> tuple[np.ndarray, np.ndarray]:
+        """numpy's (x ** 2, y ** 2), which the sums and the split search read."""
+        return self.x ** 2, self.y ** 2
+
+    @cached_property
+    def pow_terms(self) -> tuple[list[float], list[float], float]:
+        """The C-pow squares of x and y and numpy's sum of x_i^2 y_i^2, which the transcribed sums read."""
+        X2, Y2 = self.squares
+        try:  # C pow: a Python float's ** is numpy scalar's, but raises where that gives inf
+            return [t ** 2 for t in self.x.tolist()], [t ** 2 for t in self.y.tolist()], float((X2 * Y2).sum())
+        except OverflowError:
+            return [float(t ** 2) for t in self.x], [float(t ** 2) for t in self.y], float((X2 * Y2).sum())
 
     @classmethod
     def from_deltas(cls, alpha: DeltaVector, beta: DeltaVector) -> "ModulusPair":

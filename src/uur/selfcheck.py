@@ -211,7 +211,7 @@ def suite_subset_oracle(rec: SuiteResult, items):
         perm_max = max(map(by_subset.__getitem__, firsts))
         exact = 0.0 if perm_max == enum_max else abs(perm_max - enum_max) + 1.0
         rec.check(exact, 0.0, instance, "enumeration != permutation brute force")
-        x2, y2 = (pair.x ** 2).tolist(), (pair.y ** 2).tolist()
+        x2, y2 = pair.squares[0].tolist(), pair.squares[1].tolist()
         for p in perms[:: max(1, len(perms) // 20)]:
             raw = _raw_order_value(x2, y2, p, m)
             canon = by_subset[frozenset(p[:m])]
@@ -369,7 +369,7 @@ def suite_coordinate_identities(rec: SuiteResult, items):
         mean = moments.expectation(A, psi)
         rec.check(abs(va - (1.0 - abs(mean) ** 2)), SLACK, instance,
                   "variance != 1 - |mean|^2")
-        rec.check(abs(va - float((pair.x ** 2).sum())), SLACK, instance,
+        rec.check(abs(va - float(pair.squares[0].sum())), SLACK, instance,
                   "variance != |x|^2")
         c_ops = complex(
             np.vdot(psi.amplitudes, (A.matrix.conj().T @ B.matrix) @ psi.amplitudes)

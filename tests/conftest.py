@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from uur import cli, errors, sampling
+from uur import cli, errors, moments, sampling
 
 from oracles import random_unitary
 
@@ -105,6 +105,17 @@ def pair_case():
     B = random_unitary(gen, 4)
     psi = sampling.random_state(gen, 4)
     return A, B, psi
+
+
+@pytest.fixture
+def squarings(monkeypatch):
+    """The pairs whose squares are formed, one entry per formation: numpy's
+    under "squares", C pow's under "pow_terms"."""
+    formed = {"squares": [], "pow_terms": []}
+    for name, pairs in formed.items():
+        prop = vars(moments.ModulusPair)[name]  # a cached_property calls its func once per pair
+        monkeypatch.setattr(prop, "func", lambda pair, real=prop.func, pairs=pairs: pairs.append(pair) or real(pair))
+    return formed
 
 
 def random_pair(seed: int, trial: int, dim: int):

@@ -158,6 +158,12 @@ def test_best_split_bound_cap_is_enforced():
     assert str(err.value) == f"binomial(30, 15) = {math.comb(30, 15)} subsets exceeds the cap of 1000"
 
 
+@pytest.mark.parametrize("m", [0, 4])
+def test_best_split_bound_refuses_a_block_size_outside_the_dimension(m):
+    with refused(f"block size {m} out of range 1..3"):
+        bounds.best_split_bound(pair_of([1, 2, 3], [3, 1, 2]), m)
+
+
 def test_best_split_bounds_reports_achieving_m():
     p = pair_of([1, 2, 3, 4], [4, 3, 2, 1])
     table = bounds.best_split_bounds(p)
@@ -303,8 +309,8 @@ def count_split_searches(monkeypatch) -> list:
     """The block sizes of each split-search pass, one entry per pass."""
     calls = []
     real = bounds._split_search
-    monkeypatch.setattr(bounds, "_split_search", lambda x2, y2, sizes, cap:
-                        calls.append(list(sizes)) or real(x2, y2, sizes, cap))
+    monkeypatch.setattr(bounds, "_split_search", lambda pair, sizes, cap:
+                        calls.append(list(sizes)) or real(pair, sizes, cap))
     return calls
 
 
@@ -875,6 +881,42 @@ def test_bound_report_rejects_degenerate_block():
     A, B, psi = random_pair(92, 0, 3)
     with refused("block size 3 out of range 1..2 (m = n is degenerate)"):
         bounds.bound_report(moments.modulus_pair(A, B, psi), m=3, v=0.1)
+
+
+PUBLIC_BOUNDS = ("split_bound", "variance_product", "correlation_bound", "fine_grained_sequence",
+                 "paired_cross_bound")
+
+
+def test_bound_report_reads_the_public_bounds_once_each(monkeypatch):
+    # A report's fields come from the module's public functions, looked up at
+    # call time, so a wrapper sees each once (the benchmark's tracer times
+    # i_d and i_1' this way).
+    p = moments.modulus_pair(*random_pair(94, 0, 5))
+    want = bounds.bound_report(p, 2)
+    calls = []
+    for name in PUBLIC_BOUNDS:
+        real = getattr(bounds, name)
+        monkeypatch.setattr(bounds, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    assert bounds.bound_report(p, 2) == want
+    assert sorted(calls) == sorted(PUBLIC_BOUNDS)
+    assert (want.variance_product, want.lb, want.i_d, want.i_1_prime) == (
+        bounds.variance_product(p), bounds.correlation_bound(p), bounds.fine_grained_sequence(p),
+        bounds.paired_cross_bound(p))
+
+
+def test_a_pair_squares_its_moduli_once(squarings):
+    # Every bound reads the pair's kept squares: numpy's once for the sums and
+    # the searches, C pow's once for the transcribed sums.
+    p = moments.modulus_pair(*random_pair(94, 1, 6))
+    bounds.split_bound(p, (1, 3))
+    bounds.variance_product(p)
+    bounds.best_split_bound(p, 2)
+    bounds.best_split_bounds(p)
+    bounds.bound_report(p, 3)
+    bounds.fine_grained_sequence(p)
+    bounds.paired_cross_bound(p)
+    assert [len(pairs) for pairs in squarings.values()] == [1, 1]
+    assert squarings["squares"][0] is squarings["pow_terms"][0] is p
 
 
 def test_bound_report_skips_cross_term_for_qubits():

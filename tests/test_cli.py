@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uur import bounds, cli, linalg, moments, sampling, scenarios
+from uur import bounds, cli, errors, linalg, moments, sampling, scenarios
 
 from oracles import run_suite
 from test_golden import CORPUS
@@ -561,6 +561,19 @@ def test_malformed_input_file_is_input_error(run_line, case):
     assert_input_error_pinned(run_line, case)
 
 
+@pytest.mark.parametrize("argv, param", [
+    ("bounds --example ex1 --cap 0", 0),
+    ("sweep --example ex5 --steps 2 --cap -1", -1),
+    ("bounds --input bad-cap-zero.json", 0),
+])
+def test_cap_below_one_is_an_input_error(run_line, argv, param):
+    # No block fits a cap below 1, whatever the search: the flag and a file's
+    # "cap" exit 2 before any search. The library still reports a too-large search.
+    assert run_line(argv) == (2, sha256(""), f"error: cap must be >= 1, got {param}\n")
+    with pytest.raises(errors.SearchSpaceTooLarge):
+        bounds.best_split_bound(moments.ModulusPair([1.0, 2.0], [2.0, 1.0]), 1, cap=0)
+
+
 @pytest.mark.parametrize("case", ["pure-norm", "density-trace", "bloch-norm"])
 def test_invalid_state_error_prints_plain_numbers(run_line, case):
     assert_input_error_pinned(run_line, case)
@@ -721,8 +734,8 @@ def test_sweep_row_searches_each_block_size_once(capsys, monkeypatch):
     # and pads one block, the argmax's (the pick padded all 29 candidates).
     calls, parts, padded = [], [], []
     real_search, real_value, real_padded = bounds._split_search, bounds._split_value, bounds._padded
-    monkeypatch.setattr(bounds, "_split_search", lambda x2, y2, sizes, cap:
-                        calls.append(list(sizes)) or real_search(x2, y2, sizes, cap))
+    monkeypatch.setattr(bounds, "_split_search", lambda pair, sizes, cap:
+                        calls.append(list(sizes)) or real_search(pair, sizes, cap))
     monkeypatch.setattr(bounds, "_split_value",
                         lambda x2, y2, inside: parts.append(inside) or real_value(x2, y2, inside))
     monkeypatch.setattr(bounds, "_padded", lambda part, pad: padded.append(pad) or real_padded(part, pad))
@@ -734,13 +747,13 @@ def test_sweep_row_searches_each_block_size_once(capsys, monkeypatch):
     assert len(padded) == 1
 
 
-def test_three_operator_report_bounds_each_pair_once(capsys, monkeypatch):
+def test_three_operator_report_bounds_each_pair_once(capsys, monkeypatch, squarings):
     # ex5 has n = 4 and m = 2. The report's pair A-B makes one modulus pair,
-    # one k_m, one variance product (from the squares its pass reads, not
-    # variance_product) and one search pass over the sizes 1, 2, and forms
-    # its C-pow terms once for i_d and i_1'; the geometric mean takes A-B's
-    # factors from that report and makes one of each for the pairs A-C and
-    # B-C, its pass searching m = 2 only.
+    # one k_m, one variance product and one search pass over the sizes 1, 2;
+    # the geometric mean takes A-B's factors from that report and makes one
+    # of each for the pairs A-C and B-C, its pass searching m = 2 only. Each
+    # pair squares x and y once (numpy's), and only the report's pair forms
+    # the C-pow squares, once for i_d and i_1'.
     calls = {}
 
     def count(owner, name, wrap=lambda f: f):
@@ -755,13 +768,15 @@ def test_three_operator_report_bounds_each_pair_once(capsys, monkeypatch):
 
     count(bounds, "geometric_mean_bound")
     count(moments.ModulusPair, "from_deltas", staticmethod)
-    for name in ("split_bound", "variance_product", "best_split_bound", "_split_search", "_pow_terms"):
+    for name in ("split_bound", "variance_product", "best_split_bound", "_split_search"):
         count(bounds, name)
     code, _, err = run(["bounds", "--example", "ex5", "--flavor", "tilde"], capsys)
     assert code == 0, err
     assert calls == {"geometric_mean_bound": 1, "from_deltas": 3, "split_bound": 3,
-                     "variance_product": 2, "best_split_bound": 2, "_split_search": 1 + 2,
-                     "_pow_terms": 1}
+                     "variance_product": 3, "best_split_bound": 2, "_split_search": 1 + 2}
+    squared, powed = squarings["squares"], squarings["pow_terms"]
+    assert len(squared) == len({id(pair) for pair in squared}) == 3
+    assert len(powed) == 1 and powed[0] is squared[0]
 
 
 @pytest.mark.parametrize("case, counts", [

@@ -54,6 +54,12 @@ def test_expectation_and_variance_on_eigenvector():
     assert moments.variance_pure(moments.sigma_x, psi) == pytest.approx(1.0)
 
 
+def test_expectation_refuses_an_operator_of_another_dimension():
+    psi = moments.PureState(amplitudes=np.array([1.0, 0.0], dtype=complex))
+    with refused("operator dim 3 != state dim 2"):
+        moments.expectation(np.eye(3), psi)
+
+
 def test_variance_never_exceeds_one():
     gen = sampling.trial_generator(seed=2, trial=0)
     for _ in range(50):

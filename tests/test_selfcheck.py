@@ -79,7 +79,7 @@ def test_subset_chain_reads_large_block_sizes_from_the_table(monkeypatch):
     calls = []
     real = bounds._split_search
     monkeypatch.setattr(bounds, "_split_search",
-                        lambda x2, y2, sizes, cap: calls.append(list(sizes)) or real(x2, y2, sizes, cap))
+                        lambda pair, sizes, cap: calls.append(list(sizes)) or real(pair, sizes, cap))
     result = run_suite("subset_chain", 42, 7)
     assert result.failures == 0 and result.trials == 7
     assert len(calls) == 7
