@@ -9,7 +9,6 @@ in the computational basis drives every bound downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -23,12 +22,12 @@ sigma_z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 @dataclass(frozen=True)
 class PureState:
-    """Unit-norm complex amplitude vector in the computational basis."""
+    """Unit-norm complex amplitude vector, kept C-contiguous (BLAS rounds a strided one differently)."""
 
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
+        a = np.ascontiguousarray(np.asarray(self.amplitudes, dtype=complex).reshape(-1))
         with np.errstate(over="ignore"):  # a huge amplitude reads as norm inf
             nrm = linalg.vector_norm(a)
         if not abs(nrm - 1.0) <= linalg.TOL:  # a finite norm has finite terms: scan only past here
@@ -40,6 +39,16 @@ class PureState:
     def normalized(cls, v: np.ndarray) -> "PureState":
         """The state v / |v| of a nonzero complex vector v."""
         return cls(amplitudes=v / linalg.vector_norm(v))
+
+    @classmethod
+    def stack(cls, P) -> list["PureState"]:
+        """A PureState per row of the complex stack P (k, n), made C-contiguous and checked by one norm test;
+        a row it fails (a NaN norm too) is refused by PureState(row), which measures the row's own norm."""
+        P = np.ascontiguousarray(P, dtype=complex)
+        with np.errstate(over="ignore", invalid="ignore"):  # a huge amplitude reads as norm inf
+            for row in P[~(np.abs(np.sqrt((P.view(float) ** 2).sum(axis=1)) - 1.0) <= linalg.TOL)]:
+                cls(row)
+        return [vars(s := object.__new__(cls)).update(amplitudes=a) or s for a in P]  # no __post_init__
 
     @property
     def dim(self) -> int:
@@ -96,8 +105,7 @@ class Unitary:
         """A Unitary per matrix of the stack Ms (k, n, n), all checked by one unitarity test."""
         Ms = linalg.as_square_matrix(Ms, stack=True)
         _refuse_non_unitary(Ms, name)
-        units = [object.__new__(cls) for _ in Ms]  # checked above, so __post_init__ is skipped
-        return [vars(u).update(matrix=M, name=name) or u for u, M in zip(units, Ms)]
+        return [vars(u := object.__new__(cls)).update(matrix=M, name=name) or u for M in Ms]  # no __post_init__
 
     def __array__(self, dtype=None, copy=None):
         return np.asarray(self.matrix, dtype=dtype)
@@ -170,24 +178,34 @@ class ModulusPair:
     def dim(self) -> int:
         return self.x.size
 
-    @cached_property
+    @property
     def squares(self) -> tuple[np.ndarray, np.ndarray]:
         """numpy's (x ** 2, y ** 2), which the sums and the split search read."""
-        return self.x ** 2, self.y ** 2
+        if "squares" not in (kept := vars(self)):  # not a cached_property: its first read takes a lock
+            kept["squares"] = self.x ** 2, self.y ** 2
+        return kept["squares"]
 
-    @cached_property
+    @property
     def pow_terms(self) -> tuple[list[float], list[float], float]:
         """The C-pow squares of x and y and numpy's sum of x_i^2 y_i^2, which the transcribed sums read."""
-        X2, Y2 = self.squares
-        try:  # C pow: a Python float's ** is numpy scalar's, but raises where that gives inf
-            return [t ** 2 for t in self.x.tolist()], [t ** 2 for t in self.y.tolist()], float((X2 * Y2).sum())
-        except OverflowError:
-            return [float(t ** 2) for t in self.x], [float(t ** 2) for t in self.y], float((X2 * Y2).sum())
+        if "pow_terms" not in (kept := vars(self)):
+            X2, Y2 = self.squares
+            try:  # C pow: a Python float's ** is numpy scalar's, but raises where that gives inf
+                x2, y2 = [t ** 2 for t in self.x.tolist()], [t ** 2 for t in self.y.tolist()]
+            except OverflowError:
+                x2, y2 = [float(t ** 2) for t in self.x], [float(t ** 2) for t in self.y]
+            kept["pow_terms"] = x2, y2, float((X2 * Y2).sum())
+        return kept["pow_terms"]
 
     @classmethod
     def from_deltas(cls, alpha: DeltaVector, beta: DeltaVector) -> "ModulusPair":
         """The moduli of two delta vectors on a shared state."""
         return cls(x=np.abs(alpha.entries), y=np.abs(beta.entries))
+
+    @classmethod
+    def unchecked(cls, x: np.ndarray, y: np.ndarray) -> "ModulusPair":
+        """The pair of two moduli rows of delta_stack, which its finiteness test has checked."""
+        return vars(pair := object.__new__(cls)).update(x=x, y=y) or pair  # no __post_init__
 
 
 def expectation(A, psi: PureState) -> complex:
@@ -203,6 +221,18 @@ def delta_vector(A, psi: PureState) -> DeltaVector:
     image = Unitary.matrix_on(A, psi.dim) @ psi.amplitudes
     mean = complex(np.vdot(psi.amplitudes, image))
     return DeltaVector(entries=image - mean * psi.amplitudes, mean=mean)
+
+
+def delta_stack(Ms, P) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Entries, means and finite moduli of the delta vectors of Ms (k, n, n) on P (k, n), row by row the bits
+    of delta_vector and from_deltas: both stacks are made C-contiguous (BLAS rounds strided ones differently)."""
+    Ms, P = np.ascontiguousarray(Ms, dtype=complex), np.ascontiguousarray(P, dtype=complex)
+    image = (Ms @ P[..., None])[..., 0]
+    means = (P.conj()[:, None, :] @ image[..., None])[:, 0, 0]
+    moduli = np.abs(entries := image - means[:, None] * P)
+    if not np.isfinite(moduli).all():
+        raise UurError("modulus vectors must be finite")  # what ModulusPair says of such a row
+    return entries, means, moduli
 
 
 def modulus_pair(A, B, psi: PureState) -> ModulusPair:

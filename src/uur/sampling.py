@@ -2,8 +2,8 @@
 
 Each trial draws from a Philox stream set by its key and counter (seed, trial,
 stream) alone, so results never depend on trial order and reruns are bit-identical;
-a suite re-keys one Philox per trial (trial_generators) instead of building one. A stack
-of many trials' and suites' Gaussian matrices becomes unitary in one QR, bit for bit as one at a time.
+a suite re-keys one Philox per trial (trial_generators), a check trial draws its matrices and raw state
+at once (gaussian_trial), and a stack of many Gaussian matrices becomes unitary in one QR, bit for bit.
 """
 
 from __future__ import annotations
@@ -37,6 +37,13 @@ def complex_gaussians(rng: np.random.Generator, count: int, *shape: int) -> np.n
     """count complex Gaussian arrays of shape; each draws its real part, then its imaginary part."""
     G = rng.standard_normal((count, 2, *shape))
     return G[:, 0] + 1j * G[:, 1]
+
+
+def gaussian_trial(rng: np.random.Generator, count: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """complex_gaussians(rng, count, n, n), then complex_gaussians(rng, 1, n)[0], in one standard_normal."""
+    Z = rng.standard_normal(2 * n * (count * n + 1))
+    G, v = Z[:-2 * n].reshape(count, 2, n, n), Z[-2 * n:]
+    return G[:, 0] + 1j * G[:, 1], v[:n] + 1j * v[n:]
 
 
 def haar_unitaries(Z: np.ndarray) -> np.ndarray:

@@ -5,10 +5,11 @@ body under the function's name. Every trial draws from its own
 counter-based stream (one Philox per suite and stream, re-keyed per trial),
 so a rerun reproduces every draw. `run_all` is the one public runner; its
 sampler (`_run`) runs any list of suites: per block of 64 trials, every
-suite draws (most through `_draws`: Gaussian matrices, then a state), each
-dimension's matrices become unitary in one QR and one unitarity test, then
-each suite checks its block. A suite reports its trials, failures, worst
-margin and first counterexample (fully serialized).
+suite draws (most through `_Draws`: Gaussian matrices and a raw state in
+one call), each dimension's matrices become unitary in one QR and one
+unitarity test and its raw states pass one norm test and one stacked
+delta-vector pass (`_sample`), then each suite checks its block. A suite
+reports its trials, failures, worst margin and serialized first counterexample.
 
 Two tempting claims are false and are NOT suites here: the paired cross
 bound is not >= level 2 of the fine-grained family on general states (it
@@ -69,8 +70,8 @@ _SPECS = []  # every suite, in the order run_all runs them
 
 
 def _suite(stream: int, draw, setup=lambda seed, trials: (), cap=math.inf):
-    """Register body(rec, items, *setup(seed, trials)), which checks a block's (trial, unitaries, rest),
-    in _SPECS under its name; draw(rng, trial) returns a trial's Gaussian stack (k, n, n) and rest."""
+    """Register body(rec, items, *setup(seed, trials)), which checks a block's [trial, unitaries, rest], in
+    _SPECS under its name; draw(rng, trial) returns a trial's Gaussian stack (k, n, n) and rest."""
     def decorate(body):
         _SPECS.append(_Spec(body.__name__.removeprefix("suite_"), stream, draw, setup, cap, body))
         return body
@@ -79,10 +80,10 @@ def _suite(stream: int, draw, setup=lambda seed, trials: (), cap=math.inf):
 
 
 def _run(seed: int, runs) -> list[SuiteResult]:
-    """Run (spec, trials) suites _BLOCK trials at a time: all draw, each dimension's matrices (suite
-    order, then trial order) pass one QR and one unitarity test, then each suite checks its block."""
+    """Run (spec, trials) suites _BLOCK trials at a time: all draw, each dimension's matrices (suite order,
+    then trial order) pass one QR and one unitarity test, _sample forms the states, each suite checks."""
     recs = [SuiteResult(spec.name, trials) for spec, trials in runs]
-    states = [spec.setup(seed, trials) for spec, trials in runs]
+    setups = [spec.setup(seed, trials) for spec, trials in runs]
     rngs = [sampling.trial_generators(seed, trials, spec.stream) for spec, trials in runs]
     while any(drawn := [[(trial, *spec.draw(rng, trial)) for trial, rng in itertools.islice(gen, _BLOCK)]
                         for (spec, _), gen in zip(runs, rngs)]):
@@ -90,34 +91,53 @@ def _run(seed: int, runs) -> list[SuiteResult]:
         units = {n: iter(moments.Unitary.stack(sampling.haar_unitaries(
             np.concatenate([G for G in stacks if G.shape[-1] == n]))))
             for n in sorted({G.shape[-1] for G in stacks})}
-        for (spec, _), rec, state, block in zip(runs, recs, states, drawn):
-            spec.body(rec, [(trial, list(itertools.islice(units[G.shape[-1]], len(G))), rest)
-                            for trial, G, rest in block], *state)
+        blocks = [[[trial, list(itertools.islice(units[G.shape[-1]], len(G))), rest] for trial, G, rest in block]
+                  for block in drawn]
+        del drawn, stacks, units  # the Gaussian matrices, now unitaries, go before the bodies run
+        _sample([item for (spec, _), block in zip(runs, blocks) if isinstance(spec.draw, _Draws)
+                 for item in block])
+        for (spec, _), rec, setup, block in zip(runs, recs, setups, blocks):
+            spec.body(rec, block, *setup)
+        del blocks, block  # and this block's arrays before the next block is drawn
     return [replace(rec, worst=0.0) if rec.worst == -math.inf else rec for rec in recs]  # none ran
 
 
-def _draws(counts=(2,), dmin: int = 2, dmax: int = 8):
-    """draw(rng, trial): counts[trial % len(counts)] Gaussian matrices, then a state, of dimension
-    dmin + trial % (dmax - dmin + 1)."""
-    def draw(rng, trial):
-        d = dmin + trial % (dmax - dmin + 1)
-        return sampling.complex_gaussians(rng, counts[trial % len(counts)], d, d), sampling.random_state(rng, d)
+class _Draws(collections.namedtuple("_Draws", "counts dmin dmax", defaults=((2,), 2, 8))):
+    """draw(rng, trial): counts[trial % len(counts)] Gaussian matrices and a raw state, of dimension
+    dmin + trial % (dmax - dmin + 1), from one standard_normal call; _sample replaces the raw state."""
 
-    return draw
+    def __call__(self, rng, trial):
+        d = self.dmin + trial % (self.dmax - self.dmin + 1)
+        return sampling.gaussian_trial(rng, self.counts[trial % len(self.counts)], d)
+
+
+def _sample(items):
+    """Put (state, its dimension's delta_stack arrays, its rows) for the raw state of each item [trial,
+    unitaries, raw state]: per dimension, each state is normalised by its own norm (a stacked norm differs
+    in the last bits), all pass one norm test, and one delta_stack forms every unitary's delta vector."""
+    for group in [[item for item in items if item[2].size == n] for n in sorted({v.size for *_, v in items})]:
+        counts = [len(ops) for _, ops, _ in group]
+        P = np.array([v / linalg.vector_norm(v) for *_, v in group])
+        states = moments.PureState.stack(P)
+        rows = moments.delta_stack(np.array([U.matrix for _, ops, _ in group for U in ops]),
+                                   np.repeat(P, counts, axis=0))  # C-contiguous, as the form needs
+        for item, psi, lo, k in zip(group, states, itertools.accumulate(counts, initial=0), counts):
+            item[2] = psi, rows, slice(lo, lo + k)
 
 
 def _instances(items):
-    """(d, unitaries, state, instance of raw arrays) per item of a _draws block."""
-    for trial, ops, psi in items:
-        yield psi.dim, ops, psi, {"trial": trial, "dimension": psi.dim,
-                                  "operators": [U.matrix for U in ops], "state": psi.amplitudes}
+    """(d, unitaries, state, delta vectors, pair of the first two or None, instance) per _Draws item."""
+    for trial, ops, (psi, (entries, means, moduli), rows) in items:
+        deltas = [moments.DeltaVector(e, m) for e, m in zip(entries[rows], means[rows].tolist())]
+        pair = moments.ModulusPair.unchecked(*moduli[rows][:2]) if len(ops) > 1 else None
+        yield psi.dim, ops, psi, deltas, pair, {"trial": trial, "dimension": psi.dim,
+                                                "operators": [U.matrix for U in ops], "state": psi.amplitudes}
 
 
-@_suite(0, _draws())
+@_suite(0, _Draws())
 def suite_pair_chain(rec: SuiteResult, items):
     """lb <= k_m <= k_m_v <= variance product, all block sizes, weight grid."""
-    for d, (A, B), psi, instance in _instances(items):
-        pair = moments.modulus_pair(A, B, psi)
+    for d, *_, pair, instance in _instances(items):
         vp = bounds.variance_product(pair)
         lb = bounds.correlation_bound(pair)
         for m in range(1, d + 1):
@@ -131,11 +151,10 @@ def suite_pair_chain(rec: SuiteResult, items):
                 rec.check(kmv - vp, SLACK, inst_v, "k_m_v > variance_product")
 
 
-@_suite(1, _draws())
+@_suite(1, _Draws())
 def suite_subset_chain(rec: SuiteResult, items):
     """k_m <= k_tilde_m <= k_tilde <= variance product for every block size."""
-    for d, (A, B), psi, instance in _instances(items):
-        pair = moments.modulus_pair(A, B, psi)
+    for d, *_, pair, instance in _instances(items):
         vp = bounds.variance_product(pair)
         table = bounds.best_split_bounds(pair)
         ktilde = max(val for val, _ in table)
@@ -148,11 +167,10 @@ def suite_subset_chain(rec: SuiteResult, items):
             rec.check(ktilde - vp, SLACK, inst, "k_tilde > variance_product")
 
 
-@_suite(2, _draws())
+@_suite(2, _Draws())
 def suite_fine_grained_chain(rec: SuiteResult, items):
     """Interpolation family: endpoints and monotonicity."""
-    for d, (A, B), psi, instance in _instances(items):
-        pair = moments.modulus_pair(A, B, psi)
+    for d, *_, pair, instance in _instances(items):
         seq = bounds.fine_grained_sequence(pair)
         rec.check(abs(seq[0] - bounds.variance_product(pair)), SLACK, instance,
                   "i_1 != variance_product")
@@ -170,12 +188,11 @@ def _ex1_family(seed: int, trials: int):
     return ex1, ex1_ops, sampling.trial_generators(seed, trials, 31)
 
 
-@_suite(3, _draws(dmin=3), setup=_ex1_family)
+@_suite(3, _Draws(dmin=3), setup=_ex1_family)
 def suite_cross_bound_chain(rec: SuiteResult, items, ex1, ex1_ops, thetas):
     """Paired cross bound: below the variance product on random states, and
     the full sandwich down to level 2 on the ex1 closed-form family."""
-    for (d, (A, B), psi, instance), (_, rng) in zip(_instances(items), thetas):
-        pair = moments.modulus_pair(A, B, psi)
+    for (d, *_, pair, instance), (_, rng) in zip(_instances(items), thetas):
         rec.check(bounds.paired_cross_bound(pair) - bounds.variance_product(pair),
                   SLACK, instance, "i_1_prime > variance_product")
         theta = float(rng.uniform(0.0, math.pi))
@@ -187,7 +204,7 @@ def suite_cross_bound_chain(rec: SuiteResult, items, ex1, ex1_ops, thetas):
                   SLACK, inst, "ex1: i_2 > i_1_prime")
 
 
-@_suite(6, _draws(dmax=6), cap=200)
+@_suite(6, _Draws(dmax=6), cap=200)
 def suite_subset_oracle(rec: SuiteResult, items):
     """Subset enumeration equals brute-force permutation maximization.
 
@@ -197,9 +214,8 @@ def suite_subset_oracle(rec: SuiteResult, items):
     permutations is also evaluated with sums taken in raw permutation order
     to confirm the canonical-order kernel is not hiding rounding drift.
     """
-    for n, (A, B), psi, instance in _instances(items):
+    for n, *_, pair, instance in _instances(items):
         m = 1 + instance["trial"] % n
-        pair = moments.modulus_pair(A, B, psi)
         instance["params"] = {"m": m}
         by_subset = {
             frozenset(combo): bounds.split_bound(pair, [i + 1 for i in combo])
@@ -231,31 +247,29 @@ def _raw_order_value(x2, y2, perm, m) -> float:
     return (math.sqrt(xs) * math.sqrt(ys) + math.sqrt(xc) * math.sqrt(yc)) ** 2
 
 
-@_suite(4, _draws(dmax=6), cap=300)
+@_suite(4, _Draws(dmax=6), cap=300)
 def suite_split_symmetry(rec: SuiteResult, items):
     """Best split at block size m equals the one at n - m."""
-    for d, (A, B), psi, instance in _instances(items):
-        pair = moments.modulus_pair(A, B, psi)
+    for d, *_, pair, instance in _instances(items):
         best = [bounds.best_split_bound(pair, m)[0] for m in range(1, d)]
         for m in range(1, d):
             rec.check(abs(best[m - 1] - best[d - m - 1]), 1e-12, dict(instance, params={"m": m}),
                       "k_tilde_m != k_tilde_(n-m)")
 
 
-@_suite(7, _draws((2, 3, 4), dmax=6))
+@_suite(7, _Draws((2, 3, 4), dmax=6))
 def suite_gram_psd(rec: SuiteResult, items):
     """Gram matrix of (I, U_1..U_l) has min eigenvalue >= -1e-10."""
-    for _, ops, psi, instance in _instances(items):
+    for _, ops, psi, *_, instance in _instances(items):
         lo = float(np.linalg.eigvalsh(moments.gram_matrix(ops, psi)).min())
         rec.check(-lo, SLACK, instance, "gram matrix not PSD")
 
 
-@_suite(8, _draws((3,), dmax=6))
+@_suite(8, _Draws((3,), dmax=6))
 def suite_triple_bound(rec: SuiteResult, items):
     """Three-operator floor sits below the triple variance product and
     differs from it by exactly the 4x4 Gram determinant."""
-    for _, ops, psi, instance in _instances(items):
-        deltas = [moments.delta_vector(U, psi) for U in ops]
+    for _, ops, psi, deltas, _, instance in _instances(items):
         vp3 = math.prod(dv.variance for dv in deltas)
         rhs = bounds.triple_correlation_bound(*deltas)
         det = float(np.linalg.det(moments.gram_matrix(ops, psi)).real)
@@ -265,15 +279,14 @@ def suite_triple_bound(rec: SuiteResult, items):
                   "determinant identity broken")
 
 
-@_suite(9, _draws((3, 4), dmax=6), cap=300)
+@_suite(9, _Draws((3, 4), dmax=6), cap=300)
 def suite_multi_op(rec: SuiteResult, items):
     """Geometric-mean bounds stay below the variance product; tilde >= plain."""
-    for d, ops, psi, instance in _instances(items):
+    for d, ops, _, deltas, pair, instance in _instances(items):
         m = 1 + instance["trial"] % max(1, d // 2)
         instance["params"] = {"m": m, "l": len(ops)}
-        deltas = [moments.delta_vector(U, psi) for U in ops]
         prod = math.prod(dv.variance for dv in deltas)
-        first = bounds.bound_report(moments.ModulusPair.from_deltas(*deltas[:2]), m, v=0.1)
+        first = bounds.bound_report(pair, m, v=0.1)
         vals = bounds.geometric_mean_bound(deltas, first)
         for flavor in bounds.FLAVORS:
             rec.check(vals[flavor] - prod, SLACK,
@@ -360,11 +373,10 @@ def suite_equality_case(rec: SuiteResult, items):
                   SLACK, instance, "zero-complement pair misses saturation")
 
 
-@_suite(5, _draws())
+@_suite(5, _Draws())
 def suite_coordinate_identities(rec: SuiteResult, items):
     """Variance and correlation agree across all their equivalent forms."""
-    for d, (A, B), psi, instance in _instances(items):
-        pair = moments.modulus_pair(A, B, psi)
+    for _, (A, B), psi, _, pair, instance in _instances(items):
         va = moments.variance_pure(A, psi)
         mean = moments.expectation(A, psi)
         rec.check(abs(va - (1.0 - abs(mean) ** 2)), SLACK, instance,

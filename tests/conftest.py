@@ -113,8 +113,12 @@ def squarings(monkeypatch):
     under "squares", C pow's under "pow_terms"."""
     formed = {"squares": [], "pow_terms": []}
     for name, pairs in formed.items():
-        prop = vars(moments.ModulusPair)[name]  # a cached_property calls its func once per pair
-        monkeypatch.setattr(prop, "func", lambda pair, real=prop.func, pairs=pairs: pairs.append(pair) or real(pair))
+        def counting(pair, name=name, pairs=pairs, real=vars(moments.ModulusPair)[name].fget):
+            if name not in vars(pair):  # each property keeps its value in the pair's dict under its name
+                pairs.append(pair)
+            return real(pair)
+
+        monkeypatch.setattr(moments.ModulusPair, name, property(counting))
     return formed
 
 

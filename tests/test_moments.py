@@ -139,6 +139,79 @@ def test_a_stack_is_checked_once_and_refuses_its_first_bad_matrix():
         moments.Unitary(stack)
 
 
+def test_a_state_stack_is_checked_once_and_refuses_its_first_bad_row():
+    rng = sampling.trial_generator(7, 1, 3)
+    P = np.array([sampling.random_state(rng, 4).amplitudes for _ in range(5)])
+    states = moments.PureState.stack(np.asfortranarray(P))
+    assert all(psi.amplitudes.flags.c_contiguous for psi in states)
+    assert all(np.array_equal(psi.amplitudes, row) for psi, row in zip(states, P))
+    for bad_rows, message in (({2: 1.5, 4: np.nan}, "state norm 1.5 deviates from 1 by more than 1e-10"),
+                              ({1: np.nan, 3: 0.5}, "state amplitudes must be finite"),
+                              ({0: 1e200}, "state norm inf deviates from 1 by more than 1e-10")):
+        bad = P.copy()
+        for i, scale in bad_rows.items():
+            bad[i] = [scale, 0, 0, 0]
+        first = bad[min(bad_rows)]
+        for build in (lambda: moments.PureState.stack(bad), lambda: moments.PureState(first)):
+            with refused(message):
+                build()
+
+
+def test_a_strided_state_is_kept_contiguous_and_rounds_as_its_copy():
+    # A unitary's column is a unit vector with a stride of n entries. Kept as
+    # a view, BLAS's strided kernels gave delta_vector other last bits than on
+    # the contiguous copy in about half of such cases; a contiguous vector is
+    # kept without a copy.
+    rng = sampling.trial_generator(34, 2)
+    for n in range(2, 17):
+        for _ in range(4):
+            A, W = random_unitary(rng, n), random_unitary(rng, n)
+            column = W[:, n // 2]
+            psi = moments.PureState(column)
+            assert psi.amplitudes.flags.c_contiguous and not column.flags.c_contiguous
+            got, want = moments.delta_vector(A, psi), moments.delta_vector(A, moments.PureState(column.copy()))
+            assert_same_bits(got.entries, want.entries)
+            assert_same_bits(got.mean, want.mean)
+    contiguous = column.copy()
+    assert np.shares_memory(moments.PureState(contiguous).amplitudes, contiguous)
+
+
+def _stacked_case(rows: int, d: int):
+    """rows unitaries of dimension d and the states they act on, 1 to 4 operators per state in turn."""
+    rng = sampling.trial_generator(34, rows, d)
+    counts = [1 + t % 4 for t in range(rows)]
+    owner = [t for t, k in enumerate(counts) for _ in range(k)][:rows]
+    P = np.array([sampling.random_state(rng, d).amplitudes for _ in range(owner[-1] + 1)])
+    return sampling.haar_unitaries(sampling.complex_gaussians(rng, rows, d, d)), P[owner]
+
+
+@pytest.mark.parametrize("rows", [1, 2, 64, 128, 192])
+def test_delta_stack_matches_delta_vector_and_from_deltas_row_by_row(rows):
+    # The stacked images, means, entries and moduli equal the per-item forms
+    # bit for bit at every dimension check draws, on a C-contiguous and on a
+    # column-major state stack (which the form copies to C order first).
+    for d in range(2, 9):
+        Ms, P = _stacked_case(rows, d)
+        for states in (P, np.asfortranarray(P)):
+            entries, means, moduli = moments.delta_stack(Ms, states)
+            assert entries.shape == moduli.shape == (rows, d) and means.shape == (rows,)
+            for M, p, e, mean, x in zip(Ms, P, entries, means, moduli):
+                alone = moments.delta_vector(M, moments.PureState(p))
+                assert_same_bits(e, alone.entries)
+                assert_same_bits(mean, alone.mean)
+                assert_same_bits(x, moments.ModulusPair.from_deltas(alone, alone).x)
+        x, y = moduli[0], moduli[-1]
+        pair = moments.ModulusPair.unchecked(x, y)  # the rows themselves, with no second scan
+        assert pair.dim == d and pair.x is x and pair.y is y
+
+
+def test_delta_stack_refuses_non_finite_moduli():
+    Ms, P = _stacked_case(6, 3)
+    Ms[4][1, 1] = np.inf
+    with refused("modulus vectors must be finite"), np.errstate(invalid="ignore"):
+        moments.delta_stack(Ms, P)
+
+
 VALIDATION_MESSAGES = [
     (lambda: moments.PureState(np.array([np.nan, 1.0])), ValueError,
      "state amplitudes must be finite"),

@@ -9,6 +9,7 @@ import pytest
 
 from uur import bounds, errors, linalg, moments, sampling, selfcheck
 
+from conftest import assert_same_bits
 from oracles import per_matrix_instance, run_suite, sampled_items
 
 
@@ -151,20 +152,40 @@ def test_a_bad_matrix_in_a_stack_stops_check_with_its_message(monkeypatch):
                                                 ((4,), 2, 6), ((2, 3, 4), 2, 6), ((3, 4), 3, 8)])
 def test_stacked_instances_match_per_matrix_draws(counts, dmin, dmax):
     # Every trial's unitaries and state equal the per-matrix draws bit for
-    # bit, though each dimension's matrices across trials share one QR.
+    # bit, though each dimension's matrices across trials share one QR and its
+    # states one norm test. A trial takes its matrices and its raw state from
+    # one standard_normal call, which draws the numbers of the two
+    # complex_gaussians calls it replaced. Its delta vectors, from the stacked
+    # pass, equal delta_vector's, and its pair modulus_pair's.
     matched = 0
     for seed in (0, 1, 5, 42, 2 ** 31 - 1):
         for stream in (0, 9):
-            for trial, (d, ops, psi, instance) in enumerate(selfcheck._instances(
-                    sampled_items(seed, 40, stream, selfcheck._draws(counts, dmin, dmax)))):
-                want, want_psi = per_matrix_instance(
-                    seed, trial, stream, counts[trial % len(counts)], d)
+            for trial, (d, ops, psi, deltas, pair, instance) in enumerate(selfcheck._instances(
+                    sampled_items(seed, 40, stream, selfcheck._Draws(counts, dmin, dmax)))):
+                k = counts[trial % len(counts)]
+                want, want_psi = per_matrix_instance(seed, trial, stream, k, d)
                 assert (instance["trial"], instance["dimension"]) == (trial, d)
                 assert d == dmin + trial % (dmax - dmin + 1)
-                assert len(ops) == len(want)
+                assert len(ops) == len(want) == len(deltas) == k
                 for U, V, raw in zip(ops, want, instance["operators"]):
                     assert np.array_equal(U.matrix, V) and raw is U.matrix
                 assert np.array_equal(psi.amplitudes, want_psi.amplitudes)
+                assert psi.amplitudes.flags.c_contiguous
+                G, v = sampling.gaussian_trial(sampling.trial_generator(seed, trial, stream), k, d)
+                two = sampling.trial_generator(seed, trial, stream)
+                assert_same_bits(G, sampling.complex_gaussians(two, k, d, d))
+                assert_same_bits(v, sampling.complex_gaussians(two, 1, d)[0])
+                for U, dv in zip(ops, deltas):
+                    alone = moments.delta_vector(U, psi)
+                    assert_same_bits(dv.entries, alone.entries)
+                    assert_same_bits(dv.mean, alone.mean)
+                    assert type(dv.mean) is complex
+                if k == 1:
+                    assert pair is None
+                else:
+                    alone = moments.modulus_pair(*ops[:2], psi)
+                    assert_same_bits(pair.x, alone.x)
+                    assert_same_bits(pair.y, alone.y)
                 matched += len(ops) + 1
     assert matched == 10 * 40 + 10 * sum(counts[t % len(counts)] for t in range(40))
 
@@ -175,12 +196,82 @@ def test_stacked_instances_cross_the_block_boundary(monkeypatch):
     stacks = []
     real_haar = sampling.haar_unitaries
     monkeypatch.setattr(sampling, "haar_unitaries", lambda Z: stacks.append(len(Z)) or real_haar(Z))
-    trials = list(selfcheck._instances(sampled_items(3, 66, 1, selfcheck._draws((1,)))))
+    trials = list(selfcheck._instances(sampled_items(3, 66, 1, selfcheck._Draws((1,)))))
     assert [t["trial"] for *_, t in trials] == list(range(66))
     assert stacks == [10] + [9] * 6 + [1] * 2
-    for trial, (d, (U,), psi, _) in enumerate(trials):
+    for trial, (d, (U,), psi, *_) in enumerate(trials):
         (want,), want_psi = per_matrix_instance(3, trial, 1, 1, d)
         assert np.array_equal(U.matrix, want) and np.array_equal(psi.amplitudes, want_psi.amplitudes)
+
+
+def test_check_forms_its_delta_vectors_in_one_pass_per_dimension(monkeypatch):
+    # run_all(42, 15) drew every state with complex_gaussians and formed every
+    # delta vector one at a time: 472 delta_vector and 345 complex_gaussians
+    # calls, 225 per-item PureState and 216 ModulusPair checks. The ten _Draws
+    # suites now take each trial in one draw and form each dimension's delta
+    # vectors in one delta_stack call (7 dimensions, one 15-trial block). What
+    # is left per item: coordinate_identities' own variance and correlation
+    # (3 each), the ex1 pairs of cross_bound_chain (2 each), the mixed-state
+    # floor's eigenvectors (90) and the draws of purification and the floor.
+    calls = collections.Counter()
+
+    def count(owner, name, key):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args: calls.update([key]) or real(*args))
+
+    count(moments, "delta_vector", "delta_vector")
+    count(moments, "delta_stack", "delta_stack")
+    count(sampling, "complex_gaussians", "complex_gaussians")
+    count(moments.PureState, "__post_init__", "PureState")
+    count(moments.ModulusPair, "__post_init__", "ModulusPair")
+    results = selfcheck.run_all(42, 15)
+    assert all(r.failures == 0 for r in results)
+    assert calls == {"delta_vector": 165, "delta_stack": 7, "complex_gaussians": 45,
+                     "PureState": 75, "ModulusPair": 96}
+
+
+def _refusal(monkeypatch, owner, name, corrupt):
+    """The UurError run_all(42, 15) stops with when corrupt(args) changes the arguments of owner.name."""
+    real = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args: real(*corrupt(*args)))
+    with pytest.raises(errors.UurError) as exc:
+        selfcheck.run_all(42, 15)
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("scale, message", [
+    (1.5, "state norm 1.5000000000000002 deviates from 1 by more than 1e-10"),
+    (np.nan, "state amplitudes must be finite")], ids=["off-unit-norm", "nan"])
+def test_a_bad_state_in_a_stack_stops_check_with_its_message(monkeypatch, scale, message):
+    # One state of the first dimension's stack is scaled before its norm
+    # test: it is refused with the message PureState gives that state alone.
+    rows = []
+
+    def corrupt(P):
+        P = P.copy()
+        P[5] *= scale
+        rows.append(P[5].copy())
+        return (P,)
+
+    got = _refusal(monkeypatch, moments.PureState, "stack", corrupt)
+    with pytest.raises(errors.UurError) as alone:
+        moments.PureState(rows[0])
+    assert got == str(alone.value) == message
+
+
+def test_a_non_finite_modulus_in_a_stack_stops_check_with_its_message(monkeypatch):
+    # A NaN entry in one matrix past its unitarity test makes that row's
+    # moduli NaN: refused with the message ModulusPair gives such a pair.
+    def corrupt(Ms, P):
+        Ms = Ms.copy()
+        Ms[3][0, 1] = np.nan
+        return Ms, P
+
+    got = _refusal(monkeypatch, moments, "delta_stack", corrupt)
+    x = np.abs(np.array([np.nan, 0.5]))
+    with pytest.raises(errors.UurError) as alone:
+        moments.ModulusPair(x, np.ones(2))
+    assert got == str(alone.value) == "modulus vectors must be finite"
 
 
 @pytest.mark.parametrize("corrupt", [False, True], ids=["plain", "corrupted-split-bound"])
