@@ -1,8 +1,8 @@
 """Lower bounds on variance products of unitary operator pairs and tuples.
 
 The pairwise bounds read the squares of the coordinate moduli x, y that a
-ModulusPair keeps (formed once per pair), the multi-operator ones the
-DeltaVectors the moduli come from. The central construction splits the
+ModulusPair keeps (formed once per pair), the geometric means each pair's
+moduli, the triple bound the DeltaVectors. The central construction splits the
 index set into a block S and its complement, applies the Cauchy-Schwarz
 inequality per block, and once more across the two blocks:
 
@@ -323,26 +323,26 @@ def triple_correlation_bound(dA: DeltaVector, dB: DeltaVector, dC: DeltaVector) 
     )
 
 
-def geometric_mean_bound(deltas, first: BoundSet, cap: int = DEFAULT_CAP) -> dict[str, float]:
+def geometric_mean_bound(moduli, first: BoundSet, cap: int = DEFAULT_CAP) -> dict[str, float]:
     """Multi-operator bounds: geometric means of the pairwise split bounds.
 
-    Takes the delta vectors of l operators on one state and first, the
-    bound_report of deltas[0] and deltas[1], whose m and v every pair uses.
+    Takes the moduli of l operators' delta vectors on one state (delta_stack's rows, or each np.abs(entries)),
+    checked once, and first, the bound_report of moduli[0] and moduli[1], whose m and v every pair uses.
     Per pair, "plain" is the split bound on the leading block of size m,
     "convex" its blend with weight v, "tilde" the best split of size m (first's
     k_m, k_m_v, k_tilde_m); each flavor's product over the pairs is raised to 1/(l-1).
     """
-    deltas, m = list(deltas), first.m
-    if len(deltas) < 2:
-        raise UurError(f"need at least 2 operators, got {len(deltas)}")
+    moduli, m = list(moduli), first.m
+    if len(moduli) < 2:
+        raise UurError(f"need at least 2 operators, got {len(moduli)}")
     products = dict(zip(FLAVORS, (first.k_m, first.k_m_v, first.k_tilde_m)))
-    for alpha, beta in itertools.islice(itertools.combinations(deltas, 2), 1, None):
-        pair = ModulusPair.from_deltas(alpha, beta)
+    for x, y in itertools.islice(itertools.combinations(ModulusPair.checked(*moduli), 2), 1, None):
+        pair = ModulusPair.unchecked(x, y)
         k = split_bound(pair, range(1, m + 1))
         values = (k, _blend(k, variance_product(pair), first.v), best_split_bound(pair, m, cap)[0])
         for flavor, val in zip(FLAVORS, values):
             products[flavor] *= val
-    return {flavor: float(p ** (1.0 / (len(deltas) - 1))) for flavor, p in products.items()}
+    return {flavor: float(p ** (1.0 / (len(moduli) - 1))) for flavor, p in products.items()}
 
 
 def bound_report(pair: ModulusPair, m: int, v: float = DEFAULT_V,

@@ -35,6 +35,7 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_INPUT = 2
 EXIT_RESOURCE = 3
+_BLOCK = 64  # angles per stacked delta-vector pass (check's block size): the stacks do not grow with --steps
 
 
 class _Violation(Exception):
@@ -171,12 +172,12 @@ def _load_problem(cfg: argparse.Namespace) -> Problem:
                    v=_number(pick(cfg.v, "v", DEFAULT_V), "params: v"), cap=cap)
 
 
-def _triple_fields(report: bounds.BoundSet, deltas: list[moments.DeltaVector], cap: int) -> dict:
+def _triple_fields(report: bounds.BoundSet, deltas: list[moments.DeltaVector], moduli, cap: int) -> dict:
     vals = {
         "variance_triple": math.prod(d.variance for d in deltas),
         "bong3": bounds.triple_correlation_bound(*deltas),
     }
-    means = bounds.geometric_mean_bound(deltas, report, cap)
+    means = bounds.geometric_mean_bound(moduli, report, cap)
     vals.update((key, means[flavor]) for flavor, key in FLAVOR_FIELDS.items())
     for key in TRIPLE_COLUMNS[1:]:
         if vals[key] > vals["variance_triple"] + SLACK:
@@ -185,18 +186,23 @@ def _triple_fields(report: bounds.BoundSet, deltas: list[moments.DeltaVector], c
     return vals
 
 
-def _report_row(problem: Problem, theta: float) -> tuple[bounds.BoundSet, dict]:
-    psi = problem.scenario.state(theta)
-    deltas = [moments.delta_vector(U, psi) for U in problem.operators]
-    pair = moments.ModulusPair.from_deltas(*deltas[:2])
-    report = bounds.bound_report(pair, m=problem.m, v=problem.v, cap=problem.cap)
-    bad = report.validate()
-    if bad:
-        raise _Violation(f"chain invariants failed at theta={theta!r}: " + "; ".join(bad))
-    row = {"theta": theta, **vars(report), "i_2": report.i_d[1]}
-    if len(deltas) == 3:
-        row.update(_triple_fields(report, deltas, problem.cap))
-    return report, row
+def _report_rows(problem: Problem, grid: list[float]):
+    """(report, row) per angle of grid. Per block of _BLOCK angles the scenario builds (and checks) each
+    state, and one delta_stack per operator forms every row's delta vectors; a row's pair is two moduli rows."""
+    for lo in range(0, len(grid), _BLOCK):
+        P = np.array([problem.scenario.state(theta).amplitudes for theta in grid[lo:lo + _BLOCK]])  # C order
+        stacks = [moments.delta_stack(U.matrix[None], P) for U in problem.operators]
+        for r, theta in enumerate(grid[lo:lo + _BLOCK]):
+            moduli = [mod[r] for *_, mod in stacks]
+            report = bounds.bound_report(moments.ModulusPair.unchecked(*moduli[:2]),
+                                         m=problem.m, v=problem.v, cap=problem.cap)
+            if bad := report.validate():
+                raise _Violation(f"chain invariants failed at theta={theta!r}: " + "; ".join(bad))
+            row = {"theta": theta, **vars(report), "i_2": report.i_d[1]}
+            if len(stacks) == 3:
+                deltas = [moments.DeltaVector(entries[r], complex(means[r])) for entries, means, _ in stacks]
+                row.update(_triple_fields(report, deltas, moduli, problem.cap))
+            yield report, row
 
 
 def _emit(cfg: argparse.Namespace, text: str):
@@ -216,10 +222,8 @@ def _csv_cell(value) -> str:
 
 
 def _rows_to_csv(columns: list[str], rows: list[dict]) -> str:
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_csv_cell(row[c]) for c in columns))
-    return "\n".join(lines) + "\n"
+    body = "".join(",".join(_csv_cell(row[c]) for c in columns) + "\n" for row in rows)
+    return ",".join(columns) + "\n" + body
 
 
 def _emit_rows(cfg: argparse.Namespace, columns: list[str], rows: list[dict]):
@@ -232,7 +236,7 @@ def _emit_rows(cfg: argparse.Namespace, columns: list[str], rows: list[dict]):
 def run_bounds(cfg: argparse.Namespace) -> int:
     problem = _load_problem(cfg)
     theta = cfg.theta_min if cfg.theta_min is not None else problem.scenario.theta_range[0]
-    report, row = _report_row(problem, theta)
+    report, row = next(_report_rows(problem, [theta]))
     # BoundSet's fields in declaration order; a key given again keeps its first position.
     out = {"command": "bounds", "source": problem.scenario.id,
            "dimension": problem.scenario.dimension, "theta": theta, **vars(report),
@@ -267,7 +271,7 @@ def _sweep_rows(cfg: argparse.Namespace) -> tuple[Problem, list[dict]]:
     lo, hi = problem.scenario.theta_range
     grid = scenarios.theta_grid(lo if cfg.theta_min is None else cfg.theta_min,
                                 hi if cfg.theta_max is None else cfg.theta_max, cfg.steps)
-    return problem, [_report_row(problem, theta)[1] for theta in grid]
+    return problem, [row for _, row in _report_rows(problem, grid)]
 
 
 def run_sweep(cfg: argparse.Namespace) -> int:

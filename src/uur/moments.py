@@ -163,16 +163,18 @@ class ModulusPair:
     y: np.ndarray
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        y = np.asarray(self.y, dtype=float)
-        if x.shape != y.shape or x.ndim != 1:
-            raise UurError(f"x and y must be 1-D of equal length, got {x.shape} and {y.shape}")
-        if not (x.size and all(0.0 <= t < np.inf for t in x.tolist() + y.tolist())):
-            raise UurError("modulus vectors must be finite" if not (np.isfinite(x).all() and np.isfinite(y).all())
-                           else "modulus vectors must not be empty" if not x.size
-                           else "modulus vectors must be nonnegative")  # a NaN fails the scan too
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
+        vars(self).update(zip("xy", self.checked(self.x, self.y)))  # frozen: no __setattr__
+
+    @staticmethod
+    def checked(*rows) -> list[np.ndarray]:
+        """Float rows, refused at the first failed check: 1-D of one length, finite, nonempty, nonnegative."""
+        rows = [np.asarray(r, dtype=float) for r in rows]
+        if len({r.shape for r in rows}) > 1 or rows[0].ndim != 1:
+            raise UurError(f"x and y must be 1-D of equal length, got {' and '.join(str(r.shape) for r in rows)}")
+        if not (rows[0].size and all(0.0 <= t < np.inf for r in rows for t in r.tolist())):
+            raise UurError("modulus vectors must " + ("be finite" if not all(np.isfinite(r).all() for r in rows)
+                           else "not be empty" if not rows[0].size else "be nonnegative"))  # NaN: fails the scan
+        return rows
 
     @property
     def dim(self) -> int:
@@ -204,7 +206,7 @@ class ModulusPair:
 
     @classmethod
     def unchecked(cls, x: np.ndarray, y: np.ndarray) -> "ModulusPair":
-        """The pair of two moduli rows of delta_stack, which its finiteness test has checked."""
+        """The pair of two moduli rows that delta_stack's finiteness test, or checked, has passed."""
         return vars(pair := object.__new__(cls)).update(x=x, y=y) or pair  # no __post_init__
 
 

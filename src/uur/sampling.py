@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .moments import DensityMatrix, PureState
+from .moments import DensityMatrix
 
 
 def trial_generator(seed: int, trial: int, stream: int = 0) -> np.random.Generator:
@@ -51,12 +51,6 @@ def haar_unitaries(Z: np.ndarray) -> np.ndarray:
     Q, R = np.linalg.qr(Z)
     diag = R.diagonal(axis1=-2, axis2=-1)[:, None, :]
     return Q * (diag / np.abs(diag))
-
-
-def random_state(rng: np.random.Generator, n: int) -> PureState:
-    """Normalized complex Gaussian vector."""
-    v = complex_gaussians(rng, 1, n)[0]
-    return PureState.normalized(v)
 
 
 def random_density(rng: np.random.Generator, n: int) -> DensityMatrix:

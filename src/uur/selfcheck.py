@@ -126,12 +126,12 @@ def _sample(items):
 
 
 def _instances(items):
-    """(d, unitaries, state, delta vectors, pair of the first two or None, instance) per _Draws item."""
+    """(d, unitaries, state, delta vectors, their moduli, pair of the first two or None, instance) per item."""
     for trial, ops, (psi, (entries, means, moduli), rows) in items:
         deltas = [moments.DeltaVector(e, m) for e, m in zip(entries[rows], means[rows].tolist())]
         pair = moments.ModulusPair.unchecked(*moduli[rows][:2]) if len(ops) > 1 else None
-        yield psi.dim, ops, psi, deltas, pair, {"trial": trial, "dimension": psi.dim,
-                                                "operators": [U.matrix for U in ops], "state": psi.amplitudes}
+        yield psi.dim, ops, psi, deltas, moduli[rows], pair, {
+            "trial": trial, "dimension": psi.dim, "operators": [U.matrix for U in ops], "state": psi.amplitudes}
 
 
 @_suite(0, _Draws())
@@ -269,7 +269,7 @@ def suite_gram_psd(rec: SuiteResult, items):
 def suite_triple_bound(rec: SuiteResult, items):
     """Three-operator floor sits below the triple variance product and
     differs from it by exactly the 4x4 Gram determinant."""
-    for _, ops, psi, deltas, _, instance in _instances(items):
+    for _, ops, psi, deltas, *_, instance in _instances(items):
         vp3 = math.prod(dv.variance for dv in deltas)
         rhs = bounds.triple_correlation_bound(*deltas)
         det = float(np.linalg.det(moments.gram_matrix(ops, psi)).real)
@@ -282,12 +282,12 @@ def suite_triple_bound(rec: SuiteResult, items):
 @_suite(9, _Draws((3, 4), dmax=6), cap=300)
 def suite_multi_op(rec: SuiteResult, items):
     """Geometric-mean bounds stay below the variance product; tilde >= plain."""
-    for d, ops, _, deltas, pair, instance in _instances(items):
+    for d, ops, _, deltas, moduli, pair, instance in _instances(items):
         m = 1 + instance["trial"] % max(1, d // 2)
         instance["params"] = {"m": m, "l": len(ops)}
         prod = math.prod(dv.variance for dv in deltas)
         first = bounds.bound_report(pair, m, v=0.1)
-        vals = bounds.geometric_mean_bound(deltas, first)
+        vals = bounds.geometric_mean_bound(moduli, first)
         for flavor in bounds.FLAVORS:
             rec.check(vals[flavor] - prod, SLACK,
                       dict(instance, flavor=flavor), "multi-op bound exceeds product")
@@ -376,7 +376,7 @@ def suite_equality_case(rec: SuiteResult, items):
 @_suite(5, _Draws())
 def suite_coordinate_identities(rec: SuiteResult, items):
     """Variance and correlation agree across all their equivalent forms."""
-    for _, (A, B), psi, _, pair, instance in _instances(items):
+    for _, (A, B), psi, *_, pair, instance in _instances(items):
         va = moments.variance_pure(A, psi)
         mean = moments.expectation(A, psi)
         rec.check(abs(va - (1.0 - abs(mean) ** 2)), SLACK, instance,

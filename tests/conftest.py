@@ -15,7 +15,7 @@ import pytest
 
 from uur import cli, errors, moments, sampling
 
-from oracles import random_unitary
+from oracles import random_state, random_unitary
 
 _ACCEPTANCE: dict[str, str] = {}
 
@@ -103,7 +103,7 @@ def pair_case():
     gen = sampling.trial_generator(seed=99, trial=0)
     A = random_unitary(gen, 4)
     B = random_unitary(gen, 4)
-    psi = sampling.random_state(gen, 4)
+    psi = random_state(gen, 4)
     return A, B, psi
 
 
@@ -126,7 +126,7 @@ def random_pair(seed: int, trial: int, dim: int):
     gen = sampling.trial_generator(seed=seed, trial=trial)
     A = random_unitary(gen, dim)
     B = random_unitary(gen, dim)
-    psi = sampling.random_state(gen, dim)
+    psi = random_state(gen, dim)
     return A, B, psi
 
 

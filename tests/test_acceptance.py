@@ -20,7 +20,7 @@ import pytest
 from uur import bounds, cli, linalg, moments, sampling, scenarios
 from uur.moments import ModulusPair
 
-from oracles import example1_reference, random_unitary, split_bound_blend
+from oracles import example1_reference, random_state, random_unitary, split_bound_blend
 
 SLACK = 1e-10
 
@@ -30,7 +30,7 @@ def _instance(seed: int, trial: int, dmin=2, dmax=8):
     d = dmin + trial % (dmax - dmin + 1)
     A = random_unitary(gen, d)
     B = random_unitary(gen, d)
-    psi = sampling.random_state(gen, d)
+    psi = random_state(gen, d)
     return A, B, psi, d
 
 
@@ -239,7 +239,7 @@ def test_criterion_08_gram_psd_and_triple():
         d = 2 + trial % 5
         n_ops = 2 + trial % 3
         ops = [random_unitary(gen, d) for _ in range(n_ops)]
-        psi = sampling.random_state(gen, d)
+        psi = random_state(gen, d)
         G = moments.gram_matrix(ops, psi)
         assert float(np.min(np.linalg.eigvalsh(G))) >= -SLACK, \
             f"trial {trial}: Gram matrix not PSD"
@@ -256,12 +256,12 @@ def test_criterion_09_geometric_mean_products():
             gen = sampling.trial_generator(seed=109 + n_ops, trial=trial)
             d = 2 + trial % 5
             ops = [random_unitary(gen, d) for _ in range(n_ops)]
-            psi = sampling.random_state(gen, d)
+            psi = random_state(gen, d)
             m = 1 + trial % max(1, d // 2)
             deltas = [moments.delta_vector(U, psi) for U in ops]
             product = math.prod(moments.variance_pure(U, psi) for U in ops)
             first = bounds.bound_report(moments.ModulusPair.from_deltas(*deltas[:2]), m, 0.1)
-            vals = bounds.geometric_mean_bound(deltas, first)
+            vals = bounds.geometric_mean_bound([np.abs(d.entries) for d in deltas], first)
             for flavor in ("plain", "convex", "tilde"):
                 assert vals[flavor] <= product + SLACK, \
                     f"l={n_ops} trial {trial} {flavor}: bound exceeds product"
@@ -275,7 +275,7 @@ def test_criterion_10_permutation_oracle():
         n = 2 + trial % 5
         A = random_unitary(gen, n)
         B = random_unitary(gen, n)
-        psi = sampling.random_state(gen, n)
+        psi = random_state(gen, n)
         pair = moments.modulus_pair(A, B, psi)
         x2 = pair.x.astype(float) ** 2
         y2 = pair.y.astype(float) ** 2

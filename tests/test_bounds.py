@@ -16,7 +16,7 @@ from uur.moments import ModulusPair
 
 import oracles
 from conftest import random_pair, refused
-from oracles import fine_grained_level, per_size_split_bound, random_unitary, split_bound_blend
+from oracles import fine_grained_level, per_size_split_bound, random_state, random_unitary, split_bound_blend
 
 
 def pair_of(x, y) -> ModulusPair:
@@ -680,7 +680,7 @@ def test_gram_matrix_pair_entries():
     gen = sampling.trial_generator(seed=61, trial=0)
     A = random_unitary(gen, 3)
     B = random_unitary(gen, 3)
-    psi = sampling.random_state(gen, 3)
+    psi = random_state(gen, 3)
     G = moments.gram_matrix([A, B], psi)
     assert G.shape == (3, 3)
     assert G[0, 1] == pytest.approx(moments.expectation(A, psi))
@@ -717,7 +717,7 @@ def test_triple_correlation_bound_identity_factor_vanishes():
     gen = sampling.trial_generator(seed=71, trial=0)
     A = random_unitary(gen, 4)
     B = random_unitary(gen, 4)
-    psi = sampling.random_state(gen, 4)
+    psi = random_state(gen, 4)
     val = bounds.triple_correlation_bound(*deltas_of([A, B, np.eye(4, dtype=complex)], psi))
     assert val == pytest.approx(0.0, abs=1e-12)
 
@@ -725,7 +725,7 @@ def test_triple_correlation_bound_identity_factor_vanishes():
 def test_triple_correlation_bound_equal_operators_saturate():
     gen = sampling.trial_generator(seed=72, trial=0)
     A = random_unitary(gen, 4)
-    psi = sampling.random_state(gen, 4)
+    psi = random_state(gen, 4)
     var = moments.variance_pure(A, psi)
     val = bounds.triple_correlation_bound(*deltas_of([A, A, A], psi))
     assert val == pytest.approx(var ** 3, abs=1e-10)
@@ -736,7 +736,7 @@ def test_triple_bound_matches_gram_determinant():
         gen = sampling.trial_generator(seed=73, trial=trial)
         d = int(gen.integers(2, 6))
         ops = [random_unitary(gen, d) for _ in range(3)]
-        psi = sampling.random_state(gen, d)
+        psi = random_state(gen, d)
         G = moments.gram_matrix(ops, psi)
         det = float(np.linalg.det(G).real)
         triple = math.prod(moments.variance_pure(U, psi) for U in ops)
@@ -751,14 +751,14 @@ def mean_of(ops, psi, m, v) -> dict[str, float]:
     """The geometric mean as a CLI row takes it: from the report of the first pair."""
     deltas = deltas_of(ops, psi)
     first = bounds.bound_report(ModulusPair.from_deltas(*deltas[:2]), m, v)
-    return bounds.geometric_mean_bound(deltas, first)
+    return bounds.geometric_mean_bound([np.abs(d.entries) for d in deltas], first)
 
 
 def test_geometric_mean_two_ops_reduces_to_pairwise():
     gen = sampling.trial_generator(seed=81, trial=0)
     A = random_unitary(gen, 4)
     B = random_unitary(gen, 4)
-    psi = sampling.random_state(gen, 4)
+    psi = random_state(gen, 4)
     pairwise = bounds.split_bound(moments.modulus_pair(A, B, psi), (1, 2))
     assert mean_of([A, B], psi, 2, 0.1)["plain"] == pytest.approx(pairwise)
 
@@ -767,7 +767,7 @@ def test_geometric_mean_identity_op_kills_bound():
     gen = sampling.trial_generator(seed=82, trial=0)
     A = random_unitary(gen, 4)
     B = random_unitary(gen, 4)
-    psi = sampling.random_state(gen, 4)
+    psi = random_state(gen, 4)
     val = mean_of([A, B, np.eye(4, dtype=complex)], psi, 2, 1.0)["plain"]
     assert val == pytest.approx(0.0, abs=1e-12)
 
@@ -777,7 +777,7 @@ def test_geometric_mean_flavors_all_below_product():
         gen = sampling.trial_generator(seed=83, trial=trial)
         d = int(gen.integers(3, 6))
         ops = [random_unitary(gen, d) for _ in range(3)]
-        psi = sampling.random_state(gen, d)
+        psi = random_state(gen, d)
         product = math.prod(moments.variance_pure(U, psi) for U in ops)
         vals = mean_of(ops, psi, max(1, d // 2), 0.1)
         for val in vals.values():
@@ -794,7 +794,7 @@ def test_geometric_mean_is_exactly_the_product_of_pairwise_bounds(n_ops):
         gen = sampling.trial_generator(seed=84, trial=trial)
         d = 2 + trial % 4
         ops = [random_unitary(gen, d) for _ in range(n_ops)]
-        psi = sampling.random_state(gen, d)
+        psi = random_state(gen, d)
         pairs = [moments.modulus_pair(A, B, psi) for A, B in itertools.combinations(ops, 2)]
         for m in range(1, d):
             block = range(1, m + 1)
@@ -812,7 +812,7 @@ def test_geometric_mean_needs_two_operators():
     deltas = deltas_of([A, B], psi)
     first = bounds.bound_report(ModulusPair.from_deltas(*deltas), 1)
     with refused("need at least 2 operators, got 1"):
-        bounds.geometric_mean_bound(deltas[:1], first)
+        bounds.geometric_mean_bound([np.abs(deltas[0].entries)], first)
 
 
 def test_geometric_mean_rejects_out_of_range_weight():
@@ -825,7 +825,30 @@ def test_geometric_mean_rejects_out_of_range_weight():
     deltas = deltas_of([A, B, C], psi)
     first = bounds.bound_report(ModulusPair.from_deltas(*deltas[:2]), 1, 0.1)
     with refused("blend weight must lie in [0, 1], got 1.5"):
-        bounds.geometric_mean_bound(deltas, dataclasses.replace(first, v=1.5))
+        bounds.geometric_mean_bound([np.abs(d.entries) for d in deltas], dataclasses.replace(first, v=1.5))
+
+
+@pytest.mark.parametrize("row, bad, message", [
+    (2, np.nan, "modulus vectors must be finite"),
+    (2, np.inf, "modulus vectors must be finite"),
+    (2, -0.25, "modulus vectors must be nonnegative"),
+    (0, np.nan, "modulus vectors must be finite"),
+])
+def test_geometric_mean_refuses_a_bad_modulus_as_a_pair_would(row, bad, message):
+    # A library caller's moduli are checked once, with the message
+    # ModulusPair gives a pair holding that row; a CLI row passes
+    # delta_stack's rows, which its finiteness test has checked.
+    A, B, psi = random_pair(84, 0, 3)
+    C = random_unitary(sampling.trial_generator(seed=84, trial=1), 3)
+    moduli = [np.abs(d.entries) for d in deltas_of([A, B, C], psi)]
+    first = bounds.bound_report(ModulusPair(*moduli[:2]), 1, 0.1)
+    moduli[row][1] = bad
+    with refused(message):
+        ModulusPair(moduli[row], moduli[1 - row % 2])
+    with refused(message):
+        bounds.geometric_mean_bound(moduli, first)
+    with refused("x and y must be 1-D of equal length, got (3,) and (3,) and (2,)"):
+        bounds.geometric_mean_bound([*moduli[:2], moduli[2][:2]], first)
 
 
 # --- aggregate report ----------------------------------------------------------------

@@ -261,10 +261,10 @@ def test_out_of_memory_is_resource_error(capsys):
 
 def test_program_fault_is_not_reported_as_input_error(monkeypatch):
     # Only what input can raise exits 2; a KeyError from a fault propagates.
-    def broken(problem, theta):
+    def broken(problem, grid):
         raise KeyError("fault")
 
-    monkeypatch.setattr(cli, "_report_row", broken)
+    monkeypatch.setattr(cli, "_report_rows", broken)
     with pytest.raises(KeyError):
         cli.main(["bounds", "--example", "ex1"])
 
@@ -698,33 +698,38 @@ def test_check_exits_1_when_its_own_draw_fails_the_unitarity_test(capsys, monkey
 
 
 @pytest.fixture
-def delta_vector_calls(monkeypatch):
-    """Every operator moments.delta_vector is called with, in call order."""
-    calls = []
-    real = moments.delta_vector
+def delta_calls(monkeypatch):
+    """The rows of every moments.delta_stack call, and the count of per-row
+    moments.delta_vector and ModulusPair.from_deltas calls."""
+    calls = {"delta_stack": [], "delta_vector": 0, "from_deltas": 0}
+    real_stack, real_vector, real_pair = moments.delta_stack, moments.delta_vector, moments.ModulusPair.from_deltas
 
-    def counting(A, psi):
-        calls.append(A)
-        return real(A, psi)
+    def per_row(name, real):
+        return lambda *args: calls.update({name: calls[name] + 1}) or real(*args)
 
-    monkeypatch.setattr(moments, "delta_vector", counting)
+    monkeypatch.setattr(moments, "delta_stack", lambda Ms, P: calls["delta_stack"].append(len(P)) or real_stack(Ms, P))
+    monkeypatch.setattr(moments, "delta_vector", per_row("delta_vector", real_vector))
+    monkeypatch.setattr(moments.ModulusPair, "from_deltas", staticmethod(per_row("from_deltas", real_pair)))
     return calls
 
 
 @pytest.mark.parametrize("example, n_ops", [("ex5", 3), ("ex2", 2)])
-def test_sweep_row_computes_one_delta_vector_per_operator(capsys, delta_vector_calls,
-                                                          example, n_ops):
-    code, _, err = run(["sweep", "--example", example, "--steps", "4"], capsys)
+def test_sweep_row_computes_one_delta_vector_per_operator(capsys, delta_calls, example, n_ops):
+    # A sweep forms its rows' delta vectors per block of 64 angles, in one
+    # delta_stack per operator: 65 rows make 2 blocks. No row forms a delta
+    # vector or a modulus pair of its own (a row took n_ops delta_vector
+    # calls and one from_deltas, a triple row two more from_deltas).
+    code, _, err = run(["sweep", "--example", example, "--steps", "65"], capsys)
     assert code == 0, err
-    assert len(delta_vector_calls) == 4 * n_ops
+    assert delta_calls == {"delta_stack": [64] * n_ops + [1] * n_ops, "delta_vector": 0, "from_deltas": 0}
 
 
-def test_three_operator_report_computes_three_delta_vectors(tmp_path, capsys,
-                                                            delta_vector_calls):
+def test_three_operator_report_computes_three_delta_vectors(tmp_path, capsys, delta_calls):
+    # bounds is a grid of one angle: one block of one row.
     path = write_problem(tmp_path, 3, params='{"flavor": "tilde"}')
     code, _, err = run(["bounds", "--input", str(path)], capsys)
     assert code == 0, err
-    assert len(delta_vector_calls) == 3
+    assert delta_calls == {"delta_stack": [1] * 3, "delta_vector": 0, "from_deltas": 0}
 
 
 def test_sweep_row_searches_each_block_size_once(capsys, monkeypatch):
@@ -750,8 +755,9 @@ def test_sweep_row_searches_each_block_size_once(capsys, monkeypatch):
 def test_three_operator_report_bounds_each_pair_once(capsys, monkeypatch, squarings):
     # ex5 has n = 4 and m = 2. The report's pair A-B makes one modulus pair,
     # one k_m, one variance product and one search pass over the sizes 1, 2;
-    # the geometric mean takes A-B's factors from that report and makes one
-    # of each for the pairs A-C and B-C, its pass searching m = 2 only. Each
+    # the geometric mean takes A-B's factors from that report, checks the
+    # three moduli rows once and makes one of each for the pairs A-C and B-C
+    # from them (no from_deltas), its pass searching m = 2 only. Each
     # pair squares x and y once (numpy's), and only the report's pair forms
     # the C-pow squares, once for i_d and i_1'.
     calls = {}
@@ -768,11 +774,12 @@ def test_three_operator_report_bounds_each_pair_once(capsys, monkeypatch, squari
 
     count(bounds, "geometric_mean_bound")
     count(moments.ModulusPair, "from_deltas", staticmethod)
+    count(moments.ModulusPair, "checked", staticmethod)
     for name in ("split_bound", "variance_product", "best_split_bound", "_split_search"):
         count(bounds, name)
     code, _, err = run(["bounds", "--example", "ex5", "--flavor", "tilde"], capsys)
     assert code == 0, err
-    assert calls == {"geometric_mean_bound": 1, "from_deltas": 3, "split_bound": 3,
+    assert calls == {"geometric_mean_bound": 1, "from_deltas": 0, "checked": 1, "split_bound": 3,
                      "variance_product": 3, "best_split_bound": 2, "_split_search": 1 + 2}
     squared, powed = squarings["squares"], squarings["pow_terms"]
     assert len(squared) == len({id(pair) for pair in squared}) == 3

@@ -7,10 +7,10 @@ import sys
 import numpy as np
 import pytest
 
-from uur import errors, linalg, moments, sampling
+from uur import errors, linalg, moments, sampling, scenarios
 
 from conftest import assert_same_bits, refused
-from oracles import random_unitary, two_pass_purify
+from oracles import random_state, random_unitary, two_pass_purify
 
 
 def test_pure_state_requires_unit_norm():
@@ -65,7 +65,7 @@ def test_variance_never_exceeds_one():
     for _ in range(50):
         d = int(gen.integers(2, 6))
         U = random_unitary(gen, d)
-        psi = sampling.random_state(gen, d)
+        psi = random_state(gen, d)
         var = moments.variance_pure(U, psi)
         assert -1e-12 <= var <= 1.0 + 1e-12
 
@@ -141,7 +141,7 @@ def test_a_stack_is_checked_once_and_refuses_its_first_bad_matrix():
 
 def test_a_state_stack_is_checked_once_and_refuses_its_first_bad_row():
     rng = sampling.trial_generator(7, 1, 3)
-    P = np.array([sampling.random_state(rng, 4).amplitudes for _ in range(5)])
+    P = np.array([random_state(rng, 4).amplitudes for _ in range(5)])
     states = moments.PureState.stack(np.asfortranarray(P))
     assert all(psi.amplitudes.flags.c_contiguous for psi in states)
     assert all(np.array_equal(psi.amplitudes, row) for psi, row in zip(states, P))
@@ -181,7 +181,7 @@ def _stacked_case(rows: int, d: int):
     rng = sampling.trial_generator(34, rows, d)
     counts = [1 + t % 4 for t in range(rows)]
     owner = [t for t, k in enumerate(counts) for _ in range(k)][:rows]
-    P = np.array([sampling.random_state(rng, d).amplitudes for _ in range(owner[-1] + 1)])
+    P = np.array([random_state(rng, d).amplitudes for _ in range(owner[-1] + 1)])
     return sampling.haar_unitaries(sampling.complex_gaussians(rng, rows, d, d)), P[owner]
 
 
@@ -210,6 +210,45 @@ def test_delta_stack_refuses_non_finite_moduli():
     Ms[4][1, 1] = np.inf
     with refused("modulus vectors must be finite"), np.errstate(invalid="ignore"):
         moments.delta_stack(Ms, P)
+
+
+def _broadcast_cases():
+    """(label, unitaries, state stack): each built-in example on 129 angles of its theta range
+    (two 64-angle blocks and one more), and 3 seeded unitaries on 70 random states at n = 2..18."""
+    examples = [("ex1", d) for d in range(2, 21)] + [("ex2", d) for d in range(3, 17)]
+    for sid, d in examples + [(sid, None) for sid in ("ex3", "ex4", "ex5", "ex6")]:
+        scen = scenarios.scenario(sid, d)
+        grid = scenarios.theta_grid(*scen.theta_range, 129)
+        yield (f"{sid} d={scen.dimension}", [moments.Unitary(M) for _, M in scen.operators],
+               np.array([scen.state(theta).amplitudes for theta in grid]))
+    for n in range(2, 19):
+        rng = sampling.trial_generator(35, n, 7)
+        ops = [moments.Unitary(random_unitary(rng, n)) for _ in range(3)]
+        yield f"random n={n}", ops, np.array([random_state(rng, n).amplitudes for _ in range(70)])
+
+
+def test_one_operator_broadcast_over_a_state_stack_is_delta_vector_row_by_row():
+    # A sweep forms a block's delta vectors with one delta_stack per operator,
+    # U.matrix[None] broadcast over the block's states (M[None] @ P[..., None]):
+    # entries, means and moduli equal delta_vector's and from_deltas' per row,
+    # sign bits included, on every example's grid (ex4's lifted 4x4 operators
+    # too) and on random states, also from a column-major state stack.
+    rows = 0
+    for label, ops, P in _broadcast_cases():
+        assert P.flags.c_contiguous, label
+        for states in (P, np.asfortranarray(P)):
+            stacks = [moments.delta_stack(U.matrix[None], states) for U in ops]
+            for r, amplitudes in enumerate(P):
+                psi = moments.PureState(amplitudes)
+                alone = [moments.delta_vector(U, psi) for U in ops]
+                for (entries, means, _), dv in zip(stacks, alone):
+                    assert_same_bits(entries[r], dv.entries)
+                    assert_same_bits(means[r], dv.mean)
+                pair = moments.ModulusPair.from_deltas(*alone[:2])
+                assert_same_bits(stacks[0][2][r], pair.x)
+                assert_same_bits(stacks[1][2][r], pair.y)
+                rows += 1
+    assert rows == 2 * (129 * (19 + 14 + 4) + 70 * 17)
 
 
 VALIDATION_MESSAGES = [
@@ -260,7 +299,7 @@ def test_a_unitary_is_neither_checked_nor_coerced_again(monkeypatch):
 def test_delta_vector_is_orthogonal_shift():
     gen = sampling.trial_generator(seed=3, trial=0)
     U = random_unitary(gen, 3)
-    psi = sampling.random_state(gen, 3)
+    psi = random_state(gen, 3)
     dv = moments.delta_vector(U, psi)
     # <psi| (U - <U>) |psi> = 0 by construction.
     assert abs(np.vdot(psi.amplitudes, dv.entries)) < 1e-12
@@ -271,7 +310,7 @@ def test_modulus_pair_matches_variances():
     gen = sampling.trial_generator(seed=4, trial=0)
     A = random_unitary(gen, 4)
     B = random_unitary(gen, 4)
-    psi = sampling.random_state(gen, 4)
+    psi = random_state(gen, 4)
     pair = moments.modulus_pair(A, B, psi)
     assert float(np.dot(pair.x, pair.x)) == pytest.approx(moments.variance_pure(A, psi))
     assert float(np.dot(pair.y, pair.y)) == pytest.approx(moments.variance_pure(B, psi))
@@ -338,7 +377,7 @@ def test_correlation_coordinate_identity():
     gen = sampling.trial_generator(seed=5, trial=0)
     A = random_unitary(gen, 4)
     B = random_unitary(gen, 4)
-    psi = sampling.random_state(gen, 4)
+    psi = random_state(gen, 4)
     pair = moments.modulus_pair(A, B, psi)
     direct = moments.correlation(A, B, psi)
     alpha, beta = moments.delta_vector(A, psi), moments.delta_vector(B, psi)

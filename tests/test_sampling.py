@@ -33,7 +33,7 @@ def test_haar_unitaries_are_unitary():
 def test_random_state_unit_norm():
     gen = sampling.trial_generator(seed=1, trial=1)
     for d in (2, 4, 7):
-        psi = sampling.random_state(gen, d)
+        psi = random_state(gen, d)
         assert abs(np.linalg.norm(psi.amplitudes) - 1.0) < 1e-12
 
 
@@ -56,7 +56,7 @@ def test_one_stack_draws_what_per_matrix_draws_drew():
                 ops, psi = per_matrix_instance(seed, trial, n, count, n)
                 rng = sampling.trial_generator(seed, trial, n)
                 stacks.append(sampling.complex_gaussians(rng, count, n, n))
-                assert np.array_equal(sampling.random_state(rng, n).amplitudes, psi.amplitudes)
+                assert np.array_equal(random_state(rng, n).amplitudes, psi.amplitudes)
                 want += ops
             got = sampling.haar_unitaries(np.concatenate(stacks))
             assert got.shape == (len(want), n, n)
@@ -72,7 +72,7 @@ def test_random_state_and_density_draw_what_per_matrix_draws_drew():
         gen, ref = sampling.trial_generator(9, n), sampling.trial_generator(9, n)
         stack = sampling.haar_unitaries(sampling.complex_gaussians(gen, 3, n, n))
         assert np.array_equal(stack, [random_unitary(ref, n) for _ in range(3)])
-        assert np.array_equal(sampling.random_state(gen, n).amplitudes,
+        assert np.array_equal(random_state(gen, n).amplitudes,
                               random_state(ref, n).amplitudes)
         assert np.array_equal(sampling.random_density(gen, n).matrix,
                               random_density(ref, n).matrix)

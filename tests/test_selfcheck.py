@@ -156,17 +156,18 @@ def test_stacked_instances_match_per_matrix_draws(counts, dmin, dmax):
     # states one norm test. A trial takes its matrices and its raw state from
     # one standard_normal call, which draws the numbers of the two
     # complex_gaussians calls it replaced. Its delta vectors, from the stacked
-    # pass, equal delta_vector's, and its pair modulus_pair's.
+    # pass, equal delta_vector's, its moduli rows their np.abs, and its pair
+    # modulus_pair's.
     matched = 0
     for seed in (0, 1, 5, 42, 2 ** 31 - 1):
         for stream in (0, 9):
-            for trial, (d, ops, psi, deltas, pair, instance) in enumerate(selfcheck._instances(
+            for trial, (d, ops, psi, deltas, moduli, pair, instance) in enumerate(selfcheck._instances(
                     sampled_items(seed, 40, stream, selfcheck._Draws(counts, dmin, dmax)))):
                 k = counts[trial % len(counts)]
                 want, want_psi = per_matrix_instance(seed, trial, stream, k, d)
                 assert (instance["trial"], instance["dimension"]) == (trial, d)
                 assert d == dmin + trial % (dmax - dmin + 1)
-                assert len(ops) == len(want) == len(deltas) == k
+                assert len(ops) == len(want) == len(deltas) == len(moduli) == k
                 for U, V, raw in zip(ops, want, instance["operators"]):
                     assert np.array_equal(U.matrix, V) and raw is U.matrix
                 assert np.array_equal(psi.amplitudes, want_psi.amplitudes)
@@ -175,9 +176,10 @@ def test_stacked_instances_match_per_matrix_draws(counts, dmin, dmax):
                 two = sampling.trial_generator(seed, trial, stream)
                 assert_same_bits(G, sampling.complex_gaussians(two, k, d, d))
                 assert_same_bits(v, sampling.complex_gaussians(two, 1, d)[0])
-                for U, dv in zip(ops, deltas):
+                for U, dv, row in zip(ops, deltas, moduli):
                     alone = moments.delta_vector(U, psi)
                     assert_same_bits(dv.entries, alone.entries)
+                    assert_same_bits(row, np.abs(alone.entries))
                     assert_same_bits(dv.mean, alone.mean)
                     assert type(dv.mean) is complex
                 if k == 1:
@@ -213,6 +215,9 @@ def test_check_forms_its_delta_vectors_in_one_pass_per_dimension(monkeypatch):
     # is left per item: coordinate_identities' own variance and correlation
     # (3 each), the ex1 pairs of cross_bound_chain (2 each), the mixed-state
     # floor's eigenvectors (90) and the draws of purification and the floor.
+    # multi_op passes its trial's delta_stack moduli rows to the geometric
+    # mean, which pairs them unchecked: its 51 further pairs (2 per 3-operator
+    # trial, 5 per 4-operator trial) no longer pass a ModulusPair check.
     calls = collections.Counter()
 
     def count(owner, name, key):
@@ -227,7 +232,7 @@ def test_check_forms_its_delta_vectors_in_one_pass_per_dimension(monkeypatch):
     results = selfcheck.run_all(42, 15)
     assert all(r.failures == 0 for r in results)
     assert calls == {"delta_vector": 165, "delta_stack": 7, "complex_gaussians": 45,
-                     "PureState": 75, "ModulusPair": 96}
+                     "PureState": 75, "ModulusPair": 45}
 
 
 def _refusal(monkeypatch, owner, name, corrupt):
