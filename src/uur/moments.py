@@ -200,11 +200,6 @@ class ModulusPair:
         return kept["pow_terms"]
 
     @classmethod
-    def from_deltas(cls, alpha: DeltaVector, beta: DeltaVector) -> "ModulusPair":
-        """The moduli of two delta vectors on a shared state."""
-        return cls(x=np.abs(alpha.entries), y=np.abs(beta.entries))
-
-    @classmethod
     def unchecked(cls, x: np.ndarray, y: np.ndarray) -> "ModulusPair":
         """The pair of two moduli rows that delta_stack's finiteness test, or checked, has passed."""
         return vars(pair := object.__new__(cls)).update(x=x, y=y) or pair  # no __post_init__
@@ -218,16 +213,12 @@ def expectation(A, psi: PureState) -> complex:
     return complex(np.vdot(psi.amplitudes, M @ psi.amplitudes))
 
 
-def delta_vector(A, psi: PureState) -> DeltaVector:
-    """Coordinates of (A - <A>)|psi> in the computational basis."""
-    image = Unitary.matrix_on(A, psi.dim) @ psi.amplitudes
-    mean = complex(np.vdot(psi.amplitudes, image))
-    return DeltaVector(entries=image - mean * psi.amplitudes, mean=mean)
-
-
 def delta_stack(Ms, P) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Entries, means and finite moduli of the delta vectors of Ms (k, n, n) on P (k, n), row by row the bits
-    of delta_vector and from_deltas: both stacks are made C-contiguous (BLAS rounds strided ones differently)."""
+    """Entries, means and finite moduli of the delta vectors of Ms (k, n, n) on P (k, n), row by row: the one
+    place an operator and a state become moments. Ms holds matrices that Unitary or Unitary.stack has checked
+    (one per state, or U.matrix[None] broadcast over every state); this tests no unitarity. Both stacks are
+    made C-contiguous (BLAS rounds strided ones differently), and tests/oracles.py's per-item delta_vector
+    and from_deltas are its bit-for-bit references."""
     Ms, P = np.ascontiguousarray(Ms, dtype=complex), np.ascontiguousarray(P, dtype=complex)
     image = (Ms @ P[..., None])[..., 0]
     means = (P.conj()[:, None, :] @ image[..., None])[:, 0, 0]
@@ -235,25 +226,6 @@ def delta_stack(Ms, P) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if not np.isfinite(moduli).all():
         raise UurError("modulus vectors must be finite")  # what ModulusPair says of such a row
     return entries, means, moduli
-
-
-def modulus_pair(A, B, psi: PureState) -> ModulusPair:
-    """Coordinate moduli x, y of the two delta vectors on a shared state."""
-    return ModulusPair.from_deltas(delta_vector(A, psi), delta_vector(B, psi))
-
-
-def correlation(A, B, psi: PureState) -> complex:
-    """<A^dagger B> - <A^dagger><B>, the cross term of the pair.
-
-    Computed as the inner product of the two delta coordinate vectors,
-    which equals the operator form identically.
-    """
-    return delta_vector(A, psi).correlation(delta_vector(B, psi))
-
-
-def variance_pure(A, psi: PureState) -> float:
-    """Variance <dA^dagger dA> of a unitary operator on a pure state."""
-    return delta_vector(A, psi).variance
 
 
 def variance_mixed(A, rho: DensityMatrix) -> float:

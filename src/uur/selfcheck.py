@@ -8,8 +8,10 @@ sampler (`_run`) runs any list of suites: per block of 64 trials, every
 suite draws (most through `_Draws`: Gaussian matrices and a raw state in
 one call), each dimension's matrices become unitary in one QR and one
 unitarity test and its raw states pass one norm test and one stacked
-delta-vector pass (`_sample`), then each suite checks its block. A suite
-reports its trials, failures, worst margin and serialized first counterexample.
+delta-vector pass (`_sample`), then each suite checks its block. Every delta
+vector of `check` comes from `moments.delta_stack`, in that pass or in two
+suites' own stacks (ex1 states, density eigenvectors). A suite reports its
+trials, failures, worst margin and serialized first counterexample.
 
 Two tempting claims are false and are NOT suites here: the paired cross
 bound is not >= level 2 of the fine-grained family on general states (it
@@ -192,11 +194,16 @@ def _ex1_family(seed: int, trials: int):
 def suite_cross_bound_chain(rec: SuiteResult, items, ex1, ex1_ops, thetas):
     """Paired cross bound: below the variance product on random states, and
     the full sandwich down to level 2 on the ex1 closed-form family."""
-    for (d, *_, pair, instance), (_, rng) in zip(_instances(items), thetas):
+    block = list(zip(_instances(items), (float(rng.uniform(0.0, math.pi)) for _, rng in thetas)))
+    fams = {}  # per d, one delta_stack per ex1 operator over the block's states, as a sweep forms its rows
+    for d in {d for (d, *_), _ in block}:
+        P = np.array([ex1[d].state(theta).amplitudes for (e, *_), theta in block if e == d])
+        fams[d] = map(moments.ModulusPair.unchecked, *(moments.delta_stack(U.matrix[None], P)[2]
+                                                       for U in ex1_ops[d]))
+    for (d, *_, pair, instance), theta in block:
         rec.check(bounds.paired_cross_bound(pair) - bounds.variance_product(pair),
                   SLACK, instance, "i_1_prime > variance_product")
-        theta = float(rng.uniform(0.0, math.pi))
-        fam = moments.modulus_pair(*ex1_ops[d], ex1[d].state(theta))
+        fam = next(fams[d])
         inst = {"trial": instance["trial"], "dimension": d, "example": "ex1", "theta": theta}
         rec.check(bounds.paired_cross_bound(fam) - bounds.variance_product(fam),
                   SLACK, inst, "ex1: i_1_prime > variance_product")
@@ -335,9 +342,10 @@ def suite_mixed_state_floor(rec: SuiteResult, items):
     """Mixed-state variances dominate the worst pure eigenstate, in both
     product and sum form."""
     for trial, (uA, uB), rho in items:
-        eig = [moments.PureState.normalized(v) for v in rho.eig.eigenvectors.T]
-        pa = [moments.variance_pure(uA, u) for u in eig]
-        pb = [moments.variance_pure(uB, u) for u in eig]
+        P = np.array([moments.PureState.normalized(v).amplitudes for v in rho.eig.eigenvectors.T])
+        stacks = [moments.delta_stack(U.matrix[None], P) for U in (uA, uB)]
+        pa, pb = ([moments.DeltaVector(e, m).variance for e, m in zip(entries, means.tolist())]
+                  for entries, means, _ in stacks)
         va = moments.variance_mixed(uA, rho)
         vb = moments.variance_mixed(uB, rho)
         instance = {"trial": trial, "dimension": rho.dim,
@@ -376,8 +384,8 @@ def suite_equality_case(rec: SuiteResult, items):
 @_suite(5, _Draws())
 def suite_coordinate_identities(rec: SuiteResult, items):
     """Variance and correlation agree across all their equivalent forms."""
-    for _, (A, B), psi, *_, pair, instance in _instances(items):
-        va = moments.variance_pure(A, psi)
+    for _, (A, B), psi, (dA, dB), _, pair, instance in _instances(items):
+        va = dA.variance
         mean = moments.expectation(A, psi)
         rec.check(abs(va - (1.0 - abs(mean) ** 2)), SLACK, instance,
                   "variance != 1 - |mean|^2")
@@ -387,8 +395,7 @@ def suite_coordinate_identities(rec: SuiteResult, items):
             np.vdot(psi.amplitudes, (A.matrix.conj().T @ B.matrix) @ psi.amplitudes)
             - np.conj(np.vdot(psi.amplitudes, A.matrix @ psi.amplitudes))
             * np.vdot(psi.amplitudes, B.matrix @ psi.amplitudes))
-        c_coord = moments.correlation(A, B, psi)
-        rec.check(abs(c_ops - c_coord), SLACK, instance,
+        rec.check(abs(c_ops - dA.correlation(dB)), SLACK, instance,
                   "correlation forms disagree")
 
 

@@ -9,7 +9,10 @@ is the one `bounds` ran before one pass served every block size; it is the
 bit-for-bit reference for that pass. The purification through a Hermitian
 eigensolver and a PSD square root is the one `moments.purify` ran before a
 `DensityMatrix` kept its eigendecomposition; it is the bit-for-bit
-reference for the purification from that decomposition. The helpers name one
+reference for the purification from that decomposition. The per-item
+delta-vector forms are the ones the package ran before `moments.delta_stack`
+formed every delta vector; they are its bit-for-bit references, and the tests
+name a single state's moments with them. The helpers name one
 value of a public function so the tests read like the quantities they check,
 and `run_suite` runs one `check` suite alone through the sampler `run_all` uses.
 """
@@ -24,7 +27,7 @@ import numpy as np
 
 from uur import bounds, linalg, sampling, selfcheck
 from uur.errors import UurError
-from uur.moments import DensityMatrix, PureState
+from uur.moments import DeltaVector, DensityMatrix, ModulusPair, PureState, Unitary
 
 
 @dataclass(frozen=True)
@@ -78,6 +81,40 @@ def split_bound_blend(pair, subset, v: float) -> float:
 def fine_grained_level(pair, level: int) -> float:
     """Level `level` (1-based) of the interpolation family."""
     return bounds.fine_grained_sequence(pair)[level - 1]
+
+
+# The per-item delta-vector forms, verbatim but for from_deltas, which was a
+# ModulusPair classmethod: one operator on one state at a time, a raw matrix
+# checked by Unitary on every call.
+def delta_vector(A, psi: PureState) -> DeltaVector:
+    """Coordinates of (A - <A>)|psi> in the computational basis."""
+    image = Unitary.matrix_on(A, psi.dim) @ psi.amplitudes
+    mean = complex(np.vdot(psi.amplitudes, image))
+    return DeltaVector(entries=image - mean * psi.amplitudes, mean=mean)
+
+
+def from_deltas(alpha: DeltaVector, beta: DeltaVector) -> ModulusPair:
+    """The moduli of two delta vectors on a shared state."""
+    return ModulusPair(x=np.abs(alpha.entries), y=np.abs(beta.entries))
+
+
+def modulus_pair(A, B, psi: PureState) -> ModulusPair:
+    """Coordinate moduli x, y of the two delta vectors on a shared state."""
+    return from_deltas(delta_vector(A, psi), delta_vector(B, psi))
+
+
+def correlation(A, B, psi: PureState) -> complex:
+    """<A^dagger B> - <A^dagger><B>, the cross term of the pair.
+
+    Computed as the inner product of the two delta coordinate vectors,
+    which equals the operator form identically.
+    """
+    return delta_vector(A, psi).correlation(delta_vector(B, psi))
+
+
+def variance_pure(A, psi: PureState) -> float:
+    """Variance <dA^dagger dA> of a unitary operator on a pure state."""
+    return delta_vector(A, psi).variance
 
 
 # The per-matrix sampler, verbatim: each unitary has its own QR.

@@ -18,9 +18,10 @@ import numpy as np
 import pytest
 
 from uur import bounds, cli, linalg, moments, sampling, scenarios
-from uur.moments import ModulusPair
 
-from oracles import example1_reference, random_state, random_unitary, split_bound_blend
+from oracles import (
+    delta_vector, example1_reference, from_deltas, modulus_pair, random_state, random_unitary,
+    split_bound_blend, variance_pure)
 
 SLACK = 1e-10
 
@@ -38,7 +39,7 @@ def test_criterion_01_pairwise_bound_chains():
     violations = []
     for trial in range(1000):
         A, B, psi, d = _instance(101, trial)
-        pair = moments.modulus_pair(A, B, psi)
+        pair = modulus_pair(A, B, psi)
         vp = bounds.variance_product(pair)
         lb = bounds.correlation_bound(pair)
         k_tilde = max(val for val, _ in bounds.best_split_bounds(pair))
@@ -63,7 +64,7 @@ def test_criterion_02_interpolation_endpoints_and_cross_bound():
     cross_bad = []
     for trial in range(1000):
         A, B, psi, d = _instance(102, trial)
-        pair = moments.modulus_pair(A, B, psi)
+        pair = modulus_pair(A, B, psi)
         vp = bounds.variance_product(pair)
         lb = bounds.correlation_bound(pair)
         seq = bounds.fine_grained_sequence(pair)
@@ -93,7 +94,7 @@ def test_criterion_02_interpolation_endpoints_and_cross_bound():
         scen = scenarios.scenario("ex1", d)
         A, B = (M for _, M in scen.operators)
         for theta in scenarios.theta_grid(0.0, math.pi, 200):
-            pair = moments.modulus_pair(A, B, scen.state(theta))
+            pair = modulus_pair(A, B, scen.state(theta))
             seq = bounds.fine_grained_sequence(pair)
             cross = bounds.paired_cross_bound(pair)
             assert seq[1] - SLACK <= cross <= seq[0] + SLACK, \
@@ -107,7 +108,7 @@ def test_criterion_03_clock_shift_closed_forms():
         A, B = (M for _, M in scen.operators)
         for theta in scenarios.theta_grid(0.0, math.pi, 50):
             ref = example1_reference(d, theta)
-            pair = moments.modulus_pair(A, B, scen.state(theta))
+            pair = modulus_pair(A, B, scen.state(theta))
             seq = bounds.fine_grained_sequence(pair)
             got = {
                 "x": pair.x, "y": pair.y,
@@ -123,7 +124,7 @@ def test_criterion_03_clock_shift_closed_forms():
                     deviations.append((d, round(theta, 6), key, err))
         if d == 2:
             for theta in scenarios.theta_grid(0.0, math.pi, 25):
-                pair = moments.modulus_pair(A, B, scen.state(theta))
+                pair = modulus_pair(A, B, scen.state(theta))
                 rep = bounds.bound_report(pair, m=1, v=0.1)
                 vals = [rep.variance_product, rep.lb, rep.k_m, rep.k_m_v,
                         rep.k_tilde_m, rep.k_tilde, *rep.i_d]
@@ -151,7 +152,7 @@ def test_criterion_04_block_choice_saturation():
         A, B = (M for _, M in scen.operators)
         indices = (1, 2, d) if d > 3 else (1, 2, 3)
         for theta in scenarios.theta_grid(0.1, math.pi - 0.1, 25):
-            pair = moments.modulus_pair(A, B, scen.state(theta))
+            pair = modulus_pair(A, B, scen.state(theta))
             vp = bounds.variance_product(pair)
             assert bounds.split_bound(pair, indices) == pytest.approx(vp, abs=SLACK), \
                 f"d={d} theta={theta}: subset {indices} fails to saturate"
@@ -159,7 +160,7 @@ def test_criterion_04_block_choice_saturation():
     scen = scenarios.scenario("ex4")
     A, B = (M for _, M in scen.operators)
     for theta in scenarios.theta_grid(0.0, 2 * math.pi, 50):
-        pair = moments.modulus_pair(A, B, scen.state(theta))
+        pair = modulus_pair(A, B, scen.state(theta))
         vp = bounds.variance_product(pair)
         assert bounds.split_bound(pair, (2, 4)) == pytest.approx(vp, abs=SLACK), \
             f"theta={theta}: subset (2, 4) fails to saturate"
@@ -171,7 +172,7 @@ def test_criterion_05_qubit_purification_ordering():
     scen = scenarios.scenario("ex4")
     A, B = (M for _, M in scen.operators)
     for theta in scenarios.theta_grid(0.0, 2 * math.pi, 200):
-        pair = moments.modulus_pair(A, B, scen.state(theta))
+        pair = modulus_pair(A, B, scen.state(theta))
         vp = bounds.variance_product(pair)
         k2v = split_bound_blend(pair, (1, 2), 0.1)
         seq = bounds.fine_grained_sequence(pair)
@@ -225,8 +226,8 @@ def test_criterion_07_mixed_state_floor():
             if dec.eigenvalues[k] < 1e-12:
                 continue
             pure = moments.PureState(amplitudes=vec / np.linalg.norm(vec))
-            pa = moments.variance_pure(A, pure)
-            pb = moments.variance_pure(B, pure)
+            pa = variance_pure(A, pure)
+            pb = variance_pure(B, pure)
             prods.append(pa * pb)
             sums.append(pa + pb)
         assert va * vb >= min(prods) - 1e-9, f"trial {trial}: product floor broke"
@@ -244,8 +245,8 @@ def test_criterion_08_gram_psd_and_triple():
         assert float(np.min(np.linalg.eigvalsh(G))) >= -SLACK, \
             f"trial {trial}: Gram matrix not PSD"
         if n_ops == 3:
-            product = math.prod(moments.variance_pure(U, psi) for U in ops)
-            rhs = bounds.triple_correlation_bound(*(moments.delta_vector(U, psi) for U in ops))
+            product = math.prod(variance_pure(U, psi) for U in ops)
+            rhs = bounds.triple_correlation_bound(*(delta_vector(U, psi) for U in ops))
             assert rhs <= product + SLACK, \
                 f"trial {trial}: triple bound exceeds the variance product"
 
@@ -258,9 +259,9 @@ def test_criterion_09_geometric_mean_products():
             ops = [random_unitary(gen, d) for _ in range(n_ops)]
             psi = random_state(gen, d)
             m = 1 + trial % max(1, d // 2)
-            deltas = [moments.delta_vector(U, psi) for U in ops]
-            product = math.prod(moments.variance_pure(U, psi) for U in ops)
-            first = bounds.bound_report(moments.ModulusPair.from_deltas(*deltas[:2]), m, 0.1)
+            deltas = [delta_vector(U, psi) for U in ops]
+            product = math.prod(variance_pure(U, psi) for U in ops)
+            first = bounds.bound_report(from_deltas(*deltas[:2]), m, 0.1)
             vals = bounds.geometric_mean_bound([np.abs(d.entries) for d in deltas], first)
             for flavor in ("plain", "convex", "tilde"):
                 assert vals[flavor] <= product + SLACK, \
@@ -276,7 +277,7 @@ def test_criterion_10_permutation_oracle():
         A = random_unitary(gen, n)
         B = random_unitary(gen, n)
         psi = random_state(gen, n)
-        pair = moments.modulus_pair(A, B, psi)
+        pair = modulus_pair(A, B, psi)
         x2 = pair.x.astype(float) ** 2
         y2 = pair.y.astype(float) ** 2
         for m in range(1, n):

@@ -16,7 +16,9 @@ from uur.moments import ModulusPair
 
 import oracles
 from conftest import random_pair, refused
-from oracles import fine_grained_level, per_size_split_bound, random_state, random_unitary, split_bound_blend
+from oracles import (
+    delta_vector, fine_grained_level, from_deltas, modulus_pair, per_size_split_bound, random_state,
+    random_unitary, split_bound_blend, variance_pure)
 
 
 def pair_of(x, y) -> ModulusPair:
@@ -24,7 +26,7 @@ def pair_of(x, y) -> ModulusPair:
 
 
 def deltas_of(ops, psi) -> list[moments.DeltaVector]:
-    return [moments.delta_vector(U, psi) for U in ops]
+    return [delta_vector(U, psi) for U in ops]
 
 
 # --- correlation bound -------------------------------------------------------
@@ -144,7 +146,7 @@ def test_best_split_bound_beats_the_leading_block():
     gen = sampling.trial_generator(seed=11, trial=0)
     for trial in range(20):
         A, B, psi = random_pair(11, trial, 5)
-        p = moments.modulus_pair(A, B, psi)
+        p = modulus_pair(A, B, psi)
         for m in range(1, 5):
             first = bounds.split_bound(p, range(1, m + 1))
             best, _ = bounds.best_split_bound(p, m)
@@ -271,8 +273,7 @@ def test_dense_ex2_row_evaluates_every_part_of_at_most_half_the_support_once(mon
     calls = count_split_values(monkeypatch)
     scen = scenarios.scenario("ex2", 16)
     psi = scen.state(0.7)
-    pair = moments.ModulusPair.from_deltas(
-        *(moments.delta_vector(moments.Unitary(U), psi) for _, U in scen.operators))
+    pair = from_deltas(*(delta_vector(moments.Unitary(U), psi) for _, U in scen.operators))
     table = bounds.best_split_bounds(pair)
     assert len(calls) == 32_767 == sum(math.comb(16, t) for t in range(1, 8)) + math.comb(15, 7)
     calls.clear()
@@ -286,9 +287,8 @@ def test_bound_report_argmax_is_the_oracle_block_as_a_tuple_of_ints():
     # free indices).
     scen = scenarios.scenario("ex1", 16)
     psi = scen.state(1.0)
-    ex1 = moments.ModulusPair.from_deltas(
-        *(moments.delta_vector(moments.Unitary(U), psi) for _, U in scen.operators))
-    pairs = [moments.modulus_pair(*random_pair(25, trial, 2 + trial)) for trial in range(6)]
+    ex1 = from_deltas(*(delta_vector(moments.Unitary(U), psi) for _, U in scen.operators))
+    pairs = [modulus_pair(*random_pair(25, trial, 2 + trial)) for trial in range(6)]
     for p in [ex1, *pairs]:
         report = bounds.bound_report(p, 1)
         table = [per_size_split_bound(p, m) for m in range(1, p.dim // 2 + 1)]
@@ -300,7 +300,7 @@ def test_bound_report_argmax_is_the_oracle_block_as_a_tuple_of_ints():
 def test_bound_report_k_tilde_m_equals_search_at_every_block_size():
     for trial in range(6):
         n = 2 + trial
-        p = moments.modulus_pair(*random_pair(23, trial, n))
+        p = modulus_pair(*random_pair(23, trial, n))
         for m in range(1, n):
             assert bounds.bound_report(p, m).k_tilde_m == bounds.best_split_bound(p, m)[0]
 
@@ -324,7 +324,7 @@ def count_padded_blocks(monkeypatch) -> list:
 
 def test_bound_report_searches_each_block_size_once(monkeypatch):
     # One pass per report serves the sizes 1..3; m = 4..6 read them.
-    p = moments.modulus_pair(*random_pair(24, 0, 7))
+    p = modulus_pair(*random_pair(24, 0, 7))
     calls = count_split_searches(monkeypatch)
     for m in range(1, 7):
         calls.clear()
@@ -342,8 +342,7 @@ def test_bound_report_pads_only_the_block_it_returns(monkeypatch, theta):
     # the tied winners of each size (13), never the 29.
     scen = scenarios.scenario("ex1", 16)
     psi = scen.state(theta)
-    p = moments.ModulusPair.from_deltas(
-        *(moments.delta_vector(moments.Unitary(U), psi) for _, U in scen.operators))
+    p = from_deltas(*(delta_vector(moments.Unitary(U), psi) for _, U in scen.operators))
     x2, y2 = oracles._squares(p)
     s = sum(1 for a, b in zip(x2, y2) if a or b)
     assert (s, sum(min(m, s) - max(0, m - (16 - s)) + 1 for m in range(1, 9))) == (3, 29)
@@ -406,7 +405,7 @@ def test_bound_report_fields_are_the_public_functions_bits():
 def test_block_symmetry_between_m_and_complement():
     for trial in range(10):
         A, B, psi = random_pair(21, trial, 6)
-        p = moments.modulus_pair(A, B, psi)
+        p = modulus_pair(A, B, psi)
         for m in (1, 2, 3):
             a, _ = bounds.best_split_bound(p, m)
             b, _ = bounds.best_split_bound(p, 6 - m)
@@ -488,7 +487,7 @@ def test_fine_grained_worked_values():
 def test_fine_grained_endpoints_and_monotonicity():
     for trial in range(20):
         A, B, psi = random_pair(41, trial, 5)
-        p = moments.modulus_pair(A, B, psi)
+        p = modulus_pair(A, B, psi)
         seq = bounds.fine_grained_sequence(p)
         norms = float(np.dot(p.x, p.x) * np.dot(p.y, p.y))
         assert seq[0] == pytest.approx(norms, abs=1e-10)
@@ -662,7 +661,7 @@ def test_paired_cross_bound_requires_three_indices():
 def test_paired_cross_bound_below_variance_product():
     for trial in range(50):
         A, B, psi = random_pair(51, trial, 4)
-        p = moments.modulus_pair(A, B, psi)
+        p = modulus_pair(A, B, psi)
         norms = float(np.dot(p.x, p.x) * np.dot(p.y, p.y))
         assert bounds.paired_cross_bound(p) <= norms + 1e-10
 
@@ -726,7 +725,7 @@ def test_triple_correlation_bound_equal_operators_saturate():
     gen = sampling.trial_generator(seed=72, trial=0)
     A = random_unitary(gen, 4)
     psi = random_state(gen, 4)
-    var = moments.variance_pure(A, psi)
+    var = variance_pure(A, psi)
     val = bounds.triple_correlation_bound(*deltas_of([A, A, A], psi))
     assert val == pytest.approx(var ** 3, abs=1e-10)
 
@@ -739,7 +738,7 @@ def test_triple_bound_matches_gram_determinant():
         psi = random_state(gen, d)
         G = moments.gram_matrix(ops, psi)
         det = float(np.linalg.det(G).real)
-        triple = math.prod(moments.variance_pure(U, psi) for U in ops)
+        triple = math.prod(variance_pure(U, psi) for U in ops)
         rhs = bounds.triple_correlation_bound(*deltas_of(ops, psi))
         assert det == pytest.approx(triple - rhs, abs=1e-9)
         assert rhs <= triple + 1e-10
@@ -750,7 +749,7 @@ def test_triple_bound_matches_gram_determinant():
 def mean_of(ops, psi, m, v) -> dict[str, float]:
     """The geometric mean as a CLI row takes it: from the report of the first pair."""
     deltas = deltas_of(ops, psi)
-    first = bounds.bound_report(ModulusPair.from_deltas(*deltas[:2]), m, v)
+    first = bounds.bound_report(from_deltas(*deltas[:2]), m, v)
     return bounds.geometric_mean_bound([np.abs(d.entries) for d in deltas], first)
 
 
@@ -759,7 +758,7 @@ def test_geometric_mean_two_ops_reduces_to_pairwise():
     A = random_unitary(gen, 4)
     B = random_unitary(gen, 4)
     psi = random_state(gen, 4)
-    pairwise = bounds.split_bound(moments.modulus_pair(A, B, psi), (1, 2))
+    pairwise = bounds.split_bound(modulus_pair(A, B, psi), (1, 2))
     assert mean_of([A, B], psi, 2, 0.1)["plain"] == pytest.approx(pairwise)
 
 
@@ -778,7 +777,7 @@ def test_geometric_mean_flavors_all_below_product():
         d = int(gen.integers(3, 6))
         ops = [random_unitary(gen, d) for _ in range(3)]
         psi = random_state(gen, d)
-        product = math.prod(moments.variance_pure(U, psi) for U in ops)
+        product = math.prod(variance_pure(U, psi) for U in ops)
         vals = mean_of(ops, psi, max(1, d // 2), 0.1)
         for val in vals.values():
             assert val <= product + 1e-10
@@ -795,7 +794,7 @@ def test_geometric_mean_is_exactly_the_product_of_pairwise_bounds(n_ops):
         d = 2 + trial % 4
         ops = [random_unitary(gen, d) for _ in range(n_ops)]
         psi = random_state(gen, d)
-        pairs = [moments.modulus_pair(A, B, psi) for A, B in itertools.combinations(ops, 2)]
+        pairs = [modulus_pair(A, B, psi) for A, B in itertools.combinations(ops, 2)]
         for m in range(1, d):
             block = range(1, m + 1)
             products = {
@@ -810,7 +809,7 @@ def test_geometric_mean_is_exactly_the_product_of_pairwise_bounds(n_ops):
 def test_geometric_mean_needs_two_operators():
     A, B, psi = random_pair(84, 0, 3)
     deltas = deltas_of([A, B], psi)
-    first = bounds.bound_report(ModulusPair.from_deltas(*deltas), 1)
+    first = bounds.bound_report(from_deltas(*deltas), 1)
     with refused("need at least 2 operators, got 1"):
         bounds.geometric_mean_bound([np.abs(deltas[0].entries)], first)
 
@@ -823,7 +822,7 @@ def test_geometric_mean_rejects_out_of_range_weight():
         mean_of([A, B, C], psi, 1, 1.5)
     # ... and a hand-built BoundSet carrying it is refused at the next pair.
     deltas = deltas_of([A, B, C], psi)
-    first = bounds.bound_report(ModulusPair.from_deltas(*deltas[:2]), 1, 0.1)
+    first = bounds.bound_report(from_deltas(*deltas[:2]), 1, 0.1)
     with refused("blend weight must lie in [0, 1], got 1.5"):
         bounds.geometric_mean_bound([np.abs(d.entries) for d in deltas], dataclasses.replace(first, v=1.5))
 
@@ -855,7 +854,7 @@ def test_geometric_mean_refuses_a_bad_modulus_as_a_pair_would(row, bad, message)
 
 def test_bound_report_runs_chain_on_random_instance():
     A, B, psi = random_pair(91, 0, 5)
-    rep = bounds.bound_report(moments.modulus_pair(A, B, psi), m=2, v=0.1)
+    rep = bounds.bound_report(modulus_pair(A, B, psi), m=2, v=0.1)
     assert rep.validate() == []
     assert rep.m == 2
     assert rep.v == pytest.approx(0.1)
@@ -903,7 +902,7 @@ def test_bound_set_validate_forgives_rounding_within_slack():
 def test_bound_report_rejects_degenerate_block():
     A, B, psi = random_pair(92, 0, 3)
     with refused("block size 3 out of range 1..2 (m = n is degenerate)"):
-        bounds.bound_report(moments.modulus_pair(A, B, psi), m=3, v=0.1)
+        bounds.bound_report(modulus_pair(A, B, psi), m=3, v=0.1)
 
 
 PUBLIC_BOUNDS = ("split_bound", "variance_product", "correlation_bound", "fine_grained_sequence",
@@ -914,7 +913,7 @@ def test_bound_report_reads_the_public_bounds_once_each(monkeypatch):
     # A report's fields come from the module's public functions, looked up at
     # call time, so a wrapper sees each once (the benchmark's tracer times
     # i_d and i_1' this way).
-    p = moments.modulus_pair(*random_pair(94, 0, 5))
+    p = modulus_pair(*random_pair(94, 0, 5))
     want = bounds.bound_report(p, 2)
     calls = []
     for name in PUBLIC_BOUNDS:
@@ -930,7 +929,7 @@ def test_bound_report_reads_the_public_bounds_once_each(monkeypatch):
 def test_a_pair_squares_its_moduli_once(squarings):
     # Every bound reads the pair's kept squares: numpy's once for the sums and
     # the searches, C pow's once for the transcribed sums.
-    p = moments.modulus_pair(*random_pair(94, 1, 6))
+    p = modulus_pair(*random_pair(94, 1, 6))
     bounds.split_bound(p, (1, 3))
     bounds.variance_product(p)
     bounds.best_split_bound(p, 2)
@@ -944,7 +943,7 @@ def test_a_pair_squares_its_moduli_once(squarings):
 
 def test_bound_report_skips_cross_term_for_qubits():
     A, B, psi = random_pair(93, 0, 2)
-    rep = bounds.bound_report(moments.modulus_pair(A, B, psi), m=1, v=0.1)
+    rep = bounds.bound_report(modulus_pair(A, B, psi), m=1, v=0.1)
     assert rep.i_1_prime is None
     assert rep.validate() == []
 

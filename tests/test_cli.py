@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from uur import bounds, cli, errors, linalg, moments, sampling, scenarios
 
-from oracles import run_suite
+from oracles import modulus_pair, run_suite
 from test_golden import CORPUS
 
 
@@ -441,7 +441,7 @@ def test_sweep_csv_round_trip(tmp_path, capsys):
     for line in lines[1:]:
         cells = dict(zip(header, line.split(",")))
         theta = float(cells["theta"])
-        vp = bounds.variance_product(moments.modulus_pair(A, B, scen.state(theta)))
+        vp = bounds.variance_product(modulus_pair(A, B, scen.state(theta)))
         # 17 significant digits round-trip exactly through the CSV.
         assert float(cells["variance_product"]) == vp
 
@@ -699,17 +699,10 @@ def test_check_exits_1_when_its_own_draw_fails_the_unitarity_test(capsys, monkey
 
 @pytest.fixture
 def delta_calls(monkeypatch):
-    """The rows of every moments.delta_stack call, and the count of per-row
-    moments.delta_vector and ModulusPair.from_deltas calls."""
-    calls = {"delta_stack": [], "delta_vector": 0, "from_deltas": 0}
-    real_stack, real_vector, real_pair = moments.delta_stack, moments.delta_vector, moments.ModulusPair.from_deltas
-
-    def per_row(name, real):
-        return lambda *args: calls.update({name: calls[name] + 1}) or real(*args)
-
-    monkeypatch.setattr(moments, "delta_stack", lambda Ms, P: calls["delta_stack"].append(len(P)) or real_stack(Ms, P))
-    monkeypatch.setattr(moments, "delta_vector", per_row("delta_vector", real_vector))
-    monkeypatch.setattr(moments.ModulusPair, "from_deltas", staticmethod(per_row("from_deltas", real_pair)))
+    """The rows of every moments.delta_stack call, the package's one delta-vector form."""
+    calls = []
+    real_stack = moments.delta_stack
+    monkeypatch.setattr(moments, "delta_stack", lambda Ms, P: calls.append(len(P)) or real_stack(Ms, P))
     return calls
 
 
@@ -717,11 +710,11 @@ def delta_calls(monkeypatch):
 def test_sweep_row_computes_one_delta_vector_per_operator(capsys, delta_calls, example, n_ops):
     # A sweep forms its rows' delta vectors per block of 64 angles, in one
     # delta_stack per operator: 65 rows make 2 blocks. No row forms a delta
-    # vector or a modulus pair of its own (a row took n_ops delta_vector
-    # calls and one from_deltas, a triple row two more from_deltas).
+    # vector or a modulus pair of its own (a row once took n_ops per-item
+    # delta vectors and one pair, a triple row two more pairs).
     code, _, err = run(["sweep", "--example", example, "--steps", "65"], capsys)
     assert code == 0, err
-    assert delta_calls == {"delta_stack": [64] * n_ops + [1] * n_ops, "delta_vector": 0, "from_deltas": 0}
+    assert delta_calls == [64] * n_ops + [1] * n_ops
 
 
 def test_three_operator_report_computes_three_delta_vectors(tmp_path, capsys, delta_calls):
@@ -729,7 +722,7 @@ def test_three_operator_report_computes_three_delta_vectors(tmp_path, capsys, de
     path = write_problem(tmp_path, 3, params='{"flavor": "tilde"}')
     code, _, err = run(["bounds", "--input", str(path)], capsys)
     assert code == 0, err
-    assert delta_calls == {"delta_stack": [1] * 3, "delta_vector": 0, "from_deltas": 0}
+    assert delta_calls == [1] * 3
 
 
 def test_sweep_row_searches_each_block_size_once(capsys, monkeypatch):
@@ -757,9 +750,9 @@ def test_three_operator_report_bounds_each_pair_once(capsys, monkeypatch, squari
     # one k_m, one variance product and one search pass over the sizes 1, 2;
     # the geometric mean takes A-B's factors from that report, checks the
     # three moduli rows once and makes one of each for the pairs A-C and B-C
-    # from them (no from_deltas), its pass searching m = 2 only. Each
-    # pair squares x and y once (numpy's), and only the report's pair forms
-    # the C-pow squares, once for i_d and i_1'.
+    # from them, its pass searching m = 2 only. Each pair squares x and y
+    # once (numpy's), and only the report's pair forms the C-pow squares,
+    # once for i_d and i_1'.
     calls = {}
 
     def count(owner, name, wrap=lambda f: f):
@@ -773,13 +766,12 @@ def test_three_operator_report_bounds_each_pair_once(capsys, monkeypatch, squari
         monkeypatch.setattr(owner, name, wrap(counting))
 
     count(bounds, "geometric_mean_bound")
-    count(moments.ModulusPair, "from_deltas", staticmethod)
     count(moments.ModulusPair, "checked", staticmethod)
     for name in ("split_bound", "variance_product", "best_split_bound", "_split_search"):
         count(bounds, name)
     code, _, err = run(["bounds", "--example", "ex5", "--flavor", "tilde"], capsys)
     assert code == 0, err
-    assert calls == {"geometric_mean_bound": 1, "from_deltas": 0, "checked": 1, "split_bound": 3,
+    assert calls == {"geometric_mean_bound": 1, "checked": 1, "split_bound": 3,
                      "variance_product": 3, "best_split_bound": 2, "_split_search": 1 + 2}
     squared, powed = squarings["squares"], squarings["pow_terms"]
     assert len(squared) == len({id(pair) for pair in squared}) == 3

@@ -10,7 +10,8 @@ import pytest
 from uur import errors, linalg, moments, sampling, scenarios
 
 from conftest import assert_same_bits, refused
-from oracles import random_state, random_unitary, two_pass_purify
+from oracles import (
+    delta_vector, from_deltas, random_state, random_unitary, two_pass_purify, variance_pure)
 
 
 def test_pure_state_requires_unit_norm():
@@ -50,8 +51,8 @@ def test_density_matrix_validation():
 def test_expectation_and_variance_on_eigenvector():
     psi = moments.PureState(amplitudes=np.array([1.0, 0.0], dtype=complex))
     assert moments.expectation(moments.sigma_z, psi) == pytest.approx(1.0)
-    assert moments.variance_pure(moments.sigma_z, psi) == pytest.approx(0.0, abs=1e-15)
-    assert moments.variance_pure(moments.sigma_x, psi) == pytest.approx(1.0)
+    assert variance_pure(moments.sigma_z, psi) == pytest.approx(0.0, abs=1e-15)
+    assert variance_pure(moments.sigma_x, psi) == pytest.approx(1.0)
 
 
 def test_expectation_refuses_an_operator_of_another_dimension():
@@ -66,23 +67,25 @@ def test_variance_never_exceeds_one():
         d = int(gen.integers(2, 6))
         U = random_unitary(gen, d)
         psi = random_state(gen, d)
-        var = moments.variance_pure(U, psi)
+        var = variance_pure(U, psi)
         assert -1e-12 <= var <= 1.0 + 1e-12
 
 
 def test_variance_rejects_non_unitary():
+    # A pure state's variance is that of a delta_stack row, and delta_stack
+    # takes only matrices a Unitary has checked: a non-unitary operator stops
+    # there, with the message the per-item form gave.
     psi = moments.PureState(amplitudes=np.array([1.0, 0.0], dtype=complex))
-    with refused("operator deviates from unitarity by 3.000e+00 (tol 1.0e-08)"):
-        moments.variance_pure(np.diag([1.0, 2.0]).astype(complex), psi)
+    message = "operator deviates from unitarity by 3.000e+00 (tol 1.0e-08)"
+    for build in (lambda A: moments.Unitary(A), lambda A: variance_pure(A, psi)):
+        with refused(message):
+            build(np.diag([1.0, 2.0]).astype(complex))
 
 
 QUBIT = moments.PureState(amplitudes=np.array([0.6, 0.8j]))
-# Every function that needs a unitary operator, called with A in the first slot.
+# Every function that takes an operator and a state and needs the operator unitary, called with A in
+# the first slot. delta_stack takes only checked matrices; its callers build each Unitary first.
 UNITARY_BOUNDARY = {
-    "delta_vector": lambda A: moments.delta_vector(A, QUBIT),
-    "modulus_pair": lambda A: moments.modulus_pair(A, moments.sigma_x, QUBIT),
-    "correlation": lambda A: moments.correlation(A, moments.sigma_x, QUBIT),
-    "variance_pure": lambda A: moments.variance_pure(A, QUBIT),
     "variance_mixed": lambda A: moments.variance_mixed(A, moments.bloch_density([0.1, 0.2, 0.3])),
     "gram_matrix": lambda A: moments.gram_matrix([moments.sigma_x, A], QUBIT),
 }
@@ -169,7 +172,7 @@ def test_a_strided_state_is_kept_contiguous_and_rounds_as_its_copy():
             column = W[:, n // 2]
             psi = moments.PureState(column)
             assert psi.amplitudes.flags.c_contiguous and not column.flags.c_contiguous
-            got, want = moments.delta_vector(A, psi), moments.delta_vector(A, moments.PureState(column.copy()))
+            got, want = delta_vector(A, psi), delta_vector(A, moments.PureState(column.copy()))
             assert_same_bits(got.entries, want.entries)
             assert_same_bits(got.mean, want.mean)
     contiguous = column.copy()
@@ -196,10 +199,10 @@ def test_delta_stack_matches_delta_vector_and_from_deltas_row_by_row(rows):
             entries, means, moduli = moments.delta_stack(Ms, states)
             assert entries.shape == moduli.shape == (rows, d) and means.shape == (rows,)
             for M, p, e, mean, x in zip(Ms, P, entries, means, moduli):
-                alone = moments.delta_vector(M, moments.PureState(p))
+                alone = delta_vector(M, moments.PureState(p))
                 assert_same_bits(e, alone.entries)
                 assert_same_bits(mean, alone.mean)
-                assert_same_bits(x, moments.ModulusPair.from_deltas(alone, alone).x)
+                assert_same_bits(x, from_deltas(alone, alone).x)
         x, y = moduli[0], moduli[-1]
         pair = moments.ModulusPair.unchecked(x, y)  # the rows themselves, with no second scan
         assert pair.dim == d and pair.x is x and pair.y is y
@@ -214,7 +217,9 @@ def test_delta_stack_refuses_non_finite_moduli():
 
 def _broadcast_cases():
     """(label, unitaries, state stack): each built-in example on 129 angles of its theta range
-    (two 64-angle blocks and one more), and 3 seeded unitaries on 70 random states at n = 2..18."""
+    (two 64-angle blocks and one more), 3 seeded unitaries on 70 random states at n = 2..18, ex1 on 70
+    seeded uniform angles in [0, pi) at d = 3..8 (check's cross_bound_chain draw), and 2 seeded
+    unitaries on the normalised eigenvectors of 10 seeded densities at n = 2..4 (its mixed-state floor)."""
     examples = [("ex1", d) for d in range(2, 21)] + [("ex2", d) for d in range(3, 17)]
     for sid, d in examples + [(sid, None) for sid in ("ex3", "ex4", "ex5", "ex6")]:
         scen = scenarios.scenario(sid, d)
@@ -225,14 +230,27 @@ def _broadcast_cases():
         rng = sampling.trial_generator(35, n, 7)
         ops = [moments.Unitary(random_unitary(rng, n)) for _ in range(3)]
         yield f"random n={n}", ops, np.array([random_state(rng, n).amplitudes for _ in range(70)])
+    for d in range(3, 9):
+        scen, rng = scenarios.scenario("ex1", d), sampling.trial_generator(36, d, 31)
+        yield (f"ex1 d={d} uniform", [moments.Unitary(M) for _, M in scen.operators],
+               np.array([scen.state(float(rng.uniform(0.0, math.pi))).amplitudes for _ in range(70)]))
+    for n in range(2, 5):
+        rng = sampling.trial_generator(36, n, 11)
+        for k in range(10):
+            rho = sampling.random_density(rng, n)
+            ops = [moments.Unitary(random_unitary(rng, n)) for _ in range(2)]
+            yield (f"density n={n} #{k}", ops,
+                   np.array([moments.PureState.normalized(v).amplitudes for v in rho.eig.eigenvectors.T]))
 
 
 def test_one_operator_broadcast_over_a_state_stack_is_delta_vector_row_by_row():
     # A sweep forms a block's delta vectors with one delta_stack per operator,
-    # U.matrix[None] broadcast over the block's states (M[None] @ P[..., None]):
-    # entries, means and moduli equal delta_vector's and from_deltas' per row,
-    # sign bits included, on every example's grid (ex4's lifted 4x4 operators
-    # too) and on random states, also from a column-major state stack.
+    # U.matrix[None] broadcast over the block's states (M[None] @ P[..., None]),
+    # and so do check's ex1 rows and mixed-state floor: entries, means and
+    # moduli equal the per-item delta_vector's and from_deltas' per row, sign
+    # bits included, on every example's grid (ex4's lifted 4x4 operators too),
+    # on random states, on ex1 at random angles and on density eigenvectors,
+    # also from a column-major state stack.
     rows = 0
     for label, ops, P in _broadcast_cases():
         assert P.flags.c_contiguous, label
@@ -240,15 +258,15 @@ def test_one_operator_broadcast_over_a_state_stack_is_delta_vector_row_by_row():
             stacks = [moments.delta_stack(U.matrix[None], states) for U in ops]
             for r, amplitudes in enumerate(P):
                 psi = moments.PureState(amplitudes)
-                alone = [moments.delta_vector(U, psi) for U in ops]
+                alone = [delta_vector(U, psi) for U in ops]
                 for (entries, means, _), dv in zip(stacks, alone):
                     assert_same_bits(entries[r], dv.entries)
                     assert_same_bits(means[r], dv.mean)
-                pair = moments.ModulusPair.from_deltas(*alone[:2])
+                pair = from_deltas(*alone[:2])
                 assert_same_bits(stacks[0][2][r], pair.x)
                 assert_same_bits(stacks[1][2][r], pair.y)
                 rows += 1
-    assert rows == 2 * (129 * (19 + 14 + 4) + 70 * 17)
+    assert rows == 2 * (129 * (19 + 14 + 4) + 70 * 17 + 70 * 6 + 10 * (2 + 3 + 4))
 
 
 VALIDATION_MESSAGES = [
@@ -278,42 +296,47 @@ def test_validation_error_text(build, error, message):
 
 def test_a_unitary_is_neither_checked_nor_coerced_again(monkeypatch):
     U = moments.Unitary(moments.sigma_y)
-    raw = moments.delta_vector(moments.sigma_y, QUBIT)
     rho = moments.bloch_density([0.1, 0.2, 0.3])
+    raw = moments.variance_mixed(moments.sigma_y, rho), moments.gram_matrix([moments.sigma_y], QUBIT)
     calls = {"unitary_deviation": 0, "as_square_matrix": 0}
     for name in calls:
         def counting(M, name=name, real=getattr(linalg, name)):
             calls[name] += 1
             return real(M)
         monkeypatch.setattr(linalg, name, counting)
-    wrapped = moments.delta_vector(U, QUBIT)
-    moments.variance_mixed(U, rho)
+    wrapped = moments.variance_mixed(U, rho), moments.gram_matrix([U], QUBIT)
     moments.gram_matrix([U, U], QUBIT)
     assert calls == {"unitary_deviation": 0, "as_square_matrix": 0}
-    assert wrapped.mean == raw.mean and np.array_equal(wrapped.entries, raw.entries)
+    assert wrapped[0] == raw[0] and np.array_equal(wrapped[1], raw[1])
     # A raw matrix is coerced once, inside the unitarity check.
-    moments.delta_vector(moments.sigma_y, QUBIT)
+    moments.variance_mixed(moments.sigma_y, rho)
     assert calls == {"unitary_deviation": 1, "as_square_matrix": 1}
 
 
 def test_delta_vector_is_orthogonal_shift():
+    # Each row of one operator broadcast over a stack of states: <psi| (U - <U>) |psi> = 0 by
+    # construction, and the row's mean is <U>.
     gen = sampling.trial_generator(seed=3, trial=0)
-    U = random_unitary(gen, 3)
-    psi = random_state(gen, 3)
-    dv = moments.delta_vector(U, psi)
-    # <psi| (U - <U>) |psi> = 0 by construction.
-    assert abs(np.vdot(psi.amplitudes, dv.entries)) < 1e-12
-    assert dv.mean == pytest.approx(moments.expectation(U, psi))
+    U = moments.Unitary(random_unitary(gen, 3))
+    states = [random_state(gen, 3) for _ in range(4)]
+    entries, means, _ = moments.delta_stack(U.matrix[None], np.array([psi.amplitudes for psi in states]))
+    for psi, e, mean in zip(states, entries, means):
+        assert abs(np.vdot(psi.amplitudes, e)) < 1e-12
+        assert mean == pytest.approx(moments.expectation(U.matrix, psi))
 
 
 def test_modulus_pair_matches_variances():
+    # A pair of delta_stack moduli rows holds each operator's variance as its squared norm.
     gen = sampling.trial_generator(seed=4, trial=0)
-    A = random_unitary(gen, 4)
-    B = random_unitary(gen, 4)
+    A = moments.Unitary(random_unitary(gen, 4))
+    B = moments.Unitary(random_unitary(gen, 4))
     psi = random_state(gen, 4)
-    pair = moments.modulus_pair(A, B, psi)
-    assert float(np.dot(pair.x, pair.x)) == pytest.approx(moments.variance_pure(A, psi))
-    assert float(np.dot(pair.y, pair.y)) == pytest.approx(moments.variance_pure(B, psi))
+    (ea, ma, x), (eb, mb, y) = (moments.delta_stack(U.matrix[None], psi.amplitudes[None]) for U in (A, B))
+    pair = moments.ModulusPair.unchecked(x[0], y[0])
+    for moduli, entries, mean, U in ((pair.x, ea, ma, A), (pair.y, eb, mb, B)):
+        variance = float(np.dot(moduli, moduli))
+        assert variance == pytest.approx(moments.DeltaVector(entries[0], complex(mean[0])).variance)
+        assert variance == pytest.approx(1.0 - abs(moments.expectation(U.matrix, psi)) ** 2)
     assert np.all(pair.x >= 0) and np.all(pair.y >= 0)
 
 
@@ -374,16 +397,19 @@ def test_modulus_pair_refuses_shape_then_non_finite_then_negative(x, y, message)
 
 
 def test_correlation_coordinate_identity():
+    # The inner product of two stacked delta vectors on one state is the operator form
+    # <A^dagger B> - <A^dagger><B>, and |correlation| <= |x| |y| by Cauchy-Schwarz.
     gen = sampling.trial_generator(seed=5, trial=0)
-    A = random_unitary(gen, 4)
-    B = random_unitary(gen, 4)
+    A = moments.Unitary(random_unitary(gen, 4))
+    B = moments.Unitary(random_unitary(gen, 4))
     psi = random_state(gen, 4)
-    pair = moments.modulus_pair(A, B, psi)
-    direct = moments.correlation(A, B, psi)
-    alpha, beta = moments.delta_vector(A, psi), moments.delta_vector(B, psi)
-    via_coords = complex(np.vdot(alpha.entries, beta.entries))
-    assert abs(direct - via_coords) < 1e-12
-    # |correlation| <= |x| |y| by Cauchy-Schwarz.
+    a = psi.amplitudes
+    entries, means, moduli = moments.delta_stack(np.array([A.matrix, B.matrix]), np.array([a, a]))
+    alpha, beta = (moments.DeltaVector(e, m) for e, m in zip(entries, means.tolist()))
+    direct = complex(np.vdot(a, A.matrix.conj().T @ B.matrix @ a)
+                     - np.conj(np.vdot(a, A.matrix @ a)) * np.vdot(a, B.matrix @ a))
+    assert abs(direct - alpha.correlation(beta)) < 1e-12
+    pair = moments.ModulusPair.unchecked(*moduli)
     assert abs(direct) <= math.sqrt(float(np.dot(pair.x, pair.x)) *
                                     float(np.dot(pair.y, pair.y))) + 1e-12
 
@@ -392,7 +418,7 @@ def test_variance_mixed_pure_case_agrees():
     psi = moments.PureState(amplitudes=np.array([0.6, 0.8], dtype=complex))
     rho = moments.DensityMatrix(matrix=np.outer(psi.amplitudes, psi.amplitudes.conj()))
     U = moments.sigma_x
-    assert moments.variance_mixed(U, rho) == pytest.approx(moments.variance_pure(U, psi))
+    assert moments.variance_mixed(U, rho) == pytest.approx(variance_pure(U, psi))
 
 
 def test_purify_reproduces_density_and_expectations():
@@ -412,7 +438,7 @@ def test_purify_reproduces_density_and_expectations():
         lifted = moments.lift(U)
         assert moments.expectation(lifted, psi) == pytest.approx(
             complex(np.trace(U @ rho.matrix)), abs=1e-12)
-        assert moments.variance_pure(lifted, psi) == pytest.approx(
+        assert variance_pure(lifted, psi) == pytest.approx(
             moments.variance_mixed(U, rho), abs=1e-12)
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from uur import errors
+from uur import errors, moments
 
 from conftest import blas_kernel, libc, pytest_report_header
 
@@ -42,6 +42,14 @@ def test_errors_defines_one_refusal_type_and_the_search_cap():
     assert defined == {"UurError", "SearchSpaceTooLarge"}
     assert errors.UurError.__bases__ == (ValueError,)
     assert errors.SearchSpaceTooLarge.__bases__ == (errors.UurError,)
+
+
+def test_moments_has_one_delta_vector_form():
+    # delta_stack forms every delta vector of the program; the per-item forms
+    # it replaced are tests/oracles.py's bit-for-bit references for it.
+    assert not [name for name in ("delta_vector", "modulus_pair", "correlation", "variance_pure")
+                if hasattr(moments, name)]
+    assert not hasattr(moments.ModulusPair, "from_deltas")
 
 
 def test_no_module_raises_a_plain_value_error():

@@ -11,7 +11,7 @@ import pytest
 from uur import bounds, cli, errors, linalg, moments, scenarios
 
 from conftest import assert_same_bits, refused
-from oracles import example1_reference
+from oracles import example1_reference, modulus_pair, variance_pure
 
 
 def test_clock_operator_small_cases():
@@ -94,8 +94,8 @@ def test_ex1_state_shape():
     assert np.allclose(psi.amplitudes, [1, 0, 0])
     # At theta = 0 the state is a clock eigenvector and the shift mean is 0.
     A, B = (M for _, M in scen.operators)
-    assert moments.variance_pure(A, psi) == pytest.approx(0.0, abs=1e-14)
-    assert moments.variance_pure(B, psi) == pytest.approx(1.0)
+    assert variance_pure(A, psi) == pytest.approx(0.0, abs=1e-14)
+    assert variance_pure(B, psi) == pytest.approx(1.0)
 
 
 def test_ex2_printed_clock_phase():
@@ -190,7 +190,7 @@ def test_ex1_internal_consistency_without_closed_forms():
         A, B = (M for _, M in scen.operators)
         for theta in (0.3, 1.1, 2.0):
             psi = scen.state(theta)
-            pair = moments.modulus_pair(A, B, psi)
+            pair = modulus_pair(A, B, psi)
             seq = bounds.fine_grained_sequence(pair)
             vp = bounds.variance_product(pair)
             assert seq[0] == pytest.approx(vp, abs=1e-10)
@@ -226,7 +226,7 @@ def test_ex1_reference_and_paired_cross_bound_pair_different_coordinates():
             ref = example1_reference(d, theta)
             x, y = ref.x, ref.y
             assert abs(ref.i_1_prime - (ref.i_1 - y[0] ** 2 * (x[1] - x[d - 1]) ** 2)) <= 1e-12
-            pair = moments.modulus_pair(A, B, scen.state(theta))
+            pair = modulus_pair(A, B, scen.state(theta))
             cross = bounds.paired_cross_bound(pair)
             i_1 = bounds.variance_product(pair)
             assert abs(cross - (i_1 - pair.y[0] ** 2 * (pair.x[1] - pair.x[2]) ** 2)) <= 1e-12

@@ -10,7 +10,7 @@ import pytest
 from uur import bounds, errors, linalg, moments, sampling, selfcheck
 
 from conftest import assert_same_bits
-from oracles import per_matrix_instance, run_suite, sampled_items
+from oracles import delta_vector, modulus_pair, per_matrix_instance, run_suite, sampled_items
 
 
 def _corrupt_split_bound(monkeypatch):
@@ -156,8 +156,8 @@ def test_stacked_instances_match_per_matrix_draws(counts, dmin, dmax):
     # states one norm test. A trial takes its matrices and its raw state from
     # one standard_normal call, which draws the numbers of the two
     # complex_gaussians calls it replaced. Its delta vectors, from the stacked
-    # pass, equal delta_vector's, its moduli rows their np.abs, and its pair
-    # modulus_pair's.
+    # pass, equal the per-item delta_vector's, its moduli rows their np.abs,
+    # and its pair modulus_pair's.
     matched = 0
     for seed in (0, 1, 5, 42, 2 ** 31 - 1):
         for stream in (0, 9):
@@ -177,7 +177,7 @@ def test_stacked_instances_match_per_matrix_draws(counts, dmin, dmax):
                 assert_same_bits(G, sampling.complex_gaussians(two, k, d, d))
                 assert_same_bits(v, sampling.complex_gaussians(two, 1, d)[0])
                 for U, dv, row in zip(ops, deltas, moduli):
-                    alone = moments.delta_vector(U, psi)
+                    alone = delta_vector(U, psi)
                     assert_same_bits(dv.entries, alone.entries)
                     assert_same_bits(row, np.abs(alone.entries))
                     assert_same_bits(dv.mean, alone.mean)
@@ -185,7 +185,7 @@ def test_stacked_instances_match_per_matrix_draws(counts, dmin, dmax):
                 if k == 1:
                     assert pair is None
                 else:
-                    alone = moments.modulus_pair(*ops[:2], psi)
+                    alone = modulus_pair(*ops[:2], psi)
                     assert_same_bits(pair.x, alone.x)
                     assert_same_bits(pair.y, alone.y)
                 matched += len(ops) + 1
@@ -208,31 +208,30 @@ def test_stacked_instances_cross_the_block_boundary(monkeypatch):
 
 def test_check_forms_its_delta_vectors_in_one_pass_per_dimension(monkeypatch):
     # run_all(42, 15) drew every state with complex_gaussians and formed every
-    # delta vector one at a time: 472 delta_vector and 345 complex_gaussians
-    # calls, 225 per-item PureState and 216 ModulusPair checks. The ten _Draws
-    # suites now take each trial in one draw and form each dimension's delta
-    # vectors in one delta_stack call (7 dimensions, one 15-trial block). What
-    # is left per item: coordinate_identities' own variance and correlation
-    # (3 each), the ex1 pairs of cross_bound_chain (2 each), the mixed-state
-    # floor's eigenvectors (90) and the draws of purification and the floor.
-    # multi_op passes its trial's delta_stack moduli rows to the geometric
-    # mean, which pairs them unchecked: its 51 further pairs (2 per 3-operator
-    # trial, 5 per 4-operator trial) no longer pass a ModulusPair check.
+    # delta vector one at a time: 472 per-item delta vectors and 345
+    # complex_gaussians calls, 225 per-item PureState and 216 ModulusPair
+    # checks. The ten _Draws suites now take each trial in one draw and form
+    # each dimension's delta vectors in one delta_stack call (7 dimensions, one
+    # 15-trial block). coordinate_identities reads its variance and
+    # correlation from those rows; cross_bound_chain forms each dimension's ex1
+    # rows with one delta_stack per operator (6 dimensions, 12 calls) and
+    # pairs them unchecked; the mixed-state floor stacks each density's
+    # eigenvectors, one delta_stack per operator (30 calls). What is left per
+    # item: the eigenvectors' and ex1 states' PureState checks, the draws of
+    # purification and the floor, and equality_case's own pairs (2 a trial).
     calls = collections.Counter()
 
     def count(owner, name, key):
         real = getattr(owner, name)
         monkeypatch.setattr(owner, name, lambda *args: calls.update([key]) or real(*args))
 
-    count(moments, "delta_vector", "delta_vector")
     count(moments, "delta_stack", "delta_stack")
     count(sampling, "complex_gaussians", "complex_gaussians")
     count(moments.PureState, "__post_init__", "PureState")
     count(moments.ModulusPair, "__post_init__", "ModulusPair")
     results = selfcheck.run_all(42, 15)
     assert all(r.failures == 0 for r in results)
-    assert calls == {"delta_vector": 165, "delta_stack": 7, "complex_gaussians": 45,
-                     "PureState": 75, "ModulusPair": 45}
+    assert calls == {"delta_stack": 7 + 12 + 30, "complex_gaussians": 45, "PureState": 75, "ModulusPair": 30}
 
 
 def _refusal(monkeypatch, owner, name, corrupt):
