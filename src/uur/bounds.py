@@ -10,21 +10,48 @@ inequality per block, and once more across the two blocks:
 
 The middle quantity is the split bound; maximizing it over which indices
 form the block gives the best split bound. A block is a sorted tuple of
-1-based indices. One pass over the support of (x^2, y^2) serves all the
+1-based indices. One search over the support of (x^2, y^2) serves all the
 sizes m <= n/2 a report needs: a support part and its complement give the
-same value, so each part of at most half the support is evaluated once. The
-pass takes the squares x^2, y^2 and gives every size's value, and a block of
-a size only when asked (a report asks for its argmax's). The cap is judged on
-the nominal binomial(n, m) of every size first. The interpolation family i_d
-and the paired cross bound are transcribed comparison bounds, bit-faithful to
-their published term-by-term sums: each pair's terms are formed once, and
-each level adds them left to right in (i, j) order. Like the search, both
-skip a zero coordinate's terms: each is +-0.0, which changes no bit of a
-total >= +0.0, unless an overflow makes it inf * 0.0 = NaN.
+same value, and a free index adds exactly 0.0 to a block's sums. The search
+gives every size's value, and a block of a size only when asked (a report
+asks for its argmax's). The cap is judged on the nominal binomial(n, m) of
+every size first.
+
+The reports come in blocks of rows (bound_reports, geometric_mean_bounds; a
+single report is a block of one), and the search has two paths. The per-pair
+pass (_split_search) evaluates each part of at most half the support in
+Python, once per row. The table pass (_split_tables) takes all rows of a
+block that share a support S at once: it builds the subset sums of the x^2
+and y^2 rows over all 2^|S| masks by doubling, s[1 << i : 2 << i] = s[: 1 <<
+i] + t_i, which adds in _split_value's ascending order, forms each mask's
+pre-square value t = sqrt(sx) sqrt(sy) + sqrt(sx_c) sqrt(sy_c), and per part
+size squares with C pow only the parts whose t lies within 2^-44 of that
+size's largest t (glibc's pow is within 0.54 ULP, so no other part can reach
+the largest square; near underflow and overflow every part that could tie
+is squared). Among the parts reaching the largest square the
+lexicographically smallest wins, a NaN never wins, and every part NaN gives
+the empty block, as in the per-pair pass: both give the same bits. A group
+takes the table when rows x 2^|S| reaches TABLE_MIN = 256. Measured on
+k dense rows (n = s = 2..9; sizes 1..n/2, k_m and the argmax block; CPU, min
+of 30 rounds on a 2-core shared host), the table was slower at 4 of the 6
+blocks of k 2^n = 128 (per-pair 149 us, table 197 us at n = 4, k = 8; 89
+and 106 us at n = 7, k = 1) and at none of the 7 of 256 (202 and 198 us at
+n = 6, k = 4; 185 and 172 us at n = 8, k = 1; 1,184 and 440 us at n = 4, k =
+64). Single pairs of n <= 6, as `check` draws them, stay per pair. A table
+chunk holds at most 2^TABLE_BITS masks per array: rows go in chunks, and
+past that a row's high mask bits do too, in the same ascending order.
+
+The interpolation family i_d and the paired cross bound are transcribed
+comparison bounds, bit-faithful to their published term-by-term sums: each
+pair's terms are formed once, and each level adds them left to right in (i,
+j) order. Like the search, both skip a zero coordinate's terms: each is
++-0.0, which changes no bit of a total >= +0.0, unless an overflow makes it
+inf * 0.0 = NaN.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -41,6 +68,13 @@ DEFAULT_V = 0.1
 # earlier one by this much before the chain counts as broken.
 SLACK = 1e-10
 FLAVORS = ("plain", "convex", "tilde")
+# A group of rows sharing a support S is searched by table when rows x 2^|S| reaches TABLE_MIN (the measured
+# crossover in the module docstring); a table chunk holds at most 2^TABLE_BITS masks per array (512 KB).
+TABLE_MIN = 256
+TABLE_BITS = 16
+# A part's pre-square value t can reach its size's largest square only from within 2^-44 (relative) of the
+# largest t, except near underflow (t below _TINY) and overflow (t past _HUGE).
+_WINDOW, _TINY, _HUGE = 1.0 - 2.0 ** -44, 2.0 ** -500, 2.0 ** 511
 
 
 def _integer(value, what: str) -> int:
@@ -101,6 +135,14 @@ class BoundSet:
         return bad
 
 
+def _pow2(t: float) -> float:
+    """t ** 2 through C pow, a Python float's **, which every split value is squared with."""
+    try:
+        return t ** 2
+    except OverflowError:  # a finite t whose square passes the largest float
+        return math.inf
+
+
 def _split_value(x2: list[float], y2: list[float], inside: frozenset[int]) -> float:
     # Sums run in ascending global index order for both blocks, so any two
     # representations of the same subset produce bit-identical results.
@@ -112,10 +154,7 @@ def _split_value(x2: list[float], y2: list[float], inside: frozenset[int]) -> fl
         else:
             xc += x2[i]
             yc += y2[i]
-    try:
-        return (math.sqrt(xs) * math.sqrt(ys) + math.sqrt(xc) * math.sqrt(yc)) ** 2
-    except OverflowError:  # finite block sums whose square passes the largest float
-        return math.inf
+    return _pow2(math.sqrt(xs) * math.sqrt(ys) + math.sqrt(xc) * math.sqrt(yc))
 
 
 def variance_product(pair: ModulusPair) -> float:
@@ -157,6 +196,13 @@ def _check_cap(n: int, m: int, cap: int) -> None:
         raise SearchSpaceTooLarge(f"binomial({n}, {m}) = {count} subsets exceeds the cap of {cap}")
 
 
+def _check_sizes(n: int, sizes, cap: int) -> None:
+    for m in sizes:
+        if not 1 <= m <= n:
+            raise UurError(f"block size {m} out of range 1..{n}")
+        _check_cap(n, m, cap)
+
+
 def _padded(part, pad: list[int]) -> tuple[int, ...]:  # a support part and free indices, sorted
     return tuple(sorted([*part, *pad]))
 
@@ -164,10 +210,7 @@ def _padded(part, pad: list[int]) -> tuple[int, ...]:  # a support part and free
 def _split_search(pair: ModulusPair, sizes, cap: int):
     """(values, block): each size's best value, and block(k), the smallest block reaching values[k]."""
     n = pair.dim
-    for m in sizes:
-        if not 1 <= m <= n:
-            raise UurError(f"block size {m} out of range 1..{n}")
-        _check_cap(n, m, cap)
+    _check_sizes(n, sizes, cap)
     x2, y2 = pair.squares[0].tolist(), pair.squares[1].tolist()
     support, free = [], []
     for i in range(n):
@@ -205,6 +248,157 @@ def _split_search(pair: ModulusPair, sizes, cap: int):
         return tuple([i + 1 for i in smallest])  # 1-based
 
     return values, block
+
+
+@functools.cache
+def _lex_masks(bits: int) -> tuple[np.ndarray, ...]:
+    """(order, starts, segment, rev) of the masks of `bits` support positions (bit i: position i). order lists
+    the masks by part size, then by part, lexicographically smallest first; part size p begins at
+    order[starts[p]], and segment[c] is the part size of order[c]. rev reverses a mask's bits: of two parts of
+    one size, the one with the larger rev is the smaller."""
+    rev, count = np.zeros(1 << bits, dtype=np.int64), np.zeros(1 << bits, dtype=np.int64)
+    for i in range(bits):
+        rev[1 << i:2 << i] = rev[:1 << i] | 1 << (bits - 1 - i)
+        count[1 << i:2 << i] = count[:1 << i] + 1
+    order = np.lexsort((-rev, count))
+    return order, np.searchsorted(count[order], np.arange(bits + 1)), count[order], rev
+
+
+def _subset_sums(v: np.ndarray) -> np.ndarray:
+    """(..., 2^b): each mask's sum of the entries of v (..., b) it holds, added from 0.0 in ascending position
+    order, as _split_value adds a block: a mask whose highest bit is i is the mask without it, plus entry i."""
+    sums = np.zeros((*v.shape[:-1], 1 << v.shape[-1]))
+    for i in range(v.shape[-1]):
+        np.add(sums[..., :1 << i], v[..., i, None], out=sums[..., 1 << i:2 << i])
+    return sums
+
+
+def _pow2s(t: np.ndarray) -> np.ndarray:
+    """_pow2 of each float of t."""
+    values = t.tolist()
+    try:
+        return np.array([v ** 2 for v in values], dtype=float)
+    except OverflowError:
+        return np.array([_pow2(v) for v in values], dtype=float)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # inf sums and inf * 0.0 = NaN, as the Python floats give
+def _table_pass(x2: np.ndarray, y2: np.ndarray, lead: int, needed: np.ndarray):
+    """The subset-sum tables of rows sharing one support, its squares x2, y2 (k, s) in ascending position order.
+
+    Returns (best, win, lead_t). For each part size p that needed marks, best[r, p] is the largest C-pow
+    square of a part of p support positions (-1.0 when every such part is NaN) and win[r, p] the
+    lexicographically smallest part reaching it, as a mask; lead_t[r] is the pre-square value of the part of
+    the first `lead` positions. A chunk holds at most 2^TABLE_BITS masks of its rows: the rows go in chunks,
+    and past that a row's high mask bits do too, each chunk adding its high positions to the low table in
+    ascending order, the same sums.
+    """
+    k, s = x2.shape
+    low = min(s, TABLE_BITS)
+    high = s - low
+    order, starts, segment, rev = _lex_masks(low)
+    best, win, key = np.full((k, s + 1), -1.0), np.zeros((k, s + 1), np.int64), np.zeros((k, s + 1), np.int64)
+    lead_t, lead_mask = np.empty(k), (1 << lead) - 1
+    window = np.where(needed, _WINDOW, np.nan)  # NaN: no part of a size no caller reads is squared
+    per = 1 << (TABLE_BITS - low)
+    for r0 in range(0, k, per):
+        v = np.stack((x2[r0:r0 + per], y2[r0:r0 + per]))
+        sums = _subset_sums(v[..., :low])
+
+        def products(c: int) -> np.ndarray:  # sqrt(sx) sqrt(sy) of the masks (c << low) | lo
+            chunk = sums
+            for j in range(high):
+                if c >> j & 1:
+                    chunk = chunk + v[..., low + j, None]
+            root = np.sqrt(chunk)
+            return root[0] * root[1]
+
+        for h in range(1 << max(0, high - 1)):  # h and its complement hc: t of hc's masks is t of h's reversed
+            hc = h ^ ((1 << high) - 1)
+            t = products(h) + products(hc)[:, ::-1]  # a mask's own term first, as in _split_value
+            for c, tc in ((h, t), (hc, t[:, ::-1]))[:1 + (high > 0)]:
+                if c == lead_mask >> low:
+                    lead_t[r0:r0 + per] = tc[:, lead_mask & ((1 << low) - 1)]
+                p0, T = c.bit_count(), tc[:, order]
+                top = np.fmax.reduceat(T, starts, axis=1)  # NaN only where every part is NaN
+                # Only a part within a few ULP of its size's largest t can reach that size's largest
+                # square (glibc's pow is within 0.54 ULP); below 2^-500 a square may be subnormal or 0.0
+                # and past 2^511 it may overflow, so there every part that could tie it is kept.
+                floor = np.minimum(top * window[p0:p0 + low + 1], _HUGE)
+                floor[top < _TINY] = 0.0
+                r_i, c_i = np.nonzero(T >= floor[:, segment])
+                squares, seg = _pow2s(T[r_i, c_i]), segment[c_i]
+                group = r_i * (low + 1) + seg  # (row, part size), non-decreasing; parts in order within each
+                if len(group) > 1 and not (group[1:] != group[:-1]).all():  # keep each group's first largest
+                    new = np.diff(group, prepend=-1) != 0
+                    index = np.cumsum(new) - 1
+                    won = np.flatnonzero(squares == np.maximum.reduceat(squares, np.flatnonzero(new))[index])
+                    won = won[np.diff(index[won], prepend=-1) != 0]
+                    r_i, c_i, seg, squares = r_i[won], c_i[won], seg[won], squares[won]
+                rows, parts, masks = r_i + r0, seg + p0, c << low | order[c_i]
+                if high:  # a part of the same size may lie in another chunk: the larger square, then the smaller part
+                    rank = rev[order[c_i]] << high | int(f"{c:0{high}b}"[::-1], 2)
+                    take = (squares > best[rows, parts]) | (squares == best[rows, parts]) & (rank > key[rows, parts])
+                    rows, parts, masks, squares = rows[take], parts[take], masks[take], squares[take]
+                    key[rows, parts] = rank[take]
+                best[rows, parts], win[rows, parts] = squares, masks
+    return best, win, lead_t
+
+
+def _table_block(support, free, sizes, spans, vals, tops, parts, j: int) -> tuple[int, ...]:
+    """The smallest block of size sizes[j] reaching vals[j]: a part reaching it, padded with free indices."""
+    if vals[j] == -1.0:  # every part is NaN: no block
+        return ()
+    smallest = min(_padded([support[b] for b in range(len(support)) if parts[p] >> b & 1], free[:sizes[j] - p])
+                   for p in spans[j] if tops[p] == vals[j])
+    return tuple([i + 1 for i in smallest])  # 1-based
+
+
+def _split_tables(X2: np.ndarray, Y2: np.ndarray, groups, sizes, m: int):
+    """(row, (values, k_m, block)) for each row of each group (rows, support) of the stacks X2, Y2 (k, n):
+    _split_search's values and block for the sizes, and split_bound's value of the leading block of m."""
+    n = X2.shape[1]
+    for rows, support in groups:
+        s, inside = support.size, set(support.tolist())
+        free = [i for i in range(n) if i not in inside]
+        spans = [range(max(0, size - len(free)), min(size, s) + 1) for size in sizes]
+        needed = np.zeros(s + 1, dtype=bool)
+        for span in spans:
+            needed[span.start:span.stop] = True
+        cols = np.ix_(rows, support)
+        best, win, lead_t = _table_pass(X2[cols], Y2[cols], int(support.searchsorted(m)), needed)
+        values = np.column_stack([best[:, span].max(axis=1) for span in spans]).tolist()
+        for r, vals, tops, parts, t in zip(rows, values, best.tolist(), win.tolist(), lead_t.tolist()):
+            yield r, (vals, _pow2(t), functools.partial(
+                _table_block, support.tolist(), free, sizes, spans, vals, tops, parts))
+
+
+def _searches(pairs: list[ModulusPair], X2: np.ndarray, Y2: np.ndarray, sizes, m: int, cap: int):
+    """Per row of a block: (each size's best value, split_bound of the leading block of m, block(j)).
+
+    The rows that share a support S are searched by one table pass when rows x 2^|S| reaches TABLE_MIN,
+    and every other row by its own pass (_split_search and split_bound). Every size's cap is judged before
+    the first part of either.
+    """
+    k, n = X2.shape
+    tabled, inside = [], X2 + Y2 != 0 if k << n >= TABLE_MIN else None  # a sum of squares is 0 where both are
+    if inside is not None and k << min(n, np.count_nonzero(inside)) >= TABLE_MIN:  # else no group reaches it
+        groups = {}
+        for r, key in enumerate(map(bytes, np.packbits(inside, axis=1))):
+            groups.setdefault(key, []).append(r)
+        tabled = [(rows, np.flatnonzero(inside[rows[0]])) for rows in groups.values()
+                  if len(rows) << int(inside[rows[0]].sum()) >= TABLE_MIN]
+    found = {}
+    if tabled:
+        _check_sizes(n, sizes, cap)  # a row's own pass checks them too, before its first part
+        found = dict(_split_tables(X2, Y2, tabled, sizes, m))
+    out = []
+    for r, pair in enumerate(pairs):
+        if r not in found:
+            values, block = _split_search(pair, sizes, cap)
+            found[r] = values, split_bound(pair, range(1, m + 1)), block
+        out.append(found[r])
+    return out
 
 
 def best_split_bound(pair: ModulusPair, m: int, cap: int = DEFAULT_CAP) -> tuple[float, tuple[int, ...]]:
@@ -323,6 +517,42 @@ def triple_correlation_bound(dA: DeltaVector, dB: DeltaVector, dC: DeltaVector) 
     )
 
 
+def _check_report(n: int, m: int, cap: int) -> None:
+    if n < 2:
+        raise UurError(f"bound reports need dimension >= 2, got {n}")
+    if not 1 <= m <= n - 1:
+        raise UurError(f"block size {m} out of range 1..{n - 1} (m = n is degenerate)")
+    _check_cap(n, m, cap)  # then the search's sizes 1..n/2, before any part
+
+
+def _stack_pairs(X: np.ndarray, Y: np.ndarray):
+    """numpy's squares of two moduli stacks, and a pair per row keeping its rows of them."""
+    X2, Y2 = X ** 2, Y ** 2
+    return [ModulusPair.unchecked(*rows) for rows in zip(X, Y, zip(X2, Y2))], X2, Y2
+
+
+def _means(stacks: list[np.ndarray], firsts, cap: int) -> list[dict[str, float]]:
+    m, ell = firsts[0].m, len(stacks)
+    if any(first.m != m for first in firsts):
+        raise UurError("the reports of one block must share one block size m")
+    products = [dict(zip(FLAVORS, (first.k_m, first.k_m_v, first.k_tilde_m))) for first in firsts]
+    for X, Y in itertools.islice(itertools.combinations(stacks, 2), 1, None):
+        pairs, X2, Y2 = _stack_pairs(X, Y)
+        for pair, first, product, (values, k, _) in zip(
+                pairs, firsts, products, _searches(pairs, X2, Y2, [m], m, cap), strict=True):
+            for flavor, val in zip(FLAVORS, (k, _blend(k, variance_product(pair), first.v), values[0])):
+                product[flavor] *= val
+    return [{flavor: float(p ** (1.0 / (ell - 1))) for flavor, p in product.items()} for product in products]
+
+
+def geometric_mean_bounds(moduli, firsts, cap: int = DEFAULT_CAP) -> list[dict[str, float]]:
+    """geometric_mean_bound for each row of l moduli stacks (k, n) (delta_stack's, one per operator) and
+    firsts, the k reports of stacks 0 and 1 (one m). The stacks are checked by one test for the block."""
+    if len(moduli) < 2:
+        raise UurError(f"need at least 2 operators, got {len(moduli)}")
+    return _means(ModulusPair.checked_stacks(*moduli), firsts, cap)
+
+
 def geometric_mean_bound(moduli, first: BoundSet, cap: int = DEFAULT_CAP) -> dict[str, float]:
     """Multi-operator bounds: geometric means of the pairwise split bounds.
 
@@ -331,46 +561,55 @@ def geometric_mean_bound(moduli, first: BoundSet, cap: int = DEFAULT_CAP) -> dic
     Per pair, "plain" is the split bound on the leading block of size m,
     "convex" its blend with weight v, "tilde" the best split of size m (first's
     k_m, k_m_v, k_tilde_m); each flavor's product over the pairs is raised to 1/(l-1).
+    A block of one row of geometric_mean_bounds.
     """
-    moduli, m = list(moduli), first.m
+    moduli = list(moduli)
     if len(moduli) < 2:
         raise UurError(f"need at least 2 operators, got {len(moduli)}")
-    products = dict(zip(FLAVORS, (first.k_m, first.k_m_v, first.k_tilde_m)))
-    for x, y in itertools.islice(itertools.combinations(ModulusPair.checked(*moduli), 2), 1, None):
-        pair = ModulusPair.unchecked(x, y)
-        k = split_bound(pair, range(1, m + 1))
-        values = (k, _blend(k, variance_product(pair), first.v), best_split_bound(pair, m, cap)[0])
-        for flavor, val in zip(FLAVORS, values):
-            products[flavor] *= val
-    return {flavor: float(p ** (1.0 / (len(moduli) - 1))) for flavor, p in products.items()}
+    return _means([row[None] for row in ModulusPair.checked(*moduli)], [first], cap)[0]
+
+
+def _reports(pairs: list[ModulusPair], X2: np.ndarray, Y2: np.ndarray, m: int, v: float,
+             cap: int) -> list[BoundSet]:
+    n = X2.shape[1]
+    reports = []
+    for pair, (values, k_m, block) in zip(pairs, _searches(pairs, X2, Y2, range(1, n // 2 + 1), m, cap)):
+        first = values.index(max(values))  # the first largest size: the report pads only its block
+        vp = variance_product(pair)
+        reports.append(BoundSet(
+            m=m,
+            v=v,
+            variance_product=vp,
+            lb=correlation_bound(pair),
+            k_m=k_m,
+            k_m_v=_blend(k_m, vp, v),
+            k_tilde_m=values[min(m, n - m) - 1],
+            k_tilde=values[first],
+            k_tilde_argmax=block(first),
+            i_d=fine_grained_sequence(pair),
+            i_1_prime=paired_cross_bound(pair) if n >= 3 else None,
+        ))
+    return reports
+
+
+def bound_reports(X: np.ndarray, Y: np.ndarray, m: int, v: float = DEFAULT_V,
+                  cap: int = DEFAULT_CAP) -> list[BoundSet]:
+    """bound_report for each row pair of the float moduli stacks X, Y (k, n), which delta_stack's finiteness
+    test or ModulusPair.checked_stacks has passed (like ModulusPair.unchecked's rows).
+
+    Each stack is squared once; the split search runs per support group by table or per row (_searches).
+    """
+    _check_report(X.shape[1], m, cap)
+    return _reports(*_stack_pairs(X, Y), m, v, cap)
 
 
 def bound_report(pair: ModulusPair, m: int, v: float = DEFAULT_V,
                  cap: int = DEFAULT_CAP) -> BoundSet:
-    """Compute every pairwise bound for one modulus pair at block size m.
+    """Compute every pairwise bound for one modulus pair at block size m: a block of one row of bound_reports.
 
     m = n is rejected: the complement block would be empty and the split
     degenerates to the plain variance product.
     """
-    n = pair.dim
-    if n < 2:
-        raise UurError(f"bound reports need dimension >= 2, got {n}")
-    if not 1 <= m <= n - 1:
-        raise UurError(f"block size {m} out of range 1..{n - 1} (m = n is degenerate)")
-    _check_cap(n, m, cap)
-    values, block = _split_search(pair, range(1, n // 2 + 1), cap)
-    first = values.index(max(values))  # the first largest size: the report pads only its block
-    k_m, vp, i_d = split_bound(pair, range(1, m + 1)), variance_product(pair), fine_grained_sequence(pair)
-    return BoundSet(
-        m=m,
-        v=v,
-        variance_product=vp,
-        lb=correlation_bound(pair),
-        k_m=k_m,
-        k_m_v=_blend(k_m, vp, v),
-        k_tilde_m=values[min(m, n - m) - 1],
-        k_tilde=values[first],
-        k_tilde_argmax=block(first),
-        i_d=i_d,
-        i_1_prime=paired_cross_bound(pair) if n >= 3 else None,
-    )
+    _check_report(pair.dim, m, cap)
+    X2, Y2 = pair.squares
+    return _reports([pair], X2[None], Y2[None], m, v, cap)[0]

@@ -172,12 +172,11 @@ def _load_problem(cfg: argparse.Namespace) -> Problem:
                    v=_number(pick(cfg.v, "v", DEFAULT_V), "params: v"), cap=cap)
 
 
-def _triple_fields(report: bounds.BoundSet, deltas: list[moments.DeltaVector], moduli, cap: int) -> dict:
+def _triple_fields(deltas: list[moments.DeltaVector], means: dict[str, float]) -> dict:
     vals = {
         "variance_triple": math.prod(d.variance for d in deltas),
         "bong3": bounds.triple_correlation_bound(*deltas),
     }
-    means = bounds.geometric_mean_bound(moduli, report, cap)
     vals.update((key, means[flavor]) for flavor, key in FLAVOR_FIELDS.items())
     for key in TRIPLE_COLUMNS[1:]:
         if vals[key] > vals["variance_triple"] + SLACK:
@@ -188,20 +187,22 @@ def _triple_fields(report: bounds.BoundSet, deltas: list[moments.DeltaVector], m
 
 def _report_rows(problem: Problem, grid: list[float]):
     """(report, row) per angle of grid. Per block of _BLOCK angles the scenario builds (and checks) each
-    state, and one delta_stack per operator forms every row's delta vectors; a row's pair is two moduli rows."""
+    state, one delta_stack per operator forms every row's delta vectors, and the block's reports and geometric
+    means are taken from those moduli stacks, one split search per operator pair."""
     for lo in range(0, len(grid), _BLOCK):
-        P = np.array([problem.scenario.state(theta).amplitudes for theta in grid[lo:lo + _BLOCK]])  # C order
+        thetas = grid[lo:lo + _BLOCK]
+        P = np.array([problem.scenario.state(theta).amplitudes for theta in thetas])  # C order
         stacks = [moments.delta_stack(U.matrix[None], P) for U in problem.operators]
-        for r, theta in enumerate(grid[lo:lo + _BLOCK]):
-            moduli = [mod[r] for *_, mod in stacks]
-            report = bounds.bound_report(moments.ModulusPair.unchecked(*moduli[:2]),
-                                         m=problem.m, v=problem.v, cap=problem.cap)
+        moduli = [mod for *_, mod in stacks]
+        reports = bounds.bound_reports(*moduli[:2], m=problem.m, v=problem.v, cap=problem.cap)
+        means = bounds.geometric_mean_bounds(moduli, reports, problem.cap) if len(stacks) == 3 else None
+        for r, (theta, report) in enumerate(zip(thetas, reports)):
             if bad := report.validate():
                 raise _Violation(f"chain invariants failed at theta={theta!r}: " + "; ".join(bad))
             row = {"theta": theta, **vars(report), "i_2": report.i_d[1]}
-            if len(stacks) == 3:
-                deltas = [moments.DeltaVector(entries[r], complex(means[r])) for entries, means, _ in stacks]
-                row.update(_triple_fields(report, deltas, moduli, problem.cap))
+            if means:
+                deltas = [moments.DeltaVector(entries[r], complex(mean[r])) for entries, mean, _ in stacks]
+                row.update(_triple_fields(deltas, means[r]))
             yield report, row
 
 

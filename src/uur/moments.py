@@ -176,6 +176,18 @@ class ModulusPair:
                            else "not be empty" if not rows[0].size else "be nonnegative"))  # NaN: fails the scan
         return rows
 
+    @staticmethod
+    def checked_stacks(*stacks) -> list[np.ndarray]:
+        """Float stacks (k, n) of moduli rows, all tested at once; a row the test fails is refused by checked
+        on that row of every stack, which names its first failed check."""
+        stacks = [np.asarray(s, dtype=float) for s in stacks]
+        if len({s.shape for s in stacks}) > 1 or stacks[0].ndim != 2:
+            raise UurError(f"moduli stacks must be 2-D of one shape, got {' and '.join(str(s.shape) for s in stacks)}")
+        if not all(s.size and 0.0 <= s.min() and s.max() < np.inf for s in stacks):  # a NaN fails it too
+            for rows in zip(*stacks):
+                ModulusPair.checked(*rows)
+        return stacks
+
     @property
     def dim(self) -> int:
         return self.x.size
@@ -200,9 +212,13 @@ class ModulusPair:
         return kept["pow_terms"]
 
     @classmethod
-    def unchecked(cls, x: np.ndarray, y: np.ndarray) -> "ModulusPair":
-        """The pair of two moduli rows that delta_stack's finiteness test, or checked, has passed."""
-        return vars(pair := object.__new__(cls)).update(x=x, y=y) or pair  # no __post_init__
+    def unchecked(cls, x: np.ndarray, y: np.ndarray, squares=None) -> "ModulusPair":
+        """The pair of two moduli rows that delta_stack's finiteness test, or checked, has passed; squares,
+        when given, are their numpy squares (rows of a squared stack), kept as the pair's own."""
+        vars(pair := object.__new__(cls)).update(x=x, y=y)  # no __post_init__
+        if squares is not None:
+            vars(pair)["squares"] = squares
+        return pair
 
 
 def expectation(A, psi: PureState) -> complex:

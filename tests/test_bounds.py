@@ -476,6 +476,166 @@ def test_the_cap_is_judged_on_every_nominal_size_before_any_part(monkeypatch):
         assert calls == []
 
 
+# --- table pass ----------------------------------------------------------------
+
+def searched(X, Y, sizes, m: int, table: bool) -> list:
+    """Each row's (values, k_m, blocks) from one block search, every group on the table or every row on its own pass."""
+    with pytest.MonkeyPatch.context() as patch, np.errstate(all="ignore"):
+        patch.setattr(bounds, "TABLE_MIN", 0 if table else math.inf)
+        X, Y = np.asarray(X, float), np.asarray(Y, float)
+        pairs, X2, Y2 = bounds._stack_pairs(X, Y)
+        return [(values, k_m, [block(j) for j in range(len(sizes))])
+                for values, k_m, block in bounds._searches(pairs, X2, Y2, sizes, m, bounds.DEFAULT_CAP)]
+
+
+def ex1_rows(n: int, thetas) -> tuple[np.ndarray, np.ndarray]:
+    """The moduli rows of ex1 at dimension n on the angles: one support index at theta 0, three elsewhere."""
+    scen = scenarios.scenario("ex1", n)
+    P = np.array([scen.state(theta).amplitudes for theta in thetas])
+    X, Y = (moments.delta_stack(moments.Unitary(U).matrix[None], P)[2] for _, U in scen.operators)
+    return X, Y
+
+
+def special_stack(seed: int, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """k seeded rows of dimension n, cycling through row kinds that share a block: dense, zeros in one or both
+    coordinates (other supports), all zero, ex1 at theta 0 (one support index), proportional, equal entries,
+    small integers (ties), an even support whose half parts tie their complements, and 1e200 beside zeros
+    (an inf square: NaN parts)."""
+    rng = np.random.default_rng([seed, n, k])
+    ex1_x, ex1_y = ex1_rows(n, [0.0])
+    X, Y = np.empty((k, n)), np.empty((k, n))
+    for r in range(k):
+        x, y = rng.random(n), rng.random(n)
+        kind = r % 9
+        if kind == 1:
+            x, y = x * (rng.random(n) < 0.6), y * (rng.random(n) < 0.6)
+        elif kind == 2:
+            x, y = np.zeros(n), np.zeros(n)
+        elif kind == 3:
+            x, y = ex1_x[0], ex1_y[0]
+        elif kind == 4:
+            y = 2.0 * x
+        elif kind == 5:
+            x, y = np.full(n, 0.5), np.ones(n)
+        elif kind == 6:
+            x, y = rng.integers(0, 3, (2, n)).astype(float)
+        elif kind == 7:
+            keep = np.arange(n) < 2 * (n // 2)
+            x, y = x * keep, np.where(keep, x[::-1], 0.0)
+        elif kind == 8:
+            x[0], y[rng.random(n) < 0.5] = 1e200, 0.0
+        X[r], Y[r] = x, y
+    return X, Y
+
+
+@pytest.mark.parametrize("n, k", [(2, 70), (3, 1), (4, 65), (5, 40), (6, 23), (7, 12), (8, 9), (9, 5),
+                                  (10, 3), (11, 2), (12, 2)])
+def test_table_pass_is_the_per_pair_pass_and_the_per_size_oracle(n, k):
+    # Every size's value and smallest block, ==, on a block whose rows have different supports.
+    X, Y = special_stack(37, n, k)
+    sizes = range(1, n + 1)
+    for m in sorted({1, n // 2, n}):
+        table = searched(X, Y, sizes, m, table=True)
+        assert repr(table) == repr(searched(X, Y, sizes, m, table=False))  # a NaN k_m too
+        with np.errstate(all="ignore"):
+            for (values, k_m, blocks), x, y in zip(table, X, Y):
+                pair = ModulusPair(x, y)
+                assert list(zip(values, blocks)) == [per_size_split_bound(pair, size) for size in sizes]
+                assert repr(k_m) == repr(bounds.split_bound(pair, range(1, m + 1)))
+
+
+@pytest.mark.parametrize("n", [2, 5, 8, 11])
+def test_table_leading_block_is_split_bound_at_every_size(n):
+    X, Y = special_stack(38, n, 18)
+    with np.errstate(all="ignore"):
+        want = [[bounds.split_bound(ModulusPair(x, y), range(1, m + 1)) for x, y in zip(X, Y)]
+                for m in range(1, n + 1)]
+    got = [[k_m for _, k_m, _ in searched(X, Y, [1], m, table=True)] for m in range(1, n + 1)]
+    assert repr(got) == repr(want)  # NaN rows too
+
+
+def test_table_ties_and_nan_rows_keep_the_per_pair_picks():
+    # Equal entries tie every part of a size; proportional rows tie up to rounding; the half parts of an even
+    # support tie their complements; a 1e200 modulus beside zeros makes NaN parts, and all NaN gives (-1.0, ()).
+    X = [[1, 1, 1, 1, 1, 1], [1, 2, 2, 1, 0, 0], [0.3, 0.1, 0.2, 0.6, 0.5, 0.4], [1e200, 0, 3, 0, 0, 0],
+         [1e200, 1e200, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0]]
+    Y = [[1, 1, 1, 1, 1, 1], [1, 2, 2, 1, 0, 0], [0.6, 0.2, 0.4, 1.2, 1.0, 0.8], [0, 1, 2, 0, 0, 0],
+         [0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0]]
+    table = searched(X, Y, range(1, 7), 3, table=True)
+    assert repr(table) == repr(searched(X, Y, range(1, 7), 3, table=False))
+    assert [blocks[2] for _, _, blocks in table][:2] == [(1, 2, 3), (1, 2, 5)]
+    assert table[4][0] == [-1.0] * 6 and table[4][2] == [()] * 6
+    assert table[5][2] == [(1,), (1, 2), (1, 2, 3), (1, 2, 3, 4), (1, 2, 3, 4, 5), (1, 2, 3, 4, 5, 6)]
+
+
+@pytest.mark.parametrize("bits", [0, 1, 2, 3, 5])
+def test_table_in_chunks_is_the_table_in_one(monkeypatch, bits):
+    # Past 2^TABLE_BITS masks a row's high mask bits go in chunks, and the rows go in chunks below it;
+    # every chunk holds at most 2^TABLE_BITS masks of its rows, and the result is the same.
+    X, Y = special_stack(39, 9, 20)
+    whole = searched(X, Y, range(1, 10), 4, table=True)
+    shapes, real = [], bounds._subset_sums
+    monkeypatch.setattr(bounds, "TABLE_BITS", bits)
+    monkeypatch.setattr(bounds, "_subset_sums", lambda v: shapes.append(v.shape) or real(v))
+    assert repr(searched(X, Y, range(1, 10), 4, table=True)) == repr(whole)
+    assert shapes and all(rows << low <= 1 << bits for _, rows, low in shapes)
+
+
+def test_a_dense_ex2_row_fills_one_table_chunk(monkeypatch, capsys):
+    # Three dense rows at n = 16 are three chunks of 2^16 masks, not one table of 3 x 2^16.
+    shapes, real = [], bounds._subset_sums
+    monkeypatch.setattr(bounds, "_subset_sums", lambda v: shapes.append(v.shape) or real(v))
+    assert cli.main(["sweep", "--example", "ex2", "--dim", "16", "--steps", "3"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 4
+    assert shapes == [(2, 1, 16)] * 3
+
+
+block_rows = st.integers(min_value=1, max_value=7).flatmap(
+    lambda n: st.lists(st.lists(coordinate, min_size=n, max_size=n), min_size=1, max_size=4))
+
+
+@settings(max_examples=100, deadline=None)
+@given(block_rows)
+def test_table_pass_matches_full_enumeration(rows):
+    X = [[e[0] for e in row] for row in rows]
+    Y = [[e[1] for e in row] for row in rows]
+    n = len(X[0])
+    for (values, k_m, blocks), x, y in zip(searched(X, Y, range(1, n + 1), n, table=True), X, Y):
+        pair = pair_of(x, y)
+        assert list(zip(values, blocks)) == [brute_force_split(pair, m) for m in range(1, n + 1)]
+        assert k_m == bounds.split_bound(pair, range(1, n + 1))
+
+
+def test_block_reports_are_the_single_reports_row_by_row():
+    # bound_reports and geometric_mean_bounds on a 70-row block (table side) give each row's bound_report and
+    # geometric_mean_bound (per-pair side), field for field.
+    X, Y = special_stack(40, 4, 70)
+    Z = np.random.default_rng(40).random((70, 4))
+    keep = ~(X == 1e200).any(axis=1)  # the NaN rows' reports are compared by repr above
+    X, Y, Z = X[keep], Y[keep], Z[keep]
+    for m in (1, 2, 3):
+        reports = bounds.bound_reports(X, Y, m, 0.3)
+        assert reports == [bounds.bound_report(ModulusPair(x, y), m, 0.3) for x, y in zip(X, Y)]
+        means = bounds.geometric_mean_bounds([X, Y, Z], reports)
+        assert means == [bounds.geometric_mean_bound(rows, first) for *rows, first in zip(X, Y, Z, reports)]
+
+
+@pytest.mark.parametrize("stacks, message", [
+    ((np.ones((2, 3)), np.ones((2, 2))), "moduli stacks must be 2-D of one shape, got (2, 3) and (2, 2)"),
+    ((np.ones(3), np.ones(3)), "moduli stacks must be 2-D of one shape, got (3,) and (3,)"),
+    ((np.ones((2, 0)), np.ones((2, 0))), "modulus vectors must not be empty"),
+    ((np.ones((3, 3)), np.array([[1, 1, 1], [1, -1, np.nan], [1, 1, 1]])), "modulus vectors must be finite"),
+    ((np.ones((3, 3)), np.array([[1, 1, 1], [1, 1, 1], [1, 1, -0.5]])), "modulus vectors must be nonnegative")])
+def test_a_block_is_checked_by_one_test_and_refused_as_its_row(stacks, message):
+    # A bad row is refused with the message ModulusPair gives that row.
+    with refused(message):
+        ModulusPair.checked_stacks(*stacks)
+    if len(stacks[0].shape) == 2 and stacks[0].shape[1] == 3:
+        first = bounds.bound_report(pair_of([1, 2, 3], [3, 2, 1]), 1)
+        with refused(message):
+            bounds.geometric_mean_bounds(list(stacks), [first] * len(stacks[0]))
+
+
 # --- fine-grained family -------------------------------------------------------
 
 def test_fine_grained_worked_values():

@@ -746,12 +746,14 @@ def test_sweep_row_searches_each_block_size_once(capsys, monkeypatch):
 
 
 def test_three_operator_report_bounds_each_pair_once(capsys, monkeypatch, squarings):
-    # ex5 has n = 4 and m = 2. The report's pair A-B makes one modulus pair,
-    # one k_m, one variance product and one search pass over the sizes 1, 2;
-    # the geometric mean takes A-B's factors from that report, checks the
-    # three moduli rows once and makes one of each for the pairs A-C and B-C
-    # from them, its pass searching m = 2 only. Each pair squares x and y
-    # once (numpy's), and only the report's pair forms the C-pow squares,
+    # ex5 has n = 4 and m = 2. The block's report pair A-B makes one k_m, one
+    # variance product and one search pass over the sizes 1, 2; the block's
+    # geometric means take A-B's factors from that report, check the three
+    # moduli stacks by one test (no row is scanned again) and make one of each
+    # for the pairs A-C and B-C, their passes searching m = 2 only. A one-row
+    # block keeps the per-pair pass. Each operator pair's stacks are squared
+    # once with numpy and each row's pair keeps its rows of those squares, so
+    # no pair squares again; only the report's pair forms the C-pow squares,
     # once for i_d and i_1'.
     calls = {}
 
@@ -765,17 +767,42 @@ def test_three_operator_report_bounds_each_pair_once(capsys, monkeypatch, squari
 
         monkeypatch.setattr(owner, name, wrap(counting))
 
-    count(bounds, "geometric_mean_bound")
-    count(moments.ModulusPair, "checked", staticmethod)
-    for name in ("split_bound", "variance_product", "best_split_bound", "_split_search"):
+    count(bounds, "geometric_mean_bounds")
+    for name in ("checked", "checked_stacks"):
+        count(moments.ModulusPair, name, staticmethod)
+    for name in ("split_bound", "variance_product", "_split_search", "_split_tables"):
         count(bounds, name)
     code, _, err = run(["bounds", "--example", "ex5", "--flavor", "tilde"], capsys)
     assert code == 0, err
-    assert calls == {"geometric_mean_bound": 1, "checked": 1, "split_bound": 3,
-                     "variance_product": 3, "best_split_bound": 2, "_split_search": 1 + 2}
+    assert calls == {"geometric_mean_bounds": 1, "checked": 0, "checked_stacks": 1, "split_bound": 3,
+                     "variance_product": 3, "_split_search": 1 + 2, "_split_tables": 0}
     squared, powed = squarings["squares"], squarings["pow_terms"]
-    assert len(squared) == len({id(pair) for pair in squared}) == 3
-    assert len(powed) == 1 and powed[0] is squared[0]
+    assert squared == [] and len(powed) == 1
+
+
+@pytest.mark.parametrize("argv, tables, searches", [
+    ("sweep --example ex5 --steps 65", [63] * 3, 3 + 3),
+    ("compare --example ex2 --dim 12 --steps 65", [64, 1], 0),
+    ("bounds --example ex5", [], 3),
+    ("sweep --example ex1 --dim 16 --steps 2", [], 2)],
+    ids=["ex5-65-rows", "ex2-n12-65-rows", "ex5-one-row", "ex1-n16-two-rows"])
+def test_a_block_takes_one_table_pass_per_operator_pair_past_the_crossover(capsys, monkeypatch, argv, tables,
+                                                                             searches):
+    # Per block of up to 64 rows, each operator pair makes one table pass over the rows whose support group
+    # has rows x 2^|S| >= TABLE_MIN = 256, and every other row makes its own pass. In the first ex5 block
+    # (n = 4) 63 rows share the full support and take the table for each of the 3 pairs, while the row at
+    # theta = 0 and the 65th row make their own passes; ex2 at n = 12 puts its 64 rows, in groups of
+    # different supports, and its dense 65th row (4,096 masks) on the table; one ex5 row (16 masks) and two
+    # ex1 n = 16 rows (3 support indices each, 16 masks) stay per pair.
+    rows, passes = [], []
+    real_tables, real_search = bounds._split_tables, bounds._split_search
+    monkeypatch.setattr(bounds, "_split_tables", lambda X2, Y2, groups, sizes, m: rows.append(
+        sum(len(r) for r, _ in groups)) or real_tables(X2, Y2, groups, sizes, m))
+    monkeypatch.setattr(bounds, "_split_search", lambda pair, sizes, cap: passes.append(1) or real_search(
+        pair, sizes, cap))
+    code, _, err = run(argv.split(), capsys)
+    assert code == 0, err
+    assert (rows, len(passes)) == (tables, searches)
 
 
 @pytest.mark.parametrize("case, counts", [

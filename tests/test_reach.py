@@ -55,3 +55,17 @@ def test_the_tracer_records_each_line_a_call_runs(tmp_path):
         sys.settrace(previous)
     assert sorted(line for _, line in hits) == [8, 9, 12, 13, 14, 15]  # never the except clause
     assert {name for name, _ in hits} == {str(path)}
+
+
+def test_main_exits_1_when_a_corpus_line_misses_its_pins(monkeypatch, capsys):
+    # The report still lists every unrun statement; the corpus run here is a stand-in.
+    previous = sys.gettrace()
+    monkeypatch.setattr(reach, "trace", lambda files, hits: None)
+    try:
+        for matched, code in ((190, 0), (189, 1)):
+            monkeypatch.setattr(reach, "run_corpus", lambda matched=matched: (matched, 190))
+            assert reach.main() == code
+            summary = capsys.readouterr().out.splitlines()[-1]
+            assert summary.endswith(f"{matched} of 190 corpus lines matched their pins")
+    finally:
+        sys.settrace(previous)

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Alternating parent/change benchmark pairs, recorded as BENCH_<n>.json.
 
-    python3 tools/bench_pairs.py REV --claim WORKLOAD [--change TEXT]
+    python3 tools/bench_pairs.py REV --claim WORKLOAD [--change TEXT] [--number N]
 
 Run from the root of the repository. REV is the parent commit; the change is
 the working tree: every file git does not ignore, tracked or not, written to
@@ -12,8 +12,8 @@ from source. For each workload of BENCHMARK.json, in its order, pairs run
 `perfbench/run.py --trace 0` for BENCHMARK.json's run_seconds on the parent
 and the change with one seed: 10 pairs on the claimed workload and 5 on each
 other one; an even pair runs the parent first, an odd pair the change first.
-The record is BENCH_<n>.json, n one past the highest record in the
-repository, and workload k (0-based) takes the seeds n*1000 + 101 + 20*k
+The record is BENCH_<n>.json, n given by --number or one past the highest
+record in the repository, and workload k (0-based) takes the seeds n*1000 + 101 + 20*k
 onwards, so no seed of an earlier record is reused.
 
 Per workload and end-to-end metric the record holds each side's median and
@@ -126,8 +126,12 @@ def main(argv=None) -> int:
     parser.add_argument("rev", help="parent commit")
     parser.add_argument("--claim", required=True, choices=names, help="workload whose gain is claimed")
     parser.add_argument("--change", default="", help="what the change does, for the record")
+    parser.add_argument("--number", type=int, default=max(numbers, default=0) + 1,
+                        help="n of BENCH_<n>.json (default: one past the highest record)")
     args = parser.parse_args(argv)
-    number, seconds = max(numbers, default=0) + 1, bench["run_seconds"]
+    number, seconds = args.number, bench["run_seconds"]
+    if number in numbers:
+        parser.error(f"BENCH_{number}.json exists")
 
     parent = _git("rev-parse", args.rev)
     change = working_tree()

@@ -16,7 +16,8 @@ tracer saw one of those lines. The report lists each statement that never
 ran under its file and enclosing function, with its first source line, then
 one summary line: the statements that never ran, of all, and how many
 corpus lines matched their pinned exit code, stdout digest and stderr (a
-line that does not shows that tracing changed what it measures).
+line that does not shows that tracing changed what it measures). The exit
+status is 1 when any corpus line misses its pins, else 0.
 """
 
 from __future__ import annotations
@@ -133,7 +134,7 @@ def main() -> int:
                 print(f"  {line}: {source[line - 1].strip()}")
     print(f"{unrun} of {total} statements in src/uur never ran; "
           f"{matched} of {lines} corpus lines matched their pins")
-    return 0
+    return 0 if matched == lines else 1
 
 
 if __name__ == "__main__":
