@@ -47,6 +47,15 @@ pair's terms are formed once, and each level adds them left to right in (i,
 j) order. Like the search, both skip a zero coordinate's terms: each is
 +-0.0, which changes no bit of a total >= +0.0, unless an overflow makes it
 inf * 0.0 = NaN.
+
+A block of BLOCK_MIN = 8 rows or more takes its other fields in one pass over
+its stacks (_block_fields: the stacked dot is x.dot(y)'s ddot per row, and
+np.add.accumulate adds each row's terms left to right) and tests its chains
+as arrays; a smaller block calls the single functions per row. On k dense
+rows (n = 2..8; a whole bound_reports; CPU, min of 25 interleaved rounds on a
+2-core shared host), per row won at k = 6 for n <= 4 (285 and 306 us at n =
+2) and tied at k = 7 (339 and 344 us); at k = 8 the one pass won at every n
+(373 and 356 us at n = 2, 390 and 375 us at n = 4, 678 and 549 us at n = 8).
 """
 
 from __future__ import annotations
@@ -72,6 +81,8 @@ FLAVORS = ("plain", "convex", "tilde")
 # crossover in the module docstring); a table chunk holds at most 2^TABLE_BITS masks per array (512 KB).
 TABLE_MIN = 256
 TABLE_BITS = 16
+# The rows from which a block takes its fields and chain tests in one pass (the crossover in the module docstring).
+BLOCK_MIN = 8
 # A part's pre-square value t can reach its size's largest square only from within 2^-44 (relative) of the
 # largest t, except near underflow (t below _TINY) and overflow (t past _HUGE).
 _WINDOW, _TINY, _HUGE = 1.0 - 2.0 ** -44, 2.0 ** -500, 2.0 ** 511
@@ -274,12 +285,12 @@ def _subset_sums(v: np.ndarray) -> np.ndarray:
 
 
 def _pow2s(t: np.ndarray) -> np.ndarray:
-    """_pow2 of each float of t."""
-    values = t.tolist()
+    """_pow2 of each float of t, in t's shape."""
+    values = t.ravel().tolist()
     try:
-        return np.array([v ** 2 for v in values], dtype=float)
+        return np.array([v ** 2 for v in values], dtype=float).reshape(t.shape)
     except OverflowError:
-        return np.array([_pow2(v) for v in values], dtype=float)
+        return np.array([_pow2(v) for v in values], dtype=float).reshape(t.shape)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # inf sums and inf * 0.0 = NaN, as the Python floats give
@@ -373,12 +384,12 @@ def _split_tables(X2: np.ndarray, Y2: np.ndarray, groups, sizes, m: int):
                 _table_block, support.tolist(), free, sizes, spans, vals, tops, parts))
 
 
-def _searches(pairs: list[ModulusPair], X2: np.ndarray, Y2: np.ndarray, sizes, m: int, cap: int):
+def _searches(X: np.ndarray, Y: np.ndarray, X2: np.ndarray, Y2: np.ndarray, sizes, m: int, cap: int, pairs=None):
     """Per row of a block: (each size's best value, split_bound of the leading block of m, block(j)).
 
     The rows that share a support S are searched by one table pass when rows x 2^|S| reaches TABLE_MIN,
-    and every other row by its own pass (_split_search and split_bound). Every size's cap is judged before
-    the first part of either.
+    and every other row by its own pass (_split_search and split_bound) on its pair, pairs[r] or one built from
+    the stacks. Every size's cap is judged before the first part of either.
     """
     k, n = X2.shape
     tabled, inside = [], X2 + Y2 != 0 if k << n >= TABLE_MIN else None  # a sum of squares is 0 where both are
@@ -392,13 +403,12 @@ def _searches(pairs: list[ModulusPair], X2: np.ndarray, Y2: np.ndarray, sizes, m
     if tabled:
         _check_sizes(n, sizes, cap)  # a row's own pass checks them too, before its first part
         found = dict(_split_tables(X2, Y2, tabled, sizes, m))
-    out = []
-    for r, pair in enumerate(pairs):
+    for r in range(k):
         if r not in found:
+            pair = pairs[r] if pairs else ModulusPair.unchecked(X[r], Y[r], (X2[r], Y2[r]))
             values, block = _split_search(pair, sizes, cap)
             found[r] = values, split_bound(pair, range(1, m + 1)), block
-        out.append(found[r])
-    return out
+    return [found[r] for r in range(k)]
 
 
 def best_split_bound(pair: ModulusPair, m: int, cap: int = DEFAULT_CAP) -> tuple[float, tuple[int, ...]]:
@@ -525,32 +535,81 @@ def _check_report(n: int, m: int, cap: int) -> None:
     _check_cap(n, m, cap)  # then the search's sizes 1..n/2, before any part
 
 
-def _stack_pairs(X: np.ndarray, Y: np.ndarray):
-    """numpy's squares of two moduli stacks, and a pair per row keeping its rows of them."""
-    X2, Y2 = X ** 2, Y ** 2
-    return [ModulusPair.unchecked(*rows) for rows in zip(X, Y, zip(X2, Y2))], X2, Y2
+@functools.lru_cache(maxsize=256)  # bounded: each support a block brings adds an entry
+def _family_index(n: int, support: tuple[int, ...]):
+    """fine_grained_sequence's pairs i < j of support in (i, j) order, whether each level it sums (0, then each
+    support index but the first) takes a pair's cross term, and how often each such level repeats in 1..n."""
+    index, (a, b) = np.array(support, dtype=np.intp), np.triu_indices(len(support), 1)
+    levels = np.array([0, *support[1:]], dtype=np.intp)
+    return index[a], index[b], index[b] <= levels[:, None], np.diff([*levels, n])
 
 
-def _means(stacks: list[np.ndarray], firsts, cap: int) -> list[dict[str, float]]:
-    m, ell = firsts[0].m, len(stacks)
+@functools.lru_cache(maxsize=256)  # bounded: each support a block brings adds an entry
+def _cross_index(xs: tuple[int, ...], ys: tuple[int, ...]):
+    """(i, j) of paired_cross_bound's x_i^2 y_j^2 terms in its order: j of ys outer, i of xs inner, i != j."""
+    return np.array([(i, j) for j in ys for i in xs if i != j], dtype=np.intp).reshape(-1, 2).T
+
+
+def _sums(first: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """first (k, ...) + each term along the last axis of terms, left to right as += adds (np.sum adds pairwise)."""
+    first = np.broadcast_to(first[..., None], (*terms.shape[:-1], 1))
+    return np.add.accumulate(np.concatenate((first, terms), axis=-1), axis=-1)[..., -1]
+
+
+@np.errstate(over="ignore", invalid="ignore")  # inf terms and inf * 0.0 = NaN, as the Python floats give them
+def _block_fields(X: np.ndarray, Y: np.ndarray, X2: np.ndarray, Y2: np.ndarray):
+    """(variance_product, correlation_bound, fine_grained_sequence (k, n), paired_cross_bound or None below n = 3)
+    of each row of the moduli stacks X, Y (k, n) and their numpy squares X2, Y2, with the single functions' bits.
+    While every diagonal sum is finite, a term only another row's support adds is +0.0 in this row."""
+    n = X.shape[1]
+    px, py = _pow2s(X), _pow2s(Y)
+    diagonal = (X2 * Y2).sum(axis=1)
+    every = not np.isfinite(diagonal).all()
+    support = range(n) if every else np.flatnonzero((X + Y).any(axis=0)).tolist()
+    i, j, crossed, repeats = _family_index(n, tuple(support))
+    terms = np.where(crossed, (2.0 * X[:, i] * Y[:, i] * X[:, j] * Y[:, j])[:, None],
+                     (px[:, i] * py[:, j] + px[:, j] * py[:, i])[:, None])
+    family = np.repeat(_sums(diagonal[:, None], terms), repeats, axis=1)
+    cross = None
+    if n >= 3:
+        xs, ys = (range(n), range(1, n)) if every else (
+            np.flatnonzero(px.any(axis=0)).tolist(), (np.flatnonzero(py[:, 1:].any(axis=0)) + 1).tolist())
+        i, j = _cross_index(tuple(xs), tuple(ys))
+        cross = (_sums(diagonal, px[:, i] * py[:, j]) + py[:, 0] * X2[:, 3:].sum(axis=1)
+                 + 2.0 * py[:, 0] * X[:, 1] * X[:, 2])
+    return X2.sum(axis=1) * Y2.sum(axis=1), _pow2s((X[:, None, :] @ Y[:, :, None])[:, 0, 0]), family, cross
+
+
+def _means(stacks: list[np.ndarray], squares: list[np.ndarray], firsts, cap: int) -> list[dict[str, float]]:
+    m, ell, k = firsts[0].m, len(stacks), len(firsts)
     if any(first.m != m for first in firsts):
         raise UurError("the reports of one block must share one block size m")
-    products = [dict(zip(FLAVORS, (first.k_m, first.k_m_v, first.k_tilde_m))) for first in firsts]
-    for X, Y in itertools.islice(itertools.combinations(stacks, 2), 1, None):
-        pairs, X2, Y2 = _stack_pairs(X, Y)
-        for pair, first, product, (values, k, _) in zip(
-                pairs, firsts, products, _searches(pairs, X2, Y2, [m], m, cap), strict=True):
-            for flavor, val in zip(FLAVORS, (k, _blend(k, variance_product(pair), first.v), values[0])):
-                product[flavor] *= val
-    return [{flavor: float(p ** (1.0 / (ell - 1))) for flavor, p in product.items()} for product in products]
+    single = k < BLOCK_MIN or len({first.v for first in firsts}) > 1  # the single-pair functions, row by row
+    products = [[first.k_m, first.k_m_v, first.k_tilde_m] for first in firsts]  # per row, one per flavor
+    for a, b in itertools.islice(itertools.combinations(range(ell), 2), 1, None):
+        rows = stacks[a], stacks[b], squares[a], squares[b]
+        pairs = [ModulusPair.unchecked(x, y, (x2, y2)) for x, y, x2, y2 in zip(*rows)] if single else None
+        found = _searches(*rows, [m], m, cap, pairs)
+        if single:
+            factors = [(k_m, _blend(k_m, variance_product(pair), first.v), values[0])
+                       for pair, first, (values, k_m, _) in zip(pairs, firsts, found)]
+        else:
+            k_m = np.array([k_m for _, k_m, _ in found])
+            k_m_v = _blend(k_m, squares[a].sum(axis=1) * squares[b].sum(axis=1), firsts[0].v)
+            factors = zip(k_m.tolist(), k_m_v.tolist(), [values[0] for values, _, _ in found])
+        products = [[p * f for p, f in zip(product, factor)] for product, factor in zip(products, factors)]
+    return [{flavor: float(p ** (1.0 / (ell - 1))) for flavor, p in zip(FLAVORS, product)} for product in products]
 
 
-def geometric_mean_bounds(moduli, firsts, cap: int = DEFAULT_CAP) -> list[dict[str, float]]:
+def geometric_mean_bounds(moduli, firsts, cap: int = DEFAULT_CAP, squares=None) -> list[dict[str, float]]:
     """geometric_mean_bound for each row of l moduli stacks (k, n) (delta_stack's, one per operator) and
-    firsts, the k reports of stacks 0 and 1 (one m). The stacks are checked by one test for the block."""
+    firsts, the k reports of stacks 0 and 1 (one m). The stacks are checked by one test for the block, read in C
+    order, and squared once each unless squares holds numpy's squares of each (as bound_reports takes them)."""
     if len(moduli) < 2:
         raise UurError(f"need at least 2 operators, got {len(moduli)}")
-    return _means(ModulusPair.checked_stacks(*moduli), firsts, cap)
+    stacks = [np.ascontiguousarray(s) for s in ModulusPair.checked_stacks(*moduli)]
+    squares = [np.ascontiguousarray(q) for q in squares] if squares else [s ** 2 for s in stacks]
+    return _means(stacks, squares, firsts, cap)
 
 
 def geometric_mean_bound(moduli, first: BoundSet, cap: int = DEFAULT_CAP) -> dict[str, float]:
@@ -566,41 +625,59 @@ def geometric_mean_bound(moduli, first: BoundSet, cap: int = DEFAULT_CAP) -> dic
     moduli = list(moduli)
     if len(moduli) < 2:
         raise UurError(f"need at least 2 operators, got {len(moduli)}")
-    return _means([row[None] for row in ModulusPair.checked(*moduli)], [first], cap)[0]
+    stacks = [row[None] for row in ModulusPair.checked(*moduli)]
+    return _means(stacks, [s ** 2 for s in stacks], [first], cap)[0]
 
 
-def _reports(pairs: list[ModulusPair], X2: np.ndarray, Y2: np.ndarray, m: int, v: float,
-             cap: int) -> list[BoundSet]:
-    n = X2.shape[1]
+def _chains_hold(lb, k_m, k_m_v, vp, k_tilde_m, k_tilde, family: np.ndarray) -> np.ndarray:
+    """Per row of a block's field arrays, whether BoundSet.validate would find its chains whole."""
+    with np.errstate(invalid="ignore"):  # inf - inf
+        return ((lb <= k_m + SLACK) & (k_m <= k_m_v + SLACK) & (k_m_v <= vp + SLACK) & (k_m <= k_tilde_m + SLACK)
+                & (k_tilde_m <= k_tilde + SLACK) & (k_tilde <= vp + SLACK)
+                & (family[:, 1:] <= family[:, :-1] + SLACK).all(axis=1)
+                & ~(abs(family[:, 0] - vp) > SLACK) & ~(abs(family[:, -1] - lb) > SLACK))
+
+
+def _reports(X: np.ndarray, Y: np.ndarray, X2: np.ndarray, Y2: np.ndarray, m: int, v: float, cap: int,
+             pairs: list[ModulusPair] | None = None) -> tuple[list[BoundSet], np.ndarray | None]:
+    """The reports of a block, and for a block of BLOCK_MIN rows or more whether each row's chains hold."""
+    k, n = X2.shape
+    hold = None
+    if k < BLOCK_MIN:  # the single-pair functions, row by row
+        pairs = pairs or [ModulusPair.unchecked(x, y, (x2, y2)) for x, y, x2, y2 in zip(X, Y, X2, Y2)]
+        found = _searches(X, Y, X2, Y2, range(1, n // 2 + 1), m, cap, pairs)
+        fields = [(vp := variance_product(pair), correlation_bound(pair), _blend(k_m, vp, v),
+                   fine_grained_sequence(pair), paired_cross_bound(pair) if n >= 3 else None)
+                  for pair, (_, k_m, _) in zip(pairs, found)]
+    else:
+        found = _searches(X, Y, X2, Y2, range(1, n // 2 + 1), m, cap)
+        vp, lb, family, cross = _block_fields(X, Y, X2, Y2)
+        values, k_m = np.array([values for values, _, _ in found]), np.array([k_m for _, k_m, _ in found])
+        k_m_v = _blend(k_m, vp, v)
+        hold = _chains_hold(lb, k_m, k_m_v, vp, values[:, min(m, n - m) - 1], values.max(axis=1), family)
+        fields = zip(vp.tolist(), lb.tolist(), k_m_v.tolist(), map(tuple, family.tolist()),
+                     [None] * k if cross is None else cross.tolist())
     reports = []
-    for pair, (values, k_m, block) in zip(pairs, _searches(pairs, X2, Y2, range(1, n // 2 + 1), m, cap)):
+    for (values, k_m, block), (vp, lb, k_m_v, i_d, i_1_prime) in zip(found, fields):
         first = values.index(max(values))  # the first largest size: the report pads only its block
-        vp = variance_product(pair)
-        reports.append(BoundSet(
-            m=m,
-            v=v,
-            variance_product=vp,
-            lb=correlation_bound(pair),
-            k_m=k_m,
-            k_m_v=_blend(k_m, vp, v),
-            k_tilde_m=values[min(m, n - m) - 1],
-            k_tilde=values[first],
-            k_tilde_argmax=block(first),
-            i_d=fine_grained_sequence(pair),
-            i_1_prime=paired_cross_bound(pair) if n >= 3 else None,
-        ))
-    return reports
+        reports.append(BoundSet(m, v, vp, lb, k_m, k_m_v, values[min(m, n - m) - 1], values[first], block(first),
+                                i_d, i_1_prime))  # in the order of BoundSet's fields
+    return reports, hold
 
 
-def bound_reports(X: np.ndarray, Y: np.ndarray, m: int, v: float = DEFAULT_V,
-                  cap: int = DEFAULT_CAP) -> list[BoundSet]:
+def bound_reports(X: np.ndarray, Y: np.ndarray, m: int, v: float = DEFAULT_V, cap: int = DEFAULT_CAP,
+                  squares=None) -> tuple[list[BoundSet], list[int]]:
     """bound_report for each row pair of the float moduli stacks X, Y (k, n), which delta_stack's finiteness
-    test or ModulusPair.checked_stacks has passed (like ModulusPair.unchecked's rows).
-
-    Each stack is squared once; the split search runs per support group by table or per row (_searches).
-    """
+    test or ModulusPair.checked_stacks has passed (like ModulusPair.unchecked's rows), and the indices of the
+    reports whose chains are broken (validate is not empty). The stacks are read in C order and squared once
+    each, unless squares holds numpy's (X ** 2, Y ** 2); the split search runs per support group by table or per
+    row (_searches), and a block of BLOCK_MIN rows or more takes the other fields in one pass (_block_fields)."""
     _check_report(X.shape[1], m, cap)
-    return _reports(*_stack_pairs(X, Y), m, v, cap)
+    X, Y, X2, Y2 = (np.ascontiguousarray(q) for q in (X, Y, *(squares or (X ** 2, Y ** 2))))
+    reports, hold = _reports(X, Y, X2, Y2, m, v, cap)
+    if hold is None:
+        return reports, [r for r, report in enumerate(reports) if report.validate()]
+    return reports, np.flatnonzero(~hold).tolist()
 
 
 def bound_report(pair: ModulusPair, m: int, v: float = DEFAULT_V,
@@ -612,4 +689,5 @@ def bound_report(pair: ModulusPair, m: int, v: float = DEFAULT_V,
     """
     _check_report(pair.dim, m, cap)
     X2, Y2 = pair.squares
-    return _reports([pair], X2[None], Y2[None], m, v, cap)[0]
+    return _reports(pair.x[None], pair.y[None], X2[None], Y2[None], m, v, cap, [pair])[0][0]
+

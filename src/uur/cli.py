@@ -187,18 +187,19 @@ def _triple_fields(deltas: list[moments.DeltaVector], means: dict[str, float]) -
 
 def _report_rows(problem: Problem, grid: list[float]):
     """(report, row) per angle of grid. Per block of _BLOCK angles the scenario builds (and checks) each
-    state, one delta_stack per operator forms every row's delta vectors, and the block's reports and geometric
-    means are taken from those moduli stacks, one split search per operator pair."""
+    state, one delta_stack per operator forms every row's delta vectors, and the block's reports, chain tests
+    and geometric means come from those moduli stacks, each squared once, one split search per operator pair."""
     for lo in range(0, len(grid), _BLOCK):
         thetas = grid[lo:lo + _BLOCK]
         P = np.array([problem.scenario.state(theta).amplitudes for theta in thetas])  # C order
         stacks = [moments.delta_stack(U.matrix[None], P) for U in problem.operators]
         moduli = [mod for *_, mod in stacks]
-        reports = bounds.bound_reports(*moduli[:2], m=problem.m, v=problem.v, cap=problem.cap)
-        means = bounds.geometric_mean_bounds(moduli, reports, problem.cap) if len(stacks) == 3 else None
+        squares = [mod ** 2 for mod in moduli]
+        reports, broken = bounds.bound_reports(*moduli[:2], problem.m, problem.v, problem.cap, squares[:2])
+        means = bounds.geometric_mean_bounds(moduli, reports, problem.cap, squares) if len(stacks) == 3 else None
         for r, (theta, report) in enumerate(zip(thetas, reports)):
-            if bad := report.validate():
-                raise _Violation(f"chain invariants failed at theta={theta!r}: " + "; ".join(bad))
+            if r in broken:
+                raise _Violation(f"chain invariants failed at theta={theta!r}: " + "; ".join(report.validate()))
             row = {"theta": theta, **vars(report), "i_2": report.i_d[1]}
             if means:
                 deltas = [moments.DeltaVector(entries[r], complex(mean[r])) for entries, mean, _ in stacks]

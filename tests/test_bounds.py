@@ -4,6 +4,7 @@ import ast
 import dataclasses
 import itertools
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -483,9 +484,8 @@ def searched(X, Y, sizes, m: int, table: bool) -> list:
     with pytest.MonkeyPatch.context() as patch, np.errstate(all="ignore"):
         patch.setattr(bounds, "TABLE_MIN", 0 if table else math.inf)
         X, Y = np.asarray(X, float), np.asarray(Y, float)
-        pairs, X2, Y2 = bounds._stack_pairs(X, Y)
         return [(values, k_m, [block(j) for j in range(len(sizes))])
-                for values, k_m, block in bounds._searches(pairs, X2, Y2, sizes, m, bounds.DEFAULT_CAP)]
+                for values, k_m, block in bounds._searches(X, Y, X ** 2, Y ** 2, sizes, m, bounds.DEFAULT_CAP)]
 
 
 def ex1_rows(n: int, thetas) -> tuple[np.ndarray, np.ndarray]:
@@ -607,17 +607,76 @@ def test_table_pass_matches_full_enumeration(rows):
 
 
 def test_block_reports_are_the_single_reports_row_by_row():
-    # bound_reports and geometric_mean_bounds on a 70-row block (table side) give each row's bound_report and
-    # geometric_mean_bound (per-pair side), field for field.
+    # bound_reports and geometric_mean_bounds on a 70-row block (table side, fields in one pass) give each row's
+    # bound_report and geometric_mean_bound (per-pair side), field for field and compared by repr, the rows of
+    # 1e200 beside zeros (NaN fields) too; bound_reports names the rows whose validate is not empty.
     X, Y = special_stack(40, 4, 70)
     Z = np.random.default_rng(40).random((70, 4))
-    keep = ~(X == 1e200).any(axis=1)  # the NaN rows' reports are compared by repr above
-    X, Y, Z = X[keep], Y[keep], Z[keep]
-    for m in (1, 2, 3):
-        reports = bounds.bound_reports(X, Y, m, 0.3)
-        assert reports == [bounds.bound_report(ModulusPair(x, y), m, 0.3) for x, y in zip(X, Y)]
-        means = bounds.geometric_mean_bounds([X, Y, Z], reports)
-        assert means == [bounds.geometric_mean_bound(rows, first) for *rows, first in zip(X, Y, Z, reports)]
+    with np.errstate(all="ignore"):
+        for m in (1, 2, 3):
+            reports, broken = bounds.bound_reports(X, Y, m, 0.3)
+            singles = [bounds.bound_report(ModulusPair(x, y), m, 0.3) for x, y in zip(X, Y)]
+            assert repr(reports) == repr(singles) and reports[:8] == singles[:8]
+            assert broken == [r for r, report in enumerate(singles) if report.validate()] == list(range(8, 70, 9))
+            means = bounds.geometric_mean_bounds([X, Y, Z], reports)
+            assert repr(means) == repr([bounds.geometric_mean_bound(rows, first)
+                                        for *rows, first in zip(X, Y, Z, reports)])
+
+
+def block_cases(seed: int, n: int, k: int) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Blocks of k rows of dimension n: special_stack's rows (from k = 9 on, a 1e200 row makes a diagonal sum
+    inf and the one-pass form takes every index); the same rows with each 1e200 row made finite (the union
+    support); those rows with two columns zero in every row (a union support with gaps); ex1 rows (one or
+    three support indices per row); ex1 rows at theta 0 (one support index in all) and all-zero rows (none);
+    and tiny moduli whose C-pow squares underflow to 0.0 beside nonzero ones."""
+    X, Y = special_stack(seed, n, k)
+    huge = (X == 1e200).any(axis=1)[:, None]
+    finite = np.where(huge, 0.5, X), np.where(huge, 0.25, Y)
+    gaps = tuple(np.where(np.isin(np.arange(n), [n // 2, n - 1]), 0.0, q) for q in finite)
+    tiny = tuple(np.where(np.random.default_rng([seed, n, k]).random((k, n)) < 0.3, 1e-170, q) for q in finite)
+    return {"special": (X, Y), "finite": finite, "gaps": gaps, "ex1": ex1_rows(n, np.linspace(0.0, 3.0, k)),
+            "ex1 at 0": ex1_rows(n, [0.0] * k), "zero": (np.zeros((k, n)), np.zeros((k, n))), "tiny": tiny}
+
+
+@pytest.mark.parametrize("k", [bounds.BLOCK_MIN - 1, bounds.BLOCK_MIN, 64, 70])
+@pytest.mark.parametrize("n", range(2, 13))
+def test_block_fields_are_the_single_functions_bits(n, k):
+    # The one-pass fields of each row, compared by repr (NaN and -0.0 too), are the single-pair functions'
+    # (n = 2 has no i_1', n = 3 an empty x[3:]); rows whose supports differ from the block's union support add
+    # that row only +0.0 terms.
+    for case, (X, Y) in block_cases(41, n, k).items():
+        with np.errstate(all="ignore"):
+            vp, lb, family, cross = bounds._block_fields(X, Y, X ** 2, Y ** 2)
+            got = list(zip(vp.tolist(), lb.tolist(), family.tolist(), [None] * k if cross is None else cross.tolist()))
+            want = [(bounds.variance_product(p), bounds.correlation_bound(p), list(bounds.fine_grained_sequence(p)),
+                     bounds.paired_cross_bound(p) if n >= 3 else None) for p in map(ModulusPair, X, Y)]
+        assert repr(got) == repr(want), case
+
+
+def test_a_block_raises_the_first_warning_the_rows_raise():
+    # Under warnings as errors a block holding a 1e200 row stops at the warning the per-row path stops at.
+    X, Y = special_stack(42, 5, bounds.BLOCK_MIN + 1)
+    raised = []
+    for block in (lambda: bounds.bound_reports(X, Y, 2),
+                  lambda: [bounds.bound_report(ModulusPair(x, y), 2) for x, y in zip(X, Y)]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeWarning) as caught:
+                block()
+        raised.append(str(caught.value))
+    assert raised == ["overflow encountered in square"] * 2
+
+
+@pytest.mark.parametrize("k", [bounds.BLOCK_MIN - 1, 20])
+def test_a_block_in_fortran_order_is_its_c_ordered_copy(k):
+    # The block functions read a strided stack in C order: numpy's row sums and BLAS add up its rows as they
+    # add up contiguous ones, on either side of the crossover.
+    X, Y = block_cases(43, 9, k)["finite"]
+    Z = np.random.default_rng(43).random((k, 9))
+    reports, _ = bounds.bound_reports(X, Y, 4)
+    F = [np.asfortranarray(q) for q in (X, Y, Z)]
+    assert bounds.bound_reports(*F[:2], 4) == (reports, [])
+    assert bounds.geometric_mean_bounds(F, reports) == bounds.geometric_mean_bounds([X, Y, Z], reports)
 
 
 @pytest.mark.parametrize("stacks, message", [
@@ -1029,7 +1088,7 @@ CHAIN_BASE = dict(m=1, v=0.1, variance_product=10.0, lb=1.0, k_m=2.0, k_m_v=3.0,
                   i_d=(10.0, 6.0, 1.0), i_1_prime=7.0)
 
 
-@pytest.mark.parametrize("change, message", [
+CHAIN_CHANGES = [
     ({"lb": 2.5, "i_d": (10.0, 6.0, 2.5)}, "lb > k_m"),
     ({"k_m_v": 1.5}, "k_m > k_m_v"),
     ({"k_m_v": 10.5}, "k_m_v > variance_product"),
@@ -1039,19 +1098,38 @@ CHAIN_BASE = dict(m=1, v=0.1, variance_product=10.0, lb=1.0, k_m=2.0, k_m_v=3.0,
     ({"i_d": (10.0, 6.0, 6.5, 1.0)}, "i_3 > i_2"),
     ({"i_d": (10.5, 6.0, 1.0)}, "i_1 != variance_product"),
     ({"i_d": (10.0, 6.0, 1.5)}, "i_n != lb"),
-])
+]
+CHAIN_INF_VERDICTS = [
+    ({"k_tilde": math.inf, "variance_product": math.inf, "i_d": (math.inf, 6.0, 1.0)}, []),
+    ({"k_tilde": math.inf}, ["k_tilde > variance_product by inf"]),
+    ({"lb": -math.inf, "i_d": (10.0, 6.0, -math.inf)}, []),
+]
+
+
+@pytest.mark.parametrize("change, message", CHAIN_CHANGES)
 def test_bound_set_validate_names_each_broken_link(change, message):
     assert bounds.BoundSet(**CHAIN_BASE).validate() == []
     assert bounds.BoundSet(**{**CHAIN_BASE, **change}).validate() == [f"{message} by 5.000e-01"]
 
 
-@pytest.mark.parametrize("change, verdict", [
-    ({"k_tilde": math.inf, "variance_product": math.inf, "i_d": (math.inf, 6.0, 1.0)}, []),
-    ({"k_tilde": math.inf}, ["k_tilde > variance_product by inf"]),
-    ({"lb": -math.inf, "i_d": (10.0, 6.0, -math.inf)}, []),
-])
+@pytest.mark.parametrize("change, verdict", CHAIN_INF_VERDICTS)
 def test_bound_set_validate_keeps_its_inf_verdicts(change, verdict):
     assert bounds.BoundSet(**{**CHAIN_BASE, **change}).validate() == verdict
+
+
+def test_the_block_chain_test_is_validate_on_every_link():
+    # _chains_hold, the block's array form of validate, holds exactly where validate finds nothing: each broken
+    # link, the inf verdicts, the rounding forgiven within SLACK and NaN members.
+    nan = math.nan
+    changes = [{}, {"lb": 2.0 + 1e-11, "i_d": (10.0, 6.0, 2.0 + 1e-11)}, {"lb": nan}, {"k_m": nan},
+               {"variance_product": nan}, {"i_d": (10.0, nan, 1.0)}, {"i_d": (nan, 6.0, 1.0)},
+               {"lb": nan, "i_d": (10.0, 6.0, nan)}, {"k_m": math.inf, "k_m_v": math.inf}]
+    changes += [change for change, _ in CHAIN_CHANGES + CHAIN_INF_VERDICTS]
+    for change in changes:
+        report = bounds.BoundSet(**{**CHAIN_BASE, **change})
+        fields = (np.array([getattr(report, name)]) for name in (
+            "lb", "k_m", "k_m_v", "variance_product", "k_tilde_m", "k_tilde"))
+        assert bounds._chains_hold(*fields, np.array([report.i_d])).tolist() == [not report.validate()], change
 
 
 def test_bound_set_validate_forgives_rounding_within_slack():

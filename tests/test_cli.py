@@ -805,6 +805,82 @@ def test_a_block_takes_one_table_pass_per_operator_pair_past_the_crossover(capsy
     assert (rows, len(passes)) == (tables, searches)
 
 
+SINGLE_BOUNDS = ("variance_product", "correlation_bound", "fine_grained_sequence", "paired_cross_bound", "split_bound")
+
+
+@pytest.fixture
+def field_calls(monkeypatch):
+    """Calls of the single-pair bounds, of BoundSet.validate and of the block's one-pass forms."""
+    calls = {}
+
+    def count(owner, name):
+        real = getattr(owner, name)
+        calls[name] = 0
+
+        def counting(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+
+    for name in SINGLE_BOUNDS + ("_block_fields", "_chains_hold", "_family_index", "_cross_index"):
+        count(bounds, name)
+    count(bounds.BoundSet, "validate")
+    return calls
+
+
+@pytest.mark.parametrize("argv, singles, blocks", [
+    ("sweep --example ex5 --steps 65", (1 + 2, 1, 1, 1, 6, 1), 1),
+    ("bounds --example ex5", (3, 1, 1, 1, 3, 1), 0),
+    ("sweep --example ex1 --dim 16 --steps 2", (2, 2, 2, 2, 2, 2), 0),
+    ("check --trials 15", (171, 45, 45, 57, 302, 0), 0)],
+    ids=["ex5-65-rows", "ex5-one-row", "ex1-n16-two-rows", "check-15"])
+def test_a_block_takes_its_fields_in_one_pass_past_the_crossover(capsys, field_calls, argv, singles, blocks):
+    # A block of BLOCK_MIN = 8 rows or more forms its reports' fields and chain tests from its moduli stacks in
+    # one pass: the 64-row first block of a 65-row ex5 sweep calls no single-pair bound but the split_bound of
+    # its theta = 0 row's own search (3 pairs), while the 65th row makes the calls of a one-row block (its
+    # report, and the variance products of the means' pairs A-C and B-C). A one-row report, the two-row blocks
+    # of an ex1 n = 16 sweep and check's single pairs make the same calls as before the one-pass form, and
+    # below the crossover no union support or index array is formed.
+    code, _, err = run(argv.split(), capsys)
+    assert code == 0, err
+    assert tuple(field_calls[name] for name in SINGLE_BOUNDS + ("validate",)) == singles
+    assert field_calls["_block_fields"] == field_calls["_chains_hold"] == field_calls["_family_index"] == blocks
+    assert field_calls["_cross_index"] == blocks
+
+
+@pytest.mark.parametrize("argv, blocks", [("sweep --example ex5 --steps 65", 2), ("bounds --example ex5", 1)])
+def test_a_triple_block_squares_each_moduli_stack_once(capsys, monkeypatch, argv, blocks):
+    # The report's pair A-B and the means' pairs A-C and B-C of a block read one squaring of each of the three
+    # moduli stacks (three squarings where six were made), on both sides of the crossover.
+    read, real = [], bounds._searches
+    monkeypatch.setattr(bounds, "_searches", lambda X, Y, X2, Y2, *rest: read.append((X2, Y2)) or real(
+        X, Y, X2, Y2, *rest))
+    code, _, err = run(argv.split(), capsys)
+    assert code == 0, err
+    assert len(read) == 3 * blocks
+    for (a, b), (a_again, c), (b_again, c_again) in zip(*[iter(read)] * 3):
+        assert a_again is a and b_again is b and c_again is c
+        assert len({id(a), id(b), id(c)}) == 3
+
+
+def test_a_broken_block_chain_exits_1_with_no_stdout(capsys, monkeypatch, field_calls):
+    # The 64-row first block of a 65-row sweep tests its chains as arrays and formats the message of its first
+    # broken row only, which reads as a row's of the per-row side (test_broken_row_chain_exits_1_with_no_stdout).
+    real = bounds._block_fields
+
+    def corrupted(*stacks):
+        vp, lb, family, cross = real(*stacks)
+        return vp, lb + 1.0, family, cross
+
+    monkeypatch.setattr(bounds, "_block_fields", corrupted)
+    code, out, err = run(["sweep", "--example", "ex1", "--steps", "65"], capsys)
+    assert (code, out) == (1, "")
+    assert err == ("error: chain invariants failed at theta=0.0: "
+                   "lb > k_m by 1.000e+00; i_n != lb by 1.000e+00\n")
+    assert field_calls["validate"] == 1
+
+
 @pytest.mark.parametrize("case, counts", [
     ("bounds --input density.json", (1, 0)),
     ("sweep --example ex4 --steps 4", (4, 0)),
