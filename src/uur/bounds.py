@@ -12,10 +12,10 @@ The middle quantity is the split bound; maximizing it over which indices
 form the block gives the best split bound. A block is a sorted tuple of
 1-based indices. One search over the support of (x^2, y^2) serves all the
 sizes m <= n/2 a report needs: a support part and its complement give the
-same value, and a free index adds exactly 0.0 to a block's sums. The search
-gives every size's value, and a block of a size only when asked (a report
-asks for its argmax's). The cap is judged on the nominal binomial(n, m) of
-every size first.
+same value, and a free index adds exactly 0.0 to a block's sums. Either
+search path (below) gives a row one record, and _block pads a size's block
+from it only when asked (a report asks for its argmax's). The cap is judged
+on the nominal binomial(n, m) of every size first.
 
 The reports come in blocks of rows (bound_reports, geometric_mean_bounds; a
 single report is a block of one), and the search has two paths. The per-pair
@@ -56,6 +56,9 @@ rows (n = 2..8; a whole bound_reports; CPU, min of 25 interleaved rounds on a
 2-core shared host), per row won at k = 6 for n <= 4 (285 and 306 us at n =
 2) and tied at k = 7 (339 and 344 us); at k = 8 the one pass won at every n
 (373 and 356 us at n = 2, 390 and 375 us at n = 4, 678 and 549 us at n = 8).
+With BLOCK_MIN = 1 a 2-row ex1 n = 16 bound_reports took 200 us, not 135, and
+split_search's work_per_s fell 18%: small blocks stay per row. The geometric
+means blend as arrays at every size, each row with its own v.
 """
 
 from __future__ import annotations
@@ -195,9 +198,10 @@ def split_bound(pair: ModulusPair, block) -> float:
     return _split_value(pair.squares[0].tolist(), pair.squares[1].tolist(), frozenset(i - 1 for i in idx))
 
 
-def _blend(k: float, vp: float, v: float) -> float:
-    if not 0.0 <= v <= 1.0:
-        raise UurError(f"blend weight must lie in [0, 1], got {v}")
+def _blend(k, vp, v):  # floats, or arrays elementwise with a float or one weight per row
+    for w in v.tolist() if isinstance(v, np.ndarray) else (v,):
+        if not 0.0 <= w <= 1.0:
+            raise UurError(f"blend weight must lie in [0, 1], got {w}")
     return v * k + (1.0 - v) * vp
 
 
@@ -214,12 +218,22 @@ def _check_sizes(n: int, sizes, cap: int) -> None:
         _check_cap(n, m, cap)
 
 
-def _padded(part, pad: list[int]) -> tuple[int, ...]:  # a support part and free indices, sorted
-    return tuple(sorted([*part, *pad]))
+def _spans(sizes, s: int, f: int) -> list[range]:
+    """The support-part sizes a block of each size pads to, with s support and f free indices."""
+    return [range(max(0, m - f), min(m, s) + 1) for m in sizes]
+
+
+def _block(record, j: int, m: int) -> tuple[int, ...]:
+    """The smallest block of m = sizes[j] indices reaching values[j] (1-based; -1.0: all NaN, no block): of each
+    part size p of spans[j] whose best value tops[p] reaches it, part(p) sorted with the first free indices."""
+    values, spans, tops, part, free = record
+    smallest = min([sorted([*part(p), *free[:m - p]]) for p in spans[j] if tops[p] == values[j] > -1.0], default=())
+    return tuple([i + 1 for i in smallest])
 
 
 def _split_search(pair: ModulusPair, sizes, cap: int):
-    """(values, block): each size's best value, and block(k), the smallest block reaching values[k]."""
+    """The record (values, spans, tops, part, free) of one pair's pass: each size's best value (a NaN never wins)
+    and part sizes, each part size's best value and smallest part (part(p)), and the free indices."""
     n = pair.dim
     _check_sizes(n, sizes, cap)
     x2, y2 = pair.squares[0].tolist(), pair.squares[1].tolist()
@@ -227,8 +241,9 @@ def _split_search(pair: ModulusPair, sizes, cap: int):
     for i in range(n):
         (support if x2[i] or y2[i] else free).append(i)
     s, f = len(support), len(free)
-    parts = {}  # part size -> (best value, its smallest part)
-    lo, hi = max(0, sizes[0] - f), min(sizes[-1], s)  # part sizes the (consecutive) sizes use
+    spans = _spans(sizes, s, f)
+    tops, parts = [-1.0] * (s + 1), [()] * (s + 1)  # per part size: the best value and its smallest part
+    lo, hi = spans[0].start, spans[-1].stop - 1  # part sizes the (consecutive) sizes use
     for r in range(min(lo, s - hi), min(hi, s - lo, s // 2) + 1):
         top, first, last = -1.0, (), ()
         half = math.comb(s - 1, r - 1) if 2 * r == s > 0 else None
@@ -238,27 +253,10 @@ def _split_search(pair: ModulusPair, sizes, cap: int):
                 top, first, last = val, part, part
             elif val == top:  # complements come in reverse order: the last is the smallest
                 last = part
-        parts[r] = top, first
+        tops[r], parts[r] = top, first
         if 2 * r < s and s - r <= hi:  # the complements' size is asked for
-            parts[s - r] = top, [i for i in support if i not in last]
-    values, spans = [], []
-    for m in sizes:  # the largest value over the part sizes m pads; a NaN never wins
-        best, span = -1.0, range(max(0, m - f), min(m, s) + 1)
-        for t in span:
-            if parts[t][0] > best:
-                best = parts[t][0]
-        values.append(best)
-        spans.append(span)
-
-    def block(k: int) -> tuple[int, ...]:
-        m, best, smallest = sizes[k], values[k], ()
-        for t in spans[k]:
-            if parts[t][0] == best > -1.0:  # the smallest block of a part reaching best (-1.0: all NaN)
-                combo = _padded(parts[t][1], free[:m - t]) if m > t else tuple(parts[t][1])
-                smallest = min(smallest, combo) if smallest else combo
-        return tuple([i + 1 for i in smallest])  # 1-based
-
-    return values, block
+            tops[s - r], parts[s - r] = top, [i for i in support if i not in last]
+    return [max(tops[span.start:span.stop]) for span in spans], spans, tops, parts.__getitem__, free
 
 
 @functools.cache
@@ -356,40 +354,30 @@ def _table_pass(x2: np.ndarray, y2: np.ndarray, lead: int, needed: np.ndarray):
     return best, win, lead_t
 
 
-def _table_block(support, free, sizes, spans, vals, tops, parts, j: int) -> tuple[int, ...]:
-    """The smallest block of size sizes[j] reaching vals[j]: a part reaching it, padded with free indices."""
-    if vals[j] == -1.0:  # every part is NaN: no block
-        return ()
-    smallest = min(_padded([support[b] for b in range(len(support)) if parts[p] >> b & 1], free[:sizes[j] - p])
-                   for p in spans[j] if tops[p] == vals[j])
-    return tuple([i + 1 for i in smallest])  # 1-based
-
-
 def _split_tables(X2: np.ndarray, Y2: np.ndarray, groups, sizes, m: int):
-    """(row, (values, k_m, block)) for each row of each group (rows, support) of the stacks X2, Y2 (k, n):
-    _split_search's values and block for the sizes, and split_bound's value of the leading block of m."""
+    """(row, (values, k_m, record)) for each row of each group (rows, support) of the stacks X2, Y2 (k, n): as
+    _searches gives them, k_m the split value of the leading block of m from the same table."""
     n = X2.shape[1]
     for rows, support in groups:
-        s, inside = support.size, set(support.tolist())
-        free = [i for i in range(n) if i not in inside]
-        spans = [range(max(0, size - len(free)), min(size, s) + 1) for size in sizes]
+        s, index = support.size, support.tolist()
+        free = [i for i in range(n) if i not in index]
+        spans = _spans(sizes, s, len(free))
         needed = np.zeros(s + 1, dtype=bool)
-        for span in spans:
-            needed[span.start:span.stop] = True
+        needed[spans[0].start:spans[-1].stop] = True  # the part sizes the (consecutive) sizes use
         cols = np.ix_(rows, support)
         best, win, lead_t = _table_pass(X2[cols], Y2[cols], int(support.searchsorted(m)), needed)
         values = np.column_stack([best[:, span].max(axis=1) for span in spans]).tolist()
-        for r, vals, tops, parts, t in zip(rows, values, best.tolist(), win.tolist(), lead_t.tolist()):
-            yield r, (vals, _pow2(t), functools.partial(
-                _table_block, support.tolist(), free, sizes, spans, vals, tops, parts))
+        for r, vals, tops, masks, t in zip(rows, values, best.tolist(), win.tolist(), lead_t.tolist()):
+            yield r, (vals, _pow2(t), (vals, spans, tops, lambda p, masks=masks, index=index: [
+                i for b, i in enumerate(index) if masks[p] >> b & 1], free))
 
 
-def _searches(X: np.ndarray, Y: np.ndarray, X2: np.ndarray, Y2: np.ndarray, sizes, m: int, cap: int, pairs=None):
-    """Per row of a block: (each size's best value, split_bound of the leading block of m, block(j)).
+def _searches(X: np.ndarray, Y: np.ndarray, X2: np.ndarray, Y2: np.ndarray, sizes, m: int, cap: int):
+    """Per row of a block: (each size's best value, split_bound of the leading block of m, its record for _block).
 
     The rows that share a support S are searched by one table pass when rows x 2^|S| reaches TABLE_MIN,
-    and every other row by its own pass (_split_search and split_bound) on its pair, pairs[r] or one built from
-    the stacks. Every size's cap is judged before the first part of either.
+    and every other row by its own pass (_split_search and split_bound) on its pair, built from the stacks.
+    Every size's cap is judged before the first part of either.
     """
     k, n = X2.shape
     tabled, inside = [], X2 + Y2 != 0 if k << n >= TABLE_MIN else None  # a sum of squares is 0 where both are
@@ -405,9 +393,9 @@ def _searches(X: np.ndarray, Y: np.ndarray, X2: np.ndarray, Y2: np.ndarray, size
         found = dict(_split_tables(X2, Y2, tabled, sizes, m))
     for r in range(k):
         if r not in found:
-            pair = pairs[r] if pairs else ModulusPair.unchecked(X[r], Y[r], (X2[r], Y2[r]))
-            values, block = _split_search(pair, sizes, cap)
-            found[r] = values, split_bound(pair, range(1, m + 1)), block
+            pair = ModulusPair.unchecked(X[r], Y[r], (X2[r], Y2[r]))
+            record = _split_search(pair, sizes, cap)
+            found[r] = record[0], split_bound(pair, range(1, m + 1)), record
     return [found[r] for r in range(k)]
 
 
@@ -424,16 +412,16 @@ def best_split_bound(pair: ModulusPair, m: int, cap: int = DEFAULT_CAP) -> tuple
     parts reaching the value of a size whose block is asked for. SearchSpaceTooLarge is
     raised, before any block is evaluated, when the nominal binomial(n, m) exceeds cap.
     """
-    values, block = _split_search(pair, [m], cap)
-    return values[0], block(0)
+    record = _split_search(pair, [m], cap)
+    return record[0][0], _block(record, 0, m)
 
 
 def best_split_bounds(pair: ModulusPair, cap: int = DEFAULT_CAP) -> list[tuple[float, tuple[int, ...]]]:
     """best_split_bound's (value, block) for each block size m = 1 .. floor(n/2), in order,
     from one pass (size n - m would repeat size m); every size's nominal binomial(n, m) is
     capped first."""
-    values, block = _split_search(pair, range(1, max(1, pair.dim // 2) + 1), cap)
-    return [(value, block(k)) for k, value in enumerate(values)]
+    record = _split_search(pair, range(1, max(1, pair.dim // 2) + 1), cap)
+    return [(value, _block(record, j, j + 1)) for j, value in enumerate(record[0])]
 
 
 def fine_grained_sequence(pair: ModulusPair) -> tuple[float, ...]:
@@ -581,22 +569,16 @@ def _block_fields(X: np.ndarray, Y: np.ndarray, X2: np.ndarray, Y2: np.ndarray):
 
 
 def _means(stacks: list[np.ndarray], squares: list[np.ndarray], firsts, cap: int) -> list[dict[str, float]]:
-    m, ell, k = firsts[0].m, len(stacks), len(firsts)
+    m, ell = firsts[0].m, len(stacks)
     if any(first.m != m for first in firsts):
         raise UurError("the reports of one block must share one block size m")
-    single = k < BLOCK_MIN or len({first.v for first in firsts}) > 1  # the single-pair functions, row by row
+    v = np.array([first.v for first in firsts], dtype=float)  # each row blends with its own weight
     products = [[first.k_m, first.k_m_v, first.k_tilde_m] for first in firsts]  # per row, one per flavor
     for a, b in itertools.islice(itertools.combinations(range(ell), 2), 1, None):
-        rows = stacks[a], stacks[b], squares[a], squares[b]
-        pairs = [ModulusPair.unchecked(x, y, (x2, y2)) for x, y, x2, y2 in zip(*rows)] if single else None
-        found = _searches(*rows, [m], m, cap, pairs)
-        if single:
-            factors = [(k_m, _blend(k_m, variance_product(pair), first.v), values[0])
-                       for pair, first, (values, k_m, _) in zip(pairs, firsts, found)]
-        else:
-            k_m = np.array([k_m for _, k_m, _ in found])
-            k_m_v = _blend(k_m, squares[a].sum(axis=1) * squares[b].sum(axis=1), firsts[0].v)
-            factors = zip(k_m.tolist(), k_m_v.tolist(), [values[0] for values, _, _ in found])
+        found = _searches(stacks[a], stacks[b], squares[a], squares[b], [m], m, cap)
+        k_m = np.array([k_m for _, k_m, _ in found])
+        k_m_v = _blend(k_m, squares[a].sum(axis=1) * squares[b].sum(axis=1), v)
+        factors = zip(k_m.tolist(), k_m_v.tolist(), [values[0] for values, _, _ in found])
         products = [[p * f for p, f in zip(product, factor)] for product, factor in zip(products, factors)]
     return [{flavor: float(p ** (1.0 / (ell - 1))) for flavor, p in zip(FLAVORS, product)} for product in products]
 
@@ -638,19 +620,16 @@ def _chains_hold(lb, k_m, k_m_v, vp, k_tilde_m, k_tilde, family: np.ndarray) -> 
                 & ~(abs(family[:, 0] - vp) > SLACK) & ~(abs(family[:, -1] - lb) > SLACK))
 
 
-def _reports(X: np.ndarray, Y: np.ndarray, X2: np.ndarray, Y2: np.ndarray, m: int, v: float, cap: int,
-             pairs: list[ModulusPair] | None = None) -> tuple[list[BoundSet], np.ndarray | None]:
+def _reports(X: np.ndarray, Y: np.ndarray, X2: np.ndarray, Y2: np.ndarray, m: int, v: float,
+             cap: int) -> tuple[list[BoundSet], np.ndarray | None]:
     """The reports of a block, and for a block of BLOCK_MIN rows or more whether each row's chains hold."""
     k, n = X2.shape
-    hold = None
+    found, hold = _searches(X, Y, X2, Y2, range(1, n // 2 + 1), m, cap), None
     if k < BLOCK_MIN:  # the single-pair functions, row by row
-        pairs = pairs or [ModulusPair.unchecked(x, y, (x2, y2)) for x, y, x2, y2 in zip(X, Y, X2, Y2)]
-        found = _searches(X, Y, X2, Y2, range(1, n // 2 + 1), m, cap, pairs)
         fields = [(vp := variance_product(pair), correlation_bound(pair), _blend(k_m, vp, v),
                    fine_grained_sequence(pair), paired_cross_bound(pair) if n >= 3 else None)
-                  for pair, (_, k_m, _) in zip(pairs, found)]
+                  for pair, (_, k_m, _) in zip(map(ModulusPair.unchecked, X, Y, zip(X2, Y2)), found)]
     else:
-        found = _searches(X, Y, X2, Y2, range(1, n // 2 + 1), m, cap)
         vp, lb, family, cross = _block_fields(X, Y, X2, Y2)
         values, k_m = np.array([values for values, _, _ in found]), np.array([k_m for _, k_m, _ in found])
         k_m_v = _blend(k_m, vp, v)
@@ -658,10 +637,10 @@ def _reports(X: np.ndarray, Y: np.ndarray, X2: np.ndarray, Y2: np.ndarray, m: in
         fields = zip(vp.tolist(), lb.tolist(), k_m_v.tolist(), map(tuple, family.tolist()),
                      [None] * k if cross is None else cross.tolist())
     reports = []
-    for (values, k_m, block), (vp, lb, k_m_v, i_d, i_1_prime) in zip(found, fields):
+    for (values, k_m, record), (vp, lb, k_m_v, i_d, i_1_prime) in zip(found, fields):
         first = values.index(max(values))  # the first largest size: the report pads only its block
-        reports.append(BoundSet(m, v, vp, lb, k_m, k_m_v, values[min(m, n - m) - 1], values[first], block(first),
-                                i_d, i_1_prime))  # in the order of BoundSet's fields
+        reports.append(BoundSet(m, v, vp, lb, k_m, k_m_v, values[min(m, n - m) - 1], values[first],
+                                _block(record, first, first + 1), i_d, i_1_prime))  # in BoundSet's order
     return reports, hold
 
 
@@ -689,5 +668,5 @@ def bound_report(pair: ModulusPair, m: int, v: float = DEFAULT_V,
     """
     _check_report(pair.dim, m, cap)
     X2, Y2 = pair.squares
-    return _reports(pair.x[None], pair.y[None], X2[None], Y2[None], m, v, cap, [pair])[0][0]
+    return _reports(pair.x[None], pair.y[None], X2[None], Y2[None], m, v, cap)[0][0]
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -89,3 +90,30 @@ def test_each_workload_takes_its_own_unused_seeds():
     ranges = [bench_pairs.seeds(35, k, 10) for k in range(3)]
     assert [(r[0], r[-1]) for r in ranges] == [(35101, 35110), (35121, 35130), (35141, 35150)]
     assert bench_pairs.seeds(35, 1, 5) == range(35121, 35126)
+
+
+def test_a_run_without_a_claim_records_every_workload_and_claims_nothing(tmp_path, monkeypatch, capsys):
+    # Canned runs stand in for the benchmark: every workload takes OTHER_PAIRS pairs, the record's claim is
+    # null, and the last line gives each workload's work_per_s change and the metrics outside their bounds.
+    bench = {"run_seconds": 20, "workloads": [{"name": "fast"}, {"name": "slow"}], "end_to_end": END_TO_END}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(bench), encoding="utf-8")
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pairs, "_git", lambda *args, env=None: "0" * 40)
+    monkeypatch.setattr(bench_pairs, "working_tree", lambda: "1" * 40)
+    monkeypatch.setattr(bench_pairs, "extract", lambda treeish, dest: dest.mkdir())
+    canned = {("fast", "parent"): run(100.0, 0.1), ("fast", "change"): run(102.0, 0.1),
+              ("slow", "parent"): run(100.0, 0.1), ("slow", "change"): run(99.0, 0.2)}
+    monkeypatch.setattr(bench_pairs, "run_once",
+                        lambda tree, workload, seed, seconds: (canned[workload, tree.name], {}))
+    assert bench_pairs.main(["HEAD"]) == 0
+    record = json.loads((tmp_path / "BENCH_1.json").read_text(encoding="utf-8"))
+    assert record["claim"] is None
+    assert [len(w["pairs"]) for w in record["workloads"].values()] == [bench_pairs.OTHER_PAIRS] * 2
+    assert [p["seed"] for p in record["workloads"]["slow"]["pairs"]] == list(bench_pairs.seeds(1, 1, 5))
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "BENCH_1.json: no claim; fast work_per_s +2.00%, slow work_per_s -1.00%; outside its bound: slow cpu_s")
+    (tmp_path / "BENCH_1.json").unlink()
+    canned["slow", "change"] = run(99.0, 0.1)
+    assert bench_pairs.main(["HEAD"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "BENCH_1.json: no claim; fast work_per_s +2.00%, slow work_per_s -1.00%; every metric within its bound")

@@ -316,10 +316,10 @@ def count_split_searches(monkeypatch) -> list:
 
 
 def count_padded_blocks(monkeypatch) -> list:
-    """One entry per block the search pads with free indices and sorts."""
+    """The block size of each block the search pads with free indices and sorts, one entry per block."""
     calls = []
-    real = bounds._padded
-    monkeypatch.setattr(bounds, "_padded", lambda part, pad: calls.append(len(pad)) or real(part, pad))
+    real = bounds._block
+    monkeypatch.setattr(bounds, "_block", lambda record, j, m: calls.append(m) or real(record, j, m))
     return calls
 
 
@@ -340,7 +340,7 @@ def test_bound_report_pads_only_the_block_it_returns(monkeypatch, theta):
     # 1..8 take 29 (size, part size) candidates, and the pick once padded and
     # sorted each of them before comparing values. A report returns one
     # block, the argmax's, and pads one; the table returns all 8 and pads
-    # the tied winners of each size (13), never the 29.
+    # one block of each size, from the tied winners of its part sizes.
     scen = scenarios.scenario("ex1", 16)
     psi = scen.state(theta)
     p = from_deltas(*(delta_vector(moments.Unitary(U), psi) for _, U in scen.operators))
@@ -349,12 +349,12 @@ def test_bound_report_pads_only_the_block_it_returns(monkeypatch, theta):
     assert (s, sum(min(m, s) - max(0, m - (16 - s)) + 1 for m in range(1, 9))) == (3, 29)
     padded = count_padded_blocks(monkeypatch)
     report = bounds.bound_report(p, 8)
-    assert padded == [1]
+    assert padded == [len(report.k_tilde_argmax)]
     table = [per_size_split_bound(p, m) for m in range(1, 9)]
     assert (report.k_tilde, report.k_tilde_argmax) == max(table, key=lambda entry: entry[0])
     padded.clear()
     assert bounds.best_split_bounds(p) == table
-    assert len(padded) == 13
+    assert padded == list(range(1, 9))
 
 
 @pytest.mark.parametrize("x, y, pinned", [
@@ -484,8 +484,8 @@ def searched(X, Y, sizes, m: int, table: bool) -> list:
     with pytest.MonkeyPatch.context() as patch, np.errstate(all="ignore"):
         patch.setattr(bounds, "TABLE_MIN", 0 if table else math.inf)
         X, Y = np.asarray(X, float), np.asarray(Y, float)
-        return [(values, k_m, [block(j) for j in range(len(sizes))])
-                for values, k_m, block in bounds._searches(X, Y, X ** 2, Y ** 2, sizes, m, bounds.DEFAULT_CAP)]
+        return [(values, k_m, [bounds._block(record, j, size) for j, size in enumerate(sizes)])
+                for values, k_m, record in bounds._searches(X, Y, X ** 2, Y ** 2, sizes, m, bounds.DEFAULT_CAP)]
 
 
 def ex1_rows(n: int, thetas) -> tuple[np.ndarray, np.ndarray]:
@@ -623,6 +623,31 @@ def test_block_reports_are_the_single_reports_row_by_row():
                                         for *rows, first in zip(X, Y, Z, reports)])
 
 
+@pytest.mark.parametrize("k", [3, 20])
+def test_block_means_blend_each_row_with_its_own_weight(k):
+    # The reports of one block may carry different weights v: each row's means are its geometric_mean_bound's,
+    # and its convex flavor blends every pair with that row's v, whether the pairs A-C and B-C are searched per
+    # pair (k = 3) or by table (k = 20).
+    X, Y = block_cases(44, 5, k)["finite"]
+    Z = np.random.default_rng(44).random((k, 5))
+    weights = np.linspace(0.0, 1.0, k).tolist()
+    firsts = [bounds.bound_report(ModulusPair(x, y), 2, v) for x, y, v in zip(X, Y, weights)]
+    means = bounds.geometric_mean_bounds([X, Y, Z], firsts)
+    assert means == [bounds.geometric_mean_bound(rows, first) for *rows, first in zip(X, Y, Z, firsts)]
+    for x, y, z, v, mean in zip(X, Y, Z, weights, means):
+        pairs = [pair_of(a, b) for a, b in itertools.combinations((x, y, z), 2)]
+        assert mean["convex"] == math.prod(split_bound_blend(p, (1, 2), v) for p in pairs) ** 0.5
+    with refused("blend weight must lie in [0, 1], got 1.5"):
+        bounds.geometric_mean_bounds([X, Y, Z], [*firsts[:-1], dataclasses.replace(firsts[-1], v=1.5)])
+
+
+def test_block_means_refuse_reports_of_different_block_sizes():
+    X, Y = block_cases(45, 5, 3)["finite"]
+    firsts = [bounds.bound_report(ModulusPair(x, y), m) for x, y, m in zip(X, Y, (2, 2, 1))]
+    with refused("the reports of one block must share one block size m"):
+        bounds.geometric_mean_bounds([X, Y, X], firsts)
+
+
 def block_cases(seed: int, n: int, k: int) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Blocks of k rows of dimension n: special_stack's rows (from k = 9 on, a 1e200 row makes a diagonal sum
     inf and the one-pass form takes every index); the same rows with each 1e200 row made finite (the union
@@ -644,6 +669,7 @@ def test_block_fields_are_the_single_functions_bits(n, k):
     # The one-pass fields of each row, compared by repr (NaN and -0.0 too), are the single-pair functions'
     # (n = 2 has no i_1', n = 3 an empty x[3:]); rows whose supports differ from the block's union support add
     # that row only +0.0 terms.
+    assert k >= 1, "a block below the crossover holds a row"
     for case, (X, Y) in block_cases(41, n, k).items():
         with np.errstate(all="ignore"):
             vp, lb, family, cross = bounds._block_fields(X, Y, X ** 2, Y ** 2)
@@ -655,7 +681,8 @@ def test_block_fields_are_the_single_functions_bits(n, k):
 
 def test_a_block_raises_the_first_warning_the_rows_raise():
     # Under warnings as errors a block holding a 1e200 row stops at the warning the per-row path stops at.
-    X, Y = special_stack(42, 5, bounds.BLOCK_MIN + 1)
+    X, Y = special_stack(42, 5, max(bounds.BLOCK_MIN, 9))  # row 8 is special_stack's first 1e200 row
+    assert (X == 1e200).any(axis=1).tolist().index(True) == 8 and len(X) >= bounds.BLOCK_MIN
     raised = []
     for block in (lambda: bounds.bound_reports(X, Y, 2),
                   lambda: [bounds.bound_report(ModulusPair(x, y), 2) for x, y in zip(X, Y)]):
@@ -671,6 +698,7 @@ def test_a_block_raises_the_first_warning_the_rows_raise():
 def test_a_block_in_fortran_order_is_its_c_ordered_copy(k):
     # The block functions read a strided stack in C order: numpy's row sums and BLAS add up its rows as they
     # add up contiguous ones, on either side of the crossover.
+    assert k >= 1, "a block below the crossover holds a row"
     X, Y = block_cases(43, 9, k)["finite"]
     Z = np.random.default_rng(43).random((k, 9))
     reports, _ = bounds.bound_reports(X, Y, 4)
@@ -1166,7 +1194,9 @@ def test_bound_report_reads_the_public_bounds_once_each(monkeypatch):
 
 def test_a_pair_squares_its_moduli_once(squarings):
     # Every bound reads the pair's kept squares: numpy's once for the sums and
-    # the searches, C pow's once for the transcribed sums.
+    # the searches, C pow's once for the transcribed sums. A report is a block
+    # of one row: its row's pair keeps the pair's numpy squares and forms its
+    # own C-pow squares once, for i_d and i_1'.
     p = modulus_pair(*random_pair(94, 1, 6))
     bounds.split_bound(p, (1, 3))
     bounds.variance_product(p)
@@ -1175,8 +1205,10 @@ def test_a_pair_squares_its_moduli_once(squarings):
     bounds.bound_report(p, 3)
     bounds.fine_grained_sequence(p)
     bounds.paired_cross_bound(p)
-    assert [len(pairs) for pairs in squarings.values()] == [1, 1]
-    assert squarings["squares"][0] is squarings["pow_terms"][0] is p
+    assert [len(pairs) for pairs in squarings.values()] == [1, 2]
+    row, again = squarings["pow_terms"]
+    assert squarings["squares"][0] is again is p and row is not p
+    assert all(np.shares_memory(q, q_p) for q, q_p in zip(row.squares, p.squares))
 
 
 def test_bound_report_skips_cross_term_for_qubits():

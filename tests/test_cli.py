@@ -731,12 +731,12 @@ def test_sweep_row_searches_each_block_size_once(capsys, monkeypatch):
     # them. The pass evaluates 4 support parts (the per-size searches 59)
     # and pads one block, the argmax's (the pick padded all 29 candidates).
     calls, parts, padded = [], [], []
-    real_search, real_value, real_padded = bounds._split_search, bounds._split_value, bounds._padded
+    real_search, real_value, real_block = bounds._split_search, bounds._split_value, bounds._block
     monkeypatch.setattr(bounds, "_split_search", lambda pair, sizes, cap:
                         calls.append(list(sizes)) or real_search(pair, sizes, cap))
     monkeypatch.setattr(bounds, "_split_value",
                         lambda x2, y2, inside: parts.append(inside) or real_value(x2, y2, inside))
-    monkeypatch.setattr(bounds, "_padded", lambda part, pad: padded.append(pad) or real_padded(part, pad))
+    monkeypatch.setattr(bounds, "_block", lambda record, j, m: padded.append(m) or real_block(record, j, m))
     code, _, err = run(["sweep", "--example", "ex1", "--dim", "16", "--steps", "1",
                         "--theta-min", "1.0"], capsys)
     assert code == 0, err
@@ -749,9 +749,11 @@ def test_three_operator_report_bounds_each_pair_once(capsys, monkeypatch, squari
     # ex5 has n = 4 and m = 2. The block's report pair A-B makes one k_m, one
     # variance product and one search pass over the sizes 1, 2; the block's
     # geometric means take A-B's factors from that report, check the three
-    # moduli stacks by one test (no row is scanned again) and make one of each
-    # for the pairs A-C and B-C, their passes searching m = 2 only. A one-row
-    # block keeps the per-pair pass. Each operator pair's stacks are squared
+    # moduli stacks by one test (no row is scanned again) and make one k_m and
+    # one search pass for each of the pairs A-C and B-C, their passes
+    # searching m = 2 only; their variance products are row sums of the
+    # squared stacks, not variance_product calls. A one-row block keeps the
+    # per-pair pass. Each operator pair's stacks are squared
     # once with numpy and each row's pair keeps its rows of those squares, so
     # no pair squares again; only the report's pair forms the C-pow squares,
     # once for i_d and i_1'.
@@ -775,7 +777,7 @@ def test_three_operator_report_bounds_each_pair_once(capsys, monkeypatch, squari
     code, _, err = run(["bounds", "--example", "ex5", "--flavor", "tilde"], capsys)
     assert code == 0, err
     assert calls == {"geometric_mean_bounds": 1, "checked": 0, "checked_stacks": 1, "split_bound": 3,
-                     "variance_product": 3, "_split_search": 1 + 2, "_split_tables": 0}
+                     "variance_product": 1, "_split_search": 1 + 2, "_split_tables": 0}
     squared, powed = squarings["squares"], squarings["pow_terms"]
     assert squared == [] and len(powed) == 1
 
@@ -830,17 +832,18 @@ def field_calls(monkeypatch):
 
 
 @pytest.mark.parametrize("argv, singles, blocks", [
-    ("sweep --example ex5 --steps 65", (1 + 2, 1, 1, 1, 6, 1), 1),
-    ("bounds --example ex5", (3, 1, 1, 1, 3, 1), 0),
+    ("sweep --example ex5 --steps 65", (1, 1, 1, 1, 6, 1), 1),
+    ("bounds --example ex5", (1, 1, 1, 1, 3, 1), 0),
     ("sweep --example ex1 --dim 16 --steps 2", (2, 2, 2, 2, 2, 2), 0),
-    ("check --trials 15", (171, 45, 45, 57, 302, 0), 0)],
+    ("check --trials 15", (120, 45, 45, 57, 302, 0), 0)],
     ids=["ex5-65-rows", "ex5-one-row", "ex1-n16-two-rows", "check-15"])
 def test_a_block_takes_its_fields_in_one_pass_past_the_crossover(capsys, field_calls, argv, singles, blocks):
     # A block of BLOCK_MIN = 8 rows or more forms its reports' fields and chain tests from its moduli stacks in
     # one pass: the 64-row first block of a 65-row ex5 sweep calls no single-pair bound but the split_bound of
     # its theta = 0 row's own search (3 pairs), while the 65th row makes the calls of a one-row block (its
-    # report, and the variance products of the means' pairs A-C and B-C). A one-row report, the two-row blocks
-    # of an ex1 n = 16 sweep and check's single pairs make the same calls as before the one-pass form, and
+    # report). The geometric means take every row's variance products from the stacks' row sums, so the means'
+    # pairs A-C and B-C call no variance_product on either side. A one-row report, the two-row blocks of an
+    # ex1 n = 16 sweep and check's single pairs make the same report calls as before the one-pass form, and
     # below the crossover no union support or index array is formed.
     code, _, err = run(argv.split(), capsys)
     assert code == 0, err

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Alternating parent/change benchmark pairs, recorded as BENCH_<n>.json.
 
-    python3 tools/bench_pairs.py REV --claim WORKLOAD [--change TEXT] [--number N]
+    python3 tools/bench_pairs.py REV [--claim WORKLOAD] [--change TEXT] [--number N]
 
 Run from the root of the repository. REV is the parent commit; the change is
 the working tree: every file git does not ignore, tracked or not, written to
@@ -11,7 +11,8 @@ directory, with PYTHONDONTWRITEBYTECODE=1, so every process compiles `uur`
 from source. For each workload of BENCHMARK.json, in its order, pairs run
 `perfbench/run.py --trace 0` for BENCHMARK.json's run_seconds on the parent
 and the change with one seed: 10 pairs on the claimed workload and 5 on each
-other one; an even pair runs the parent first, an odd pair the change first.
+other one (5 on every workload when no gain is claimed); an even pair runs
+the parent first, an odd pair the change first.
 The record is BENCH_<n>.json, n given by --number or one past the highest
 record in the repository, and workload k (0-based) takes the seeds n*1000 + 101 + 20*k
 onwards, so no seed of an earlier record is reused.
@@ -22,7 +23,10 @@ change wins, the median change relative to the parent's, the parent's IQR, and
 whether the change's median stays within the metric's bound. The claim, on
 work_per_s, holds when the change wins at least nine tenths of the claimed
 workload's pairs and its median beats the parent's by more than the parent's
-IQR. Runs go one at a time; at 20 s a run, a record takes about 20 minutes.
+IQR. Without --claim the record's claim is null, and its last line gives each
+workload's work_per_s change and whether every metric stays within its bound.
+Runs go one at a time; at 20 s a run, a record takes about 20 minutes (15
+without a claim).
 """
 
 from __future__ import annotations
@@ -79,6 +83,16 @@ def workload_record(pairs: list[dict], end_to_end: list[dict]) -> dict:
     return {"pairs": pairs, "summary": summary}
 
 
+def bounds_line(record: dict) -> str:
+    """A record's work_per_s change per workload, and the end-to-end metrics outside their bounds, if any."""
+    workloads = record["workloads"].items()
+    changes = ", ".join(f"{name} {METRIC} {w['summary'][METRIC]['median_change_vs_parent']:+.2%}"
+                        for name, w in workloads)
+    outside = [f"{name} {metric}" for name, w in workloads for metric, summary in w["summary"].items()
+               if metric != "correct" and not summary["within_bound"]]
+    return f"{changes}; " + (f"outside its bound: {', '.join(outside)}" if outside else "every metric within its bound")
+
+
 def seeds(number: int, k: int, count: int) -> range:
     start = number * 1000 + 101 + 20 * k
     return range(start, start + count)
@@ -124,7 +138,7 @@ def main(argv=None) -> int:
     numbers = [int(m[1]) for p in ROOT.glob("BENCH_*.json") if (m := re.fullmatch(r"BENCH_(\d+)\.json", p.name))]
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("rev", help="parent commit")
-    parser.add_argument("--claim", required=True, choices=names, help="workload whose gain is claimed")
+    parser.add_argument("--claim", choices=names, help="workload whose gain is claimed (default: none)")
     parser.add_argument("--change", default="", help="what the change does, for the record")
     parser.add_argument("--number", type=int, default=max(numbers, default=0) + 1,
                         help="n of BENCH_<n>.json (default: one past the highest record)")
@@ -134,6 +148,8 @@ def main(argv=None) -> int:
         parser.error(f"BENCH_{number}.json exists")
 
     parent = _git("rev-parse", args.rev)
+    counts = (f"{CLAIM_PAIRS} pairs on the claimed workload, {OTHER_PAIRS} on each other" if args.claim
+              else f"{OTHER_PAIRS} pairs on every workload, no claim")
     change = working_tree()
     record = {
         "benchmark": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} --trace 0",
@@ -142,11 +158,10 @@ def main(argv=None) -> int:
                        "git archive",
         "host": {"libc": " ".join(platform.libc_ver()), "machine": platform.machine()},
         "method": f"pairs run parent/change on the same seed; an even pair index runs the parent first, an odd "
-                  f"one the change first; {CLAIM_PAIRS} pairs on the claimed workload, {OTHER_PAIRS} on "
-                  f"each other; workload k takes seeds {number}*1000 + 101 + 20k onwards; one run at a time, "
-                  "PYTHONDONTWRITEBYTECODE=1, each side from a fresh git archive copy; quartiles are numpy "
-                  "linear-interpolation percentiles over the runs of one side",
-        "claim": {"workload": args.claim, "metric": METRIC},
+                  f"one the change first; {counts}; workload k takes seeds {number}*1000 + 101 + 20k onwards; "
+                  "one run at a time, PYTHONDONTWRITEBYTECODE=1, each side from a fresh git archive copy; "
+                  "quartiles are numpy linear-interpolation percentiles over the runs of one side",
+        "claim": {"workload": args.claim, "metric": METRIC} if args.claim else None,
         "workloads": {},
     }
     with tempfile.TemporaryDirectory() as tmp:
@@ -165,10 +180,14 @@ def main(argv=None) -> int:
                 print(f"{name} seed {seed}: parent {pair['parent'][METRIC]:.6g}, "
                       f"change {pair['change'][METRIC]:.6g}", file=sys.stderr)
             record["workloads"][name] = workload_record(pairs, bench["end_to_end"])
-    claimed = record["workloads"][args.claim]["summary"][METRIC]
-    record["claim"]["holds"] = claim_holds(claimed)
+    if args.claim:
+        claimed = record["workloads"][args.claim]["summary"][METRIC]
+        record["claim"]["holds"] = claim_holds(claimed)
     out = ROOT / f"BENCH_{number}.json"
     out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+    if not args.claim:
+        print(f"{out.name}: no claim; {bounds_line(record)}")
+        return 0
     print(f"{out.name}: {args.claim} {METRIC} {claimed['parent']['median']:.6g} -> "
           f"{claimed['change']['median']:.6g} ({claimed['median_change_vs_parent']:+.2%}, the change better on "
           f"{claimed['change_wins']} of {claimed['pairs']} pairs, parent IQR {claimed['parent_iqr']:.6g}); "

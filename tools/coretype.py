@@ -6,9 +6,10 @@
 Run from anywhere; it imports `uur` from this repository's `src`. Every line
 of tools/corpus.jsonl runs in one child process whose environment sets
 OPENBLAS_CORETYPE=CORETYPE (for example Haswell or Sandybridge), which
-numpy's OpenBLAS reads when numpy is imported. The child runs each line
-through `cli.main` as tests/test_golden.py does: at an 80-column terminal, in
-a temporary directory holding the problem files of tools/input_files.json.
+numpy's OpenBLAS reads when numpy is imported. The child runs the lines with
+tools/reach.py's corpus runner, as tests/test_golden.py does: through
+`cli.main` at an 80-column terminal, in a temporary directory holding the
+problem files of tools/input_files.json.
 
 The report names the kernel the child's OpenBLAS picked, then prints one row
 per corpus line: "same" or "MOVED", the first 16 hex digits of the pinned
@@ -20,20 +21,15 @@ kernel depend on that kernel in the same way.
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
-import hashlib
-import io
 import json
 import os
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "tools" / "corpus.jsonl"
-INPUT_FILES = ROOT / "tools" / "input_files.json"
 
 
 def blas_kernel(symbol: str = "scipy_openblas_get_corename64_") -> str:
@@ -49,22 +45,11 @@ def blas_kernel(symbol: str = "scipy_openblas_get_corename64_") -> str:
 def run_lines(corpus: Path) -> None:
     """In the child: print the kernel, then [exit code, stdout digest, stderr] of each corpus line as JSON."""
     sys.path.insert(0, str(ROOT / "src"))
-    from uur import cli
+    import reach  # the child runs with tools/ on its path
 
     print(json.dumps(blas_kernel()), flush=True)
-    lines = [json.loads(line) for line in corpus.read_text(encoding="utf-8").splitlines()]
-    files = json.loads(INPUT_FILES.read_text(encoding="utf-8"))
-    with tempfile.TemporaryDirectory() as directory:
-        for name, document in files.items():
-            Path(directory, name).write_text(json.dumps(document), encoding="utf-8")
-        os.chdir(directory)
-        os.environ["COLUMNS"] = "80"  # argparse wraps help and usage to the terminal
-        for argv, *_ in lines:
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = cli.main(argv.split())
-            print(json.dumps([code, hashlib.sha256(out.getvalue().encode()).hexdigest(), err.getvalue()]),
-                  flush=True)
+    for _, got in reach.run_lines(corpus):
+        print(json.dumps(got), flush=True)
 
 
 def main(argv: list[str]) -> int:

@@ -35,6 +35,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "uur"
+CORPUS = ROOT / "tools" / "corpus.jsonl"
 
 
 def code_lines(path: Path) -> set[int]:
@@ -77,14 +78,14 @@ def trace(files: set[str], hits: set):
     sys.settrace(global_)
 
 
-def run_corpus() -> tuple[int, int]:
-    """Run every corpus line through cli.main; (lines that match their pins, lines)."""
+def run_lines(corpus: Path = CORPUS):
+    """Run each line of corpus through cli.main at an 80-column terminal, in a temporary directory holding the
+    problem files of tools/input_files.json; yield (its pin, what it gave), each [exit code, stdout digest,
+    stderr]. The working directory and COLUMNS are restored when the lines are done."""
     from uur import cli
 
-    corpus = (ROOT / "tools" / "corpus.jsonl").read_text(encoding="utf-8")
-    lines = [json.loads(line) for line in corpus.splitlines()]
+    lines = [json.loads(line) for line in corpus.read_text(encoding="utf-8").splitlines()]
     files = json.loads((ROOT / "tools" / "input_files.json").read_text(encoding="utf-8"))
-    matched = 0
     cwd = os.getcwd()
     columns = os.environ.get("COLUMNS")
     with tempfile.TemporaryDirectory() as directory:
@@ -93,19 +94,23 @@ def run_corpus() -> tuple[int, int]:
         os.chdir(directory)
         os.environ["COLUMNS"] = "80"  # argparse wraps help and usage to the terminal
         try:
-            for argv, code, digest, err in lines:
+            for argv, *pin in lines:
                 out, errors = io.StringIO(), io.StringIO()
                 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(errors):
-                    got = cli.main(argv.split())
-                matched += (got, hashlib.sha256(out.getvalue().encode()).hexdigest(),
-                            errors.getvalue()) == (code, digest, err)
+                    code = cli.main(argv.split())
+                yield pin, [code, hashlib.sha256(out.getvalue().encode()).hexdigest(), errors.getvalue()]
         finally:
             os.chdir(cwd)
             if columns is None:
                 del os.environ["COLUMNS"]
             else:
                 os.environ["COLUMNS"] = columns
-    return matched, len(lines)
+
+
+def run_corpus() -> tuple[int, int]:
+    """Run every corpus line (run_lines); (lines that match their pins, lines)."""
+    matches = [got == pin for pin, got in run_lines()]
+    return sum(matches), len(matches)
 
 
 def main() -> int:
