@@ -17,7 +17,9 @@ search path (below) gives a row one record, and _block pads a size's block
 from it only when asked (a report asks for its argmax's). The cap is judged
 on the nominal binomial(n, m) of every size first.
 
-The reports come in blocks of rows (bound_reports, geometric_mean_bounds; a
+One call, bound_reports, takes the moduli stacks of l >= 2 operators on a block
+of states and gives the reports of the first pair, their broken rows and, for
+l >= 3, the geometric means. Reports come in blocks of rows (bound_report's
 single report is a block of one), and the search has two paths. The per-pair
 pass (_split_search) evaluates each part of at most half the support in
 Python, once per row. The table pass (_split_tables) takes all rows of a
@@ -58,7 +60,7 @@ rows (n = 2..8; a whole bound_reports; CPU, min of 25 interleaved rounds on a
 (373 and 356 us at n = 2, 390 and 375 us at n = 4, 678 and 549 us at n = 8).
 With BLOCK_MIN = 1 a 2-row ex1 n = 16 bound_reports took 200 us, not 135, and
 split_search's work_per_s fell 18%: small blocks stay per row. The geometric
-means blend as arrays at every size, each row with its own v.
+means blend as arrays at every size.
 """
 
 from __future__ import annotations
@@ -198,10 +200,9 @@ def split_bound(pair: ModulusPair, block) -> float:
     return _split_value(pair.squares[0].tolist(), pair.squares[1].tolist(), frozenset(i - 1 for i in idx))
 
 
-def _blend(k, vp, v):  # floats, or arrays elementwise with a float or one weight per row
-    for w in v.tolist() if isinstance(v, np.ndarray) else (v,):
-        if not 0.0 <= w <= 1.0:
-            raise UurError(f"blend weight must lie in [0, 1], got {w}")
+def _blend(k, vp, v: float):  # floats, or arrays elementwise
+    if not 0.0 <= v <= 1.0:
+        raise UurError(f"blend weight must lie in [0, 1], got {v}")
     return v * k + (1.0 - v) * vp
 
 
@@ -373,7 +374,8 @@ def _split_tables(X2: np.ndarray, Y2: np.ndarray, groups, sizes, m: int):
 
 
 def _searches(X: np.ndarray, Y: np.ndarray, X2: np.ndarray, Y2: np.ndarray, sizes, m: int, cap: int):
-    """Per row of a block: (each size's best value, split_bound of the leading block of m, its record for _block).
+    """Per row of a block: (each size's best value, split_bound of the leading block of m, its record for _block);
+    and each row's pair, or None for a tabled row.
 
     The rows that share a support S are searched by one table pass when rows x 2^|S| reaches TABLE_MIN,
     and every other row by its own pass (_split_search and split_bound) on its pair, built from the stacks.
@@ -387,16 +389,16 @@ def _searches(X: np.ndarray, Y: np.ndarray, X2: np.ndarray, Y2: np.ndarray, size
             groups.setdefault(key, []).append(r)
         tabled = [(rows, np.flatnonzero(inside[rows[0]])) for rows in groups.values()
                   if len(rows) << int(inside[rows[0]].sum()) >= TABLE_MIN]
-    found = {}
+    found, pairs = {}, [None] * k
     if tabled:
         _check_sizes(n, sizes, cap)  # a row's own pass checks them too, before its first part
         found = dict(_split_tables(X2, Y2, tabled, sizes, m))
     for r in range(k):
         if r not in found:
-            pair = ModulusPair.unchecked(X[r], Y[r], (X2[r], Y2[r]))
+            pairs[r] = pair = ModulusPair.unchecked(X[r], Y[r], (X2[r], Y2[r]))
             record = _split_search(pair, sizes, cap)
             found[r] = record[0], split_bound(pair, range(1, m + 1)), record
-    return [found[r] for r in range(k)]
+    return [found[r] for r in range(k)], pairs
 
 
 def best_split_bound(pair: ModulusPair, m: int, cap: int = DEFAULT_CAP) -> tuple[float, tuple[int, ...]]:
@@ -568,47 +570,17 @@ def _block_fields(X: np.ndarray, Y: np.ndarray, X2: np.ndarray, Y2: np.ndarray):
     return X2.sum(axis=1) * Y2.sum(axis=1), _pow2s((X[:, None, :] @ Y[:, :, None])[:, 0, 0]), family, cross
 
 
-def _means(stacks: list[np.ndarray], squares: list[np.ndarray], firsts, cap: int) -> list[dict[str, float]]:
-    m, ell = firsts[0].m, len(stacks)
-    if any(first.m != m for first in firsts):
-        raise UurError("the reports of one block must share one block size m")
-    v = np.array([first.v for first in firsts], dtype=float)  # each row blends with its own weight
-    products = [[first.k_m, first.k_m_v, first.k_tilde_m] for first in firsts]  # per row, one per flavor
+def _means(stacks, squares, reports, m: int, v: float, cap: int) -> list[dict[str, float]]:
+    """Each row's geometric means: its report gives pair 0-1's factors, and each later pair is searched."""
+    ell = len(stacks)
+    products = [[report.k_m, report.k_m_v, report.k_tilde_m] for report in reports]  # per row, one per flavor
     for a, b in itertools.islice(itertools.combinations(range(ell), 2), 1, None):
-        found = _searches(stacks[a], stacks[b], squares[a], squares[b], [m], m, cap)
+        found, _ = _searches(stacks[a], stacks[b], squares[a], squares[b], [m], m, cap)
         k_m = np.array([k_m for _, k_m, _ in found])
         k_m_v = _blend(k_m, squares[a].sum(axis=1) * squares[b].sum(axis=1), v)
         factors = zip(k_m.tolist(), k_m_v.tolist(), [values[0] for values, _, _ in found])
         products = [[p * f for p, f in zip(product, factor)] for product, factor in zip(products, factors)]
     return [{flavor: float(p ** (1.0 / (ell - 1))) for flavor, p in zip(FLAVORS, product)} for product in products]
-
-
-def geometric_mean_bounds(moduli, firsts, cap: int = DEFAULT_CAP, squares=None) -> list[dict[str, float]]:
-    """geometric_mean_bound for each row of l moduli stacks (k, n) (delta_stack's, one per operator) and
-    firsts, the k reports of stacks 0 and 1 (one m). The stacks are checked by one test for the block, read in C
-    order, and squared once each unless squares holds numpy's squares of each (as bound_reports takes them)."""
-    if len(moduli) < 2:
-        raise UurError(f"need at least 2 operators, got {len(moduli)}")
-    stacks = [np.ascontiguousarray(s) for s in ModulusPair.checked_stacks(*moduli)]
-    squares = [np.ascontiguousarray(q) for q in squares] if squares else [s ** 2 for s in stacks]
-    return _means(stacks, squares, firsts, cap)
-
-
-def geometric_mean_bound(moduli, first: BoundSet, cap: int = DEFAULT_CAP) -> dict[str, float]:
-    """Multi-operator bounds: geometric means of the pairwise split bounds.
-
-    Takes the moduli of l operators' delta vectors on one state (delta_stack's rows, or each np.abs(entries)),
-    checked once, and first, the bound_report of moduli[0] and moduli[1], whose m and v every pair uses.
-    Per pair, "plain" is the split bound on the leading block of size m,
-    "convex" its blend with weight v, "tilde" the best split of size m (first's
-    k_m, k_m_v, k_tilde_m); each flavor's product over the pairs is raised to 1/(l-1).
-    A block of one row of geometric_mean_bounds.
-    """
-    moduli = list(moduli)
-    if len(moduli) < 2:
-        raise UurError(f"need at least 2 operators, got {len(moduli)}")
-    stacks = [row[None] for row in ModulusPair.checked(*moduli)]
-    return _means(stacks, [s ** 2 for s in stacks], [first], cap)[0]
 
 
 def _chains_hold(lb, k_m, k_m_v, vp, k_tilde_m, k_tilde, family: np.ndarray) -> np.ndarray:
@@ -624,11 +596,12 @@ def _reports(X: np.ndarray, Y: np.ndarray, X2: np.ndarray, Y2: np.ndarray, m: in
              cap: int) -> tuple[list[BoundSet], np.ndarray | None]:
     """The reports of a block, and for a block of BLOCK_MIN rows or more whether each row's chains hold."""
     k, n = X2.shape
-    found, hold = _searches(X, Y, X2, Y2, range(1, n // 2 + 1), m, cap), None
-    if k < BLOCK_MIN:  # the single-pair functions, row by row
+    (found, pairs), hold = _searches(X, Y, X2, Y2, range(1, n // 2 + 1), m, cap), None
+    if k < BLOCK_MIN:  # the single-pair functions, row by row, on the pairs the search built
+        pairs = [pair or ModulusPair.unchecked(X[r], Y[r], (X2[r], Y2[r])) for r, pair in enumerate(pairs)]
         fields = [(vp := variance_product(pair), correlation_bound(pair), _blend(k_m, vp, v),
                    fine_grained_sequence(pair), paired_cross_bound(pair) if n >= 3 else None)
-                  for pair, (_, k_m, _) in zip(map(ModulusPair.unchecked, X, Y, zip(X2, Y2)), found)]
+                  for pair, (_, k_m, _) in zip(pairs, found)]
     else:
         vp, lb, family, cross = _block_fields(X, Y, X2, Y2)
         values, k_m = np.array([values for values, _, _ in found]), np.array([k_m for _, k_m, _ in found])
@@ -644,19 +617,25 @@ def _reports(X: np.ndarray, Y: np.ndarray, X2: np.ndarray, Y2: np.ndarray, m: in
     return reports, hold
 
 
-def bound_reports(X: np.ndarray, Y: np.ndarray, m: int, v: float = DEFAULT_V, cap: int = DEFAULT_CAP,
-                  squares=None) -> tuple[list[BoundSet], list[int]]:
-    """bound_report for each row pair of the float moduli stacks X, Y (k, n), which delta_stack's finiteness
-    test or ModulusPair.checked_stacks has passed (like ModulusPair.unchecked's rows), and the indices of the
-    reports whose chains are broken (validate is not empty). The stacks are read in C order and squared once
-    each, unless squares holds numpy's (X ** 2, Y ** 2); the split search runs per support group by table or per
-    row (_searches), and a block of BLOCK_MIN rows or more takes the other fields in one pass (_block_fields)."""
-    _check_report(X.shape[1], m, cap)
-    X, Y, X2, Y2 = (np.ascontiguousarray(q) for q in (X, Y, *(squares or (X ** 2, Y ** 2))))
-    reports, hold = _reports(X, Y, X2, Y2, m, v, cap)
-    if hold is None:
-        return reports, [r for r, report in enumerate(reports) if report.validate()]
-    return reports, np.flatnonzero(~hold).tolist()
+def bound_reports(moduli, m: int, v: float = DEFAULT_V,
+                  cap: int = DEFAULT_CAP) -> tuple[list[BoundSet], list[int], list[dict[str, float]] | None]:
+    """The reports, broken rows and geometric means of l >= 2 operators' moduli stacks (k, n) on k states.
+
+    The stacks (delta_stack's moduli, one per operator) are checked by one test, read in C order and squared
+    once each. Returns bound_report of each row of stacks 0 and 1, the indices of the reports whose chains are
+    broken (validate is not empty) and, for l >= 3, each row's geometric means (else None): per operator pair in
+    combinations order, "plain" is the split bound on the leading block of size m, "convex" its blend with
+    weight v, "tilde" the best split of size m, and each flavor's product over the pairs is raised to 1/(l-1).
+    A block of BLOCK_MIN rows or more takes every field but the split search's in one pass (_block_fields).
+    """
+    if len(moduli) < 2:
+        raise UurError(f"need at least 2 operators, got {len(moduli)}")
+    stacks = [np.ascontiguousarray(s) for s in ModulusPair.checked_stacks(*moduli)]
+    _check_report(stacks[0].shape[1], m, cap)
+    squares = [s ** 2 for s in stacks]
+    reports, hold = _reports(*stacks[:2], *squares[:2], m, v, cap)
+    broken = [r for r, rep in enumerate(reports) if rep.validate()] if hold is None else np.flatnonzero(~hold).tolist()
+    return reports, broken, _means(stacks, squares, reports, m, v, cap) if len(stacks) > 2 else None
 
 
 def bound_report(pair: ModulusPair, m: int, v: float = DEFAULT_V,
@@ -669,4 +648,3 @@ def bound_report(pair: ModulusPair, m: int, v: float = DEFAULT_V,
     _check_report(pair.dim, m, cap)
     X2, Y2 = pair.squares
     return _reports(pair.x[None], pair.y[None], X2[None], Y2[None], m, v, cap)[0][0]
-

@@ -187,16 +187,13 @@ def _triple_fields(deltas: list[moments.DeltaVector], means: dict[str, float]) -
 
 def _report_rows(problem: Problem, grid: list[float]):
     """(report, row) per angle of grid. Per block of _BLOCK angles the scenario builds (and checks) each
-    state, one delta_stack per operator forms every row's delta vectors, and the block's reports, chain tests
-    and geometric means come from those moduli stacks, each squared once, one split search per operator pair."""
+    state, one delta_stack per operator forms every row's delta vectors, and one bound_reports call on those
+    moduli stacks gives the block's reports, broken rows and geometric means."""
     for lo in range(0, len(grid), _BLOCK):
         thetas = grid[lo:lo + _BLOCK]
         P = np.array([problem.scenario.state(theta).amplitudes for theta in thetas])  # C order
         stacks = [moments.delta_stack(U.matrix[None], P) for U in problem.operators]
-        moduli = [mod for *_, mod in stacks]
-        squares = [mod ** 2 for mod in moduli]
-        reports, broken = bounds.bound_reports(*moduli[:2], problem.m, problem.v, problem.cap, squares[:2])
-        means = bounds.geometric_mean_bounds(moduli, reports, problem.cap, squares) if len(stacks) == 3 else None
+        reports, broken, means = bounds.bound_reports([mod for *_, mod in stacks], problem.m, problem.v, problem.cap)
         for r, (theta, report) in enumerate(zip(thetas, reports)):
             if r in broken:
                 raise _Violation(f"chain invariants failed at theta={theta!r}: " + "; ".join(report.validate()))

@@ -289,12 +289,11 @@ def suite_triple_bound(rec: SuiteResult, items):
 @_suite(9, _Draws((3, 4), dmax=6), cap=300)
 def suite_multi_op(rec: SuiteResult, items):
     """Geometric-mean bounds stay below the variance product; tilde >= plain."""
-    for d, ops, _, deltas, moduli, pair, instance in _instances(items):
+    for d, ops, _, deltas, moduli, _, instance in _instances(items):
         m = 1 + instance["trial"] % max(1, d // 2)
         instance["params"] = {"m": m, "l": len(ops)}
         prod = math.prod(dv.variance for dv in deltas)
-        first = bounds.bound_report(pair, m, v=0.1)
-        vals = bounds.geometric_mean_bound(moduli, first)
+        vals = bounds.bound_reports(moduli[:, None], m, v=0.1)[2][0]  # l stacks of one row
         for flavor in bounds.FLAVORS:
             rec.check(vals[flavor] - prod, SLACK,
                       dict(instance, flavor=flavor), "multi-op bound exceeds product")

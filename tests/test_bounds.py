@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import ast
-import dataclasses
 import itertools
 import math
 import warnings
@@ -480,12 +479,15 @@ def test_the_cap_is_judged_on_every_nominal_size_before_any_part(monkeypatch):
 # --- table pass ----------------------------------------------------------------
 
 def searched(X, Y, sizes, m: int, table: bool) -> list:
-    """Each row's (values, k_m, blocks) from one block search, every group on the table or every row on its own pass."""
+    """Each row's (values, k_m, blocks) from one block search, every group on the table or every row on its own pass
+    (which hands back the row's pair; a tabled row has none)."""
     with pytest.MonkeyPatch.context() as patch, np.errstate(all="ignore"):
         patch.setattr(bounds, "TABLE_MIN", 0 if table else math.inf)
         X, Y = np.asarray(X, float), np.asarray(Y, float)
-        return [(values, k_m, [bounds._block(record, j, size) for j, size in enumerate(sizes)])
-                for values, k_m, record in bounds._searches(X, Y, X ** 2, Y ** 2, sizes, m, bounds.DEFAULT_CAP)]
+        found, pairs = bounds._searches(X, Y, X ** 2, Y ** 2, sizes, m, bounds.DEFAULT_CAP)
+    assert [pair is None for pair in pairs] == [table] * len(X)
+    return [(values, k_m, [bounds._block(record, j, size) for j, size in enumerate(sizes)])
+            for values, k_m, record in found]
 
 
 def ex1_rows(n: int, thetas) -> tuple[np.ndarray, np.ndarray]:
@@ -607,45 +609,33 @@ def test_table_pass_matches_full_enumeration(rows):
 
 
 def test_block_reports_are_the_single_reports_row_by_row():
-    # bound_reports and geometric_mean_bounds on a 70-row block (table side, fields in one pass) give each row's
-    # bound_report and geometric_mean_bound (per-pair side), field for field and compared by repr, the rows of
-    # 1e200 beside zeros (NaN fields) too; bound_reports names the rows whose validate is not empty.
+    # bound_reports on a 70-row block (table side, fields in one pass) gives each row's bound_report and the
+    # means of the row's own one-row call (per-pair side), field for field and compared by repr, the rows of
+    # 1e200 beside zeros (NaN fields) too; it names the rows whose validate is not empty, with or without means.
     X, Y = special_stack(40, 4, 70)
     Z = np.random.default_rng(40).random((70, 4))
     with np.errstate(all="ignore"):
         for m in (1, 2, 3):
-            reports, broken = bounds.bound_reports(X, Y, m, 0.3)
+            reports, broken, means = bounds.bound_reports([X, Y, Z], m, 0.3)
             singles = [bounds.bound_report(ModulusPair(x, y), m, 0.3) for x, y in zip(X, Y)]
             assert repr(reports) == repr(singles) and reports[:8] == singles[:8]
             assert broken == [r for r, report in enumerate(singles) if report.validate()] == list(range(8, 70, 9))
-            means = bounds.geometric_mean_bounds([X, Y, Z], reports)
-            assert repr(means) == repr([bounds.geometric_mean_bound(rows, first)
-                                        for *rows, first in zip(X, Y, Z, reports)])
+            assert repr(bounds.bound_reports([X, Y], m, 0.3)) == repr((reports, broken, None))
+            assert repr(means) == repr([bounds.bound_reports([x[None], y[None], z[None]], m, 0.3)[2][0]
+                                        for x, y, z in zip(X, Y, Z)])
 
 
-@pytest.mark.parametrize("k", [3, 20])
-def test_block_means_blend_each_row_with_its_own_weight(k):
-    # The reports of one block may carry different weights v: each row's means are its geometric_mean_bound's,
-    # and its convex flavor blends every pair with that row's v, whether the pairs A-C and B-C are searched per
-    # pair (k = 3) or by table (k = 20).
-    X, Y = block_cases(44, 5, k)["finite"]
-    Z = np.random.default_rng(44).random((k, 5))
-    weights = np.linspace(0.0, 1.0, k).tolist()
-    firsts = [bounds.bound_report(ModulusPair(x, y), 2, v) for x, y, v in zip(X, Y, weights)]
-    means = bounds.geometric_mean_bounds([X, Y, Z], firsts)
-    assert means == [bounds.geometric_mean_bound(rows, first) for *rows, first in zip(X, Y, Z, firsts)]
-    for x, y, z, v, mean in zip(X, Y, Z, weights, means):
-        pairs = [pair_of(a, b) for a, b in itertools.combinations((x, y, z), 2)]
-        assert mean["convex"] == math.prod(split_bound_blend(p, (1, 2), v) for p in pairs) ** 0.5
-    with refused("blend weight must lie in [0, 1], got 1.5"):
-        bounds.geometric_mean_bounds([X, Y, Z], [*firsts[:-1], dataclasses.replace(firsts[-1], v=1.5)])
-
-
-def test_block_means_refuse_reports_of_different_block_sizes():
-    X, Y = block_cases(45, 5, 3)["finite"]
-    firsts = [bounds.bound_report(ModulusPair(x, y), m) for x, y, m in zip(X, Y, (2, 2, 1))]
-    with refused("the reports of one block must share one block size m"):
-        bounds.geometric_mean_bounds([X, Y, X], firsts)
+@pytest.mark.parametrize("ell", [3, 4])
+@pytest.mark.parametrize("k", [bounds.BLOCK_MIN - 1, 20, 70])
+def test_block_means_are_the_one_row_calls_means(k, ell):
+    # Each row's means in a k-row block, compared by repr (NaN too), are those of its own one-row call, whether
+    # the later pairs are searched per pair (k = 7) or by table (k = 20, 70), on every kind of block.
+    for case, stacks in block_cases(46, 5, k).items():
+        stacks = [*stacks, *block_cases(47, 5, k)[case]][:ell]
+        with np.errstate(all="ignore"):
+            means = bounds.bound_reports(stacks, 2)[2]
+            rows = [bounds.bound_reports([row[None] for row in rows], 2)[2][0] for rows in zip(*stacks)]
+        assert repr(means) == repr(rows), case
 
 
 def block_cases(seed: int, n: int, k: int) -> dict[str, tuple[np.ndarray, np.ndarray]]:
@@ -684,7 +674,7 @@ def test_a_block_raises_the_first_warning_the_rows_raise():
     X, Y = special_stack(42, 5, max(bounds.BLOCK_MIN, 9))  # row 8 is special_stack's first 1e200 row
     assert (X == 1e200).any(axis=1).tolist().index(True) == 8 and len(X) >= bounds.BLOCK_MIN
     raised = []
-    for block in (lambda: bounds.bound_reports(X, Y, 2),
+    for block in (lambda: bounds.bound_reports([X, Y], 2),
                   lambda: [bounds.bound_report(ModulusPair(x, y), 2) for x, y in zip(X, Y)]):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -701,10 +691,10 @@ def test_a_block_in_fortran_order_is_its_c_ordered_copy(k):
     assert k >= 1, "a block below the crossover holds a row"
     X, Y = block_cases(43, 9, k)["finite"]
     Z = np.random.default_rng(43).random((k, 9))
-    reports, _ = bounds.bound_reports(X, Y, 4)
+    reports, _, means = bounds.bound_reports([X, Y, Z], 4)
     F = [np.asfortranarray(q) for q in (X, Y, Z)]
-    assert bounds.bound_reports(*F[:2], 4) == (reports, [])
-    assert bounds.geometric_mean_bounds(F, reports) == bounds.geometric_mean_bounds([X, Y, Z], reports)
+    assert bounds.bound_reports(F[:2], 4) == (reports, [], None)
+    assert bounds.bound_reports(F, 4) == (reports, [], means)
 
 
 @pytest.mark.parametrize("stacks, message", [
@@ -714,13 +704,32 @@ def test_a_block_in_fortran_order_is_its_c_ordered_copy(k):
     ((np.ones((3, 3)), np.array([[1, 1, 1], [1, -1, np.nan], [1, 1, 1]])), "modulus vectors must be finite"),
     ((np.ones((3, 3)), np.array([[1, 1, 1], [1, 1, 1], [1, 1, -0.5]])), "modulus vectors must be nonnegative")])
 def test_a_block_is_checked_by_one_test_and_refused_as_its_row(stacks, message):
-    # A bad row is refused with the message ModulusPair gives that row.
+    # A bad row is refused with the message ModulusPair gives that row, by the test and by a block's report.
     with refused(message):
         ModulusPair.checked_stacks(*stacks)
-    if len(stacks[0].shape) == 2 and stacks[0].shape[1] == 3:
-        first = bounds.bound_report(pair_of([1, 2, 3], [3, 2, 1]), 1)
+    with refused(message):
+        bounds.bound_reports(list(stacks), 1)
+
+
+@pytest.mark.parametrize("row", [0, 2])
+@pytest.mark.parametrize("bad, message", [
+    (np.nan, "modulus vectors must be finite"),
+    (np.inf, "modulus vectors must be finite"),
+    (-0.25, "modulus vectors must be nonnegative")])
+def test_a_pair_block_is_checked_as_its_rows_pairs(row, bad, message):
+    # A two-operator block is checked by checked_stacks, as a block of more operators is: a NaN, inf or negative
+    # modulus in either stack is refused with the message of the pair holding that row, and a ragged pair of
+    # stacks with their shapes.
+    X, Y = block_cases(48, 4, 3)["finite"]
+    for side in (0, 1):
+        moduli = [X.copy(), Y.copy()]
+        moduli[side][row, 1] = bad
         with refused(message):
-            bounds.geometric_mean_bounds(list(stacks), [first] * len(stacks[0]))
+            ModulusPair(moduli[0][row], moduli[1][row])
+        with refused(message):
+            bounds.bound_reports(moduli, 2)
+    with refused("moduli stacks must be 2-D of one shape, got (3, 4) and (3, 3)"):
+        bounds.bound_reports([X, Y[:, :3]], 2)
 
 
 # --- fine-grained family -------------------------------------------------------
@@ -994,10 +1003,10 @@ def test_triple_bound_matches_gram_determinant():
 # --- multi-operator geometric mean --------------------------------------------------
 
 def mean_of(ops, psi, m, v) -> dict[str, float]:
-    """The geometric mean as a CLI row takes it: from the report of the first pair."""
-    deltas = deltas_of(ops, psi)
-    first = bounds.bound_report(from_deltas(*deltas[:2]), m, v)
-    return bounds.geometric_mean_bound([np.abs(d.entries) for d in deltas], first)
+    """The geometric mean as a CLI row takes it: from one bound_reports call on the operators' moduli (of two
+    operators, the first pair's report factors, each raised to 1/1)."""
+    (report,), _, means = bounds.bound_reports([np.abs(d.entries)[None] for d in deltas_of(ops, psi)], m, v)
+    return means[0] if means else dict(zip(bounds.FLAVORS, (report.k_m, report.k_m_v, report.k_tilde_m)))
 
 
 def test_geometric_mean_two_ops_reduces_to_pairwise():
@@ -1055,23 +1064,18 @@ def test_geometric_mean_is_exactly_the_product_of_pairwise_bounds(n_ops):
 
 def test_geometric_mean_needs_two_operators():
     A, B, psi = random_pair(84, 0, 3)
-    deltas = deltas_of([A, B], psi)
-    first = bounds.bound_report(from_deltas(*deltas), 1)
     with refused("need at least 2 operators, got 1"):
-        bounds.geometric_mean_bound([np.abs(deltas[0].entries)], first)
+        bounds.bound_reports([np.abs(delta_vector(A, psi).entries)[None]], 1)
 
 
-def test_geometric_mean_rejects_out_of_range_weight():
+def test_geometric_mean_rejects_out_of_range_weight(monkeypatch):
     A, B, psi = random_pair(84, 0, 3)
     C = random_unitary(sampling.trial_generator(seed=84, trial=1), 3)
-    # The first pair's report refuses the weight before any mean is taken ...
+    # The first pair's report refuses the weight before any later pair is searched.
+    searches = count_split_searches(monkeypatch)
     with refused("blend weight must lie in [0, 1], got 1.5"):
         mean_of([A, B, C], psi, 1, 1.5)
-    # ... and a hand-built BoundSet carrying it is refused at the next pair.
-    deltas = deltas_of([A, B, C], psi)
-    first = bounds.bound_report(from_deltas(*deltas[:2]), 1, 0.1)
-    with refused("blend weight must lie in [0, 1], got 1.5"):
-        bounds.geometric_mean_bound([np.abs(d.entries) for d in deltas], dataclasses.replace(first, v=1.5))
+    assert searches == [[1]]
 
 
 @pytest.mark.parametrize("row, bad, message", [
@@ -1086,15 +1090,14 @@ def test_geometric_mean_refuses_a_bad_modulus_as_a_pair_would(row, bad, message)
     # delta_stack's rows, which its finiteness test has checked.
     A, B, psi = random_pair(84, 0, 3)
     C = random_unitary(sampling.trial_generator(seed=84, trial=1), 3)
-    moduli = [np.abs(d.entries) for d in deltas_of([A, B, C], psi)]
-    first = bounds.bound_report(ModulusPair(*moduli[:2]), 1, 0.1)
-    moduli[row][1] = bad
+    moduli = [np.abs(d.entries)[None] for d in deltas_of([A, B, C], psi)]
+    moduli[row][0, 1] = bad
     with refused(message):
-        ModulusPair(moduli[row], moduli[1 - row % 2])
+        ModulusPair(moduli[row][0], moduli[1 - row % 2][0])
     with refused(message):
-        bounds.geometric_mean_bound(moduli, first)
-    with refused("x and y must be 1-D of equal length, got (3,) and (3,) and (2,)"):
-        bounds.geometric_mean_bound([*moduli[:2], moduli[2][:2]], first)
+        bounds.bound_reports(moduli, 1, 0.1)
+    with refused("moduli stacks must be 2-D of one shape, got (1, 3) and (1, 3) and (1, 2)"):
+        bounds.bound_reports([*moduli[:2], moduli[2][:, :2]], 1, 0.1)
 
 
 # --- aggregate report ----------------------------------------------------------------
@@ -1190,6 +1193,25 @@ def test_bound_report_reads_the_public_bounds_once_each(monkeypatch):
     assert (want.variance_product, want.lb, want.i_d, want.i_1_prime) == (
         bounds.variance_product(p), bounds.correlation_bound(p), bounds.fine_grained_sequence(p),
         bounds.paired_cross_bound(p))
+
+
+def test_a_row_on_the_per_row_path_builds_one_pair(monkeypatch):
+    # The per-row search hands back the pair it builds, and the per-row fields read it: a 2-row ex1 n = 16
+    # block (3 support indices a row, so both rows are searched per pair) and a report build one pair a row.
+    # A tabled row of a block below BLOCK_MIN has no pair from the search and builds one for its fields.
+    built, real = [], ModulusPair.unchecked
+    monkeypatch.setattr(ModulusPair, "unchecked", lambda *args: built.append(1) or real(*args))
+    X, Y = ex1_rows(16, [0.7, 1.3])
+    bounds.bound_reports([X, Y], 3)
+    assert len(built) == 2
+    built.clear()
+    bounds.bound_report(ModulusPair(X[0], Y[0]), 3)
+    assert len(built) == 1
+    built.clear()
+    X, Y = np.random.default_rng(49).random((2, bounds.BLOCK_MIN - 1, 6))  # 7 x 2^6 masks: every row tabled
+    searches = count_split_searches(monkeypatch)
+    bounds.bound_reports([X, Y], 3)
+    assert (len(built), searches) == (bounds.BLOCK_MIN - 1, [])
 
 
 def test_a_pair_squares_its_moduli_once(squarings):

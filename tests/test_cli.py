@@ -746,14 +746,14 @@ def test_sweep_row_searches_each_block_size_once(capsys, monkeypatch):
 
 
 def test_three_operator_report_bounds_each_pair_once(capsys, monkeypatch, squarings):
-    # ex5 has n = 4 and m = 2. The block's report pair A-B makes one k_m, one
-    # variance product and one search pass over the sizes 1, 2; the block's
-    # geometric means take A-B's factors from that report, check the three
-    # moduli stacks by one test (no row is scanned again) and make one k_m and
-    # one search pass for each of the pairs A-C and B-C, their passes
-    # searching m = 2 only; their variance products are row sums of the
-    # squared stacks, not variance_product calls. A one-row block keeps the
-    # per-pair pass. Each operator pair's stacks are squared
+    # ex5 has n = 4 and m = 2. One bound_reports call checks the three moduli
+    # stacks by one test (no row is scanned again). The block's report pair
+    # A-B makes one k_m, one variance product and one search pass over the
+    # sizes 1, 2; the block's geometric means take A-B's factors from that
+    # report and make one k_m and one search pass for each of the pairs A-C
+    # and B-C, their passes searching m = 2 only; their variance products are
+    # row sums of the squared stacks, not variance_product calls. A one-row
+    # block keeps the per-pair pass. Each moduli stack is squared
     # once with numpy and each row's pair keeps its rows of those squares, so
     # no pair squares again; only the report's pair forms the C-pow squares,
     # once for i_d and i_1'.
@@ -769,14 +769,14 @@ def test_three_operator_report_bounds_each_pair_once(capsys, monkeypatch, squari
 
         monkeypatch.setattr(owner, name, wrap(counting))
 
-    count(bounds, "geometric_mean_bounds")
+    count(bounds, "bound_reports")
     for name in ("checked", "checked_stacks"):
         count(moments.ModulusPair, name, staticmethod)
     for name in ("split_bound", "variance_product", "_split_search", "_split_tables"):
         count(bounds, name)
     code, _, err = run(["bounds", "--example", "ex5", "--flavor", "tilde"], capsys)
     assert code == 0, err
-    assert calls == {"geometric_mean_bounds": 1, "checked": 0, "checked_stacks": 1, "split_bound": 3,
+    assert calls == {"bound_reports": 1, "checked": 0, "checked_stacks": 1, "split_bound": 3,
                      "variance_product": 1, "_split_search": 1 + 2, "_split_tables": 0}
     squared, powed = squarings["squares"], squarings["pow_terms"]
     assert squared == [] and len(powed) == 1
@@ -835,7 +835,7 @@ def field_calls(monkeypatch):
     ("sweep --example ex5 --steps 65", (1, 1, 1, 1, 6, 1), 1),
     ("bounds --example ex5", (1, 1, 1, 1, 3, 1), 0),
     ("sweep --example ex1 --dim 16 --steps 2", (2, 2, 2, 2, 2, 2), 0),
-    ("check --trials 15", (120, 45, 45, 57, 302, 0), 0)],
+    ("check --trials 15", (120, 45, 45, 57, 302, 15), 0)],
     ids=["ex5-65-rows", "ex5-one-row", "ex1-n16-two-rows", "check-15"])
 def test_a_block_takes_its_fields_in_one_pass_past_the_crossover(capsys, field_calls, argv, singles, blocks):
     # A block of BLOCK_MIN = 8 rows or more forms its reports' fields and chain tests from its moduli stacks in
@@ -844,7 +844,8 @@ def test_a_block_takes_its_fields_in_one_pass_past_the_crossover(capsys, field_c
     # report). The geometric means take every row's variance products from the stacks' row sums, so the means'
     # pairs A-C and B-C call no variance_product on either side. A one-row report, the two-row blocks of an
     # ex1 n = 16 sweep and check's single pairs make the same report calls as before the one-pass form, and
-    # below the crossover no union support or index array is formed.
+    # below the crossover no union support or index array is formed. check's multi_op trials are one-row
+    # blocks of bound_reports, which name their broken rows: each validates its report (15 calls).
     code, _, err = run(argv.split(), capsys)
     assert code == 0, err
     assert tuple(field_calls[name] for name in SINGLE_BOUNDS + ("validate",)) == singles

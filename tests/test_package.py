@@ -122,7 +122,7 @@ def test_benchmark_entry_points_resolve():
         "from uur import bounds, cli, linalg, moments, sampling, scenarios, selfcheck",
         "args = cli.build_parser().parse_args(['bounds', '--example', 'ex5'])",
         "cli.RunConfig(**vars(args))",
-        "assert callable(bounds.geometric_mean_bound) and callable(bounds.best_split_bound)",
+        "assert callable(bounds.bound_report) and callable(bounds.best_split_bound)",
         "raise SystemExit(cli.main(['sweep', '--example', 'ex5', '--steps', '2']))",
     ])
     proc = subprocess.run([sys.executable, "-c", probe], cwd=SRC, capture_output=True, text=True)
