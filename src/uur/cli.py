@@ -86,7 +86,8 @@ def _decode_complex_matrix(obj, label: str) -> np.ndarray:
     return M
 
 
-def _decode_state(obj, dim: int) -> PureState | DensityMatrix:
+def _decode_state(obj, dim: int):
+    """The file's state: a checked PureState, or a density's eig stack of one (DensityMatrix.stack's)."""
     if not isinstance(obj, dict) or len(obj) != 1:
         raise UurError('state must be one of {"pure": ...}, {"density": ...}, {"bloch": ...}')
     kind, payload = next(iter(obj.items()))
@@ -99,18 +100,20 @@ def _decode_state(obj, dim: int) -> PureState | DensityMatrix:
         M = _decode_complex_matrix(payload, "density matrix")
         if M.shape[0] != dim:
             raise UurError(f"density matrix is {M.shape[0]}x{M.shape[0]}, dimension says {dim}")
-        return DensityMatrix(matrix=M)
+        return DensityMatrix.stack(M[None])
     if kind == "bloch":
         if dim != 2:
             raise UurError("bloch states require dimension 2")
         if not isinstance(payload, list):
             raise UurError("bloch vector must be a list of three numbers")
-        return moments.bloch_density([_number(t, "bloch component") for t in payload])
+        rho = moments.bloch_density([_number(t, "bloch component") for t in payload])
+        return [a[None] for a in rho.eig]
     raise UurError(f"unknown state kind {kind!r}")
 
 
 def _read_input_file(path: str) -> tuple[object, scenarios.Scenario]:
-    """A problem file's raw "params", and its problem as a Scenario whose state ignores theta."""
+    """A problem file's raw "params", and its problem as a Scenario whose state repeats the file's one
+    checked state for every angle."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -134,14 +137,15 @@ def _read_input_file(path: str) -> tuple[object, scenarios.Scenario]:
         if M.shape[0] != dim:
             raise UurError(f"operator {name!r} is {M.shape[0]}x{M.shape[0]}, dimension says {dim}")
     psi, notes = _decode_state(doc.get("state"), dim), ()
-    if isinstance(psi, DensityMatrix):
+    if not isinstance(psi, PureState):
         # Mixed inputs go through purification; operators act on the doubled
         # space as I (x) U, exactly like the built-in qubit example.
-        psi = moments.purify(psi)
+        psi = PureState(moments.purify(psi)[0])
         named = [(name, moments.lift(M)) for name, M in named]
         notes = ("mixed state purified; operators lifted to the doubled space",)
     return doc.get("params", {}), scenarios.Scenario(
-        id=path, dimension=psi.dim, operators=tuple(named), state=lambda theta: psi,
+        id=path, dimension=psi.dim, operators=tuple(named),
+        state=lambda T: np.repeat(psi.amplitudes[None], len(T), axis=0),
         default_m=max(1, psi.dim // 2), theta_range=(0.0, 0.0), notes=notes)
 
 
@@ -186,12 +190,12 @@ def _triple_fields(deltas: list[moments.DeltaVector], means: dict[str, float]) -
 
 
 def _report_rows(problem: Problem, grid: list[float]):
-    """(report, row) per angle of grid. Per block of _BLOCK angles the scenario builds (and checks) each
-    state, one delta_stack per operator forms every row's delta vectors, and one bound_reports call on those
-    moduli stacks gives the block's reports, broken rows and geometric means."""
+    """(report, row) per angle of grid. Per block of _BLOCK angles one scenario.state call builds and checks
+    the block's amplitude stack, one delta_stack per operator forms every row's delta vectors, and one
+    bound_reports call on those moduli stacks gives the block's reports, broken rows and geometric means."""
     for lo in range(0, len(grid), _BLOCK):
         thetas = grid[lo:lo + _BLOCK]
-        P = np.array([problem.scenario.state(theta).amplitudes for theta in thetas])  # C order
+        P = problem.scenario.state(thetas)  # C order
         stacks = [moments.delta_stack(U.matrix[None], P) for U in problem.operators]
         reports, broken, means = bounds.bound_reports([mod for *_, mod in stacks], problem.m, problem.v, problem.cap)
         for r, (theta, report) in enumerate(zip(thetas, reports)):

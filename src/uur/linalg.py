@@ -41,12 +41,15 @@ def vector_norm(v: np.ndarray) -> float:
 
 
 def vec(M) -> np.ndarray:
-    """Column-stacking vectorization: entry (i, j) lands at position j*n + i.
+    """Column-stacking vectorization: entry (i, j) lands at position j*n + i; a stack (k, n, n) gives one
+    row (k, n * n) per matrix.
 
     This convention pairs with lifted operators of the form I (x) A, so that
     <vec(M)| I (x) A |vec(M)> = Tr(A M M^dagger).
     """
-    return as_square_matrix(M).T.reshape(-1)
+    A = np.asarray(M)
+    A = as_square_matrix(A, stack=A.ndim == 3)
+    return A.swapaxes(-1, -2).reshape(*A.shape[:-2], -1)
 
 
 def unitary_deviation(A: np.ndarray) -> np.ndarray:

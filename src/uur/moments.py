@@ -40,15 +40,21 @@ class PureState:
         """The state v / |v| of a nonzero complex vector v."""
         return cls(amplitudes=v / linalg.vector_norm(v))
 
-    @classmethod
-    def stack(cls, P) -> list["PureState"]:
-        """A PureState per row of the complex stack P (k, n), made C-contiguous and checked by one norm test;
-        a row it fails (a NaN norm too) is refused by PureState(row), which measures the row's own norm."""
+    @staticmethod
+    def checked_stack(P) -> np.ndarray:
+        """The complex stack P (k, n) of amplitude rows, made C-contiguous and checked by one norm test; when a
+        row fails it (a NaN norm too), PureState(row) runs on each row in turn and refuses the first it fails."""
         P = np.ascontiguousarray(P, dtype=complex)
         with np.errstate(over="ignore", invalid="ignore"):  # a huge amplitude reads as norm inf
-            for row in P[~(np.abs(np.sqrt((P.view(float) ** 2).sum(axis=1)) - 1.0) <= linalg.TOL)]:
-                cls(row)
-        return [vars(s := object.__new__(cls)).update(amplitudes=a) or s for a in P]  # no __post_init__
+            dev = np.abs(np.sqrt((P.view(float) ** 2).sum(axis=1)) - 1.0).max(initial=0.0)
+        for row in () if dev <= linalg.TOL else P:
+            PureState(row)
+        return P
+
+    @classmethod
+    def stack(cls, P) -> list["PureState"]:
+        """A PureState per row of checked_stack(P), made without __post_init__."""
+        return [vars(s := object.__new__(cls)).update(amplitudes=a) or s for a in cls.checked_stack(P)]
 
     @property
     def dim(self) -> int:
@@ -79,6 +85,24 @@ class DensityMatrix:
             raise UurError(f"density matrix has an eigenvalue below {-tol:g}")
         object.__setattr__(self, "matrix", M)
         object.__setattr__(self, "eig", eig)
+
+    @classmethod
+    def stack(cls, Ms):
+        """numpy's EighResult of the stack Ms (k, n, n) of density matrices, checked by one Hermitian test,
+        one trace test and one stacked eigh; the first matrix a test fails (a non-finite one too) is refused
+        by DensityMatrix(M), so its message is the one the matrix alone gets."""
+        Ms, tol = np.asarray(Ms, dtype=complex), linalg.TOL
+        if Ms.ndim != 3 or Ms.shape[1] != Ms.shape[2]:  # refused as its first matrix is, or as a stack
+            linalg.as_square_matrix(Ms[0] if Ms.ndim == 3 and len(Ms) else Ms, stack=Ms.ndim != 3)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite or huge entry fails as NaN or inf
+            ok = ((np.abs(Ms - Ms.conj().swapaxes(1, 2)).max(axis=(1, 2), initial=0.0) <= tol)
+                  & (np.abs(Ms.trace(axis1=1, axis2=2) - 1.0) <= tol))
+        for M in () if ok.all() else Ms[:np.argmin(ok) + 1]:  # an earlier one may fail its eigenvalues
+            cls(M)
+        eig = np.linalg.eigh(Ms)
+        for M in Ms[eig.eigenvalues[:, 0] < -tol][:1]:
+            cls(M)
+        return eig
 
     @property
     def dim(self) -> int:
@@ -262,16 +286,24 @@ def gram_matrix(ops, psi: PureState) -> np.ndarray:
     return W.conj().T @ W
 
 
-def purify(rho: DensityMatrix) -> PureState:
-    """Spectral purification: the unit vector vec(sqrt(rho)) on C^n (x) C^n.
+def purify(eig) -> np.ndarray:
+    """Spectral purification of an eig stack (w (k, n), V (k, n, n)), as DensityMatrix.stack gives it (a
+    DensityMatrix's eig is a stack of one as [a[None] for a in rho.eig]): the (k, n * n) stack of the unit
+    vectors vec(sqrt(rho)) on C^n (x) C^n.
 
     Expectations of lifted operators I (x) A reproduce Tr(A rho) exactly.
     The partial trace over the first factor is rho; the one over the second
     factor is the transpose of rho (they coincide only for real rho).
     """
-    w, V = rho.eig  # eigenvalues in [-TOL, 0) are rounding debris, clamped to zero
-    v = linalg.vec((V * np.sqrt(w.clip(0.0, None))) @ V.conj().T)
-    return PureState.normalized(v)
+    w, V = eig  # eigenvalues in [-TOL, 0) are rounding debris, clamped to zero
+    roots = (V * np.sqrt(w.clip(0.0, None))[:, None, :]) @ V.conj().swapaxes(1, 2)
+    return normalized_rows(linalg.vec(roots))
+
+
+def normalized_rows(V) -> np.ndarray:
+    """Each row of the complex stack V (k, n) over its own vector_norm, as PureState.normalized divides one
+    (a stacked norm rounds differently)."""
+    return V / np.array([linalg.vector_norm(v) for v in V])[:, None]
 
 
 def lift(A) -> np.ndarray:
@@ -289,5 +321,11 @@ def bloch_density(r) -> DensityMatrix:
         nrm = linalg.vector_norm(r)
     if nrm > 1.0 + linalg.BLOCH_TOL:
         raise UurError(f"Bloch vector norm {nrm!r} exceeds 1")
-    M = 0.5 * (np.eye(2, dtype=complex) + r[0] * sigma_x + r[1] * sigma_y + r[2] * sigma_z)
-    return DensityMatrix(matrix=M)
+    return DensityMatrix(matrix=bloch_matrices(*r))
+
+
+def bloch_matrices(x, y, z) -> np.ndarray:
+    """The unchecked (I + x sigma_x + y sigma_y + z sigma_z)/2 of Bloch components that are numbers or arrays
+    (k,): one matrix, or a stack (k, 2, 2)."""
+    x, y, z = (np.asarray(t, dtype=float)[..., None, None] for t in (x, y, z))
+    return 0.5 * (np.eye(2, dtype=complex) + x * sigma_x + y * sigma_y + z * sigma_z)

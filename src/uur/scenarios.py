@@ -3,7 +3,9 @@
 Six named scenarios (ex1..ex6) drive the CLI sweeps. ex1 and ex2 are the
 generic clock/shift family at any dimension; ex3..ex6 are fixed-dimension
 setups with explicitly listed matrices. Scenario values are immutable;
-a scenario's `state` is a pure function of the sweep angle.
+a scenario's `state` is a pure function of a block of sweep angles: one
+elementwise formula over the block (ex4: one stack of Bloch densities, one
+stacked eigh), then one norm test for the block's amplitude stack.
 """
 
 from __future__ import annotations
@@ -38,61 +40,64 @@ def shift_operator(d: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Scenario:
-    """An example or a file problem: operators, states over theta (a file's ignore it), defaults."""
+    """An example or a file problem: operators, states over theta (a file's ignore it), defaults.
+
+    state takes a block's angles (k,) and returns their checked, C-contiguous amplitude stack (k, n).
+    """
 
     id: str
     dimension: int
     operators: tuple[tuple[str, np.ndarray], ...]
-    state: Callable[[float], PureState]
+    state: Callable[[np.ndarray], np.ndarray]
     default_m: int
     theta_range: tuple[float, float]
     notes: tuple[str, ...] = field(default=())
 
 
-def _ex1_state(d: int):
-    def build(theta: float) -> PureState:
-        a = np.zeros(d, dtype=complex)
-        a[0] = math.cos(theta)
-        a[d - 1] = -math.sin(theta)
-        return PureState(amplitudes=a)
+def _ex1_states(d: int):
+    def build(T: np.ndarray) -> np.ndarray:
+        P = np.zeros((len(T), d), dtype=complex)
+        P[:, 0] = np.cos(T)
+        P[:, d - 1] = -np.sin(T)
+        return P
 
     return build
 
 
-def _ex2_state(d: int):
-    def build(theta: float) -> PureState:
-        a = np.full(d, math.cos(theta) / math.sqrt(d - 1), dtype=complex)
-        a[d - 1] = -math.sin(theta)
-        return PureState(amplitudes=a)
+def _ex2_states(d: int):
+    def build(T: np.ndarray) -> np.ndarray:
+        P = np.empty((len(T), d), dtype=complex)
+        P[:] = (np.cos(T) / math.sqrt(d - 1))[:, None]
+        P[:, d - 1] = -np.sin(T)
+        return P
 
     return build
 
 
-def _ex3_state(theta: float) -> PureState:
+def _columns(*columns) -> np.ndarray:
+    """The C-contiguous complex stack (k, n) whose columns are the float arrays (k,)."""
+    return np.ascontiguousarray(np.array(columns, dtype=complex).T)
+
+
+def _ex3_states(T: np.ndarray) -> np.ndarray:
     h = math.sqrt(2) / 2
-    return PureState(amplitudes=np.array(
-        [h * math.cos(theta), h * math.cos(theta), math.sin(theta)], dtype=complex))
+    return _columns(h * np.cos(T), h * np.cos(T), np.sin(T))
 
 
-def _ex4_state(theta: float) -> PureState:
-    r = (1.0 / 3.0, 2.0 / 3.0 * math.cos(theta), 2.0 / 3.0 * math.sin(theta))
-    return moments.purify(moments.bloch_density(r))
+def _ex4_states(T: np.ndarray) -> np.ndarray:
+    Ms = moments.bloch_matrices(1.0 / 3.0, 2.0 / 3.0 * np.cos(T), 2.0 / 3.0 * np.sin(T))  # |r| = sqrt(5)/3 < 1
+    return moments.purify(moments.DensityMatrix.stack(Ms))
 
 
-def _ex5_state(theta: float) -> PureState:
-    return PureState(amplitudes=np.array([
-        0.5 * math.cos(theta / 2),
-        math.sqrt(3) / 2 * math.sin(theta / 2),
-        0.5 * math.sin(theta / 2),
-        math.sqrt(3) / 2 * math.cos(theta / 2),
-    ], dtype=complex))
+def _ex5_states(T: np.ndarray) -> np.ndarray:
+    return _columns(0.5 * np.cos(T / 2), math.sqrt(3) / 2 * np.sin(T / 2),
+                    0.5 * np.sin(T / 2), math.sqrt(3) / 2 * np.cos(T / 2))
 
 
-def _ex6_state(theta: float) -> PureState:
+def _ex6_states(T: np.ndarray) -> np.ndarray:
     h = math.sqrt(2) / 2
-    raw = np.array([h * math.cos(theta / 2), h * math.sin(theta / 2),
-                    -math.sin(theta / 2)], dtype=complex)
-    return PureState.normalized(raw)
+    raw = _columns(h * np.cos(T / 2), h * np.sin(T / 2), -np.sin(T / 2))
+    return moments.normalized_rows(raw)
 
 
 def _printed_a3() -> np.ndarray:
@@ -103,7 +108,7 @@ def _printed_a3() -> np.ndarray:
 # Each fixed example's builder returns (operators, state family, end of the
 # theta range, notes); its dimension is the one in DEFAULT_DIMS.
 def _ex3():
-    return ((("A", _printed_a3()), ("B", shift_operator(3))), _ex3_state, math.pi,
+    return ((("A", _printed_a3()), ("B", shift_operator(3))), _ex3_states, math.pi,
             ("A uses phases (1, e^(i pi/2), e^(3i pi/2)), not the d=3 clock phases",))
 
 
@@ -111,21 +116,21 @@ def _ex4():
     c, s = math.cos(math.pi / 8), math.sin(math.pi / 8)
     A2 = c * np.eye(2, dtype=complex) - 1j * s * moments.sigma_y
     B2 = c * np.eye(2, dtype=complex) + 1j * s * moments.sigma_z
-    return ((("A", moments.lift(A2)), ("B", moments.lift(B2))), _ex4_state, 2 * math.pi,
+    return ((("A", moments.lift(A2)), ("B", moments.lift(B2))), _ex4_states, 2 * math.pi,
             ("the qubit mixed state is purified to 4 dimensions and the "
              "qubit operators act on the purified space as I (x) U",))
 
 
 def _ex5():
     C = np.array([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]], dtype=complex)
-    return ((("A", clock_operator(4)), ("B", shift_operator(4)), ("C", C)), _ex5_state,
+    return ((("A", clock_operator(4)), ("B", shift_operator(4)), ("C", C)), _ex5_states,
             2 * math.pi, ("B repaired to the exact 4-cycle shift: the transcribed matrix "
                           "carried two entries in one column and was not unitary",))
 
 
 def _ex6():
     C = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
-    return ((("A", _printed_a3()), ("B", shift_operator(3)), ("C", C)), _ex6_state,
+    return ((("A", _printed_a3()), ("B", shift_operator(3)), ("C", C)), _ex6_states,
             2 * math.pi, ("state amplitudes are normalized: the raw family "
                           "(sqrt(2)/2 cos(t/2), sqrt(2)/2 sin(t/2), -sin(t/2)) is not "
                           "unit length for general t",))
@@ -159,11 +164,11 @@ def scenario(sid: str, d: int | None = None) -> Scenario:
         else:
             A, notes = clock_operator(d), ()
         operators = (("A", A), ("B", shift_operator(d)))
-        state = (_ex1_state if sid == "ex1" else _ex2_state)(d)
+        state = (_ex1_states if sid == "ex1" else _ex2_states)(d)
         theta_max, default_m = math.pi, max(1, d // 2)
     return Scenario(id=sid, dimension=len(operators[0][1]), operators=operators,
-                    state=state, default_m=default_m,
-                    theta_range=(0.0, theta_max), notes=notes)
+                    state=lambda T: PureState.checked_stack(state(np.asarray(T, dtype=float))),
+                    default_m=default_m, theta_range=(0.0, theta_max), notes=notes)
 
 
 def theta_grid(lo: float, hi: float, steps: int) -> list[float]:

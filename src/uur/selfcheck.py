@@ -119,7 +119,7 @@ def _sample(items):
     in the last bits), all pass one norm test, and one delta_stack forms every unitary's delta vector."""
     for group in [[item for item in items if item[2].size == n] for n in sorted({v.size for *_, v in items})]:
         counts = [len(ops) for _, ops, _ in group]
-        P = np.array([v / linalg.vector_norm(v) for *_, v in group])
+        P = moments.normalized_rows(np.array([v for *_, v in group]))
         states = moments.PureState.stack(P)
         rows = moments.delta_stack(np.array([U.matrix for _, ops, _ in group for U in ops]),
                                    np.repeat(P, counts, axis=0))  # C-contiguous, as the form needs
@@ -197,7 +197,7 @@ def suite_cross_bound_chain(rec: SuiteResult, items, ex1, ex1_ops, thetas):
     block = list(zip(_instances(items), (float(rng.uniform(0.0, math.pi)) for _, rng in thetas)))
     fams = {}  # per d, one delta_stack per ex1 operator over the block's states, as a sweep forms its rows
     for d in {d for (d, *_), _ in block}:
-        P = np.array([ex1[d].state(theta).amplitudes for (e, *_), theta in block if e == d])
+        P = ex1[d].state([theta for (e, *_), theta in block if e == d])
         fams[d] = map(moments.ModulusPair.unchecked, *(moments.delta_stack(U.matrix[None], P)[2]
                                                        for U in ex1_ops[d]))
     for (d, *_, pair, instance), theta in block:
@@ -314,7 +314,7 @@ def suite_purification(rec: SuiteResult, items):
         nrm = linalg.vector_norm(r)
         r = r * (0.98 / nrm) if nrm >= 1.0 else r
         rho = moments.bloch_density(r)
-        psi = moments.purify(rho)
+        psi = moments.PureState(moments.purify([a[None] for a in rho.eig])[0])  # a stack of one
         instance = {"trial": trial, "bloch": [float(t) for t in r]}
         for A in (U.matrix for U in ops):
             got = moments.expectation(moments.lift(A), psi)

@@ -9,12 +9,16 @@ is the one `bounds` ran before one pass served every block size; it is the
 bit-for-bit reference for that pass. The purification through a Hermitian
 eigensolver and a PSD square root is the one `moments.purify` ran before a
 `DensityMatrix` kept its eigendecomposition; it is the bit-for-bit
-reference for the purification from that decomposition. The per-item
-delta-vector forms are the ones the package ran before `moments.delta_stack`
-formed every delta vector; they are its bit-for-bit references, and the tests
-name a single state's moments with them. The helpers name one
-value of a public function so the tests read like the quantities they check,
-and `run_suite` runs one `check` suite alone through the sampler `run_all` uses.
+reference for the purification from that decomposition, and that one-matrix
+purification is the reference for the stacked one. The per-angle state
+families are the ones the scenarios built before a block's states came from
+one formula over its angles; they are the references of the stacked
+families. The per-item delta-vector forms are the ones the package ran
+before `moments.delta_stack` formed every delta vector; they are its
+bit-for-bit references, and the tests name a single state's moments with
+them. The helpers name one value of a public function so the tests read like
+the quantities they check, and `run_suite` runs one `check` suite alone
+through the sampler `run_all` uses.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from uur import bounds, linalg, sampling, selfcheck
+from uur import bounds, linalg, moments, sampling, selfcheck
 from uur.errors import UurError
 from uur.moments import DeltaVector, DensityMatrix, ModulusPair, PureState, Unitary
 
@@ -115,6 +119,82 @@ def correlation(A, B, psi: PureState) -> complex:
 def variance_pure(A, psi: PureState) -> float:
     """Variance <dA^dagger dA> of a unitary operator on a pure state."""
     return delta_vector(A, psi).variance
+
+
+# The per-angle state families, verbatim but for ex4's purify (the
+# one-matrix form, purify_one below): one PureState per angle, its norm
+# checked on construction. They are the bit-for-bit references of the
+# stacked families that scenarios.Scenario.state builds per block.
+def _ex1_state(d: int):
+    def build(theta: float) -> PureState:
+        a = np.zeros(d, dtype=complex)
+        a[0] = math.cos(theta)
+        a[d - 1] = -math.sin(theta)
+        return PureState(amplitudes=a)
+
+    return build
+
+
+def _ex2_state(d: int):
+    def build(theta: float) -> PureState:
+        a = np.full(d, math.cos(theta) / math.sqrt(d - 1), dtype=complex)
+        a[d - 1] = -math.sin(theta)
+        return PureState(amplitudes=a)
+
+    return build
+
+
+def _ex3_state(theta: float) -> PureState:
+    h = math.sqrt(2) / 2
+    return PureState(amplitudes=np.array(
+        [h * math.cos(theta), h * math.cos(theta), math.sin(theta)], dtype=complex))
+
+
+def _ex4_state(theta: float) -> PureState:
+    r = (1.0 / 3.0, 2.0 / 3.0 * math.cos(theta), 2.0 / 3.0 * math.sin(theta))
+    return purify_one(moments.bloch_density(r))
+
+
+def _ex5_state(theta: float) -> PureState:
+    return PureState(amplitudes=np.array([
+        0.5 * math.cos(theta / 2),
+        math.sqrt(3) / 2 * math.sin(theta / 2),
+        0.5 * math.sin(theta / 2),
+        math.sqrt(3) / 2 * math.cos(theta / 2),
+    ], dtype=complex))
+
+
+def _ex6_state(theta: float) -> PureState:
+    h = math.sqrt(2) / 2
+    raw = np.array([h * math.cos(theta / 2), h * math.sin(theta / 2),
+                    -math.sin(theta / 2)], dtype=complex)
+    return PureState.normalized(raw)
+
+
+def reference_state(scen, theta: float) -> PureState:
+    """The per-angle reference state of the built-in scenario scen at theta."""
+    if scen.id in ("ex1", "ex2"):
+        return (_ex1_state if scen.id == "ex1" else _ex2_state)(scen.dimension)(theta)
+    return {"ex3": _ex3_state, "ex4": _ex4_state, "ex5": _ex5_state, "ex6": _ex6_state}[scen.id](theta)
+
+
+def state_at(scen, theta: float) -> PureState:
+    """The scenario's state at one angle: row 0 of its stack of one."""
+    return PureState(scen.state([theta])[0])
+
+
+def purified(rho: DensityMatrix) -> PureState:
+    """moments.purify of one density, as a stack of one."""
+    return PureState(moments.purify([a[None] for a in rho.eig])[0])
+
+
+# The one-matrix purification, verbatim but for its name: sqrt(rho) from the
+# decomposition the DensityMatrix kept, vectorised and normalised alone.
+def purify_one(rho: DensityMatrix) -> PureState:
+    """Spectral purification: the unit vector vec(sqrt(rho)) on C^n (x) C^n."""
+    w, V = rho.eig  # eigenvalues in [-TOL, 0) are rounding debris, clamped to zero
+    v = linalg.vec((V * np.sqrt(w.clip(0.0, None))) @ V.conj().T)
+    return PureState.normalized(v)
 
 
 # The per-matrix sampler, verbatim: each unitary has its own QR.

@@ -21,7 +21,7 @@ from uur import bounds, cli, linalg, moments, sampling, scenarios
 
 from oracles import (
     delta_vector, example1_reference, modulus_pair, random_state, random_unitary,
-    split_bound_blend, variance_pure)
+    purified, split_bound_blend, state_at, variance_pure)
 
 SLACK = 1e-10
 
@@ -94,7 +94,7 @@ def test_criterion_02_interpolation_endpoints_and_cross_bound():
         scen = scenarios.scenario("ex1", d)
         A, B = (M for _, M in scen.operators)
         for theta in scenarios.theta_grid(0.0, math.pi, 200):
-            pair = modulus_pair(A, B, scen.state(theta))
+            pair = modulus_pair(A, B, state_at(scen, theta))
             seq = bounds.fine_grained_sequence(pair)
             cross = bounds.paired_cross_bound(pair)
             assert seq[1] - SLACK <= cross <= seq[0] + SLACK, \
@@ -108,7 +108,7 @@ def test_criterion_03_clock_shift_closed_forms():
         A, B = (M for _, M in scen.operators)
         for theta in scenarios.theta_grid(0.0, math.pi, 50):
             ref = example1_reference(d, theta)
-            pair = modulus_pair(A, B, scen.state(theta))
+            pair = modulus_pair(A, B, state_at(scen, theta))
             seq = bounds.fine_grained_sequence(pair)
             got = {
                 "x": pair.x, "y": pair.y,
@@ -124,7 +124,7 @@ def test_criterion_03_clock_shift_closed_forms():
                     deviations.append((d, round(theta, 6), key, err))
         if d == 2:
             for theta in scenarios.theta_grid(0.0, math.pi, 25):
-                pair = modulus_pair(A, B, scen.state(theta))
+                pair = modulus_pair(A, B, state_at(scen, theta))
                 rep = bounds.bound_report(pair, m=1, v=0.1)
                 vals = [rep.variance_product, rep.lb, rep.k_m, rep.k_m_v,
                         rep.k_tilde_m, rep.k_tilde, *rep.i_d]
@@ -152,7 +152,7 @@ def test_criterion_04_block_choice_saturation():
         A, B = (M for _, M in scen.operators)
         indices = (1, 2, d) if d > 3 else (1, 2, 3)
         for theta in scenarios.theta_grid(0.1, math.pi - 0.1, 25):
-            pair = modulus_pair(A, B, scen.state(theta))
+            pair = modulus_pair(A, B, state_at(scen, theta))
             vp = bounds.variance_product(pair)
             assert bounds.split_bound(pair, indices) == pytest.approx(vp, abs=SLACK), \
                 f"d={d} theta={theta}: subset {indices} fails to saturate"
@@ -160,7 +160,7 @@ def test_criterion_04_block_choice_saturation():
     scen = scenarios.scenario("ex4")
     A, B = (M for _, M in scen.operators)
     for theta in scenarios.theta_grid(0.0, 2 * math.pi, 50):
-        pair = modulus_pair(A, B, scen.state(theta))
+        pair = modulus_pair(A, B, state_at(scen, theta))
         vp = bounds.variance_product(pair)
         assert bounds.split_bound(pair, (2, 4)) == pytest.approx(vp, abs=SLACK), \
             f"theta={theta}: subset (2, 4) fails to saturate"
@@ -172,7 +172,7 @@ def test_criterion_05_qubit_purification_ordering():
     scen = scenarios.scenario("ex4")
     A, B = (M for _, M in scen.operators)
     for theta in scenarios.theta_grid(0.0, 2 * math.pi, 200):
-        pair = modulus_pair(A, B, scen.state(theta))
+        pair = modulus_pair(A, B, state_at(scen, theta))
         vp = bounds.variance_product(pair)
         k2v = split_bound_blend(pair, (1, 2), 0.1)
         seq = bounds.fine_grained_sequence(pair)
@@ -190,7 +190,7 @@ def test_criterion_06_purification_identities():
         if norm >= 1.0:
             r *= 0.98 / norm
         rho = moments.bloch_density(r)
-        psi = moments.purify(rho)
+        psi = purified(rho)
         proj = np.outer(psi.amplitudes, psi.amplitudes.conj())
         for _ in range(20):
             U = random_unitary(gen, 2)

@@ -18,7 +18,7 @@ import oracles
 from conftest import random_pair, refused
 from oracles import (
     delta_vector, fine_grained_level, from_deltas, modulus_pair, per_size_split_bound, random_state,
-    random_unitary, split_bound_blend, variance_pure)
+    random_unitary, split_bound_blend, state_at, variance_pure)
 
 
 def pair_of(x, y) -> ModulusPair:
@@ -272,7 +272,7 @@ def test_dense_ex2_row_evaluates_every_part_of_at_most_half_the_support_once(mon
     # count the per-size searches made, now from one pass.
     calls = count_split_values(monkeypatch)
     scen = scenarios.scenario("ex2", 16)
-    psi = scen.state(0.7)
+    psi = state_at(scen, 0.7)
     pair = from_deltas(*(delta_vector(moments.Unitary(U), psi) for _, U in scen.operators))
     table = bounds.best_split_bounds(pair)
     assert len(calls) == 32_767 == sum(math.comb(16, t) for t in range(1, 8)) + math.comb(15, 7)
@@ -286,7 +286,7 @@ def test_bound_report_argmax_is_the_oracle_block_as_a_tuple_of_ints():
     # random dense pairs and on a sparse ex1 n = 16 row (blocks padded with
     # free indices).
     scen = scenarios.scenario("ex1", 16)
-    psi = scen.state(1.0)
+    psi = state_at(scen, 1.0)
     ex1 = from_deltas(*(delta_vector(moments.Unitary(U), psi) for _, U in scen.operators))
     pairs = [modulus_pair(*random_pair(25, trial, 2 + trial)) for trial in range(6)]
     for p in [ex1, *pairs]:
@@ -341,7 +341,7 @@ def test_bound_report_pads_only_the_block_it_returns(monkeypatch, theta):
     # block, the argmax's, and pads one; the table returns all 8 and pads
     # one block of each size, from the tied winners of its part sizes.
     scen = scenarios.scenario("ex1", 16)
-    psi = scen.state(theta)
+    psi = state_at(scen, theta)
     p = from_deltas(*(delta_vector(moments.Unitary(U), psi) for _, U in scen.operators))
     x2, y2 = oracles._squares(p)
     s = sum(1 for a, b in zip(x2, y2) if a or b)
@@ -493,7 +493,7 @@ def searched(X, Y, sizes, m: int, table: bool) -> list:
 def ex1_rows(n: int, thetas) -> tuple[np.ndarray, np.ndarray]:
     """The moduli rows of ex1 at dimension n on the angles: one support index at theta 0, three elsewhere."""
     scen = scenarios.scenario("ex1", n)
-    P = np.array([scen.state(theta).amplitudes for theta in thetas])
+    P = scen.state(thetas)
     X, Y = (moments.delta_stack(moments.Unitary(U).matrix[None], P)[2] for _, U in scen.operators)
     return X, Y
 

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from uur import bounds, cli, errors, linalg, moments, sampling, scenarios
 
-from oracles import modulus_pair, run_suite
+from oracles import modulus_pair, run_suite, state_at
 from test_golden import CORPUS
 
 
@@ -441,9 +441,20 @@ def test_sweep_csv_round_trip(tmp_path, capsys):
     for line in lines[1:]:
         cells = dict(zip(header, line.split(",")))
         theta = float(cells["theta"])
-        vp = bounds.variance_product(modulus_pair(A, B, scen.state(theta)))
+        vp = bounds.variance_product(modulus_pair(A, B, state_at(scen, theta)))
         # 17 significant digits round-trip exactly through the CSV.
         assert float(cells["variance_product"]) == vp
+
+
+@pytest.mark.parametrize("name", ["pure.json", "density.json", "bloch.json"])
+def test_a_problem_file_state_repeats_its_one_state_for_every_angle(problem_dir, name):
+    _, scen = cli._read_input_file(str(problem_dir / name))
+    one = scen.state([0.0])
+    assert one.shape == (1, scen.dimension) and one.flags.c_contiguous
+    moments.PureState(one[0])
+    P = scen.state(np.array([0.0, 1.0, -2.5]))
+    assert P.shape == (3, scen.dimension) and P.flags.c_contiguous
+    assert all(np.array_equal(row, one[0]) for row in P)
 
 
 def test_qubit_file_csv_leaves_the_cross_bound_cell_empty(problem_dir, monkeypatch, capsys):
@@ -887,15 +898,17 @@ def test_a_broken_block_chain_exits_1_with_no_stdout(capsys, monkeypatch, field_
 
 @pytest.mark.parametrize("case, counts", [
     ("bounds --input density.json", (1, 0)),
-    ("sweep --example ex4 --steps 4", (4, 0)),
+    ("sweep --example ex4 --steps 4", (1, 0)),
     ("suite_purification", (6, 0)),
     ("suite_mixed_state_floor", (6, 0)),
+    ("sweep --example ex4 --steps 65", (2, 0)),
 ])
 def test_each_density_matrix_is_diagonalised_once(problem_dir, capsys, monkeypatch, case,
                                                    counts):
-    # A DensityMatrix keeps the eigendecomposition of its positivity check;
-    # the purification and the mixed-state floor read it, so every state
-    # (one per file, per sweep row, per trial) makes one eigh and no eigvalsh.
+    # A DensityMatrix keeps the eigendecomposition of its positivity check, and
+    # DensityMatrix.stack returns the one eigh of its stack; the purification
+    # and the mixed-state floor read them, so every file and trial makes one
+    # eigh, every sweep block of 64 rows one, and none makes an eigvalsh.
     calls = {"eigh": 0, "eigvalsh": 0}
     for name in calls:
         def counting(*args, name=name, real=getattr(np.linalg, name), **kwargs):

@@ -11,7 +11,8 @@ from uur import errors, linalg, moments, sampling, scenarios
 
 from conftest import assert_same_bits, refused
 from oracles import (
-    delta_vector, from_deltas, random_state, random_unitary, two_pass_purify, variance_pure)
+    delta_vector, from_deltas, purified, purify_one, random_state, random_unitary, two_pass_purify,
+    variance_pure)
 
 
 def test_pure_state_requires_unit_norm():
@@ -225,7 +226,7 @@ def _broadcast_cases():
         scen = scenarios.scenario(sid, d)
         grid = scenarios.theta_grid(*scen.theta_range, 129)
         yield (f"{sid} d={scen.dimension}", [moments.Unitary(M) for _, M in scen.operators],
-               np.array([scen.state(theta).amplitudes for theta in grid]))
+               scen.state(grid))
     for n in range(2, 19):
         rng = sampling.trial_generator(35, n, 7)
         ops = [moments.Unitary(random_unitary(rng, n)) for _ in range(3)]
@@ -233,7 +234,7 @@ def _broadcast_cases():
     for d in range(3, 9):
         scen, rng = scenarios.scenario("ex1", d), sampling.trial_generator(36, d, 31)
         yield (f"ex1 d={d} uniform", [moments.Unitary(M) for _, M in scen.operators],
-               np.array([scen.state(float(rng.uniform(0.0, math.pi))).amplitudes for _ in range(70)]))
+               scen.state([float(rng.uniform(0.0, math.pi)) for _ in range(70)]))
     for n in range(2, 5):
         rng = sampling.trial_generator(36, n, 11)
         for k in range(10):
@@ -424,7 +425,7 @@ def test_variance_mixed_pure_case_agrees():
 def test_purify_reproduces_density_and_expectations():
     gen = sampling.trial_generator(seed=6, trial=0)
     rho = sampling.random_density(gen, 3)
-    psi = moments.purify(rho)
+    psi = purified(rho)
     assert psi.dim == 9
     kept = linalg.partial_trace(np.outer(psi.amplitudes, psi.amplitudes.conj()),
                                 keep="second")
@@ -467,16 +468,110 @@ def test_purify_matches_the_two_pass_purification_bit_for_bit():
         again = np.linalg.eigh(rho.matrix)
         assert np.array_equal(rho.eig.eigenvalues, again.eigenvalues)
         assert np.array_equal(rho.eig.eigenvectors, again.eigenvectors)
-        assert np.array_equal(moments.purify(rho).amplitudes, two_pass_purify(rho).amplitudes)
+        assert np.array_equal(purified(rho).amplitudes, two_pass_purify(rho).amplitudes)
         clamped += bool(rho.eig.eigenvalues[0] < 0)
     assert clamped >= 4  # at least the four debris densities take the clamp
+
+
+def wishart_densities(seed: int, d: int, count: int):
+    """count seeded densities Z Z^dagger / tr at d, of rank 1..d in turn (a rank below d leaves d - rank
+    eigenvalues at rounding level, some of them negative)."""
+    gen = sampling.trial_generator(seed, d, 0)
+    for i in range(count):
+        Z = sampling.complex_gaussians(gen, 1, d, 1 + i % d)[0]
+        M = Z @ Z.conj().T
+        yield M / np.real(np.trace(M))
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_a_density_stack_diagonalises_and_purifies_as_each_matrix_alone(d):
+    # One stacked eigh and one stacked purify: each matrix's eigenvalues,
+    # eigenvectors and purified amplitudes are the ones DensityMatrix(M) and
+    # the one-matrix purify give it, sign bits included.
+    Ms = np.array(list(wishart_densities(44, d, 500)))
+    eig = moments.DensityMatrix.stack(Ms)
+    P = moments.purify(eig)
+    assert P.shape == (500, d * d) and P.flags.c_contiguous
+    clamped = 0
+    for M, w, V, row in zip(Ms, *eig, P):
+        rho = moments.DensityMatrix(M)
+        assert_same_bits(w, rho.eig.eigenvalues)
+        assert_same_bits(V, rho.eig.eigenvectors)
+        assert_same_bits(row, purify_one(rho).amplitudes)
+        clamped += bool(w[0] < 0)
+    assert clamped  # rounding-level eigenvalues take the clamp
+
+
+def test_ex4_densities_stack_as_each_angle_alone():
+    # ex4's 640 rows (ten sweep blocks): the stacked Bloch matrices, their
+    # eigendecompositions and purifications are the per-angle ones bit for bit.
+    T = sampling.trial_generator(45, 0, 0).uniform(0.0, 2 * math.pi, 640)
+    Ms = moments.bloch_matrices(1.0 / 3.0, 2.0 / 3.0 * np.cos(T), 2.0 / 3.0 * np.sin(T))
+    for lo in range(0, len(T), 64):
+        eig = moments.DensityMatrix.stack(Ms[lo:lo + 64])
+        for theta, M, w, V, row in zip(T[lo:lo + 64].tolist(), Ms[lo:lo + 64], *eig, moments.purify(eig)):
+            rho = moments.bloch_density((1.0 / 3.0, 2.0 / 3.0 * math.cos(theta), 2.0 / 3.0 * math.sin(theta)))
+            assert_same_bits(M, rho.matrix)
+            assert_same_bits(w, rho.eig.eigenvalues)
+            assert_same_bits(V, rho.eig.eigenvectors)
+            assert_same_bits(row, purify_one(rho).amplitudes)
+
+
+def _spoiled(kind: str, M: np.ndarray) -> np.ndarray:
+    M = M.copy()
+    if kind == "non-finite":
+        M[0, 1] = complex(np.inf, 0.0)
+    elif kind == "nan":
+        M[2, 2] = np.nan
+    elif kind == "not Hermitian":
+        M[0, 1] += 1e-6
+    elif kind == "trace off 1":
+        M *= 1.1
+    else:  # eigenvalues 1.2, 0.1, -0.3 in M's eigenbasis
+        V = np.linalg.eigh(M).eigenvectors
+        M = (V * [-0.3, 0.1, 1.2]) @ V.conj().T
+    return M
+
+
+@pytest.mark.parametrize("kind", ["non-finite", "nan", "not Hermitian", "trace off 1", "negative eigenvalue"])
+@pytest.mark.parametrize("row", [0, 2])
+def test_a_density_stack_refuses_its_first_bad_matrix_as_that_matrix_alone(kind, row):
+    Ms = np.array(list(wishart_densities(46, 3, 4)))
+    Ms[row] = _spoiled(kind, Ms[row])
+    with pytest.raises(errors.UurError) as alone:
+        moments.DensityMatrix(Ms[row])
+    with refused(str(alone.value)):
+        moments.DensityMatrix.stack(Ms)
+
+
+@pytest.mark.parametrize("first, later", [("negative eigenvalue", "not Hermitian"),
+                                          ("not Hermitian", "non-finite"), ("trace off 1", "negative eigenvalue")])
+def test_a_density_stack_refuses_the_earlier_of_two_bad_matrices(first, later):
+    # The earlier matrix is refused, whichever tests the two fail: a later
+    # Hermitian failure does not hide an earlier eigenvalue one.
+    Ms = np.array(list(wishart_densities(46, 3, 4)))
+    Ms[1], Ms[3] = _spoiled(first, Ms[1]), _spoiled(later, Ms[3])
+    with pytest.raises(errors.UurError) as alone:
+        moments.DensityMatrix(Ms[1])
+    with refused(str(alone.value)):
+        moments.DensityMatrix.stack(Ms)
+
+
+def test_a_density_stack_of_non_square_matrices_is_refused_as_one_of_them():
+    Ms = np.zeros((3, 2, 3), dtype=complex)
+    with refused("expected a square matrix, got shape (2, 3)"):
+        moments.DensityMatrix(Ms[1])
+    with refused("expected a square matrix, got shape (2, 3)"):
+        moments.DensityMatrix.stack(Ms)
+    with refused("expected a square matrix, got shape (2, 2)"):
+        moments.DensityMatrix.stack(np.eye(2) / 2)  # one matrix is not a stack
 
 
 def test_purification_of_qubit_mixture_components():
     # Bloch vector (1/3)(1, 2cos t, 2sin t) at t = 0 gives a rank-2 state whose
     # purification has one zero amplitude pattern fixed by the square root.
     rho = moments.bloch_density([1 / 3, 2 / 3, 0.0])
-    psi = moments.purify(rho)
+    psi = purified(rho)
     recon = linalg.partial_trace(np.outer(psi.amplitudes, psi.amplitudes.conj()),
                                  keep="second")
     assert np.max(np.abs(recon - rho.matrix)) < 1e-12

@@ -8,10 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from uur import bounds, cli, errors, linalg, moments, scenarios
+from uur import bounds, cli, errors, linalg, moments, sampling, scenarios
 
 from conftest import assert_same_bits, refused
-from oracles import example1_reference, modulus_pair, variance_pure
+from oracles import example1_reference, modulus_pair, reference_state, state_at, variance_pure
 
 
 def test_clock_operator_small_cases():
@@ -82,7 +82,7 @@ def test_all_scenarios_unit_norm_states_and_unitary_ops():
         scen = scenarios.scenario(sid)
         lo, hi = scen.theta_range
         for theta in scenarios.theta_grid(lo, hi, 100):
-            psi = scen.state(theta)
+            psi = state_at(scen, theta)
             assert abs(np.linalg.norm(psi.amplitudes) - 1.0) < 1e-12
         for _, M in scen.operators:
             assert linalg.unitary_deviation(M) <= 1e-10
@@ -90,7 +90,7 @@ def test_all_scenarios_unit_norm_states_and_unitary_ops():
 
 def test_ex1_state_shape():
     scen = scenarios.scenario("ex1", 3)
-    psi = scen.state(0.0)
+    psi = state_at(scen, 0.0)
     assert np.allclose(psi.amplitudes, [1, 0, 0])
     # At theta = 0 the state is a clock eigenvector and the shift mean is 0.
     A, B = (M for _, M in scen.operators)
@@ -124,7 +124,7 @@ def test_ex4_operators_are_lifted_rotations():
 
 def test_ex4_state_is_purified_bloch_family():
     scen = scenarios.scenario("ex4")
-    psi = scen.state(0.7)
+    psi = state_at(scen, 0.7)
     rho = moments.bloch_density([1 / 3, 2 / 3 * math.cos(0.7), 2 / 3 * math.sin(0.7)])
     kept = linalg.partial_trace(np.outer(psi.amplitudes, psi.amplitudes.conj()),
                                 keep="second")
@@ -133,7 +133,7 @@ def test_ex4_state_is_purified_bloch_family():
 
 def test_ex5_state_at_pi():
     scen = scenarios.scenario("ex5")
-    psi = scen.state(math.pi)
+    psi = state_at(scen, math.pi)
     assert np.allclose(psi.amplitudes, [0.0, math.sqrt(3) / 2, 0.5, 0.0], atol=1e-15)
 
 
@@ -150,10 +150,58 @@ def test_ex6_state_is_normalized_and_noted():
     raw = np.array([math.sqrt(2) / 2 * math.cos(theta / 2),
                     math.sqrt(2) / 2 * math.sin(theta / 2),
                     -math.sin(theta / 2)])
-    psi = scen.state(theta)
+    psi = state_at(scen, theta)
     assert np.allclose(psi.amplitudes, raw / np.linalg.norm(raw))
     assert any("normaliz" in note for note in scen.notes)
     assert len(scen.operators) == 3
+
+
+FAMILIES = ([("ex1", d) for d in (2, 3, 6, 16)] + [("ex2", d) for d in (3, 4, 7)]
+            + [(sid, None) for sid in ("ex3", "ex4", "ex5", "ex6")])
+SPECIAL_ANGLES = (0.0, math.pi, 2 * math.pi, -1.0, 1e6)
+
+
+@pytest.mark.parametrize("k", [1, 2, 64, 65])
+@pytest.mark.parametrize("sid, d", FAMILIES)
+def test_a_stacked_family_is_its_per_angle_family_bit_for_bit(sid, d, k):
+    # Each block's state call is one formula over its angles (ex4: one density
+    # stack, one eigh); every row must be the per-angle state, sign bits
+    # included: on seeded angles of the theta range, on its grid, and on the
+    # special angles repeated to fill the block.
+    scen = scenarios.scenario(sid, d)
+    rng = sampling.trial_generator(41, k, scen.dimension)
+    blocks = [rng.uniform(*scen.theta_range, k).tolist(), scenarios.theta_grid(*scen.theta_range, k),
+              [SPECIAL_ANGLES[i % len(SPECIAL_ANGLES)] for i in range(k)]]
+    for thetas in blocks:
+        P = scen.state(thetas)
+        assert P.shape == (k, scen.dimension) and P.dtype == complex and P.flags.c_contiguous
+        for theta, row in zip(thetas, P):
+            assert_same_bits(row, reference_state(scen, theta).amplitudes)
+
+
+def _trig_angles(name: str) -> np.ndarray:
+    rng = sampling.trial_generator(43, ("uniform", "1e6", "1e308", "bits").index(name), 0)
+    if name == "uniform":
+        return rng.uniform(0.0, 2 * math.pi, 25_000)
+    if name == "1e6":
+        return rng.uniform(-1e6, 1e6, 25_000)
+    if name == "1e308":  # every magnitude from 1e-308 to 1e308, both signs
+        return rng.choice([-1.0, 1.0], 25_000) * 10.0 ** rng.uniform(-308.0, 308.0, 25_000)
+    bits = rng.integers(0, 2 ** 64, 25_000, dtype=np.uint64).view(float)
+    return bits[np.isfinite(bits)]  # math.cos refuses inf; the program's angles are finite
+
+
+@pytest.mark.parametrize("name", ["uniform", "1e6", "1e308", "bits"])
+def test_numpy_trig_is_math_trig_bit_for_bit(name):
+    # The stacked families call np.cos and np.sin where the per-angle ones
+    # called math.cos and math.sin, at theta and at theta / 2. numpy's float64
+    # loops call the C library today; a numpy with its own SIMD loop for them
+    # would round some angles differently and fails here, by name.
+    angles = _trig_angles(name)
+    for theta in (angles, angles / 2):
+        for stacked, one in ((np.cos, math.cos), (np.sin, math.sin)):
+            want = np.array([one(t) for t in theta.tolist()])
+            assert np.array_equal(stacked(theta).view(np.uint64), want.view(np.uint64)), stacked.__name__
 
 
 def test_theta_grid_endpoints():
@@ -189,7 +237,7 @@ def test_ex1_internal_consistency_without_closed_forms():
         scen = scenarios.scenario("ex1", d)
         A, B = (M for _, M in scen.operators)
         for theta in (0.3, 1.1, 2.0):
-            psi = scen.state(theta)
+            psi = state_at(scen, theta)
             pair = modulus_pair(A, B, psi)
             seq = bounds.fine_grained_sequence(pair)
             vp = bounds.variance_product(pair)
@@ -226,7 +274,7 @@ def test_ex1_reference_and_paired_cross_bound_pair_different_coordinates():
             ref = example1_reference(d, theta)
             x, y = ref.x, ref.y
             assert abs(ref.i_1_prime - (ref.i_1 - y[0] ** 2 * (x[1] - x[d - 1]) ** 2)) <= 1e-12
-            pair = modulus_pair(A, B, scen.state(theta))
+            pair = modulus_pair(A, B, state_at(scen, theta))
             cross = bounds.paired_cross_bound(pair)
             i_1 = bounds.variance_product(pair)
             assert abs(cross - (i_1 - pair.y[0] ** 2 * (pair.x[1] - pair.x[2]) ** 2)) <= 1e-12

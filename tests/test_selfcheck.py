@@ -213,11 +213,12 @@ def test_check_forms_its_delta_vectors_in_one_pass_per_dimension(monkeypatch):
     # checks. The ten _Draws suites now take each trial in one draw and form
     # each dimension's delta vectors in one delta_stack call (7 dimensions, one
     # 15-trial block). coordinate_identities reads its variance and
-    # correlation from those rows; cross_bound_chain forms each dimension's ex1
-    # rows with one delta_stack per operator (6 dimensions, 12 calls) and
-    # pairs them unchecked; the mixed-state floor stacks each density's
-    # eigenvectors, one delta_stack per operator (30 calls). What is left per
-    # item: the eigenvectors' and ex1 states' PureState checks, the draws of
+    # correlation from those rows; cross_bound_chain builds each dimension's ex1
+    # states with one state call (one norm test, no PureState), forms their rows
+    # with one delta_stack per operator (6 dimensions, 12 calls) and pairs them
+    # unchecked; the mixed-state floor stacks each density's eigenvectors, one
+    # delta_stack per operator (30 calls). What is left per item: the
+    # eigenvectors' and purified states' PureState checks, the draws of
     # purification and the floor, and equality_case's own pairs (2 a trial).
     calls = collections.Counter()
 
@@ -231,7 +232,7 @@ def test_check_forms_its_delta_vectors_in_one_pass_per_dimension(monkeypatch):
     count(moments.ModulusPair, "__post_init__", "ModulusPair")
     results = selfcheck.run_all(42, 15)
     assert all(r.failures == 0 for r in results)
-    assert calls == {"delta_stack": 7 + 12 + 30, "complex_gaussians": 45, "PureState": 75, "ModulusPair": 30}
+    assert calls == {"delta_stack": 7 + 12 + 30, "complex_gaussians": 45, "PureState": 60, "ModulusPair": 30}
 
 
 def _refusal(monkeypatch, owner, name, corrupt):
