@@ -26,22 +26,25 @@ Python, once per row. The table pass (_split_tables) takes all rows of a
 block that share a support S at once: it builds the subset sums of the x^2
 and y^2 rows over all 2^|S| masks by doubling, s[1 << i : 2 << i] = s[: 1 <<
 i] + t_i, which adds in _split_value's ascending order, forms each mask's
-pre-square value t = sqrt(sx) sqrt(sy) + sqrt(sx_c) sqrt(sy_c), and per part
-size squares with C pow only the parts whose t lies within 2^-44 of that
-size's largest t (glibc's pow is within 0.54 ULP, so no other part can reach
-the largest square; near underflow and overflow every part that could tie
-is squared). Among the parts reaching the largest square the
-lexicographically smallest wins, a NaN never wins, and every part NaN gives
-the empty block, as in the per-pair pass: both give the same bits. A group
-takes the table when rows x 2^|S| reaches TABLE_MIN = 256. Measured on
-k dense rows (n = s = 2..9; sizes 1..n/2, k_m and the argmax block; CPU, min
-of 30 rounds on a 2-core shared host), the table was slower at 4 of the 6
-blocks of k 2^n = 128 (per-pair 149 us, table 197 us at n = 4, k = 8; 89
-and 106 us at n = 7, k = 1) and at none of the 7 of 256 (202 and 198 us at
-n = 6, k = 4; 185 and 172 us at n = 8, k = 1; 1,184 and 440 us at n = 4, k =
-64). Single pairs of n <= 6, as `check` draws them, stay per pair. A table
+pre-square value t = sqrt(sx) sqrt(sy) + sqrt(sx_c) sqrt(sy_c), and squares
+the parts of every part size a caller reads with one np.float_power(t, 2.0),
+numpy's loop over C pow: the bits of _split_value's Python **, inf where that
+overflows (tests/test_bounds.py pins this). Among the parts reaching the
+largest square the lexicographically smallest wins, a NaN never wins, and
+every part NaN gives the empty block, as in the per-pair pass: both give the
+same bits. A group takes the table when rows x 2^|S| reaches TABLE_MIN = 256.
+Measured on k dense rows (n = s = 2..9; sizes 1..n/2, k_m and the argmax
+block; CPU, min of 30 rounds on a 2-core shared host), the table was slower at
+4 of the 6 blocks of k 2^n = 128 (per-pair 149 us, table 197 us at n = 4, k =
+8; 89 and 106 us at n = 7, k = 1) and at none of the 7 of 256 (202 and 198 us
+at n = 6, k = 4; 185 and 172 us at n = 8, k = 1; 1,184 and 440 us at n = 4, k
+= 64). Single pairs of n <= 6, as `check` draws them, stay per pair. A table
 chunk holds at most 2^TABLE_BITS masks per array: rows go in chunks, and
-past that a row's high mask bits do too, in the same ascending order.
+past that a row's high mask bits do too, in the same ascending order. Taken
+in bit-reversed order, consecutive chunks share the sums of their lower high
+positions: a dense d = 5 density (25 support indices) took 0.54-0.63 s, and
+0.60-0.69 s with every chunk adding its high positions afresh (CPU, min of 5,
+6 interleaved rounds on a 2-core shared host).
 
 The interpolation family i_d and the paired cross bound are transcribed
 comparison bounds, bit-faithful to their published term-by-term sums: each
@@ -88,9 +91,6 @@ TABLE_MIN = 256
 TABLE_BITS = 16
 # The rows from which a block takes its fields and chain tests in one pass (the crossover in the module docstring).
 BLOCK_MIN = 8
-# A part's pre-square value t can reach its size's largest square only from within 2^-44 (relative) of the
-# largest t, except near underflow (t below _TINY) and overflow (t past _HUGE).
-_WINDOW, _TINY, _HUGE = 1.0 - 2.0 ** -44, 2.0 ** -500, 2.0 ** 511
 
 
 def _integer(value, what: str) -> int:
@@ -262,16 +262,15 @@ def _split_search(pair: ModulusPair, sizes, cap: int):
 
 @functools.cache
 def _lex_masks(bits: int) -> tuple[np.ndarray, ...]:
-    """(order, starts, segment, rev) of the masks of `bits` support positions (bit i: position i). order lists
-    the masks by part size, then by part, lexicographically smallest first; part size p begins at
-    order[starts[p]], and segment[c] is the part size of order[c]. rev reverses a mask's bits: of two parts of
-    one size, the one with the larger rev is the smaller."""
+    """(order, starts, rev) of the masks of `bits` support positions (bit i: position i). order lists the masks
+    by part size, then by part, lexicographically smallest first; part size p is order[starts[p]:starts[p + 1]].
+    rev reverses a mask's bits: of two parts of one size, the one with the larger rev is the smaller."""
     rev, count = np.zeros(1 << bits, dtype=np.int64), np.zeros(1 << bits, dtype=np.int64)
     for i in range(bits):
         rev[1 << i:2 << i] = rev[:1 << i] | 1 << (bits - 1 - i)
         count[1 << i:2 << i] = count[:1 << i] + 1
     order = np.lexsort((-rev, count))
-    return order, np.searchsorted(count[order], np.arange(bits + 1)), count[order], rev
+    return order, np.searchsorted(count[order], np.arange(bits + 2)), rev
 
 
 def _subset_sums(v: np.ndarray) -> np.ndarray:
@@ -283,93 +282,87 @@ def _subset_sums(v: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _pow2s(t: np.ndarray) -> np.ndarray:
-    """_pow2 of each float of t, in t's shape."""
-    values = t.ravel().tolist()
-    try:
-        return np.array([v ** 2 for v in values], dtype=float).reshape(t.shape)
-    except OverflowError:
-        return np.array([_pow2(v) for v in values], dtype=float).reshape(t.shape)
-
-
 @np.errstate(over="ignore", invalid="ignore")  # inf sums and inf * 0.0 = NaN, as the Python floats give
-def _table_pass(x2: np.ndarray, y2: np.ndarray, lead: int, needed: np.ndarray):
+def _table_pass(x2: np.ndarray, y2: np.ndarray, lead: int, read: range):
     """The subset-sum tables of rows sharing one support, its squares x2, y2 (k, s) in ascending position order.
 
-    Returns (best, win, lead_t). For each part size p that needed marks, best[r, p] is the largest C-pow
-    square of a part of p support positions (-1.0 when every such part is NaN) and win[r, p] the
-    lexicographically smallest part reaching it, as a mask; lead_t[r] is the pre-square value of the part of
-    the first `lead` positions. A chunk holds at most 2^TABLE_BITS masks of its rows: the rows go in chunks,
-    and past that a row's high mask bits do too, each chunk adding its high positions to the low table in
-    ascending order, the same sums.
+    Returns (best, win, k_m). For each part size p in read, best[r, p] is the largest C-pow square (one
+    np.float_power over the parts of the sizes read) of a part of p support positions (-1.0 when every such
+    part is NaN) and win[r, p] the lexicographically smallest part reaching it, as a mask; k_m[r] is the C-pow
+    square of the part of the first `lead` positions. A chunk holds at most 2^TABLE_BITS masks of its rows: the
+    rows go in chunks, and past that a row's high mask bits do too, each chunk adding its high positions to
+    the low table in ascending order, the same sums.
     """
     k, s = x2.shape
     low = min(s, TABLE_BITS)
     high = s - low
-    order, starts, segment, rev = _lex_masks(low)
+    order, starts, rev = _lex_masks(low)
     best, win, key = np.full((k, s + 1), -1.0), np.zeros((k, s + 1), np.int64), np.zeros((k, s + 1), np.int64)
     lead_t, lead_mask = np.empty(k), (1 << lead) - 1
-    window = np.where(needed, _WINDOW, np.nan)  # NaN: no part of a size no caller reads is squared
     per = 1 << (TABLE_BITS - low)
     for r0 in range(0, k, per):
         v = np.stack((x2[r0:r0 + per], y2[r0:r0 + per]))
         sums = _subset_sums(v[..., :low])
 
-        def products(c: int) -> np.ndarray:  # sqrt(sx) sqrt(sy) of the masks (c << low) | lo
-            chunk = sums
-            for j in range(high):
-                if c >> j & 1:
-                    chunk = chunk + v[..., low + j, None]
-            root = np.sqrt(chunk)
-            return root[0] * root[1]
+        def walk():  # sqrt(sx) sqrt(sy) of the masks (c << low) | lo, c's high positions added in ascending order
+            level, out, last = [sums] * (high + 1), np.empty((high, *sums.shape)), 0
 
-        for h in range(1 << max(0, high - 1)):  # h and its complement hc: t of hc's masks is t of h's reversed
+            def products(c: int) -> np.ndarray:  # keeps the sums below the lowest position c changes since the last c
+                nonlocal last
+                changed = (c ^ last) | 1 << high
+                for j in range((changed & -changed).bit_length() - 1, high):
+                    level[j + 1] = np.add(level[j], v[..., low + j, None], out=out[j]) if c >> j & 1 else level[j]
+                last, root = c, np.sqrt(level[high])
+                return root[0] * root[1]
+            return products
+
+        ours, theirs = walk(), walk()
+        # h and its complement hc: t of hc's masks is t of h's reversed. Consecutive h (and hc) in bit-reversed order
+        # share their low positions, whose sums the walks keep: each changed position is added once.
+        for h in _lex_masks(max(0, high - 1))[2].tolist():
             hc = h ^ ((1 << high) - 1)
-            t = products(h) + products(hc)[:, ::-1]  # a mask's own term first, as in _split_value
+            own = ours(h)  # with no high bits hc is h: its products are h's
+            t = own + (own if hc == h else theirs(hc))[:, ::-1]  # a mask's own term first, as in _split_value
             for c, tc in ((h, t), (hc, t[:, ::-1]))[:1 + (high > 0)]:
                 if c == lead_mask >> low:
                     lead_t[r0:r0 + per] = tc[:, lead_mask & ((1 << low) - 1)]
-                p0, T = c.bit_count(), tc[:, order]
-                top = np.fmax.reduceat(T, starts, axis=1)  # NaN only where every part is NaN
-                # Only a part within a few ULP of its size's largest t can reach that size's largest
-                # square (glibc's pow is within 0.54 ULP); below 2^-500 a square may be subnormal or 0.0
-                # and past 2^511 it may overflow, so there every part that could tie it is kept.
-                floor = np.minimum(top * window[p0:p0 + low + 1], _HUGE)
-                floor[top < _TINY] = 0.0
-                r_i, c_i = np.nonzero(T >= floor[:, segment])
-                squares, seg = _pow2s(T[r_i, c_i]), segment[c_i]
-                group = r_i * (low + 1) + seg  # (row, part size), non-decreasing; parts in order within each
-                if len(group) > 1 and not (group[1:] != group[:-1]).all():  # keep each group's first largest
-                    new = np.diff(group, prepend=-1) != 0
-                    index = np.cumsum(new) - 1
-                    won = np.flatnonzero(squares == np.maximum.reduceat(squares, np.flatnonzero(new))[index])
-                    won = won[np.diff(index[won], prepend=-1) != 0]
-                    r_i, c_i, seg, squares = r_i[won], c_i[won], seg[won], squares[won]
-                rows, parts, masks = r_i + r0, seg + p0, c << low | order[c_i]
+                p0 = c.bit_count()
+                lo, hi = max(0, read.start - p0), min(low + 1, read.stop - p0)  # the low part sizes read
+                if lo >= hi:
+                    continue
+                a, b = starts[lo], starts[hi]  # order[a:b]: the parts of sizes lo .. hi - 1
+                sq = np.float_power(tc.take(order[a:b], axis=1), 2.0)
+                at = starts[lo:hi] - a
+                top = np.fmax.reduceat(sq, at, axis=1)  # NaN only where every part is NaN
+                reach = sq == np.repeat(top, np.diff(starts[lo:hi + 1]), axis=1)
+                first = np.minimum.reduceat(np.where(reach, np.arange(a, b), 1 << low), at, axis=1)
+                r_i, seg = np.nonzero(top == top)
+                squares, c_i = top[r_i, seg], first[r_i, seg]
+                rows, parts, masks = r_i + r0, seg + lo + p0, c << low | order[c_i]
                 if high:  # a part of the same size may lie in another chunk: the larger square, then the smaller part
                     rank = rev[order[c_i]] << high | int(f"{c:0{high}b}"[::-1], 2)
                     take = (squares > best[rows, parts]) | (squares == best[rows, parts]) & (rank > key[rows, parts])
                     rows, parts, masks, squares = rows[take], parts[take], masks[take], squares[take]
                     key[rows, parts] = rank[take]
                 best[rows, parts], win[rows, parts] = squares, masks
-    return best, win, lead_t
+    return best, win, np.float_power(lead_t, 2.0)
 
 
 def _split_tables(X2: np.ndarray, Y2: np.ndarray, groups, sizes, m: int):
     """(row, (values, k_m, record)) for each row of each group (rows, support) of the stacks X2, Y2 (k, n): as
-    _searches gives them, k_m the split value of the leading block of m from the same table."""
+    _searches gives them, k_m the split value of the leading block of m from the same table, which squares the
+    part sizes the (consecutive) sizes use."""
     n = X2.shape[1]
     for rows, support in groups:
         s, index = support.size, support.tolist()
         free = [i for i in range(n) if i not in index]
         spans = _spans(sizes, s, len(free))
-        needed = np.zeros(s + 1, dtype=bool)
-        needed[spans[0].start:spans[-1].stop] = True  # the part sizes the (consecutive) sizes use
         cols = np.ix_(rows, support)
-        best, win, lead_t = _table_pass(X2[cols], Y2[cols], int(support.searchsorted(m)), needed)
+        best, win, k_m = _table_pass(X2[cols], Y2[cols], int(support.searchsorted(m)),
+                                     range(spans[0].start, spans[-1].stop))
         values = np.column_stack([best[:, span].max(axis=1) for span in spans]).tolist()
-        for r, vals, tops, masks, t in zip(rows, values, best.tolist(), win.tolist(), lead_t.tolist()):
-            yield r, (vals, _pow2(t), (vals, spans, tops, lambda p, masks=masks, index=index: [
+        for r, vals, tops, masks, lead in zip(rows, values, best.tolist(), win.tolist(), k_m.tolist()):
+            yield r, (vals, lead, (vals, spans, tops, lambda p, masks=masks, index=index: [
                 i for b, i in enumerate(index) if masks[p] >> b & 1], free))
 
 
@@ -552,7 +545,7 @@ def _block_fields(X: np.ndarray, Y: np.ndarray, X2: np.ndarray, Y2: np.ndarray):
     of each row of the moduli stacks X, Y (k, n) and their numpy squares X2, Y2, with the single functions' bits.
     While every diagonal sum is finite, a term only another row's support adds is +0.0 in this row."""
     n = X.shape[1]
-    px, py = _pow2s(X), _pow2s(Y)
+    px, py = np.float_power(X, 2.0), np.float_power(Y, 2.0)  # C pow, inf past the largest float
     diagonal = (X2 * Y2).sum(axis=1)
     every = not np.isfinite(diagonal).all()
     support = range(n) if every else np.flatnonzero((X + Y).any(axis=0)).tolist()
@@ -567,7 +560,7 @@ def _block_fields(X: np.ndarray, Y: np.ndarray, X2: np.ndarray, Y2: np.ndarray):
         i, j = _cross_index(tuple(xs), tuple(ys))
         cross = (_sums(diagonal, px[:, i] * py[:, j]) + py[:, 0] * X2[:, 3:].sum(axis=1)
                  + 2.0 * py[:, 0] * X[:, 1] * X[:, 2])
-    return X2.sum(axis=1) * Y2.sum(axis=1), _pow2s((X[:, None, :] @ Y[:, :, None])[:, 0, 0]), family, cross
+    return X2.sum(axis=1) * Y2.sum(axis=1), np.float_power((X[:, None, :] @ Y[:, :, None])[:, 0, 0], 2.0), family, cross
 
 
 def _means(stacks, squares, reports, m: int, v: float, cap: int) -> list[dict[str, float]]:

@@ -501,14 +501,16 @@ def ex1_rows(n: int, thetas) -> tuple[np.ndarray, np.ndarray]:
 def special_stack(seed: int, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """k seeded rows of dimension n, cycling through row kinds that share a block: dense, zeros in one or both
     coordinates (other supports), all zero, ex1 at theta 0 (one support index), proportional, equal entries,
-    small integers (ties), an even support whose half parts tie their complements, and 1e200 beside zeros
-    (an inf square: NaN parts)."""
+    small integers (ties), an even support whose half parts tie their complements, 1e200 beside zeros (an inf
+    square: NaN parts), tiny moduli (below 1e-81: every t below 2^-500, its C-pow square subnormal or 0.0, so
+    many parts tie) and large finite ones (about 1e153: every t past 1e300, its C-pow square inf, so every part
+    ties at inf)."""
     rng = np.random.default_rng([seed, n, k])
     ex1_x, ex1_y = ex1_rows(n, [0.0])
     X, Y = np.empty((k, n)), np.empty((k, n))
     for r in range(k):
         x, y = rng.random(n), rng.random(n)
-        kind = r % 9
+        kind = r % 11
         if kind == 1:
             x, y = x * (rng.random(n) < 0.6), y * (rng.random(n) < 0.6)
         elif kind == 2:
@@ -526,8 +528,21 @@ def special_stack(seed: int, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
             x, y = x * keep, np.where(keep, x[::-1], 0.0)
         elif kind == 8:
             x[0], y[rng.random(n) < 0.5] = 1e200, 0.0
+        elif kind == 9:
+            x, y = x * 1e-81, y * 1e-81
+        elif kind == 10:
+            x, y = (x + 1.0) * 1e153, (y + 1.0) * 1e153
         X[r], Y[r] = x, y
     return X, Y
+
+
+def oracle_split(pair, m: int):
+    """per_size_split_bound, or brute_force_split (split_bound: inf) where the verbatim oracle's Python ** raises
+    OverflowError, as on a large row, whose every block is inf."""
+    try:
+        return per_size_split_bound(pair, m)
+    except OverflowError:
+        return brute_force_split(pair, m)
 
 
 @pytest.mark.parametrize("n, k", [(2, 70), (3, 1), (4, 65), (5, 40), (6, 23), (7, 12), (8, 9), (9, 5),
@@ -542,7 +557,7 @@ def test_table_pass_is_the_per_pair_pass_and_the_per_size_oracle(n, k):
         with np.errstate(all="ignore"):
             for (values, k_m, blocks), x, y in zip(table, X, Y):
                 pair = ModulusPair(x, y)
-                assert list(zip(values, blocks)) == [per_size_split_bound(pair, size) for size in sizes]
+                assert list(zip(values, blocks)) == [oracle_split(pair, size) for size in sizes]
                 assert repr(k_m) == repr(bounds.split_bound(pair, range(1, m + 1)))
 
 
@@ -573,14 +588,18 @@ def test_table_ties_and_nan_rows_keep_the_per_pair_picks():
 @pytest.mark.parametrize("bits", [0, 1, 2, 3, 5])
 def test_table_in_chunks_is_the_table_in_one(monkeypatch, bits):
     # Past 2^TABLE_BITS masks a row's high mask bits go in chunks, and the rows go in chunks below it;
-    # every chunk holds at most 2^TABLE_BITS masks of its rows, and the result is the same.
+    # every chunk holds at most 2^TABLE_BITS masks of its rows, and the result is the same, the per-pair
+    # pass's (tiny and large rows too). At sizes 1..4 a chunk whose high bits hold 5 or more reads no size.
     X, Y = special_stack(39, 9, 20)
-    whole = searched(X, Y, range(1, 10), 4, table=True)
-    shapes, real = [], bounds._subset_sums
-    monkeypatch.setattr(bounds, "TABLE_BITS", bits)
-    monkeypatch.setattr(bounds, "_subset_sums", lambda v: shapes.append(v.shape) or real(v))
-    assert repr(searched(X, Y, range(1, 10), 4, table=True)) == repr(whole)
-    assert shapes and all(rows << low <= 1 << bits for _, rows, low in shapes)
+    for sizes in (range(1, 10), range(1, 5)):
+        whole = searched(X, Y, sizes, 4, table=True)
+        assert repr(whole) == repr(searched(X, Y, sizes, 4, table=False))
+        shapes, real = [], bounds._subset_sums
+        with monkeypatch.context() as patch:
+            patch.setattr(bounds, "TABLE_BITS", bits)
+            patch.setattr(bounds, "_subset_sums", lambda v: shapes.append(v.shape) or real(v))
+            assert repr(searched(X, Y, sizes, 4, table=True)) == repr(whole)
+        assert shapes and all(rows << low <= 1 << bits for _, rows, low in shapes)
 
 
 def test_a_dense_ex2_row_fills_one_table_chunk(monkeypatch, capsys):
@@ -590,6 +609,51 @@ def test_a_dense_ex2_row_fills_one_table_chunk(monkeypatch, capsys):
     assert cli.main(["sweep", "--example", "ex2", "--dim", "16", "--steps", "3"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 4
     assert shapes == [(2, 1, 16)] * 3
+
+
+@pytest.mark.parametrize("bits, chunks", [(16, 1), (6, sum(c.bit_count() <= 8 for c in range(1 << 10)))])
+def test_a_dense_ex2_row_squares_only_the_part_sizes_it_reads(monkeypatch, capsys, bits, chunks):
+    # A dense ex2 row at n = 16 reads part sizes 1..8: 39,202 of its 65,536 masks are squared, in one
+    # np.float_power per chunk that reads a size (high-bit chunks holding 9 or more read none), and its k_m is one
+    # more square.
+    shapes, real = [], np.float_power
+    monkeypatch.setattr(bounds, "TABLE_BITS", bits)
+    monkeypatch.setattr(np, "float_power", lambda t, e: shapes.append(np.shape(t)) or real(t, e))
+    assert cli.main(["sweep", "--example", "ex2", "--dim", "16", "--steps", "1"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2
+    parts = [shape for shape in shapes if len(shape) == 2]
+    assert len(parts) == chunks and {rows for rows, _ in parts} == {1}
+    assert sum(size for _, size in parts) == sum(math.comb(16, p) for p in range(1, 9)) == 39_202
+    assert shapes[len(parts):] == [(1,)]
+
+
+def test_float_power_squares_with_c_pow_bit_for_bit():
+    # np.float_power(t, 2.0) is numpy's loop over C pow: Python's t ** 2 bit for bit, sign bits too, and +inf
+    # where ** raises OverflowError, with an array exponent and a scalar 2.0; NaN gives NaN (a signalling NaN's
+    # payload may differ). The table pass and the one-pass fields rest on it: a numpy release that gives
+    # float_power its own SIMD loop fails here, by name.
+    rng = np.random.default_rng(4242)
+    edge = math.sqrt(np.finfo(float).max)  # the largest float's square root: its neighbours' squares straddle inf
+    special = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, np.finfo(float).max,
+               *np.nextafter(edge, [0.0, math.inf]), edge, -edge, *np.nextafter(-edge, [0.0, -math.inf])]
+    sets = {"uniform": rng.uniform(0.0, 2.0, 200_000), "lognormal": rng.lognormal(0.0, 200.0, 200_000),
+            "raw": rng.integers(0, 1 << 63, 200_000, dtype=np.uint64).view(float), "special": np.array(special)}
+    for name, t in sets.items():
+        want, overflow = [], []
+        for value in t.tolist():
+            try:
+                want.append(value ** 2)
+            except OverflowError:
+                want.append(math.inf)
+                overflow.append(len(want) - 1)
+        want, nan = np.array(want), np.isnan(want)
+        assert name != "lognormal" or overflow and (want == 0.0).any() and ((want > 0.0) & (want < 2.3e-308)).any()
+        for exponent in (2.0, np.full_like(t, 2.0)):
+            with np.errstate(all="ignore"):
+                got = np.float_power(t, exponent)
+            assert (np.isnan(got) == nan).all(), name
+            assert (got[~nan].view(np.uint64) == want[~nan].view(np.uint64)).all(), name
+            assert (got[overflow] == math.inf).all(), name
 
 
 block_rows = st.integers(min_value=1, max_value=7).flatmap(
@@ -619,7 +683,7 @@ def test_block_reports_are_the_single_reports_row_by_row():
             reports, broken, means = bounds.bound_reports([X, Y, Z], m, 0.3)
             singles = [bounds.bound_report(ModulusPair(x, y), m, 0.3) for x, y in zip(X, Y)]
             assert repr(reports) == repr(singles) and reports[:8] == singles[:8]
-            assert broken == [r for r, report in enumerate(singles) if report.validate()] == list(range(8, 70, 9))
+            assert broken == [r for r, report in enumerate(singles) if report.validate()] == list(range(8, 70, 11))
             assert repr(bounds.bound_reports([X, Y], m, 0.3)) == repr((reports, broken, None))
             assert repr(means) == repr([bounds.bound_reports([x[None], y[None], z[None]], m, 0.3)[2][0]
                                         for x, y, z in zip(X, Y, Z)])
@@ -640,12 +704,12 @@ def test_block_means_are_the_one_row_calls_means(k, ell):
 
 def block_cases(seed: int, n: int, k: int) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Blocks of k rows of dimension n: special_stack's rows (from k = 9 on, a 1e200 row makes a diagonal sum
-    inf and the one-pass form takes every index); the same rows with each 1e200 row made finite (the union
-    support); those rows with two columns zero in every row (a union support with gaps); ex1 rows (one or
-    three support indices per row); ex1 rows at theta 0 (one support index in all) and all-zero rows (none);
-    and tiny moduli whose C-pow squares underflow to 0.0 beside nonzero ones."""
+    inf and the one-pass form takes every index); the same rows with each 1e200 or large row made small (a
+    finite diagonal sum: the union support); those rows with two columns zero in every row (a union support
+    with gaps); ex1 rows (one or three support indices per row); ex1 rows at theta 0 (one support index in
+    all) and all-zero rows (none); and tiny moduli whose C-pow squares underflow to 0.0 beside nonzero ones."""
     X, Y = special_stack(seed, n, k)
-    huge = (X == 1e200).any(axis=1)[:, None]
+    huge = (X > 1e150).any(axis=1)[:, None]
     finite = np.where(huge, 0.5, X), np.where(huge, 0.25, Y)
     gaps = tuple(np.where(np.isin(np.arange(n), [n // 2, n - 1]), 0.0, q) for q in finite)
     tiny = tuple(np.where(np.random.default_rng([seed, n, k]).random((k, n)) < 0.3, 1e-170, q) for q in finite)
