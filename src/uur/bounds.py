@@ -2,7 +2,7 @@
 
 The pairwise bounds read the squares of the coordinate moduli x, y that a
 ModulusPair keeps (formed once per pair), the geometric means each pair's
-moduli, the triple bound the DeltaVectors. The central construction splits the
+moduli, the triple bound the delta entries. The central construction splits the
 index set into a block S and its complement, applies the Cauchy-Schwarz
 inequality per block, and once more across the two blocks:
 
@@ -32,19 +32,14 @@ numpy's loop over C pow: the bits of _split_value's Python **, inf where that
 overflows (tests/test_bounds.py pins this). Among the parts reaching the
 largest square the lexicographically smallest wins, a NaN never wins, and
 every part NaN gives the empty block, as in the per-pair pass: both give the
-same bits. A group takes the table when rows x 2^|S| reaches TABLE_MIN = 256.
-Measured on k dense rows (n = s = 2..9; sizes 1..n/2, k_m and the argmax
-block; CPU, min of 30 rounds on a 2-core shared host), the table was slower at
-4 of the 6 blocks of k 2^n = 128 (per-pair 149 us, table 197 us at n = 4, k =
-8; 89 and 106 us at n = 7, k = 1) and at none of the 7 of 256 (202 and 198 us
-at n = 6, k = 4; 185 and 172 us at n = 8, k = 1; 1,184 and 440 us at n = 4, k
-= 64). Single pairs of n <= 6, as `check` draws them, stay per pair. A table
-chunk holds at most 2^TABLE_BITS masks per array: rows go in chunks, and
-past that a row's high mask bits do too, in the same ascending order. Taken
-in bit-reversed order, consecutive chunks share the sums of their lower high
-positions: a dense d = 5 density (25 support indices) took 0.54-0.63 s, and
-0.60-0.69 s with every chunk adding its high positions afresh (CPU, min of 5,
-6 interleaved rounds on a 2-core shared host).
+same bits. A group takes the table when rows x 2^|S| reaches TABLE_MIN = 256:
+on k dense rows (n = 2..9; CPU on a 2-core shared host) the table was slower
+at 4 of the 6 blocks of k 2^n = 128 and at none of the 7 of 256, so single
+pairs of n <= 6, as `check` draws them, stay per pair. A table chunk holds at
+most 2^TABLE_BITS masks per array: rows go in chunks, and past that a row's
+high mask bits do too, in the same ascending order. Taken in bit-reversed
+order, consecutive chunks share the sums of their lower high positions: a
+dense d = 5 density took 0.54-0.63 s, and 0.60-0.69 s without that sharing.
 
 The interpolation family i_d and the paired cross bound are transcribed
 comparison bounds, bit-faithful to their published term-by-term sums: each
@@ -57,13 +52,9 @@ A block of BLOCK_MIN = 8 rows or more takes its other fields in one pass over
 its stacks (_block_fields: the stacked dot is x.dot(y)'s ddot per row, and
 np.add.accumulate adds each row's terms left to right) and tests its chains
 as arrays; a smaller block calls the single functions per row. On k dense
-rows (n = 2..8; a whole bound_reports; CPU, min of 25 interleaved rounds on a
-2-core shared host), per row won at k = 6 for n <= 4 (285 and 306 us at n =
-2) and tied at k = 7 (339 and 344 us); at k = 8 the one pass won at every n
-(373 and 356 us at n = 2, 390 and 375 us at n = 4, 678 and 549 us at n = 8).
-With BLOCK_MIN = 1 a 2-row ex1 n = 16 bound_reports took 200 us, not 135, and
-split_search's work_per_s fell 18%: small blocks stay per row. The geometric
-means blend as arrays at every size.
+rows (n = 2..8; CPU) per row won at k = 6 for n <= 4 and tied at k = 7, and
+the one pass won at k = 8 at every n; with BLOCK_MIN = 1, split_search's
+work_per_s fell 18%. The geometric means blend as arrays at every size.
 """
 
 from __future__ import annotations
@@ -490,24 +481,27 @@ def paired_cross_bound(pair: ModulusPair) -> float:
     return total
 
 
-def triple_correlation_bound(dA: DeltaVector, dB: DeltaVector, dC: DeltaVector) -> float:
-    """Three-operator floor built from the pairwise correlations.
+@np.errstate(over="ignore", invalid="ignore")  # inf where C pow's ** raises, and inf * 0.0 = NaN
+def triple_correlation_bounds(EA: np.ndarray, EB: np.ndarray, EC: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(variance_triple, bong3) of each row of the delta-entry stacks EA, EB, EC (k, n) of A, B and C on k states:
+    bong3 = vA |cBC|^2 + vB |cAC|^2 + vC |cAB|^2 - 2 Re(cAC conj(cBC) conj(cAB)) of the variances v and
+    correlations c, and vA vB vC - bong3 is the nonnegative Gram determinant of (I, A, B, C). A v or c is a row's
+    np.vdot, |c| np.hypot (Python's abs) squared by C pow, and the product is written out as Python's complex
+    multiply forms it: Python's scalar bits, but inf where ** raises (np.abs on complex arrays and numpy's array
+    complex multiply round differently; tests/test_bounds.py pins both facts)."""
+    E = np.ascontiguousarray([EA, EB, EC], dtype=complex)  # (3, k, n): BLAS rounds strided rows differently
+    G = (E.conj()[:, None, :, None, :] @ E[None, :, :, :, None])[..., 0, 0]  # (3, 3, k): each row's np.vdot
+    (vA, vB, vC), c = G.diagonal().T.real, G[[1, 0, 0], [2, 2, 1]]
+    (sBC, sAC, sAB), (cBC, cAC, cAB) = np.float_power(np.hypot(c.real, c.imag), 2.0), c
+    ar, ai, br, bi = cAC.real, cAC.imag, cBC.real, -cBC.imag  # cAC and conj(cBC)
+    pr, pi = ar * br - ai * bi, ar * bi + ai * br
+    product = pr * cAB.real - pi * -cAB.imag  # the real part of (cAC conj(cBC)) conj(cAB)
+    return vA * vB * vC, vA * sBC + vB * sAC + vC * sAB - 2.0 * product
 
-    Takes the delta vectors of A, B and C on one state. The triple variance
-    product minus this value equals the determinant of the 4x4 Gram matrix
-    of (I, A, B, C), which is nonnegative, so the value never exceeds the
-    triple variance product.
-    """
-    vA, vB, vC = dA.variance, dB.variance, dC.variance
-    cAB = dA.correlation(dB)
-    cAC = dA.correlation(dC)
-    cBC = dB.correlation(dC)
-    return float(
-        vA * abs(cBC) ** 2
-        + vB * abs(cAC) ** 2
-        + vC * abs(cAB) ** 2
-        - 2.0 * (cAC * np.conj(cBC) * np.conj(cAB)).real
-    )
+
+def triple_correlation_bound(dA: DeltaVector, dB: DeltaVector, dC: DeltaVector) -> float:
+    """bong3 of the delta vectors of A, B and C on one state: triple_correlation_bounds' block of one."""
+    return float(triple_correlation_bounds(dA.entries[None], dB.entries[None], dC.entries[None])[1][0])
 
 
 def _check_report(n: int, m: int, cap: int) -> None:

@@ -11,8 +11,10 @@ Every `main` call in a process parses with one argument parser, built on the
 first call and never mutated; it holds no input and no result. The parser is
 the one list of a command's flags and of their defaults: each `run_*` takes
 its namespace as the command's whole input.
-Output is deterministic byte for byte for a fixed configuration; floats are
-printed with 17 significant digits so CSV round-trips are exact.
+Output is deterministic byte for byte for a fixed configuration: CSV floats
+have 17 significant digits (exact round trips), and the sweep and compare
+JSON rows are json.dumps(rows, indent=2)'s bytes, written without json's
+pure-Python encoder; bounds' nested JSON is json.dumps's own.
 """
 
 from __future__ import annotations
@@ -176,35 +178,30 @@ def _load_problem(cfg: argparse.Namespace) -> Problem:
                    v=_number(pick(cfg.v, "v", DEFAULT_V), "params: v"), cap=cap)
 
 
-def _triple_fields(deltas: list[moments.DeltaVector], means: dict[str, float]) -> dict:
-    vals = {
-        "variance_triple": math.prod(d.variance for d in deltas),
-        "bong3": bounds.triple_correlation_bound(*deltas),
-    }
-    vals.update((key, means[flavor]) for flavor, key in FLAVOR_FIELDS.items())
-    for key in TRIPLE_COLUMNS[1:]:
-        if vals[key] > vals["variance_triple"] + SLACK:
-            raise _Violation(f"{key} exceeds variance_triple by "
-                             f"{vals[key] - vals['variance_triple']:.3e}")
-    return vals
-
-
 def _report_rows(problem: Problem, grid: list[float]):
     """(report, row) per angle of grid. Per block of _BLOCK angles one scenario.state call builds and checks
-    the block's amplitude stack, one delta_stack per operator forms every row's delta vectors, and one
-    bound_reports call on those moduli stacks gives the block's reports, broken rows and geometric means."""
+    the block's amplitude stack, one delta_stack per operator forms every row's delta vectors, one bound_reports
+    call on their moduli gives the reports, broken rows and geometric means, and one triple_correlation_bounds
+    call on their entries a triple's other columns. The first failing row is refused, chains before triple."""
     for lo in range(0, len(grid), _BLOCK):
         thetas = grid[lo:lo + _BLOCK]
         P = problem.scenario.state(thetas)  # C order
         stacks = [moments.delta_stack(U.matrix[None], P) for U in problem.operators]
         reports, broken, means = bounds.bound_reports([mod for *_, mod in stacks], problem.m, problem.v, problem.cap)
+        if means:  # TRIPLE_COLUMNS' cells, and which of the last four exceed variance_triple, per row
+            vt, bong3 = bounds.triple_correlation_bounds(*[entries for entries, *_ in stacks])
+            cells = np.array([vt, bong3, *([mean[f] for mean in means] for f in FLAVOR_FIELDS)])
+            triples, over = cells.T.tolist(), (cells[1:] > vt + SLACK).T.tolist()
         for r, (theta, report) in enumerate(zip(thetas, reports)):
             if r in broken:
                 raise _Violation(f"chain invariants failed at theta={theta!r}: " + "; ".join(report.validate()))
             row = {"theta": theta, **vars(report), "i_2": report.i_d[1]}
             if means:
-                deltas = [moments.DeltaVector(entries[r], complex(mean[r])) for entries, mean, _ in stacks]
-                row.update(_triple_fields(deltas, means[r]))
+                if True in over[r]:  # the first failing key in TRIPLE_COLUMNS order
+                    j = 1 + over[r].index(True)
+                    raise _Violation(f"{TRIPLE_COLUMNS[j]} exceeds variance_triple by "
+                                     f"{triples[r][j] - triples[r][0]:.3e}")
+                row.update(zip(TRIPLE_COLUMNS, triples[r]))
             yield report, row
 
 
@@ -217,23 +214,30 @@ def _emit(cfg: argparse.Namespace, text: str):
 
 
 def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
+    return "" if value is None else f"{value:.17g}" if isinstance(value, float) else str(value)
 
 
 def _rows_to_csv(columns: list[str], rows: list[dict]) -> str:
-    body = "".join(",".join(_csv_cell(row[c]) for c in columns) + "\n" for row in rows)
-    return ",".join(columns) + "\n" + body
+    """The header, then a line per row: one "{:.17g}" template when its cells are all floats, else _csv_cell's."""
+    floats, cells = ",".join(["{:.17g}"] * len(columns)) + "\n", ([row[c] for c in columns] for row in rows)
+    return ",".join(columns) + "\n" + "".join([floats.format(*v) if all(type(t) is float for t in v) else
+                                               ",".join(map(_csv_cell, v)) + "\n" for v in cells])
+
+
+def _json_cell(value) -> str:
+    """A cell as json.dumps writes it: a finite float by float.__repr__, else json's NaN, Infinity, null, etc."""
+    return float.__repr__(value) if isinstance(value, float) and math.isfinite(value) else json.dumps(value)
+
+
+def _rows_to_json(columns: list[str], rows: list[dict]) -> str:
+    """json.dumps(rows, indent=2), whose encoder is pure Python when it indents, of one or more rows by columns."""
+    keys = [f"    {json.dumps(c)}: " for c in columns]  # each key's prefix, encoded once
+    return "[\n" + ",\n".join(["  {\n" + ",\n".join([k + _json_cell(row[c]) for k, c in zip(keys, columns)])
+                                 + "\n  }" for row in rows]) + "\n]"
 
 
 def _emit_rows(cfg: argparse.Namespace, columns: list[str], rows: list[dict]):
-    if cfg.format == "csv":
-        _emit(cfg, _rows_to_csv(columns, rows))
-    else:
-        _emit(cfg, json.dumps([{c: r[c] for c in columns} for r in rows], indent=2) + "\n")
+    _emit(cfg, _rows_to_csv(columns, rows) if cfg.format == "csv" else _rows_to_json(columns, rows) + "\n")
 
 
 def run_bounds(cfg: argparse.Namespace) -> int:
@@ -266,6 +270,7 @@ SWEEP_COLUMNS = ["theta", "variance_product", "lb", "k_m", "k_m_v", "k_tilde",
                  "i_2", "i_1_prime"]
 TRIPLE_COLUMNS = ["variance_triple", "bong3", "prod_k", "prod_k_v", "prod_k_tilde"]
 FLAVOR_FIELDS = {"plain": "prod_k", "convex": "prod_k_v", "tilde": "prod_k_tilde"}
+COMPARE_COLUMNS = ["theta", "k_m_v_minus_lb", "k_m_v_minus_i_2", "k_m_v_minus_i_1_prime", "prod_k_v_minus_bong3"]
 
 
 def _sweep_rows(cfg: argparse.Namespace) -> tuple[Problem, list[dict]]:
@@ -286,19 +291,14 @@ def run_sweep(cfg: argparse.Namespace) -> int:
 
 def run_compare(cfg: argparse.Namespace) -> int:
     problem, rows = _sweep_rows(cfg)
-    out_rows = []
+    triple = len(problem.operators) == 3
     for row in rows:
-        diff = {
-            "theta": row["theta"],
-            "k_m_v_minus_lb": row["k_m_v"] - row["lb"],
-            "k_m_v_minus_i_2": row["k_m_v"] - row["i_2"],
-            "k_m_v_minus_i_1_prime": (None if row["i_1_prime"] is None
-                                      else row["k_m_v"] - row["i_1_prime"]),
-        }
-        if len(problem.operators) == 3:
-            diff["prod_k_v_minus_bong3"] = row["prod_k_v"] - row["bong3"]
-        out_rows.append(diff)
-    _emit_rows(cfg, list(out_rows[0]), out_rows)
+        k = row["k_m_v"]
+        row.update(k_m_v_minus_lb=k - row["lb"], k_m_v_minus_i_2=k - row["i_2"],
+                   k_m_v_minus_i_1_prime=None if row["i_1_prime"] is None else k - row["i_1_prime"])
+        if triple:
+            row["prod_k_v_minus_bong3"] = row["prod_k_v"] - row["bong3"]
+    _emit_rows(cfg, COMPARE_COLUMNS[:4 + triple], rows)
     return EXIT_OK
 
 

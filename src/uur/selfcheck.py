@@ -276,9 +276,13 @@ def suite_gram_psd(rec: SuiteResult, items):
 def suite_triple_bound(rec: SuiteResult, items):
     """Three-operator floor sits below the triple variance product and
     differs from it by exactly the 4x4 Gram determinant."""
-    for _, ops, psi, deltas, *_, instance in _instances(items):
-        vp3 = math.prod(dv.variance for dv in deltas)
-        rhs = bounds.triple_correlation_bound(*deltas)
+    block, found = list(_instances(items)), {}  # found: each item's (vp3, rhs), one stacked call per dimension
+    for d in {d for d, *_ in block}:
+        group = [i for i, (e, *_) in enumerate(block) if e == d]
+        E = np.array([[dv.entries for dv in block[i][3]] for i in group]).transpose(1, 0, 2)
+        found.update(zip(group, zip(*(t.tolist() for t in bounds.triple_correlation_bounds(*E)))))
+    for i, (_, ops, psi, deltas, *_, instance) in enumerate(block):
+        vp3, rhs = found[i]
         det = float(np.linalg.det(moments.gram_matrix(ops, psi)).real)
         rec.check(rhs - vp3, SLACK, instance, "triple bound exceeds product")
         rec.check(-det, SLACK, instance, "gram determinant negative")

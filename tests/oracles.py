@@ -16,7 +16,8 @@ one formula over its angles; they are the references of the stacked
 families. The per-item delta-vector forms are the ones the package ran
 before `moments.delta_stack` formed every delta vector; they are its
 bit-for-bit references, and the tests name a single state's moments with
-them. The helpers name one value of a public function so the tests read like
+them; the per-row triple bound is the reference of the stacked one. The
+helpers name one value of a public function so the tests read like
 the quantities they check, and `run_suite` runs one `check` suite alone
 through the sampler `run_all` uses.
 """
@@ -119,6 +120,23 @@ def correlation(A, B, psi: PureState) -> complex:
 def variance_pure(A, psi: PureState) -> float:
     """Variance <dA^dagger dA> of a unitary operator on a pure state."""
     return delta_vector(A, psi).variance
+
+
+def triple_bound(dA: DeltaVector, dB: DeltaVector, dC: DeltaVector) -> tuple[float, float]:
+    """(variance_triple, bong3) of three delta vectors as the CLI formed them row by row before
+    bounds.triple_correlation_bounds: Python and numpy scalars, with +inf where abs or ** raises
+    OverflowError."""
+    def abs2(c: complex) -> float:
+        try:
+            return abs(c) ** 2
+        except OverflowError:
+            return math.inf
+
+    vA, vB, vC = dA.variance, dB.variance, dC.variance
+    cAB, cAC, cBC = dA.correlation(dB), dA.correlation(dC), dB.correlation(dC)
+    with np.errstate(all="ignore"):  # numpy's scalar complex multiply warns where it overflows
+        return math.prod((vA, vB, vC)), float(
+            vA * abs2(cBC) + vB * abs2(cAC) + vC * abs2(cAB) - 2.0 * (cAC * np.conj(cBC) * np.conj(cAB)).real)
 
 
 # The per-angle state families, verbatim but for ex4's purify (the

@@ -1391,6 +1391,47 @@ def test_delta_reductions_equal_the_np_functions():
     assert signed_zeros > 0
 
 
+def _bits_or_nan(got, want) -> bool:
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return bool(((got.view(np.uint64) == want.view(np.uint64)) | np.isnan(got) & np.isnan(want)).all())
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_stacked_triple_bounds_are_the_scalar_formula_row_by_row(n):
+    # Lognormal row scales (sigma 30) overflow some squares and products; row 0 of each stack is zero, and
+    # rows 1-3 hold -0.0, a huge, an inf and a NaN entry.
+    rng = np.random.default_rng([43, n])
+    E = [(rng.standard_normal((48, n)) + 1j * rng.standard_normal((48, n))) * rng.lognormal(0.0, 30.0, (48, 1))
+         for _ in range(3)]
+    for e in E:
+        e[0] = 0.0
+    E[0][1, 0], E[1][1, -1], E[2][1, 0] = complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)
+    E[0][2, -1], E[1][3, 0], E[2][3, -1] = 1e200, math.inf, complex(1.0, math.nan)
+    vt, bong3 = bounds.triple_correlation_bounds(*E)
+    want = [oracles.triple_bound(*(moments.DeltaVector(e[r], 0j) for e in E)) for r in range(48)]
+    assert _bits_or_nan(vt, [w for w, _ in want]) and _bits_or_nan(bong3, [w for _, w in want])
+    assert bong3[0] == 0.0 and not math.isfinite(bong3[2]) and math.isnan(bong3[3])  # row 2's squares overflow
+    for r in range(48):  # the block of one
+        assert _bits_or_nan(bounds.triple_correlation_bound(*(moments.DeltaVector(e[r], 0j) for e in E)), want[r][1])
+
+
+def test_the_triple_form_squares_by_hypot_and_multiplies_written_out_not_np_abs_or_array_multiply():
+    # triple_correlation_bounds takes |c| as np.hypot and multiplies complex arrays in written-out real and
+    # imaginary parts: Python's abs and complex multiply bit for bit. np.abs on a complex array and numpy's
+    # array complex multiply round differently (SIMD loops). A numpy release that changes hypot, or the
+    # elementwise float products, fails here by name.
+    rng = np.random.default_rng(4343)
+    z, w = ((rng.standard_normal(200_000) + 1j * rng.standard_normal(200_000)) * rng.lognormal(0.0, 3.0, 200_000)
+            for _ in range(2))
+    py_abs = np.array([abs(c) for c in z.tolist()])
+    py_mul = np.array([a * b for a, b in zip(z.tolist(), w.tolist())])
+    assert _bits_or_nan(np.hypot(z.real, z.imag), py_abs)
+    assert _bits_or_nan(z.real * w.real - z.imag * w.imag, py_mul.real)
+    assert _bits_or_nan(z.real * w.imag + z.imag * w.real, py_mul.imag)
+    assert (np.abs(z) != py_abs).sum() > 10_000  # 70,061 here
+    assert ((z * w).real != py_mul.real).sum() + ((z * w).imag != py_mul.imag).sum() > 10_000  # 98,434 here
+
+
 def test_variance_mixed_equals_the_np_trace_form():
     for n, rng in seeded_cases(per_n=3):
         U, rho = random_unitary(rng, n), sampling.random_density(rng, n)

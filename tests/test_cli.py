@@ -279,10 +279,70 @@ def test_broken_row_chain_exits_1_with_no_stdout(capsys, monkeypatch):
 
 
 def test_broken_triple_bound_exits_1(capsys, monkeypatch):
-    monkeypatch.setattr(bounds, "triple_correlation_bound", lambda *deltas: 5.0)
+    real = bounds.triple_correlation_bounds
+    monkeypatch.setattr(bounds, "triple_correlation_bounds", lambda *E: (real(*E)[0], np.full(len(E[0]), 5.0)))
     code, out, err = run(["bounds", "--example", "ex6"], capsys)
     assert (code, out) == (1, "")
     assert err == "error: bong3 exceeds variance_triple by 5.000e+00\n"
+
+
+def _triple_violation(monkeypatch, rows, start):
+    """Make bong3 exceed variance_triple by start + r at each row r of the sweep in rows (0-based, blocks of 64)."""
+    real, block = bounds.triple_correlation_bounds, iter(range(0, 10 ** 6, cli._BLOCK))
+
+    def broken(*E):
+        vt, bong3 = real(*E)
+        lo = next(block)
+        hit = [r - lo for r in rows if lo <= r < lo + len(vt)]
+        bong3[hit] = vt[hit] + start + np.array(hit, dtype=float) + lo
+        return vt, bong3
+    monkeypatch.setattr(bounds, "triple_correlation_bounds", broken)
+
+
+def test_a_65_row_triple_sweep_refuses_its_first_failing_row(capsys, monkeypatch):
+    # Rows 10 and 20 of the first block and row 64, the second block's only row: row 10's excess is named.
+    _triple_violation(monkeypatch, [10, 20, 64], 1.0)
+    code, out, err = run(["sweep", "--example", "ex6", "--steps", "65", "--format", "json"], capsys)
+    assert (code, out, err) == (1, "", "error: bong3 exceeds variance_triple by 1.100e+01\n")
+
+
+def test_a_row_is_refused_for_its_chain_before_its_triple(capsys, monkeypatch):
+    # Row 64 (theta = 2 pi, a block of one, so its fields come from the single functions) breaks both its
+    # chain and its triple; the first block's rows are whole.
+    real = bounds.correlation_bound
+    monkeypatch.setattr(bounds, "correlation_bound", lambda pair: real(pair) + 1.0)
+    _triple_violation(monkeypatch, [64], 1.0)
+    code, out, err = run(["sweep", "--example", "ex6", "--steps", "65"], capsys)
+    assert (code, out) == (1, "")
+    assert err == (f"error: chain invariants failed at theta={2 * math.pi!r}: "
+                   "lb > k_m by 1.000e+00; i_n != lb by 1.000e+00\n")
+
+
+def test_a_triple_row_names_its_first_failing_key_in_column_order(capsys, monkeypatch):
+    real = bounds._means
+    monkeypatch.setattr(bounds, "_means", lambda *args: [
+        dict(mean, convex=mean["convex"] + 3.0, tilde=mean["tilde"] + 5.0) for mean in real(*args)])
+    code, out, err = run(["sweep", "--example", "ex6", "--steps", "65"], capsys)
+    assert (code, out, err) == (1, "", "error: prod_k_v exceeds variance_triple by 3.000e+00\n")  # at theta = 0
+
+
+ROW_CELLS = [None, math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, -5e-324, 1e16, -1e16, 1e-7, 0.1, 1 / 3,
+             2.0 ** 0.5, 1.7976931348623157e308, np.float64(0.1), 0, 7, -3, 10 ** 20, True, "", "a,b", 'q"\u00e9\n']
+
+
+@pytest.mark.parametrize("width", [1, 3, 13])
+def test_the_row_formatter_writes_json_dumps_and_csv_cells_byte_for_byte(width):
+    # Every cell kind in every column, and rows of floats only, which take the one-template CSV line.
+    rng = np.random.default_rng(width)
+    columns = ["theta", "k_m", "i_1_prime", "a \"key\"", "\u00fc", "x%s{}"][:width]
+    columns += [f"c{j}" for j in range(width - 6)]
+    rows = [{c: ROW_CELLS[(r + j) % len(ROW_CELLS)] for j, c in enumerate(columns)} for r in range(len(ROW_CELLS))]
+    rows += [{c: float(v) for c, v in zip(columns, rng.standard_normal(width) * 10.0 ** rng.integers(-30, 30, width))}
+             for _ in range(20)]
+    rows += [{c: -0.0 if j % 2 else 5e-324 for j, c in enumerate(columns)}]
+    assert cli._rows_to_json(columns, rows) == json.dumps([{c: r[c] for c in columns} for r in rows], indent=2)
+    assert cli._rows_to_csv(columns, rows) == ",".join(columns) + "\n" + "".join(
+        ",".join(cli._csv_cell(row[c]) for c in columns) + "\n" for row in rows)
 
 
 def test_overflowing_param_is_input_error(tmp_path, capsys):

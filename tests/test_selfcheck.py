@@ -64,6 +64,22 @@ def test_corruption_is_caught_with_counterexample(monkeypatch):
     json.dumps(ce)  # serializable as emitted by the CLI
 
 
+def test_triple_bound_takes_one_stacked_call_per_dimension_and_checks_in_trial_order(monkeypatch):
+    # Trial t has dimension 2 + t % 5. Breaking trial 5 (the d = 2 group's second row) and trial 1 (the d = 3
+    # group's first): checks in trial order name trial 1; checks in group order would name trial 5.
+    real, calls = bounds.triple_correlation_bounds, []
+
+    def broken(*E):
+        vt, bong3 = real(*E)
+        calls.append(E[0].shape)
+        bong3[{2: [1], 3: [0]}.get(E[0].shape[1], [])] += 1.0
+        return vt, bong3
+    monkeypatch.setattr(bounds, "triple_correlation_bounds", broken)
+    result = run_suite("triple_bound", 42, 15)
+    assert sorted(calls) == [(3, d) for d in range(2, 7)]
+    assert (result.failures, result.counterexample["trial"]) == (4, 1)  # twice each: the bound and the identity
+
+
 def test_counterexample_encoding_is_unchanged(monkeypatch):
     # Digest recorded when every trial still encoded its instance up front;
     # encoding only the captured counterexample must give the same JSON.
